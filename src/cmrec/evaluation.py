@@ -54,6 +54,18 @@ def rank_candidates(items: Sequence, scores: Sequence[float]) -> list[tuple]:
                   key=lambda pair: (-pair[1], pair[0]))
 
 
+def group_ranked_run(users: Sequence, items: Sequence,
+                     scores: Sequence[float]) -> list[tuple]:
+    """Group parallel (user, item, score) rows into a ranked run: users in
+    order of first appearance, each user's items ranked by rank_candidates."""
+    by_user: dict = {}
+    for user, item, score in zip(users, items, scores, strict=True):
+        user_items, user_scores = by_user.setdefault(user, ([], []))
+        user_items.append(item)
+        user_scores.append(float(score))
+    return [(u, rank_candidates(its, vals)) for u, (its, vals) in by_user.items()]
+
+
 def ndcg_at_k(run: RankedRun, qrels: Qrels, k: int = 10):
     """Per-user NDCG@k and its mean over all qrel users.
 

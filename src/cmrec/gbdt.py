@@ -3,10 +3,15 @@
 Newton boosting: g = p - y, h = p(1-p), leaf value -sum(g)/(sum(h)+lambda).
 Trees grow leaf-wise, always splitting the current leaf with the highest
 gain, until num_leaves is reached or no split has positive gain. Feature
-values are quantile-binned once up front; per-node histograms come from a
-flattened bincount, with the larger sibling derived by subtraction. All
-tie-breaks are fixed (gain desc, then lower feature index, then lower bin;
-leaf choice by gain desc then lower node id), so training is deterministic.
+values are quantile-binned once up front. Each node's histograms form a
+padded (features x max bins) grid, filled by one bincount over the node's
+rows; bins past a feature's own count stay zero and are never split on.
+The smaller child's grid is built directly and the larger one derived by
+subtraction; a leaf keeps its grids only while it can still be split. A
+leaf's split search is one prefix sum along the bin axis and one
+row-major argmax over the whole grid. All tie-breaks are fixed
+(gain desc, then lower feature index, then lower bin; leaf choice by gain
+desc then lower node id), so training is deterministic.
 """
 
 from __future__ import annotations
@@ -136,52 +141,53 @@ def _logloss(y: np.ndarray, p: np.ndarray) -> float:
 
 
 def _histogram(binned_sel: np.ndarray, idx: np.ndarray, g: np.ndarray,
-               h: np.ndarray, offsets: np.ndarray, total: int):
+               h: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]):
+    """Per-(feature, bin) sums of g, h and row counts over the rows idx,
+    as grids of the given shape; offsets[f] is row f's start in the flat
+    grid. Each cell accumulates its rows in row order."""
     flat = (binned_sel[idx] + offsets).ravel()
     n_feat = binned_sel.shape[1]
+    total = shape[0] * shape[1]
     hg = np.bincount(flat, weights=np.repeat(g[idx], n_feat), minlength=total)
     hh = np.bincount(flat, weights=np.repeat(h[idx], n_feat), minlength=total)
     hn = np.bincount(flat, minlength=total).astype(np.float64)
-    return hg, hh, hn
+    return hg.reshape(shape), hh.reshape(shape), hn.reshape(shape)
 
 
 def _newton_term(gsq: np.ndarray, hmass: np.ndarray) -> np.ndarray:
     return np.where(hmass > _MIN_HESSIAN, gsq / np.maximum(hmass, _MIN_HESSIAN), 0.0)
 
 
-def _best_split(hg, hh, hn, offsets, nbins, G, H, n, params: GbdtParams):
-    """Highest-gain (feature, bin) for one leaf; ties go to the lower
-    feature index, then the lower bin. None when no split clears zero."""
+def _best_split(hg, hh, hn, split_ok, G, H, n, params: GbdtParams):
+    """Highest-gain (feature, bin) for one leaf over its histogram grids;
+    split_ok marks the (feature, bin) cells that may split at all. Ties go
+    to the lower feature index, then the lower bin (the row-major argmax
+    order). None when no split clears zero."""
     lam = params.l2_leaf_reg
     parent = float(_newton_term(np.array([G * G]), np.array([H + lam]))[0])
-    best = None
-    for f in range(len(nbins)):
-        nb = nbins[f]
-        if nb < 2:
-            continue
-        off = offsets[f]
-        cg = np.cumsum(hg[off:off + nb])[:-1]
-        ch = np.cumsum(hh[off:off + nb])[:-1]
-        cn = np.cumsum(hn[off:off + nb])[:-1]
-        ok = (cn >= params.min_data_in_leaf) & (n - cn >= params.min_data_in_leaf)
-        if not ok.any():
-            continue
-        gains = 0.5 * (_newton_term(cg ** 2, ch + lam)
-                       + _newton_term((G - cg) ** 2, (H - ch) + lam)
-                       - parent)
-        gains[~ok] = -math.inf
-        b = int(np.argmax(gains))
-        if gains[b] > 0 and (best is None or gains[b] > best[0]):
-            best = (float(gains[b]), f, b)
-    return best
+    cg = np.cumsum(hg, axis=1)
+    ch = np.cumsum(hh, axis=1)
+    cn = np.cumsum(hn, axis=1)
+    ok = split_ok & (cn >= params.min_data_in_leaf) & (n - cn >= params.min_data_in_leaf)
+    if not ok.any():
+        return None
+    gains = 0.5 * (_newton_term(cg ** 2, ch + lam)
+                   + _newton_term((G - cg) ** 2, (H - ch) + lam)
+                   - parent)
+    gains[~ok] = -math.inf
+    k = int(np.argmax(gains))
+    f, b = divmod(k, gains.shape[1])
+    if not gains[f, b] > 0:
+        return None
+    return float(gains[f, b]), f, b
 
 
 @dataclass
 class _Leaf:
     idx: np.ndarray
-    hg: np.ndarray
-    hh: np.ndarray
-    hn: np.ndarray
+    hg: np.ndarray | None
+    hh: np.ndarray | None
+    hn: np.ndarray | None
     G: float
     H: float
     best: tuple | None
@@ -189,9 +195,11 @@ class _Leaf:
 
 def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
                h: np.ndarray, nbins: list[int], params: GbdtParams) -> Tree | None:
-    offsets = np.zeros(len(nbins), dtype=np.int64)
-    np.cumsum(nbins[:-1], out=offsets[1:])
-    total = int(offsets[-1] + nbins[-1])
+    width = max(nbins)
+    shape = (len(nbins), width)
+    offsets = np.arange(len(nbins), dtype=np.int64) * width
+    # The last bin of a feature leaves nothing on the right; padding never splits.
+    split_ok = np.arange(width) < np.array(nbins)[:, None] - 1
 
     feature, threshold_bin = [-1], [-1]
     left, right = [-1], [-1]
@@ -199,9 +207,9 @@ def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
 
     def make_leaf(idx, hists=None):
         hg, hh, hn = (hists if hists is not None
-                      else _histogram(binned_sel, idx, g, h, offsets, total))
+                      else _histogram(binned_sel, idx, g, h, offsets, shape))
         G, H = float(np.sum(g[idx])), float(np.sum(h[idx]))
-        best = _best_split(hg, hh, hn, offsets, nbins, G, H, len(idx), params)
+        best = _best_split(hg, hh, hn, split_ok, G, H, len(idx), params)
         return _Leaf(idx, hg, hh, hn, G, H, best)
 
     leaves: dict[int, _Leaf] = {0: make_leaf(np.arange(len(g)))}
@@ -209,14 +217,18 @@ def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
         return None
 
     while len(leaves) < params.num_leaves:
-        pick = None
-        for node_id in sorted(leaves):
-            b = leaves[node_id].best
-            if b is not None and (pick is None or b[0] > pick[1][0]):
-                pick = (node_id, b)
-        if pick is None:
+        # Splittable leaves in pick order: gain desc, then lower node id.
+        order = sorted((n for n in sorted(leaves) if leaves[n].best is not None),
+                       key=lambda n: -leaves[n].best[0])
+        if not order:
             break
-        node_id, (split_gain, f_local, split_bin) = pick
+        # Only the first num_leaves - len(leaves) can still be split: new
+        # children only push the rest further back. Nothing else reads the
+        # grids of the others, so release them.
+        for n in set(leaves) - set(order[:params.num_leaves - len(leaves)]):
+            leaves[n].hg = leaves[n].hh = leaves[n].hn = None
+        node_id = order[0]
+        split_gain, f_local, split_bin = leaves[node_id].best
         leaf = leaves.pop(node_id)
         mask = binned_sel[leaf.idx, f_local] <= split_bin
         left_idx, right_idx = leaf.idx[mask], leaf.idx[~mask]
@@ -231,6 +243,7 @@ def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
             lchild = make_leaf(left_idx, hists=(leaf.hg - rchild.hg,
                                                 leaf.hh - rchild.hh,
                                                 leaf.hn - rchild.hn))
+        del leaf
         lid, rid = len(feature), len(feature) + 1
         for child in (lchild, rchild):
             feature.append(-1)
@@ -271,6 +284,8 @@ def _tree_raw(tree: Tree, binned: np.ndarray) -> np.ndarray:
 def train(table: FeatureTable, params: GbdtParams) -> GbdtModel:
     if table.labels is None:
         raise DataError("feature table has no label column")
+    if not table.columns:
+        raise DataError("feature table has no columns")
     y = table.labels.astype(np.float64)
     if y.min() == y.max():
         raise StageError("labels are single-class; nothing to learn")
@@ -359,13 +374,7 @@ def bagged_predict(bagged: BaggedModel, table: FeatureTable) -> np.ndarray:
 def oof_ndcg(table: FeatureTable, oof_scores: np.ndarray, k: int = 10) -> float:
     """NDCG@k of the out-of-fold scores, grouped per user, via the shared
     evaluation routine; users without any positive label are skipped."""
-    by_user: dict[str, tuple[list, list]] = {}
-    for r in range(table.n_rows):
-        items, scores = by_user.setdefault(table.users[r], ([], []))
-        items.append(table.items[r])
-        scores.append(float(oof_scores[r]))
-    run = [(u, evaluation.rank_candidates(items, scores))
-           for u, (items, scores) in by_user.items()]
+    run = evaluation.group_ranked_run(table.users, table.items, oof_scores)
     qrels: dict[str, set] = {}
     for r in range(table.n_rows):
         if table.labels is not None and table.labels[r] == 1:

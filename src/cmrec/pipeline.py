@@ -32,7 +32,8 @@ import numpy as np
 from . import data, evaluation, features, gbdt, selection
 from .config import PipelineConfig
 from .data import CombinationSpec, IdEncoder, Interaction, RunFile
-from .util import ConfigError, DataError, StageError, fmt, stage_seed
+from .util import (ConfigError, DataError, StageError, atomic_write_text,
+                   fmt, stage_seed)
 
 EMBEDDING_SCORERS = ("word2vec", "node2vec_dfs", "node2vec_bfs", "lightgcn")
 
@@ -320,18 +321,6 @@ def run_select(config: PipelineConfig, target: str) -> list[str]:
     return kept
 
 
-def _run_order(table: features.FeatureTable,
-               scores: np.ndarray) -> list[tuple[str, list[tuple[str, float]]]]:
-    """Group table rows back into per-user ranked candidate lists."""
-    by_user: dict[str, tuple[list, list]] = {}
-    for r in range(table.n_rows):
-        items, vals = by_user.setdefault(table.users[r], ([], []))
-        items.append(table.items[r])
-        vals.append(float(scores[r]))
-    return [(u, evaluation.rank_candidates(items, vals))
-            for u, (items, vals) in by_user.items()]
-
-
 def run_train(config: PipelineConfig, target: str) -> dict:
     """Grid search (optional), bagged training on valid labels, and test
     prediction; the out-of-fold NDCG@10 is the reported offline score."""
@@ -357,12 +346,12 @@ def run_train(config: PipelineConfig, target: str) -> dict:
     for r in range(valid.n_rows):
         lines.append(f"{valid.users[r]}\t{valid.items[r]}"
                      f"\t{int(valid.labels[r])}\t{fmt(bagged.oof[r])}")
-    (tdir / "oof.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(tdir / "oof.tsv", "\n".join(lines) + "\n")
 
     test = features.read_table(ws.features_path(target, "test"),
                                ws.catalog_path(target, "test")).select(kept)
     preds = gbdt.bagged_predict(bagged, test)
-    run = _run_order(test, preds)
+    run = evaluation.group_ranked_run(test.users, test.items, preds)
     evaluation.emit_run_file(run, tdir / "test_ranked.tsv")
 
     metrics = {"target": target, "oof_ndcg_at_10": offline,

@@ -222,4 +222,7 @@ def read_kept(path) -> list[str]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"kept-feature list not found: {path}")
-    return [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    kept = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    if not kept:
+        raise DataError(f"kept-feature list lists no features: {path}")
+    return kept

@@ -75,6 +75,20 @@ class TestRankCandidates:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+class TestGroupRankedRun:
+    def test_users_in_first_seen_order_items_ranked(self):
+        run = ev.group_ranked_run(["b", "a", "b", "a", "b"],
+                                  ["i1", "i2", "i3", "i4", "i0"],
+                                  np.array([0.5, 0.1, 0.9, 0.1, 0.5]))
+        assert run == [("b", [("i3", 0.9), ("i0", 0.5), ("i1", 0.5)]),
+                       ("a", [("i2", 0.1), ("i4", 0.1)])]
+        assert all(type(s) is float for _, ranked in run for _, s in ranked)
+
+    def test_misaligned_columns_rejected(self):
+        with pytest.raises(ValueError):
+            ev.group_ranked_run(["u", "u"], ["i1", "i2"], [1.0])
+
+
 class TestMarketWeights:
     def test_fit_weights_in_expected_band(self):
         w = ev.fit_market_weights()

@@ -137,6 +137,146 @@ class TestStumpOracle:
         assert model.trees[0].gain[0] == want["gain"]
 
 
+def best_split_oracle(hg, hh, hn, nbins, G, H, n, params):
+    """Per-feature split search: one prefix sum and argmax per feature over
+    its own nbins[f] bins, a later feature replacing the best only on a
+    strictly higher gain. The grid search in gbdt._best_split must return
+    exactly this, gain bits included."""
+    lam = params.l2_leaf_reg
+    parent = float(gbdt._newton_term(np.array([G * G]), np.array([H + lam]))[0])
+    best = None
+    for f in range(len(nbins)):
+        nb = int(nbins[f])
+        if nb < 2:
+            continue
+        cg = np.cumsum(hg[f, :nb])[:-1]
+        ch = np.cumsum(hh[f, :nb])[:-1]
+        cn = np.cumsum(hn[f, :nb])[:-1]
+        ok = (cn >= params.min_data_in_leaf) & (n - cn >= params.min_data_in_leaf)
+        if not ok.any():
+            continue
+        gains = 0.5 * (gbdt._newton_term(cg ** 2, ch + lam)
+                       + gbdt._newton_term((G - cg) ** 2, (H - ch) + lam)
+                       - parent)
+        gains[~ok] = -math.inf
+        b = int(np.argmax(gains))
+        if gains[b] > 0 and (best is None or gains[b] > best[0]):
+            best = (float(gains[b]), f, b)
+    return best
+
+
+def padded_grids(hists, nbins):
+    """Stack per-feature (g, h, n) bin sums into zero-padded grids, plus the
+    split mask _grow_tree builds for them."""
+    width = max(nbins)
+    grids = np.zeros((3, len(nbins), width))
+    for f, (nb, rows) in enumerate(zip(nbins, hists)):
+        grids[:, f, :nb] = rows
+    split_ok = np.arange(width) < np.asarray(nbins)[:, None] - 1
+    return grids[0], grids[1], grids[2], split_ok
+
+
+def random_leaf(rng, n_feat=6, integral=False):
+    """Histograms of one leaf: every feature bins the same rows, so each
+    row of the grid sums to the leaf totals. Integral gradients make
+    equal gains across and within features common."""
+    n = int(rng.integers(2, 60))
+    if integral:
+        g = rng.integers(-2, 3, n).astype(np.float64)
+        h = np.ones(n)
+    else:
+        p = rng.random(n)
+        g, h = p - rng.integers(0, 2, n), p * (1 - p)
+    nbins = [int(rng.choice([1, 2, 3, 5, 9])) for _ in range(n_feat)]
+    hists = []
+    for nb in nbins:
+        bin_of = rng.integers(0, nb, n)
+        hists.append((np.bincount(bin_of, weights=g, minlength=nb),
+                      np.bincount(bin_of, weights=h, minlength=nb),
+                      np.bincount(bin_of, minlength=nb).astype(np.float64)))
+    if n_feat > 2 and rng.random() < 0.5:  # a duplicated feature: exact tie
+        a, b = sorted(rng.choice(n_feat, 2, replace=False))
+        nbins[b], hists[b] = nbins[a], hists[a]
+    return hists, nbins, float(np.sum(g)), float(np.sum(h)), n
+
+
+class TestBestSplitGrid:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_feature_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        hists, nbins, G, H, n = random_leaf(rng, integral=seed % 2 == 0)
+        params = stump_params(min_data_in_leaf=int(rng.choice([1, 2, 4])),
+                              l2_leaf_reg=float(rng.choice([0.0, 1.0])))
+        hg, hh, hn, split_ok = padded_grids(hists, nbins)
+        want = best_split_oracle(hg, hh, hn, nbins, G, H, n, params)
+        assert gbdt._best_split(hg, hh, hn, split_ok, G, H, n, params) == want
+
+    def test_cross_feature_tie_picks_lower_feature(self):
+        # features 1 and 2 reach bit-equal gains, feature 1 at a higher bin:
+        # the lower feature wins even though its bin is not the lowest
+        ones = np.ones(4)
+        hists = [(np.zeros(1), np.full(1, 4.0), np.full(1, 4.0)),
+                 (np.array([0.0, 0.0, 2.0, -2.0]), ones, ones),
+                 (np.array([-2.0, 2.0, 0.0, 0.0]), ones, ones)]
+        hg, hh, hn, split_ok = padded_grids(hists, [1, 4, 4])
+        got = gbdt._best_split(hg, hh, hn, split_ok, 0.0, 4.0, 4, stump_params())
+        assert got is not None and got[1:] == (1, 2)
+        assert got == best_split_oracle(hg, hh, hn, [1, 4, 4], 0.0, 4.0, 4,
+                                        stump_params())
+
+    def test_within_feature_tie_picks_lower_bin(self):
+        # mirror-image partitions at bins 0 and 2 have bit-equal gains
+        hists = [(np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4), np.ones(4))]
+        hg, hh, hn, split_ok = padded_grids(hists, [4])
+        got = gbdt._best_split(hg, hh, hn, split_ok, 0.0, 4.0, 4, stump_params())
+        assert got is not None and got[1:] == (0, 0)
+        assert got == best_split_oracle(hg, hh, hn, [4], 0.0, 4.0, 4,
+                                        stump_params())
+
+    def test_one_bin_features_never_split(self):
+        hists = [(np.array([5.0]), np.array([2.0]), np.array([9.0]))] * 3
+        hg, hh, hn, split_ok = padded_grids(hists, [1, 1, 1])
+        assert not split_ok.any()
+        assert gbdt._best_split(hg, hh, hn, split_ok, 5.0, 2.0, 9,
+                                stump_params()) is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_min_data_masking_every_candidate_gives_none(self, seed):
+        rng = np.random.default_rng(seed)
+        hists, nbins, G, H, n = random_leaf(rng)
+        params = stump_params(min_data_in_leaf=n // 2 + 1)
+        hg, hh, hn, split_ok = padded_grids(hists, nbins)
+        assert best_split_oracle(hg, hh, hn, nbins, G, H, n, params) is None
+        assert gbdt._best_split(hg, hh, hn, split_ok, G, H, n, params) is None
+
+    def test_whole_model_matches_per_feature_search(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 800
+        values = np.column_stack([
+            np.round(rng.normal(size=(n, 4)), 2),
+            rng.integers(0, 3, n),        # few bins
+            np.full(n, 2.0),              # one bin
+            rng.exponential(size=n) * (rng.random(n) < 0.3),  # mostly zero
+            rng.normal(size=n),           # more distinct values than bins
+        ])
+        logit = values[:, 0] - 0.7 * values[:, 4] + values[:, 6] - 0.5
+        y = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(int)
+        table = make_table(values, y)
+        params = gbdt.GbdtParams(num_leaves=9, n_rounds=8, learning_rate=0.2,
+                                 min_data_in_leaf=10, l2_leaf_reg=1.0,
+                                 max_bins=63, feature_fraction=0.8, seed=2)
+        want = gbdt.model_to_dict(gbdt.train(table, params))
+        assert len(want["trees"]) == params.n_rounds
+        assert max(len(t["feature"]) for t in want["trees"]) > 5
+
+        def per_feature(hg, hh, hn, split_ok, G, H, n, params):
+            nbins = split_ok.sum(axis=1) + 1
+            return best_split_oracle(hg, hh, hn, nbins, G, H, n, params)
+
+        monkeypatch.setattr(gbdt, "_best_split", per_feature)
+        assert gbdt.model_to_dict(gbdt.train(table, params)) == want
+
+
 class TestBins:
     def test_two_distinct_values_two_bins(self):
         table = make_table(np.array([[1.0], [5.0], [1.0]]))
@@ -203,6 +343,11 @@ class TestTraining:
     def test_single_class_labels_hard_error(self):
         with pytest.raises(StageError, match="single-class"):
             gbdt.train(make_table(np.ones((10, 1)), np.ones(10)), stump_params())
+
+    def test_zero_column_table_rejected(self):
+        table = make_table(np.zeros((6, 0)), [0, 1] * 3)
+        with pytest.raises(DataError, match="no columns"):
+            gbdt.train(table, stump_params())
 
     def test_missing_labels_rejected(self):
         with pytest.raises(DataError, match="label"):

@@ -2,7 +2,9 @@
 snapshots, stage outputs, leakage guards, resumability, and the CLI's
 exit-code contract."""
 
+import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +65,13 @@ def world(tmp_path_factory):
     return {"root": root, "data": data_dir, "config": config,
             "meta": meta, "summary": summary, "final": final,
             "ws": pipeline.workspace_for(config)}
+
+
+def copied_workspace(world, tmp_path):
+    """A private copy of the shared workspace, and a config pointing at it."""
+    work = tmp_path / "work"
+    shutil.copytree(world["ws"].root, work)
+    return work, dataclasses.replace(world["config"], workspace=str(work))
 
 
 class TestIngest:
@@ -297,6 +306,29 @@ class TestSelectTrain:
         assert len(lines) - 1 == valid.n_rows
         scores = [float(line.split("\t")[3]) for line in lines[1:]]
         assert all(np.isfinite(scores))
+
+    def test_train_writes_oof_atomically(self, world, tmp_path, monkeypatch):
+        work, config = copied_workspace(world, tmp_path)
+        oof = work / "t1" / "oof.tsv"
+        before = oof.read_bytes()
+        oof.unlink()
+        written = []
+        real = pipeline.atomic_write_text
+
+        def recording(path, text):
+            written.append(Path(path))
+            real(path, text)
+
+        monkeypatch.setattr(pipeline, "atomic_write_text", recording)
+        pipeline.run_train(config, "t1")
+        assert oof in written
+        assert oof.read_bytes() == before
+
+    def test_empty_kept_list_fails_train_with_data_error(self, world, tmp_path):
+        work, config = copied_workspace(world, tmp_path)
+        (work / "t1" / "kept.txt").write_text("")
+        with pytest.raises(DataError, match="no features"):
+            pipeline.run_train(config, "t1")
 
     def test_ranked_run_permutes_the_candidates(self, world):
         ws = world["ws"]

@@ -315,6 +315,11 @@ class TestReportFiles:
         selection.write_kept(["b__x", "a__y"], tmp_path / "kept.txt")
         assert selection.read_kept(tmp_path / "kept.txt") == ["b__x", "a__y"]
 
+    def test_empty_kept_file_rejected(self, tmp_path):
+        (tmp_path / "kept.txt").write_text("\n")
+        with pytest.raises(DataError, match="no features"):
+            selection.read_kept(tmp_path / "kept.txt")
+
     def test_missing_kept_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             selection.read_kept(tmp_path / "absent.txt")
