@@ -63,8 +63,9 @@ class ScorerPlanConfig:
 
 
 def _default_scorers() -> tuple[ScorerPlanConfig, ...]:
-    return tuple(ScorerPlanConfig(name) for name in
-                 ("item_cf", "user_cf", "swing", "llr", "bigraph"))
+    """The memory-based scorers: every unseeded registry entry."""
+    return tuple(ScorerPlanConfig(name) for name, scorer in SCORERS.items()
+                 if not scorer.seeded)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ train.tsv and train_5core.tsv are mandatory; everything else is optional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .util import DataError
+from .util import DataError, atomic_write_text
 
 SPLITS = ("train", "train_5core", "valid_qrel", "test_qrel")
 SPLIT_FILES = {
@@ -40,15 +40,35 @@ class RawInteraction:
     split: str
 
 
-@dataclass(frozen=True, slots=True)
-class Interaction:
-    """One (user, item, rating) record with dense integer ids."""
+@dataclass(frozen=True)
+class Interactions:
+    """Encoded interaction rows held column by column: dense int64 user and
+    item ids, float64 ratings, and the market and split names as string
+    arrays, all of one length."""
 
-    user: int
-    item: int
-    rating: float
-    market: str
-    split: str
+    user: np.ndarray
+    item: np.ndarray
+    rating: np.ndarray
+    market: np.ndarray
+    split: np.ndarray
+
+    def __post_init__(self):
+        dtypes = {"user": np.int64, "item": np.int64, "rating": np.float64,
+                  "market": str, "split": str}
+        for name, dtype in dtypes.items():
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=dtype))
+        if len({len(getattr(self, name)) for name in dtypes}) != 1:
+            raise ValueError("interaction columns must align")
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def take(self, index) -> "Interactions":
+        """The rows at an index array or boolean mask, in order."""
+        return Interactions(self.user[index], self.item[index],
+                            self.rating[index], self.market[index],
+                            self.split[index])
 
 
 def load_market(dir_path, market: str):
@@ -141,7 +161,7 @@ def write_run(run: RunFile, path) -> None:
     lines = ["userId\titemIds"]
     for user, cands in run.entries:
         lines.append("\t".join([user, *cands]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -189,18 +209,12 @@ def fit_encoders(rows: Sequence[RawInteraction],
     return IdEncoder.fit(users), IdEncoder.fit(items)
 
 
-def encode_interactions(rows: Sequence[RawInteraction],
-                        users: IdEncoder, items: IdEncoder) -> list[Interaction]:
-    return [Interaction(users.encode(r.user), items.encode(r.item), r.rating,
-                        r.market, r.split) for r in rows]
-
-
 def dedupe_and_mark_5core(rows, force_rating: float = 5.0):
     """Collapse duplicate (user, item, market, split) rows keeping the last
     occurrence, then force every train_5core rating to `force_rating`.
 
-    Works on raw or encoded interactions; row order is otherwise stable
-    (a collapsed row keeps the position of its first occurrence).
+    Row order is otherwise stable (a collapsed row keeps the position of
+    its first occurrence).
     """
     byname = {}
     for r in rows:
@@ -304,25 +318,8 @@ class SparseInteractionMatrix:
             dense[u, it] = r
         return dense
 
-    def validate(self) -> None:
-        """Full-enumeration consistency check; intended for tests (small nnz)."""
-        rows = {(u, int(i), float(r)) for u in range(self.n_users)
-                for i, r in zip(*self.row(u))}
-        cols = {(int(u), i, float(r)) for i in range(self.n_items)
-                for u, r in zip(*self.col(i))}
-        if rows != cols:
-            raise AssertionError("row/col adjacency disagree")
-        for u in range(self.n_users):
-            it, _ = self.row(u)
-            if len(it) > 1 and not bool(np.all(np.diff(it) > 0)):
-                raise AssertionError(f"row {u} not strictly increasing")
-        for i in range(self.n_items):
-            us, _ = self.col(i)
-            if len(us) > 1 and not bool(np.all(np.diff(us) > 0)):
-                raise AssertionError(f"col {i} not strictly increasing")
 
-
-def build_matrix(rows: Sequence[Interaction], spec: CombinationSpec,
+def build_matrix(rows: Interactions, spec: CombinationSpec,
                  n_users: int, n_items: int) -> SparseInteractionMatrix:
     """Union the interactions of spec.markets into one matrix.
 
@@ -330,84 +327,52 @@ def build_matrix(rows: Sequence[Interaction], spec: CombinationSpec,
     (user, item) pair seen in several splits collapses to its maximum
     rating, keeping the matrix free of duplicate nonzeros.
     """
-    market_set = set(spec.markets)
-    for r in rows:
-        if r.market not in market_set:
-            raise DataError(f"row market {r.market!r} outside combination {spec.combo_id}")
+    outside = np.flatnonzero(~np.isin(rows.market, spec.markets))
+    if len(outside):
+        raise DataError(f"row market {str(rows.market[outside[0]])!r} "
+                        f"outside combination {spec.combo_id}")
+    order = np.lexsort((rows.item, rows.user))
+    user, item = rows.user[order], rows.item[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (user[1:] != user[:-1]) | (item[1:] != item[:-1])
+    starts = np.flatnonzero(first)
+    keep = np.ones(len(starts), dtype=bool)
     if spec.exclude_valid_of_target:
-        banned = {(r.user, r.item) for r in rows
-                  if r.market == spec.target and r.split == "valid_qrel"}
-        rows = [r for r in rows if (r.user, r.item) not in banned]
-    merged: dict[tuple[int, int], float] = {}
-    for r in rows:
-        key = (r.user, r.item)
-        prev = merged.get(key)
-        if prev is None or r.rating > prev:
-            merged[key] = r.rating
-    if merged:
-        keys = np.array(list(merged.keys()), dtype=np.int64)
-        vals = np.array(list(merged.values()), dtype=np.float64)
-        return SparseInteractionMatrix.from_pairs(keys[:, 0], keys[:, 1], vals,
-                                                  n_users, n_items)
+        banned = (rows.market == spec.target) & (rows.split == "valid_qrel")
+        keep = ~np.logical_or.reduceat(banned[order], starts)
+    best = np.maximum.reduceat(rows.rating[order], starts)
     return SparseInteractionMatrix.from_pairs(
-        np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), n_users, n_items)
+        user[starts][keep], item[starts][keep], best[keep], n_users, n_items)
 
 
-@dataclass
-class DatasetSummary:
-    markets: list[str]
-    samples: dict[str, int]
-    users: dict[str, int]
-    items: dict[str, int]
-    rating_mean: dict[str, float]
-    overlap: dict[str, dict[str, int]]
-    total_samples: int = 0
-    total_users: int = 0
-    total_items: int = 0
-    unique_items: int = 0
+def summarize(rows: Interactions) -> dict:
+    """Per-market counts, rating means, and the shared-item overlap matrix,
+    as the JSON-ready dict the snapshot's summary.json holds."""
+    markets, code = np.unique(rows.market, return_inverse=True)
+    n = len(markets)
+    samples = np.bincount(code, minlength=n)
+    rating_sum = np.bincount(code, weights=rows.rating, minlength=n)
 
-    def to_dict(self) -> dict:
-        return {
-            "markets": self.markets,
-            "samples": self.samples,
-            "users": self.users,
-            "items": self.items,
-            "rating_mean": self.rating_mean,
-            "overlap": self.overlap,
-            "total_samples": self.total_samples,
-            "total_users": self.total_users,
-            "total_items": self.total_items,
-            "unique_items": self.unique_items,
-        }
+    def presence(ids):  # market x id: does the market hold the id
+        out = np.zeros((n, int(ids.max()) + 1 if len(ids) else 0), dtype=bool)
+        out[code, ids] = True
+        return out
 
-
-def summarize(rows: Sequence[Interaction]) -> DatasetSummary:
-    """Per-market counts, rating means, and the shared-item overlap matrix."""
-    markets = sorted({r.market for r in rows})
-    items_by_market: dict[str, set[int]] = {m: set() for m in markets}
-    users_by_market: dict[str, set[int]] = {m: set() for m in markets}
-    samples = {m: 0 for m in markets}
-    rating_sum = {m: 0.0 for m in markets}
-    for r in rows:
-        items_by_market[r.market].add(r.item)
-        users_by_market[r.market].add(r.user)
-        samples[r.market] += 1
-        rating_sum[r.market] += r.rating
-    overlap = {
-        a: {b: len(items_by_market[a] & items_by_market[b]) for b in markets}
-        for a in markets
+    users, items = presence(rows.user), presence(rows.item)
+    n_users, n_items = users.sum(axis=1), items.sum(axis=1)
+    overlap = items.astype(np.int64) @ items.T.astype(np.int64)
+    names = markets.tolist()
+    return {
+        "markets": names,
+        "samples": {m: int(samples[k]) for k, m in enumerate(names)},
+        "users": {m: int(n_users[k]) for k, m in enumerate(names)},
+        "items": {m: int(n_items[k]) for k, m in enumerate(names)},
+        "rating_mean": {m: float(rating_sum[k] / samples[k])
+                        for k, m in enumerate(names)},
+        "overlap": {a: {b: int(overlap[i, j]) for j, b in enumerate(names)}
+                    for i, a in enumerate(names)},
+        "total_samples": int(samples.sum()),
+        "total_users": int(n_users.sum()),
+        "total_items": int(n_items.sum()),
+        "unique_items": int(items.any(axis=0).sum()),
     }
-    all_items = set().union(*items_by_market.values()) if markets else set()
-    return DatasetSummary(
-        markets=markets,
-        samples=samples,
-        users={m: len(users_by_market[m]) for m in markets},
-        items={m: len(items_by_market[m]) for m in markets},
-        rating_mean={m: (rating_sum[m] / samples[m] if samples[m] else 0.0)
-                     for m in markets},
-        overlap=overlap,
-        total_samples=sum(samples.values()),
-        total_users=sum(len(v) for v in users_by_market.values()),
-        total_items=sum(len(v) for v in items_by_market.values()),
-        unique_items=len(all_items),
-    )

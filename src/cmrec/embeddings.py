@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import SparseInteractionMatrix
-from .util import DataError, fmt, stage_seed, atomic_write_text
+from .util import DataError, atomic_write_text, fmt, sigmoid, stage_seed
 
 log = logging.getLogger(__name__)
 
@@ -75,6 +75,9 @@ class LightGcnParams:
     def __post_init__(self):
         if self.layers < 1:
             raise ValueError("layers must be at least 1")
+        for name in ("dim", "epochs", "batch_size", "learning_rate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.node_dropout < 1.0:
             raise ValueError("node_dropout must lie in [0, 1)")
 
@@ -230,16 +233,12 @@ def sgns_pair_loss(v_c: np.ndarray, u_o: np.ndarray, u_negs: np.ndarray
     pos = float(u_o @ v_c)
     negs = u_negs @ v_c
     loss = -_log_sigmoid(pos) - float(np.sum(_log_sigmoid(-negs)))
-    g_pos = _sigmoid(pos) - 1.0
-    g_negs = _sigmoid(negs)
+    g_pos = sigmoid(pos) - 1.0
+    g_negs = sigmoid(negs)
     d_vc = g_pos * u_o + g_negs @ u_negs
     d_uo = g_pos * v_c
     d_unegs = g_negs[:, None] * v_c[None, :]
     return loss, d_vc, d_uo, d_unegs
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _log_sigmoid(x):
@@ -319,8 +318,8 @@ def _sgns_chunk(w_in, w_out, centers, contexts, negs, lr) -> float:
     pos = np.einsum("bd,bd->b", v, u_o)
     neg = np.einsum("bkd,bd->bk", u_n, v)
     loss = float(np.sum(-_log_sigmoid(pos)) + np.sum(-_log_sigmoid(-neg)))
-    g_pos = _sigmoid(pos) - 1.0                        # (B,)
-    g_neg = _sigmoid(neg)                              # (B, K)
+    g_pos = sigmoid(pos) - 1.0                        # (B,)
+    g_neg = sigmoid(neg)                              # (B, K)
     d_v = g_pos[:, None] * u_o + np.einsum("bk,bkd->bd", g_neg, u_n)
     np.add.at(w_in, centers, -lr * d_v)
     np.add.at(w_out, contexts, -lr * g_pos[:, None] * v)
@@ -419,7 +418,7 @@ def bpr_loss_and_grad(user_vecs, item_vecs, graph, layers, l2_reg,
     margin = np.einsum("bd,bd->b", fu, fp - fn)
     b = len(users)
     loss = float(np.mean(-_log_sigmoid(margin)))
-    coef = -_sigmoid(-margin) / b                       # d loss / d margin
+    coef = -sigmoid(-margin) / b                       # d loss / d margin
     d_fu = np.zeros_like(f_u)
     d_fi = np.zeros_like(f_i)
     np.add.at(d_fu, users, coef[:, None] * (fp - fn))

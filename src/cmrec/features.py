@@ -13,12 +13,116 @@ import numpy as np
 
 from . import embeddings as emb
 from . import memory_cf as mcf
-from .data import (CombinationSpec, IdEncoder, Interaction, RunFile,
+from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                    SparseInteractionMatrix, build_matrix)
 from .util import ConfigError, DataError, atomic_write_text, fmt, params_hash
 
-SCORERS = ("item_cf", "user_cf", "swing", "llr", "bigraph",
-           "word2vec", "node2vec_dfs", "node2vec_bfs", "lightgcn")
+
+@dataclass(frozen=True)
+class Scorer:
+    """One pre-ranking scorer.
+
+    fit(matrix, params) -> model is called once per (params, combination);
+    score(model, matrix, user_id, item_ids) -> (values, missing) scores one
+    user's candidates, user_id -1 being a user the encoders do not know;
+    missing is one flag per candidate or one for all of them.
+    A seeded scorer draws random numbers and gets a derived "seed" param.
+    """
+
+    fit: Callable[[SparseInteractionMatrix, Mapping], object]
+    score: Callable[[object, SparseInteractionMatrix, int, np.ndarray],
+                    tuple[np.ndarray, np.ndarray]]
+    seeded: bool = False
+
+
+def _top_k(p: Mapping) -> int:
+    return int(p.get("top_k", mcf.DEFAULT_TOP_K))
+
+
+# Scores are looked up in mcf and emb at call time, so a wrapper set on
+# those modules (a tracer, a test double) sees every call.
+
+def _item_based(table, m, user, items):
+    return mcf.score_candidates(table, m, user, items)
+
+
+def _skipgram_params(p: Mapping) -> emb.SkipGramParams:
+    return emb.SkipGramParams(dim=int(p.get("dim", 64)),
+                              window=int(p.get("window", 5)),
+                              negatives=int(p.get("negatives", 5)),
+                              epochs=int(p.get("epochs", 3)),
+                              learning_rate=float(p.get("learning_rate", 0.025)),
+                              seed=int(p.get("seed", 0)))
+
+
+# Embedding models are (table, metric) pairs: the metric is a param too.
+
+def _fit_word2vec(m: SparseInteractionMatrix, p: Mapping):
+    corpus = emb.user_history_sequences(m, int(p.get("shuffles", 2)),
+                                        int(p.get("seed", 0)))
+    table = emb.train_skipgram(corpus, _skipgram_params(p))
+    return emb.derive_user_vectors(m, table), p.get("metric", "cosine")
+
+
+def _fit_node2vec(m: SparseInteractionMatrix, p: Mapping, q: float):
+    walks = emb.generate_walks(m, emb.WalkParams(
+        p=float(p.get("p", 1.0)), q=float(p.get("q", q)),
+        walk_length=int(p.get("walk_length", 20)),
+        walks_per_node=int(p.get("walks_per_node", 10)),
+        seed=int(p.get("seed", 0))))
+
+    def key(token: int) -> str:
+        return (emb.user_node(token) if token < m.n_users
+                else emb.item_node(token - m.n_users))
+
+    table = emb.train_skipgram(walks, _skipgram_params(p), node_key=key)
+    return table, p.get("metric", "cosine")
+
+
+def _fit_lightgcn(m: SparseInteractionMatrix, p: Mapping):
+    table = emb.train_lightgcn(m.binarized(), emb.LightGcnParams(
+        layers=int(p.get("layers", 4)), dim=int(p.get("dim", 64)),
+        node_dropout=float(p.get("node_dropout", 0.4)),
+        learning_rate=float(p.get("learning_rate", 0.001)),
+        l2_reg=float(p.get("l2_reg", 1e-4)),
+        epochs=int(p.get("epochs", 20)),
+        batch_size=int(p.get("batch_size", 1024)), seed=int(p.get("seed", 0))))
+    return table, p.get("metric", "dot")
+
+
+def _embedding_based(model, m, user, items):
+    table, metric = model
+    # node keys are formatted from the ids, faster from Python ints
+    return emb.embedding_score(table, user, items.tolist(), metric=metric)
+
+
+# The one list of scorers: adding a scorer means adding one entry here.
+SCORERS: dict[str, Scorer] = {
+    "item_cf": Scorer(lambda m, p: mcf.item_cosine_similarity(m, _top_k(p)),
+                      _item_based),
+    "user_cf": Scorer(
+        lambda m, p: mcf.user_cosine_similarity(m, _top_k(p)),
+        lambda table, m, user, items: mcf.score_candidates_user_based(
+            table, m, user, items)),
+    "swing": Scorer(
+        lambda m, p: mcf.swing_similarity(
+            m.binarized(), alpha=float(p.get("alpha", 1.0)), k=_top_k(p),
+            max_users_per_item=int(p.get("max_users_per_item",
+                                         mcf.DEFAULT_SWING_MAX_USERS))),
+        _item_based),
+    "llr": Scorer(lambda m, p: mcf.llr_item_similarity(m.binarized(), _top_k(p)),
+                  _item_based),
+    "bigraph": Scorer(
+        lambda m, p: bool(p.get("retain_seed", True)),
+        lambda retain, m, user, items: mcf.score_candidates_bigraph(
+            m, user, items, retain_seed=retain)),
+    "word2vec": Scorer(_fit_word2vec, _embedding_based, seeded=True),
+    "node2vec_dfs": Scorer(lambda m, p: _fit_node2vec(m, p, q=0.5),
+                           _embedding_based, seeded=True),
+    "node2vec_bfs": Scorer(lambda m, p: _fit_node2vec(m, p, q=2.0),
+                           _embedding_based, seeded=True),
+    "lightgcn": Scorer(_fit_lightgcn, _embedding_based, seeded=True),
+}
 
 
 @dataclass(frozen=True)
@@ -112,13 +216,9 @@ class FeatureTable:
 
 
 def empty_table(run: RunFile) -> FeatureTable:
-    users, items = [], []
-    for user, cands in run.entries:
-        for c in cands:
-            users.append(user)
-            items.append(c)
-    return FeatureTable(tuple(users), tuple(items), (),
-                        np.zeros((len(users), 0)))
+    pairs = run.pairs()
+    return FeatureTable(tuple(u for u, _ in pairs), tuple(i for _, i in pairs),
+                        (), np.zeros((len(pairs), 0)))
 
 
 def write_table(table: FeatureTable, tsv_path, catalog_path) -> None:
@@ -220,122 +320,20 @@ class PlanContext:
     (scorer, params, combination) so that scoring a second run file does
     not retrain anything."""
 
-    rows: tuple[Interaction, ...]
+    rows: Interactions
     users: IdEncoder
     items: IdEncoder
     cache_dir: Path | None = None
     model_cache: dict = field(default_factory=dict, compare=False)
 
 
-def _scorer_columns(spec: ScorerSpec, matrix: SparseInteractionMatrix,
-                    ctx: PlanContext, run: RunFile) -> tuple[np.ndarray, np.ndarray]:
-    """Score all run pairs with one spec; returns (values, missing) arrays."""
-    p = dict(spec.params)
-    values, missing = [], []
-    cache_key = (spec.scorer, params_hash(p), spec.combination.combo_id)
-
-    def fitted(builder):
-        if cache_key not in ctx.model_cache:
-            ctx.model_cache[cache_key] = builder()
-        return ctx.model_cache[cache_key]
-
-    if spec.scorer in ("item_cf", "swing", "llr"):
-        k = int(p.get("top_k", mcf.DEFAULT_TOP_K))
-        if spec.scorer == "item_cf":
-            table = fitted(lambda: mcf.item_cosine_similarity(matrix, k))
-        elif spec.scorer == "swing":
-            table = fitted(lambda: mcf.swing_similarity(
-                matrix.binarized(), alpha=float(p.get("alpha", 1.0)), k=k,
-                max_users_per_item=int(p.get("max_users_per_item",
-                                             mcf.DEFAULT_SWING_MAX_USERS))))
-        else:
-            table = fitted(lambda: mcf.llr_item_similarity(matrix.binarized(), k))
-        for user, cands in run.entries:
-            u = ctx.users.forward.get(user, -1)
-            c_ids = np.array([ctx.items.encode(c) for c in cands])
-            scores, cold = mcf.score_candidates(table, matrix, u, c_ids)
-            values.append(scores)
-            missing.append(np.full(len(cands), cold))
-
-    elif spec.scorer == "user_cf":
-        table = fitted(lambda: mcf.user_cosine_similarity(
-            matrix, int(p.get("top_k", mcf.DEFAULT_TOP_K))))
-        for user, cands in run.entries:
-            u = ctx.users.forward.get(user, -1)
-            c_ids = np.array([ctx.items.encode(c) for c in cands])
-            scores, cold = mcf.score_candidates_user_based(table, matrix, u, c_ids)
-            values.append(scores)
-            missing.append(np.full(len(cands), cold))
-
-    elif spec.scorer == "bigraph":
-        bmatrix = matrix.binarized()
-        retain = bool(p.get("retain_seed", True))
-        for user, cands in run.entries:
-            u = ctx.users.forward.get(user, -1)
-            c_ids = np.array([ctx.items.encode(c) for c in cands])
-            scores = np.zeros(len(cands))
-            if 0 <= u < bmatrix.n_users:
-                nz, mass = mcf.bigraph_scores(bmatrix, u, retain_seed=retain)
-                cold = len(nz) == 0
-                if not cold:
-                    pos = np.searchsorted(nz, c_ids)
-                    pos[pos == len(nz)] = 0
-                    hit = nz[pos] == c_ids
-                    scores[hit] = mass[pos[hit]]
-            else:
-                cold = True
-            values.append(scores)
-            missing.append(np.full(len(cands), cold))
-
-    else:
-        table = fitted(lambda: _embedding_table(spec.scorer, p, matrix))
-        metric = p.get("metric", "dot" if spec.scorer == "lightgcn" else "cosine")
-        for user, cands in run.entries:
-            u = ctx.users.forward.get(user, -1)
-            c_ids = [ctx.items.encode(c) for c in cands]
-            scores, miss = emb.embedding_score(table, u, c_ids, metric=metric)
-            values.append(scores)
-            missing.append(miss)
-
-    return np.concatenate(values), np.concatenate(missing).astype(np.float64)
-
-
-def _embedding_table(scorer: str, p: Mapping,
-                     matrix: SparseInteractionMatrix) -> emb.EmbeddingTable:
-    seed = int(p.get("seed", 0))
-    sg = emb.SkipGramParams(dim=int(p.get("dim", 64)),
-                            window=int(p.get("window", 5)),
-                            negatives=int(p.get("negatives", 5)),
-                            epochs=int(p.get("epochs", 3)),
-                            learning_rate=float(p.get("learning_rate", 0.025)),
-                            seed=seed)
-    if scorer == "word2vec":
-        corpus = emb.user_history_sequences(matrix, int(p.get("shuffles", 2)),
-                                            seed)
-        table = emb.train_skipgram(corpus, sg)
-        return emb.derive_user_vectors(matrix, table)
-    if scorer in ("node2vec_dfs", "node2vec_bfs"):
-        q = 0.5 if scorer == "node2vec_dfs" else 2.0
-        walks = emb.generate_walks(matrix, emb.WalkParams(
-            p=float(p.get("p", 1.0)), q=float(p.get("q", q)),
-            walk_length=int(p.get("walk_length", 20)),
-            walks_per_node=int(p.get("walks_per_node", 10)), seed=seed))
-        n_users = matrix.n_users
-
-        def key(token: int) -> str:
-            return (emb.user_node(token) if token < n_users
-                    else emb.item_node(token - n_users))
-
-        return emb.train_skipgram(walks, sg, node_key=key)
-    if scorer == "lightgcn":
-        return emb.train_lightgcn(matrix.binarized(), emb.LightGcnParams(
-            layers=int(p.get("layers", 4)), dim=int(p.get("dim", 64)),
-            node_dropout=float(p.get("node_dropout", 0.4)),
-            learning_rate=float(p.get("learning_rate", 0.001)),
-            l2_reg=float(p.get("l2_reg", 1e-4)),
-            epochs=int(p.get("epochs", 20)),
-            batch_size=int(p.get("batch_size", 1024)), seed=seed))
-    raise ConfigError(f"unknown embedding scorer {scorer!r}")
+def encode_run(run: RunFile, users: IdEncoder, items: IdEncoder
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Encoded (user ids, item ids) of the run's pairs, in order; an id the
+    encoders do not know becomes -1."""
+    pairs = run.pairs()
+    return (np.array([users.forward.get(u, -1) for u, _ in pairs], dtype=np.int64),
+            np.array([items.forward.get(i, -1) for _, i in pairs], dtype=np.int64))
 
 
 def combination_matrix(ctx: PlanContext,
@@ -343,9 +341,8 @@ def combination_matrix(ctx: PlanContext,
     """Training matrix for one market combination: training splits plus
     cross-market valid positives, never any test positives; the target's
     own valid positives are excluded by the combination flag."""
-    market_set = set(combination.markets)
-    rows = tuple(r for r in ctx.rows
-                 if r.market in market_set and r.split != "test_qrel")
+    rows = ctx.rows.take(np.isin(ctx.rows.market, combination.markets)
+                         & (ctx.rows.split != "test_qrel"))
     return build_matrix(rows, combination, len(ctx.users), len(ctx.items))
 
 
@@ -393,6 +390,8 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
     table = empty_table(run)
+    _, item_ids = encode_run(run, ctx.users, ctx.items)
+    unknown = [c for (_, c), i in zip(run.pairs(), item_ids) if i < 0]
     failures: list[dict] = []
     matrices: dict[str, SparseInteractionMatrix] = {}
     for spec in plan:
@@ -403,10 +402,9 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
             got = _load_cached(cache, name, run)
         if got is None:
             try:
-                combo = spec.combination.combo_id
-                if combo not in matrices:
-                    matrices[combo] = combination_matrix(ctx, spec.combination)
-                got = _scorer_columns(spec, matrices[combo], ctx, run)
+                if unknown:
+                    raise DataError(f"unknown id {unknown[0]!r}")
+                got = _score_run(spec, ctx, run, item_ids, matrices)
             except Exception as exc:  # noqa: BLE001 - plan must survive one bad scorer
                 failures.append({"feature": name, "error": f"{type(exc).__name__}: {exc}"})
                 continue
@@ -424,6 +422,30 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
     return table, failures
 
 
+def _score_run(spec: ScorerSpec, ctx: PlanContext, run: RunFile,
+               item_ids: np.ndarray, matrices: dict
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(values, missing) of one spec over every run pair, fitting its model
+    unless ctx.model_cache holds it."""
+    combo = spec.combination.combo_id
+    if combo not in matrices:
+        matrices[combo] = combination_matrix(ctx, spec.combination)
+    matrix = matrices[combo]
+    scorer = SCORERS[spec.scorer]
+    params = dict(spec.params)
+    key = (spec.scorer, params_hash(params), combo)
+    if key not in ctx.model_cache:
+        ctx.model_cache[key] = scorer.fit(matrix, params)
+    model = ctx.model_cache[key]
+    values, missing = np.zeros(len(item_ids)), np.zeros(len(item_ids))
+    end = 0
+    for user, cands in run.entries:
+        start, end = end, end + len(cands)
+        values[start:end], missing[start:end] = scorer.score(
+            model, matrix, ctx.users.forward.get(user, -1), item_ids[start:end])
+    return values, missing
+
+
 _STAT_SPLITS = ("train", "train_5core")
 
 
@@ -433,17 +455,14 @@ def global_statistic_features(ctx: PlanContext, run: RunFile, target: str
     all markets and over the target market alone (training splits only):
     per-item interaction count (+log1p), mean rating, cross-market overlap
     count, per-user history length (+log1p) and mean rating."""
-    markets = sorted({r.market for r in ctx.rows})
-    scopes = {"all": set(markets), "target": {target}}
-    pairs = list(run.pairs())
+    rows = ctx.rows.take(np.isin(ctx.rows.split, _STAT_SPLITS))
+    user_ids, item_ids = encode_run(run, ctx.users, ctx.items)
+    # Every per-id array below has one spare slot at the end that no row
+    # fills, so an id unknown to the encoders (-1) reads as never seen.
+    n_users, n_items = len(ctx.users) + 1, len(ctx.items) + 1
     columns: list[str] = []
     mats: list[np.ndarray] = []
     prov: dict[str, dict] = {}
-
-    item_markets: dict[str, set] = {}
-    for r in ctx.rows:
-        if r.split in _STAT_SPLITS:
-            item_markets.setdefault(ctx.items.decode(r.item), set()).add(r.market)
 
     def push(name, vals, miss=None):
         columns.append(name)
@@ -455,39 +474,31 @@ def global_statistic_features(ctx: PlanContext, run: RunFile, target: str
             prov[f"{name}__missing"] = {"kind": "missing_indicator",
                                         "statistic": name}
 
-    for scope, scope_markets in scopes.items():
-        item_count: dict[str, int] = {}
-        item_sum: dict[str, float] = {}
-        user_count: dict[str, int] = {}
-        user_sum: dict[str, float] = {}
-        for r in ctx.rows:
-            if r.split not in _STAT_SPLITS or r.market not in scope_markets:
-                continue
-            item = ctx.items.decode(r.item)
-            user = ctx.users.decode(r.user)
-            item_count[item] = item_count.get(item, 0) + 1
-            item_sum[item] = item_sum.get(item, 0.0) + r.rating
-            user_count[user] = user_count.get(user, 0) + 1
-            user_sum[user] = user_sum.get(user, 0.0) + r.rating
+    def count_and_mean(ids, scope_ids, ratings, size):
+        # bincount adds the weights in row order, as a running float sum
+        count = np.bincount(scope_ids, minlength=size)[ids]
+        total = np.bincount(scope_ids, weights=ratings, minlength=size)[ids]
+        mean = np.divide(total, count, out=np.zeros(len(ids)), where=count > 0)
+        return count.astype(np.float64), mean, count == 0
 
-        ic = np.array([item_count.get(i, 0) for _, i in pairs], dtype=np.float64)
-        im = np.array([item_sum.get(i, 0.0) / item_count[i]
-                       if i in item_count else 0.0 for _, i in pairs])
-        uc = np.array([user_count.get(u, 0) for u, _ in pairs], dtype=np.float64)
-        um = np.array([user_sum.get(u, 0.0) / user_count[u]
-                       if u in user_count else 0.0 for u, _ in pairs])
+    for scope, scope_rows in (("all", rows),
+                              ("target", rows.take(rows.market == target))):
+        ic, im, i_miss = count_and_mean(item_ids, scope_rows.item,
+                                        scope_rows.rating, n_items)
+        uc, um, u_miss = count_and_mean(user_ids, scope_rows.user,
+                                        scope_rows.rating, n_users)
         push(f"stat__item_count__{scope}", ic)
         push(f"stat__item_count_log1p__{scope}", np.log1p(ic))
-        push(f"stat__item_mean_rating__{scope}", im,
-             miss=[0.0 if i in item_count else 1.0 for _, i in pairs])
+        push(f"stat__item_mean_rating__{scope}", im, miss=i_miss)
         push(f"stat__user_history_len__{scope}", uc)
         push(f"stat__user_history_len_log1p__{scope}", np.log1p(uc))
-        push(f"stat__user_mean_rating__{scope}", um,
-             miss=[0.0 if u in user_count else 1.0 for u, _ in pairs])
+        push(f"stat__user_mean_rating__{scope}", um, miss=u_miss)
 
-    overlap = np.array([len(item_markets.get(i, ())) for _, i in pairs],
-                       dtype=np.float64)
-    push("stat__item_market_overlap__all", overlap)
+    markets, code = np.unique(rows.market, return_inverse=True)
+    held = np.zeros((len(markets), n_items), dtype=bool)
+    held[code, rows.item] = True
+    push("stat__item_market_overlap__all",
+         held.sum(axis=0)[item_ids].astype(np.float64))
     return columns, np.column_stack(mats), prov
 
 

@@ -27,11 +27,10 @@ import numpy as np
 
 from . import evaluation
 from .features import FeatureTable
-from .util import DataError, StageError, atomic_write_text, stable_bucket, stage_seed
+from .util import (DataError, StageError, atomic_write_text, sigmoid,
+                   stable_bucket, stage_seed)
 
 MODEL_FORMAT_VERSION = 1
-DEFAULT_GRID: dict[str, tuple] = {"num_leaves": (15, 31, 63),
-                                  "learning_rate": (0.03, 0.05, 0.1)}
 # Newton terms with a vanishing hessian mass are degenerate; treat as zero.
 _MIN_HESSIAN = 1e-12
 
@@ -74,14 +73,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
     gain: np.ndarray
-
-    @property
-    def n_internal(self) -> int:
-        return int(np.sum(self.feature >= 0))
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.sum(self.feature < 0))
 
 
 @dataclass(frozen=True)
@@ -128,10 +119,6 @@ def bin_values(values: np.ndarray, bins: Sequence[np.ndarray]) -> np.ndarray:
     for pos, edges in enumerate(bins):
         binned[:, pos] = np.searchsorted(edges, values[:, pos], side="left")
     return binned
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _logloss(y: np.ndarray, p: np.ndarray) -> float:
@@ -300,9 +287,9 @@ def train(table: FeatureTable, params: GbdtParams) -> GbdtModel:
     n_sub = max(1, math.ceil(params.feature_fraction * n_features))
 
     trees: list[Tree] = []
-    losses = [_logloss(y, _sigmoid(raw))]
+    losses = [_logloss(y, sigmoid(raw))]
     for _round in range(params.n_rounds):
-        p = _sigmoid(raw)
+        p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
         if n_sub < n_features:
@@ -315,7 +302,7 @@ def train(table: FeatureTable, params: GbdtParams) -> GbdtModel:
             break
         raw += params.learning_rate * _tree_raw(tree, binned)
         trees.append(tree)
-        losses.append(_logloss(y, _sigmoid(raw)))
+        losses.append(_logloss(y, sigmoid(raw)))
     return GbdtModel(params, base, tuple(trees), table.columns,
                      tuple(bins), tuple(losses))
 
@@ -331,7 +318,7 @@ def predict(model: GbdtModel, table: FeatureTable) -> np.ndarray:
     raw = np.full(table.n_rows, model.base_score)
     for tree in model.trees:
         raw += model.params.learning_rate * _tree_raw(tree, binned)
-    return _sigmoid(raw)
+    return sigmoid(raw)
 
 
 def assign_folds(users: Sequence[str], folds: int, seed: int) -> dict[str, int]:

@@ -8,7 +8,6 @@ stored id-sorted for fast lookup. All scorers are deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,6 +225,18 @@ def bigraph_scores(m: SparseInteractionMatrix, user: int,
         scores[seed_items] = 0.0
     nz = np.flatnonzero(scores)
     return nz, scores[nz]
+
+
+def score_candidates_bigraph(m: SparseInteractionMatrix, user: int,
+                             candidates: np.ndarray, retain_seed: bool = True
+                             ) -> tuple[np.ndarray, bool]:
+    """Bi-Graph scoring: each candidate's mass from bigraph_scores, zero
+    where no mass arrived. Returns (scores, cold) like score_candidates; a
+    user with no mass at all is cold."""
+    nz, mass = bigraph_scores(m, user, retain_seed=retain_seed)
+    scores = np.zeros(m.n_items)
+    scores[nz] = mass
+    return scores[np.asarray(candidates, dtype=np.int64)], len(nz) == 0
 
 
 def score_candidates(table: SimTable, m: SparseInteractionMatrix, user: int,

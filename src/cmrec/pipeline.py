@@ -14,6 +14,11 @@ so deleting a stage's files and re-running reproduces them exactly:
         grid.json  model.json  metrics.json  oof.tsv  test_ranked.tsv
         evaluation.json
       final.json                 report: weighted multi-market score
+
+The snapshot stays columnar in memory (data.Interactions), and every
+pre-ranking scorer sits behind the one registry features.SCORERS: adding a
+scorer means adding one entry there, and config validation, the default
+plan and the seeding in make_plan follow from it.
 """
 
 from __future__ import annotations
@@ -31,11 +36,9 @@ import numpy as np
 
 from . import data, evaluation, features, gbdt, selection
 from .config import PipelineConfig
-from .data import CombinationSpec, IdEncoder, Interaction, RunFile
+from .data import CombinationSpec, IdEncoder, Interactions, RunFile
 from .util import (ConfigError, DataError, StageError, atomic_write_text,
                    fmt, stage_seed)
-
-EMBEDDING_SCORERS = ("word2vec", "node2vec_dfs", "node2vec_bfs", "lightgcn")
 
 
 @dataclass(frozen=True)
@@ -108,28 +111,27 @@ def run_ingest(config: PipelineConfig) -> dict:
             runs[(target, which)] = data.load_run(data_dir / target / fname)
 
     users, items = data.fit_encoders(raw_rows, list(runs.values()))
-    rows = data.encode_interactions(raw_rows, users, items)
-    summary = data.summarize(rows).to_dict()
+    markets = list(config.markets)
+    market_code = {m: i for i, m in enumerate(markets)}
+    split_code = {s: i for i, s in enumerate(data.SPLITS)}
+    arrays = {
+        "user": users.encode_many([r.user for r in raw_rows]),
+        "item": items.encode_many([r.item for r in raw_rows]),
+        "rating": np.array([r.rating for r in raw_rows], dtype=np.float64),
+        "market": np.array([market_code[r.market] for r in raw_rows],
+                           dtype=np.int64),
+        "split": np.array([split_code[r.split] for r in raw_rows],
+                          dtype=np.int64),
+    }
+    rows = _interactions(arrays, markets, data.SPLITS)
+    summary = data.summarize(rows)
     summary["load_reports"] = reports
 
     ws = workspace_for(config)
     snap = ws.snapshot_dir
     (snap / "runs").mkdir(parents=True, exist_ok=True)
-
-    markets = list(config.markets)
-    market_code = {m: i for i, m in enumerate(markets)}
-    split_code = {s: i for i, s in enumerate(data.SPLITS)}
-    arrays = {
-        "rows_user": np.array([r.user for r in rows], dtype=np.int64),
-        "rows_item": np.array([r.item for r in rows], dtype=np.int64),
-        "rows_rating": np.array([r.rating for r in rows], dtype=np.float64),
-        "rows_market": np.array([market_code[r.market] for r in rows],
-                                dtype=np.int64),
-        "rows_split": np.array([split_code[r.split] for r in rows],
-                               dtype=np.int64),
-    }
     for name, arr in arrays.items():
-        np.save(snap / f"{name}.npy", arr)
+        np.save(snap / f"rows_{name}.npy", arr)
     _write_json(snap / "encoders.json", {"users": list(users.reverse),
                                          "items": list(items.reverse)})
     _write_json(snap / "meta.json", {"markets": markets,
@@ -143,8 +145,7 @@ def run_ingest(config: PipelineConfig) -> dict:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def snapshot_digest(ws: Workspace) -> str:
@@ -160,7 +161,7 @@ def snapshot_digest(ws: Workspace) -> str:
 
 @dataclass(frozen=True)
 class Snapshot:
-    rows: tuple[Interaction, ...]
+    rows: Interactions
     users: IdEncoder
     items: IdEncoder
     markets: tuple[str, ...]
@@ -173,18 +174,20 @@ def load_snapshot(ws: Workspace) -> Snapshot:
         raise StageError(f"no snapshot in workspace {ws.root}; run ingest first")
     meta = json.loads((snap / "meta.json").read_text(encoding="utf-8"))
     enc = json.loads((snap / "encoders.json").read_text(encoding="utf-8"))
-    users = IdEncoder({v: i for i, v in enumerate(enc["users"])},
-                      tuple(enc["users"]))
-    items = IdEncoder({v: i for i, v in enumerate(enc["items"])},
-                      tuple(enc["items"]))
-    arr = {name: np.load(snap / f"rows_{name}.npy")
-           for name in ("user", "item", "rating", "market", "split")}
-    markets, splits = meta["markets"], meta["splits"]
-    rows = tuple(
-        Interaction(int(u), int(i), float(r), markets[m], splits[s])
-        for u, i, r, m, s in zip(arr["user"], arr["item"], arr["rating"],
-                                 arr["market"], arr["split"]))
-    return Snapshot(rows, users, items, tuple(markets), tuple(meta["targets"]))
+    users, items = IdEncoder.fit(enc["users"]), IdEncoder.fit(enc["items"])
+    arrays = {name: np.load(snap / f"rows_{name}.npy")
+              for name in ("user", "item", "rating", "market", "split")}
+    rows = _interactions(arrays, meta["markets"], meta["splits"])
+    return Snapshot(rows, users, items, tuple(meta["markets"]),
+                    tuple(meta["targets"]))
+
+
+def _interactions(arrays: dict, markets, splits) -> Interactions:
+    """The snapshot's rows_*.npy arrays as columnar rows; market and split
+    are stored as positions in the markets and splits lists."""
+    return Interactions(arrays["user"], arrays["item"], arrays["rating"],
+                        np.asarray(markets)[arrays["market"]],
+                        np.asarray(splits)[arrays["split"]])
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +204,7 @@ def make_plan(config: PipelineConfig, target: str,
               markets: tuple[str, ...]) -> list[features.ScorerSpec]:
     """Expand the configured scorer plans into one spec per combination.
 
-    Embedding scorers get a seed derived from the global seed, the target,
+    Seeded scorers get a seed derived from the global seed, the target,
     the scorer name, and the combination, unless the plan pins one.
     """
     plan: list[features.ScorerSpec] = []
@@ -223,17 +226,21 @@ def make_plan(config: PipelineConfig, target: str,
                     raise ConfigError(str(exc)) from None
         for combo in combos:
             params = dict(sc.params)
-            if sc.name in EMBEDDING_SCORERS and "seed" not in params:
+            if features.SCORERS[sc.name].seeded and "seed" not in params:
                 params["seed"] = stage_seed(config.seed, "prerank", target,
                                             sc.name, combo.combo_id)
             plan.append(features.ScorerSpec(sc.name, params, combo))
     return plan
 
 
-def _valid_positives(snap: Snapshot, target: str) -> set[tuple[str, str]]:
-    return {(snap.users.decode(r.user), snap.items.decode(r.item))
-            for r in snap.rows
-            if r.market == target and r.split == "valid_qrel"}
+def _valid_labels(snap: Snapshot, target: str, run: RunFile) -> np.ndarray:
+    """Per run pair, 1 if it is one of the target's valid positives."""
+    rows = snap.rows
+    pos = rows.take((rows.market == target) & (rows.split == "valid_qrel"))
+    users, items = features.encode_run(run, snap.users, snap.items)
+    n = len(snap.items)
+    keys = np.where((users < 0) | (items < 0), -1, users * n + items)
+    return np.isin(keys, pos.user * n + pos.item).astype(np.int8)
 
 
 def run_prerank(config: PipelineConfig, target: str) -> dict:
@@ -248,7 +255,6 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     snap = load_snapshot(ws)
     plan = make_plan(config, target, snap.markets)
     tdir = ws.target_dir(target)
-    positives = _valid_positives(snap, target)
     external = None
     if config.prerank.external_embeddings:
         from . import embeddings as emb
@@ -276,9 +282,7 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
                 external, run, matrix, ctx)
             table = table.with_columns(cols, vals, prov)
         if which == "valid":
-            labels = [1 if pair in positives else 0
-                      for pair in zip(table.users, table.items)]
-            table = table.with_labels(np.array(labels, dtype=np.int8))
+            table = table.with_labels(_valid_labels(snap, target, run))
             scorer_cols = [c for c in table.columns
                            if table.provenance.get(c, {}).get("kind") == "scorer"]
             if len(scorer_cols) >= 1 and table.n_rows >= 2:
@@ -363,12 +367,16 @@ def run_train(config: PipelineConfig, target: str) -> dict:
 
 
 def _snapshot_qrels(snap: Snapshot, target: str, split: str) -> dict[str, set]:
-    qrels: dict[str, set] = {}
-    for r in snap.rows:
-        if r.market == target and r.split == split:
-            user = snap.users.decode(r.user)
-            qrels.setdefault(user, set()).add(snap.items.decode(r.item))
-    return qrels
+    """user -> relevant items, users in the order of their first row:
+    ndcg_at_k averages over the users in this order."""
+    rows = snap.rows.take((snap.rows.market == target)
+                          & (snap.rows.split == split))
+    users, first, counts = np.unique(rows.user, return_index=True,
+                                     return_counts=True)
+    items = np.split(rows.item[np.argsort(rows.user, kind="stable")],
+                     np.cumsum(counts)[:-1])
+    return {snap.users.decode(users[k]): {snap.items.decode(i) for i in items[k]}
+            for k in np.argsort(first)}
 
 
 def run_evaluate(config: PipelineConfig, target: str,
@@ -387,8 +395,13 @@ def run_evaluate(config: PipelineConfig, target: str,
     if not qrels:
         raise DataError(f"no qrels available for target {target!r}")
     per_user, mean = evaluation.ndcg_at_k(run, qrels, k=10)
+    # Inside the workspace the path is recorded relative to its root, so
+    # two workspaces with the same runs write the same evaluation.json.
+    run_file = run_path.resolve()
+    root = ws.root.resolve()
     report = {"market": target, "ndcg_at_10": mean, "n_users": len(per_user),
-              "run_file": str(run_path)}
+              "run_file": (run_file.relative_to(root).as_posix()
+                           if run_file.is_relative_to(root) else str(run_path))}
     _write_json(tdir / "evaluation.json", report)
     return report
 

@@ -1,4 +1,5 @@
-"""Shared plumbing: error types, seed derivation, stable hashing, atomic writes."""
+"""Shared plumbing: error types, seed derivation, stable hashing, atomic
+writes, and the logistic function."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import hashlib
 import json
 import os
 from pathlib import Path
+
+import numpy as np
 
 
 class CmrecError(Exception):
@@ -52,6 +55,10 @@ def params_hash(payload) -> str:
     """
     canon = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha1(canon.encode("utf-8")).hexdigest()[:8]
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def fmt(x: float) -> str:

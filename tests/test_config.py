@@ -144,6 +144,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="two_tower"):
             ScorerPlanConfig("two_tower")
 
+    def test_accepts_exactly_the_registry_names(self):
+        from cmrec.features import SCORERS
+        for name in SCORERS:
+            assert ScorerPlanConfig(name).name == name
+        for near_miss in ("ItemCF", "item-cf", "node2vec", "embedding"):
+            with pytest.raises(ConfigError, match="expected one of"):
+                ScorerPlanConfig(near_miss)
+
+    def test_default_plan_is_the_unseeded_registry_entries(self):
+        from cmrec.features import SCORERS
+        assert [s.name for s in PrerankConfig().scorers] == [
+            "item_cf", "user_cf", "swing", "llr", "bigraph"]
+        assert all(not SCORERS[s.name].seeded for s in PrerankConfig().scorers)
+
     def test_combinations_literal(self):
         with pytest.raises(ConfigError, match="default"):
             ScorerPlanConfig("item_cf", combinations="all")

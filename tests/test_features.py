@@ -7,8 +7,8 @@ import pytest
 
 from cmrec import embeddings as emb
 from cmrec import features, memory_cf
-from cmrec.data import (CombinationSpec, IdEncoder, Interaction, RunFile,
-                        fit_encoders)
+from cmrec.data import (CombinationSpec, IdEncoder, Interactions, RunFile,
+                        fit_encoders, load_run)
 from cmrec.features import (FeatureTable, PlanContext, ScorerSpec,
                             combination_matrix, default_combinations,
                             empty_table, external_embedding_features,
@@ -42,8 +42,9 @@ def tiny_context(cache_dir=None):
     users = IdEncoder.fit([r[0] for r in RAW_ROWS] + RUN.users())
     items = IdEncoder.fit([r[1] for r in RAW_ROWS]
                           + [c for _, cs in RUN.entries for c in cs])
-    rows = tuple(Interaction(users.encode(u), items.encode(i), rating, m, s)
-                 for u, i, rating, m, s in RAW_ROWS)
+    user, item, rating, market, split = zip(*RAW_ROWS)
+    rows = Interactions(users.encode_many(user), items.encode_many(item),
+                        rating, market, split)
     return PlanContext(rows=rows, users=users, items=items,
                        cache_dir=cache_dir)
 
@@ -202,6 +203,54 @@ class TestRunPlan:
         assert miss["kind"] == "missing_indicator"
 
 
+class TestScorerRegistry:
+    def test_every_scorer_scores_every_run_pair(self):
+        # "stranger" is unknown to the encoders: missing, not fatal
+        ctx = tiny_context()
+        run = RunFile(RUN.entries + (("stranger", ("i0",)),))
+        small = {"dim": 4, "epochs": 1, "walks_per_node": 1, "walk_length": 4,
+                 "batch_size": 8, "seed": 1}
+        for name, scorer in features.SCORERS.items():
+            params = small if scorer.seeded else {"top_k": 10}
+            spec = spec_for(name, params)
+            table, failures = run_plan([spec], ctx, run)
+            assert failures == [], name
+            assert list(zip(table.users, table.items)) == run.pairs()
+            miss = table.column(f"{spec.feature_name}__missing")
+            assert set(miss) <= {0.0, 1.0}
+            assert miss[-1] == 1.0, name
+
+    def test_seeded_entries_are_the_embedding_scorers(self):
+        assert [n for n, s in features.SCORERS.items() if s.seeded] == [
+            "word2vec", "node2vec_dfs", "node2vec_bfs", "lightgcn"]
+
+    def test_unknown_candidate_item_is_a_per_spec_failure(self):
+        ctx = tiny_context()
+        run = RunFile((("a", ("i0", "nobody_knows")),))
+        good, other = spec_for(), spec_for("bigraph", {})
+        table, failures = run_plan([good, other], ctx, run)
+        assert [f["feature"] for f in failures] == [good.feature_name,
+                                                    other.feature_name]
+        assert all(f["error"] == "DataError: unknown id 'nobody_knows'"
+                   for f in failures)
+        assert table.columns == ()
+
+    def test_bigraph_column_matches_direct_lookup(self):
+        ctx = tiny_context()
+        spec = spec_for("bigraph", {"retain_seed": False})
+        table, _ = run_plan([spec], ctx, RUN)
+        matrix = combination_matrix(ctx, spec.combination)
+        want, want_miss = [], []
+        for user, cands in RUN.entries:
+            nz, mass = memory_cf.bigraph_scores(
+                matrix, ctx.users.forward.get(user, -1), retain_seed=False)
+            lookup = dict(zip(nz.tolist(), mass.tolist()))
+            want += [lookup.get(ctx.items.encode(c), 0.0) for c in cands]
+            want_miss += [float(len(nz) == 0)] * len(cands)
+        assert table.column(spec.feature_name).tolist() == want
+        assert table.column(f"{spec.feature_name}__missing").tolist() == want_miss
+
+
 class TestColumnCache:
     def test_second_run_reads_cache_without_refitting(self, tmp_path):
         first = tiny_context(cache_dir=tmp_path)
@@ -237,7 +286,100 @@ class TestColumnCache:
         assert failures == [] and table.n_rows == len(RUN.pairs())
 
 
+def global_statistics_oracle(ctx, run, target):
+    """The per-row global_statistic_features: dict counts and running
+    rating sums keyed by the decoded ids, three passes over the rows."""
+    rows = list(zip(ctx.rows.user.tolist(), ctx.rows.item.tolist(),
+                    ctx.rows.rating.tolist(), ctx.rows.market.tolist(),
+                    ctx.rows.split.tolist()))
+    markets = sorted({m for _, _, _, m, _ in rows})
+    scopes = {"all": set(markets), "target": {target}}
+    pairs = list(run.pairs())
+    columns, mats, prov = [], [], {}
+    item_markets = {}
+    for _, i, _, m, s in rows:
+        if s in ("train", "train_5core"):
+            item_markets.setdefault(ctx.items.decode(i), set()).add(m)
+
+    def push(name, vals, miss=None):
+        columns.append(name)
+        mats.append(np.asarray(vals, dtype=np.float64))
+        prov[name] = {"kind": "statistic", "statistic": name}
+        if miss is not None:
+            columns.append(f"{name}__missing")
+            mats.append(np.asarray(miss, dtype=np.float64))
+            prov[f"{name}__missing"] = {"kind": "missing_indicator",
+                                        "statistic": name}
+
+    for scope, scope_markets in scopes.items():
+        item_count, item_sum, user_count, user_sum = {}, {}, {}, {}
+        for u, i, rating, m, s in rows:
+            if s not in ("train", "train_5core") or m not in scope_markets:
+                continue
+            item, user = ctx.items.decode(i), ctx.users.decode(u)
+            item_count[item] = item_count.get(item, 0) + 1
+            item_sum[item] = item_sum.get(item, 0.0) + rating
+            user_count[user] = user_count.get(user, 0) + 1
+            user_sum[user] = user_sum.get(user, 0.0) + rating
+        ic = np.array([item_count.get(i, 0) for _, i in pairs], dtype=np.float64)
+        im = np.array([item_sum.get(i, 0.0) / item_count[i]
+                       if i in item_count else 0.0 for _, i in pairs])
+        uc = np.array([user_count.get(u, 0) for u, _ in pairs], dtype=np.float64)
+        um = np.array([user_sum.get(u, 0.0) / user_count[u]
+                       if u in user_count else 0.0 for u, _ in pairs])
+        push(f"stat__item_count__{scope}", ic)
+        push(f"stat__item_count_log1p__{scope}", np.log1p(ic))
+        push(f"stat__item_mean_rating__{scope}", im,
+             miss=[0.0 if i in item_count else 1.0 for _, i in pairs])
+        push(f"stat__user_history_len__{scope}", uc)
+        push(f"stat__user_history_len_log1p__{scope}", np.log1p(uc))
+        push(f"stat__user_mean_rating__{scope}", um,
+             miss=[0.0 if u in user_count else 1.0 for u, _ in pairs])
+    push("stat__item_market_overlap__all",
+         np.array([len(item_markets.get(i, ())) for _, i in pairs],
+                  dtype=np.float64))
+    return columns, np.column_stack(mats), prov
+
+
+def assert_same_statistics(got, want):
+    assert got[0] == want[0]
+    assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+
+
 class TestGlobalStatistics:
+    def test_matches_dict_loop_oracle_on_tiny_context(self):
+        # RUN holds the "ghost" user, who has no rows, and the candidate
+        # i4, which has no training rows; a third run adds ids the
+        # encoders have never seen.
+        ctx = tiny_context()
+        unseen = RunFile((("a", ("i0", "nobody_knows")), ("stranger", ("i1",))))
+        for target in ("t1", "s1"):
+            for run in (RUN, unseen):
+                assert_same_statistics(
+                    global_statistic_features(ctx, run, target),
+                    global_statistics_oracle(ctx, run, target))
+
+    def test_matches_dict_loop_oracle_on_synth_snapshot(self, synth_snapshot):
+        snap, ws = synth_snapshot
+        ctx = PlanContext(snap.rows, snap.users, snap.items)
+        # the last encoded user and item have training rows, so an unknown
+        # id (-1) must not be read as the last one
+        last_user, last_item = snap.users.reverse[-1], snap.items.reverse[-1]
+        train = np.isin(snap.rows.split, ("train", "train_5core"))
+        assert len(snap.users) - 1 in snap.rows.user[train]
+        assert len(snap.items) - 1 in snap.rows.item[train]
+        for target in snap.targets:
+            for which in ("valid", "test"):
+                run = load_run(ws.run_path(target, which))
+                unseen = RunFile(run.entries + (
+                    ("no_such_user", (last_item, "no_such_item")),
+                    (last_user, ("no_such_item", last_item))))
+                for r in (run, unseen):
+                    assert_same_statistics(
+                        global_statistic_features(ctx, r, target),
+                        global_statistics_oracle(ctx, r, target))
+
     def count_oracle(self, scope_markets):
         item_count, item_sum, user_count, user_sum = {}, {}, {}, {}
         for u, i, rating, m, s in RAW_ROWS:

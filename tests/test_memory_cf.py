@@ -275,6 +275,24 @@ class TestBigraph:
 
 
 class TestScoreCandidates:
+    def test_bigraph_matches_oracle_and_ignores_ratings(self, rng):
+        dense = random_dense(rng, 12, 10, density=0.3)
+        m = matrix_from_dense(dense)
+        cands = np.array([9, 0, 4, 7, 2])
+        for retain in (True, False):
+            for user in (-1, *range(12)):
+                got, cold = mcf.score_candidates_bigraph(m, user, cands,
+                                                         retain_seed=retain)
+                binary, _ = mcf.score_candidates_bigraph(
+                    m.binarized(), user, cands, retain_seed=retain)
+                assert np.array_equal(got, binary)
+                if user < 0:
+                    assert cold and np.all(got == 0)
+                    continue
+                want = bigraph_oracle(dense, user, retain_seed=retain)
+                assert cold == (not want.any())
+                assert np.allclose(got, want[cands], atol=1e-9)
+
     def test_item_based_matches_manual_sum(self, rng):
         dense = random_dense(rng, 12, 10, density=0.4)
         m = matrix_from_dense(dense)

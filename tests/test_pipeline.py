@@ -12,7 +12,8 @@ import pytest
 
 from cmrec import cli, evaluation, features, pipeline
 from cmrec.config import PipelineConfig
-from cmrec.data import CombinationSpec, load_run
+from cmrec.data import (CombinationSpec, IdEncoder, Interactions, RunFile,
+                        load_run)
 from cmrec.synth import MarketSpec, SynthConfig, generate
 from cmrec.util import ConfigError, DataError, StageError
 
@@ -102,7 +103,26 @@ class TestIngest:
         assert snap.targets == ("t1", "t2")
         assert len(snap.rows) == world["summary"]["total_samples"]
         # encoders are bijective and cover every row
-        assert all(snap.users.decode(r.user) for r in snap.rows[:50])
+        assert all(snap.users.decode(u) for u in snap.rows.user[:50].tolist())
+
+    def test_json_written_atomically_with_the_same_bytes(self, world, tmp_path,
+                                                         monkeypatch):
+        config = pipeline_config(world["data"], tmp_path / "w")
+        written = []
+        real = pipeline.atomic_write_text
+
+        def recording(path, text):
+            written.append(Path(path))
+            real(path, text)
+
+        monkeypatch.setattr(pipeline, "atomic_write_text", recording)
+        pipeline.run_ingest(config)
+        snap = pipeline.workspace_for(config).snapshot_dir
+        names = ("encoders.json", "meta.json", "summary.json")
+        assert [snap / n for n in names] == written
+        for name in names:
+            assert (snap / name).read_bytes() == (
+                world["ws"].snapshot_dir / name).read_bytes()
 
     def test_reingest_is_byte_identical(self, world, tmp_path):
         config = pipeline_config(world["data"], tmp_path / "w1")
@@ -161,6 +181,15 @@ class TestMakePlan:
         item_cf = [s for s in plan if s.scorer == "item_cf"]
         assert all("seed" not in s.params for s in item_cf)
 
+    def test_seeds_exactly_the_seeded_registry_entries(self, world, tmp_path):
+        config = pipeline_config(world["data"], tmp_path / "w", prerank={
+            "scorers": [{"name": name, "combinations": [COMBOS[1]]}
+                        for name in features.SCORERS]})
+        plan = pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
+        assert [s.scorer for s in plan] == list(features.SCORERS)
+        assert {s.scorer for s in plan if "seed" in s.params} == {
+            name for name, scorer in features.SCORERS.items() if scorer.seeded}
+
     def test_pinned_seed_wins(self, world, tmp_path):
         config = pipeline_config(world["data"], tmp_path / "w", prerank={
             "scorers": [{"name": "word2vec", "params": {"seed": 99},
@@ -194,6 +223,21 @@ class TestMakePlan:
 
 
 class TestPrerankOutputs:
+    def test_valid_labels_mark_exactly_the_target_positives(self):
+        users, items = IdEncoder.fit(["u0", "u1"]), IdEncoder.fit(["i0", "i1"])
+        rows = Interactions([0, 1, 1, 0], [1, 0, 1, 0], [5.0, 4.0, 3.0, 2.0],
+                            ["t1", "t1", "s1", "t1"],
+                            ["valid_qrel", "valid_qrel", "valid_qrel", "train"])
+        snap = pipeline.Snapshot(rows, users, items, ("s1", "t1"), ("t1",))
+        # (u0, i1) and (u1, i0) are t1 positives; (u1, i1) is an s1 one.
+        # Unknown ids never match: (u1, i?) is not read as the pair just
+        # before (u1, i0), which is the positive (u0, i1).
+        run = RunFile((("u0", ("i0", "i1")), ("u1", ("i1", "i0", "i?")),
+                       ("u?", ("i0",))))
+        labels = pipeline._valid_labels(snap, "t1", run)
+        assert labels.dtype == np.int8
+        assert labels.tolist() == [0, 1, 0, 1, 0, 0]
+
     def test_feature_tables_exist_with_expected_columns(self, world):
         ws = world["ws"]
         valid = features.read_table(ws.features_path("t1", "valid"),
@@ -227,9 +271,10 @@ class TestPrerankOutputs:
     def test_no_eval_positive_reaches_any_scorer_matrix(self, world):
         snap = pipeline.load_snapshot(world["ws"])
         ctx = features.PlanContext(snap.rows, snap.users, snap.items)
-        held_out = {(r.user, r.item) for r in snap.rows
-                    if r.market == "t1" and r.split in ("valid_qrel",
-                                                        "test_qrel")}
+        rows = snap.rows.take((snap.rows.market == "t1")
+                              & np.isin(snap.rows.split, ("valid_qrel",
+                                                          "test_qrel")))
+        held_out = set(zip(rows.user.tolist(), rows.item.tolist()))
         assert held_out
         for combo in COMBOS:
             matrix = features.combination_matrix(
@@ -358,6 +403,16 @@ class TestEvaluateReport:
         assert 0.0 <= report["ndcg_at_10"] <= 1.0
         assert report["n_users"] == world["meta"]["markets"]["t1"]["test_qrel"]
         assert report["market"] == "t1"
+
+    def test_two_workspaces_write_the_same_evaluation(self, world, tmp_path):
+        work, config = copied_workspace(world, tmp_path)
+        for target in ("t1", "t2"):
+            pipeline.run_evaluate(config, target)
+            assert ((work / target / "evaluation.json").read_bytes()
+                    == (world["ws"].target_dir(target)
+                        / "evaluation.json").read_bytes())
+        report = json.loads((work / "t1" / "evaluation.json").read_text())
+        assert report["run_file"] == "t1/test_ranked.tsv"
 
     def test_explicit_run_and_qrels_paths_agree_with_defaults(self, world):
         ws = world["ws"]
