@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .features import SCORERS
 from .gbdt import GbdtParams
-from .util import ConfigError
+from .util import ConfigError, atomic_write_text
 
 
 def _reject_unknown(payload: Mapping, allowed, where: str) -> None:
@@ -228,5 +228,5 @@ def load_config(path) -> PipelineConfig:
 
 
 def save_config(config: PipelineConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True)
-                          + "\n", encoding="utf-8")
+    atomic_write_text(path, json.dumps(config.to_dict(), indent=2,
+                                       sort_keys=True) + "\n")

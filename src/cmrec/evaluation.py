@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .util import DataError
+from .util import DataError, atomic_write_text
 
 # Offline per-market scores of one item-similarity scorer across ten market
 # combinations, together with the officially combined value of each run.
@@ -105,12 +104,10 @@ def emit_run_file(run: RankedRun, path) -> None:
     """Write `user<TAB>item<TAB>score` lines, users in input order, items in
     rank order, scores at 6 decimals. Rank order in the file, not the
     score column, is authoritative."""
-    path = Path(path)
+    text = "".join(f"{user}\t{item}\t{score:.6f}\n"
+                   for user, ranked in run for item, score in ranked)
     try:
-        with path.open("w", encoding="utf-8") as fh:
-            for user, ranked in run:
-                for item, score in ranked:
-                    fh.write(f"{user}\t{item}\t{score:.6f}\n")
+        atomic_write_text(path, text)
     except OSError as exc:
         raise DataError(f"cannot write run file {path}: {exc}") from None
 
@@ -174,8 +171,3 @@ def metric_report(per_market_ndcg: Mapping[str, float],
             }
         report["per_user_quantiles"] = quantiles
     return report
-
-
-def write_metric_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")

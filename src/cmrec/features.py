@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -15,7 +16,8 @@ from . import embeddings as emb
 from . import memory_cf as mcf
 from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                    SparseInteractionMatrix, build_matrix)
-from .util import ConfigError, DataError, atomic_write_text, fmt, params_hash
+from .util import (ConfigError, DataError, atomic_save_npy,
+                   atomic_write_text, fmt, params_hash)
 
 
 @dataclass(frozen=True)
@@ -346,46 +348,38 @@ def combination_matrix(ctx: PlanContext,
     return build_matrix(rows, combination, len(ctx.users), len(ctx.items))
 
 
-def _cache_path(ctx: PlanContext, name: str) -> Path | None:
-    return None if ctx.cache_dir is None else Path(ctx.cache_dir) / f"{name}.tsv"
+def _cache_key(ctx: PlanContext, run: RunFile) -> str:
+    """Digest of all a cached column depends on besides its spec: the rows,
+    both encoders and the run. A changed input gives a new file name."""
+    digest = blake2b(digest_size=16)
+    rows = ctx.rows
+    for arr in (rows.user, rows.item, rows.rating, rows.market, rows.split):
+        digest.update(f"{arr.dtype.str}{arr.shape}".encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    digest.update(json.dumps([ctx.users.reverse, ctx.items.reverse,
+                              run.entries]).encode())
+    return digest.hexdigest()
 
 
-def _load_cached(path: Path, name: str, run: RunFile
-                 ) -> tuple[np.ndarray, np.ndarray] | None:
-    pairs = list(run.pairs())
-    by_col: dict[str, list[tuple[str, str, float]]] = {name: [], f"{name}__missing": []}
+def _load_cached(path: Path, n_pairs: int) -> np.ndarray | None:
+    """The (2, n_pairs) float64 array of values and missing flags stored at
+    path; None when there is no such file or it holds anything else."""
     try:
-        with path.open(encoding="utf-8") as fh:
-            for line in fh:
-                user, item, col, value = line.rstrip("\n").split("\t")
-                if col not in by_col:
-                    return None
-                by_col[col].append((user, item, float(value)))
+        with path.open("rb") as fh:
+            cached = np.lib.format.read_array(fh, allow_pickle=False)
     except (OSError, ValueError):
         return None
-    for col_rows in by_col.values():
-        if [(u, i) for u, i, _ in col_rows] != pairs:
-            return None
-    return (np.array([v for _, _, v in by_col[name]]),
-            np.array([v for _, _, v in by_col[f"{name}__missing"]]))
-
-
-def _write_cache(path: Path, name: str, run: RunFile,
-                 vals: np.ndarray, miss: np.ndarray) -> None:
-    pairs = list(run.pairs())
-    lines = [f"{u}\t{i}\t{name}\t{fmt(v)}" for (u, i), v in zip(pairs, vals)]
-    lines += [f"{u}\t{i}\t{name}__missing\t{fmt(v)}"
-              for (u, i), v in zip(pairs, miss)]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    if cached.shape != (2, n_pairs) or cached.dtype != np.float64:
+        return None
+    return cached
 
 
 def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
              ) -> tuple[FeatureTable, list[dict]]:
     """One feature column (plus a missing-indicator column) per spec, rows
     exactly the run file's (user, candidate) pairs in order. Completed
-    columns are cached on disk and skipped on re-run. A failing scorer is
-    recorded and the plan continues."""
+    columns are cached in ctx.cache_dir as <feature>.<digest>.npy and read
+    back on re-run. A failing scorer is recorded and the plan continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
@@ -394,30 +388,28 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
     unknown = [c for (_, c), i in zip(run.pairs(), item_ids) if i < 0]
     failures: list[dict] = []
     matrices: dict[str, SparseInteractionMatrix] = {}
+    key = None if ctx.cache_dir is None else _cache_key(ctx, run)
     for spec in plan:
         name = spec.feature_name
-        cache = _cache_path(ctx, name)
-        got = None
-        if cache is not None and cache.exists():
-            got = _load_cached(cache, name, run)
+        cache = None if key is None else Path(ctx.cache_dir) / f"{name}.{key}.npy"
+        got = None if cache is None else _load_cached(cache, len(item_ids))
         if got is None:
             try:
                 if unknown:
                     raise DataError(f"unknown id {unknown[0]!r}")
-                got = _score_run(spec, ctx, run, item_ids, matrices)
+                got = np.stack(_score_run(spec, ctx, run, item_ids, matrices))
             except Exception as exc:  # noqa: BLE001 - plan must survive one bad scorer
                 failures.append({"feature": name, "error": f"{type(exc).__name__}: {exc}"})
                 continue
             if cache is not None:
-                _write_cache(cache, name, run, *got)
-        vals, miss = got
+                cache.parent.mkdir(parents=True, exist_ok=True)
+                atomic_save_npy(cache, got)
         prov = {"kind": "scorer", "scorer": spec.scorer,
                 "params": dict(spec.params),
                 "combination": list(spec.combination.markets),
                 "excludes_target_valid": spec.combination.exclude_valid_of_target}
         table = table.with_columns(
-            [name, f"{name}__missing"],
-            np.column_stack([vals, miss]),
+            [name, f"{name}__missing"], np.column_stack(got),
             {name: prov, f"{name}__missing": {**prov, "kind": "missing_indicator"}})
     return table, failures
 

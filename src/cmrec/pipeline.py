@@ -8,7 +8,7 @@ so deleting a stage's files and re-running reproduces them exactly:
       snapshot/                  ingest: encoded interactions + encoders
         rows_*.npy  encoders.json  meta.json  summary.json  runs/
       <target>/                  per-target stage outputs
-        cache/{valid,test}/      per-feature-column score cache
+        cache/{valid,test}/<feature>.<digest>.npy  per-column score cache
         features_{valid,test}.tsv (+ .catalog.json)  correlation.tsv
         kept.txt  selection_report.{tsv,json}
         grid.json  model.json  metrics.json  oof.tsv  test_ranked.tsv
@@ -26,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import blake2b
@@ -37,8 +36,8 @@ import numpy as np
 from . import data, evaluation, features, gbdt, selection
 from .config import PipelineConfig
 from .data import CombinationSpec, IdEncoder, Interactions, RunFile
-from .util import (ConfigError, DataError, StageError, atomic_write_text,
-                   fmt, stage_seed)
+from .util import (ConfigError, DataError, StageError, atomic_save_npy,
+                   atomic_write_bytes, atomic_write_text, fmt, stage_seed)
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,13 @@ class Workspace:
         try:
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
+            try:
+                pid = path.read_text(encoding="utf-8").strip() or "unknown"
+            except OSError:
+                pid = "unknown"
             raise StageError(
-                f"workspace {self.root} is locked by another run; "
-                f"remove {path} if that run is dead") from None
+                f"workspace {self.root} is locked by another run (pid {pid}); "
+                f"remove {path} if that process is dead") from None
         try:
             os.write(fd, f"{os.getpid()}\n".encode())
             os.close(fd)
@@ -131,16 +134,16 @@ def run_ingest(config: PipelineConfig) -> dict:
     snap = ws.snapshot_dir
     (snap / "runs").mkdir(parents=True, exist_ok=True)
     for name, arr in arrays.items():
-        np.save(snap / f"rows_{name}.npy", arr)
+        atomic_save_npy(snap / f"rows_{name}.npy", arr)
     _write_json(snap / "encoders.json", {"users": list(users.reverse),
                                          "items": list(items.reverse)})
     _write_json(snap / "meta.json", {"markets": markets,
                                      "targets": list(config.targets),
                                      "splits": list(data.SPLITS)})
     _write_json(snap / "summary.json", summary)
-    for (target, which), run in runs.items():
+    for target, which in runs:
         source = data_dir / target / data.RUN_FILES[which]
-        shutil.copyfile(source, ws.run_path(target, which))
+        atomic_write_bytes(ws.run_path(target, which), source.read_bytes())
     return summary
 
 
@@ -263,10 +266,8 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     all_failures: list[dict] = []
     shared_cache: dict = {}
     for which in ("valid", "test"):
-        cache_dir = tdir / "cache" / which
-        cache_dir.mkdir(parents=True, exist_ok=True)
         ctx = features.PlanContext(snap.rows, snap.users, snap.items,
-                                   cache_dir=cache_dir,
+                                   cache_dir=tdir / "cache" / which,
                                    model_cache=shared_cache)
         run = data.load_run(ws.run_path(target, which))
         table, failures = features.run_plan(plan, ctx, run)
@@ -420,5 +421,5 @@ def run_report(config: PipelineConfig) -> dict:
     weights = (dict(config.market_weights) if config.market_weights
                else evaluation.DEFAULT_MARKET_WEIGHTS)
     report = evaluation.metric_report(per_market, weights)
-    evaluation.write_metric_report(report, ws.root / "final.json")
+    _write_json(ws.root / "final.json", report)
     return report

@@ -4,6 +4,7 @@ writes, and the logistic function."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from pathlib import Path
@@ -62,13 +63,25 @@ def sigmoid(x):
 
 
 def fmt(x: float) -> str:
-    """Shortest round-trip decimal form; keeps cached TSVs lossless."""
+    """Shortest round-trip decimal form; keeps feature tables lossless."""
     return repr(float(x))
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
+def atomic_write_bytes(path: Path | str, payload: bytes) -> None:
     """Write via temp-then-rename so partially written files never appear."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_bytes(payload)
     os.replace(tmp, path)
+
+
+def atomic_write_text(path: Path | str, text: str) -> None:
+    """atomic_write_bytes of the text's UTF-8 encoding."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_save_npy(path: Path | str, array: np.ndarray) -> None:
+    """atomic_write_bytes of the bytes np.save writes for the array."""
+    buf = io.BytesIO()
+    np.save(buf, array)
+    atomic_write_bytes(path, buf.getvalue())

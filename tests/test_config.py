@@ -2,9 +2,12 @@
 every nesting level, and the validation rules."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+from cmrec import util
 from cmrec.config import (PipelineConfig, PrerankConfig, RankerConfig,
                           ScorerPlanConfig, SelectionConfig, load_config,
                           save_config)
@@ -183,6 +186,21 @@ class TestLoadErrors:
         path.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(ConfigError, match="object"):
             load_config(path)
+
+    def test_saved_atomically(self, tmp_path, monkeypatch):
+        config = PipelineConfig.from_dict(FULL)
+        written = []
+        real = os.replace
+
+        def recording(src, dst):
+            written.append(Path(dst))
+            real(src, dst)
+
+        monkeypatch.setattr(util.os, "replace", recording)
+        save_config(config, tmp_path / "c.json")
+        assert written == [tmp_path / "c.json"]
+        assert (tmp_path / "c.json").read_text(encoding="utf-8") == (
+            json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def test_defaults_survive_file_round_trip(self, tmp_path):
         config = PipelineConfig.from_dict(MINIMAL)

@@ -2,6 +2,8 @@
 cache, leakage rules for combination matrices, global statistics, and the
 correlation report."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -251,12 +253,18 @@ class TestScorerRegistry:
         assert table.column(f"{spec.feature_name}__missing").tolist() == want_miss
 
 
+def cached_column(cache_dir, spec):
+    """The one cache file of spec's column."""
+    [path] = cache_dir.glob(f"{spec.feature_name}.*.npy")
+    return path
+
+
 class TestColumnCache:
     def test_second_run_reads_cache_without_refitting(self, tmp_path):
         first = tiny_context(cache_dir=tmp_path)
         spec = spec_for()
         table1, _ = run_plan([spec], first, RUN)
-        assert (tmp_path / f"{spec.feature_name}.tsv").exists()
+        assert cached_column(tmp_path, spec).exists()
 
         again = tiny_context(cache_dir=tmp_path)
         table2, _ = run_plan([spec], again, RUN)
@@ -267,7 +275,7 @@ class TestColumnCache:
         ctx = tiny_context(cache_dir=tmp_path)
         spec = spec_for()
         table1, _ = run_plan([spec], ctx, RUN)
-        (tmp_path / f"{spec.feature_name}.tsv").write_text("garbage\n")
+        cached_column(tmp_path, spec).write_text("garbage\n")
         table2, failures = run_plan([spec], tiny_context(cache_dir=tmp_path), RUN)
         assert failures == []
         assert np.array_equal(table1.values, table2.values)
@@ -280,6 +288,50 @@ class TestColumnCache:
                                    other)
         assert failures == []
         assert list(zip(table.users, table.items)) == other.pairs()
+
+    @pytest.mark.parametrize("stored", [
+        np.zeros((3, len(RUN.pairs()))),
+        np.zeros((2, len(RUN.pairs())), dtype=np.float32),
+        np.zeros(2 * len(RUN.pairs())),
+        np.zeros((2, len(RUN.pairs())), dtype=np.int64),
+    ])
+    def test_wrong_shape_or_dtype_recomputed(self, tmp_path, stored):
+        spec = spec_for()
+        table1, _ = run_plan([spec], tiny_context(cache_dir=tmp_path), RUN)
+        path = cached_column(tmp_path, spec)
+        np.save(path, stored)
+        ctx = tiny_context(cache_dir=tmp_path)
+        table2, failures = run_plan([spec], ctx, RUN)
+        assert failures == [] and ctx.model_cache != {}
+        assert np.array_equal(table1.values, table2.values)
+        assert cached_column(tmp_path, spec) == path
+        reloaded = np.load(path)
+        assert reloaded.dtype == np.float64
+        assert np.array_equal(reloaded.T, table1.values)
+
+    @pytest.mark.parametrize("change", ["rows", "encoders", "run"])
+    def test_changed_input_is_a_miss(self, tmp_path, change):
+        spec = spec_for()
+        run_plan([spec], tiny_context(cache_dir=tmp_path), RUN)
+        old = cached_column(tmp_path, spec)
+        ctx, run = tiny_context(cache_dir=tmp_path), RUN
+        if change == "rows":
+            # the last row is a cross-market valid positive of s1
+            ctx = dataclasses.replace(ctx, rows=ctx.rows.take(slice(0, -1)))
+        elif change == "encoders":
+            # an id sorting after every other one: no row's id moves
+            ctx = dataclasses.replace(
+                ctx, items=IdEncoder.fit(ctx.items.reverse + ("i9",)))
+        else:
+            run = RunFile((("a", ("i3", "i2", "i1", "i0")),) + RUN.entries[1:])
+        table, failures = run_plan([spec], ctx, run)
+        assert failures == [] and ctx.model_cache != {}
+        # the column was stored under a new name next to the old file
+        new = set(tmp_path.glob(f"{spec.feature_name}.*.npy")) - {old}
+        assert len(new) == 1
+        fresh, _ = run_plan([spec], dataclasses.replace(
+            ctx, cache_dir=None, model_cache={}), run)
+        assert np.array_equal(table.values, fresh.values)
 
     def test_no_cache_dir_still_works(self):
         table, failures = run_plan([spec_for()], tiny_context(), RUN)

@@ -4,13 +4,14 @@ exit-code contract."""
 
 import dataclasses
 import json
+import os
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmrec import cli, evaluation, features, pipeline
+from cmrec import cli, evaluation, features, pipeline, util
 from cmrec.config import PipelineConfig
 from cmrec.data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                         load_run)
@@ -75,6 +76,20 @@ def copied_workspace(world, tmp_path):
     return work, dataclasses.replace(world["config"], workspace=str(work))
 
 
+def record_atomic_writes(monkeypatch):
+    """The paths the atomic writer renames into place, in order; the
+    writes still happen."""
+    written = []
+    real = os.replace
+
+    def recording(src, dst):
+        written.append(Path(dst))
+        real(src, dst)
+
+    monkeypatch.setattr(util.os, "replace", recording)
+    return written
+
+
 class TestIngest:
     def test_summary_counts_match_generator_ground_truth(self, world):
         summary, meta = world["summary"], world["meta"]
@@ -134,6 +149,17 @@ class TestIngest:
         # same data and config
         assert pipeline.snapshot_digest(world["ws"]) == first
 
+    def test_every_snapshot_file_written_atomically(self, world, tmp_path,
+                                                    monkeypatch):
+        config = pipeline_config(world["data"], tmp_path / "w")
+        written = record_atomic_writes(monkeypatch)
+        pipeline.run_ingest(config)
+        ws = pipeline.workspace_for(config)
+        assert sorted(written) == sorted(
+            p for p in ws.snapshot_dir.rglob("*") if p.is_file())
+        assert pipeline.snapshot_digest(ws) == pipeline.snapshot_digest(
+            world["ws"])
+
     def test_missing_data_dir_is_a_data_error(self, tmp_path):
         config = pipeline_config(tmp_path / "nope", tmp_path / "w")
         with pytest.raises(DataError, match="data directory"):
@@ -156,6 +182,13 @@ class TestWorkspaceLock:
         assert not (ws.root / ".lock").exists()
         with ws.lock():  # reacquire after release
             pass
+
+    def test_held_lock_names_the_recorded_pid(self, tmp_path):
+        ws = pipeline.Workspace(tmp_path / "w")
+        with ws.lock():
+            with pytest.raises(StageError, match=rf"\(pid {os.getpid()}\)"):
+                with ws.lock():
+                    pass
 
 
 class TestMakePlan:
@@ -314,6 +347,35 @@ class TestPrerankOutputs:
         for which in ("valid", "test"):
             assert ws.features_path("t1", which).read_bytes() == before[which]
 
+    def test_reingest_of_changed_data_recomputes_cached_columns(self, world,
+                                                                tmp_path):
+        data_dir = tmp_path / "data"
+        shutil.copytree(world["data"], data_dir)
+        prerank = {"scorers": [{"name": "item_cf", "combinations": [["t1"]]}]}
+        config = pipeline_config(data_dir, tmp_path / "w", prerank=prerank)
+        ws = pipeline.workspace_for(config)
+        pipeline.run_ingest(config)
+        pipeline.run_prerank(config, "t1")
+        [spec] = pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
+        old = features.read_table(ws.features_path("t1", "valid"))
+        for name in ("train.tsv", "train_5core.tsv"):
+            path = data_dir / "t1" / name
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(lines[:1 + (len(lines) - 1) // 2]))
+        pipeline.run_ingest(config)
+        pipeline.run_prerank(config, "t1")
+
+        fresh = pipeline_config(data_dir, tmp_path / "fresh", prerank=prerank)
+        fresh_ws = pipeline.workspace_for(fresh)
+        pipeline.run_ingest(fresh)
+        pipeline.run_prerank(fresh, "t1")
+        for which in ("valid", "test"):
+            assert (ws.features_path("t1", which).read_bytes()
+                    == fresh_ws.features_path("t1", which).read_bytes())
+        new = features.read_table(ws.features_path("t1", "valid"))
+        assert not np.array_equal(old.column(spec.feature_name),
+                                  new.column(spec.feature_name))
+
 
 class TestSelectTrain:
     def test_kept_features_are_a_nonempty_subset(self, world):
@@ -368,6 +430,17 @@ class TestSelectTrain:
         pipeline.run_train(config, "t1")
         assert oof in written
         assert oof.read_bytes() == before
+
+    def test_train_writes_ranked_run_atomically(self, world, tmp_path,
+                                                monkeypatch):
+        work, config = copied_workspace(world, tmp_path)
+        ranked = work / "t1" / "test_ranked.tsv"
+        before = ranked.read_bytes()
+        ranked.unlink()
+        written = record_atomic_writes(monkeypatch)
+        pipeline.run_train(config, "t1")
+        assert ranked in written
+        assert ranked.read_bytes() == before
 
     def test_empty_kept_list_fails_train_with_data_error(self, world, tmp_path):
         work, config = copied_workspace(world, tmp_path)
@@ -436,6 +509,17 @@ class TestEvaluateReport:
                 / (w["t1"] + w["t2"]))
         assert final["weighted"] == pytest.approx(want)
         assert (ws.root / "final.json").exists()
+
+    def test_report_writes_final_json_atomically(self, world, tmp_path,
+                                                 monkeypatch):
+        work, config = copied_workspace(world, tmp_path)
+        final = work / "final.json"
+        before = final.read_bytes()
+        final.unlink()
+        written = record_atomic_writes(monkeypatch)
+        pipeline.run_report(config)
+        assert written == [final]
+        assert final.read_bytes() == before
 
     def test_report_requires_every_evaluation(self, world):
         ws = world["ws"]
