@@ -146,64 +146,64 @@ def read_embedding_tsv(path) -> EmbeddingTable:
 
 # --- biased walks -----------------------------------------------------------
 
-def bipartite_adjacency(m: SparseInteractionMatrix) -> list[np.ndarray]:
-    """Neighbor lists in a unified node space: users 0..n_users-1, items
-    offset by n_users. Ratings are ignored."""
-    adj: list[np.ndarray] = []
-    for u in range(m.n_users):
-        items, _ = m.row(u)
-        adj.append(items + m.n_users)
-    for i in range(m.n_items):
-        users, _ = m.col(i)
-        adj.append(users.copy())
-    return adj
+# Walks stepped together per block; bounds the (walks x degree) grids.
+_WALK_BLOCK = 256
 
 
-def transition_weights(adj: Sequence[np.ndarray], prev: int, cur: int,
-                       p: float, q: float) -> np.ndarray:
-    """Unnormalized second-order weights for each neighbor of cur: 1/p to
-    return to prev, 1 to a common neighbor of prev and cur, 1/q else."""
-    nbrs = adj[cur]
-    weights = np.full(len(nbrs), 1.0 / q)
-    prev_nbrs = adj[prev]
-    common = np.isin(nbrs, prev_nbrs, assume_unique=True)
-    weights[common] = 1.0
-    weights[nbrs == prev] = 1.0 / p
-    return weights
-
-
-def _draw(rng: np.random.Generator, weights: np.ndarray) -> int:
-    cdf = np.cumsum(weights)
-    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+def _node_csr(m: SparseInteractionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(ptr, nbrs) neighbour lists in a unified node space: users
+    0..n_users-1, items offset by n_users. Ratings are ignored."""
+    ptr = np.concatenate([m.user_ptr, m.item_ptr[1:] + m.nnz])
+    nbrs = np.concatenate([m.user_items + m.n_users, m.item_users])
+    return ptr, nbrs
 
 
 def generate_walks(m: SparseInteractionMatrix,
                    params: WalkParams) -> list[list[int]]:
     """Second-order biased walks from every non-isolated node, alternating
     sides of the bipartite graph. Node ids are unified (items offset by
-    n_users). Deterministic given the seed."""
-    adj = bipartite_adjacency(m)
+    n_users). Deterministic given the seed.
+
+    Every candidate next node lies on prev's side of the bipartite graph,
+    so none is a common neighbour of prev and cur: node2vec's second-order
+    bias reduces to 1/p for the return step and 1/q otherwise. Walks are
+    stepped together, one cumsum over a padded (walks x degree) weight
+    grid per step. Each walk keeps its own generator, seeded from (seed,
+    start, w), and draws its walk_length - 1 uniforms from it, so the
+    random stream is unchanged: the walks equal those of a cumsum +
+    searchsorted draw per walk and step."""
+    ptr, nbrs = _node_csr(m)
+    deg = np.diff(ptr)
+    nodes, per = np.flatnonzero(deg), max(params.walks_per_node, 0)
+    starts, reps = np.repeat(nodes, per), np.tile(np.arange(per), len(nodes))
+    steps = params.walk_length - 1
     walks: list[list[int]] = []
-    for start in range(len(adj)):
-        if len(adj[start]) == 0:
-            continue
-        for w in range(params.walks_per_node):
-            rng = np.random.default_rng(
-                stage_seed(params.seed, "walk", str(start), str(w)))
-            walk = [start]
-            cur = start
-            prev = -1
-            for _ in range(params.walk_length - 1):
-                nbrs = adj[cur]
-                if prev < 0:
-                    nxt = int(nbrs[_draw(rng, np.ones(len(nbrs)))])
-                else:
-                    weights = transition_weights(adj, prev, cur,
-                                                 params.p, params.q)
-                    nxt = int(nbrs[_draw(rng, weights)])
-                walk.append(nxt)
-                prev, cur = cur, nxt
-            walks.append(walk)
+    for b in range(0, len(starts), _WALK_BLOCK):
+        start, rep = starts[b:b + _WALK_BLOCK], reps[b:b + _WALK_BLOCK]
+        uniforms = np.array([np.random.default_rng(
+            stage_seed(params.seed, "walk", str(s), str(w))).random(steps)
+            for s, w in zip(start.tolist(), rep.tolist())])
+        walk = np.empty((len(start), params.walk_length), dtype=np.int64)
+        walk[:, 0] = start
+        for k in range(steps):
+            cur = walk[:, k]
+            first, d = ptr[cur], deg[cur]
+            cols = np.arange(d.max())
+            valid = cols < d[:, None]
+            if k == 0:
+                weights = valid.astype(np.float64)
+            else:
+                cand = nbrs[np.where(valid, first[:, None] + cols, 0)]
+                weights = np.where(cand == walk[:, k - 1, None],
+                                   1.0 / params.p, 1.0 / params.q)
+                weights[~valid] = 0.0
+            # zero padding leaves each row's cdf at its total from its last
+            # neighbour on, and u * total < total: padding is never counted
+            cdf = np.cumsum(weights, axis=1)
+            drawn = uniforms[:, k] * cdf[:, -1]
+            walk[:, k + 1] = nbrs[first + np.count_nonzero(
+                cdf <= drawn[:, None], axis=1)]
+        walks.extend(walk.tolist())
     return walks
 
 
@@ -246,16 +246,23 @@ def _log_sigmoid(x):
     return -np.logaddexp(0.0, -np.asarray(x, dtype=np.float64))
 
 
-def _pairs_for_sequence(seq: list[int], window: int) -> tuple[np.ndarray, np.ndarray]:
-    centers, contexts = [], []
-    n = len(seq)
-    for t in range(n):
-        lo, hi = max(0, t - window), min(n, t + window + 1)
-        for j in range(lo, hi):
-            if j != t:
-                centers.append(seq[t])
-                contexts.append(seq[j])
-    return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
+# Pairs are built for blocks of whole sequences starting within this many
+# tokens of each other; bounds the (tokens x 2 window) grids.
+_PAIR_BLOCK = 1024
+_CHUNK = 1024
+
+
+def _window_pairs(tokens: np.ndarray, lengths: np.ndarray, window: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centers, contexts, ends) of the concatenated nonempty sequences:
+    every (token, token within window) pair ordered by sequence, position,
+    then context position; sequence k's pairs end at ends[k]."""
+    end = np.cumsum(lengths)
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    ctx = np.arange(len(tokens))[:, None] + np.r_[-window:0, 1:window + 1]
+    ok = (ctx >= (end - lengths)[seq, None]) & (ctx < end[seq, None])
+    centers = np.broadcast_to(tokens[:, None], ok.shape)[ok]
+    return centers, tokens[ctx[ok]], np.cumsum(ok.sum(axis=1))[end - 1]
 
 
 def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
@@ -263,20 +270,21 @@ def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
     """Skip-gram with negative sampling over integer-token sequences.
 
     Negatives come from the unigram^0.75 distribution. Updates are applied
-    in deterministic chunks of pairs; input vectors (W_in) become the
-    embedding. node_key maps a token to its table key (default: i:<token>).
+    in chunks of up to 1,024 pairs within each sequence, in sequence order;
+    input vectors (W_in) become the embedding. node_key maps a token to its
+    table key (default: i:<token>). Pairs are built vectorised over blocks
+    of sequences, but every chunk and its negative draws are those of a
+    per-sequence loop, so the random stream and the vectors are unchanged.
     """
-    corpus = [list(seq) for seq in corpus]
-    if not corpus or all(len(s) == 0 for s in corpus):
+    corpus = [seq for seq in corpus if len(seq)]
+    if not corpus:
         raise ValueError("corpus must be nonempty")
     node_key = node_key or item_node
-    vocab = sorted({tok for seq in corpus for tok in seq})
-    index = {tok: k for k, tok in enumerate(vocab)}
-    counts = np.zeros(len(vocab))
-    for seq in corpus:
-        for tok in seq:
-            counts[index[tok]] += 1.0
-    noise = counts ** 0.75
+    lengths = np.array([len(seq) for seq in corpus], dtype=np.int64)
+    vocab, tokens = np.unique(np.fromiter(
+        (tok for seq in corpus for tok in seq), dtype=np.int64,
+        count=int(lengths.sum())), return_inverse=True)
+    noise = np.bincount(tokens).astype(np.float64) ** 0.75
     noise /= noise.sum()
     noise_cdf = np.cumsum(noise)
 
@@ -285,28 +293,43 @@ def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
                        size=(len(vocab), params.dim))
     w_out = np.zeros((len(vocab), params.dim))
 
-    chunk = 1024
+    seq_end = np.cumsum(lengths)
+    group = (seq_end - lengths) // _PAIR_BLOCK
+    cuts = np.r_[0, np.flatnonzero(np.diff(group)) + 1, len(corpus)].tolist()
     epoch_loss: list[float] = []
     for _epoch in range(params.epochs):
         total, n_pairs = 0.0, 0
-        for seq in corpus:
-            toks = [index[t] for t in seq]
-            centers, contexts = _pairs_for_sequence(toks, params.window)
-            if len(centers) == 0:
-                continue
-            for s in range(0, len(centers), chunk):
-                c = centers[s:s + chunk]
-                o = contexts[s:s + chunk]
-                draws = rng.random((len(c), params.negatives))
-                negs = np.searchsorted(noise_cdf, draws, side="right")
-                total += _sgns_chunk(w_in, w_out, c, o, negs,
-                                     params.learning_rate)
-                n_pairs += len(c)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            centers, contexts, ends = _window_pairs(
+                tokens[seq_end[lo] - lengths[lo]:seq_end[hi - 1]],
+                lengths[lo:hi], params.window)
+            begin = 0
+            for end in ends.tolist():
+                for s in range(begin, end, _CHUNK):
+                    c = centers[s:min(s + _CHUNK, end)]
+                    o = contexts[s:min(s + _CHUNK, end)]
+                    draws = rng.random((len(c), params.negatives))
+                    negs = np.searchsorted(noise_cdf, draws, side="right")
+                    total += _sgns_chunk(w_in, w_out, c, o, negs,
+                                         params.learning_rate)
+                    n_pairs += len(c)
+                begin = end
         epoch_loss.append(total / max(n_pairs, 1))
 
-    vectors = {node_key(tok): w_in[index[tok]].copy() for tok in vocab}
+    vectors = {node_key(tok): w_in[k].copy()
+               for k, tok in enumerate(vocab.tolist())}
     return EmbeddingTable(params.dim, vectors,
                           meta={"epoch_loss": epoch_loss, "vocab": len(vocab)})
+
+
+def _add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray
+                 ) -> None:
+    """np.add.at(target, rows, values) for a C-contiguous 2-D target, as
+    one 1-D scatter on its flat view: the same additions to each slot in
+    the same order, without the slow row-indexed path."""
+    width = target.shape[1]
+    flat = (rows[:, None] * width + np.arange(width)).ravel()
+    np.add.at(target.reshape(-1), flat, values.ravel())
 
 
 def _sgns_chunk(w_in, w_out, centers, contexts, negs, lr) -> float:
@@ -321,10 +344,10 @@ def _sgns_chunk(w_in, w_out, centers, contexts, negs, lr) -> float:
     g_pos = sigmoid(pos) - 1.0                        # (B,)
     g_neg = sigmoid(neg)                              # (B, K)
     d_v = g_pos[:, None] * u_o + np.einsum("bk,bkd->bd", g_neg, u_n)
-    np.add.at(w_in, centers, -lr * d_v)
-    np.add.at(w_out, contexts, -lr * g_pos[:, None] * v)
-    np.add.at(w_out, negs.ravel(),
-              -lr * (g_neg[:, :, None] * v[:, None, :]).reshape(-1, v.shape[1]))
+    _add_rows_at(w_in, centers, -lr * d_v)
+    _add_rows_at(w_out, contexts, -lr * g_pos[:, None] * v)
+    _add_rows_at(w_out, negs.ravel(),
+                 -lr * (g_neg[:, :, None] * v[:, None, :]))
     return loss
 
 
@@ -421,9 +444,9 @@ def bpr_loss_and_grad(user_vecs, item_vecs, graph, layers, l2_reg,
     coef = -sigmoid(-margin) / b                       # d loss / d margin
     d_fu = np.zeros_like(f_u)
     d_fi = np.zeros_like(f_i)
-    np.add.at(d_fu, users, coef[:, None] * (fp - fn))
-    np.add.at(d_fi, pos_items, coef[:, None] * fu)
-    np.add.at(d_fi, neg_items, -coef[:, None] * fu)
+    _add_rows_at(d_fu, users, coef[:, None] * (fp - fn))
+    _add_rows_at(d_fi, pos_items, coef[:, None] * fu)
+    _add_rows_at(d_fi, neg_items, -coef[:, None] * fu)
     g_u, g_i = _propagate_mean(d_fu, d_fi, user_ptr, user_items, item_ptr,
                                item_users, user_deg, item_deg, layers)
     reg = 0.0
@@ -432,7 +455,7 @@ def bpr_loss_and_grad(user_vecs, item_vecs, graph, layers, l2_reg,
                             (item_vecs, g_i, neg_items)):
         rows = vecs[idx]
         reg += float(np.sum(rows * rows))
-        np.add.at(grad, idx, (2.0 * l2_reg / b) * rows)
+        _add_rows_at(grad, idx, (2.0 * l2_reg / b) * rows)
     return loss + l2_reg * reg / b, g_u, g_i
 
 

@@ -5,6 +5,7 @@ similarities, and keep everything cached and resumable on disk."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
@@ -374,12 +375,23 @@ def _load_cached(path: Path, n_pairs: int) -> np.ndarray | None:
     return cached
 
 
+def _drop_stale(cache: Path, name: str) -> None:
+    """Remove column name's files other than cache: those under another
+    digest and a .tsv from before the .npy cache. Other columns' files
+    stay."""
+    stale = re.compile(re.escape(name) + r"(\.[0-9a-f]{32}\.npy|\.tsv)")
+    for path in cache.parent.iterdir():
+        if path != cache and stale.fullmatch(path.name):
+            path.unlink(missing_ok=True)
+
+
 def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
              ) -> tuple[FeatureTable, list[dict]]:
     """One feature column (plus a missing-indicator column) per spec, rows
     exactly the run file's (user, candidate) pairs in order. Completed
     columns are cached in ctx.cache_dir as <feature>.<digest>.npy and read
-    back on re-run. A failing scorer is recorded and the plan continues."""
+    back on re-run; writing one removes that column's files under other
+    digests. A failing scorer is recorded and the plan continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
@@ -404,6 +416,7 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
             if cache is not None:
                 cache.parent.mkdir(parents=True, exist_ok=True)
                 atomic_save_npy(cache, got)
+                _drop_stale(cache, name)
         prov = {"kind": "scorer", "scorer": spec.scorer,
                 "params": dict(spec.params),
                 "combination": list(spec.combination.markets),

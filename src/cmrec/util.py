@@ -3,6 +3,7 @@ writes, and the logistic function."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -68,11 +69,17 @@ def fmt(x: float) -> str:
 
 
 def atomic_write_bytes(path: Path | str, payload: bytes) -> None:
-    """Write via temp-then-rename so partially written files never appear."""
+    """Write via temp-then-rename so partially written files never appear;
+    a failed write or rename removes the temp file and re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:

@@ -1,5 +1,6 @@
 """Embedding scorers: dense propagation oracle, finite-difference gradient
-checks, analytic walk-weight cases, and TSV round trips."""
+checks, analytic walk-weight cases, per-walk and per-sequence loop oracles
+for the vectorised walks and skip-gram, and TSV round trips."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,155 @@ from hypothesis import given, settings, strategies as st
 
 from cmrec import embeddings as emb
 from cmrec.data import SparseInteractionMatrix
-from cmrec.util import DataError
+from cmrec.util import DataError, sigmoid, stage_seed
 
 from test_memory_cf import matrix_from_dense, random_dense
+
+
+# --- loop oracles: one walk, one sequence and one row scatter at a time -----
+
+def bipartite_adjacency(m):
+    """Neighbor lists in a unified node space: users 0..n_users-1, items
+    offset by n_users."""
+    adj = [m.row(u)[0] + m.n_users for u in range(m.n_users)]
+    adj.extend(m.col(i)[0].copy() for i in range(m.n_items))
+    return adj
+
+
+def transition_weights(adj, prev, cur, p, q):
+    """Unnormalized second-order weights for each neighbor of cur: 1/p to
+    return to prev, 1 to a common neighbor of prev and cur, 1/q else."""
+    nbrs = adj[cur]
+    weights = np.full(len(nbrs), 1.0 / q)
+    common = np.isin(nbrs, adj[prev], assume_unique=True)
+    weights[common] = 1.0
+    weights[nbrs == prev] = 1.0 / p
+    return weights
+
+
+def _draw(rng, weights):
+    cdf = np.cumsum(weights)
+    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+
+
+def generate_walks_oracle(m, params):
+    """node2vec walks one at a time, one scalar draw per step."""
+    adj = bipartite_adjacency(m)
+    walks = []
+    for start in range(len(adj)):
+        if len(adj[start]) == 0:
+            continue
+        for w in range(params.walks_per_node):
+            rng = np.random.default_rng(
+                stage_seed(params.seed, "walk", str(start), str(w)))
+            walk, prev, cur = [start], -1, start
+            for _ in range(params.walk_length - 1):
+                nbrs = adj[cur]
+                if prev < 0:
+                    weights = np.ones(len(nbrs))
+                else:
+                    weights = transition_weights(adj, prev, cur,
+                                                 params.p, params.q)
+                nxt = int(nbrs[_draw(rng, weights)])
+                walk.append(nxt)
+                prev, cur = cur, nxt
+            walks.append(walk)
+    return walks
+
+
+def _pairs_for_sequence(seq, window):
+    centers, contexts = [], []
+    n = len(seq)
+    for t in range(n):
+        for j in range(max(0, t - window), min(n, t + window + 1)):
+            if j != t:
+                centers.append(seq[t])
+                contexts.append(seq[j])
+    return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
+
+
+def sgns_chunk_oracle(w_in, w_out, centers, contexts, negs, lr):
+    v, u_o, u_n = w_in[centers], w_out[contexts], w_out[negs]
+    pos = np.einsum("bd,bd->b", v, u_o)
+    neg = np.einsum("bkd,bd->bk", u_n, v)
+    loss = float(np.sum(-emb._log_sigmoid(pos))
+                 + np.sum(-emb._log_sigmoid(-neg)))
+    g_pos = sigmoid(pos) - 1.0
+    g_neg = sigmoid(neg)
+    d_v = g_pos[:, None] * u_o + np.einsum("bk,bkd->bd", g_neg, u_n)
+    np.add.at(w_in, centers, -lr * d_v)
+    np.add.at(w_out, contexts, -lr * g_pos[:, None] * v)
+    np.add.at(w_out, negs.ravel(),
+              -lr * (g_neg[:, :, None] * v[:, None, :]).reshape(-1, v.shape[1]))
+    return loss
+
+
+def train_skipgram_oracle(corpus, params, node_key=emb.item_node):
+    """Skip-gram with Python-built pairs per sequence, dict vocabulary and
+    2-D row scatters."""
+    corpus = [list(seq) for seq in corpus]
+    vocab = sorted({tok for seq in corpus for tok in seq})
+    index = {tok: k for k, tok in enumerate(vocab)}
+    counts = np.zeros(len(vocab))
+    for seq in corpus:
+        for tok in seq:
+            counts[index[tok]] += 1.0
+    noise = counts ** 0.75
+    noise /= noise.sum()
+    noise_cdf = np.cumsum(noise)
+    rng = np.random.default_rng(stage_seed(params.seed, "sgns"))
+    w_in = rng.uniform(-0.5 / params.dim, 0.5 / params.dim,
+                       size=(len(vocab), params.dim))
+    w_out = np.zeros((len(vocab), params.dim))
+    epoch_loss = []
+    for _epoch in range(params.epochs):
+        total, n_pairs = 0.0, 0
+        for seq in corpus:
+            centers, contexts = _pairs_for_sequence(
+                [index[t] for t in seq], params.window)
+            for s in range(0, len(centers), 1024):
+                c, o = centers[s:s + 1024], contexts[s:s + 1024]
+                draws = rng.random((len(c), params.negatives))
+                negs = np.searchsorted(noise_cdf, draws, side="right")
+                total += sgns_chunk_oracle(w_in, w_out, c, o, negs,
+                                           params.learning_rate)
+                n_pairs += len(c)
+        epoch_loss.append(total / max(n_pairs, 1))
+    vectors = {node_key(tok): w_in[index[tok]].copy() for tok in vocab}
+    return emb.EmbeddingTable(params.dim, vectors,
+                              meta={"epoch_loss": epoch_loss,
+                                    "vocab": len(vocab)})
+
+
+def bpr_loss_and_grad_oracle(user_vecs, item_vecs, graph, layers, l2_reg,
+                             users, pos_items, neg_items):
+    """bpr_loss_and_grad with 2-D row-indexed np.add.at scatters."""
+    f_u, f_i = emb._propagate_mean(user_vecs, item_vecs, *graph, layers)
+    fu, fp, fn = f_u[users], f_i[pos_items], f_i[neg_items]
+    margin = np.einsum("bd,bd->b", fu, fp - fn)
+    b = len(users)
+    loss = float(np.mean(-emb._log_sigmoid(margin)))
+    coef = -sigmoid(-margin) / b
+    d_fu, d_fi = np.zeros_like(f_u), np.zeros_like(f_i)
+    np.add.at(d_fu, users, coef[:, None] * (fp - fn))
+    np.add.at(d_fi, pos_items, coef[:, None] * fu)
+    np.add.at(d_fi, neg_items, -coef[:, None] * fu)
+    g_u, g_i = emb._propagate_mean(d_fu, d_fi, *graph, layers)
+    reg = 0.0
+    for vecs, grad, idx in ((user_vecs, g_u, users),
+                            (item_vecs, g_i, pos_items),
+                            (item_vecs, g_i, neg_items)):
+        rows = vecs[idx]
+        reg += float(np.sum(rows * rows))
+        np.add.at(grad, idx, (2.0 * l2_reg / b) * rows)
+    return loss + l2_reg * reg / b, g_u, g_i
+
+
+def assert_same_table(got, want):
+    assert list(got.vectors) == list(want.vectors)
+    for key, vec in want.vectors.items():
+        assert np.array_equal(got.vectors[key], vec), key
+    assert got.meta == want.meta
 
 
 def dense_propagation_oracle(dense_binary, user_vecs, item_vecs, layers):
@@ -131,6 +278,22 @@ class TestBprGradients:
         assert rel_err(finite_difference(loss, iv), g_i) <= 1e-4
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bitwise_equal_to_2d_add_at(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        m = matrix_from_dense(random_dense(rng, 12, 9, density=0.4))
+        uv, iv = rng.normal(size=(12, 5)), rng.normal(size=(9, 5))
+        graph = (m.user_ptr, m.user_items, m.item_ptr, m.item_users,
+                 m.user_degrees().astype(float), m.item_degrees().astype(float))
+        # repeated ids make the scatters accumulate into the same rows
+        users = rng.integers(0, 12, size=40)
+        pos, neg = rng.integers(0, 9, size=40), rng.integers(0, 9, size=40)
+        got = emb.bpr_loss_and_grad(uv, iv, graph, 2, 0.01, users, pos, neg)
+        want = bpr_loss_and_grad_oracle(uv, iv, graph, 2, 0.01, users, pos, neg)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
 class TestWalks:
     def adj_triangle_plus_tail(self):
         # 0-1, 1-2, 2-0 triangle with a tail 2-3 (general graph, not bipartite)
@@ -140,7 +303,7 @@ class TestWalks:
     def test_transition_weights_analytic(self):
         adj = self.adj_triangle_plus_tail()
         # walking 0 -> 2: neighbors of 2 are [0, 1, 3]
-        w = emb.transition_weights(adj, prev=0, cur=2, p=4.0, q=0.25)
+        w = transition_weights(adj, prev=0, cur=2, p=4.0, q=0.25)
         # 0 is the return node (1/p); 1 is a common neighbor of 0 and 2 (1);
         # 3 is neither (1/q)
         assert np.allclose(w, [0.25, 1.0, 4.0])
@@ -152,7 +315,7 @@ class TestWalks:
         params = emb.WalkParams(p=0.5, q=2.0, walk_length=8, walks_per_node=3,
                                 seed=9)
         walks = emb.generate_walks(m, params)
-        adj = emb.bipartite_adjacency(m)
+        adj = bipartite_adjacency(m)
         starts = [n for n in range(len(adj)) if len(adj[n])]
         assert len(walks) == len(starts) * 3
         for walk in walks:
@@ -174,7 +337,7 @@ class TestWalks:
         # tiny p makes returning to the same leaf overwhelmingly likely.
         adj = [np.arange(1, 6), np.array([0]), np.array([0]),
                np.array([0]), np.array([0]), np.array([0])]
-        w = emb.transition_weights(adj, prev=3, cur=0, p=0.01, q=1.0)
+        w = transition_weights(adj, prev=3, cur=0, p=0.01, q=1.0)
         probs = w / w.sum()
         assert probs[2] > 0.95  # neighbor index of node 3 in adj[0]
 
@@ -183,6 +346,61 @@ class TestWalks:
             emb.WalkParams(p=0.0)
         with pytest.raises(ValueError):
             emb.WalkParams(walk_length=1)
+
+
+def bipartite_with_isolated_and_leaves(rng, n_users, n_items, density):
+    """A random binary matrix whose first user and item have no edges and
+    whose second user and item have exactly one each."""
+    dense = (random_dense(rng, n_users, n_items, density) > 0).astype(float)
+    dense[0, :] = 0.0
+    dense[:, 0] = 0.0
+    dense[1, :] = 0.0
+    dense[1, 1] = 1.0
+    dense[2:, 1] = 0.0
+    dense[2, 2] = 1.0  # item 2 keeps an edge whatever the draw
+    return matrix_from_dense(dense)
+
+
+class TestWalksMatchOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (0.25, 4.0), (3.0, 0.7),
+                                     (0.7, 1.3)])
+    def test_same_walks_as_per_walk_loop(self, seed, p, q):
+        rng = np.random.default_rng(100 + seed)
+        m = bipartite_with_isolated_and_leaves(
+            rng, int(rng.integers(4, 20)), int(rng.integers(4, 20)),
+            density=float(rng.uniform(0.05, 0.5)))
+        params = emb.WalkParams(p=p, q=q, walk_length=int(rng.integers(2, 12)),
+                                walks_per_node=int(rng.integers(1, 4)),
+                                seed=seed)
+        assert emb.generate_walks(m, params) == generate_walks_oracle(m, params)
+
+    def test_more_walks_than_one_block(self):
+        rng = np.random.default_rng(7)
+        m = matrix_from_dense(random_dense(rng, 40, 30, density=0.2))
+        params = emb.WalkParams(p=0.5, q=2.0, walk_length=9, walks_per_node=9,
+                                seed=1)
+        walks = emb.generate_walks(m, params)
+        assert len(walks) > 2 * emb._WALK_BLOCK
+        assert walks == generate_walks_oracle(m, params)
+
+    def test_no_edges_no_walks(self):
+        m = matrix_from_dense(np.zeros((3, 2)))
+        assert emb.generate_walks(m, emb.WalkParams()) == []
+
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_common_neighbour_set_empty_on_bipartite_graphs(
+            self, n_users, n_items, seed):
+        rng = np.random.default_rng(seed)
+        adj = bipartite_adjacency(matrix_from_dense(
+            random_dense(rng, n_users, n_items, density=0.5)))
+        for prev in range(len(adj)):
+            for cur in adj[prev]:
+                assert not np.isin(adj[cur], adj[prev]).any()
+                # so the weights are 1/p at prev and 1/q everywhere else
+                w = transition_weights(adj, prev, cur, p=0.5, q=4.0)
+                assert np.array_equal(w, np.where(adj[cur] == prev, 2.0, 0.25))
 
 
 class TestHistorySequences:
@@ -238,6 +456,37 @@ class TestSkipGram:
         assert np.allclose(out.vectors[emb.user_node(0)], [0.5, 0.5])
         # user 1's only item has no vector -> no user vector
         assert emb.user_node(1) not in out.vectors
+
+
+class TestSkipGramMatchesOracle:
+    @pytest.mark.parametrize("case", [
+        # (sequence lengths, window, epochs)
+        ((4, 1, 7, 1, 3), 2, 1),            # length-1 sequences
+        ((5, 3, 6), 9, 2),                  # window longer than sequences
+        ((120, 8, 300, 2), 5, 2),           # > 1,024 pairs in one sequence
+        ((0, 6, 0, 9), 3, 3),               # empty sequences in between
+        ((30,) * 90, 4, 1),                 # several pair blocks
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_vectors_and_losses_as_per_sequence_loop(self, case, seed):
+        lengths, window, epochs = case
+        rng = np.random.default_rng(seed)
+        corpus = [rng.integers(0, 25, size=n).tolist() for n in lengths]
+        params = emb.SkipGramParams(dim=6, window=window, negatives=3,
+                                    epochs=epochs, seed=seed)
+        assert_same_table(emb.train_skipgram(corpus, params),
+                          train_skipgram_oracle(corpus, params))
+
+    def test_walk_corpus_with_node_keys(self):
+        rng = np.random.default_rng(11)
+        m = matrix_from_dense(random_dense(rng, 25, 15, density=0.3))
+        walks = emb.generate_walks(m, emb.WalkParams(q=2.0, walk_length=10,
+                                                     walks_per_node=2, seed=4))
+        params = emb.SkipGramParams(dim=8, window=5, negatives=5, epochs=2,
+                                    seed=2)
+        key = lambda t: emb.user_node(t) if t < 25 else emb.item_node(t - 25)
+        assert_same_table(emb.train_skipgram(walks, params, node_key=key),
+                          train_skipgram_oracle(walks, params, node_key=key))
 
 
 class TestLightGcnTraining:

@@ -129,6 +129,14 @@ class TestRunFileIo:
         ev.emit_run_file([("u", [("a", 1 / 3)])], tmp_path / "run.tsv")
         assert (tmp_path / "run.tsv").read_text() == "u\ta\t0.333333\n"
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "run.tsv"
+        target.mkdir()  # the rename onto a directory fails
+        with pytest.raises(DataError, match="cannot write run file"):
+            ev.emit_run_file([("u", [("a", 0.5)])], target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.tsv"]
+        assert target.is_dir()
+
     def test_read_qrels_with_header(self, tmp_path):
         (tmp_path / "q.tsv").write_text(
             "userId\titemId\trating\nu1\ta\t5.0\nu1\tb\t5.0\nu2\tc\t5.0\n")

@@ -326,12 +326,41 @@ class TestColumnCache:
             run = RunFile((("a", ("i3", "i2", "i1", "i0")),) + RUN.entries[1:])
         table, failures = run_plan([spec], ctx, run)
         assert failures == [] and ctx.model_cache != {}
-        # the column was stored under a new name next to the old file
+        # the column was stored under a new name
         new = set(tmp_path.glob(f"{spec.feature_name}.*.npy")) - {old}
         assert len(new) == 1
         fresh, _ = run_plan([spec], dataclasses.replace(
             ctx, cache_dir=None, model_cache={}), run)
         assert np.array_equal(table.values, fresh.values)
+
+    @pytest.mark.parametrize("change", ["rows", "encoders", "run"])
+    def test_changed_input_replaces_the_old_file(self, tmp_path, change):
+        spec = spec_for()
+        other = spec_for("swing", {"alpha": 0.5, "top_k": 10})
+        run_plan([spec, other], tiny_context(cache_dir=tmp_path), RUN)
+        kept, old = cached_column(tmp_path, other), cached_column(tmp_path, spec)
+        legacy = tmp_path / f"{spec.feature_name}.tsv"
+        legacy.write_text("a\ti0\t0.5\n")
+        # names that only resemble the column's files stay
+        lookalikes = [tmp_path / f"{spec.feature_name}.{'0' * 31}.npy",
+                      tmp_path / f"{spec.feature_name}x.{'0' * 32}.npy",
+                      tmp_path / f"{spec.feature_name}.{'0' * 32}.npy.tmp"]
+        for path in lookalikes:
+            path.write_bytes(b"")
+        ctx, run = tiny_context(cache_dir=tmp_path), RUN
+        if change == "rows":
+            ctx = dataclasses.replace(ctx, rows=ctx.rows.take(slice(0, -1)))
+        elif change == "encoders":
+            ctx = dataclasses.replace(
+                ctx, items=IdEncoder.fit(ctx.items.reverse + ("i9",)))
+        else:
+            run = RunFile((("a", ("i3", "i2", "i1", "i0")),) + RUN.entries[1:])
+        _, failures = run_plan([spec], ctx, run)
+        assert failures == []
+        # one file per column: the new one, the other column's, lookalikes
+        [new] = set(tmp_path.iterdir()) - {kept, *lookalikes}
+        assert new != old and new.name.startswith(f"{spec.feature_name}.")
+        assert kept.exists() and all(p.exists() for p in lookalikes)
 
     def test_no_cache_dir_still_works(self):
         table, failures = run_plan([spec_for()], tiny_context(), RUN)
