@@ -26,14 +26,15 @@ class Scorer:
     """One pre-ranking scorer.
 
     fit(matrix, params) -> model is called once per (params, combination);
-    score(model, matrix, user_id, item_ids) -> (values, missing) scores one
-    user's candidates, user_id -1 being a user the encoders do not know;
-    missing is one flag per candidate or one for all of them.
+    score(model, matrix, user_ids, item_ids) -> (values, missing) is called
+    once per run and scores every (user, candidate) pair of it at once,
+    from the aligned encoded ids of the pairs in run order, user id -1
+    being a user the encoders do not know; missing is one flag per pair.
     A seeded scorer draws random numbers and gets a derived "seed" param.
     """
 
     fit: Callable[[SparseInteractionMatrix, Mapping], object]
-    score: Callable[[object, SparseInteractionMatrix, int, np.ndarray],
+    score: Callable[[object, SparseInteractionMatrix, np.ndarray, np.ndarray],
                     tuple[np.ndarray, np.ndarray]]
     seeded: bool = False
 
@@ -45,8 +46,8 @@ def _top_k(p: Mapping) -> int:
 # Scores are looked up in mcf and emb at call time, so a wrapper set on
 # those modules (a tracer, a test double) sees every call.
 
-def _item_based(table, m, user, items):
-    return mcf.score_candidates(table, m, user, items)
+def _item_based(table, m, users, items):
+    return mcf.score_candidates(table, m, users, items)
 
 
 def _skipgram_params(p: Mapping) -> emb.SkipGramParams:
@@ -93,10 +94,19 @@ def _fit_lightgcn(m: SparseInteractionMatrix, p: Mapping):
     return table, p.get("metric", "dot")
 
 
-def _embedding_based(model, m, user, items):
+def _embedding_based(model, m, users, items):
     table, metric = model
-    # node keys are formatted from the ids, faster from Python ints
-    return emb.embedding_score(table, user, items.tolist(), metric=metric)
+    values = np.zeros(len(items))
+    missing = np.ones(len(items), dtype=bool)
+    # One embedding_score call per run of equal consecutive user ids; node
+    # keys are formatted from the ids, faster from Python ints.
+    cuts = [0, *(np.flatnonzero(np.diff(users)) + 1).tolist(), len(items)]
+    for start, end in zip(cuts, cuts[1:]):
+        if start < end:
+            values[start:end], missing[start:end] = emb.embedding_score(
+                table, int(users[start]), items[start:end].tolist(),
+                metric=metric)
+    return values, missing
 
 
 # The one list of scorers: adding a scorer means adding one entry here.
@@ -105,8 +115,8 @@ SCORERS: dict[str, Scorer] = {
                       _item_based),
     "user_cf": Scorer(
         lambda m, p: mcf.user_cosine_similarity(m, _top_k(p)),
-        lambda table, m, user, items: mcf.score_candidates_user_based(
-            table, m, user, items)),
+        lambda table, m, users, items: mcf.score_candidates_user_based(
+            table, m, users, items)),
     "swing": Scorer(
         lambda m, p: mcf.swing_similarity(
             m.binarized(), alpha=float(p.get("alpha", 1.0)), k=_top_k(p),
@@ -117,8 +127,8 @@ SCORERS: dict[str, Scorer] = {
                   _item_based),
     "bigraph": Scorer(
         lambda m, p: bool(p.get("retain_seed", True)),
-        lambda retain, m, user, items: mcf.score_candidates_bigraph(
-            m, user, items, retain_seed=retain)),
+        lambda retain, m, users, items: mcf.score_candidates_bigraph(
+            m, users, items, retain_seed=retain)),
     "word2vec": Scorer(_fit_word2vec, _embedding_based, seeded=True),
     "node2vec_dfs": Scorer(lambda m, p: _fit_node2vec(m, p, q=0.5),
                            _embedding_based, seeded=True),
@@ -228,12 +238,15 @@ def write_table(table: FeatureTable, tsv_path, catalog_path) -> None:
     header = ["user", "item"] + (["label"] if table.labels is not None else [])
     header += list(table.columns)
     lines = ["\t".join(header)]
-    for r in range(table.n_rows):
-        row = [table.users[r], table.items[r]]
-        if table.labels is not None:
-            row.append(str(int(table.labels[r])))
-        row += [fmt(v) for v in table.values[r]]
-        lines.append("\t".join(row))
+    labels = (None if table.labels is None
+              else [str(label) for label in table.labels.tolist()])
+    # repr of the Python floats from tolist() is util.fmt of each cell; one
+    # row at a time, so the whole table never exists as Python floats
+    for r, values in enumerate(table.values):
+        keys = [table.users[r], table.items[r]]
+        if labels is not None:
+            keys.append(labels[r])
+        lines.append("\t".join(keys + list(map(repr, values.tolist()))))
     atomic_write_text(Path(tsv_path), "\n".join(lines) + "\n")
     catalog = {"columns": list(table.columns),
                "has_labels": table.labels is not None,
@@ -396,7 +409,7 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
     table = empty_table(run)
-    _, item_ids = encode_run(run, ctx.users, ctx.items)
+    user_ids, item_ids = encode_run(run, ctx.users, ctx.items)
     unknown = [c for (_, c), i in zip(run.pairs(), item_ids) if i < 0]
     failures: list[dict] = []
     matrices: dict[str, SparseInteractionMatrix] = {}
@@ -409,7 +422,8 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
             try:
                 if unknown:
                     raise DataError(f"unknown id {unknown[0]!r}")
-                got = np.stack(_score_run(spec, ctx, run, item_ids, matrices))
+                got = np.stack(_score_run(spec, ctx, user_ids, item_ids,
+                                          matrices))
             except Exception as exc:  # noqa: BLE001 - plan must survive one bad scorer
                 failures.append({"feature": name, "error": f"{type(exc).__name__}: {exc}"})
                 continue
@@ -427,11 +441,11 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
     return table, failures
 
 
-def _score_run(spec: ScorerSpec, ctx: PlanContext, run: RunFile,
+def _score_run(spec: ScorerSpec, ctx: PlanContext, user_ids: np.ndarray,
                item_ids: np.ndarray, matrices: dict
                ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, missing) of one spec over every run pair, fitting its model
-    unless ctx.model_cache holds it."""
+    """(values, missing) of one spec over the encoded run pairs, in one
+    score call, fitting its model unless ctx.model_cache holds it."""
     combo = spec.combination.combo_id
     if combo not in matrices:
         matrices[combo] = combination_matrix(ctx, spec.combination)
@@ -441,14 +455,7 @@ def _score_run(spec: ScorerSpec, ctx: PlanContext, run: RunFile,
     key = (spec.scorer, params_hash(params), combo)
     if key not in ctx.model_cache:
         ctx.model_cache[key] = scorer.fit(matrix, params)
-    model = ctx.model_cache[key]
-    values, missing = np.zeros(len(item_ids)), np.zeros(len(item_ids))
-    end = 0
-    for user, cands in run.entries:
-        start, end = end, end + len(cands)
-        values[start:end], missing[start:end] = scorer.score(
-            model, matrix, ctx.users.forward.get(user, -1), item_ids[start:end])
-    return values, missing
+    return scorer.score(ctx.model_cache[key], matrix, user_ids, item_ids)
 
 
 _STAT_SPLITS = ("train", "train_5core")

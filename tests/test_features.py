@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cmrec import embeddings as emb
-from cmrec import features, memory_cf
+from cmrec import features, memory_cf, util
 from cmrec.data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                         fit_encoders, load_run)
 from cmrec.features import (FeatureTable, PlanContext, ScorerSpec,
@@ -159,9 +159,10 @@ class TestRunPlan:
         for user, cands in RUN.entries:
             u = ctx.users.forward.get(user, -1)
             c_ids = np.array([ctx.items.encode(c) for c in cands])
-            scores, cold = memory_cf.score_candidates(sims, matrix, u, c_ids)
+            scores, cold = memory_cf.score_candidates(
+                sims, matrix, np.full(len(c_ids), u), c_ids)
             want.extend(scores)
-            want_miss.extend([float(cold)] * len(cands))
+            want_miss.extend(cold.astype(float))
         assert np.array_equal(table.column(spec.feature_name), want)
         assert np.array_equal(table.column(f"{spec.feature_name}__missing"),
                               want_miss)
@@ -221,6 +222,46 @@ class TestScorerRegistry:
             miss = table.column(f"{spec.feature_name}__missing")
             assert set(miss) <= {0.0, 1.0}
             assert miss[-1] == 1.0, name
+
+    @pytest.mark.parametrize("scorer, kernel", [
+        ("item_cf", "score_candidates"), ("swing", "score_candidates"),
+        ("llr", "score_candidates"),
+        ("user_cf", "score_candidates_user_based"),
+        ("bigraph", "score_candidates_bigraph")])
+    def test_memory_scorers_score_the_whole_run_in_one_call(
+            self, monkeypatch, scorer, kernel):
+        calls = []
+        inner = getattr(memory_cf, kernel)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(memory_cf, kernel, spy)
+        ctx = tiny_context()
+        run_plan([spec_for(scorer)], ctx, RUN)
+        [args] = calls
+        users, items = features.encode_run(RUN, ctx.users, ctx.items)
+        assert np.array_equal(args[-2], users)
+        assert np.array_equal(args[-1], items)
+
+    def test_embedding_adapter_calls_once_per_run_user(self, monkeypatch):
+        calls = []
+        inner = emb.embedding_score
+
+        def spy(table, user, candidates, metric):
+            calls.append((user, list(candidates)))
+            return inner(table, user, candidates, metric=metric)
+
+        monkeypatch.setattr(emb, "embedding_score", spy)
+        ctx = tiny_context()
+        run = RunFile(RUN.entries + (("stranger", ("i0",)),))
+        spec = spec_for("word2vec", {"dim": 4, "epochs": 1, "seed": 1})
+        table, _ = run_plan([spec], ctx, run)
+        assert calls == [(ctx.users.forward.get(u, -1),
+                          [ctx.items.encode(c) for c in cands])
+                         for u, cands in run.entries]
+        assert table.column(f"{spec.feature_name}__missing")[-1] == 1.0
 
     def test_seeded_entries_are_the_embedding_scorers(self):
         assert [n for n, s in features.SCORERS.items() if s.seeded] == [
@@ -612,6 +653,25 @@ class TestTableIO:
         # values pass through repr() so the round trip is exact
         assert np.array_equal(back.values, table.values)
         assert back.provenance["two"] == {"kind": "statistic"}
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_cells_are_written_as_util_fmt(self, tmp_path, labeled):
+        values = np.array([[-0.0, 5e-324, 1e16, 0.1 + 0.2],
+                           [3.0, -7.0, 0.0, 1e-7],
+                           [2.0 ** 53, 123456789.0, -1.5, 1 / 3]])
+        labels = np.array([1, 0, 1], dtype=np.int8) if labeled else None
+        table = FeatureTable(("u0", "u1", "u2"), ("i0", "i1", "i2"),
+                             ("a", "b", "c", "d"), values, labels)
+        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json")
+        header = "user\titem\t" + ("label\t" if labeled else "") + "a\tb\tc\td"
+        want = [header] + [
+            "\t".join([f"u{r}", f"i{r}"]
+                      + ([str(int(labels[r]))] if labeled else [])
+                      + [util.fmt(v) for v in values[r]])
+            for r in range(3)]
+        assert (tmp_path / "f.tsv").read_text().splitlines() == want
+        assert want[1].endswith("\t-0.0\t5e-324\t1e+16\t0.30000000000000004")
+        assert "\t3.0\t-7.0\t0.0\t" in want[2]
 
     def test_read_without_catalog(self, tmp_path, rng):
         table = self.labeled_table(rng)

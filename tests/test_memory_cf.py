@@ -2,6 +2,8 @@
 
 Every oracle is written from the definition, independent of the library's
 sparse kernels, and deliberately slow (python loops over dense arrays).
+The per-user scoring loops that the whole-run kernels replaced live on as
+exact oracles: the kernels must match them bit for bit.
 """
 
 import math
@@ -88,6 +90,85 @@ def llr_table_oracle(dense):
     return sim
 
 
+def neighbors(table, entity):
+    """(ids, sims) of one entity's neighbor list in a CSR SimTable."""
+    s, e = table.ptr[entity], table.ptr[entity + 1]
+    return table.ids[s:e], table.sims[s:e]
+
+
+def score_candidates_oracle(table, m, user, candidates):
+    """The per-user item-based loop: one searchsorted and one BLAS dot per
+    candidate. Returns (scores, cold)."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    scores = np.zeros(len(candidates))
+    if user < 0 or user >= m.n_users:
+        return scores, True
+    hist, ratings = m.row(user)
+    if len(hist) == 0:
+        return scores, True
+    for pos, c in enumerate(candidates):
+        nbrs, sims = neighbors(table, int(c))
+        idx = np.searchsorted(hist, nbrs)
+        idx[idx == len(hist)] = 0
+        match = hist[idx] == nbrs
+        if match.any():
+            scores[pos] = float(sims[match] @ ratings[idx[match]])
+    return scores, False
+
+
+def score_candidates_user_based_oracle(table, m, user, candidates):
+    """The per-user user-based loop. Returns (scores, cold)."""
+    candidates = np.asarray(candidates, dtype=np.int64)
+    scores = np.zeros(len(candidates))
+    if user < 0 or user >= m.n_users:
+        return scores, True
+    hist, _ = m.row(user)
+    if len(hist) == 0:
+        return scores, True
+    nbrs, vals = neighbors(table, user)
+    if len(nbrs) == 0:
+        return scores, False
+    for pos, c in enumerate(candidates):
+        raters, ratings = m.col(int(c))
+        if len(raters) == 0:
+            continue
+        idx = np.searchsorted(raters, nbrs)
+        idx[idx == len(raters)] = 0
+        match = raters[idx] == nbrs
+        if match.any():
+            scores[pos] = float(vals[match] @ ratings[idx[match]])
+    return scores, False
+
+
+def bigraph_scores_oracle(m, user, retain_seed=True):
+    """The per-user Bi-Graph loops over seed items and reached users.
+    Returns (item ids ascending, masses)."""
+    if user < 0 or user >= m.n_users:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    seed_items, _ = m.row(user)
+    if len(seed_items) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    item_deg = m.item_degrees()
+    user_deg = m.user_degrees()
+    umass = np.zeros(m.n_users)
+    for i in seed_items:
+        s, e = m.item_ptr[i], m.item_ptr[i + 1]
+        umass[m.item_users[s:e]] += 1.0 / item_deg[i]
+    scores = np.zeros(m.n_items)
+    for u in np.flatnonzero(umass):
+        s, e = m.user_ptr[u], m.user_ptr[u + 1]
+        scores[m.user_items[s:e]] += umass[u] / user_deg[u]
+    if not retain_seed:
+        scores[seed_items] = 0.0
+    nz = np.flatnonzero(scores)
+    return nz, scores[nz]
+
+
+def bits(x):
+    """The float64 bit patterns of x, so -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
 def bigraph_oracle(dense, user, retain_seed=True):
     inc = dense > 0
     n_users, n_items = inc.shape
@@ -125,7 +206,7 @@ class TestCosineOracles:
         dense = np.array([[2.0, 3.0], [4.0, 5.0]])
         table = mcf.item_cosine_similarity(matrix_from_dense(dense), k=5)
         want = (2 * 3 + 4 * 5) / (math.sqrt(20) * math.sqrt(34))
-        assert table.lookup(0, 1) == pytest.approx(want)
+        assert table.dense()[0, 1] == pytest.approx(want)
 
     def test_symmetric_without_truncation(self, rng):
         dense = random_dense(rng, 15, 12)
@@ -140,8 +221,10 @@ class TestSimTableInvariants:
         rng = np.random.default_rng(seed)
         dense = random_dense(rng, 12, 10, density=0.4)
         table = mcf.item_cosine_similarity(matrix_from_dense(dense), k=k)
-        for entity, sims in table.sims.items():
-            ids = table.ids[entity]
+        assert table.ptr[0] == 0 and table.ptr[-1] == len(table.ids)
+        assert len(table.sims) == len(table.ids)
+        for entity in range(table.n):
+            ids, sims = neighbors(table, entity)
             assert len(ids) <= k
             for pos in range(len(sims) - 1):
                 assert sims[pos] >= sims[pos + 1]
@@ -157,10 +240,11 @@ class TestSimTableInvariants:
         full = mcf.item_cosine_similarity(matrix_from_dense(dense), k=4)
         trunc = mcf.item_cosine_similarity(matrix_from_dense(dense), k=1)
         for i in range(4):
-            if i in trunc.ids:
-                top = trunc.ids[i][0]
-                assert full.sims[i][0] == pytest.approx(trunc.sims[i][0])
-                assert full.ids[i][0] == top
+            ids, sims = neighbors(trunc, i)
+            if len(ids):
+                full_ids, full_sims = neighbors(full, i)
+                assert full_sims[0] == pytest.approx(sims[0])
+                assert full_ids[0] == ids[0]
 
 
 class TestSwing:
@@ -186,7 +270,7 @@ class TestSwing:
         # users 0,1 share items 0,1 -> overlap 2; sim = 1/(alpha+2)
         dense = np.array([[1.0, 1.0], [1.0, 1.0]])
         table = mcf.swing_similarity(matrix_from_dense(dense), alpha=1.0, k=2)
-        assert table.lookup(0, 1) == pytest.approx(1.0 / 3.0)
+        assert table.dense()[0, 1] == pytest.approx(1.0 / 3.0)
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_alpha_monotonicity(self, seed):
@@ -281,16 +365,17 @@ class TestScoreCandidates:
         cands = np.array([9, 0, 4, 7, 2])
         for retain in (True, False):
             for user in (-1, *range(12)):
-                got, cold = mcf.score_candidates_bigraph(m, user, cands,
+                users = np.full(len(cands), user)
+                got, cold = mcf.score_candidates_bigraph(m, users, cands,
                                                          retain_seed=retain)
                 binary, _ = mcf.score_candidates_bigraph(
-                    m.binarized(), user, cands, retain_seed=retain)
+                    m.binarized(), users, cands, retain_seed=retain)
                 assert np.array_equal(got, binary)
                 if user < 0:
-                    assert cold and np.all(got == 0)
+                    assert cold.all() and np.all(got == 0)
                     continue
                 want = bigraph_oracle(dense, user, retain_seed=retain)
-                assert cold == (not want.any())
+                assert np.all(cold == (not want.any()))
                 assert np.allclose(got, want[cands], atol=1e-9)
 
     def test_item_based_matches_manual_sum(self, rng):
@@ -300,13 +385,13 @@ class TestScoreCandidates:
         sims = table.dense()
         cands = np.arange(10)
         for user in range(12):
-            got, cold = mcf.score_candidates(table, m, user, cands)
+            got, cold = mcf.score_candidates(table, m, np.full(10, user), cands)
             hist = np.flatnonzero(dense[user])
             if len(hist) == 0:
-                assert cold and np.all(got == 0)
+                assert cold.all() and np.all(got == 0)
                 continue
             want = sims[:, hist] @ dense[user, hist]
-            assert not cold
+            assert not cold.any()
             assert np.allclose(got, want, atol=1e-9)
 
     def test_user_based_matches_manual_sum(self, rng):
@@ -316,9 +401,10 @@ class TestScoreCandidates:
         sims = table.dense()
         cands = np.arange(12)
         for user in range(10):
-            got, cold = mcf.score_candidates_user_based(table, m, user, cands)
+            got, cold = mcf.score_candidates_user_based(
+                table, m, np.full(12, user), cands)
             if dense[user].sum() == 0:
-                assert cold
+                assert cold.all()
                 continue
             want = sims[user] @ dense
             assert np.allclose(got, want, atol=1e-9)
@@ -327,10 +413,154 @@ class TestScoreCandidates:
         dense = random_dense(rng, 5, 5)
         m = matrix_from_dense(dense)
         table = mcf.item_cosine_similarity(m, k=5)
-        got, cold = mcf.score_candidates(table, m, -1, np.array([0, 1]))
-        assert cold and np.all(got == 0)
-        got, cold = mcf.score_candidates(table, m, 99, np.array([0]))
-        assert cold
+        got, cold = mcf.score_candidates(table, m, np.array([-1, -1]),
+                                         np.array([0, 1]))
+        assert cold.all() and np.all(got == 0)
+        got, cold = mcf.score_candidates(table, m, np.array([99]),
+                                         np.array([0]))
+        assert cold.all()
+
+
+def oracle_pairs(oracle, users, cands, *args, **kw):
+    """(scores, cold) of every pair from a per-user oracle called on the
+    pair alone."""
+    got = [oracle(*args, int(u), np.array([c]), **kw)
+           for u, c in zip(users, cands)]
+    return (np.array([s[0] for s, _ in got], dtype=np.float64),
+            np.array([cold for _, cold in got]))
+
+
+def scoring_case(seed, n_users=14, n_items=11):
+    """A random matrix with an empty-history user, an unrated item and a
+    user whose only item nobody else holds, plus shuffled run pairs that
+    include unknown users (-1) and repeat users and candidates."""
+    rng = np.random.default_rng(seed)
+    dense = random_dense(rng, n_users, n_items, density=0.35)
+    dense[0] = 0.0                       # empty history
+    dense[:, 1] = 0.0                    # item without raters or neighbors
+    dense[2] = 0.0
+    dense[:, 2] = 0.0
+    dense[2, 2] = 4.0                    # user 2: history, no co-raters
+    if seed % 2:
+        dense = (dense > 0).astype(float)  # ties in the neighbor lists
+    users = rng.integers(-1, n_users, 90)
+    cands = rng.integers(0, n_items, 90)
+    return matrix_from_dense(dense), users, cands
+
+
+BLOCKS = [None, (1, 1), (40, 3)]
+
+
+def set_blocks(monkeypatch, blocks):
+    if blocks is not None:
+        monkeypatch.setattr(mcf, "_SCORE_BLOCK", blocks[0])
+        monkeypatch.setattr(mcf, "_BIGRAPH_BLOCK", blocks[1])
+
+
+class TestWholeRunKernels:
+    """The whole-run kernels against the per-user loops they replaced:
+    equal float64 bits and equal missing flags on every pair."""
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fit", ["cosine", "swing", "llr"])
+    def test_item_based_bits(self, monkeypatch, blocks, seed, fit):
+        set_blocks(monkeypatch, blocks)
+        m, users, cands = scoring_case(seed)
+        k = 3 + seed
+        table = {"cosine": lambda: mcf.item_cosine_similarity(m, k),
+                 "swing": lambda: mcf.swing_similarity(m.binarized(), k=k),
+                 "llr": lambda: mcf.llr_item_similarity(m.binarized(), k)}[fit]()
+        got, cold = mcf.score_candidates(table, m, users, cands)
+        want, want_cold = oracle_pairs(score_candidates_oracle, users, cands,
+                                       table, m)
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(cold, want_cold)
+        assert got.any() and cold.any() and not cold.all()
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_user_based_bits(self, monkeypatch, blocks, seed):
+        set_blocks(monkeypatch, blocks)
+        m, users, cands = scoring_case(seed)
+        table = mcf.user_cosine_similarity(m, 3 + seed)
+        assert table.ptr[3] == table.ptr[2]    # user 2 has no neighbor list
+        got, cold = mcf.score_candidates_user_based(table, m, users, cands)
+        want, want_cold = oracle_pairs(score_candidates_user_based_oracle,
+                                       users, cands, table, m)
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(cold, want_cold)
+        assert got.any() and cold.any() and not cold.all()
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("retain", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bigraph_bits(self, monkeypatch, blocks, retain, seed):
+        set_blocks(monkeypatch, blocks)
+        m, users, cands = scoring_case(seed)
+        got, cold = mcf.score_candidates_bigraph(m, users, cands,
+                                                 retain_seed=retain)
+        want = np.zeros(len(cands))
+        want_cold = np.ones(len(cands), dtype=bool)
+        for p, (u, c) in enumerate(zip(users, cands)):
+            nz, mass = bigraph_scores_oracle(m, int(u), retain_seed=retain)
+            want_cold[p] = len(nz) == 0
+            hit = np.flatnonzero(nz == c)
+            if len(hit):
+                want[p] = mass[hit[0]]
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(cold, want_cold)
+        for user in (-1, 0, 2, *range(3, m.n_users)):
+            nz, mass = mcf.bigraph_scores(m, user, retain_seed=retain)
+            want_nz, want_mass = bigraph_scores_oracle(m, user, retain)
+            assert np.array_equal(nz, want_nz)
+            assert np.array_equal(bits(mass), bits(want_mass))
+
+    def test_user_whose_only_mass_is_the_seed_is_cold_without_it(self):
+        # user 0 holds item 0 alone: all mass returns to the seed item
+        m = matrix_from_dense([[1.0, 0.0], [0.0, 1.0]])
+        users, cands = np.array([0, 0]), np.array([0, 1])
+        _, cold = mcf.score_candidates_bigraph(m, users, cands)
+        assert not cold.any()
+        got, cold = mcf.score_candidates_bigraph(m, users, cands,
+                                                 retain_seed=False)
+        assert cold.all() and not got.any()
+
+    def test_empty_run(self):
+        m, _, _ = scoring_case(0)
+        none = np.zeros(0, dtype=np.int64)
+        for got, cold in (
+                mcf.score_candidates(mcf.item_cosine_similarity(m, 5), m,
+                                     none, none),
+                mcf.score_candidates_user_based(
+                    mcf.user_cosine_similarity(m, 5), m, none, none),
+                mcf.score_candidates_bigraph(m, none, none)):
+            assert got.shape == cold.shape == (0,)
+
+    def test_misaligned_pairs_rejected(self):
+        m, _, _ = scoring_case(0)
+        with pytest.raises(ValueError, match="aligned"):
+            mcf.score_candidates_bigraph(m, np.array([0]), np.array([0, 1]))
+
+
+class TestSegmentDots:
+    @pytest.mark.parametrize("length", [*range(1, 41), 200])
+    def test_matches_blas_dot_bits(self, length):
+        rng = np.random.default_rng(length)
+        # segments of this length between segments of other lengths
+        lengths = rng.permutation(np.r_[np.full(30, length),
+                                        rng.integers(0, 45, 30)])
+        a = rng.standard_normal(lengths.sum())
+        b = rng.standard_normal(lengths.sum())
+        got = mcf.segment_dots(a, b, lengths)
+        starts = np.cumsum(lengths) - lengths
+        want = [float(a[s:s + n] @ b[s:s + n]) if n else 0.0
+                for s, n in zip(starts, lengths)]
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_empty(self):
+        got = mcf.segment_dots(np.zeros(0), np.zeros(0), np.zeros(0, np.int64))
+        assert got.shape == (0,)
 
 
 class TestRelabelingInvariance:
