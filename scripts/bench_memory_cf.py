@@ -10,9 +10,11 @@ union of both markets with no column cache: "cold" times a plan on a fresh
 PlanContext, so it fits the model and scores the run; "warm" times a second
 plan on the same context, which reuses the fitted model and only scores.
 
-Prints the median of each over --repeats calls and the sha256 of the
-table's values (feature and missing columns), so two checkouts can be
-compared for speed and for identical outputs:
+Prints the median of each over --repeats calls, the median of the
+per-repeat differences cold minus warm (the fit alone), the tracemalloc
+peak of one more cold plan (untimed) and the sha256 of the table's values
+(feature and missing columns), so two checkouts can be compared for speed,
+memory and identical outputs:
 
     PYTHONPATH=src python scripts/bench_memory_cf.py --repeats 5
 """
@@ -21,6 +23,7 @@ import argparse
 import hashlib
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -83,10 +86,18 @@ def main(argv=None) -> None:
                 if failures:
                     raise SystemExit(f"{name} failed: {failures}")
                 digests.add(table_digest(table))
+        tracemalloc.start()
+        table, _ = features.run_plan(
+            plan, features.PlanContext(rows, users, items, cache_dir=None), run)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        digests.add(table_digest(table))
         if len(digests) != 1:
             raise SystemExit(f"{name}: repeated plans disagree: {sorted(digests)}")
+        fit = statistics.median(c - w for c, w in zip(cold, warm))
         print(f"{name:<8} cold median {statistics.median(cold):.4f} s  "
               f"warm median {statistics.median(warm):.4f} s  "
+              f"fit median {fit:.4f} s  peak {peak / 2 ** 20:.2f} MiB  "
               f"sha256 {digests.pop()}")
 
 

@@ -3,9 +3,11 @@
 Newton boosting: g = p - y, h = p(1-p), leaf value -sum(g)/(sum(h)+lambda).
 Trees grow leaf-wise, always splitting the current leaf with the highest
 gain, until num_leaves is reached or no split has positive gain. Feature
-values are quantile-binned once up front. Each node's histograms form a
-padded (features x max bins) grid, filled by one bincount over the node's
-rows; bins past a feature's own count stay zero and are never split on.
+values are quantile-binned once up front; a feature without a bin edge
+(constant on the training rows) can never split and never enters a
+tree. Each node's histograms form a padded (features x max bins) grid,
+filled by one bincount over the node's rows; bins past a feature's own
+count stay zero and are never split on.
 The smaller child's grid is built directly and the larger one derived by
 subtraction; a leaf keeps its grids only while it can still be split. A
 leaf's split search is one prefix sum along the bin axis and one
@@ -285,6 +287,8 @@ def train(table: FeatureTable, params: GbdtParams) -> GbdtModel:
     raw = np.full(len(y), base)
     rng = np.random.default_rng(stage_seed(params.seed, "gbdt"))
     n_sub = max(1, math.ceil(params.feature_fraction * n_features))
+    # A feature without a bin edge has one bin and can never split.
+    splittable = np.array([len(edges) > 0 for edges in bins])
 
     trees: list[Tree] = []
     losses = [_logloss(y, sigmoid(raw))]
@@ -296,6 +300,9 @@ def train(table: FeatureTable, params: GbdtParams) -> GbdtModel:
             feats = np.sort(rng.permutation(n_features)[:n_sub])
         else:
             feats = np.arange(n_features)
+        feats = feats[splittable[feats]]
+        if not len(feats):
+            break
         nbins = [len(bins[f]) + 1 for f in feats]
         tree = _grow_tree(binned[:, feats], feats, g, h, nbins, params)
         if tree is None:

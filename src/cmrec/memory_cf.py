@@ -4,9 +4,17 @@ Each scorer maps a sparse interaction matrix to user-to-item interest
 scores. Similarity tables keep the top K neighbors per entity in CSR
 form: flat `ids` and `sims` arrays with entity a's list at
 `ptr[a]:ptr[a + 1]`, sorted by similarity descending with ties broken by
-ascending id. The scoring kernels score a whole run of (user, candidate)
-pairs per call, in blocks that bound their scratch memory. All scorers
-are deterministic.
+ascending id. Every fit writes its lists through one top-k writer.
+
+The cosine and LLR fits compute co-occurrences as dense BLAS products of
+blocks of active rows (entities with an interaction) against all of
+them; Swing keeps one small product per item. With whole-number ratings
+every product and partial sum is an integer far below 2^53, so the sums
+are exact in any order and equal those of a sequential loop bit for bit;
+LLR and Swing see incidences only. Fractional ratings may change the
+last bits of a cosine. The scoring kernels score a whole run of (user,
+candidate) pairs per call. Fits and kernels work in blocks that bound
+their scratch memory. All scorers are deterministic.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ from .data import SparseInteractionMatrix
 
 DEFAULT_TOP_K = 200
 DEFAULT_SWING_MAX_USERS = 500
-# Dense scratch guard for the swing kernel (n_users * n_items elements).
-_SWING_DENSE_LIMIT = 50_000_000
+# Scratch bound of the similarity fits: cells per dense block (output
+# rows times their columns, operand rows times the co-entities).
+_FIT_BLOCK = 1 << 17
 # Scratch bounds of the scoring kernels: expanded (pair, neighbor) entries
 # plus position-table cells per neighbor-sum block, and run users per
 # Bi-Graph block.
@@ -48,8 +57,8 @@ class SimTable:
 
 
 def _table_buffers(n: int, k: int):
-    """(ptr, ids, sims) with room for every list that _truncate can write:
-    at most n - 1 nonzero scores per entity, cut by [:k]."""
+    """(ptr, ids, sims) with room for every list that _write_top_k can
+    write: at most n - 1 nonzero scores per entity, cut by [:k]."""
     width = len(range(n - 1)[:k])
     return (np.zeros(n + 1, dtype=np.int64), np.empty(n * width, dtype=np.int64),
             np.empty(n * width))
@@ -63,40 +72,94 @@ def _table(n: int, k: int, ptr, ids, sims) -> SimTable:
     return SimTable(n, k, ptr, ids, sims)
 
 
-def _truncate(entity: int, scores: np.ndarray, k: int,
-              ptr: np.ndarray, ids: np.ndarray, sims: np.ndarray) -> None:
-    """Write entity's top-k nonzero scores at ptr[entity] and end every
-    later list there, so entities must come in ascending order and one
-    that is never written keeps an empty list."""
-    nz = np.flatnonzero(scores)
-    order = np.lexsort((nz, -scores[nz]))[:k]
-    start = ptr[entity]
-    end = start + len(order)
-    ids[start:end] = nz[order]
-    sims[start:end] = scores[nz][order]
-    ptr[entity + 1:] = end
+def _write_top_k(entities: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 k: int, ptr: np.ndarray, ids: np.ndarray,
+                 sims: np.ndarray) -> None:
+    """Write the k largest nonzero values of each row of vals, ties by
+    ascending id, as the list of entities[row]; cols holds the ascending
+    ids of vals' columns. Entities come ascending and after every entity
+    written before; one that is never written keeps an empty list."""
+    keep = vals != 0
+    if vals.shape[1] > k:
+        # Each row's k-th largest nonzero value; zeros rank below every
+        # score, negative ones included.
+        keyed = np.where(keep, vals, -np.inf)
+        keyed.partition(-k, axis=1)
+        keep &= vals >= keyed[:, -k, None]
+        del keyed
+    # nonzero goes row by row, columns ascending, and lexsort is stable,
+    # so equal values stay in ascending id order.
+    row, col = np.nonzero(keep)
+    val = vals[row, col]
+    order = np.lexsort((-val, row))
+    row, col, val = row[order], col[order], val[order]
+    counts = np.bincount(row, minlength=len(entities))
+    top = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts) < k
+    start = ptr[entities[0]]
+    ends = start + np.cumsum(np.minimum(counts, k))
+    ids[start:ends[-1]] = cols[col[top]]
+    sims[start:ends[-1]] = val[top]
+    ptr[entities + 1] = ends
+    later = ptr[entities[0] + 1:]
+    np.maximum.accumulate(later, out=later)
+
+
+def _dense_rows(ptr: np.ndarray, adj: np.ndarray, val: np.ndarray | None,
+                rows: np.ndarray, width: int) -> np.ndarray:
+    """The given rows of a CSR as a dense (len(rows), width) array; with
+    val None every stored entry reads 1.0."""
+    counts = ptr[rows + 1] - ptr[rows]
+    held = _ranges(ptr[rows], counts)
+    out = np.zeros((len(rows), width))
+    out[np.repeat(np.arange(len(rows)), counts),
+        adj[held]] = 1.0 if val is None else val[held]
+    return out
+
+
+def _cooccurrence_blocks(ptr: np.ndarray, adj: np.ndarray,
+                         val: np.ndarray | None, n_co: int):
+    """Yield (rows, cols, acc) over blocks of the active entities (those
+    with a nonempty CSR row): acc[r, c] is the dot product of the rows of
+    entities rows[r] and cols[c] over the n_co co-entities, with the
+    diagonal zeroed; cols is every active entity.
+
+    acc, the dense rows of the block and those of each block of columns
+    hold at most _FIT_BLOCK cells each (or one row).
+    """
+    active = np.flatnonzero(np.diff(ptr))
+    n = len(active)
+    row_block = max(1, _FIT_BLOCK // max(1, n, n_co))
+    col_block = max(1, _FIT_BLOCK // max(1, n_co))
+    for r0 in range(0, n, row_block):
+        rows = active[r0:r0 + row_block]
+        left = _dense_rows(ptr, adj, val, rows, n_co)
+        acc = np.empty((len(rows), n))
+        for c0 in range(0, n, col_block):
+            right = _dense_rows(ptr, adj, val, active[c0:c0 + col_block], n_co)
+            np.matmul(left, right.T, out=acc[:, c0:c0 + col_block])
+            del right
+        del left
+        local = np.arange(len(rows))
+        acc[local, r0 + local] = 0.0
+        yield rows, active, acc
+        del acc
 
 
 def _cosine_table(n_primary: int, primary_ptr, primary_adj, primary_val,
-                  secondary_ptr, secondary_adj, secondary_val, k: int) -> SimTable:
+                  n_co: int, secondary_adj, secondary_val, k: int) -> SimTable:
     # sim(a, b) = sum over shared co-entities of r_a * r_b, over norms.
     sq = np.zeros(n_primary)
     np.add.at(sq, secondary_adj, secondary_val ** 2)
+    # A nonzero product has a nonzero norm on both sides, and a zero one
+    # stays zero over any positive norm, so zero norms may read 1.
     norms = np.sqrt(sq)
+    norms[norms == 0] = 1.0
     buffers = _table_buffers(n_primary, k)
-    for a in range(n_primary):
-        s, e = primary_ptr[a], primary_ptr[a + 1]
-        if s == e:
-            continue
-        acc = np.zeros(n_primary)
-        for co, r in zip(primary_adj[s:e], primary_val[s:e]):
-            cs, ce = secondary_ptr[co], secondary_ptr[co + 1]
-            acc[secondary_adj[cs:ce]] += r * secondary_val[cs:ce]
-        acc[a] = 0.0
-        nz = np.flatnonzero(acc)
-        if len(nz):
-            acc[nz] /= norms[a] * norms[nz]
-        _truncate(a, acc, k, *buffers)
+    for rows, cols, acc in _cooccurrence_blocks(primary_ptr, primary_adj,
+                                                primary_val, n_co):
+        acc /= norms[rows, None] * norms[cols]
+        _write_top_k(rows, cols, acc, k, *buffers)
+        del acc
     return _table(n_primary, k, *buffers)
 
 
@@ -104,14 +167,14 @@ def item_cosine_similarity(m: SparseInteractionMatrix,
                            k: int = DEFAULT_TOP_K) -> SimTable:
     """Item-item cosine over the rating columns, restricted to shared users."""
     return _cosine_table(m.n_items, m.item_ptr, m.item_users, m.item_ratings,
-                         m.user_ptr, m.user_items, m.user_ratings, k)
+                         m.n_users, m.user_items, m.user_ratings, k)
 
 
 def user_cosine_similarity(m: SparseInteractionMatrix,
                            k: int = DEFAULT_TOP_K) -> SimTable:
     """User-user cosine over the rating rows, restricted to shared items."""
     return _cosine_table(m.n_users, m.user_ptr, m.user_items, m.user_ratings,
-                         m.item_ptr, m.item_users, m.item_ratings, k)
+                         m.n_items, m.item_users, m.item_ratings, k)
 
 
 def swing_similarity(m: SparseInteractionMatrix, alpha: float = 1.0,
@@ -126,45 +189,49 @@ def swing_similarity(m: SparseInteractionMatrix, alpha: float = 1.0,
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    if m.n_users * m.n_items > _SWING_DENSE_LIMIT:
-        raise ValueError("matrix too large for the dense swing kernel")
-    incidence = np.zeros((m.n_users, m.n_items))
-    for u in range(m.n_users):
-        items, _ = m.row(u)
-        incidence[u, items] = 1.0
     buffers = _table_buffers(m.n_items, k)
-    for i in range(m.n_items):
-        users_i, _ = m.col(i)
-        if len(users_i) > max_users_per_item:
-            users_i = users_i[:max_users_per_item]
-        if len(users_i) < 2:
-            continue
-        sub = incidence[users_i]                     # (p, n_items)
-        overlap = sub @ sub.T                        # |I_u intersect I_v|
-        w = 1.0 / (alpha + overlap)
-        # c[j] counts ordered pairs (u, v) both holding j, weighted by w;
-        # remove the diagonal and halve to keep u < v once.
-        c = np.einsum("uj,uj->j", w @ sub, sub)
-        c -= np.diag(w) @ sub
-        c *= 0.5
-        c[i] = 0.0
-        c[np.abs(c) < 1e-15] = 0.0
-        _truncate(i, c, k, *buffers)
+    row_block = max(1, _FIT_BLOCK // max(1, m.n_items))
+    for i0 in range(0, m.n_items, row_block):
+        block = np.zeros((min(row_block, m.n_items - i0), m.n_items))
+        for i in range(i0, i0 + len(block)):
+            users_i = m.col(i)[0][:max_users_per_item]
+            if len(users_i) < 2:
+                continue
+            sub = _dense_rows(m.user_ptr, m.user_items, None, users_i,
+                              m.n_items)             # (p, n_items)
+            overlap = sub @ sub.T                    # |I_u intersect I_v|
+            w = 1.0 / (alpha + overlap)
+            # c[j] counts ordered pairs (u, v) both holding j, weighted by w;
+            # remove the diagonal and halve to keep u < v once.
+            c = np.einsum("uj,uj->j", w @ sub, sub)
+            c -= np.diag(w) @ sub
+            c *= 0.5
+            c[i] = 0.0
+            c[np.abs(c) < 1e-15] = 0.0
+            block[i - i0] = c
+        _write_top_k(np.arange(i0, i0 + len(block)), np.arange(m.n_items),
+                     block, k, *buffers)
     return _table(m.n_items, k, *buffers)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x, dtype=np.float64)
     pos = x > 0
-    out[pos] = x[pos] * np.log(x[pos])
+    np.log(x, out=out, where=pos)
+    np.multiply(out, x, out=out, where=pos)
     return out
 
 
 def _neg_entropy(cols: list[np.ndarray]) -> np.ndarray:
-    # sum_x x*ln(x/S): the negated unnormalized Shannon entropy.
-    stack = np.stack([np.asarray(c, dtype=np.float64) for c in cols])
-    total = stack.sum(axis=0)
-    return _xlogx(stack).sum(axis=0) - _xlogx(total)
+    # sum_x x*ln(x/S): the negated unnormalized Shannon entropy, each sum
+    # taken left to right.
+    total = cols[0].copy()
+    out = _xlogx(cols[0])
+    for col in cols[1:]:
+        total += col
+        out += _xlogx(col)
+    out -= _xlogx(total)
+    return out
 
 
 def llr_many(k11, k12, k21, k22) -> np.ndarray:
@@ -192,30 +259,21 @@ def llr_item_similarity(m: SparseInteractionMatrix,
     """LLR similarity over item pairs with at least one co-occurring user.
 
     For pair (i, j): k11 co-users, k12 users of i only, k21 users of j
-    only, k22 the remainder of the user universe.
+    only, k22 the remainder of the user universe. Ratings are ignored.
     """
     deg = m.item_degrees().astype(np.float64)
     n_users = float(m.n_users)
     buffers = _table_buffers(m.n_items, k)
-    for i in range(m.n_items):
-        s, e = m.item_ptr[i], m.item_ptr[i + 1]
-        if s == e:
-            continue
-        co = np.zeros(m.n_items)
-        for u in m.item_users[s:e]:
-            us, ue = m.user_ptr[u], m.user_ptr[u + 1]
-            co[m.user_items[us:ue]] += 1.0
-        co[i] = 0.0
-        nz = np.flatnonzero(co)
-        if len(nz) == 0:
-            continue
-        k11 = co[nz]
-        k12 = deg[i] - k11
-        k21 = deg[nz] - k11
+    for rows, cols, co in _cooccurrence_blocks(m.item_ptr, m.item_users,
+                                               None, m.n_users):
+        r, c = np.nonzero(co)
+        k11 = co[r, c]
+        k12 = deg[rows[r]] - k11
+        k21 = deg[cols[c]] - k11
         k22 = n_users - k11 - k12 - k21
-        scores = np.zeros(m.n_items)
-        scores[nz] = llr_many(k11, k12, k21, k22)
-        _truncate(i, scores, k, *buffers)
+        co[r, c] = llr_many(k11, k12, k21, k22)
+        _write_top_k(rows, cols, co, k, *buffers)
+        del co
     return _table(m.n_items, k, *buffers)
 
 

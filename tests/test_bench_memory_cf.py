@@ -17,6 +17,7 @@ def test_one_repeat_prints_times_and_digests(capsys):
     assert "run 4000 pairs" in lines[0]
     assert [line.split()[0] for line in lines[1:]] == [
         "item_cf", "user_cf", "swing", "llr", "bigraph"]
-    digests = [re.search(r"cold median .* warm median .* sha256 ([0-9a-f]{64})$",
+    digests = [re.search(r"cold median .* warm median .* fit median "
+                         r"-?[0-9.]+ s  peak [0-9.]+ MiB  sha256 ([0-9a-f]{64})$",
                          line) for line in lines[1:]]
     assert all(digests)

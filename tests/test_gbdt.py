@@ -362,6 +362,47 @@ class TestTraining:
         p = gbdt.predict(model, make_table(values))
         assert np.allclose(p, 0.5)
 
+    @pytest.mark.parametrize("seed, n_trees", [(0, 1), (1, 0)])
+    def test_draw_of_only_constant_columns_stops_boosting(self, monkeypatch,
+                                                          seed, n_trees):
+        # feature_fraction 0.5 draws one of the two columns per round; at
+        # seed 0 the first draw is column 1, the second column 0; at seed
+        # 1 the first is column 0. A draw of constant columns only ends
+        # training, as a round whose tree cannot split does.
+        rng = np.random.default_rng(5)
+        values = np.column_stack([np.full(60, 3.0), rng.normal(size=60)])
+        y = (values[:, 1] > 0).astype(int)
+        grown = []
+        grow = gbdt._grow_tree
+
+        def recording(binned_sel, feats, g, h, nbins, params):
+            grown.append(list(nbins))
+            return grow(binned_sel, feats, g, h, nbins, params)
+
+        monkeypatch.setattr(gbdt, "_grow_tree", recording)
+        params = gbdt.GbdtParams(num_leaves=4, n_rounds=5, learning_rate=0.3,
+                                 min_data_in_leaf=2, feature_fraction=0.5,
+                                 seed=seed)
+        model = gbdt.train(make_table(values, y), params)
+        assert len(model.trees) == n_trees
+        assert len(model.train_logloss) == n_trees + 1
+        assert len(grown) == n_trees and all(min(nb) > 1 for nb in grown)
+
+    def test_constant_columns_change_nothing(self, rng):
+        values = rng.normal(size=(120, 3))
+        y = (values[:, 0] + 0.5 * values[:, 2] > 0).astype(int)
+        padded = np.column_stack([np.zeros(120), values[:, :2],
+                                  np.full(120, 7.0), values[:, 2:]])
+        params = gbdt.GbdtParams(num_leaves=5, n_rounds=6, learning_rate=0.3,
+                                 min_data_in_leaf=4)
+        plain = gbdt.train(make_table(values, y), params)
+        wide = gbdt.train(make_table(padded, y), params)
+        assert len(wide.trees) == len(plain.trees) == params.n_rounds
+        assert wide.train_logloss == plain.train_logloss
+        got = gbdt.predict(wide, make_table(padded))
+        want = gbdt.predict(plain, make_table(values))
+        assert np.array_equal(got, want)
+
     def test_predict_missing_column_names_it(self):
         values = np.random.default_rng(0).normal(size=(40, 2))
         y = (values[:, 0] > 0).astype(int)

@@ -2,8 +2,10 @@
 
 Every oracle is written from the definition, independent of the library's
 sparse kernels, and deliberately slow (python loops over dense arrays).
-The per-user scoring loops that the whole-run kernels replaced live on as
-exact oracles: the kernels must match them bit for bit.
+The per-user scoring loops that the whole-run kernels replaced, and the
+per-entity similarity fits that the blocked products replaced, live on as
+exact oracles: on whole-number ratings the library must match them bit for
+bit.
 """
 
 import math
@@ -162,6 +164,100 @@ def bigraph_scores_oracle(m, user, retain_seed=True):
         scores[seed_items] = 0.0
     nz = np.flatnonzero(scores)
     return nz, scores[nz]
+
+
+def _truncate(entity, scores, k, ptr, ids, sims):
+    """Write entity's top-k nonzero scores at ptr[entity] and end every
+    later list there, so entities must come in ascending order and one
+    that is never written keeps an empty list."""
+    nz = np.flatnonzero(scores)
+    order = np.lexsort((nz, -scores[nz]))[:k]
+    start = ptr[entity]
+    end = start + len(order)
+    ids[start:end] = nz[order]
+    sims[start:end] = scores[nz][order]
+    ptr[entity + 1:] = end
+
+
+def cosine_table_oracle(m, k, users=False):
+    """The per-entity cosine fit: item-item, or user-user with users."""
+    if users:
+        n, ptr, adj, val = m.n_users, m.user_ptr, m.user_items, m.user_ratings
+        s_ptr, s_adj, s_val = m.item_ptr, m.item_users, m.item_ratings
+    else:
+        n, ptr, adj, val = m.n_items, m.item_ptr, m.item_users, m.item_ratings
+        s_ptr, s_adj, s_val = m.user_ptr, m.user_items, m.user_ratings
+    sq = np.zeros(n)
+    np.add.at(sq, s_adj, s_val ** 2)
+    norms = np.sqrt(sq)
+    buffers = mcf._table_buffers(n, k)
+    for a in range(n):
+        s, e = ptr[a], ptr[a + 1]
+        if s == e:
+            continue
+        acc = np.zeros(n)
+        for co, r in zip(adj[s:e], val[s:e]):
+            cs, ce = s_ptr[co], s_ptr[co + 1]
+            acc[s_adj[cs:ce]] += r * s_val[cs:ce]
+        acc[a] = 0.0
+        nz = np.flatnonzero(acc)
+        if len(nz):
+            acc[nz] /= norms[a] * norms[nz]
+        _truncate(a, acc, k, *buffers)
+    return mcf._table(n, k, *buffers)
+
+
+def llr_item_similarity_oracle(m, k):
+    """The per-item LLR fit over co-occurrence counts."""
+    deg = m.item_degrees().astype(np.float64)
+    n_users = float(m.n_users)
+    buffers = mcf._table_buffers(m.n_items, k)
+    for i in range(m.n_items):
+        s, e = m.item_ptr[i], m.item_ptr[i + 1]
+        if s == e:
+            continue
+        co = np.zeros(m.n_items)
+        for u in m.item_users[s:e]:
+            us, ue = m.user_ptr[u], m.user_ptr[u + 1]
+            co[m.user_items[us:ue]] += 1.0
+        co[i] = 0.0
+        nz = np.flatnonzero(co)
+        if len(nz) == 0:
+            continue
+        k11 = co[nz]
+        k12 = deg[i] - k11
+        k21 = deg[nz] - k11
+        k22 = n_users - k11 - k12 - k21
+        scores = np.zeros(m.n_items)
+        scores[nz] = mcf.llr_many(k11, k12, k21, k22)
+        _truncate(i, scores, k, *buffers)
+    return mcf._table(m.n_items, k, *buffers)
+
+
+def swing_similarity_oracle(m, alpha=1.0, k=mcf.DEFAULT_TOP_K,
+                            max_users_per_item=mcf.DEFAULT_SWING_MAX_USERS):
+    """The per-item Swing fit over a dense user x item incidence."""
+    incidence = np.zeros((m.n_users, m.n_items))
+    for u in range(m.n_users):
+        items, _ = m.row(u)
+        incidence[u, items] = 1.0
+    buffers = mcf._table_buffers(m.n_items, k)
+    for i in range(m.n_items):
+        users_i, _ = m.col(i)
+        if len(users_i) > max_users_per_item:
+            users_i = users_i[:max_users_per_item]
+        if len(users_i) < 2:
+            continue
+        sub = incidence[users_i]
+        overlap = sub @ sub.T
+        w = 1.0 / (alpha + overlap)
+        c = np.einsum("uj,uj->j", w @ sub, sub)
+        c -= np.diag(w) @ sub
+        c *= 0.5
+        c[i] = 0.0
+        c[np.abs(c) < 1e-15] = 0.0
+        _truncate(i, c, k, *buffers)
+    return mcf._table(m.n_items, k, *buffers)
 
 
 def bits(x):
@@ -541,6 +637,174 @@ class TestWholeRunKernels:
         m, _, _ = scoring_case(0)
         with pytest.raises(ValueError, match="aligned"):
             mcf.score_candidates_bigraph(m, np.array([0]), np.array([0, 1]))
+
+
+FITS = {
+    "item_cf": (lambda m, k: mcf.item_cosine_similarity(m, k),
+                lambda m, k: cosine_table_oracle(m, k)),
+    "user_cf": (lambda m, k: mcf.user_cosine_similarity(m, k),
+                lambda m, k: cosine_table_oracle(m, k, users=True)),
+    "swing": (lambda m, k: mcf.swing_similarity(m.binarized(), 0.7, k, 6),
+              lambda m, k: swing_similarity_oracle(m.binarized(), 0.7, k, 6)),
+    "llr": (lambda m, k: mcf.llr_item_similarity(m.binarized(), k),
+            lambda m, k: llr_item_similarity_oracle(m.binarized(), k)),
+}
+
+
+def assert_same_table(got, want):
+    assert (got.n, got.k) == (want.n, want.k)
+    assert np.array_equal(got.ptr, want.ptr)
+    assert np.array_equal(got.ids, want.ids)
+    assert np.array_equal(bits(got.sims), bits(want.sims))
+
+
+class TestFitKernels:
+    """The blocked fits against the per-entity loops they replaced: equal
+    ptr and ids and equal float64 bits on whole-number ratings."""
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 1 << 40])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_bits(self, monkeypatch, block, seed, fit):
+        if block is not None:
+            monkeypatch.setattr(mcf, "_FIT_BLOCK", block)
+        # an empty history, an unrated item and a user and item that
+        # share nothing with anyone; odd seeds are binary (ties)
+        m, _, _ = scoring_case(seed)
+        new, old = FITS[fit]
+        for k in (1, 3, 10, 11, 13, 14, 200):
+            assert_same_table(new(m, k), old(m, k))
+
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_empty_and_single_entity_matrices(self, fit):
+        new, old = FITS[fit]
+        for dense in (np.zeros((0, 0)), np.zeros((3, 0)), np.zeros((0, 4)),
+                      np.zeros((3, 4)), [[2.0]], [[1.0, 3.0]]):
+            m = matrix_from_dense(dense)
+            assert_same_table(new(m, 5), old(m, 5))
+
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_stored_zero_ratings(self, fit):
+        # user 0 and item 0 hold only zeros: active, with a zero norm
+        rng = np.random.default_rng(47)
+        dense = random_dense(rng, 9, 7, density=0.5)
+        dense[0] = 0.0
+        dense[:, 0] = 0.0
+        u, i = np.nonzero(dense)
+        m = SparseInteractionMatrix.from_pairs(
+            np.r_[u, 0, 0, 3], np.r_[i, 0, 2, 0], np.r_[dense[u, i], 0, 0, 0],
+            9, 7)
+        new, old = FITS[fit]
+        for k in (2, 8):
+            got = new(m, k)
+            assert np.isfinite(got.sims).all()
+            assert_same_table(got, old(m, k))
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("fit", ["item_cf", "user_cf"])
+    def test_negative_ratings(self, monkeypatch, block, fit):
+        # negative cosines rank among themselves, below every positive one
+        if block is not None:
+            monkeypatch.setattr(mcf, "_FIT_BLOCK", block)
+        rng = np.random.default_rng(41)
+        dense = random_dense(rng, 16, 13, density=0.4)
+        dense *= rng.choice([-1.0, 1.0], dense.shape)
+        m = matrix_from_dense(dense)
+        new, old = FITS[fit]
+        for k in (1, 4, 8, 15):
+            assert_same_table(new(m, k), old(m, k))
+        # some list cut at k = 8 ends among its negative scores
+        full, cut = new(m, 15), new(m, 8)
+        assert any(len(neighbors(cut, e)[1]) < len(neighbors(full, e)[1])
+                   and neighbors(cut, e)[1][-1] < 0 for e in range(cut.n))
+
+    def test_llr_ignores_ratings(self):
+        m, _, _ = scoring_case(2)
+        assert not np.all(m.user_ratings == 1.0)
+        assert_same_table(mcf.llr_item_similarity(m, 7),
+                          mcf.llr_item_similarity(m.binarized(), 7))
+        assert_same_table(mcf.llr_item_similarity(m, 7),
+                          llr_item_similarity_oracle(m, 7))
+
+    def test_swing_ignores_ratings(self):
+        m, _, _ = scoring_case(2)
+        assert not np.all(m.user_ratings == 1.0)
+        for k in (2, 200):
+            got = mcf.swing_similarity(m, 0.7, k, 6)
+            assert_same_table(got, mcf.swing_similarity(m.binarized(), 0.7,
+                                                        k, 6))
+            assert_same_table(got, swing_similarity_oracle(m, 0.7, k, 6))
+
+    @pytest.mark.parametrize("fit", ["item_cf", "user_cf"])
+    def test_fractional_ratings_close(self, monkeypatch, fit):
+        # the blocked sums may add in another order: last bits only
+        rng = np.random.default_rng(43)
+        dense = np.where(rng.random((40, 30)) < 0.3,
+                         rng.uniform(1.0, 5.0, (40, 30)), 0.0)
+        m = matrix_from_dense(dense)
+        new, old = FITS[fit]
+        want = old(m, 50).dense()
+        for block in (1, 64, 1 << 40):
+            monkeypatch.setattr(mcf, "_FIT_BLOCK", block)
+            got = new(m, 50).dense()
+            assert np.array_equal(got != 0, want != 0)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class TestFitScratch:
+    @pytest.mark.parametrize("fit", sorted(FITS))
+    def test_dense_blocks_stay_within_the_block_constant(self, monkeypatch,
+                                                        fit):
+        # a dense array may exceed the block only by being one row wide
+        block = 40
+        monkeypatch.setattr(mcf, "_FIT_BLOCK", block)
+        sizes = []
+        dense_rows = mcf._dense_rows
+        write_top_k = mcf._write_top_k
+
+        def record(rows_or_vals):
+            sizes.append((rows_or_vals.size,
+                          max(block, rows_or_vals.shape[1])))
+
+        def recording_rows(*args):
+            out = dense_rows(*args)
+            if fit != "swing":           # Swing's per-item users, uncapped
+                record(out)
+            return out
+
+        def recording_writer(entities, cols, vals, *rest):
+            record(vals)
+            write_top_k(entities, cols, vals, *rest)
+
+        monkeypatch.setattr(mcf, "_dense_rows", recording_rows)
+        monkeypatch.setattr(mcf, "_write_top_k", recording_writer)
+        m, _, _ = scoring_case(1, n_users=30, n_items=25)
+        FITS[fit][0](m, 5)
+        assert len(sizes) > 3
+        assert all(size <= bound for size, bound in sizes)
+
+
+class TestWriteTopK:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_truncate(self, seed):
+        # rows of several entities in gaps, negative scores, many ties
+        rng = np.random.default_rng(seed)
+        n = 12
+        entities = np.sort(rng.choice(n, 7, replace=False))
+        cols = np.sort(rng.choice(n, 9, replace=False))
+        vals = rng.integers(-3, 4, (len(entities), len(cols))).astype(float)
+        vals[rng.random(vals.shape) < 0.3] = 0.0
+        vals[2] = 0.0
+        for k in (1, 2, 5, 9, 11):
+            got = mcf._table_buffers(n, k)
+            mcf._write_top_k(entities[:4], cols, vals[:4], k, *got)
+            mcf._write_top_k(entities[4:], cols, vals[4:], k, *got)
+            want = mcf._table_buffers(n, k)
+            for e, row in zip(entities, vals):
+                full = np.zeros(n)
+                full[cols] = row
+                _truncate(e, full, k, *want)
+            assert_same_table(mcf._table(n, k, *got), mcf._table(n, k, *want))
 
 
 class TestSegmentDots:
