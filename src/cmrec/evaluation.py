@@ -53,16 +53,27 @@ def rank_candidates(items: Sequence, scores: Sequence[float]) -> list[tuple]:
                   key=lambda pair: (-pair[1], pair[0]))
 
 
-def group_ranked_run(users: Sequence, items: Sequence,
+def group_ranked_run(users: Sequence, items: Sequence[str],
                      scores: Sequence[float]) -> list[tuple]:
     """Group parallel (user, item, score) rows into a ranked run: users in
-    order of first appearance, each user's items ranked by rank_candidates."""
-    by_user: dict = {}
-    for user, item, score in zip(users, items, scores, strict=True):
-        user_items, user_scores = by_user.setdefault(user, ([], []))
-        user_items.append(item)
-        user_scores.append(float(score))
-    return [(u, rank_candidates(its, vals)) for u, (its, vals) in by_user.items()]
+    order of first appearance, each user's items ranked by rank_candidates
+    (score descending, ties by ascending item), from one lexsort."""
+    if not len(users) == len(items) == len(scores):
+        raise ValueError("users, items and scores must align")
+    scores = np.asarray(scores, dtype=np.float64)
+    # each row's user as the row its user first appears in
+    first = np.fromiter(map({}.setdefault, users, range(len(users))),
+                        dtype=np.int64, count=len(users))
+    # numpy compares strings padded with NULs, so the length breaks the
+    # ties that padding makes ("a" before "a\0"), as Python orders them
+    lengths = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
+    order = np.lexsort((lengths, np.asarray(items), -scores, first))
+    # 0, each row where the user changes, and len(order)
+    cuts = np.flatnonzero(np.diff(first[order], prepend=-1, append=-1)).tolist()
+    order = order.tolist()
+    values = scores.tolist()
+    ranked = [(items[j], values[j]) for j in order]
+    return [(users[order[a]], ranked[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def ndcg_at_k(run: RankedRun, qrels: Qrels, k: int = 10):

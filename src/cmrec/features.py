@@ -18,7 +18,8 @@ from . import memory_cf as mcf
 from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                    SparseInteractionMatrix, build_matrix)
 from .util import (ConfigError, DataError, atomic_save_npy,
-                   atomic_write_text, fmt, params_hash)
+                   atomic_write_bytes, atomic_write_text, fmt,
+                   params_hash)
 
 
 @dataclass(frozen=True)
@@ -234,20 +235,44 @@ def empty_table(run: RunFile) -> FeatureTable:
                         (), np.zeros((len(pairs), 0)))
 
 
+# Rows formatted per block in write_table. Its numpy and string
+# temporaries grow with the block: writing a 4,000 x 37 table in blocks of
+# 1,024 rows raised the peak RSS about 1 MB over a row-by-row writer, in
+# blocks of 256 not at all.
+_WRITE_BLOCK_ROWS = 256
+
+
+def _tsv_blocks(keys: Sequence[Sequence[str]], values: np.ndarray):
+    """UTF-8 lines, one block of rows at a time: per row the key fields
+    and util.fmt of each value, tab-joined. A block's values take one
+    repr per distinct float64 bit pattern, so -0.0 and 0.0 keep their own
+    text."""
+    for start in range(0, len(values), _WRITE_BLOCK_ROWS):
+        stop = start + _WRITE_BLOCK_ROWS
+        bits = values[start:stop].view(np.int64)
+        distinct, which = np.unique(bits, return_inverse=True)
+        text = np.array(list(map(repr, distinct.view(np.float64).tolist())),
+                        dtype=object)
+        cells = np.empty((len(bits), len(keys) + bits.shape[1]), dtype=object)
+        for pos, key in enumerate(keys):
+            cells[:, pos] = key[start:stop]
+        cells[:, len(keys):] = text[which.reshape(bits.shape)]
+        lines = map("\t".join, cells.tolist())
+        yield ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def write_table(table: FeatureTable, tsv_path, catalog_path) -> None:
     header = ["user", "item"] + (["label"] if table.labels is not None else [])
     header += list(table.columns)
-    lines = ["\t".join(header)]
-    labels = (None if table.labels is None
-              else [str(label) for label in table.labels.tolist()])
-    # repr of the Python floats from tolist() is util.fmt of each cell; one
-    # row at a time, so the whole table never exists as Python floats
-    for r, values in enumerate(table.values):
-        keys = [table.users[r], table.items[r]]
-        if labels is not None:
-            keys.append(labels[r])
-        lines.append("\t".join(keys + list(map(repr, values.tolist()))))
-    atomic_write_text(Path(tsv_path), "\n".join(lines) + "\n")
+    keys = [table.users, table.items]
+    if table.labels is not None:
+        keys.append([str(label) for label in table.labels.tolist()])
+    # the file is built from encoded blocks, so no list of every line and
+    # no whole-file str exist next to its bytes
+    blocks = [("\t".join(header) + "\n").encode("utf-8")]
+    blocks += _tsv_blocks(keys, np.ascontiguousarray(table.values,
+                                                     dtype=np.float64))
+    atomic_write_bytes(Path(tsv_path), b"".join(blocks))
     catalog = {"columns": list(table.columns),
                "has_labels": table.labels is not None,
                "provenance": {k: dict(v) for k, v in table.provenance.items()}}
@@ -255,43 +280,84 @@ def write_table(table: FeatureTable, tsv_path, catalog_path) -> None:
                       json.dumps(catalog, indent=2, sort_keys=True) + "\n")
 
 
-def read_table(tsv_path, catalog_path=None) -> FeatureTable:
+def _parse_values(fields: Sequence[str], usecols: Sequence[int]) -> np.ndarray:
+    """The usecols fields of tab-separated value rows, parsed in C."""
+    return np.loadtxt(fields, dtype=np.float64, delimiter="\t",
+                      comments=None, usecols=usecols, ndmin=2)
+
+
+_LABELS = {"0": 0, "1": 1}
+
+
+def read_table(tsv_path, catalog_path=None, columns=None) -> FeatureTable:
+    """The table write_table wrote, with the named columns in that order
+    (default: all); a name the table lacks is a KeyError. Only those
+    columns' values are parsed. A malformed row (wrong field count, a
+    label other than 0 or 1, a value that is not a finite decimal, a
+    repeated (user, item) key) is a DataError naming its file and line."""
     tsv_path = Path(tsv_path)
     if not tsv_path.exists():
         raise DataError(f"feature table not found: {tsv_path}")
-    with tsv_path.open(encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[:2] != ["user", "item"]:
-            raise DataError(f"{tsv_path}:1: bad feature table header")
-        has_labels = len(header) > 2 and header[2] == "label"
-        col_start = 3 if has_labels else 2
-        columns = tuple(header[col_start:])
-        users, items, labels, rows = [], [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != len(header):
-                raise DataError(f"{tsv_path}:{lineno}: wrong field count")
-            users.append(parts[0])
-            items.append(parts[1])
-            if has_labels:
-                labels.append(int(parts[2]))
-            try:
-                rows.append([float(v) for v in parts[col_start:]])
-            except ValueError:
-                raise DataError(f"{tsv_path}:{lineno}: non-numeric value") from None
+    lines = tsv_path.read_text(encoding="utf-8").split("\n")
+    header = lines[0].split("\t")
+    if header[:2] != ["user", "item"]:
+        raise DataError(f"{tsv_path}:1: bad feature table header")
+    n_keys = 3 if len(header) > 2 and header[2] == "label" else 2
+    names = header[n_keys:]
+    if len(set(names)) != len(names):
+        raise DataError(f"{tsv_path}:1: duplicate column names")
+    wanted = tuple(names if columns is None else columns)
+    for name in wanted:
+        if name not in names:
+            raise KeyError(f"no feature column {name!r}")
+    line_nos = [n for n, line in enumerate(lines[1:], start=2) if line]
+    body = [lines[n - 1] for n in line_nos]
+
+    def fail(row: int, problem: str):
+        raise DataError(f"{tsv_path}:{line_nos[row]}: {problem}")
+
+    tabs = [line.count("\t") for line in body]
+    if tabs.count(len(header) - 1) != len(body):
+        fail(next(row for row, n in enumerate(tabs) if n != len(header) - 1),
+             "wrong field count")
+    # one tuple per field over the rows: user, item[, label], and the
+    # value fields still joined
+    fields = (list(zip(*(line.split("\t", n_keys) for line in body)))
+              if body else [()] * n_keys)
+    users, items = fields[0], fields[1]
+    labels = None
+    if n_keys == 3:
+        codes = [_LABELS.get(label) for label in fields[2]]
+        if None in codes:
+            fail(codes.index(None), "label must be 0 or 1")
+        labels = np.array(codes, dtype=np.int8)
+    if len(set(zip(users, items))) != len(users):
+        seen = set()
+        for row, key in enumerate(zip(users, items)):
+            if key in seen:
+                fail(row, f"duplicate (user, item) key {key}")
+            seen.add(key)
+    values = np.zeros((len(body), len(wanted)))
+    if wanted and body:
+        usecols = [names.index(name) for name in wanted]
+        try:
+            values = _parse_values(fields[n_keys], usecols)
+        except ValueError:
+            for row, text in enumerate(fields[n_keys]):
+                try:
+                    _parse_values([text], usecols)
+                except ValueError:
+                    fail(row, "non-numeric value")
+            raise
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            fail(int(np.argmin(finite)), "non-finite value")
     provenance = {}
     if catalog_path is not None and Path(catalog_path).exists():
         catalog = json.loads(Path(catalog_path).read_text(encoding="utf-8"))
         provenance = catalog.get("provenance", {})
-    values = (np.array(rows) if rows
-              else np.zeros((0, len(columns))))
-    return FeatureTable(tuple(users), tuple(items), columns,
-                        values.reshape(len(users), len(columns)),
-                        np.array(labels, dtype=np.int8) if has_labels else None,
-                        provenance)
+    return FeatureTable(users, items, wanted, values, labels,
+                        {n: provenance[n] for n in wanted if n in provenance})
 
 
 def default_combinations(target: str, all_markets: Sequence[str],
@@ -408,12 +474,16 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
-    table = empty_table(run)
     user_ids, item_ids = encode_run(run, ctx.users, ctx.items)
     unknown = [c for (_, c), i in zip(run.pairs(), item_ids) if i < 0]
     failures: list[dict] = []
     matrices: dict[str, SparseInteractionMatrix] = {}
     key = None if ctx.cache_dir is None else _cache_key(ctx, run)
+    columns: list[str] = []
+    provenance: dict[str, dict] = {}
+    # every spec's value and missing row, filled in place (column-major,
+    # so memory becomes resident one spec at a time)
+    values = np.empty((2 * len(plan), len(item_ids)))
     for spec in plan:
         name = spec.feature_name
         cache = None if key is None else Path(ctx.cache_dir) / f"{name}.{key}.npy"
@@ -435,9 +505,14 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
                 "params": dict(spec.params),
                 "combination": list(spec.combination.markets),
                 "excludes_target_valid": spec.combination.exclude_valid_of_target}
+        values[len(columns):len(columns) + 2] = got
+        columns += [name, f"{name}__missing"]
+        provenance.update({name: prov, f"{name}__missing": {
+            **prov, "kind": "missing_indicator"}})
+    table = empty_table(run)
+    if columns:
         table = table.with_columns(
-            [name, f"{name}__missing"], np.column_stack(got),
-            {name: prov, f"{name}__missing": {**prov, "kind": "missing_indicator"}})
+            columns, np.ascontiguousarray(values[:len(columns)].T), provenance)
     return table, failures
 
 

@@ -333,8 +333,7 @@ def run_train(config: PipelineConfig, target: str) -> dict:
     ws = workspace_for(config)
     tdir = ws.target_dir(target)
     kept = selection.read_kept(tdir / "kept.txt")
-    valid = features.read_table(ws.features_path(target, "valid"),
-                                ws.catalog_path(target, "valid")).select(kept)
+    valid = _read_kept_columns(ws, target, "valid", kept)
     params = dataclasses.replace(config.ranker.params,
                                  seed=stage_seed(config.seed, "train", target))
     if config.ranker.grid is not None:
@@ -353,8 +352,7 @@ def run_train(config: PipelineConfig, target: str) -> dict:
                      f"\t{int(valid.labels[r])}\t{fmt(bagged.oof[r])}")
     atomic_write_text(tdir / "oof.tsv", "\n".join(lines) + "\n")
 
-    test = features.read_table(ws.features_path(target, "test"),
-                               ws.catalog_path(target, "test")).select(kept)
+    test = _read_kept_columns(ws, target, "test", kept)
     preds = gbdt.bagged_predict(bagged, test)
     run = evaluation.group_ranked_run(test.users, test.items, preds)
     evaluation.emit_run_file(run, tdir / "test_ranked.tsv")
@@ -365,6 +363,22 @@ def run_train(config: PipelineConfig, target: str) -> dict:
                "n_rows": valid.n_rows, "n_features": len(kept)}
     _write_json(tdir / "metrics.json", metrics)
     return metrics
+
+
+def _read_kept_columns(ws: Workspace, target: str, which: str,
+                       kept: list[str]) -> features.FeatureTable:
+    """The kept.txt columns of one feature table, the only ones parsed; a
+    column the table lacks (kept.txt older than the last prerank) is a
+    DataError."""
+    try:
+        return features.read_table(ws.features_path(target, which),
+                                   ws.catalog_path(target, which),
+                                   columns=kept)
+    except KeyError as exc:
+        raise DataError(
+            f"{ws.target_dir(target) / 'kept.txt'} keeps a column that "
+            f"{ws.features_path(target, which)} lacks ({exc.args[0]}); "
+            f"re-run select") from None
 
 
 def _snapshot_qrels(snap: Snapshot, target: str, split: str) -> dict[str, set]:

@@ -75,6 +75,17 @@ class TestRankCandidates:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def group_ranked_run_oracle(users, items, scores):
+    """The per-user dict and sort that group_ranked_run replaced."""
+    by_user: dict = {}
+    for user, item, score in zip(users, items, scores, strict=True):
+        user_items, user_scores = by_user.setdefault(user, ([], []))
+        user_items.append(item)
+        user_scores.append(float(score))
+    return [(u, ev.rank_candidates(its, vals))
+            for u, (its, vals) in by_user.items()]
+
+
 class TestGroupRankedRun:
     def test_users_in_first_seen_order_items_ranked(self):
         run = ev.group_ranked_run(["b", "a", "b", "a", "b"],
@@ -83,6 +94,28 @@ class TestGroupRankedRun:
         assert run == [("b", [("i3", 0.9), ("i0", 0.5), ("i1", 0.5)]),
                        ("a", [("i2", 0.1), ("i4", 0.1)])]
         assert all(type(s) is float for _, ranked in run for _, s in ranked)
+
+    @pytest.mark.parametrize("pool", [
+        None, [1.0, 0.5, -2.0], [0.0, -0.0, 1e-300, -1e-300, 0.0]])
+    def test_matches_the_oracle(self, rng, pool):
+        # pool: scores drawn from few values, so ties (and ties of -0.0
+        # with 0.0) are common; None: distinct normal scores. Some items
+        # differ only in trailing NULs, which numpy strings do not keep.
+        for n in (1, 2, 17, 400):
+            users = [f"u{k}" for k in rng.integers(0, 9, n)]
+            items = [f"i{k // 3}" + "\0" * (k % 3)
+                     for k in rng.integers(0, 60, n)]
+            scores = (rng.normal(size=n) if pool is None
+                      else rng.choice(pool, size=n))
+            got = ev.group_ranked_run(users, items, scores)
+            want = group_ranked_run_oracle(users, items, scores)
+            assert got == want
+            signs = [[np.signbit(s) for _, s in ranked] for _, ranked in got]
+            assert signs == [[np.signbit(s) for _, s in ranked]
+                             for _, ranked in want]
+
+    def test_empty_run(self):
+        assert ev.group_ranked_run([], [], np.zeros(0)) == []
 
     def test_misaligned_columns_rejected(self):
         with pytest.raises(ValueError):

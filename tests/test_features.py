@@ -3,6 +3,8 @@ cache, leakage rules for combination matrices, global statistics, and the
 correlation report."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +142,13 @@ class TestCombinationMatrix:
         assert dense[ctx.users.encode("a"), ctx.items.encode("i0")] == 5.0
 
 
+def _per_spec_columns(specs):
+    """(name, column) of every spec planned on its own."""
+    for spec in specs:
+        table, _ = run_plan([spec], tiny_context(), RUN)
+        yield from ((name, table.column(name)) for name in table.columns)
+
+
 class TestRunPlan:
     def test_rows_follow_run_file_order(self):
         ctx = tiny_context()
@@ -186,6 +195,26 @@ class TestRunPlan:
         assert len(failures) == 1
         assert failures[0]["feature"] == bad.feature_name
         assert "alpha" in failures[0]["error"]
+
+    def test_one_with_columns_call_per_table(self, monkeypatch):
+        specs = [spec_for(), spec_for("swing"), spec_for("llr"),
+                 spec_for(markets=("t1",))]
+        want = list(_per_spec_columns(specs))
+        calls = []
+        real = FeatureTable.with_columns
+
+        def counting(self, names, matrix, provenance):
+            calls.append(list(names))
+            return real(self, names, matrix, provenance)
+
+        monkeypatch.setattr(FeatureTable, "with_columns", counting)
+        table, failures = run_plan(specs, tiny_context(), RUN)
+        assert failures == []
+        assert calls == [list(table.columns)]
+        assert table.values.flags.c_contiguous
+        for name, col in want:
+            assert np.array_equal(table.column(name).view(np.int64),
+                                  col.view(np.int64))
 
     def test_duplicate_feature_names_rejected(self):
         ctx = tiny_context()
@@ -633,6 +662,98 @@ class TestCorrelation:
         assert np.array_equal(back, corr)
 
 
+def write_table_oracle(table, tsv_path, catalog_path):
+    """The row-by-row writer write_table replaced: one repr per cell."""
+    header = ["user", "item"] + (["label"] if table.labels is not None else [])
+    header += list(table.columns)
+    lines = ["\t".join(header)]
+    labels = (None if table.labels is None
+              else [str(label) for label in table.labels.tolist()])
+    for r, values in enumerate(table.values):
+        keys = [table.users[r], table.items[r]]
+        if labels is not None:
+            keys.append(labels[r])
+        lines.append("\t".join(keys + list(map(repr, values.tolist()))))
+    Path(tsv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    catalog = {"columns": list(table.columns),
+               "has_labels": table.labels is not None,
+               "provenance": {k: dict(v) for k, v in table.provenance.items()}}
+    Path(catalog_path).write_text(
+        json.dumps(catalog, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_table_oracle(tsv_path, catalog_path=None):
+    """The reader read_table replaced: one float() per cell."""
+    tsv_path = Path(tsv_path)
+    with tsv_path.open(encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        assert header[:2] == ["user", "item"]
+        has_labels = len(header) > 2 and header[2] == "label"
+        col_start = 3 if has_labels else 2
+        columns = tuple(header[col_start:])
+        users, items, labels, rows = [], [], [], []
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            assert len(parts) == len(header)
+            users.append(parts[0])
+            items.append(parts[1])
+            if has_labels:
+                labels.append(int(parts[2]))
+            rows.append([float(v) for v in parts[col_start:]])
+    provenance = {}
+    if catalog_path is not None and Path(catalog_path).exists():
+        catalog = json.loads(Path(catalog_path).read_text(encoding="utf-8"))
+        provenance = catalog.get("provenance", {})
+    values = np.array(rows) if rows else np.zeros((0, len(columns)))
+    return FeatureTable(tuple(users), tuple(items), columns,
+                        values.reshape(len(users), len(columns)),
+                        np.array(labels, dtype=np.int8) if has_labels else None,
+                        provenance)
+
+
+# Values whose shortest repr is easy to get wrong: the sign of zero, the
+# smallest subnormal, exponent forms and the edges of exact integers.
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 1e16, 2.0 ** 53, 1 / 3, 1e308, -1e308,
+                  0.1 + 0.2, 1e-7, 123456789.0, -1.5, 2.0 ** 53 + 2]
+
+
+def oracle_table(rng, n_rows, n_cols, labeled=True):
+    """A table mixing repeated, special and random values, the first
+    cells holding every special value in turn; rows above write_table's
+    block size cross a block edge."""
+    pool = np.array(SPECIAL_VALUES + rng.normal(size=7).tolist())
+    values = np.where(rng.random((n_rows, n_cols)) < 0.5,
+                      rng.choice(pool, size=(n_rows, n_cols)),
+                      rng.normal(scale=10.0 ** rng.integers(-5, 6),
+                                 size=(n_rows, n_cols)))
+    head = min(values.size, len(SPECIAL_VALUES))
+    values.flat[:head] = SPECIAL_VALUES[:head]
+    names = tuple(f"c{j}" for j in range(n_cols))
+    return FeatureTable(tuple(f"u{r // 7}" for r in range(n_rows)),
+                        tuple(f"i{r % 7}" for r in range(n_rows)), names,
+                        values,
+                        (rng.integers(0, 2, n_rows).astype(np.int8)
+                         if labeled else None),
+                        {name: {"kind": "scorer", "pos": j}
+                         for j, name in enumerate(names)})
+
+
+def assert_same_table(got, want):
+    assert got.users == want.users and got.items == want.items
+    assert got.columns == want.columns
+    assert got.values.shape == want.values.shape
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    if want.labels is None:
+        assert got.labels is None
+    else:
+        assert got.labels.dtype == np.int8
+        assert np.array_equal(got.labels, want.labels)
+    assert got.provenance == want.provenance
+
+
 class TestTableIO:
     def labeled_table(self, rng):
         values = rng.normal(size=(6, 2))
@@ -699,6 +820,71 @@ class TestTableIO:
             read_table(bad)
         bad.write_text("user\titem\tf\nu\ti\tNOPE\n")
         with pytest.raises(DataError, match="non-numeric"):
+            read_table(bad)
+
+    @pytest.mark.parametrize("n_rows,n_cols,labeled", [
+        (13, 1, True), (2, 7, False), (2500, 9, True), (2500, 9, False), (1024, 3, True),
+        (0, 4, True), (0, 4, False), (5, 0, True), (5, 0, False), (0, 0, True)])
+    def test_write_and_read_match_the_oracles(self, tmp_path, rng, n_rows,
+                                              n_cols, labeled):
+        table = oracle_table(rng, n_rows, n_cols, labeled)
+        write_table(table, tmp_path / "new.tsv", tmp_path / "new.json")
+        write_table_oracle(table, tmp_path / "old.tsv", tmp_path / "old.json")
+        assert ((tmp_path / "new.tsv").read_bytes()
+                == (tmp_path / "old.tsv").read_bytes())
+        assert ((tmp_path / "new.json").read_bytes()
+                == (tmp_path / "old.json").read_bytes())
+        back = read_table(tmp_path / "new.tsv", tmp_path / "new.json")
+        assert_same_table(back, read_table_oracle(tmp_path / "new.tsv",
+                                                  tmp_path / "new.json"))
+        assert_same_table(back, table)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "f.tsv"
+        path.write_text("user\titem\tlabel\ta\tb\n\nu1\ti1\t1\t0.5\t-0.0\n"
+                        "\n\nu1\ti2\t0\t1e+16\t3.0\n\n")
+        back = read_table(path)
+        assert_same_table(back, read_table_oracle(path))
+        assert back.users == ("u1", "u1")
+
+    @pytest.mark.parametrize("columns", [["c3"], ["c4", "c0", "c2"],
+                                         ["c0", "c1", "c2", "c3", "c4"][::-1],
+                                         []])
+    def test_columns_subset_in_any_order(self, tmp_path, rng, columns):
+        table = oracle_table(rng, 40, 5)
+        write_table(table, tmp_path / "f.tsv", tmp_path / "f.json")
+        back = read_table(tmp_path / "f.tsv", tmp_path / "f.json",
+                          columns=columns)
+        want = read_table_oracle(tmp_path / "f.tsv",
+                                 tmp_path / "f.json").select(columns)
+        assert_same_table(back, want)
+
+    def test_unknown_column_is_a_key_error(self, tmp_path, rng):
+        write_table(oracle_table(rng, 4, 2), tmp_path / "f.tsv",
+                    tmp_path / "f.json")
+        with pytest.raises(KeyError, match="'nope'"):
+            read_table(tmp_path / "f.tsv", columns=["c1", "nope"])
+
+    @pytest.mark.parametrize("row,problem", [
+        ("u2\ti2\t1\tnan", "non-finite"),
+        ("u2\ti2\t1\t-inf", "non-finite"),
+        ("u2\ti2\t1\t1_0", "non-numeric"),
+        ("u2\ti2\t2\t1.0", "label must be 0 or 1"),
+        ("u2\ti2\t1.0\t1.0", "label must be 0 or 1"),
+        ("u2\ti2\tx\t1.0", "label must be 0 or 1"),
+        ("u1\ti1\t0\t1.0", "duplicate"),
+    ])
+    def test_malformed_row_is_a_data_error_at_its_line(self, tmp_path, row,
+                                                       problem):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"user\titem\tlabel\tf\nu1\ti1\t1\t0.5\n\n{row}\n")
+        with pytest.raises(DataError, match=f"bad.tsv:4: {problem}"):
+            read_table(bad)
+
+    def test_duplicate_header_column_is_a_data_error(self, tmp_path):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("user\titem\tf\tf\nu\ti\t1.0\t2.0\n")
+        with pytest.raises(DataError, match=":1: duplicate column"):
             read_table(bad)
 
     def test_empty_table_from_run(self):

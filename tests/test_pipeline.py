@@ -448,6 +448,28 @@ class TestSelectTrain:
         with pytest.raises(DataError, match="no features"):
             pipeline.run_train(config, "t1")
 
+    def test_kept_column_gone_after_smaller_prerank_is_a_data_error(
+            self, world, tmp_path):
+        work, config = copied_workspace(world, tmp_path)
+        kept = pipeline.run_select(config, "t1")
+        catalog = json.loads(
+            (work / "t1" / "features_valid.catalog.json").read_text())
+        # re-run prerank without whatever produced the first kept column
+        prov = catalog["provenance"][kept[0]]
+        if "scorer" in prov:
+            prerank = dataclasses.replace(config.prerank, scorers=tuple(
+                sc for sc in config.prerank.scorers
+                if sc.name != prov["scorer"]))
+        else:
+            prerank = dataclasses.replace(config.prerank, stats=False)
+        smaller = dataclasses.replace(config, prerank=prerank)
+        pipeline.run_prerank(smaller, "t1")
+        valid = features.read_table(work / "t1" / "features_valid.tsv")
+        assert kept[0] not in valid.columns
+        with pytest.raises(DataError, match="kept.txt") as err:
+            pipeline.run_train(smaller, "t1")
+        assert repr(kept[0]) in str(err.value)
+
     def test_ranked_run_permutes_the_candidates(self, world):
         ws = world["ws"]
         ranked = evaluation.read_run_file(ws.target_dir("t1")
