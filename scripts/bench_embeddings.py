@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Time the node2vec walks and skip-gram training on a fixed bipartite
-matrix and fingerprint their outputs.
+"""Time the node2vec walks, skip-gram and LightGCN training and run
+scoring on a fixed bipartite matrix and fingerprint their outputs.
 
 The matrix is shaped like the all-markets matrix of a perfbench target
 (500 users x 200 items, about 5% dense, ratings 1-5). The walks are those
 of the `node2vec_dfs` scorer (p 1, q 0.5, length 20, two per node); the
 skip-gram runs (dimension 16, window 5, five negatives, two epochs) train
 on those walks and on two shuffled copies of every user history, as the
-`node2vec_dfs` and `word2vec` scorers do.
+`node2vec_dfs` and `word2vec` scorers do. LightGCN trains as the
+`embed_small` workload's scorer does (dimension 16, three layers, node
+dropout 0.2, four epochs). Run scoring scores a fixed run of 40 candidates
+for each of 100 users, one of them unknown: the dot over the LightGCN
+table and the cosine over the word2vec table with its derived user
+vectors.
 
 Prints the median wall time of each kernel over --repeats calls and the
-sha256 of the walks and of each table (keys and vector bytes in key
-order), so two checkouts can be compared for speed and for identical
-outputs:
+sha256 of the walks, of each table (keys and vector bytes in key order)
+and of the scores (score bytes, then missing flags), so two checkouts can
+be compared for speed and for identical outputs:
 
     PYTHONPATH=src python scripts/bench_embeddings.py --repeats 5
 """
@@ -31,6 +36,9 @@ SEED = 0
 N_USERS, N_ITEMS, DENSITY = 500, 200, 0.05
 WALKS = emb.WalkParams(p=1.0, q=0.5, walk_length=20, walks_per_node=2, seed=1)
 SKIPGRAM = emb.SkipGramParams(dim=16, window=5, negatives=5, epochs=2, seed=2)
+LIGHTGCN = emb.LightGcnParams(layers=3, dim=16, node_dropout=0.2, epochs=4,
+                              seed=4)
+RUN_USERS, RUN_CANDIDATES = 100, 40
 
 
 def make_matrix() -> SparseInteractionMatrix:
@@ -51,6 +59,23 @@ def table_digest(table: emb.EmbeddingTable) -> str:
         digest.update(key.encode("utf-8"))
         digest.update(np.asarray(table.vectors[key], dtype=np.float64).tobytes())
     return digest.hexdigest()
+
+
+def make_run() -> tuple[np.ndarray, np.ndarray]:
+    """Aligned (user, item) ids: RUN_CANDIDATES distinct items for each of
+    RUN_USERS users, the last of them unknown (-1)."""
+    rng = np.random.default_rng(SEED + 1)
+    users = np.r_[rng.choice(N_USERS, RUN_USERS - 1, replace=False), -1]
+    items = [rng.choice(N_ITEMS, RUN_CANDIDATES, replace=False)
+             for _ in range(RUN_USERS)]
+    return np.repeat(users, RUN_CANDIDATES), np.concatenate(items)
+
+
+def scores_digest(result) -> str:
+    scores, missing = result
+    return hashlib.sha256(np.asarray(scores, dtype=np.float64).tobytes()
+                          + np.asarray(missing, dtype=bool).tobytes()
+                          ).hexdigest()
 
 
 def timed(repeats: int, fn, fingerprint):
@@ -83,11 +108,26 @@ def main(argv=None) -> None:
     print(f"generate_walks           median {secs:.4f} s  "
           f"{len(walks)} walks  sha256 {digest}")
     for label, corpus in (("walks", walks), ("histories", history)):
-        secs, digest, _ = timed(
+        secs, digest, skipgram = timed(
             args.repeats, lambda: emb.train_skipgram(corpus, SKIPGRAM),
             table_digest)
         print(f"train_skipgram {label:<9} median {secs:.4f} s  "
               f"{sum(map(len, corpus))} tokens  sha256 {digest}")
+    binary = m.binarized()
+    secs, digest, lightgcn = timed(
+        args.repeats, lambda: emb.train_lightgcn(binary, LIGHTGCN),
+        table_digest)
+    print(f"train_lightgcn           median {secs:.4f} s  "
+          f"{binary.nnz} edges  sha256 {digest}")
+    word2vec = emb.derive_user_vectors(m, skipgram)   # the histories table
+    users, items = make_run()
+    for metric, table in (("dot", lightgcn), ("cosine", word2vec)):
+        secs, digest, _ = timed(
+            args.repeats,
+            lambda: emb.embedding_score(table, users, items, metric=metric),
+            scores_digest)
+        print(f"embedding_score {metric:<8} median {secs:.4f} s  "
+              f"{len(items)} pairs  sha256 {digest}")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,13 @@ Nodes live on the bipartite user-item graph. Embedding tables key vectors
 by node strings — ``u:<id>`` for users, ``i:<id>`` for items — so one
 table can hold both sides; externally supplied tables may use raw item
 ids instead.
+
+embedding_score scores a whole run of aligned (user, item) pairs with no
+per-pair loop; derive_user_vectors sums every user's history one position
+at a time; LightGCN's negative sampler takes its draws as arrays and
+loops once per rejected draw. Each gives the numbers and leaves the random
+stream of the per-user or per-draw loop it replaced, bit for bit.
+Skip-gram still updates once per chunk of each sequence.
 """
 
 from __future__ import annotations
@@ -353,14 +360,33 @@ def _sgns_chunk(w_in, w_out, centers, contexts, negs, lr) -> float:
 
 def derive_user_vectors(m: SparseInteractionMatrix,
                         table: EmbeddingTable) -> EmbeddingTable:
-    """Add u:<id> vectors as the mean of each user's covered history items."""
+    """Add u:<id> vectors as the mean of each user's covered history items.
+
+    Step k adds every user's k-th covered item, in row order, onto a zero
+    start: the order in which np.mean(rows, axis=0) adds the rows, so the
+    means are those of a per-user np.mean. A one-wide np.mean is a pairwise
+    1-D sum instead, so that width keeps it per user."""
     vectors = dict(table.vectors)
-    for u in range(m.n_users):
-        items, _ = m.row(u)
-        held = [table.vectors[item_node(int(i))] for i in items
-                if item_node(int(i)) in table.vectors]
-        if held:
-            vectors[user_node(u)] = np.mean(held, axis=0)
+    item_vecs, covered = _stack_vectors(table,
+                                        map(item_node, range(m.n_items)))
+    edge_users = np.repeat(np.arange(m.n_users), np.diff(m.user_ptr))
+    keep = covered[m.user_items]
+    eu, ei = edge_users[keep], m.user_items[keep]
+    counts = np.bincount(eu, minlength=m.n_users)
+    held, starts = np.flatnonzero(counts), np.cumsum(counts) - counts
+    if table.dim == 1:
+        means = np.array([np.mean(item_vecs[ei[s:s + n]], axis=0) for s, n
+                          in zip(starts[held].tolist(), counts[held].tolist())])
+    else:
+        step = np.arange(len(eu)) - starts[eu]
+        order = np.argsort(step, kind="stable")
+        cuts = np.cumsum(np.bincount(step)).tolist()
+        sums = np.zeros((m.n_users, table.dim))
+        for lo, hi in zip([0, *cuts], cuts):
+            at = order[lo:hi]
+            sums[eu[at]] += item_vecs[ei[at]]
+        means = sums[held] / counts[held, None]
+    vectors.update(zip(map(user_node, held.tolist()), means))
     return EmbeddingTable(table.dim, vectors, meta=table.meta)
 
 
@@ -389,8 +415,9 @@ def _propagate_mean(user_vecs: np.ndarray, item_vecs: np.ndarray,
 
 def _segment_sum(source: np.ndarray, gather_idx, ptr) -> np.ndarray:
     """Sum source[gather_idx] rows over contiguous ptr segments."""
-    gathered = source[gather_idx]
-    cs = np.vstack([np.zeros((1, source.shape[1])), np.cumsum(gathered, axis=0)])
+    cs = np.empty((len(gather_idx) + 1, source.shape[1]))
+    cs[0] = 0.0
+    np.cumsum(source[gather_idx], axis=0, out=cs[1:])
     return cs[ptr[1:]] - cs[ptr[:-1]]
 
 
@@ -470,6 +497,7 @@ def train_lightgcn(m: SparseInteractionMatrix,
                   m.user_degrees().astype(float), m.item_degrees().astype(float))
     edge_users = np.repeat(np.arange(m.n_users), np.diff(m.user_ptr))
     edge_items = m.user_items
+    edge_keys = edge_users * m.n_items + edge_items
     n_nodes = m.n_users + m.n_items
 
     adam_m = [np.zeros_like(user_vecs), np.zeros_like(item_vecs)]
@@ -484,7 +512,7 @@ def train_lightgcn(m: SparseInteractionMatrix,
             batch = order[s:s + params.batch_size]
             users = edge_users[batch]
             pos = edge_items[batch]
-            neg = _sample_negatives(m, users, rng)
+            neg = _sample_negatives(edge_keys, m.n_items, users, rng)
             ok = neg >= 0
             if not ok.all():
                 users, pos, neg = users[ok], pos[ok], neg[ok]
@@ -516,47 +544,99 @@ def train_lightgcn(m: SparseInteractionMatrix,
     return EmbeddingTable(params.dim, vectors, meta={"epoch_loss": epoch_loss})
 
 
-def _sample_negatives(m: SparseInteractionMatrix, users: np.ndarray,
+# Draws tested per window while sampling negatives. A window ends at its
+# first rejected draw: that user draws again, so every later draw falls to
+# the user before the one it was tested against.
+_NEG_WINDOW = 32
+
+
+def _sample_negatives(edge_keys: np.ndarray, n_items: int, users: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
-    """Uniform non-interacted item per user; -1 after 100 failed retries."""
-    neg = np.empty(len(users), dtype=np.int64)
-    for row, u in enumerate(users):
-        items, _ = m.row(int(u))
-        found = -1
-        for _ in range(100):
-            cand = int(rng.integers(m.n_items))
-            pos = np.searchsorted(items, cand)
-            if pos >= len(items) or items[pos] != cand:
-                found = cand
-                break
-        if found < 0:
-            log.warning("negative sampling failed for user %d; triple skipped", u)
-        neg[row] = found
+    """Uniform non-interacted item per user; -1 after 100 failed retries.
+
+    edge_keys holds user * n_items + item for every edge, ascending. Each
+    user in turn draws rng.integers(n_items) until the item is not one of
+    theirs. The draws are taken as arrays, which give the values of scalar
+    calls, and tested a window at a time against the users they fall to.
+    The generator is then reset and advanced by exactly the draws used, so
+    its state afterwards is that of the scalar loop."""
+    neg = np.full(len(users), -1, dtype=np.int64)
+    if len(users) == 0:
+        return neg
+    keys = np.concatenate([[-1], edge_keys])
+    state = rng.bit_generator.state
+    draws = rng.integers(n_items, size=len(users) + _NEG_WINDOW)
+    pos = row = tries = 0
+    while row < len(users):
+        width = min(len(users) - row, _NEG_WINDOW)
+        if pos + width > len(draws):
+            draws = np.concatenate([draws, rng.integers(n_items,
+                                                        size=len(draws))])
+        cand = draws[pos:pos + width]
+        key = users[row:row + width] * n_items + cand
+        taken = keys[np.searchsorted(keys, key, side="right") - 1] == key
+        ok = int(taken.argmax()) if taken.any() else width
+        neg[row:row + ok] = cand[:ok]
+        pos, row = pos + ok, row + ok
+        if ok:
+            tries = 0
+        if ok < width:
+            pos, tries = pos + 1, tries + 1
+            if tries == 100:
+                log.warning("negative sampling failed for user %d; "
+                            "triple skipped", users[row])
+                row, tries = row + 1, 0
+    rng.bit_generator.state = state
+    rng.integers(n_items, size=pos)
     return neg
 
 
-def embedding_score(table: EmbeddingTable, user, candidates: Sequence,
-                    metric: str = "dot") -> tuple[np.ndarray, np.ndarray]:
-    """Dot or cosine scores between the user vector and each candidate
-    vector. Returns (scores, missing): absent nodes score 0 and are
-    flagged; a zero vector under cosine also scores 0."""
+def _stack_vectors(table: EmbeddingTable, keys: Iterable[str]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(vectors, present): one row per key, zero where the table has no
+    vector for it."""
+    found = [table.vectors.get(key) for key in keys]
+    present = np.array([vec is not None for vec in found], dtype=bool)
+    vecs = np.zeros((len(found), table.dim))
+    if present.any():
+        vecs[present] = [vec for vec in found if vec is not None]
+    return vecs, present
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """float(a[p] @ b[p]) for every row p, bit for bit: one stacked
+    (P, 1, d) @ (P, d, 1) matmul runs the same BLAS dot on each row pair."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def embedding_score(table: EmbeddingTable, users: Sequence,
+                    candidates: Sequence, metric: str = "dot"
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Dot or cosine scores of aligned pairs: users[p]'s vector against
+    candidates[p]'s. Returns (scores, missing): a pair whose user or item
+    has no vector scores 0 and is flagged; a zero vector under cosine also
+    scores 0.
+
+    Each distinct user and item vector is looked up once. Each score
+    equals float(u @ c), or float(u @ c) / (|u| * |c|) with the norms of
+    np.linalg.norm (the square roots of the same dots of a vector with
+    itself), bit for bit."""
     if metric not in ("dot", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
+    if len(users) != len(candidates):
+        raise ValueError("users and candidates must be aligned")
+    user_ids, user_of = np.unique(np.asarray(users), return_inverse=True)
+    item_ids, item_of = np.unique(np.asarray(candidates), return_inverse=True)
+    u_vecs, u_ok = _stack_vectors(table, map(user_node, user_ids.tolist()))
+    c_vecs, c_ok = _stack_vectors(table, map(item_node, item_ids.tolist()))
+    present = u_ok[user_of] & c_ok[item_of]
+    u_rows, c_rows = user_of[present], item_of[present]
+    dots = _row_dots(u_vecs[u_rows], c_vecs[c_rows])
+    if metric == "cosine":
+        u_norm = np.sqrt(_row_dots(u_vecs, u_vecs))[u_rows]
+        c_norm = np.sqrt(_row_dots(c_vecs, c_vecs))[c_rows]
+        dots = np.divide(dots, u_norm * c_norm, out=np.zeros_like(dots),
+                         where=(u_norm > 0) & (c_norm > 0))
     scores = np.zeros(len(candidates))
-    missing = np.ones(len(candidates), dtype=bool)
-    u_vec = table.vectors.get(user_node(user))
-    if u_vec is None:
-        return scores, missing
-    u_norm = float(np.linalg.norm(u_vec))
-    for pos, cand in enumerate(candidates):
-        c_vec = table.vectors.get(item_node(cand))
-        if c_vec is None:
-            continue
-        missing[pos] = False
-        if metric == "dot":
-            scores[pos] = float(u_vec @ c_vec)
-        else:
-            c_norm = float(np.linalg.norm(c_vec))
-            if u_norm > 0 and c_norm > 0:
-                scores[pos] = float(u_vec @ c_vec) / (u_norm * c_norm)
-    return scores, missing
+    scores[present] = dots
+    return scores, ~present

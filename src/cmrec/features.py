@@ -97,17 +97,7 @@ def _fit_lightgcn(m: SparseInteractionMatrix, p: Mapping):
 
 def _embedding_based(model, m, users, items):
     table, metric = model
-    values = np.zeros(len(items))
-    missing = np.ones(len(items), dtype=bool)
-    # One embedding_score call per run of equal consecutive user ids; node
-    # keys are formatted from the ids, faster from Python ints.
-    cuts = [0, *(np.flatnonzero(np.diff(users)) + 1).tolist(), len(items)]
-    for start, end in zip(cuts, cuts[1:]):
-        if start < end:
-            values[start:end], missing[start:end] = emb.embedding_score(
-                table, int(users[start]), items[start:end].tolist(),
-                metric=metric)
-    return values, missing
+    return emb.embedding_score(table, users, items, metric=metric)
 
 
 # The one list of scorers: adding a scorer means adding one entry here.

@@ -370,8 +370,8 @@ def oof_ndcg(table: FeatureTable, oof_scores: np.ndarray, k: int = 10) -> float:
     evaluation routine; users without any positive label are skipped."""
     run = evaluation.group_ranked_run(table.users, table.items, oof_scores)
     qrels: dict[str, set] = {}
-    for r in range(table.n_rows):
-        if table.labels is not None and table.labels[r] == 1:
+    if table.labels is not None:
+        for r in np.flatnonzero(table.labels == 1).tolist():
             qrels.setdefault(table.users[r], set()).add(table.items[r])
     if not qrels:
         raise StageError("no positive labels; NDCG undefined")

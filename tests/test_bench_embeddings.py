@@ -15,7 +15,8 @@ def test_one_repeat_prints_times_and_digests(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("matrix 500x200")
     kernels = ["generate_walks", "train_skipgram walks",
-               "train_skipgram histories"]
+               "train_skipgram histories", "train_lightgcn",
+               "embedding_score dot", "embedding_score cosine"]
     assert [line.split(" median")[0].strip() for line in lines[1:]] == kernels
     digests = [re.search(r"sha256 ([0-9a-f]{64})$", line) for line in lines[1:]]
     assert all(digests)

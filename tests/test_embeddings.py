@@ -1,6 +1,9 @@
 """Embedding scorers: dense propagation oracle, finite-difference gradient
-checks, analytic walk-weight cases, per-walk and per-sequence loop oracles
-for the vectorised walks and skip-gram, and TSV round trips."""
+checks, analytic walk-weight cases, per-walk, per-sequence, per-user and
+per-draw loop oracles for the vectorised walks, skip-gram, user vectors,
+scoring and negative sampling, and TSV round trips."""
+
+import logging
 
 import numpy as np
 import pytest
@@ -152,6 +155,77 @@ def bpr_loss_and_grad_oracle(user_vecs, item_vecs, graph, layers, l2_reg,
     return loss + l2_reg * reg / b, g_u, g_i
 
 
+def derive_user_vectors_oracle(m, table):
+    """User vectors one user at a time, np.mean over the held rows."""
+    vectors = dict(table.vectors)
+    for u in range(m.n_users):
+        items, _ = m.row(u)
+        held = [table.vectors[emb.item_node(int(i))] for i in items
+                if emb.item_node(int(i)) in table.vectors]
+        if held:
+            vectors[emb.user_node(u)] = np.mean(held, axis=0)
+    return emb.EmbeddingTable(table.dim, vectors, meta=table.meta)
+
+
+def sample_negatives_oracle(m, users, rng):
+    """One scalar draw and one row search at a time."""
+    neg = np.empty(len(users), dtype=np.int64)
+    for row, u in enumerate(users):
+        items, _ = m.row(int(u))
+        found = -1
+        for _ in range(100):
+            cand = int(rng.integers(m.n_items))
+            pos = np.searchsorted(items, cand)
+            if pos >= len(items) or items[pos] != cand:
+                found = cand
+                break
+        if found < 0:
+            emb.log.warning("negative sampling failed for user %d; "
+                            "triple skipped", u)
+        neg[row] = found
+    return neg
+
+
+def embedding_score_oracle(table, user, candidates, metric="dot"):
+    """One user's candidates, one dict lookup and dot per candidate."""
+    scores = np.zeros(len(candidates))
+    missing = np.ones(len(candidates), dtype=bool)
+    u_vec = table.vectors.get(emb.user_node(user))
+    if u_vec is None:
+        return scores, missing
+    u_norm = float(np.linalg.norm(u_vec))
+    for pos, cand in enumerate(candidates):
+        c_vec = table.vectors.get(emb.item_node(cand))
+        if c_vec is None:
+            continue
+        missing[pos] = False
+        if metric == "dot":
+            scores[pos] = float(u_vec @ c_vec)
+        else:
+            c_norm = float(np.linalg.norm(c_vec))
+            if u_norm > 0 and c_norm > 0:
+                scores[pos] = float(u_vec @ c_vec) / (u_norm * c_norm)
+    return scores, missing
+
+
+def run_score_oracle(table, users, items, metric):
+    """embedding_score_oracle over each run of equal consecutive users."""
+    cuts = [0, *(np.flatnonzero(np.diff(users)) + 1).tolist(), len(items)]
+    parts = [embedding_score_oracle(table, int(users[a]), items[a:b].tolist(),
+                                    metric) for a, b in zip(cuts, cuts[1:])
+             if a < b]
+    if not parts:
+        return np.zeros(0), np.zeros(0, dtype=bool)
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
 def assert_same_table(got, want):
     assert list(got.vectors) == list(want.vectors)
     for key, vec in want.vectors.items():
@@ -212,6 +286,17 @@ class TestLightGcnPropagation:
         out = emb.lightgcn_propagate(m, emb.EmbeddingTable(1, vectors), 3)
         assert out.vectors[emb.user_node(0)][0] == pytest.approx(0.5)
         assert out.vectors[emb.item_node(1)][0] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_segment_sum_equals_stacked_cumsum(self, seed):
+        rng = np.random.default_rng(seed)
+        m = matrix_from_dense(random_dense(rng, 30, 20, density=0.2))
+        source = rng.normal(size=(20, 5))
+        gathered = source[m.user_items]
+        cs = np.vstack([np.zeros((1, 5)), np.cumsum(gathered, axis=0)])
+        want = cs[m.user_ptr[1:]] - cs[m.user_ptr[:-1]]
+        got = emb._segment_sum(source, m.user_items, m.user_ptr)
+        assert same_bits(got, want)
 
 
 def finite_difference(fn, x, h=1e-6):
@@ -517,26 +602,204 @@ class TestEmbeddingScore:
         return emb.EmbeddingTable(2, vectors)
 
     def test_dot_scores(self):
-        scores, missing = emb.embedding_score(self.table(), "u",
+        scores, missing = emb.embedding_score(self.table(), ["u", "u"],
                                               ["a", "nope"], metric="dot")
         assert scores[0] == pytest.approx(11.0)
         assert scores[1] == 0.0
         assert list(missing) == [False, True]
 
     def test_cosine_scores_and_zero_norm(self):
-        scores, missing = emb.embedding_score(self.table(), "u", ["a", "z"],
-                                              metric="cosine")
+        scores, missing = emb.embedding_score(self.table(), ["u", "u"],
+                                              ["a", "z"], metric="cosine")
         want = 11.0 / (np.sqrt(5) * 5)
         assert scores[0] == pytest.approx(want)
         assert scores[1] == 0.0 and not missing[1]
 
     def test_absent_user_all_missing(self):
-        scores, missing = emb.embedding_score(self.table(), "ghost", ["a"])
-        assert np.all(missing) and np.all(scores == 0)
+        scores, missing = emb.embedding_score(self.table(), ["ghost", "u"],
+                                              ["a", "a"])
+        assert list(missing) == [True, False]
+        assert scores[0] == 0.0 and scores[1] == pytest.approx(11.0)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="euclid"):
-            emb.embedding_score(self.table(), "u", ["a"], metric="euclid")
+            emb.embedding_score(self.table(), ["u"], ["a"], metric="euclid")
+
+    def test_unaligned_pairs_rejected(self):
+        with pytest.raises(ValueError, match="aligned"):
+            emb.embedding_score(self.table(), ["u"], ["a", "z"])
+
+
+def random_embedding_table(rng, dim, n_users, n_items, absent=0.2,
+                           zero=0.1):
+    """Vectors for a random subset of users and items, some exactly zero."""
+    vectors = {}
+    for side, n in ((emb.user_node, n_users), (emb.item_node, n_items)):
+        for k in range(n):
+            draw = rng.random()
+            if draw < absent:
+                continue
+            vec = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
+            vectors[side(k)] = np.zeros(dim) if draw < absent + zero else vec
+    return emb.EmbeddingTable(dim, vectors)
+
+
+class TestEmbeddingScoreMatchesOracle:
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    @pytest.mark.parametrize("dim", [1, 2, 8, 16, 33, 64])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_bits_as_per_user_loop(self, metric, dim, seed):
+        rng = np.random.default_rng(seed)
+        table = random_embedding_table(rng, dim, 30, 40)
+        # runs of 1-12 candidates per user, -1 for an unknown user, users
+        # repeating in later runs, items outside the table
+        runs = [(int(rng.integers(-1, 35)), rng.integers(0, 45, size=n))
+                for n in rng.integers(1, 13, size=60)]
+        users = np.concatenate([np.full(len(c), u) for u, c in runs])
+        items = np.concatenate([c for _, c in runs])
+        got = emb.embedding_score(table, users, items, metric=metric)
+        want = run_score_oracle(table, users, items, metric)
+        assert same_bits(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[1].any() and not got[1].all()
+
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    def test_zero_vectors_under_cosine(self, metric):
+        vectors = {emb.user_node(0): np.zeros(3),
+                   emb.user_node(1): np.array([1.0, -2.0, 0.5]),
+                   emb.item_node(0): np.zeros(3),
+                   emb.item_node(1): np.array([-0.0, 3.0, 1.0])}
+        table = emb.EmbeddingTable(3, vectors)
+        users, items = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 2])
+        got = emb.embedding_score(table, users, items, metric=metric)
+        want = run_score_oracle(table, users, items, metric)
+        assert same_bits(got[0], want[0])
+        assert list(got[1]) == [False, False, False, False, True]
+
+    def test_empty_batch(self):
+        table = random_embedding_table(np.random.default_rng(0), 4, 3, 3)
+        for metric in ("dot", "cosine"):
+            scores, missing = emb.embedding_score(
+                table, np.zeros(0, dtype=np.int64),
+                np.zeros(0, dtype=np.int64), metric=metric)
+            assert scores.shape == (0,) and missing.shape == (0,)
+
+    def test_trained_tables(self):
+        rng = np.random.default_rng(4)
+        m = matrix_from_dense(random_dense(rng, 20, 15, density=0.3))
+        table = emb.train_lightgcn(m.binarized(), emb.LightGcnParams(
+            layers=2, dim=16, epochs=2, batch_size=16, seed=1))
+        users = np.repeat(np.arange(-1, 21), 16)
+        items = np.tile(np.arange(16), 22)
+        for metric in ("dot", "cosine"):
+            got = emb.embedding_score(table, users, items, metric=metric)
+            want = run_score_oracle(table, users, items, metric)
+            assert same_bits(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+class TestDeriveUserVectorsMatchesOracle:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_bits_as_per_user_mean(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        dense = random_dense(rng, 25, 60, density=0.35)
+        dense[3] = 0.0                       # a user without history
+        dense[4, :] = 1.0                    # a long history (pairwise sums)
+        m = matrix_from_dense(dense)
+        vectors = {emb.item_node(i): rng.normal(size=dim)
+                   * 10.0 ** rng.uniform(-4, 4) for i in range(60)
+                   if rng.random() < 0.8}
+        # a user whose every item lacks a vector, and an all -0.0 vector
+        for i in np.flatnonzero(dense[5]):
+            vectors.pop(emb.item_node(int(i)), None)
+        vectors[emb.item_node(int(np.flatnonzero(dense[6])[0]))] = \
+            np.full(dim, -0.0)
+        table = emb.EmbeddingTable(dim, vectors, meta={"vocab": 1})
+        got = emb.derive_user_vectors(m, table)
+        want = derive_user_vectors_oracle(m, table)
+        assert list(got.vectors) == list(want.vectors)
+        for key, vec in want.vectors.items():
+            assert same_bits(got.vectors[key], vec), key
+        assert got.meta == want.meta
+        assert emb.user_node(3) not in got and emb.user_node(5) not in got
+
+    def test_no_covered_item_at_all(self):
+        m = matrix_from_dense(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        table = emb.EmbeddingTable(2, {"other": np.ones(2)})
+        got = emb.derive_user_vectors(m, table)
+        assert list(got.vectors) == ["other"]
+
+
+def edge_keys(m):
+    users = np.repeat(np.arange(m.n_users), np.diff(m.user_ptr))
+    return users * m.n_items + m.user_items
+
+
+class TestSampleNegativesMatchesOracle:
+    def check(self, m, users, rng_seed, caplog, warm=0):
+        """Same negatives, warnings and generator state as the oracle; warm
+        scalar draws first leave a buffered 32-bit half in the state."""
+        got_rng, want_rng = (np.random.default_rng(rng_seed) for _ in "ab")
+        for rng in (got_rng, want_rng):
+            for _ in range(warm):
+                rng.integers(7)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger=emb.log.name):
+            want = sample_negatives_oracle(m, users, want_rng)
+            want_log = [r.getMessage() for r in caplog.records]
+            caplog.clear()
+            got = emb._sample_negatives(edge_keys(m), m.n_items, users,
+                                        got_rng)
+            got_log = [r.getMessage() for r in caplog.records]
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got_log == want_log
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()
+        return got, got_log
+
+    @pytest.mark.parametrize("size", [1, 5, 31, 32, 33, 100, 1024])
+    @pytest.mark.parametrize("warm", [0, 1])
+    def test_batches(self, size, warm, caplog):
+        rng = np.random.default_rng(size)
+        dense = random_dense(rng, 40, 30, density=0.4)
+        m = matrix_from_dense(dense)
+        users = np.repeat(np.arange(40), np.diff(m.user_ptr))
+        batch = users[rng.integers(0, len(users), size=size)]
+        neg, _ = self.check(m, batch, size, caplog, warm)
+        assert np.all(dense[batch, neg] == 0)
+
+    def test_user_with_every_item(self, caplog):
+        dense = np.zeros((4, 6))
+        dense[0, :] = 1.0
+        dense[1, :2] = dense[2, 3] = dense[3, 1:4] = 1.0
+        m = matrix_from_dense(dense)
+        users = np.array([1, 0, 2, 0, 3, 3, 0])
+        neg, log_lines = self.check(m, users, 9, caplog)
+        assert list(neg[[1, 3, 6]]) == [-1, -1, -1]
+        assert np.all(neg[[0, 2, 4, 5]] >= 0)
+        assert log_lines == ["negative sampling failed for user 0; "
+                             "triple skipped"] * 3
+
+    def test_one_item(self, caplog):
+        m = matrix_from_dense(np.ones((3, 1)))
+        neg, log_lines = self.check(m, np.array([2, 0, 1]), 1, caplog)
+        assert list(neg) == [-1, -1, -1] and len(log_lines) == 3
+
+    def test_empty_batch(self, caplog):
+        m = matrix_from_dense(np.eye(3))
+        neg, _ = self.check(m, np.zeros(0, dtype=np.int64), 2, caplog)
+        assert neg.shape == (0,)
+
+    @pytest.mark.parametrize("n", [7, 200, 2**31 + 5, 2**33])
+    def test_array_draws_are_the_scalar_draws(self, n):
+        # the batched sampler relies on this property of numpy's Generator
+        scalar, batched = (np.random.default_rng(3) for _ in "ab")
+        for rng in (scalar, batched):
+            rng.integers(5)
+        want = [int(scalar.integers(n)) for _ in range(257)]
+        assert batched.integers(n, size=257).tolist() == want
+        assert scalar.bit_generator.state == batched.bit_generator.state
 
 
 class TestEmbeddingTsv:

@@ -274,22 +274,25 @@ class TestScorerRegistry:
         assert np.array_equal(args[-2], users)
         assert np.array_equal(args[-1], items)
 
-    def test_embedding_adapter_calls_once_per_run_user(self, monkeypatch):
+    def test_embedding_adapter_calls_once_per_spec_and_run(
+            self, monkeypatch):
         calls = []
         inner = emb.embedding_score
 
-        def spy(table, user, candidates, metric):
-            calls.append((user, list(candidates)))
-            return inner(table, user, candidates, metric=metric)
+        def spy(table, users, candidates, metric):
+            calls.append((np.asarray(users).tolist(),
+                          np.asarray(candidates).tolist()))
+            return inner(table, users, candidates, metric=metric)
 
         monkeypatch.setattr(emb, "embedding_score", spy)
         ctx = tiny_context()
         run = RunFile(RUN.entries + (("stranger", ("i0",)),))
         spec = spec_for("word2vec", {"dim": 4, "epochs": 1, "seed": 1})
         table, _ = run_plan([spec], ctx, run)
-        assert calls == [(ctx.users.forward.get(u, -1),
-                          [ctx.items.encode(c) for c in cands])
-                         for u, cands in run.entries]
+        assert calls == [(
+            [ctx.users.forward.get(u, -1) for u, cands in run.entries
+             for _ in cands],
+            [ctx.items.encode(c) for _, cands in run.entries for c in cands])]
         assert table.column(f"{spec.feature_name}__missing")[-1] == 1.0
 
     def test_seeded_entries_are_the_embedding_scorers(self):

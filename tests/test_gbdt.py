@@ -485,6 +485,35 @@ class TestBagging:
         with pytest.raises(StageError, match="distinct users"):
             gbdt.kfold_bagging(table, stump_params(), folds=10)
 
+    def test_oof_ndcg_qrels_and_value_equal_the_row_loop(self, rng,
+                                                         monkeypatch):
+        table = ranking_table(rng, n_users=12, per_user=5)
+        # users out of first-appearance order and a user with two positives
+        order = rng.permutation(table.n_rows)
+        labels = table.labels[order].copy()
+        labels[np.flatnonzero(labels == 0)[:3]] = 1
+        table = make_table(table.values[order], labels,
+                           users=[table.users[r] for r in order],
+                           items=[table.items[r] for r in order])
+        scores = rng.normal(size=table.n_rows)
+        want_qrels: dict[str, set] = {}
+        for r in range(table.n_rows):
+            if table.labels[r] == 1:
+                want_qrels.setdefault(table.users[r], set()).add(table.items[r])
+        run = gbdt.evaluation.group_ranked_run(table.users, table.items, scores)
+        _, want = gbdt.evaluation.ndcg_at_k(run, want_qrels, k=10)
+        seen = []
+        inner = gbdt.evaluation.ndcg_at_k
+
+        def spy(run, qrels, k):
+            seen.append(qrels)
+            return inner(run, qrels, k=k)
+
+        monkeypatch.setattr(gbdt.evaluation, "ndcg_at_k", spy)
+        assert gbdt.oof_ndcg(table, scores) == want
+        [qrels] = seen
+        assert list(qrels.items()) == list(want_qrels.items())
+
     def test_oof_ndcg_requires_positives(self, rng):
         values = rng.normal(size=(6, 1))
         table = make_table(values, [0] * 6, users=["u"] * 6,
