@@ -15,9 +15,11 @@ table and the cosine over the word2vec table with its derived user
 vectors.
 
 Prints the median wall time of each kernel over --repeats calls and the
-sha256 of the walks, of each table (keys and vector bytes in key order)
-and of the scores (score bytes, then missing flags), so two checkouts can
-be compared for speed and for identical outputs:
+sha256 of the walks, of each table and of the scores (score bytes, then
+missing flags), so two checkouts can be compared for speed and for
+identical outputs. A table is hashed as its present vectors keyed u:<id>
+and i:<id>, each key then its vector bytes, in sorted key order; a
+skip-gram result keys every token as i:<token>.
 
     PYTHONPATH=src python scripts/bench_embeddings.py --repeats 5
 """
@@ -54,11 +56,22 @@ def walks_digest(walks) -> str:
 
 
 def table_digest(table: emb.EmbeddingTable) -> str:
+    rows = {}
+    for side, vectors, has in (("u", table.users, table.has_user),
+                               ("i", table.items, table.has_item)):
+        rows.update((f"{side}:{k}", vectors[k])
+                    for k in np.flatnonzero(has).tolist())
     digest = hashlib.sha256()
-    for key in sorted(table.vectors):
+    for key in sorted(rows):
         digest.update(key.encode("utf-8"))
-        digest.update(np.asarray(table.vectors[key], dtype=np.float64).tobytes())
+        digest.update(np.asarray(rows[key], dtype=np.float64).tobytes())
     return digest.hexdigest()
+
+
+def token_table(vectors, present, meta) -> emb.EmbeddingTable:
+    """A skip-gram result as a table of items only."""
+    return emb.EmbeddingTable(np.zeros((0, vectors.shape[1])),
+                              np.zeros(0, dtype=bool), vectors, present, meta)
 
 
 def make_run() -> tuple[np.ndarray, np.ndarray]:
@@ -107,9 +120,11 @@ def main(argv=None) -> None:
         args.repeats, lambda: emb.generate_walks(m, WALKS), walks_digest)
     print(f"generate_walks           median {secs:.4f} s  "
           f"{len(walks)} walks  sha256 {digest}")
-    for label, corpus in (("walks", walks), ("histories", history)):
+    for label, corpus, n_tokens in (("walks", walks, N_USERS + N_ITEMS),
+                                    ("histories", history, N_ITEMS)):
         secs, digest, skipgram = timed(
-            args.repeats, lambda: emb.train_skipgram(corpus, SKIPGRAM),
+            args.repeats,
+            lambda: token_table(*emb.train_skipgram(corpus, SKIPGRAM, n_tokens)),
             table_digest)
         print(f"train_skipgram {label:<9} median {secs:.4f} s  "
               f"{sum(map(len, corpus))} tokens  sha256 {digest}")
@@ -119,7 +134,8 @@ def main(argv=None) -> None:
         table_digest)
     print(f"train_lightgcn           median {secs:.4f} s  "
           f"{binary.nnz} edges  sha256 {digest}")
-    word2vec = emb.derive_user_vectors(m, skipgram)   # the histories table
+    word2vec = emb.derive_user_vectors(    # the histories table
+        m, skipgram.items, skipgram.has_item, skipgram.meta)
     users, items = make_run()
     for metric, table in (("dot", lightgcn), ("cosine", word2vec)):
         secs, digest, _ = timed(

@@ -1,10 +1,11 @@
 """Embedding scorers: skip-gram over history sequences or biased walks,
 and a LightGCN trainer with BPR loss.
 
-Nodes live on the bipartite user-item graph. Embedding tables key vectors
-by node strings — ``u:<id>`` for users, ``i:<id>`` for items — so one
-table can hold both sides; externally supplied tables may use raw item
-ids instead.
+Nodes live on the bipartite user-item graph. An EmbeddingTable holds one
+vector array per side, indexed by the encoders' user and item ids, and a
+presence mask per side: a node the training never saw has no vector.
+Externally supplied vectors are keyed by raw item ids and read as a plain
+dict.
 
 embedding_score scores a whole run of aligned (user, item) pairs with no
 per-pair loop; derive_user_vectors sums every user's history one position
@@ -30,14 +31,6 @@ from .util import DataError, atomic_write_text, fmt, sigmoid, stage_seed
 log = logging.getLogger(__name__)
 
 
-def user_node(user) -> str:
-    return f"u:{user}"
-
-
-def item_node(item) -> str:
-    return f"i:{item}"
-
-
 @dataclass(frozen=True)
 class WalkParams:
     p: float = 1.0
@@ -51,6 +44,8 @@ class WalkParams:
             raise ValueError("p and q must be positive")
         if self.walk_length < 2:
             raise ValueError("walk_length must be at least 2")
+        if self.walks_per_node < 1:
+            raise ValueError("walks_per_node must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -87,39 +82,38 @@ class LightGcnParams:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.node_dropout < 1.0:
             raise ValueError("node_dropout must lie in [0, 1)")
+        if self.l2_reg < 0:
+            raise ValueError("l2_reg must be non-negative")
 
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """node key → fixed-width vector; meta carries training diagnostics."""
+    """Vectors on the encoders' ids: users[u] is user u's vector where
+    has_user[u] holds and items[i] item i's where has_item[i] holds; other
+    rows are zero. meta carries training diagnostics."""
 
-    dim: int
-    vectors: dict[str, np.ndarray]
+    users: np.ndarray
+    has_user: np.ndarray
+    items: np.ndarray
+    has_item: np.ndarray
     meta: Mapping | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        for key, vec in self.vectors.items():
-            if len(vec) != self.dim:
-                raise ValueError(f"vector for {key!r} has wrong width")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"non-finite vector for {key!r}")
-
-    def __contains__(self, key) -> bool:
-        return key in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
+        if not (np.all(np.isfinite(self.users[self.has_user]))
+                and np.all(np.isfinite(self.items[self.has_item]))):
+            raise ValueError("non-finite vector in embedding table")
 
 
-def write_embedding_tsv(table: EmbeddingTable, path) -> None:
+def write_embedding_tsv(vectors: Mapping[str, np.ndarray], path) -> None:
     lines = []
-    for key in sorted(table.vectors):
-        vec = table.vectors[key]
-        lines.append("\t".join([key] + [fmt(v) for v in vec]))
+    for key in sorted(vectors):
+        lines.append("\t".join([key] + [fmt(v) for v in vectors[key]]))
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
-def read_embedding_tsv(path) -> EmbeddingTable:
+def read_embedding_tsv(path) -> dict[str, np.ndarray]:
+    """Vectors keyed by the file's first column: one line per key, tab
+    separated, every vector finite and of one width."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"embedding file not found: {path}")
@@ -148,7 +142,7 @@ def read_embedding_tsv(path) -> EmbeddingTable:
             vectors[parts[0]] = vec
     if dim is None:
         raise DataError(f"embedding file is empty: {path}")
-    return EmbeddingTable(dim, vectors)
+    return vectors
 
 
 # --- biased walks -----------------------------------------------------------
@@ -181,7 +175,7 @@ def generate_walks(m: SparseInteractionMatrix,
     searchsorted draw per walk and step."""
     ptr, nbrs = _node_csr(m)
     deg = np.diff(ptr)
-    nodes, per = np.flatnonzero(deg), max(params.walks_per_node, 0)
+    nodes, per = np.flatnonzero(deg), params.walks_per_node
     starts, reps = np.repeat(nodes, per), np.tile(np.arange(per), len(nodes))
     steps = params.walk_length - 1
     walks: list[list[int]] = []
@@ -273,24 +267,28 @@ def _window_pairs(tokens: np.ndarray, lengths: np.ndarray, window: int
 
 
 def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
-                   node_key=None) -> EmbeddingTable:
-    """Skip-gram with negative sampling over integer-token sequences.
+                   n_tokens: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Skip-gram with negative sampling over sequences of tokens
+    0..n_tokens-1.
 
     Negatives come from the unigram^0.75 distribution. Updates are applied
     in chunks of up to 1,024 pairs within each sequence, in sequence order;
-    input vectors (W_in) become the embedding. node_key maps a token to its
-    table key (default: i:<token>). Pairs are built vectorised over blocks
-    of sequences, but every chunk and its negative draws are those of a
-    per-sequence loop, so the random stream and the vectors are unchanged.
+    input vectors (W_in) become the embedding. Pairs are built vectorised
+    over blocks of sequences, but every chunk and its negative draws are
+    those of a per-sequence loop, so the random stream and the vectors are
+    unchanged. Returns (vectors, present, meta): row t of vectors is token
+    t's vector where present[t] holds, zero for a token the corpus lacks;
+    meta holds the epoch losses and the vocabulary size.
     """
     corpus = [seq for seq in corpus if len(seq)]
     if not corpus:
         raise ValueError("corpus must be nonempty")
-    node_key = node_key or item_node
     lengths = np.array([len(seq) for seq in corpus], dtype=np.int64)
     vocab, tokens = np.unique(np.fromiter(
         (tok for seq in corpus for tok in seq), dtype=np.int64,
         count=int(lengths.sum())), return_inverse=True)
+    if vocab[0] < 0 or vocab[-1] >= n_tokens:
+        raise ValueError(f"token outside 0..{n_tokens - 1}")
     noise = np.bincount(tokens).astype(np.float64) ** 0.75
     noise /= noise.sum()
     noise_cdf = np.cumsum(noise)
@@ -323,10 +321,11 @@ def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
                 begin = end
         epoch_loss.append(total / max(n_pairs, 1))
 
-    vectors = {node_key(tok): w_in[k].copy()
-               for k, tok in enumerate(vocab.tolist())}
-    return EmbeddingTable(params.dim, vectors,
-                          meta={"epoch_loss": epoch_loss, "vocab": len(vocab)})
+    vectors = np.zeros((n_tokens, params.dim))
+    vectors[vocab] = w_in
+    present = np.zeros(n_tokens, dtype=bool)
+    present[vocab] = True
+    return vectors, present, {"epoch_loss": epoch_loss, "vocab": len(vocab)}
 
 
 def _add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray
@@ -358,53 +357,55 @@ def _sgns_chunk(w_in, w_out, centers, contexts, negs, lr) -> float:
     return loss
 
 
-def derive_user_vectors(m: SparseInteractionMatrix,
-                        table: EmbeddingTable) -> EmbeddingTable:
-    """Add u:<id> vectors as the mean of each user's covered history items.
+def derive_user_vectors(m: SparseInteractionMatrix, items: np.ndarray,
+                        has_item: np.ndarray, meta: Mapping | None = None
+                        ) -> EmbeddingTable:
+    """The table of item vectors items (present where has_item holds) with
+    user vectors added: the mean of each user's covered history items.
 
     Step k adds every user's k-th covered item, in row order, onto a zero
     start: the order in which np.mean(rows, axis=0) adds the rows, so the
     means are those of a per-user np.mean. A one-wide np.mean is a pairwise
     1-D sum instead, so that width keeps it per user."""
-    vectors = dict(table.vectors)
-    item_vecs, covered = _stack_vectors(table,
-                                        map(item_node, range(m.n_items)))
     edge_users = np.repeat(np.arange(m.n_users), np.diff(m.user_ptr))
-    keep = covered[m.user_items]
+    keep = has_item[m.user_items]
     eu, ei = edge_users[keep], m.user_items[keep]
     counts = np.bincount(eu, minlength=m.n_users)
     held, starts = np.flatnonzero(counts), np.cumsum(counts) - counts
-    if table.dim == 1:
-        means = np.array([np.mean(item_vecs[ei[s:s + n]], axis=0) for s, n
-                          in zip(starts[held].tolist(), counts[held].tolist())])
+    users = np.zeros((m.n_users, items.shape[1]))
+    if items.shape[1] == 1:
+        for u in held.tolist():
+            users[u] = np.mean(items[ei[starts[u]:starts[u] + counts[u]]],
+                               axis=0)
     else:
         step = np.arange(len(eu)) - starts[eu]
         order = np.argsort(step, kind="stable")
         cuts = np.cumsum(np.bincount(step)).tolist()
-        sums = np.zeros((m.n_users, table.dim))
         for lo, hi in zip([0, *cuts], cuts):
             at = order[lo:hi]
-            sums[eu[at]] += item_vecs[ei[at]]
-        means = sums[held] / counts[held, None]
-    vectors.update(zip(map(user_node, held.tolist()), means))
-    return EmbeddingTable(table.dim, vectors, meta=table.meta)
+            users[eu[at]] += items[ei[at]]
+        users[held] /= counts[held, None]
+    return EmbeddingTable(users, counts > 0, items, has_item, meta)
 
 
 # --- LightGCN ----------------------------------------------------------------
 
-def _propagate_mean(user_vecs: np.ndarray, item_vecs: np.ndarray,
-                    user_ptr, user_items, item_ptr, item_users,
-                    user_deg: np.ndarray, item_deg: np.ndarray,
-                    layers: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over layers 0..layers of symmetric-normalized propagation."""
-    inv_u = np.where(user_deg > 0, 1.0 / np.sqrt(np.maximum(user_deg, 1)), 0.0)
-    inv_i = np.where(item_deg > 0, 1.0 / np.sqrt(np.maximum(item_deg, 1)), 0.0)
+def lightgcn_propagate(user_vecs: np.ndarray, item_vecs: np.ndarray,
+                       graph: SparseInteractionMatrix, layers: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Average of embedding layers 0..layers under e_u^(k+1) =
+    Σ_{i∈N(u)} e_i^(k)/√(|N_u||N_i|) (and symmetrically for items), over
+    the edges of graph."""
+    inv_u, inv_i = (np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1)), 0.0)
+                    for deg in (graph.user_degrees(), graph.item_degrees()))
     acc_u, acc_i = user_vecs.copy(), item_vecs.copy()
     cur_u, cur_i = user_vecs, item_vecs
     for _ in range(layers):
-        nxt_u = _segment_sum(cur_i * inv_i[:, None], user_items, user_ptr)
+        nxt_u = _segment_sum(cur_i * inv_i[:, None], graph.user_items,
+                             graph.user_ptr)
         nxt_u *= inv_u[:, None]
-        nxt_i = _segment_sum(cur_u * inv_u[:, None], item_users, item_ptr)
+        nxt_i = _segment_sum(cur_u * inv_u[:, None], graph.item_users,
+                             graph.item_ptr)
         nxt_i *= inv_i[:, None]
         acc_u += nxt_u
         acc_i += nxt_i
@@ -421,49 +422,12 @@ def _segment_sum(source: np.ndarray, gather_idx, ptr) -> np.ndarray:
     return cs[ptr[1:]] - cs[ptr[:-1]]
 
 
-def lightgcn_propagate(m: SparseInteractionMatrix, table: EmbeddingTable,
-                       layers: int) -> EmbeddingTable:
-    """Average of embedding layers 0..layers under e_u^(k+1) =
-    Σ_{i∈N(u)} e_i^(k)/√(|N_u||N_i|) (and symmetrically for items)."""
-    user_vecs = np.stack([table.vectors[user_node(u)] for u in range(m.n_users)])
-    item_vecs = np.stack([table.vectors[item_node(i)] for i in range(m.n_items)])
-    out_u, out_i = _propagate_mean(
-        user_vecs, item_vecs, m.user_ptr, m.user_items, m.item_ptr,
-        m.item_users, m.user_degrees().astype(float),
-        m.item_degrees().astype(float), layers)
-    vectors = {user_node(u): out_u[u] for u in range(m.n_users)}
-    vectors.update({item_node(i): out_i[i] for i in range(m.n_items)})
-    return EmbeddingTable(table.dim, vectors)
-
-
-def _dropout_graph(m: SparseInteractionMatrix, drop: np.ndarray):
-    """Subgraph arrays after removing all edges incident to dropped nodes
-    (users first, items offset by n_users), with re-computed degrees."""
-    keep_user = ~drop[:m.n_users]
-    keep_item = ~drop[m.n_users:]
-    edge_users = np.repeat(np.arange(m.n_users), np.diff(m.user_ptr))
-    edge_items = m.user_items
-    kept = keep_user[edge_users] & keep_item[edge_items]
-    eu, ei = edge_users[kept], edge_items[kept]
-    user_deg = np.bincount(eu, minlength=m.n_users).astype(float)
-    item_deg = np.bincount(ei, minlength=m.n_items).astype(float)
-    order_u = np.lexsort((ei, eu))
-    user_ptr = np.zeros(m.n_users + 1, dtype=np.int64)
-    np.cumsum(np.bincount(eu, minlength=m.n_users), out=user_ptr[1:])
-    order_i = np.lexsort((eu, ei))
-    item_ptr = np.zeros(m.n_items + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ei, minlength=m.n_items), out=item_ptr[1:])
-    return (user_ptr, ei[order_u], item_ptr, eu[order_i], user_deg, item_deg)
-
-
-def bpr_loss_and_grad(user_vecs, item_vecs, graph, layers, l2_reg,
-                      users, pos_items, neg_items):
+def bpr_loss_and_grad(user_vecs, item_vecs, graph: SparseInteractionMatrix,
+                      layers, l2_reg, users, pos_items, neg_items):
     """Mean BPR loss over the batch triples and the gradient with respect
     to the layer-0 embeddings, propagated through the mean-of-layers graph
     convolution (the adjacency is symmetric, so backprop reuses it)."""
-    user_ptr, user_items, item_ptr, item_users, user_deg, item_deg = graph
-    f_u, f_i = _propagate_mean(user_vecs, item_vecs, user_ptr, user_items,
-                               item_ptr, item_users, user_deg, item_deg, layers)
+    f_u, f_i = lightgcn_propagate(user_vecs, item_vecs, graph, layers)
     fu, fp, fn = f_u[users], f_i[pos_items], f_i[neg_items]
     margin = np.einsum("bd,bd->b", fu, fp - fn)
     b = len(users)
@@ -474,8 +438,7 @@ def bpr_loss_and_grad(user_vecs, item_vecs, graph, layers, l2_reg,
     _add_rows_at(d_fu, users, coef[:, None] * (fp - fn))
     _add_rows_at(d_fi, pos_items, coef[:, None] * fu)
     _add_rows_at(d_fi, neg_items, -coef[:, None] * fu)
-    g_u, g_i = _propagate_mean(d_fu, d_fi, user_ptr, user_items, item_ptr,
-                               item_users, user_deg, item_deg, layers)
+    g_u, g_i = lightgcn_propagate(d_fu, d_fi, graph, layers)
     reg = 0.0
     for vecs, grad, idx in ((user_vecs, g_u, users),
                             (item_vecs, g_i, pos_items),
@@ -493,8 +456,6 @@ def train_lightgcn(m: SparseInteractionMatrix,
     rng = np.random.default_rng(stage_seed(params.seed, "lightgcn"))
     user_vecs = rng.normal(0.0, 0.1, size=(m.n_users, params.dim))
     item_vecs = rng.normal(0.0, 0.1, size=(m.n_items, params.dim))
-    full_graph = (m.user_ptr, m.user_items, m.item_ptr, m.item_users,
-                  m.user_degrees().astype(float), m.item_degrees().astype(float))
     edge_users = np.repeat(np.arange(m.n_users), np.diff(m.user_ptr))
     edge_items = m.user_items
     edge_keys = edge_users * m.n_items + edge_items
@@ -518,11 +479,14 @@ def train_lightgcn(m: SparseInteractionMatrix,
                 users, pos, neg = users[ok], pos[ok], neg[ok]
                 if len(users) == 0:
                     continue
+            graph = m
             if params.node_dropout > 0:
+                # drop every edge of a dropped node (items offset by n_users)
                 drop = rng.random(n_nodes) < params.node_dropout
-                graph = _dropout_graph(m, drop)
-            else:
-                graph = full_graph
+                kept = ~(drop[edge_users] | drop[m.n_users + edge_items])
+                graph = SparseInteractionMatrix.from_pairs(
+                    edge_users[kept], edge_items[kept], m.user_ratings[kept],
+                    m.n_users, m.n_items)
             loss, g_u, g_i = bpr_loss_and_grad(
                 user_vecs, item_vecs, graph, params.layers, params.l2_reg,
                 users, pos, neg)
@@ -537,11 +501,10 @@ def train_lightgcn(m: SparseInteractionMatrix,
                 vecs -= params.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
         epoch_loss.append(float(np.mean(losses)) if losses else math.nan)
 
-    out_u, out_i = _propagate_mean(
-        user_vecs, item_vecs, *full_graph, params.layers)
-    vectors = {user_node(u): out_u[u] for u in range(m.n_users)}
-    vectors.update({item_node(i): out_i[i] for i in range(m.n_items)})
-    return EmbeddingTable(params.dim, vectors, meta={"epoch_loss": epoch_loss})
+    out_u, out_i = lightgcn_propagate(user_vecs, item_vecs, m, params.layers)
+    return EmbeddingTable(out_u, np.ones(m.n_users, dtype=bool),
+                          out_i, np.ones(m.n_items, dtype=bool),
+                          meta={"epoch_loss": epoch_loss})
 
 
 # Draws tested per window while sampling negatives. A window ends at its
@@ -591,16 +554,12 @@ def _sample_negatives(edge_keys: np.ndarray, n_items: int, users: np.ndarray,
     return neg
 
 
-def _stack_vectors(table: EmbeddingTable, keys: Iterable[str]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(vectors, present): one row per key, zero where the table has no
-    vector for it."""
-    found = [table.vectors.get(key) for key in keys]
-    present = np.array([vec is not None for vec in found], dtype=bool)
-    vecs = np.zeros((len(found), table.dim))
-    if present.any():
-        vecs[present] = [vec for vec in found if vec is not None]
-    return vecs, present
+def _has_vector(has: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """has[ids], False for an id outside the table: the -1 of an unknown
+    user must not read the last row."""
+    ok = (ids >= 0) & (ids < len(has))
+    ok[ok] = has[ids[ok]]
+    return ok
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -609,32 +568,31 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def embedding_score(table: EmbeddingTable, users: Sequence,
-                    candidates: Sequence, metric: str = "dot"
+def embedding_score(table: EmbeddingTable, users: Sequence[int],
+                    candidates: Sequence[int], metric: str = "dot"
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Dot or cosine scores of aligned pairs: users[p]'s vector against
-    candidates[p]'s. Returns (scores, missing): a pair whose user or item
-    has no vector scores 0 and is flagged; a zero vector under cosine also
-    scores 0.
+    """Dot or cosine scores of aligned pairs of encoded ids: users[p]'s
+    vector against candidates[p]'s. Returns (scores, missing): a pair whose
+    user or item has no vector (an id outside the table, such as -1, has
+    none) scores 0 and is flagged; a zero vector under cosine also scores 0.
 
-    Each distinct user and item vector is looked up once. Each score
-    equals float(u @ c), or float(u @ c) / (|u| * |c|) with the norms of
-    np.linalg.norm (the square roots of the same dots of a vector with
-    itself), bit for bit."""
+    Each score equals float(u @ c), or float(u @ c) / (|u| * |c|) with the
+    norms of np.linalg.norm (the square roots of the same dots of a vector
+    with itself), bit for bit."""
     if metric not in ("dot", "cosine"):
         raise ValueError(f"unknown metric {metric!r}")
     if len(users) != len(candidates):
         raise ValueError("users and candidates must be aligned")
-    user_ids, user_of = np.unique(np.asarray(users), return_inverse=True)
-    item_ids, item_of = np.unique(np.asarray(candidates), return_inverse=True)
-    u_vecs, u_ok = _stack_vectors(table, map(user_node, user_ids.tolist()))
-    c_vecs, c_ok = _stack_vectors(table, map(item_node, item_ids.tolist()))
-    present = u_ok[user_of] & c_ok[item_of]
-    u_rows, c_rows = user_of[present], item_of[present]
-    dots = _row_dots(u_vecs[u_rows], c_vecs[c_rows])
+    users = np.asarray(users, dtype=np.int64)
+    candidates = np.asarray(candidates, dtype=np.int64)
+    present = (_has_vector(table.has_user, users)
+               & _has_vector(table.has_item, candidates))
+    u_vecs = table.users[users[present]]
+    c_vecs = table.items[candidates[present]]
+    dots = _row_dots(u_vecs, c_vecs)
     if metric == "cosine":
-        u_norm = np.sqrt(_row_dots(u_vecs, u_vecs))[u_rows]
-        c_norm = np.sqrt(_row_dots(c_vecs, c_vecs))[c_rows]
+        u_norm = np.sqrt(_row_dots(u_vecs, u_vecs))
+        c_norm = np.sqrt(_row_dots(c_vecs, c_vecs))
         dots = np.divide(dots, u_norm * c_norm, out=np.zeros_like(dots),
                          where=(u_norm > 0) & (c_norm > 0))
     scores = np.zeros(len(candidates))

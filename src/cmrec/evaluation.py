@@ -166,19 +166,9 @@ def read_qrels(path) -> dict[str, set]:
 
 
 def metric_report(per_market_ndcg: Mapping[str, float],
-                  weights: Mapping[str, float],
-                  per_user: Mapping[str, Mapping] | None = None) -> dict:
-    report = {
+                  weights: Mapping[str, float]) -> dict:
+    return {
         "per_market": {m: float(s) for m, s in sorted(per_market_ndcg.items())},
         "weights": {m: float(weights[m]) for m in sorted(per_market_ndcg)},
         "weighted": weighted_market_score(per_market_ndcg, weights),
     }
-    if per_user:
-        quantiles = {}
-        for market, users in per_user.items():
-            vals = np.array(sorted(users.values()))
-            quantiles[market] = {
-                f"p{q}": float(np.quantile(vals, q / 100.0)) for q in (10, 25, 50, 75, 90)
-            }
-        report["per_user_quantiles"] = quantiles
-    return report

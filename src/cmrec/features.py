@@ -65,8 +65,8 @@ def _skipgram_params(p: Mapping) -> emb.SkipGramParams:
 def _fit_word2vec(m: SparseInteractionMatrix, p: Mapping):
     corpus = emb.user_history_sequences(m, int(p.get("shuffles", 2)),
                                         int(p.get("seed", 0)))
-    table = emb.train_skipgram(corpus, _skipgram_params(p))
-    return emb.derive_user_vectors(m, table), p.get("metric", "cosine")
+    trained = emb.train_skipgram(corpus, _skipgram_params(p), m.n_items)
+    return emb.derive_user_vectors(m, *trained), p.get("metric", "cosine")
 
 
 def _fit_node2vec(m: SparseInteractionMatrix, p: Mapping, q: float):
@@ -75,12 +75,12 @@ def _fit_node2vec(m: SparseInteractionMatrix, p: Mapping, q: float):
         walk_length=int(p.get("walk_length", 20)),
         walks_per_node=int(p.get("walks_per_node", 10)),
         seed=int(p.get("seed", 0))))
-
-    def key(token: int) -> str:
-        return (emb.user_node(token) if token < m.n_users
-                else emb.item_node(token - m.n_users))
-
-    table = emb.train_skipgram(walks, _skipgram_params(p), node_key=key)
+    # walk tokens are users, then items offset by n_users
+    vectors, present, meta = emb.train_skipgram(
+        walks, _skipgram_params(p), m.n_users + m.n_items)
+    n = m.n_users
+    table = emb.EmbeddingTable(vectors[:n], present[:n], vectors[n:],
+                               present[n:], meta)
     return table, p.get("metric", "cosine")
 
 
@@ -579,7 +579,8 @@ def global_statistic_features(ctx: PlanContext, run: RunFile, target: str
     return columns, np.column_stack(mats), prov
 
 
-def external_embedding_features(table: emb.EmbeddingTable, run: RunFile,
+def external_embedding_features(vectors: Mapping[str, np.ndarray],
+                                run: RunFile,
                                 matrix: SparseInteractionMatrix,
                                 ctx: PlanContext
                                 ) -> tuple[list[str], np.ndarray, dict]:
@@ -591,7 +592,7 @@ def external_embedding_features(table: emb.EmbeddingTable, run: RunFile,
     def unit(raw_item: str):
         if raw_item in norm_cache:
             return norm_cache[raw_item]
-        vec = table.vectors.get(raw_item)
+        vec = vectors.get(raw_item)
         if vec is not None:
             n = float(np.linalg.norm(vec))
             vec = vec / n if n > 0 else None

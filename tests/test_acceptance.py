@@ -219,16 +219,10 @@ def test_criterion_4_embedding_math(capsys):
         m = matrix_from_dense(dense)
         uv = rng.normal(size=(20, 6))
         iv = rng.normal(size=(15, 6))
-        vectors = {emb.user_node(u): uv[u] for u in range(20)}
-        vectors.update({emb.item_node(i): iv[i] for i in range(15)})
-        out = emb.lightgcn_propagate(m, emb.EmbeddingTable(6, vectors), 3)
+        out_u, out_i = emb.lightgcn_propagate(uv, iv, m, 3)
         want_u, want_i = dense_propagation_oracle(dense, uv, iv, 3)
-        for u in range(20):
-            worst_prop = max(worst_prop, float(
-                np.abs(out.vectors[emb.user_node(u)] - want_u[u]).max()))
-        for i in range(15):
-            worst_prop = max(worst_prop, float(
-                np.abs(out.vectors[emb.item_node(i)] - want_i[i]).max()))
+        worst_prop = max(worst_prop, float(np.abs(out_u - want_u).max()),
+                         float(np.abs(out_i - want_i).max()))
 
     worst_grad = 0.0
     for seed in range(5):
@@ -249,15 +243,12 @@ def test_criterion_4_embedding_math(capsys):
         m = matrix_from_dense(dense)
         uv = rng.normal(0, 0.2, size=(8, 3))
         iv = rng.normal(0, 0.2, size=(6, 3))
-        graph = (m.user_ptr, m.user_items, m.item_ptr, m.item_users,
-                 m.user_degrees().astype(float),
-                 m.item_degrees().astype(float))
         users = np.array([0, 1, 2, 3])
         pos = np.array([np.flatnonzero(dense[u])[0] for u in users])
         neg = np.array([(p + 1) % 6 for p in pos])
-        _, g_u, g_i = emb.bpr_loss_and_grad(uv, iv, graph, 2, 0.01,
+        _, g_u, g_i = emb.bpr_loss_and_grad(uv, iv, m, 2, 0.01,
                                             users, pos, neg)
-        loss = lambda: emb.bpr_loss_and_grad(uv, iv, graph, 2, 0.01,
+        loss = lambda: emb.bpr_loss_and_grad(uv, iv, m, 2, 0.01,
                                              users, pos, neg)[0]
         worst_grad = max(worst_grad,
                          rel_err(finite_difference(loss, uv), g_u),

@@ -94,7 +94,7 @@ def sgns_chunk_oracle(w_in, w_out, centers, contexts, negs, lr):
     return loss
 
 
-def train_skipgram_oracle(corpus, params, node_key=emb.item_node):
+def train_skipgram_oracle(corpus, params, n_tokens):
     """Skip-gram with Python-built pairs per sequence, dict vocabulary and
     2-D row scatters."""
     corpus = [list(seq) for seq in corpus]
@@ -125,16 +125,18 @@ def train_skipgram_oracle(corpus, params, node_key=emb.item_node):
                                            params.learning_rate)
                 n_pairs += len(c)
         epoch_loss.append(total / max(n_pairs, 1))
-    vectors = {node_key(tok): w_in[index[tok]].copy() for tok in vocab}
-    return emb.EmbeddingTable(params.dim, vectors,
-                              meta={"epoch_loss": epoch_loss,
-                                    "vocab": len(vocab)})
+    vectors = np.zeros((n_tokens, params.dim))
+    present = np.zeros(n_tokens, dtype=bool)
+    for tok in vocab:
+        vectors[tok] = w_in[index[tok]]
+        present[tok] = True
+    return vectors, present, {"epoch_loss": epoch_loss, "vocab": len(vocab)}
 
 
 def bpr_loss_and_grad_oracle(user_vecs, item_vecs, graph, layers, l2_reg,
                              users, pos_items, neg_items):
     """bpr_loss_and_grad with 2-D row-indexed np.add.at scatters."""
-    f_u, f_i = emb._propagate_mean(user_vecs, item_vecs, *graph, layers)
+    f_u, f_i = emb.lightgcn_propagate(user_vecs, item_vecs, graph, layers)
     fu, fp, fn = f_u[users], f_i[pos_items], f_i[neg_items]
     margin = np.einsum("bd,bd->b", fu, fp - fn)
     b = len(users)
@@ -144,7 +146,7 @@ def bpr_loss_and_grad_oracle(user_vecs, item_vecs, graph, layers, l2_reg,
     np.add.at(d_fu, users, coef[:, None] * (fp - fn))
     np.add.at(d_fi, pos_items, coef[:, None] * fu)
     np.add.at(d_fi, neg_items, -coef[:, None] * fu)
-    g_u, g_i = emb._propagate_mean(d_fu, d_fi, *graph, layers)
+    g_u, g_i = emb.lightgcn_propagate(d_fu, d_fi, graph, layers)
     reg = 0.0
     for vecs, grad, idx in ((user_vecs, g_u, users),
                             (item_vecs, g_i, pos_items),
@@ -155,16 +157,16 @@ def bpr_loss_and_grad_oracle(user_vecs, item_vecs, graph, layers, l2_reg,
     return loss + l2_reg * reg / b, g_u, g_i
 
 
-def derive_user_vectors_oracle(m, table):
+def derive_user_vectors_oracle(m, items, has_item, meta):
     """User vectors one user at a time, np.mean over the held rows."""
-    vectors = dict(table.vectors)
+    users = np.zeros((m.n_users, items.shape[1]))
+    has_user = np.zeros(m.n_users, dtype=bool)
     for u in range(m.n_users):
-        items, _ = m.row(u)
-        held = [table.vectors[emb.item_node(int(i))] for i in items
-                if emb.item_node(int(i)) in table.vectors]
+        held = [items[i] for i in m.row(u)[0] if has_item[i]]
         if held:
-            vectors[emb.user_node(u)] = np.mean(held, axis=0)
-    return emb.EmbeddingTable(table.dim, vectors, meta=table.meta)
+            users[u] = np.mean(held, axis=0)
+            has_user[u] = True
+    return emb.EmbeddingTable(users, has_user, items, has_item, meta)
 
 
 def sample_negatives_oracle(m, users, rng):
@@ -186,16 +188,21 @@ def sample_negatives_oracle(m, users, rng):
     return neg
 
 
+def vector_of(vectors, has, k):
+    """Row k of vectors, None outside the table or where has[k] is False."""
+    return vectors[k] if 0 <= k < len(has) and has[k] else None
+
+
 def embedding_score_oracle(table, user, candidates, metric="dot"):
-    """One user's candidates, one dict lookup and dot per candidate."""
+    """One user's candidates, one lookup and dot per candidate."""
     scores = np.zeros(len(candidates))
     missing = np.ones(len(candidates), dtype=bool)
-    u_vec = table.vectors.get(emb.user_node(user))
+    u_vec = vector_of(table.users, table.has_user, user)
     if u_vec is None:
         return scores, missing
     u_norm = float(np.linalg.norm(u_vec))
     for pos, cand in enumerate(candidates):
-        c_vec = table.vectors.get(emb.item_node(cand))
+        c_vec = vector_of(table.items, table.has_item, cand)
         if c_vec is None:
             continue
         missing[pos] = False
@@ -226,10 +233,16 @@ def same_bits(a, b):
                                                  b.view(np.int64))
 
 
+def assert_same_skipgram(got, want):
+    """Same (vectors, present, meta) triple, vectors bit for bit."""
+    assert same_bits(got[0], want[0])
+    assert np.array_equal(got[1], want[1]) and got[1].dtype == bool
+    assert got[2] == want[2]
+
+
 def assert_same_table(got, want):
-    assert list(got.vectors) == list(want.vectors)
-    for key, vec in want.vectors.items():
-        assert np.array_equal(got.vectors[key], vec), key
+    for name in ("users", "has_user", "items", "has_item"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
     assert got.meta == want.meta
 
 
@@ -264,28 +277,18 @@ class TestLightGcnPropagation:
         dim = 6
         uv = rng.normal(size=(20, dim))
         iv = rng.normal(size=(15, dim))
-        vectors = {emb.user_node(u): uv[u] for u in range(20)}
-        vectors.update({emb.item_node(i): iv[i] for i in range(15)})
-        table = emb.EmbeddingTable(dim, vectors)
-        out = emb.lightgcn_propagate(m, table, layers)
+        out_u, out_i = emb.lightgcn_propagate(uv, iv, m, layers)
         want_u, want_i = dense_propagation_oracle(dense, uv, iv, layers)
-        for u in range(20):
-            assert np.allclose(out.vectors[emb.user_node(u)], want_u[u],
-                               atol=1e-6)
-        for i in range(15):
-            assert np.allclose(out.vectors[emb.item_node(i)], want_i[i],
-                               atol=1e-6)
+        assert np.allclose(out_u, want_u, atol=1e-6)
+        assert np.allclose(out_i, want_i, atol=1e-6)
 
     def test_isolated_nodes_keep_scaled_self_vector(self):
         # no edges: every layer contributes zero, so mean = e0/(L+1)
         m = matrix_from_dense(np.zeros((2, 2)))
-        vectors = {emb.user_node(0): np.array([2.0]),
-                   emb.user_node(1): np.array([4.0]),
-                   emb.item_node(0): np.array([6.0]),
-                   emb.item_node(1): np.array([8.0])}
-        out = emb.lightgcn_propagate(m, emb.EmbeddingTable(1, vectors), 3)
-        assert out.vectors[emb.user_node(0)][0] == pytest.approx(0.5)
-        assert out.vectors[emb.item_node(1)][0] == pytest.approx(2.0)
+        out_u, out_i = emb.lightgcn_propagate(np.array([[2.0], [4.0]]),
+                                              np.array([[6.0], [8.0]]), m, 3)
+        assert out_u[0, 0] == pytest.approx(0.5)
+        assert out_i[1, 0] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_segment_sum_equals_stacked_cumsum(self, seed):
@@ -350,14 +353,12 @@ class TestBprGradients:
         dim = 3
         uv = rng.normal(0, 0.2, size=(8, dim))
         iv = rng.normal(0, 0.2, size=(6, dim))
-        graph = (m.user_ptr, m.user_items, m.item_ptr, m.item_users,
-                 m.user_degrees().astype(float), m.item_degrees().astype(float))
         users = np.array([0, 1, 2, 3])
         pos = np.array([np.flatnonzero(dense[u])[0] for u in users])
         neg = np.array([(p + 1) % 6 for p in pos])
-        _, g_u, g_i = emb.bpr_loss_and_grad(uv, iv, graph, 2, 0.01,
+        _, g_u, g_i = emb.bpr_loss_and_grad(uv, iv, m, 2, 0.01,
                                             users, pos, neg)
-        loss = lambda: emb.bpr_loss_and_grad(uv, iv, graph, 2, 0.01,
+        loss = lambda: emb.bpr_loss_and_grad(uv, iv, m, 2, 0.01,
                                              users, pos, neg)[0]
         assert rel_err(finite_difference(loss, uv), g_u) <= 1e-4
         assert rel_err(finite_difference(loss, iv), g_i) <= 1e-4
@@ -368,13 +369,11 @@ class TestBprGradients:
         rng = np.random.default_rng(20 + seed)
         m = matrix_from_dense(random_dense(rng, 12, 9, density=0.4))
         uv, iv = rng.normal(size=(12, 5)), rng.normal(size=(9, 5))
-        graph = (m.user_ptr, m.user_items, m.item_ptr, m.item_users,
-                 m.user_degrees().astype(float), m.item_degrees().astype(float))
         # repeated ids make the scatters accumulate into the same rows
         users = rng.integers(0, 12, size=40)
         pos, neg = rng.integers(0, 9, size=40), rng.integers(0, 9, size=40)
-        got = emb.bpr_loss_and_grad(uv, iv, graph, 2, 0.01, users, pos, neg)
-        want = bpr_loss_and_grad_oracle(uv, iv, graph, 2, 0.01, users, pos, neg)
+        got = emb.bpr_loss_and_grad(uv, iv, m, 2, 0.01, users, pos, neg)
+        want = bpr_loss_and_grad_oracle(uv, iv, m, 2, 0.01, users, pos, neg)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
@@ -431,6 +430,10 @@ class TestWalks:
             emb.WalkParams(p=0.0)
         with pytest.raises(ValueError):
             emb.WalkParams(walk_length=1)
+
+    def test_walks_per_node_below_one_rejected(self):
+        with pytest.raises(ValueError, match="walks_per_node"):
+            emb.WalkParams(walks_per_node=0)
 
 
 def bipartite_with_isolated_and_leaves(rng, n_users, n_items, density):
@@ -513,34 +516,36 @@ class TestSkipGram:
         corpus = [[0, 1, 2, 3], [3, 2, 1, 0], [0, 2, 1, 3]]
         params = emb.SkipGramParams(dim=8, window=2, negatives=3, epochs=4,
                                     seed=7)
-        t1 = emb.train_skipgram(corpus, params)
-        t2 = emb.train_skipgram(corpus, params)
-        assert set(t1.vectors) == {f"i:{k}" for k in range(4)}
-        for key in t1.vectors:
-            assert np.array_equal(t1.vectors[key], t2.vectors[key])
-        losses = t1.meta["epoch_loss"]
+        t1 = emb.train_skipgram(corpus, params, 4)
+        t2 = emb.train_skipgram(corpus, params, 4)
+        assert t1[1].all()
+        assert_same_skipgram(t1, t2)
+        losses = t1[2]["epoch_loss"]
         assert len(losses) == 4 and all(np.isfinite(losses))
         assert losses[-1] < losses[0]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            emb.train_skipgram([], emb.SkipGramParams())
+            emb.train_skipgram([], emb.SkipGramParams(), 1)
 
-    def test_custom_node_key(self):
-        table = emb.train_skipgram([[0, 1]], emb.SkipGramParams(dim=4, epochs=1),
-                                   node_key=lambda t: f"tok{t}")
-        assert set(table.vectors) == {"tok0", "tok1"}
+    def test_rows_indexed_by_token(self):
+        params = emb.SkipGramParams(dim=4, epochs=1)
+        vectors, present, meta = emb.train_skipgram([[3, 1]], params, 5)
+        assert vectors.shape == (5, 4)
+        assert present.tolist() == [False, True, False, True, False]
+        assert not vectors[~present].any() and vectors[present].all()
+        assert meta["vocab"] == 2
+        with pytest.raises(ValueError, match="outside"):
+            emb.train_skipgram([[3, 1]], params, 3)
 
     def test_derive_user_vectors_mean_of_history(self):
         dense = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         m = matrix_from_dense(dense)
-        vectors = {emb.item_node(0): np.array([1.0, 0.0]),
-                   emb.item_node(1): np.array([0.0, 1.0])}
-        table = emb.EmbeddingTable(2, vectors)
-        out = emb.derive_user_vectors(m, table)
-        assert np.allclose(out.vectors[emb.user_node(0)], [0.5, 0.5])
+        items = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        out = emb.derive_user_vectors(m, items, np.array([True, True, False]))
+        assert np.allclose(out.users[0], [0.5, 0.5])
         # user 1's only item has no vector -> no user vector
-        assert emb.user_node(1) not in out.vectors
+        assert out.has_user.tolist() == [True, False]
 
 
 class TestSkipGramMatchesOracle:
@@ -559,19 +564,18 @@ class TestSkipGramMatchesOracle:
         corpus = [rng.integers(0, 25, size=n).tolist() for n in lengths]
         params = emb.SkipGramParams(dim=6, window=window, negatives=3,
                                     epochs=epochs, seed=seed)
-        assert_same_table(emb.train_skipgram(corpus, params),
-                          train_skipgram_oracle(corpus, params))
+        assert_same_skipgram(emb.train_skipgram(corpus, params, 27),
+                             train_skipgram_oracle(corpus, params, 27))
 
-    def test_walk_corpus_with_node_keys(self):
+    def test_walk_corpus(self):
         rng = np.random.default_rng(11)
         m = matrix_from_dense(random_dense(rng, 25, 15, density=0.3))
         walks = emb.generate_walks(m, emb.WalkParams(q=2.0, walk_length=10,
                                                      walks_per_node=2, seed=4))
         params = emb.SkipGramParams(dim=8, window=5, negatives=5, epochs=2,
                                     seed=2)
-        key = lambda t: emb.user_node(t) if t < 25 else emb.item_node(t - 25)
-        assert_same_table(emb.train_skipgram(walks, params, node_key=key),
-                          train_skipgram_oracle(walks, params, node_key=key))
+        assert_same_skipgram(emb.train_skipgram(walks, params, 40),
+                             train_skipgram_oracle(walks, params, 40))
 
 
 class TestLightGcnTraining:
@@ -583,8 +587,8 @@ class TestLightGcnTraining:
                                     epochs=2, batch_size=16, seed=5)
         a = emb.train_lightgcn(m, params)
         b = emb.train_lightgcn(m, params)
-        for key in a.vectors:
-            assert np.array_equal(a.vectors[key], b.vectors[key])
+        assert_same_table(a, b)
+        assert a.has_user.all() and a.has_item.all()
         assert len(a.meta["epoch_loss"]) == 2
 
     def test_params_validated(self):
@@ -593,55 +597,64 @@ class TestLightGcnTraining:
         with pytest.raises(ValueError):
             emb.LightGcnParams(node_dropout=1.0)
 
+    def test_negative_l2_reg_rejected(self):
+        with pytest.raises(ValueError, match="l2_reg"):
+            emb.LightGcnParams(l2_reg=-1e-4)
+
 
 class TestEmbeddingScore:
     def table(self):
-        vectors = {emb.user_node("u"): np.array([1.0, 2.0]),
-                   emb.item_node("a"): np.array([3.0, 4.0]),
-                   emb.item_node("z"): np.array([0.0, 0.0])}
-        return emb.EmbeddingTable(2, vectors)
+        """User 0; item 0, item 1 (a zero vector) and item 2 (absent)."""
+        return emb.EmbeddingTable(
+            np.array([[1.0, 2.0]]), np.array([True]),
+            np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]]),
+            np.array([True, True, False]))
 
     def test_dot_scores(self):
-        scores, missing = emb.embedding_score(self.table(), ["u", "u"],
-                                              ["a", "nope"], metric="dot")
+        scores, missing = emb.embedding_score(self.table(), [0, 0], [0, 2],
+                                              metric="dot")
         assert scores[0] == pytest.approx(11.0)
         assert scores[1] == 0.0
         assert list(missing) == [False, True]
 
     def test_cosine_scores_and_zero_norm(self):
-        scores, missing = emb.embedding_score(self.table(), ["u", "u"],
-                                              ["a", "z"], metric="cosine")
+        scores, missing = emb.embedding_score(self.table(), [0, 0], [0, 1],
+                                              metric="cosine")
         want = 11.0 / (np.sqrt(5) * 5)
         assert scores[0] == pytest.approx(want)
         assert scores[1] == 0.0 and not missing[1]
 
     def test_absent_user_all_missing(self):
-        scores, missing = emb.embedding_score(self.table(), ["ghost", "u"],
-                                              ["a", "a"])
+        # -1 is an unknown user, not the table's last row
+        scores, missing = emb.embedding_score(self.table(), [-1, 0], [0, 0])
         assert list(missing) == [True, False]
         assert scores[0] == 0.0 and scores[1] == pytest.approx(11.0)
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError, match="euclid"):
-            emb.embedding_score(self.table(), ["u"], ["a"], metric="euclid")
+            emb.embedding_score(self.table(), [0], [0], metric="euclid")
 
     def test_unaligned_pairs_rejected(self):
         with pytest.raises(ValueError, match="aligned"):
-            emb.embedding_score(self.table(), ["u"], ["a", "z"])
+            emb.embedding_score(self.table(), [0], [0, 1])
 
 
 def random_embedding_table(rng, dim, n_users, n_items, absent=0.2,
                            zero=0.1):
     """Vectors for a random subset of users and items, some exactly zero."""
-    vectors = {}
-    for side, n in ((emb.user_node, n_users), (emb.item_node, n_items)):
+    sides = []
+    for n in (n_users, n_items):
+        vectors, has = np.zeros((n, dim)), np.zeros(n, dtype=bool)
         for k in range(n):
             draw = rng.random()
             if draw < absent:
                 continue
             vec = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
-            vectors[side(k)] = np.zeros(dim) if draw < absent + zero else vec
-    return emb.EmbeddingTable(dim, vectors)
+            has[k] = True
+            if draw >= absent + zero:
+                vectors[k] = vec
+        sides += [vectors, has]
+    return emb.EmbeddingTable(*sides)
 
 
 class TestEmbeddingScoreMatchesOracle:
@@ -665,11 +678,9 @@ class TestEmbeddingScoreMatchesOracle:
 
     @pytest.mark.parametrize("metric", ["dot", "cosine"])
     def test_zero_vectors_under_cosine(self, metric):
-        vectors = {emb.user_node(0): np.zeros(3),
-                   emb.user_node(1): np.array([1.0, -2.0, 0.5]),
-                   emb.item_node(0): np.zeros(3),
-                   emb.item_node(1): np.array([-0.0, 3.0, 1.0])}
-        table = emb.EmbeddingTable(3, vectors)
+        table = emb.EmbeddingTable(
+            np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]]), np.ones(2, bool),
+            np.array([[0.0, 0.0, 0.0], [-0.0, 3.0, 1.0]]), np.ones(2, bool))
         users, items = np.array([0, 0, 1, 1, 1]), np.array([0, 1, 0, 1, 2])
         got = emb.embedding_score(table, users, items, metric=metric)
         want = run_score_oracle(table, users, items, metric)
@@ -697,6 +708,31 @@ class TestEmbeddingScoreMatchesOracle:
             assert same_bits(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    def test_unknown_user_is_missing_when_last_user_has_a_vector(self,
+                                                                 metric):
+        rng = np.random.default_rng(8)
+        dense = random_dense(rng, 12, 10, density=0.4)
+        dense[-1, :3] = 1.0
+        m = matrix_from_dense(dense)
+        lightgcn = emb.train_lightgcn(m.binarized(), emb.LightGcnParams(
+            layers=2, dim=4, epochs=1, batch_size=16, seed=3))
+        word2vec = emb.derive_user_vectors(m, *emb.train_skipgram(
+            emb.user_history_sequences(m, 2, seed=1),
+            emb.SkipGramParams(dim=4, epochs=1, seed=1), m.n_items))
+        users = np.repeat([-1, 11, -1], 10)
+        items = np.tile(np.arange(10), 3)
+        for table in (lightgcn, word2vec):
+            assert table.has_user[-1]
+            scores, missing = emb.embedding_score(table, users, items,
+                                                  metric=metric)
+            unknown = users == -1
+            assert missing[unknown].all() and not scores[unknown].any()
+            assert not missing[~unknown].all()
+            want = run_score_oracle(table, users, items, metric)
+            assert same_bits(scores, want[0])
+            assert np.array_equal(missing, want[1])
+
 
 class TestDeriveUserVectorsMatchesOracle:
     @pytest.mark.parametrize("dim", [1, 2, 3, 16])
@@ -707,28 +743,25 @@ class TestDeriveUserVectorsMatchesOracle:
         dense[3] = 0.0                       # a user without history
         dense[4, :] = 1.0                    # a long history (pairwise sums)
         m = matrix_from_dense(dense)
-        vectors = {emb.item_node(i): rng.normal(size=dim)
-                   * 10.0 ** rng.uniform(-4, 4) for i in range(60)
-                   if rng.random() < 0.8}
+        items, has_item = np.zeros((60, dim)), np.zeros(60, dtype=bool)
+        for i in range(60):
+            if rng.random() < 0.8:
+                items[i] = rng.normal(size=dim) * 10.0 ** rng.uniform(-4, 4)
+                has_item[i] = True
         # a user whose every item lacks a vector, and an all -0.0 vector
-        for i in np.flatnonzero(dense[5]):
-            vectors.pop(emb.item_node(int(i)), None)
-        vectors[emb.item_node(int(np.flatnonzero(dense[6])[0]))] = \
-            np.full(dim, -0.0)
-        table = emb.EmbeddingTable(dim, vectors, meta={"vocab": 1})
-        got = emb.derive_user_vectors(m, table)
-        want = derive_user_vectors_oracle(m, table)
-        assert list(got.vectors) == list(want.vectors)
-        for key, vec in want.vectors.items():
-            assert same_bits(got.vectors[key], vec), key
-        assert got.meta == want.meta
-        assert emb.user_node(3) not in got and emb.user_node(5) not in got
+        items[dense[5] > 0], has_item[dense[5] > 0] = 0.0, False
+        first = np.flatnonzero(dense[6])[0]
+        items[first], has_item[first] = -0.0, True
+        got = emb.derive_user_vectors(m, items, has_item, {"vocab": 1})
+        want = derive_user_vectors_oracle(m, items, has_item, {"vocab": 1})
+        assert_same_table(got, want)
+        assert not got.has_user[3] and not got.has_user[5]
 
     def test_no_covered_item_at_all(self):
         m = matrix_from_dense(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        table = emb.EmbeddingTable(2, {"other": np.ones(2)})
-        got = emb.derive_user_vectors(m, table)
-        assert list(got.vectors) == ["other"]
+        got = emb.derive_user_vectors(m, np.zeros((2, 2)),
+                                      np.zeros(2, dtype=bool))
+        assert not got.has_user.any() and not got.users.any()
 
 
 def edge_keys(m):
@@ -805,13 +838,11 @@ class TestSampleNegativesMatchesOracle:
 class TestEmbeddingTsv:
     def test_round_trip(self, tmp_path, rng):
         vectors = {f"i:{k}": rng.normal(size=5) for k in range(9)}
-        table = emb.EmbeddingTable(5, vectors)
-        emb.write_embedding_tsv(table, tmp_path / "e.tsv")
+        emb.write_embedding_tsv(vectors, tmp_path / "e.tsv")
         back = emb.read_embedding_tsv(tmp_path / "e.tsv")
-        assert back.dim == 5
-        assert set(back.vectors) == set(vectors)
+        assert set(back) == set(vectors)
         for key in vectors:
-            assert np.array_equal(back.vectors[key], vectors[key])
+            assert np.array_equal(back[key], vectors[key])
 
     def test_inconsistent_width_rejected(self, tmp_path):
         (tmp_path / "e.tsv").write_text("a\t1.0\t2.0\nb\t3.0\n")

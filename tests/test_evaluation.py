@@ -183,9 +183,3 @@ class TestMetricReport:
                                {"t1": 0.25, "t2": 0.75})
         assert rep["weighted"] == pytest.approx(0.45)
         assert rep["per_market"] == {"t1": 0.6, "t2": 0.4}
-
-    def test_quantiles_present_when_per_user_given(self):
-        rep = ev.metric_report({"t1": 0.5}, {"t1": 1.0},
-                               per_user={"t1": {"u1": 0.2, "u2": 0.8}})
-        assert "per_user_quantiles" in rep
-        assert rep["per_user_quantiles"]["t1"]["p50"] == pytest.approx(0.5)

@@ -591,9 +591,8 @@ class TestGlobalStatistics:
 
 class TestExternalEmbeddings:
     def embedding(self):
-        vecs = {"i0": np.array([1.0, 0.0]), "i1": np.array([0.0, 2.0]),
+        return {"i0": np.array([1.0, 0.0]), "i1": np.array([0.0, 2.0]),
                 "i2": np.array([1.0, 1.0]), "i3": np.array([3.0, 0.0])}
-        return emb.EmbeddingTable(2, vecs)
 
     def test_mean_and_max_cosine_match_hand_computation(self):
         ctx = tiny_context()
@@ -605,7 +604,7 @@ class TestExternalEmbeddings:
         got = dict(zip(names, mat.T))
 
         def unit(i):
-            v = table.vectors[i]
+            v = table[i]
             return v / np.linalg.norm(v)
 
         # user a's combination history: i0 (train), i1 (train); valid i2 excluded

@@ -377,6 +377,69 @@ class TestPrerankOutputs:
                                   new.column(spec.feature_name))
 
 
+class TestExternalEmbeddings:
+    def test_prerank_adds_cosines_against_the_history(self, world, tmp_path):
+        snap = pipeline.load_snapshot(world["ws"])
+        rng = np.random.default_rng(3)
+        lines = []
+        for k, item in enumerate(snap.items.reverse):
+            if k % 5 == 4:
+                continue                  # items without a vector
+            vec = np.zeros(3) if k == 0 else rng.normal(size=3)
+            lines.append("\t".join([item, *map(repr, vec.tolist())]))
+        path = tmp_path / "vectors.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        vectors = {}
+        for line in path.read_text().splitlines():
+            key, *values = line.split("\t")
+            vectors[key] = np.array([float(v) for v in values])
+
+        prerank = {"scorers": [{"name": "item_cf", "combinations": [["t1"]]}],
+                   "external_embeddings": str(path)}
+        config = pipeline_config(world["data"], tmp_path / "w",
+                                 prerank=prerank)
+        pipeline.run_ingest(config)
+        pipeline.run_prerank(config, "t1")
+
+        # the user's history: every market's rows but the test positives
+        # and the pairs of t1's valid positives
+        rows = snap.rows
+        valid = set(zip(rows.user[(rows.market == "t1")
+                                  & (rows.split == "valid_qrel")].tolist(),
+                        rows.item[(rows.market == "t1")
+                                  & (rows.split == "valid_qrel")].tolist()))
+        history: dict[str, set] = {}
+        for u, i, split in zip(rows.user.tolist(), rows.item.tolist(),
+                               rows.split.tolist()):
+            if split != "test_qrel" and (u, i) not in valid:
+                history.setdefault(snap.users.decode(u), set()).add(
+                    snap.items.decode(i))
+
+        def unit(item):
+            vec = vectors.get(item)
+            norm = 0.0 if vec is None else float(np.linalg.norm(vec))
+            return vec / norm if norm > 0 else None
+
+        ws = pipeline.workspace_for(config)
+        names = ["ext_emb__mean_cos", "ext_emb__max_cos", "ext_emb__missing"]
+        for which in ("valid", "test"):
+            table = features.read_table(ws.features_path("t1", which))
+            got = np.column_stack([table.column(n) for n in names])
+            want = np.zeros_like(got)
+            for r, (user, cand) in enumerate(zip(table.users, table.items)):
+                hist = [v for v in map(unit, sorted(history.get(user, ())))
+                        if v is not None]
+                c_vec = unit(cand)
+                if c_vec is None or not hist:
+                    want[r] = [0.0, 0.0, 1.0]
+                else:
+                    cos = [float(h @ c_vec) for h in hist]
+                    want[r] = [np.mean(cos), max(cos), 0.0]
+            assert 0 < want[:, 2].sum() < len(want)
+            assert np.array_equal(got[:, 2], want[:, 2])
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
 class TestSelectTrain:
     def test_kept_features_are_a_nonempty_subset(self, world):
         ws = world["ws"]
