@@ -10,6 +10,23 @@ hypothesis.settings.register_profile("thorough", max_examples=300,
 hypothesis.settings.load_profile("default")
 
 
+def _numerics_environment() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} "
+            f"{blas.get('version')}")
+
+
+@pytest.fixture
+def assert_digests():
+    """Check digests against pinned values; a mismatch names the numpy and
+    BLAS builds, since a pin holds for the numerics of one build."""
+    def check(got, want):
+        assert list(got) == list(want), (
+            f"digests changed under {_numerics_environment()}: "
+            f"got {list(got)}, pinned {list(want)}")
+    return check
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -1,4 +1,5 @@
-"""scripts/bench_embeddings.py: one repeat runs and prints every kernel."""
+"""scripts/bench_embeddings.py: one repeat runs and prints every kernel,
+with the digests of today's numerics."""
 
 import importlib.util
 import re
@@ -9,8 +10,17 @@ spec = importlib.util.spec_from_file_location("bench_embeddings", SCRIPT)
 bench_embeddings = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_embeddings)
 
+DIGESTS = [
+    "c2b9270765c121cab9c33eb6dbeb6bc2bb8b3f91351ec81ae829b9b5e2bd6924",
+    "10f543df14ba2558ba0a8df1abf6b35f6895fa74e0508592908fb870e9864074",
+    "aaa8495a8a53e668c12f5dfe54c7fac013cb1df729cf3a8fea97c7a89e771620",
+    "f9212281fd89d501bc12cb55a0de48744fb252dd7f41c52ee99802f1dce6d91c",
+    "1ec431dffe32c6eb3ab753f9dd2460f5e5f74369014de707969a1fdba9bd08ff",
+    "175a7d5d5ddc950006b7f8b771b62643f508256e5c257e41715ca79390996b8f",
+]
 
-def test_one_repeat_prints_times_and_digests(capsys):
+
+def test_one_repeat_prints_times_and_digests(capsys, assert_digests):
     bench_embeddings.main(["--repeats", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("matrix 500x200")
@@ -20,3 +30,4 @@ def test_one_repeat_prints_times_and_digests(capsys):
     assert [line.split(" median")[0].strip() for line in lines[1:]] == kernels
     digests = [re.search(r"sha256 ([0-9a-f]{64})$", line) for line in lines[1:]]
     assert all(digests)
+    assert_digests([d.group(1) for d in digests], DIGESTS)
