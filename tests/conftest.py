@@ -18,12 +18,18 @@ def _numerics_environment() -> str:
 
 @pytest.fixture
 def assert_digests():
-    """Check digests against pinned values; a mismatch names the numpy and
-    BLAS builds, since a pin holds for the numerics of one build."""
+    """Check digests (a list, or a dict by name) against pinned values; a
+    mismatch lists the changed ones and names the numpy and BLAS builds,
+    since a pin holds for the numerics of one build."""
+    def by_name(digests):
+        return digests if isinstance(digests, dict) else dict(enumerate(digests))
+
     def check(got, want):
-        assert list(got) == list(want), (
-            f"digests changed under {_numerics_environment()}: "
-            f"got {list(got)}, pinned {list(want)}")
+        got, want = by_name(got), by_name(want)
+        changed = {k: f"{got.get(k)} (pinned {v})" for k, v in want.items()
+                   if got.get(k) != v}
+        assert got.keys() == want.keys() and not changed, (
+            f"digests changed under {_numerics_environment()}: {changed}")
     return check
 
 

@@ -1,0 +1,113 @@
+"""Golden end-to-end run: a fixed small synth dataset through every stage,
+with the sha256 of the snapshot arrays, the encoders, the feature tables,
+the kept columns, the models, the ranked test runs and the final report
+pinned. Any change to the numerics or to a file format shows up here."""
+
+import hashlib
+
+import pytest
+
+from cmrec import pipeline
+from cmrec.config import PipelineConfig
+from cmrec.synth import MarketSpec, SynthConfig, generate
+
+SOURCES = ["s1", "s2", "t1", "t2"]
+TARGETS = ["t1", "t2"]
+
+GOLDEN = {
+    "snapshot/rows_user.npy":
+        "686e9a840b128f49e49168e53baba51a634a9ee3d9c0d9dd68d1f01b00e7524c",
+    "snapshot/rows_item.npy":
+        "d84f2138d0b3a5f427b1aac9fdba9b732d5d7f6d1d1ce5f429e066b95c945afa",
+    "snapshot/rows_rating.npy":
+        "408f63a507779bafd668ba2c476a574f6e431a68e01453c6112daf17fd7b8226",
+    "snapshot/rows_market.npy":
+        "3d30710905c0da77f04f03a5664aedea0758c4bff74d183371efc4b4f8a08f77",
+    "snapshot/rows_split.npy":
+        "3ac7f23d30194f5b1eb8367537dae4c05cdb55d21f0c3d2ae966b1deb541b28c",
+    "snapshot/encoders.json":
+        "19d645e04e1ea350d6d9b0f2f3997b78cad65010768dcba4799f4060299e18af",
+    "t1/features_valid.tsv":
+        "b5b0b1d14c24f76778d5d6dd6822fc8ceabe65099ce4930c1a03a172c554a8c6",
+    "t1/features_test.tsv":
+        "199c39086ed04491518ce9f0bd5b6eb678980327d991d01477c5b7645e2e3cfa",
+    "t1/kept.txt":
+        "124989f9c03d6080b3348ff6e3e5b10853cdd62b7aaecf042fcd0381a652952a",
+    "t1/model.json":
+        "06ef4d1d4aad922577ed41390de2b349711a8f637b6cce1304229a63f2eafa76",
+    "t1/test_ranked.tsv":
+        "27ef88b152adc8d4030d008e9ddbedc1b3aa9464b8004c3f48f1eb9bdba6aecd",
+    "t2/features_valid.tsv":
+        "2002b64000311595d1799e6a9bda14369af46fce4af6672eb8a8afaee8f5415a",
+    "t2/features_test.tsv":
+        "dd8c8c11b142de3fdbe25e5966934428da095a4a9038127407bc55a4f3cb86c3",
+    "t2/kept.txt":
+        "9a2921230b314a1182265b653cc8232206279324ee39809b7a5f6a62440606e9",
+    "t2/model.json":
+        "1f78e4ce169b798b07c8e0bc9b74aa68466590838cdfa2a8e483a87a6c56e5b3",
+    "t2/test_ranked.tsv":
+        "911b9a5e4e4dfdee8d649b534a101f390ab8474cb3e6486e2ab6d1bd02e9bee2",
+    "final.json":
+        "124bc90f8147b01bfb2776ce39d631f35a2952cb257e16f06a2796c46d3d0ac4",
+}
+
+
+def golden_config(data_dir, workspace) -> PipelineConfig:
+    """Every scorer of the registry at small sizes, the statistics, a
+    short screen and a 3-fold ranker."""
+    small_embedding = {"dim": 8, "epochs": 1}
+    return PipelineConfig.from_dict({
+        "data_dir": str(data_dir), "workspace": str(workspace),
+        "markets": ["s1", "s2", "s3", "t1", "t2"], "targets": TARGETS,
+        "seed": 13,
+        "prerank": {"scorers": [
+            {"name": "item_cf", "params": {"top_k": 20},
+             "combinations": [SOURCES, TARGETS]},
+            {"name": "user_cf", "combinations": [SOURCES]},
+            {"name": "swing", "combinations": [TARGETS]},
+            {"name": "llr", "combinations": [["s3", "t1", "t2"]]},
+            {"name": "bigraph", "combinations": [SOURCES]},
+            {"name": "word2vec", "params": small_embedding,
+             "combinations": [TARGETS]},
+            {"name": "node2vec_dfs",
+             "params": {**small_embedding, "walk_length": 6,
+                        "walks_per_node": 1},
+             "combinations": [TARGETS]},
+            {"name": "lightgcn",
+             "params": {"dim": 8, "epochs": 2, "layers": 2},
+             "combinations": [TARGETS]},
+        ]},
+        "selection": {"folds": 3, "n_shuffles": 4,
+                      "trainer": {"num_leaves": 7, "n_rounds": 8,
+                                  "learning_rate": 0.2,
+                                  "min_data_in_leaf": 5}},
+        "ranker": {"params": {"num_leaves": 7, "n_rounds": 10,
+                              "learning_rate": 0.2, "min_data_in_leaf": 5},
+                   "folds": 3},
+    })
+
+
+@pytest.fixture(scope="module")
+def golden_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    generate(SynthConfig(
+        out_dir=str(root / "data"), seed=17, n_items=120, dim=4,
+        markets={"s1": MarketSpec(60, 10, 0.9), "s2": MarketSpec(40, 8, 0.8),
+                 "s3": MarketSpec(30, 8, 0.7), "t1": MarketSpec(30, 6, 0.8),
+                 "t2": MarketSpec(30, 6, 0.8)},
+        eval_users=15, n_candidates=25))
+    config = golden_config(root / "data", root / "work")
+    pipeline.run_ingest(config)
+    for target in config.targets:
+        pipeline.run_prerank(config, target)
+        pipeline.run_select(config, target)
+        pipeline.run_train(config, target)
+        pipeline.run_evaluate(config, target)
+    pipeline.run_report(config)
+    return pipeline.workspace_for(config).root
+
+
+def test_every_stage_writes_the_pinned_files(golden_workspace, assert_digests):
+    got = [hashlib.sha256((golden_workspace / name).read_bytes()).hexdigest()
+           for name in GOLDEN]
+    assert_digests(dict(zip(GOLDEN, got)), GOLDEN)
