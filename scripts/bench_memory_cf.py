@@ -46,14 +46,14 @@ def make_inputs() -> tuple[Interactions, IdEncoder, IdEncoder, RunFile]:
                         np.full(len(users), "train"))
     # run users: the last COLD_USERS ids have no interaction at all
     n_all = N_USERS + COLD_USERS
-    user_enc = IdEncoder.fit(f"u{u:04d}" for u in range(n_all))
-    item_enc = IdEncoder.fit(f"i{i:04d}" for i in range(N_ITEMS))
+    user_enc = IdEncoder.fit([f"u{u:04d}" for u in range(n_all)])
+    item_enc = IdEncoder.fit([f"i{i:04d}" for i in range(N_ITEMS)])
     run_users = np.r_[rng.choice(N_USERS, RUN_USERS - COLD_USERS,
                                  replace=False), np.arange(N_USERS, n_all)]
-    run = RunFile(tuple(
-        (f"u{u:04d}", tuple(f"i{i:04d}" for i in
-                            rng.choice(N_ITEMS, CANDIDATES, replace=False)))
-        for u in run_users))
+    run = RunFile.from_lists(
+        [f"u{u:04d}" for u in run_users],
+        [[f"i{i:04d}" for i in rng.choice(N_ITEMS, CANDIDATES, replace=False)]
+         for u in run_users])
     return rows, user_enc, item_enc, run
 
 
@@ -73,7 +73,8 @@ def main(argv=None) -> None:
 
     rows, users, items, run = make_inputs()
     print(f"interactions {N_USERS}x{N_ITEMS}, {len(rows)} rows, "
-          f"run {len(run.pairs())} pairs, seed {SEED}")
+          f"run {len(run.candidates)} pairs, seed {SEED}")
+    ids = features.encode_run(run, users, items)
     for name in SCORERS:
         plan = [features.ScorerSpec(name, {}, COMBINATION)]
         cold, warm, digests = [], [], set()
@@ -81,14 +82,15 @@ def main(argv=None) -> None:
             ctx = features.PlanContext(rows, users, items, cache_dir=None)
             for times in (cold, warm):
                 start = time.perf_counter()
-                table, failures = features.run_plan(plan, ctx, run)
+                table, failures = features.run_plan(plan, ctx, run, *ids)
                 times.append(time.perf_counter() - start)
                 if failures:
                     raise SystemExit(f"{name} failed: {failures}")
                 digests.add(table_digest(table))
         tracemalloc.start()
         table, _ = features.run_plan(
-            plan, features.PlanContext(rows, users, items, cache_dir=None), run)
+            plan, features.PlanContext(rows, users, items, cache_dir=None), run,
+            *ids)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         digests.add(table_digest(table))

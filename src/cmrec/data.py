@@ -8,13 +8,17 @@ File layout per market directory (UTF-8 TSV with a header row):
         userId <TAB> candidate item ids (tab separated), one user per line
 
 train.tsv and train_5core.tsv are mandatory; everything else is optional.
+Files are parsed into columns (ids as numpy string arrays, which drop
+trailing NULs, so a NUL in a file is a DataError), never per-row objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
+from operator import methodcaller
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,15 +33,6 @@ SPLIT_FILES = {
 }
 MANDATORY_SPLITS = ("train", "train_5core")
 RUN_FILES = {"valid": "valid_run.tsv", "test": "test_run.tsv"}
-
-
-@dataclass(frozen=True, slots=True)
-class RawInteraction:
-    user: str
-    item: str
-    rating: float
-    market: str
-    split: str
 
 
 @dataclass(frozen=True)
@@ -71,159 +66,206 @@ class Interactions:
                             self.split[index])
 
 
-def load_market(dir_path, market: str):
-    """Parse one market directory into raw interaction records.
+def read_lines(path: Path) -> tuple[str, np.ndarray, list[str]]:
+    """A text file's header line, and the numbers and texts of its other
+    non-blank lines. A NUL is a DataError naming its line."""
+    text = path.read_text(encoding="utf-8")
+    if "\0" in text:
+        line = text.count("\n", 0, text.index("\0")) + 1
+        raise DataError(f"{path}:{line}: NUL character")
+    header, *lines = text.split("\n")
+    keep = np.fromiter(map(bool, lines), bool, len(lines))
+    return header, np.flatnonzero(keep) + 2, list(compress(lines, keep))
 
-    Returns (rows, report). Structurally malformed lines (wrong column
-    count, blank) are skipped, counted in report["malformed"], and listed
-    with line numbers in report["malformed_lines"]. A rating that is
-    present but unparsable or outside [1, 5] is a hard error, as is a
-    missing mandatory file.
-    """
+
+def split_fields(lines: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each line's tab count and the position of its first field in the
+    string array of all lines' tab-separated fields; and that array."""
+    tabs = np.fromiter(map(methodcaller("count", "\t"), lines), np.int64,
+                       len(lines))
+    fields = np.array("\t".join(lines).split("\t") if lines else [], dtype=str)
+    return tabs, np.cumsum(tabs + 1) - tabs - 1, fields
+
+
+def first_repeat(*keys: np.ndarray) -> int | None:
+    """The first position whose key (one value from each array) equals
+    the key of an earlier position, or None when all keys differ."""
+    order = np.lexsort(keys[::-1])  # stable: a key's positions ascend
+    same = np.all([k[order][1:] == k[order][:-1] for k in keys], axis=0)
+    return int(order[1:][same].min()) if same.any() else None
+
+
+def _ratings(texts: np.ndarray, line_nos: np.ndarray, path: Path) -> np.ndarray:
+    """float() of each rating text, once per distinct text; the first line
+    whose rating is unparsable or outside [1, 5] is a DataError."""
+    distinct, first, which = np.unique(texts, return_index=True, return_inverse=True)
+    values = np.zeros(len(distinct))
+    for k in np.argsort(first):  # in the order of their first lines
+        text, line = str(distinct[k]), line_nos[first[k]]
+        try:
+            values[k] = float(text)
+        except ValueError:
+            raise DataError(f"{path}:{line}: unparsable rating {text!r}") from None
+        if not 1.0 <= values[k] <= 5.0:
+            raise DataError(f"{path}:{line}: rating {values[k]} outside [1, 5]")
+    return values[which]
+
+
+def load_market(dir_path, market: str):
+    """Parse one market directory into (columns, report). The columns hold,
+    in file order, user and item ids, float64 ratings and each row's split
+    as its position in SPLITS. A line that is not three tab-separated
+    fields or has an empty id is malformed: skipped, counted in
+    report["malformed"] and listed with its line number in
+    report["malformed_lines"]. A rating that is unparsable or outside
+    [1, 5] is a hard error, as is a missing mandatory file."""
     dir_path = Path(dir_path)
     if not dir_path.is_dir():
         raise DataError(f"market directory not found: {dir_path} (market {market})")
-    rows: list[RawInteraction] = []
-    malformed = 0
+    parts: list[dict] = []
     malformed_lines: list[str] = []
-    for split in SPLITS:
+    for code, split in enumerate(SPLITS):
         fname = SPLIT_FILES[split]
         fpath = dir_path / fname
         if not fpath.exists():
             if split in MANDATORY_SPLITS:
                 raise DataError(f"missing mandatory file {fname} in {dir_path}")
             continue
-        with fpath.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if lineno == 1:
-                    continue  # header
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    malformed += 1
-                    malformed_lines.append(f"{fpath}:{lineno}")
-                    continue
-                user, item, rating_s = parts
-                try:
-                    rating = float(rating_s)
-                except ValueError:
-                    raise DataError(f"{fpath}:{lineno}: unparsable rating {rating_s!r}") from None
-                if not (1.0 <= rating <= 5.0):
-                    raise DataError(f"{fpath}:{lineno}: rating {rating} outside [1, 5]")
-                rows.append(RawInteraction(user, item, rating, market, split))
-    report = {"market": market, "rows": len(rows), "malformed": malformed,
+        _, line_nos, lines = read_lines(fpath)
+        tabs, starts, fields = split_fields(lines)
+        ok = tabs == 2
+        ok[ok] = np.all(fields[starts[ok, None] + np.arange(2)] != "", axis=1)
+        cells = fields[starts[ok, None] + np.arange(3)]
+        malformed_lines += [f"{fpath}:{n}" for n in line_nos[~ok].tolist()]
+        parts.append({"user": cells[:, 0], "item": cells[:, 1],
+                      "rating": _ratings(cells[:, 2], line_nos[ok], fpath),
+                      "split": np.full(len(cells), code, dtype=np.int64)})
+    columns = {name: np.concatenate([p[name] for p in parts])
+               for name in ("user", "item", "rating", "split")}
+    report = {"market": market, "rows": len(columns["rating"]),
+              "malformed": len(malformed_lines),
               "malformed_lines": malformed_lines[:20]}
-    return rows, report
+    return columns, report
 
 
 @dataclass(frozen=True)
 class RunFile:
-    """Ordered per-user candidate lists (raw string ids)."""
+    """Ordered per-user candidate lists held column by column: the users
+    (string array of raw ids, in file order), and user k's candidates
+    candidates[offsets[k]:offsets[k + 1]], in file order."""
 
-    entries: tuple[tuple[str, tuple[str, ...]], ...]
+    users: np.ndarray
+    offsets: np.ndarray
+    candidates: np.ndarray
 
-    def users(self) -> list[str]:
-        return [u for u, _ in self.entries]
+    @classmethod
+    def from_lists(cls, users: Sequence[str], candidate_lists) -> "RunFile":
+        offsets = np.cumsum([0, *map(len, candidate_lists)], dtype=np.int64)
+        return cls(np.asarray(users, dtype=str), offsets, np.asarray(
+            [c for cands in candidate_lists for c in cands], dtype=str))
 
-    def pairs(self) -> list[tuple[str, str]]:
-        return [(u, c) for u, cands in self.entries for c in cands]
+    def candidate_lists(self) -> list[list[str]]:
+        """Each user's candidates as a list of str, users in run order."""
+        flat, cuts = self.candidates.tolist(), self.offsets.tolist()
+        return [flat[start:stop] for start, stop in zip(cuts, cuts[1:])]
 
 
 def load_run(path) -> RunFile:
+    """One run file's candidate lists. A line without a user and at least
+    one candidate, an empty id, a user on a second line and a candidate
+    twice on one line are DataErrors, checked in this order, each naming
+    the file and the first line that fails the check."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"run file not found: {path}")
-    entries = []
-    seen = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1:
-                continue
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path}:{lineno}: run line needs a user and candidates")
-            user, cands = parts[0], tuple(parts[1:])
-            if user in seen:
-                raise DataError(f"{path}:{lineno}: duplicate user {user!r}")
-            if len(set(cands)) != len(cands):
-                raise DataError(f"{path}:{lineno}: duplicate candidates for user {user!r}")
-            seen.add(user)
-            entries.append((user, cands))
-    return RunFile(tuple(entries))
+    _, line_nos, lines = read_lines(path)
+    n_cands, starts, fields = split_fields(lines)
+    users, candidates = fields[starts], np.delete(fields, starts)
+    line_of = np.repeat(np.arange(len(lines)), n_cands)
+
+    def fail(line: int, problem: str):
+        raise DataError(f"{path}:{line_nos[line]}: {problem}")
+
+    if np.any(n_cands == 0):
+        fail(np.argmax(n_cands == 0), "run line needs a user and candidates")
+    if np.any(fields == ""):
+        fail(np.searchsorted(starts, np.argmax(fields == ""), "right") - 1,
+             "empty id")
+    line = first_repeat(users)
+    if line is not None:
+        fail(line, f"duplicate user {str(users[line])!r}")
+    pair = first_repeat(line_of, candidates)
+    if pair is not None:
+        line = line_of[pair]
+        fail(line, f"duplicate candidates for user {str(users[line])!r}")
+    return RunFile(users, np.cumsum([0, *n_cands], dtype=np.int64), candidates)
 
 
 def write_run(run: RunFile, path) -> None:
     lines = ["userId\titemIds"]
-    for user, cands in run.entries:
-        lines.append("\t".join([user, *cands]))
+    lines += ["\t".join([user, *cands]) for user, cands
+              in zip(run.users.tolist(), run.candidate_lists())]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
 class IdEncoder:
-    """Bijective raw-string <-> dense-int mapping, ids assigned in sorted order."""
+    """Bijective raw-string <-> dense-int mapping: id k is ids[k], the
+    distinct raw ids in sorted order."""
 
-    forward: dict[str, int]
-    reverse: tuple[str, ...]
+    ids: np.ndarray
 
     @classmethod
-    def fit(cls, values: Iterable[str]) -> "IdEncoder":
-        ordered = sorted(set(values))
-        return cls({v: i for i, v in enumerate(ordered)}, tuple(ordered))
+    def fit(cls, values) -> "IdEncoder":
+        return cls(np.unique(np.asarray(values, dtype=str)))
 
     def __len__(self) -> int:
-        return len(self.reverse)
+        return len(self.ids)
+
+    def lookup(self, values) -> np.ndarray:
+        """The int64 ids of values, -1 for a value the encoder lacks."""
+        values = np.asarray(values, dtype=str)
+        pos = np.searchsorted(self.ids, values)
+        hit = pos < len(self.ids)
+        hit[hit] = self.ids[pos[hit]] == values[hit]
+        return np.where(hit, pos, -1).astype(np.int64)
 
     def encode(self, value: str) -> int:
-        try:
-            return self.forward[value]
-        except KeyError:
-            raise DataError(f"unknown id {value!r}") from None
-
-    def decode(self, idx: int) -> str:
-        return self.reverse[idx]
-
-    def encode_many(self, values: Sequence[str]) -> np.ndarray:
-        return np.array([self.encode(v) for v in values], dtype=np.int64)
+        idx = int(self.lookup([value])[0])
+        if idx < 0:
+            raise DataError(f"unknown id {value!r}")
+        return idx
 
 
-def fit_encoders(rows: Sequence[RawInteraction],
+def fit_encoders(user: np.ndarray, item: np.ndarray,
                  runs: Sequence[RunFile] = ()) -> tuple[IdEncoder, IdEncoder]:
-    """Build the global user/item encoders over interactions plus run files.
+    """The global user/item encoders over the rows' ids plus the run files'.
 
     One id space is shared across all markets: items overlap between
     markets, users do not, but a single dense space keeps every matrix
     addressable by the same indices.
     """
-    users = {r.user for r in rows}
-    items = {r.item for r in rows}
-    for run in runs:
-        for u, cands in run.entries:
-            users.add(u)
-            items.update(cands)
-    return IdEncoder.fit(users), IdEncoder.fit(items)
+    return (IdEncoder.fit(np.concatenate([user, *(r.users for r in runs)])),
+            IdEncoder.fit(np.concatenate([item, *(r.candidates for r in runs)])))
 
 
-def dedupe_and_mark_5core(rows, force_rating: float = 5.0):
-    """Collapse duplicate (user, item, market, split) rows keeping the last
-    occurrence, then force every train_5core rating to `force_rating`.
-
-    Row order is otherwise stable (a collapsed row keeps the position of
-    its first occurrence).
-    """
-    byname = {}
-    for r in rows:
-        byname[(r.user, r.item, r.market, r.split)] = r
-    out = []
-    for r in byname.values():
-        if r.split == "train_5core" and r.rating != force_rating:
-            r = replace(r, rating=force_rating)
-        out.append(r)
+def dedupe_and_mark_5core(rows: Mapping[str, np.ndarray],
+                          force_rating: float = 5.0) -> dict[str, np.ndarray]:
+    """Collapse rows of equal (user, item, market, split) codes into one,
+    at the position of its first occurrence and with the rating of its
+    last, then force every train_5core rating to `force_rating`. rows
+    holds those aligned int64 code columns (the split as its position in
+    SPLITS) and float64 ratings."""
+    names = ("user", "item", "market", "split")
+    key = np.ravel_multi_index([rows[k] for k in names],
+                               [int(rows[k].max(initial=0)) + 1 for k in names])
+    # each key's first position; over the reversed keys, its last one
+    _, first = np.unique(key, return_index=True)
+    _, last_from_end = np.unique(key[::-1], return_index=True)
+    order = np.argsort(first)
+    out = {k: rows[k][first[order]] for k in names}
+    out["rating"] = rows["rating"][len(key) - 1 - last_from_end[order]]
+    out["rating"][out["split"] == SPLITS.index("train_5core")] = force_rating
     return out
 
 

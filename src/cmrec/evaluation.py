@@ -127,7 +127,6 @@ def read_run_file(path) -> list[tuple[str, list[tuple[str, float]]]]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"run file not found: {path}")
-    order: list[str] = []
     by_user: dict[str, list[tuple[str, float]]] = {}
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -137,12 +136,8 @@ def read_run_file(path) -> list[tuple[str, list[tuple[str, float]]]]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected user/item/score")
-            user, item, score_s = parts
-            if user not in by_user:
-                order.append(user)
-                by_user[user] = []
-            by_user[user].append((item, float(score_s)))
-    return [(u, by_user[u]) for u in order]
+            by_user.setdefault(parts[0], []).append((parts[1], float(parts[2])))
+    return list(by_user.items())
 
 
 def read_qrels(path) -> dict[str, set]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from hashlib import blake2b
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -16,7 +16,8 @@ import numpy as np
 from . import embeddings as emb
 from . import memory_cf as mcf
 from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
-                   SparseInteractionMatrix, build_matrix)
+                   SparseInteractionMatrix, build_matrix, first_repeat,
+                   read_lines)
 from .util import (ConfigError, DataError, atomic_save_npy,
                    atomic_write_bytes, atomic_write_text, fmt,
                    params_hash)
@@ -147,16 +148,20 @@ class ScorerSpec:
 
 @dataclass(frozen=True)
 class FeatureTable:
-    """Rows keyed by (user, item); dense float64 columns; optional labels."""
+    """Rows keyed by (user, item) raw ids, held as two string arrays;
+    dense float64 columns; optional labels. Keys are checked for
+    uniqueness where they enter (read_table, data.load_run), not here."""
 
-    users: tuple[str, ...]
-    items: tuple[str, ...]
+    users: np.ndarray
+    items: np.ndarray
     columns: tuple[str, ...]
     values: np.ndarray
     labels: np.ndarray | None = None
     provenance: Mapping[str, Mapping] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("users", "items"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=str))
         n = len(self.users)
         if len(self.items) != n:
             raise ValueError("users and items must align")
@@ -169,8 +174,6 @@ class FeatureTable:
                 raise ValueError("labels must align with rows")
             if not set(np.unique(self.labels)) <= {0, 1}:
                 raise ValueError("labels must be 0/1")
-        if len(set(zip(self.users, self.items))) != n:
-            raise ValueError("duplicate (user, item) keys")
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column names")
 
@@ -178,51 +181,43 @@ class FeatureTable:
     def n_rows(self) -> int:
         return len(self.users)
 
+    def _position(self, name: str) -> int:
+        if name not in self.columns:
+            raise KeyError(f"no feature column {name!r}")
+        return self.columns.index(name)
+
     def column(self, name: str) -> np.ndarray:
-        try:
-            pos = self.columns.index(name)
-        except ValueError:
-            raise KeyError(f"no feature column {name!r}") from None
-        return self.values[:, pos]
+        return self.values[:, self._position(name)]
 
     def select(self, names: Sequence[str]) -> "FeatureTable":
-        pos = []
-        for name in names:
-            if name not in self.columns:
-                raise KeyError(f"no feature column {name!r}")
-            pos.append(self.columns.index(name))
-        return FeatureTable(self.users, self.items, tuple(names),
-                            self.values[:, pos].copy(), self.labels,
-                            {n: self.provenance[n] for n in names
-                             if n in self.provenance})
+        pos = [self._position(name) for name in names]
+        return replace(self, columns=tuple(names),
+                       values=self.values[:, pos].copy(),
+                       provenance={n: self.provenance[n] for n in names
+                                   if n in self.provenance})
 
     def with_labels(self, labels: np.ndarray) -> "FeatureTable":
-        return FeatureTable(self.users, self.items, self.columns, self.values,
-                            np.asarray(labels, dtype=np.int8), self.provenance)
+        return replace(self, labels=np.asarray(labels, dtype=np.int8))
 
     def take(self, indices) -> "FeatureTable":
         idx = np.asarray(indices, dtype=np.int64)
-        return FeatureTable(tuple(self.users[i] for i in idx),
-                            tuple(self.items[i] for i in idx),
-                            self.columns, self.values[idx],
-                            None if self.labels is None else self.labels[idx],
-                            self.provenance)
+        return replace(self, users=self.users[idx], items=self.items[idx],
+                       values=self.values[idx],
+                       labels=None if self.labels is None else self.labels[idx])
 
     def with_columns(self, names: Sequence[str], matrix: np.ndarray,
                      provenance: Mapping[str, Mapping]) -> "FeatureTable":
-        merged = dict(self.provenance)
-        merged.update(provenance)
         values = (np.hstack([self.values, matrix])
                   if self.columns else np.asarray(matrix, dtype=np.float64))
-        return FeatureTable(self.users, self.items,
-                            self.columns + tuple(names), values,
-                            self.labels, merged)
+        return replace(self, columns=self.columns + tuple(names),
+                       values=values,
+                       provenance={**self.provenance, **provenance})
 
 
 def empty_table(run: RunFile) -> FeatureTable:
-    pairs = run.pairs()
-    return FeatureTable(tuple(u for u, _ in pairs), tuple(i for _, i in pairs),
-                        (), np.zeros((len(pairs), 0)))
+    """The run's (user, candidate) pairs in order, with no columns."""
+    return FeatureTable(np.repeat(run.users, np.diff(run.offsets)),
+                        run.candidates, (), np.zeros((len(run.candidates), 0)))
 
 
 # Rows formatted per block in write_table. Its numpy and string
@@ -288,8 +283,8 @@ def read_table(tsv_path, catalog_path=None, columns=None) -> FeatureTable:
     tsv_path = Path(tsv_path)
     if not tsv_path.exists():
         raise DataError(f"feature table not found: {tsv_path}")
-    lines = tsv_path.read_text(encoding="utf-8").split("\n")
-    header = lines[0].split("\t")
+    header, line_nos, body = read_lines(tsv_path)
+    header = header.split("\t")
     if header[:2] != ["user", "item"]:
         raise DataError(f"{tsv_path}:1: bad feature table header")
     n_keys = 3 if len(header) > 2 and header[2] == "label" else 2
@@ -300,8 +295,6 @@ def read_table(tsv_path, catalog_path=None, columns=None) -> FeatureTable:
     for name in wanted:
         if name not in names:
             raise KeyError(f"no feature column {name!r}")
-    line_nos = [n for n, line in enumerate(lines[1:], start=2) if line]
-    body = [lines[n - 1] for n in line_nos]
 
     def fail(row: int, problem: str):
         raise DataError(f"{tsv_path}:{line_nos[row]}: {problem}")
@@ -314,19 +307,17 @@ def read_table(tsv_path, catalog_path=None, columns=None) -> FeatureTable:
     # value fields still joined
     fields = (list(zip(*(line.split("\t", n_keys) for line in body)))
               if body else [()] * n_keys)
-    users, items = fields[0], fields[1]
+    users, items = np.array(fields[0], dtype=str), np.array(fields[1], dtype=str)
     labels = None
     if n_keys == 3:
         codes = [_LABELS.get(label) for label in fields[2]]
         if None in codes:
             fail(codes.index(None), "label must be 0 or 1")
         labels = np.array(codes, dtype=np.int8)
-    if len(set(zip(users, items))) != len(users):
-        seen = set()
-        for row, key in enumerate(zip(users, items)):
-            if key in seen:
-                fail(row, f"duplicate (user, item) key {key}")
-            seen.add(key)
+    row = first_repeat(users, items)
+    if row is not None:
+        fail(row, f"duplicate (user, item) key "
+                  f"{(str(users[row]), str(items[row]))}")
     values = np.zeros((len(body), len(wanted)))
     if wanted and body:
         usecols = [names.index(name) for name in wanted]
@@ -403,9 +394,8 @@ def encode_run(run: RunFile, users: IdEncoder, items: IdEncoder
                ) -> tuple[np.ndarray, np.ndarray]:
     """Encoded (user ids, item ids) of the run's pairs, in order; an id the
     encoders do not know becomes -1."""
-    pairs = run.pairs()
-    return (np.array([users.forward.get(u, -1) for u, _ in pairs], dtype=np.int64),
-            np.array([items.forward.get(i, -1) for _, i in pairs], dtype=np.int64))
+    return (np.repeat(users.lookup(run.users), np.diff(run.offsets)),
+            items.lookup(run.candidates))
 
 
 def combination_matrix(ctx: PlanContext,
@@ -426,8 +416,9 @@ def _cache_key(ctx: PlanContext, run: RunFile) -> str:
     for arr in (rows.user, rows.item, rows.rating, rows.market, rows.split):
         digest.update(f"{arr.dtype.str}{arr.shape}".encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
-    digest.update(json.dumps([ctx.users.reverse, ctx.items.reverse,
-                              run.entries]).encode())
+    entries = list(map(list, zip(run.users.tolist(), run.candidate_lists())))
+    digest.update(json.dumps([ctx.users.ids.tolist(), ctx.items.ids.tolist(),
+                              entries]).encode())
     return digest.hexdigest()
 
 
@@ -454,18 +445,19 @@ def _drop_stale(cache: Path, name: str) -> None:
             path.unlink(missing_ok=True)
 
 
-def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
+def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
+             user_ids: np.ndarray, item_ids: np.ndarray
              ) -> tuple[FeatureTable, list[dict]]:
     """One feature column (plus a missing-indicator column) per spec, rows
-    exactly the run file's (user, candidate) pairs in order. Completed
+    exactly the run file's (user, candidate) pairs in order; user_ids and
+    item_ids are those pairs as encode_run gives them. Completed
     columns are cached in ctx.cache_dir as <feature>.<digest>.npy and read
     back on re-run; writing one removes that column's files under other
     digests. A failing scorer is recorded and the plan continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
-    user_ids, item_ids = encode_run(run, ctx.users, ctx.items)
-    unknown = [c for (_, c), i in zip(run.pairs(), item_ids) if i < 0]
+    unknown = run.candidates[item_ids < 0]
     failures: list[dict] = []
     matrices: dict[str, SparseInteractionMatrix] = {}
     key = None if ctx.cache_dir is None else _cache_key(ctx, run)
@@ -480,8 +472,8 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile
         got = None if cache is None else _load_cached(cache, len(item_ids))
         if got is None:
             try:
-                if unknown:
-                    raise DataError(f"unknown id {unknown[0]!r}")
+                if len(unknown):
+                    raise DataError(f"unknown id {str(unknown[0])!r}")
                 got = np.stack(_score_run(spec, ctx, user_ids, item_ids,
                                           matrices))
             except Exception as exc:  # noqa: BLE001 - plan must survive one bad scorer
@@ -526,14 +518,15 @@ def _score_run(spec: ScorerSpec, ctx: PlanContext, user_ids: np.ndarray,
 _STAT_SPLITS = ("train", "train_5core")
 
 
-def global_statistic_features(ctx: PlanContext, run: RunFile, target: str
+def global_statistic_features(ctx: PlanContext, user_ids: np.ndarray,
+                              item_ids: np.ndarray, target: str
                               ) -> tuple[list[str], np.ndarray, dict]:
-    """Fixed catalog of aggregate statistics, computed over the union of
-    all markets and over the target market alone (training splits only):
-    per-item interaction count (+log1p), mean rating, cross-market overlap
-    count, per-user history length (+log1p) and mean rating."""
+    """Fixed catalog of aggregate statistics of a run's pairs, given as
+    encoded ids, computed over the union of all markets and over the
+    target market alone (training splits only): per-item interaction count
+    (+log1p), mean rating, cross-market overlap count, per-user history
+    length (+log1p) and mean rating."""
     rows = ctx.rows.take(np.isin(ctx.rows.split, _STAT_SPLITS))
-    user_ids, item_ids = encode_run(run, ctx.users, ctx.items)
     # Every per-id array below has one spare slot at the end that no row
     # fills, so an id unknown to the encoders (-1) reads as never seen.
     n_users, n_items = len(ctx.users) + 1, len(ctx.items) + 1
@@ -580,48 +573,41 @@ def global_statistic_features(ctx: PlanContext, run: RunFile, target: str
 
 
 def external_embedding_features(vectors: Mapping[str, np.ndarray],
-                                run: RunFile,
+                                user_ids: np.ndarray, item_ids: np.ndarray,
                                 matrix: SparseInteractionMatrix,
                                 ctx: PlanContext
                                 ) -> tuple[list[str], np.ndarray, dict]:
     """Mean and max cosine between each candidate's vector and the user's
-    covered history-item vectors; uncovered pairs get the missing flag."""
-    mean_col, max_col, miss_col = [], [], []
-    norm_cache: dict[str, np.ndarray] = {}
-
-    def unit(raw_item: str):
-        if raw_item in norm_cache:
-            return norm_cache[raw_item]
-        vec = vectors.get(raw_item)
-        if vec is not None:
-            n = float(np.linalg.norm(vec))
-            vec = vec / n if n > 0 else None
-        norm_cache[raw_item] = vec
-        return vec
-
-    for user, cands in run.entries:
-        u = ctx.users.forward.get(user, -1)
-        hist_units = []
-        if 0 <= u < matrix.n_users:
-            items, _ = matrix.row(u)
-            hist_units = [v for v in (unit(ctx.items.decode(int(i)))
-                                      for i in items) if v is not None]
-        hist = np.stack(hist_units) if hist_units else None
-        for cand in cands:
-            c_vec = unit(cand)
-            if c_vec is None or hist is None:
-                mean_col.append(0.0)
-                max_col.append(0.0)
-                miss_col.append(1.0)
-            else:
-                cos = hist @ c_vec
-                mean_col.append(float(np.mean(cos)))
-                max_col.append(float(np.max(cos)))
-                miss_col.append(0.0)
-
+    covered history-item vectors, for a run's pairs given as encoded ids;
+    uncovered pairs get the missing flag. vectors are keyed by raw item
+    id; a zero vector covers nothing."""
+    # unit vectors by item id; the spare last row is the unknown id (-1)
+    unit = np.zeros((len(ctx.items) + 1, len(next(iter(vectors.values()), ()))))
+    for k, raw in enumerate(ctx.items.ids.tolist()):
+        vec = vectors.get(raw)
+        norm = 0.0 if vec is None else float(np.linalg.norm(vec))
+        if norm > 0:
+            unit[k] = vec / norm
+    has = unit.any(axis=1)
+    # user u's covered history is hist_items[hist_ptr[u]:hist_ptr[u + 1]]
+    covered = has[matrix.user_items]
+    hist_items = matrix.user_items[covered]
+    hist_ptr = np.concatenate([[0], np.cumsum(covered)])[matrix.user_ptr]
+    lens = np.append(np.diff(hist_ptr), 0)[user_ids]  # -1 reads the spare 0
+    scored = np.flatnonzero((lens > 0) & has[item_ids])
+    out = np.tile([0.0, 0.0, 1.0], (len(item_ids), 1))  # mean, max, missing
+    if len(scored):
+        lens = lens[scored]
+        starts = np.cumsum(lens) - lens
+        # one entry per (scored pair, covered history item of its user)
+        hist = hist_items[mcf._ranges(hist_ptr[user_ids[scored]], lens)]
+        cands = np.repeat(item_ids[scored], lens)
+        cos = np.einsum("ij,ij->i", unit[hist], unit[cands])
+        out[scored] = np.column_stack([np.add.reduceat(cos, starts) / lens,
+                                       np.maximum.reduceat(cos, starts),
+                                       np.zeros(len(scored))])
     names = ["ext_emb__mean_cos", "ext_emb__max_cos", "ext_emb__missing"]
-    prov = {n: {"kind": "external_embedding"} for n in names}
-    return names, np.column_stack([mean_col, max_col, miss_col]), prov
+    return names, out, {n: {"kind": "external_embedding"} for n in names}
 
 
 def feature_correlation(table: FeatureTable, columns: Sequence[str]

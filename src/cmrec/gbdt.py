@@ -329,7 +329,8 @@ def predict(model: GbdtModel, table: FeatureTable) -> np.ndarray:
 
 
 def assign_folds(users: Sequence[str], folds: int, seed: int) -> dict[str, int]:
-    return {u: stable_bucket(u, seed, folds) for u in set(users)}
+    """Each distinct user's fold from a seeded hash, users in input order."""
+    return {u: stable_bucket(u, seed, folds) for u in users}
 
 
 def kfold_bagging(table: FeatureTable, params: GbdtParams,
@@ -340,10 +341,11 @@ def kfold_bagging(table: FeatureTable, params: GbdtParams,
         raise ValueError("folds must be at least 2")
     if table.labels is None:
         raise DataError("feature table has no label column")
-    if len(set(table.users)) < folds:
+    users, row_user = np.unique(table.users, return_inverse=True)
+    if len(users) < folds:
         raise StageError(f"need at least {folds} distinct users for {folds}-fold bagging")
-    fold_of = assign_folds(table.users, folds, params.seed)
-    row_fold = np.array([fold_of[u] for u in table.users])
+    fold_of = assign_folds(users.tolist(), folds, params.seed)
+    row_fold = np.fromiter(fold_of.values(), np.int64, len(users))[row_user]
     oof = np.full(table.n_rows, math.nan)
     models = []
     for f in range(folds):
@@ -368,11 +370,12 @@ def bagged_predict(bagged: BaggedModel, table: FeatureTable) -> np.ndarray:
 def oof_ndcg(table: FeatureTable, oof_scores: np.ndarray, k: int = 10) -> float:
     """NDCG@k of the out-of-fold scores, grouped per user, via the shared
     evaluation routine; users without any positive label are skipped."""
-    run = evaluation.group_ranked_run(table.users, table.items, oof_scores)
+    users, items = table.users.tolist(), table.items.tolist()
+    run = evaluation.group_ranked_run(users, items, oof_scores)
     qrels: dict[str, set] = {}
     if table.labels is not None:
         for r in np.flatnonzero(table.labels == 1).tolist():
-            qrels.setdefault(table.users[r], set()).add(table.items[r])
+            qrels.setdefault(users[r], set()).add(items[r])
     if not qrels:
         raise StageError("no positive labels; NDCG undefined")
     _, mean = evaluation.ndcg_at_k(run, qrels, k=k)

@@ -28,14 +28,13 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
 
 from . import data, evaluation, features, gbdt, selection
 from .config import PipelineConfig
-from .data import CombinationSpec, IdEncoder, Interactions, RunFile
+from .data import CombinationSpec, IdEncoder, Interactions
 from .util import (ConfigError, DataError, StageError, atomic_save_npy,
                    atomic_write_bytes, atomic_write_text, fmt, stage_seed)
 
@@ -100,32 +99,23 @@ def run_ingest(config: PipelineConfig) -> dict:
     data_dir = Path(config.data_dir)
     if not data_dir.is_dir():
         raise DataError(f"data directory not found: {data_dir}")
-    raw_rows: list[data.RawInteraction] = []
-    reports = {}
-    for market in config.markets:
-        rows, report = data.load_market(data_dir / market, market)
-        raw_rows.extend(rows)
-        reports[market] = report
-    raw_rows = data.dedupe_and_mark_5core(raw_rows)
-
-    runs = {}
-    for target in config.targets:
-        for which, fname in data.RUN_FILES.items():
-            runs[(target, which)] = data.load_run(data_dir / target / fname)
-
-    users, items = data.fit_encoders(raw_rows, list(runs.values()))
     markets = list(config.markets)
-    market_code = {m: i for i, m in enumerate(markets)}
-    split_code = {s: i for i, s in enumerate(data.SPLITS)}
-    arrays = {
-        "user": users.encode_many([r.user for r in raw_rows]),
-        "item": items.encode_many([r.item for r in raw_rows]),
-        "rating": np.array([r.rating for r in raw_rows], dtype=np.float64),
-        "market": np.array([market_code[r.market] for r in raw_rows],
-                           dtype=np.int64),
-        "split": np.array([split_code[r.split] for r in raw_rows],
-                          dtype=np.int64),
-    }
+    columns, reports = [], {}
+    for code, market in enumerate(markets):
+        cols, reports[market] = data.load_market(data_dir / market, market)
+        cols["market"] = np.full(len(cols["rating"]), code, dtype=np.int64)
+        columns.append(cols)
+    raw = {name: np.concatenate([c[name] for c in columns])
+           for name in ("user", "item", "rating", "market", "split")}
+
+    runs = {(target, which): data.load_run(data_dir / target / fname)
+            for target in config.targets
+            for which, fname in data.RUN_FILES.items()}
+
+    users, items = data.fit_encoders(raw["user"], raw["item"],
+                                     list(runs.values()))
+    raw["user"], raw["item"] = users.lookup(raw["user"]), items.lookup(raw["item"])
+    arrays = data.dedupe_and_mark_5core(raw)
     rows = _interactions(arrays, markets, data.SPLITS)
     summary = data.summarize(rows)
     summary["load_reports"] = reports
@@ -135,8 +125,8 @@ def run_ingest(config: PipelineConfig) -> dict:
     (snap / "runs").mkdir(parents=True, exist_ok=True)
     for name, arr in arrays.items():
         atomic_save_npy(snap / f"rows_{name}.npy", arr)
-    _write_json(snap / "encoders.json", {"users": list(users.reverse),
-                                         "items": list(items.reverse)})
+    _write_json(snap / "encoders.json", {"users": users.ids.tolist(),
+                                         "items": items.ids.tolist()})
     _write_json(snap / "meta.json", {"markets": markets,
                                      "targets": list(config.targets),
                                      "splits": list(data.SPLITS)})
@@ -149,17 +139,6 @@ def run_ingest(config: PipelineConfig) -> dict:
 
 def _write_json(path: Path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def snapshot_digest(ws: Workspace) -> str:
-    """Content hash over every snapshot file, order-independent."""
-    digest = blake2b(digest_size=16)
-    snap = ws.snapshot_dir
-    for path in sorted(snap.rglob("*")):
-        if path.is_file():
-            digest.update(str(path.relative_to(snap)).encode())
-            digest.update(path.read_bytes())
-    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -236,11 +215,12 @@ def make_plan(config: PipelineConfig, target: str,
     return plan
 
 
-def _valid_labels(snap: Snapshot, target: str, run: RunFile) -> np.ndarray:
-    """Per run pair, 1 if it is one of the target's valid positives."""
+def _valid_labels(snap: Snapshot, target: str, users: np.ndarray,
+                  items: np.ndarray) -> np.ndarray:
+    """Per run pair, given as encoded ids (-1 unknown), 1 if it is one of
+    the target's valid positives."""
     rows = snap.rows
     pos = rows.take((rows.market == target) & (rows.split == "valid_qrel"))
-    users, items = features.encode_run(run, snap.users, snap.items)
     n = len(snap.items)
     keys = np.where((users < 0) | (items < 0), -1, users * n + items)
     return np.isin(keys, pos.user * n + pos.item).astype(np.int8)
@@ -270,20 +250,23 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
                                    cache_dir=tdir / "cache" / which,
                                    model_cache=shared_cache)
         run = data.load_run(ws.run_path(target, which))
-        table, failures = features.run_plan(plan, ctx, run)
+        user_ids, item_ids = features.encode_run(run, snap.users, snap.items)
+        table, failures = features.run_plan(plan, ctx, run, user_ids,
+                                            item_ids)
         all_failures.extend(dict(f, run=which) for f in failures)
         if config.prerank.stats:
             cols, vals, prov = features.global_statistic_features(
-                ctx, run, target)
+                ctx, user_ids, item_ids, target)
             table = table.with_columns(cols, vals, prov)
         if external is not None:
             matrix = features.combination_matrix(
                 ctx, CombinationSpec(target, tuple(sorted(snap.markets))))
             cols, vals, prov = features.external_embedding_features(
-                external, run, matrix, ctx)
+                external, user_ids, item_ids, matrix, ctx)
             table = table.with_columns(cols, vals, prov)
         if which == "valid":
-            table = table.with_labels(_valid_labels(snap, target, run))
+            table = table.with_labels(
+                _valid_labels(snap, target, user_ids, item_ids))
             scorer_cols = [c for c in table.columns
                            if table.provenance.get(c, {}).get("kind") == "scorer"]
             if len(scorer_cols) >= 1 and table.n_rows >= 2:
@@ -347,14 +330,15 @@ def run_train(config: PipelineConfig, target: str) -> dict:
     gbdt.save_model(bagged, tdir / "model.json")
 
     lines = ["user\titem\tlabel\toof_score"]
-    for r in range(valid.n_rows):
-        lines.append(f"{valid.users[r]}\t{valid.items[r]}"
-                     f"\t{int(valid.labels[r])}\t{fmt(bagged.oof[r])}")
+    lines += [f"{user}\t{item}\t{label}\t{fmt(score)}"
+              for user, item, label, score in zip(
+                  valid.users.tolist(), valid.items.tolist(),
+                  valid.labels.tolist(), bagged.oof.tolist())]
     atomic_write_text(tdir / "oof.tsv", "\n".join(lines) + "\n")
 
     test = _read_kept_columns(ws, target, "test", kept)
     preds = gbdt.bagged_predict(bagged, test)
-    run = evaluation.group_ranked_run(test.users, test.items, preds)
+    run = evaluation.group_ranked_run(test.users.tolist(), test.items.tolist(), preds)
     evaluation.emit_run_file(run, tdir / "test_ranked.tsv")
 
     metrics = {"target": target, "oof_ndcg_at_10": offline,
@@ -386,12 +370,11 @@ def _snapshot_qrels(snap: Snapshot, target: str, split: str) -> dict[str, set]:
     ndcg_at_k averages over the users in this order."""
     rows = snap.rows.take((snap.rows.market == target)
                           & (snap.rows.split == split))
-    users, first, counts = np.unique(rows.user, return_index=True,
-                                     return_counts=True)
-    items = np.split(rows.item[np.argsort(rows.user, kind="stable")],
-                     np.cumsum(counts)[:-1])
-    return {snap.users.decode(users[k]): {snap.items.decode(i) for i in items[k]}
-            for k in np.argsort(first)}
+    qrels: dict[str, set] = {}
+    for user, item in zip(snap.users.ids[rows.user].tolist(),
+                          snap.items.ids[rows.item].tolist()):
+        qrels.setdefault(user, set()).add(item)
+    return qrels
 
 
 def run_evaluate(config: PipelineConfig, target: str,

@@ -18,7 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import RunFile, write_run
+from .data import (MANDATORY_SPLITS, RUN_FILES, SPLIT_FILES, SPLITS, RunFile,
+                   write_run)
 from .util import ConfigError, atomic_write_text, fmt, stage_seed
 
 _HARD_NEGATIVES = 10
@@ -119,14 +120,9 @@ def generate(config: SynthConfig) -> dict:
                                   int(round(spec.item_coverage * config.n_items)),
                                   replace=False))
         is_target = market in config.targets
-        train_rows: list[str] = []
-        core_rows: list[str] = []
-        valid_qrel: list[str] = []
-        test_qrel: list[str] = []
-        valid_entries: list[tuple[str, tuple[str, ...]]] = []
-        test_entries: list[tuple[str, tuple[str, ...]]] = []
-        users_with_items = 0
-        eval_count = 0
+        rows: dict[str, list[str]] = {split: [] for split in SPLITS}
+        eval_users: list[str] = []
+        cand_lists: dict[str, list[list[str]]] = {"valid": [], "test": []}
 
         for uidx in range(spec.n_users):
             user = _user_id(market, uidx)
@@ -138,51 +134,42 @@ def generate(config: SynthConfig) -> dict:
                                          spec.interactions_per_user + 4),
                             2, len(pool) - 2 - _HARD_NEGATIVES))
             history = ranked[:k]
-            users_with_items += 1
             ratings = np.clip(np.round(3.0 + 1.2 * (factors[history] @ u_vec)
                                        + rng.normal(0.0, 0.4, k)), 1.0, 5.0)
             for item, rating in zip(history, ratings):
-                train_rows.append(f"{user}\t{_item_id(item)}\t{fmt(rating)}")
+                rows["train"].append(f"{user}\t{_item_id(item)}\t{fmt(rating)}")
             if k >= 5:
-                for item, rating in zip(history, ratings):
-                    core_rows.append(f"{user}\t{_item_id(item)}\t{fmt(rating)}")
+                rows["train_5core"] += rows["train"][-k:]
 
-            if is_target and eval_count < config.eval_users and k >= 3:
-                eval_count += 1
+            if is_target and len(eval_users) < config.eval_users and k >= 3:
+                eval_users.append(user)
                 valid_pos, test_pos = ranked[k], ranked[k + 1]
                 hard = ranked[k + 2:k + 2 + _HARD_NEGATIVES]
                 held = set(history) | {valid_pos, test_pos} | set(hard)
                 free = np.array([i for i in pool if i not in held])
-                for positive, qrel_lines, entries in (
-                        (valid_pos, valid_qrel, valid_entries),
-                        (test_pos, test_qrel, test_entries)):
+                for positive, which in ((valid_pos, "valid"), (test_pos, "test")):
                     n_uniform = config.n_candidates - 1 - len(hard)
                     uniform = rng.choice(free, n_uniform, replace=False)
                     cands = np.concatenate([[positive], hard, uniform])
                     cands = cands[rng.permutation(len(cands))]
-                    qrel_lines.append(f"{user}\t{_item_id(positive)}\t{fmt(5.0)}")
-                    entries.append((user, tuple(_item_id(c) for c in cands)))
+                    rows[f"{which}_qrel"].append(
+                        f"{user}\t{_item_id(positive)}\t{fmt(5.0)}")
+                    cand_lists[which].append([_item_id(c) for c in cands])
 
         mdir = out / market
         mdir.mkdir(parents=True, exist_ok=True)
-        header = "userId\titemId\trating"
-        atomic_write_text(mdir / "train.tsv",
-                          "\n".join([header] + train_rows) + "\n")
-        atomic_write_text(mdir / "train_5core.tsv",
-                          "\n".join([header] + core_rows) + "\n")
-        if is_target:
-            atomic_write_text(mdir / "valid_qrel.tsv",
-                              "\n".join([header] + valid_qrel) + "\n")
-            atomic_write_text(mdir / "test_qrel.tsv",
-                              "\n".join([header] + test_qrel) + "\n")
-            write_run(RunFile(tuple(valid_entries)), mdir / "valid_run.tsv")
-            write_run(RunFile(tuple(test_entries)), mdir / "test_run.tsv")
+        # source markets have no evaluation files
+        for split in SPLITS if is_target else MANDATORY_SPLITS:
+            atomic_write_text(mdir / SPLIT_FILES[split], "\n".join(
+                ["userId\titemId\trating"] + rows[split]) + "\n")
+        for which, fname in RUN_FILES.items() if is_target else ():
+            write_run(RunFile.from_lists(eval_users, cand_lists[which]),
+                      mdir / fname)
 
         meta_markets[market] = {
-            "train": len(train_rows), "train_5core": len(core_rows),
-            "valid_qrel": len(valid_qrel), "test_qrel": len(test_qrel),
-            "users": users_with_items,
-            "items": len({line.split("\t")[1] for line in train_rows}),
+            **{split: len(lines) for split, lines in rows.items()},
+            "users": spec.n_users,
+            "items": len({line.split("\t")[1] for line in rows["train"]}),
             "pool_size": int(len(pool)),
         }
 

@@ -17,22 +17,48 @@ def write_market(root, market, train_lines, extra=None):
     return d
 
 
+def market_rows(columns):
+    """The loaded columns as (user, item, rating, split name) tuples."""
+    return list(zip(columns["user"].tolist(), columns["item"].tolist(),
+                    columns["rating"].tolist(),
+                    [data.SPLITS[k] for k in columns["split"].tolist()]))
+
+
 class TestLoadMarket:
     def test_basic_parse(self, tmp_path):
         d = write_market(tmp_path, "m1", ["u1\ti1\t4.0\n", "u2\ti2\t5.0\n"])
-        rows, report = data.load_market(d, "m1")
-        assert len(rows) == 2
-        assert rows[0] == data.RawInteraction("u1", "i1", 4.0, "m1", "train")
-        assert report["malformed"] == 0
+        columns, report = data.load_market(d, "m1")
+        assert market_rows(columns) == [("u1", "i1", 4.0, "train"),
+                                        ("u2", "i2", 5.0, "train")]
+        assert columns["rating"].dtype == np.float64
+        assert columns["split"].dtype == np.int64
+        assert report["malformed"] == 0 and report["rows"] == 2
 
     def test_malformed_lines_skipped_and_counted(self, tmp_path):
         d = write_market(tmp_path, "m1",
                          ["u1\ti1\t4.0\n", "only_two\tfields\n",
                           "\n", "u2\ti2\t3.0\n"])
-        rows, report = data.load_market(d, "m1")
-        assert [r.user for r in rows] == ["u1", "u2"]
+        columns, report = data.load_market(d, "m1")
+        assert columns["user"].tolist() == ["u1", "u2"]
         assert report["malformed"] == 1
         assert report["malformed_lines"][0].endswith(":3")
+
+    def test_empty_ids_are_malformed(self, tmp_path):
+        d = write_market(tmp_path, "m1",
+                         ["u1\ti1\t4.0\n", "u2\t\t4\n", "\tix\t2\n",
+                          "\t\t3\n", "u3\ti3\t5.0\n"])
+        columns, report = data.load_market(d, "m1")
+        assert columns["user"].tolist() == ["u1", "u3"]
+        assert columns["item"].tolist() == ["i1", "i3"]
+        assert report["malformed"] == 3
+        assert [line.rsplit(":", 1)[1]
+                for line in report["malformed_lines"]] == ["3", "4", "5"]
+
+    def test_rating_parsed_like_float(self, tmp_path):
+        d = write_market(tmp_path, "m1", ["u1\ti1\t 4 \n", "u2\ti2\t1e0\n",
+                                          "u3\ti3\t4.50\n"])
+        columns, _ = data.load_market(d, "m1")
+        assert columns["rating"].tolist() == [4.0, 1.0, 4.5]
 
     def test_unparsable_rating_is_hard_error(self, tmp_path):
         d = write_market(tmp_path, "m1", ["u1\ti1\tmany\n"])
@@ -42,6 +68,17 @@ class TestLoadMarket:
     def test_rating_out_of_range(self, tmp_path):
         d = write_market(tmp_path, "m1", ["u1\ti1\t6.0\n"])
         with pytest.raises(DataError, match="outside"):
+            data.load_market(d, "m1")
+
+    def test_first_bad_rating_is_reported_at_its_line(self, tmp_path):
+        d = write_market(tmp_path, "m1", ["u1\ti1\t4.0\n", "u2\ti2\tnan\n",
+                                          "u3\ti3\tmany\n"])
+        with pytest.raises(DataError, match=r"train.tsv:3: rating nan outside"):
+            data.load_market(d, "m1")
+
+    def test_nul_in_an_id_is_a_data_error(self, tmp_path):
+        d = write_market(tmp_path, "m1", ["u1\ti1\t4.0\n", "u2\ti2\x00\t3\n"])
+        with pytest.raises(DataError, match=r"train.tsv:3: NUL"):
             data.load_market(d, "m1")
 
     def test_missing_mandatory_file(self, tmp_path):
@@ -58,63 +95,106 @@ class TestLoadMarket:
     def test_optional_qrels_loaded(self, tmp_path):
         d = write_market(tmp_path, "t1", ["u1\ti1\t4.0\n"])
         (d / "valid_qrel.tsv").write_text("userId\titemId\trating\nu1\ti9\t5.0\n")
-        rows, _ = data.load_market(d, "t1")
-        assert {r.split for r in rows} == {"train", "valid_qrel"}
+        columns, _ = data.load_market(d, "t1")
+        assert {row[3] for row in market_rows(columns)} == {"train",
+                                                            "valid_qrel"}
+
+
+def code_rows(records):
+    """(user, item, rating, market, split) code records as the columns
+    dedupe_and_mark_5core takes."""
+    user, item, rating, market, split = zip(*records)
+    return {"user": np.array(user), "item": np.array(item),
+            "rating": np.array(rating, dtype=np.float64),
+            "market": np.array(market), "split": np.array(split)}
+
+
+TRAIN, CORE, VALID = (data.SPLITS.index(s)
+                      for s in ("train", "train_5core", "valid_qrel"))
 
 
 class TestDedupe:
     def test_duplicates_keep_last_value_first_position(self):
-        rows = [
-            data.RawInteraction("u", "i", 2.0, "m", "train"),
-            data.RawInteraction("u", "j", 3.0, "m", "train"),
-            data.RawInteraction("u", "i", 4.0, "m", "train"),
-        ]
-        out = data.dedupe_and_mark_5core(rows)
-        assert [(r.item, r.rating) for r in out] == [("i", 4.0), ("j", 3.0)]
+        out = data.dedupe_and_mark_5core(code_rows([
+            (0, 0, 2.0, 0, TRAIN), (0, 1, 3.0, 0, TRAIN),
+            (0, 0, 4.0, 0, TRAIN), (0, 1, 1.0, 0, TRAIN),
+            (0, 0, 5.0, 0, TRAIN)]))
+        assert out["item"].tolist() == [0, 1]
+        assert out["rating"].tolist() == [5.0, 1.0]
 
     def test_5core_ratings_forced(self):
-        rows = [data.RawInteraction("u", "i", 3.0, "m", "train_5core")]
-        out = data.dedupe_and_mark_5core(rows)
-        assert out[0].rating == 5.0
+        out = data.dedupe_and_mark_5core(code_rows([(0, 0, 3.0, 0, CORE),
+                                                    (0, 0, 3.0, 0, TRAIN)]))
+        assert out["rating"].tolist() == [5.0, 3.0]
 
     def test_same_pair_across_splits_kept(self):
-        rows = [
-            data.RawInteraction("u", "i", 2.0, "m", "train"),
-            data.RawInteraction("u", "i", 5.0, "m", "valid_qrel"),
-        ]
-        assert len(data.dedupe_and_mark_5core(rows)) == 2
+        out = data.dedupe_and_mark_5core(code_rows([
+            (0, 0, 2.0, 0, TRAIN), (0, 0, 5.0, 0, VALID),
+            (0, 0, 4.0, 1, TRAIN)]))
+        assert out["rating"].tolist() == [2.0, 5.0, 4.0]
+
+    def test_matches_dict_oracle(self, rng):
+        records = list(zip(rng.integers(0, 4, 300).tolist(),
+                           rng.integers(0, 5, 300).tolist(),
+                           rng.integers(1, 6, 300).astype(float).tolist(),
+                           rng.integers(0, 2, 300).tolist(),
+                           rng.integers(0, 4, 300).tolist()))
+        last = {}
+        for rec in records:
+            key = (rec[0], rec[1], rec[3], rec[4])
+            last[key] = rec  # a re-assigned key keeps its first position
+        want = [(u, i, 5.0 if s == CORE else r, m, s)
+                for u, i, r, m, s in last.values()]
+        out = data.dedupe_and_mark_5core(code_rows(records))
+        got = list(zip(*(out[k].tolist()
+                         for k in ("user", "item", "rating", "market",
+                                   "split"))))
+        assert got == want
 
 
 class TestEncoders:
     def test_ids_sorted_and_bijective(self):
         enc = data.IdEncoder.fit(["b", "a", "c", "a"])
-        assert enc.reverse == ("a", "b", "c")
-        for i, v in enumerate(enc.reverse):
+        assert enc.ids.tolist() == ["a", "b", "c"]
+        for i, v in enumerate(enc.ids.tolist()):
             assert enc.encode(v) == i
-            assert enc.decode(i) == v
+            assert str(enc.ids[i]) == v
 
     def test_unknown_id_raises(self):
         enc = data.IdEncoder.fit(["a"])
         with pytest.raises(DataError, match="zzz"):
             enc.encode("zzz")
 
+    def test_lookup_marks_unknown_ids(self):
+        enc = data.IdEncoder.fit(["b", "d"])
+        assert enc.lookup(["a", "b", "c", "d", "e", "bb"]).tolist() == [
+            -1, 0, -1, 1, -1, -1]
+        assert data.IdEncoder.fit([]).lookup(["a"]).tolist() == [-1]
+
     def test_run_file_ids_included(self):
-        rows = [data.RawInteraction("u1", "i1", 3.0, "m", "train")]
-        run = data.RunFile((("u2", ("i2", "i1")),))
-        users, items = data.fit_encoders(rows, [run])
-        assert set(users.reverse) == {"u1", "u2"}
-        assert set(items.reverse) == {"i1", "i2"}
+        run = data.RunFile.from_lists(["u2"], [["i2", "i1"]])
+        users, items = data.fit_encoders(np.array(["u1"]), np.array(["i1"]),
+                                         [run])
+        assert users.ids.tolist() == ["u1", "u2"]
+        assert items.ids.tolist() == ["i1", "i2"]
+
+
+def run_entries(run):
+    return list(zip(run.users.tolist(), run.candidate_lists()))
 
 
 class TestRunFiles:
     def test_round_trip(self, tmp_path):
-        run = data.RunFile((("u1", ("i2", "i1")), ("u2", ("i3",))))
+        run = data.RunFile.from_lists(["u1", "u2"], [["i2", "i1"], ["i3"]])
         data.write_run(run, tmp_path / "r.tsv")
-        assert data.load_run(tmp_path / "r.tsv") == run
+        back = data.load_run(tmp_path / "r.tsv")
+        assert run_entries(back) == [("u1", ["i2", "i1"]), ("u2", ["i3"])]
+        assert back.offsets.tolist() == [0, 2, 3]
+        assert back.offsets.dtype == np.int64
 
     def test_written_atomically_with_the_same_bytes(self, tmp_path,
                                                    monkeypatch):
-        run = data.RunFile((("u1", ("i2", "i1")), ("u2", ("i3",))))
+        run = data.RunFile.from_lists(["u1", "u2"], [["i2", "i1"], ["i3"]])
         written = []
         real = data.atomic_write_text
 
@@ -131,12 +211,32 @@ class TestRunFiles:
     def test_duplicate_user_rejected(self, tmp_path):
         (tmp_path / "r.tsv").write_text(
             "userId\titemIds\nu1\ti1\nu1\ti2\n")
-        with pytest.raises(DataError, match="duplicate user"):
+        with pytest.raises(DataError, match="r.tsv:3: duplicate user 'u1'"):
             data.load_run(tmp_path / "r.tsv")
 
     def test_duplicate_candidate_rejected(self, tmp_path):
-        (tmp_path / "r.tsv").write_text("userId\titemIds\nu1\ti1\ti1\n")
-        with pytest.raises(DataError, match="duplicate candidates"):
+        (tmp_path / "r.tsv").write_text(
+            "userId\titemIds\nu0\ti1\ti2\n\nu1\ti2\ti1\ti2\n")
+        with pytest.raises(DataError,
+                           match="r.tsv:4: duplicate candidates for user 'u1'"):
+            data.load_run(tmp_path / "r.tsv")
+
+    @pytest.mark.parametrize("line", ["u2\t", "u3\ti1\t\ti3", "\ti1",
+                                      "u4\ti1\t"])
+    def test_empty_id_rejected_at_its_line(self, tmp_path, line):
+        (tmp_path / "r.tsv").write_text(
+            f"userId\titemIds\nu1\ti1\n{line}\nu5\ti2\n")
+        with pytest.raises(DataError, match="r.tsv:3: empty id"):
+            data.load_run(tmp_path / "r.tsv")
+
+    def test_user_without_candidates_rejected(self, tmp_path):
+        (tmp_path / "r.tsv").write_text("userId\titemIds\nu1\ti1\nu2\n")
+        with pytest.raises(DataError, match="r.tsv:3: run line needs"):
+            data.load_run(tmp_path / "r.tsv")
+
+    def test_nul_rejected(self, tmp_path):
+        (tmp_path / "r.tsv").write_text("userId\titemIds\nu1\ti1\x00\n")
+        with pytest.raises(DataError, match="r.tsv:2: NUL"):
             data.load_run(tmp_path / "r.tsv")
 
 

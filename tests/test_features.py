@@ -37,17 +37,56 @@ RAW_ROWS = [
     ("d", "i3", 4.0, "s1", "valid_qrel"),
 ]
 
-RUN = RunFile((("a", ("i0", "i1", "i2", "i3")),
+def run_of(entries):
+    """A RunFile of (user, candidates) entries."""
+    return RunFile.from_lists([u for u, _ in entries], [c for _, c in entries])
+
+
+def entries_of(run):
+    """The (user, candidates tuple) entries of a RunFile."""
+    return tuple(zip(run.users.tolist(),
+                     map(tuple, run.candidate_lists())))
+
+
+def pairs_of(run):
+    """The (user, candidate) pairs of a RunFile, in order."""
+    return [(u, c) for u, cands in entries_of(run) for c in cands]
+
+
+RUN_ENTRIES = (("a", ("i0", "i1", "i2", "i3")),
                ("b", ("i1", "i2", "i4")),
-               ("ghost", ("i0", "i1"))))
+               ("ghost", ("i0", "i1")))
+RUN = run_of(RUN_ENTRIES)
+
+
+def plan_run(plan, ctx, run):
+    """run_plan of a RunFile, encoded by ctx's encoders."""
+    return run_plan(plan, ctx, run,
+                    *features.encode_run(run, ctx.users, ctx.items))
+
+
+def run_statistics(ctx, run, target):
+    """global_statistic_features of a RunFile's pairs."""
+    return global_statistic_features(
+        ctx, *features.encode_run(run, ctx.users, ctx.items), target)
+
+
+def run_external(vectors, run, matrix, ctx):
+    """external_embedding_features of a RunFile's pairs."""
+    return external_embedding_features(
+        vectors, *features.encode_run(run, ctx.users, ctx.items), matrix, ctx)
+
+
+def lookup(encoder, value):
+    """The id of value, -1 when the encoder does not know it."""
+    return int(encoder.lookup([value])[0])
 
 
 def tiny_context(cache_dir=None):
-    users = IdEncoder.fit([r[0] for r in RAW_ROWS] + RUN.users())
-    items = IdEncoder.fit([r[1] for r in RAW_ROWS]
-                          + [c for _, cs in RUN.entries for c in cs])
+    users = IdEncoder.fit([r[0] for r in RAW_ROWS] + RUN.users.tolist())
+    items = IdEncoder.fit([r[1] for r in RAW_ROWS] + RUN.candidates.tolist())
     user, item, rating, market, split = zip(*RAW_ROWS)
-    rows = Interactions(users.encode_many(user), items.encode_many(item),
+    rows = Interactions(users.lookup(user), items.lookup(item),
                         rating, market, split)
     return PlanContext(rows=rows, users=users, items=items,
                        cache_dir=cache_dir)
@@ -145,28 +184,28 @@ class TestCombinationMatrix:
 def _per_spec_columns(specs):
     """(name, column) of every spec planned on its own."""
     for spec in specs:
-        table, _ = run_plan([spec], tiny_context(), RUN)
+        table, _ = plan_run([spec], tiny_context(), RUN)
         yield from ((name, table.column(name)) for name in table.columns)
 
 
 class TestRunPlan:
     def test_rows_follow_run_file_order(self):
         ctx = tiny_context()
-        table, failures = run_plan([spec_for()], ctx, RUN)
+        table, failures = plan_run([spec_for()], ctx, RUN)
         assert failures == []
-        assert list(zip(table.users, table.items)) == RUN.pairs()
+        assert list(zip(table.users, table.items)) == pairs_of(RUN)
         name = spec_for().feature_name
         assert table.columns == (name, f"{name}__missing")
 
     def test_item_cf_column_matches_direct_scoring(self):
         ctx = tiny_context()
         spec = spec_for(params={"top_k": 10})
-        table, _ = run_plan([spec], ctx, RUN)
+        table, _ = plan_run([spec], ctx, RUN)
         matrix = combination_matrix(ctx, spec.combination)
         sims = memory_cf.item_cosine_similarity(matrix, 10)
         want, want_miss = [], []
-        for user, cands in RUN.entries:
-            u = ctx.users.forward.get(user, -1)
+        for user, cands in RUN_ENTRIES:
+            u = lookup(ctx.users, user)
             c_ids = np.array([ctx.items.encode(c) for c in cands])
             scores, cold = memory_cf.score_candidates(
                 sims, matrix, np.full(len(c_ids), u), c_ids)
@@ -179,7 +218,7 @@ class TestRunPlan:
     def test_unknown_user_flagged_missing_not_fatal(self):
         ctx = tiny_context()
         spec = spec_for()
-        table, failures = run_plan([spec], ctx, RUN)
+        table, failures = plan_run([spec], ctx, RUN)
         assert failures == []
         miss = table.column(f"{spec.feature_name}__missing")
         ghost_rows = [r for r, u in enumerate(table.users) if u == "ghost"]
@@ -189,7 +228,7 @@ class TestRunPlan:
         ctx = tiny_context()
         good = spec_for()
         bad = spec_for("swing", {"alpha": -1.0})
-        table, failures = run_plan([good, bad], ctx, RUN)
+        table, failures = plan_run([good, bad], ctx, RUN)
         assert good.feature_name in table.columns
         assert bad.feature_name not in table.columns
         assert len(failures) == 1
@@ -208,7 +247,7 @@ class TestRunPlan:
             return real(self, names, matrix, provenance)
 
         monkeypatch.setattr(FeatureTable, "with_columns", counting)
-        table, failures = run_plan(specs, tiny_context(), RUN)
+        table, failures = plan_run(specs, tiny_context(), RUN)
         assert failures == []
         assert calls == [list(table.columns)]
         assert table.values.flags.c_contiguous
@@ -219,12 +258,12 @@ class TestRunPlan:
     def test_duplicate_feature_names_rejected(self):
         ctx = tiny_context()
         with pytest.raises(ConfigError, match="duplicate"):
-            run_plan([spec_for(), spec_for()], ctx, RUN)
+            plan_run([spec_for(), spec_for()], ctx, RUN)
 
     def test_provenance_records_combination_and_guard(self):
         ctx = tiny_context()
         spec = spec_for(params={"top_k": 5})
-        table, _ = run_plan([spec], ctx, RUN)
+        table, _ = plan_run([spec], ctx, RUN)
         prov = table.provenance[spec.feature_name]
         assert prov["kind"] == "scorer"
         assert prov["scorer"] == "item_cf"
@@ -239,15 +278,15 @@ class TestScorerRegistry:
     def test_every_scorer_scores_every_run_pair(self):
         # "stranger" is unknown to the encoders: missing, not fatal
         ctx = tiny_context()
-        run = RunFile(RUN.entries + (("stranger", ("i0",)),))
+        run = run_of(RUN_ENTRIES + (("stranger", ("i0",)),))
         small = {"dim": 4, "epochs": 1, "walks_per_node": 1, "walk_length": 4,
                  "batch_size": 8, "seed": 1}
         for name, scorer in features.SCORERS.items():
             params = small if scorer.seeded else {"top_k": 10}
             spec = spec_for(name, params)
-            table, failures = run_plan([spec], ctx, run)
+            table, failures = plan_run([spec], ctx, run)
             assert failures == [], name
-            assert list(zip(table.users, table.items)) == run.pairs()
+            assert list(zip(table.users, table.items)) == pairs_of(run)
             miss = table.column(f"{spec.feature_name}__missing")
             assert set(miss) <= {0.0, 1.0}
             assert miss[-1] == 1.0, name
@@ -268,7 +307,7 @@ class TestScorerRegistry:
 
         monkeypatch.setattr(memory_cf, kernel, spy)
         ctx = tiny_context()
-        run_plan([spec_for(scorer)], ctx, RUN)
+        plan_run([spec_for(scorer)], ctx, RUN)
         [args] = calls
         users, items = features.encode_run(RUN, ctx.users, ctx.items)
         assert np.array_equal(args[-2], users)
@@ -286,13 +325,12 @@ class TestScorerRegistry:
 
         monkeypatch.setattr(emb, "embedding_score", spy)
         ctx = tiny_context()
-        run = RunFile(RUN.entries + (("stranger", ("i0",)),))
+        run = run_of(RUN_ENTRIES + (("stranger", ("i0",)),))
         spec = spec_for("word2vec", {"dim": 4, "epochs": 1, "seed": 1})
-        table, _ = run_plan([spec], ctx, run)
+        table, _ = plan_run([spec], ctx, run)
         assert calls == [(
-            [ctx.users.forward.get(u, -1) for u, cands in run.entries
-             for _ in cands],
-            [ctx.items.encode(c) for _, cands in run.entries for c in cands])]
+            [lookup(ctx.users, u) for u, _ in pairs_of(run)],
+            [ctx.items.encode(c) for _, c in pairs_of(run)])]
         assert table.column(f"{spec.feature_name}__missing")[-1] == 1.0
 
     def test_seeded_entries_are_the_embedding_scorers(self):
@@ -301,9 +339,9 @@ class TestScorerRegistry:
 
     def test_unknown_candidate_item_is_a_per_spec_failure(self):
         ctx = tiny_context()
-        run = RunFile((("a", ("i0", "nobody_knows")),))
+        run = run_of((("a", ("i0", "nobody_knows")),))
         good, other = spec_for(), spec_for("bigraph", {})
-        table, failures = run_plan([good, other], ctx, run)
+        table, failures = plan_run([good, other], ctx, run)
         assert [f["feature"] for f in failures] == [good.feature_name,
                                                     other.feature_name]
         assert all(f["error"] == "DataError: unknown id 'nobody_knows'"
@@ -313,14 +351,14 @@ class TestScorerRegistry:
     def test_bigraph_column_matches_direct_lookup(self):
         ctx = tiny_context()
         spec = spec_for("bigraph", {"retain_seed": False})
-        table, _ = run_plan([spec], ctx, RUN)
+        table, _ = plan_run([spec], ctx, RUN)
         matrix = combination_matrix(ctx, spec.combination)
         want, want_miss = [], []
-        for user, cands in RUN.entries:
+        for user, cands in RUN_ENTRIES:
             nz, mass = memory_cf.bigraph_scores(
-                matrix, ctx.users.forward.get(user, -1), retain_seed=False)
-            lookup = dict(zip(nz.tolist(), mass.tolist()))
-            want += [lookup.get(ctx.items.encode(c), 0.0) for c in cands]
+                matrix, lookup(ctx.users, user), retain_seed=False)
+            by_item = dict(zip(nz.tolist(), mass.tolist()))
+            want += [by_item.get(ctx.items.encode(c), 0.0) for c in cands]
             want_miss += [float(len(nz) == 0)] * len(cands)
         assert table.column(spec.feature_name).tolist() == want
         assert table.column(f"{spec.feature_name}__missing").tolist() == want_miss
@@ -336,45 +374,45 @@ class TestColumnCache:
     def test_second_run_reads_cache_without_refitting(self, tmp_path):
         first = tiny_context(cache_dir=tmp_path)
         spec = spec_for()
-        table1, _ = run_plan([spec], first, RUN)
+        table1, _ = plan_run([spec], first, RUN)
         assert cached_column(tmp_path, spec).exists()
 
         again = tiny_context(cache_dir=tmp_path)
-        table2, _ = run_plan([spec], again, RUN)
+        table2, _ = plan_run([spec], again, RUN)
         assert again.model_cache == {}  # nothing was fitted
         assert np.array_equal(table1.values, table2.values)
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         ctx = tiny_context(cache_dir=tmp_path)
         spec = spec_for()
-        table1, _ = run_plan([spec], ctx, RUN)
+        table1, _ = plan_run([spec], ctx, RUN)
         cached_column(tmp_path, spec).write_text("garbage\n")
-        table2, failures = run_plan([spec], tiny_context(cache_dir=tmp_path), RUN)
+        table2, failures = plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
         assert failures == []
         assert np.array_equal(table1.values, table2.values)
 
     def test_cache_for_other_run_file_ignored(self, tmp_path):
         spec = spec_for()
-        run_plan([spec], tiny_context(cache_dir=tmp_path), RUN)
-        other = RunFile((("b", ("i0", "i3")),))
-        table, failures = run_plan([spec], tiny_context(cache_dir=tmp_path),
+        plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
+        other = run_of((("b", ("i0", "i3")),))
+        table, failures = plan_run([spec], tiny_context(cache_dir=tmp_path),
                                    other)
         assert failures == []
-        assert list(zip(table.users, table.items)) == other.pairs()
+        assert list(zip(table.users, table.items)) == pairs_of(other)
 
     @pytest.mark.parametrize("stored", [
-        np.zeros((3, len(RUN.pairs()))),
-        np.zeros((2, len(RUN.pairs())), dtype=np.float32),
-        np.zeros(2 * len(RUN.pairs())),
-        np.zeros((2, len(RUN.pairs())), dtype=np.int64),
+        np.zeros((3, len(pairs_of(RUN)))),
+        np.zeros((2, len(pairs_of(RUN))), dtype=np.float32),
+        np.zeros(2 * len(pairs_of(RUN))),
+        np.zeros((2, len(pairs_of(RUN))), dtype=np.int64),
     ])
     def test_wrong_shape_or_dtype_recomputed(self, tmp_path, stored):
         spec = spec_for()
-        table1, _ = run_plan([spec], tiny_context(cache_dir=tmp_path), RUN)
+        table1, _ = plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
         path = cached_column(tmp_path, spec)
         np.save(path, stored)
         ctx = tiny_context(cache_dir=tmp_path)
-        table2, failures = run_plan([spec], ctx, RUN)
+        table2, failures = plan_run([spec], ctx, RUN)
         assert failures == [] and ctx.model_cache != {}
         assert np.array_equal(table1.values, table2.values)
         assert cached_column(tmp_path, spec) == path
@@ -385,7 +423,7 @@ class TestColumnCache:
     @pytest.mark.parametrize("change", ["rows", "encoders", "run"])
     def test_changed_input_is_a_miss(self, tmp_path, change):
         spec = spec_for()
-        run_plan([spec], tiny_context(cache_dir=tmp_path), RUN)
+        plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
         old = cached_column(tmp_path, spec)
         ctx, run = tiny_context(cache_dir=tmp_path), RUN
         if change == "rows":
@@ -394,15 +432,15 @@ class TestColumnCache:
         elif change == "encoders":
             # an id sorting after every other one: no row's id moves
             ctx = dataclasses.replace(
-                ctx, items=IdEncoder.fit(ctx.items.reverse + ("i9",)))
+                ctx, items=IdEncoder.fit(ctx.items.ids.tolist() + ["i9"]))
         else:
-            run = RunFile((("a", ("i3", "i2", "i1", "i0")),) + RUN.entries[1:])
-        table, failures = run_plan([spec], ctx, run)
+            run = run_of((("a", ("i3", "i2", "i1", "i0")),) + RUN_ENTRIES[1:])
+        table, failures = plan_run([spec], ctx, run)
         assert failures == [] and ctx.model_cache != {}
         # the column was stored under a new name
         new = set(tmp_path.glob(f"{spec.feature_name}.*.npy")) - {old}
         assert len(new) == 1
-        fresh, _ = run_plan([spec], dataclasses.replace(
+        fresh, _ = plan_run([spec], dataclasses.replace(
             ctx, cache_dir=None, model_cache={}), run)
         assert np.array_equal(table.values, fresh.values)
 
@@ -410,7 +448,7 @@ class TestColumnCache:
     def test_changed_input_replaces_the_old_file(self, tmp_path, change):
         spec = spec_for()
         other = spec_for("swing", {"alpha": 0.5, "top_k": 10})
-        run_plan([spec, other], tiny_context(cache_dir=tmp_path), RUN)
+        plan_run([spec, other], tiny_context(cache_dir=tmp_path), RUN)
         kept, old = cached_column(tmp_path, other), cached_column(tmp_path, spec)
         legacy = tmp_path / f"{spec.feature_name}.tsv"
         legacy.write_text("a\ti0\t0.5\n")
@@ -425,10 +463,10 @@ class TestColumnCache:
             ctx = dataclasses.replace(ctx, rows=ctx.rows.take(slice(0, -1)))
         elif change == "encoders":
             ctx = dataclasses.replace(
-                ctx, items=IdEncoder.fit(ctx.items.reverse + ("i9",)))
+                ctx, items=IdEncoder.fit(ctx.items.ids.tolist() + ["i9"]))
         else:
-            run = RunFile((("a", ("i3", "i2", "i1", "i0")),) + RUN.entries[1:])
-        _, failures = run_plan([spec], ctx, run)
+            run = run_of((("a", ("i3", "i2", "i1", "i0")),) + RUN_ENTRIES[1:])
+        _, failures = plan_run([spec], ctx, run)
         assert failures == []
         # one file per column: the new one, the other column's, lookalikes
         [new] = set(tmp_path.iterdir()) - {kept, *lookalikes}
@@ -436,8 +474,8 @@ class TestColumnCache:
         assert kept.exists() and all(p.exists() for p in lookalikes)
 
     def test_no_cache_dir_still_works(self):
-        table, failures = run_plan([spec_for()], tiny_context(), RUN)
-        assert failures == [] and table.n_rows == len(RUN.pairs())
+        table, failures = plan_run([spec_for()], tiny_context(), RUN)
+        assert failures == [] and table.n_rows == len(pairs_of(RUN))
 
 
 def global_statistics_oracle(ctx, run, target):
@@ -448,12 +486,12 @@ def global_statistics_oracle(ctx, run, target):
                     ctx.rows.split.tolist()))
     markets = sorted({m for _, _, _, m, _ in rows})
     scopes = {"all": set(markets), "target": {target}}
-    pairs = list(run.pairs())
+    pairs = list(pairs_of(run))
     columns, mats, prov = [], [], {}
     item_markets = {}
     for _, i, _, m, s in rows:
         if s in ("train", "train_5core"):
-            item_markets.setdefault(ctx.items.decode(i), set()).add(m)
+            item_markets.setdefault(str(ctx.items.ids[i]), set()).add(m)
 
     def push(name, vals, miss=None):
         columns.append(name)
@@ -470,7 +508,7 @@ def global_statistics_oracle(ctx, run, target):
         for u, i, rating, m, s in rows:
             if s not in ("train", "train_5core") or m not in scope_markets:
                 continue
-            item, user = ctx.items.decode(i), ctx.users.decode(u)
+            item, user = str(ctx.items.ids[i]), str(ctx.users.ids[u])
             item_count[item] = item_count.get(item, 0) + 1
             item_sum[item] = item_sum.get(item, 0.0) + rating
             user_count[user] = user_count.get(user, 0) + 1
@@ -507,11 +545,11 @@ class TestGlobalStatistics:
         # i4, which has no training rows; a third run adds ids the
         # encoders have never seen.
         ctx = tiny_context()
-        unseen = RunFile((("a", ("i0", "nobody_knows")), ("stranger", ("i1",))))
+        unseen = run_of((("a", ("i0", "nobody_knows")), ("stranger", ("i1",))))
         for target in ("t1", "s1"):
             for run in (RUN, unseen):
                 assert_same_statistics(
-                    global_statistic_features(ctx, run, target),
+                    run_statistics(ctx, run, target),
                     global_statistics_oracle(ctx, run, target))
 
     def test_matches_dict_loop_oracle_on_synth_snapshot(self, synth_snapshot):
@@ -519,19 +557,19 @@ class TestGlobalStatistics:
         ctx = PlanContext(snap.rows, snap.users, snap.items)
         # the last encoded user and item have training rows, so an unknown
         # id (-1) must not be read as the last one
-        last_user, last_item = snap.users.reverse[-1], snap.items.reverse[-1]
+        last_user, last_item = str(snap.users.ids[-1]), str(snap.items.ids[-1])
         train = np.isin(snap.rows.split, ("train", "train_5core"))
         assert len(snap.users) - 1 in snap.rows.user[train]
         assert len(snap.items) - 1 in snap.rows.item[train]
         for target in snap.targets:
             for which in ("valid", "test"):
                 run = load_run(ws.run_path(target, which))
-                unseen = RunFile(run.entries + (
+                unseen = run_of(entries_of(run) + (
                     ("no_such_user", (last_item, "no_such_item")),
                     (last_user, ("no_such_item", last_item))))
                 for r in (run, unseen):
                     assert_same_statistics(
-                        global_statistic_features(ctx, r, target),
+                        run_statistics(ctx, r, target),
                         global_statistics_oracle(ctx, r, target))
 
     def count_oracle(self, scope_markets):
@@ -547,9 +585,9 @@ class TestGlobalStatistics:
 
     def test_counts_and_means_match_recount(self):
         ctx = tiny_context()
-        columns, mat, prov = global_statistic_features(ctx, RUN, "t1")
+        columns, mat, prov = run_statistics(ctx, RUN, "t1")
         got = dict(zip(columns, mat.T))
-        pairs = RUN.pairs()
+        pairs = pairs_of(RUN)
         for scope, markets in (("all", {"s1", "t1"}), ("target", {"t1"})):
             ic, isum, uc, usum = self.count_oracle(markets)
             want_ic = [ic.get(i, 0) for _, i in pairs]
@@ -565,26 +603,26 @@ class TestGlobalStatistics:
 
     def test_overlap_counts_markets_per_item(self):
         ctx = tiny_context()
-        columns, mat, _ = global_statistic_features(ctx, RUN, "t1")
+        columns, mat, _ = run_statistics(ctx, RUN, "t1")
         got = dict(zip(columns, mat.T))
         # i1 trains in both markets; i0 in both; i2 in s1 train + t1 5core;
         # i3 only in s1; i4 appears only in a test qrel -> overlap 0
         want = {"i0": 2, "i1": 2, "i2": 2, "i3": 1, "i4": 0}
         overlap = got["stat__item_market_overlap__all"]
-        assert overlap.tolist() == [want[i] for _, i in RUN.pairs()]
+        assert overlap.tolist() == [want[i] for _, i in pairs_of(RUN)]
 
     def test_qrel_splits_do_not_leak_into_statistics(self):
         ctx = tiny_context()
-        columns, mat, _ = global_statistic_features(ctx, RUN, "t1")
+        columns, mat, _ = run_statistics(ctx, RUN, "t1")
         got = dict(zip(columns, mat.T))
-        pairs = RUN.pairs()
+        pairs = pairs_of(RUN)
         i4_rows = [r for r, (_, i) in enumerate(pairs) if i == "i4"]
         assert i4_rows  # the test positive appears as a candidate
         assert all(got["stat__item_count__all"][r] == 0 for r in i4_rows)
 
     def test_catalog_is_seventeen_columns(self):
-        columns, mat, prov = global_statistic_features(tiny_context(), RUN, "t1")
-        assert len(columns) == 17 and mat.shape == (len(RUN.pairs()), 17)
+        columns, mat, prov = run_statistics(tiny_context(), RUN, "t1")
+        assert len(columns) == 17 and mat.shape == (len(pairs_of(RUN)), 17)
         assert set(prov) == set(columns)
         assert all(columns.count(c) == 1 for c in columns)
 
@@ -598,7 +636,7 @@ class TestExternalEmbeddings:
         ctx = tiny_context()
         table = self.embedding()
         matrix = combination_matrix(ctx, CombinationSpec("t1", ("s1", "t1")))
-        names, mat, prov = external_embedding_features(table, RUN, matrix, ctx)
+        names, mat, prov = run_external(table, RUN, matrix, ctx)
         assert names == ["ext_emb__mean_cos", "ext_emb__max_cos",
                          "ext_emb__missing"]
         got = dict(zip(names, mat.T))
@@ -609,7 +647,7 @@ class TestExternalEmbeddings:
 
         # user a's combination history: i0 (train), i1 (train); valid i2 excluded
         hist = [unit("i0"), unit("i1")]
-        for r, (_, cand) in enumerate(RUN.pairs()[:4]):
+        for r, (_, cand) in enumerate(pairs_of(RUN)[:4]):
             cos = [float(h @ unit(cand)) for h in hist]
             assert got["ext_emb__mean_cos"][r] == pytest.approx(np.mean(cos))
             assert got["ext_emb__max_cos"][r] == pytest.approx(np.max(cos))
@@ -618,10 +656,9 @@ class TestExternalEmbeddings:
     def test_uncovered_candidate_or_user_is_missing(self):
         ctx = tiny_context()
         matrix = combination_matrix(ctx, CombinationSpec("t1", ("s1", "t1")))
-        names, mat, _ = external_embedding_features(self.embedding(), RUN,
-                                                    matrix, ctx)
+        names, mat, _ = run_external(self.embedding(), RUN, matrix, ctx)
         got = dict(zip(names, mat.T))
-        pairs = RUN.pairs()
+        pairs = pairs_of(RUN)
         i4_row = next(r for r, (_, i) in enumerate(pairs) if i == "i4")
         assert got["ext_emb__missing"][i4_row] == 1.0  # no vector for i4
         ghost_rows = [r for r, (u, _) in enumerate(pairs) if u == "ghost"]
@@ -744,7 +781,8 @@ def oracle_table(rng, n_rows, n_cols, labeled=True):
 
 
 def assert_same_table(got, want):
-    assert got.users == want.users and got.items == want.items
+    assert got.users.tolist() == want.users.tolist()
+    assert got.items.tolist() == want.items.tolist()
     assert got.columns == want.columns
     assert got.values.shape == want.values.shape
     assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
@@ -770,7 +808,8 @@ class TestTableIO:
         table = self.labeled_table(rng)
         write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json")
         back = read_table(tmp_path / "f.tsv", tmp_path / "f.catalog.json")
-        assert back.users == table.users and back.items == table.items
+        assert back.users.tolist() == table.users.tolist()
+        assert back.items.tolist() == table.items.tolist()
         assert back.columns == table.columns
         assert np.array_equal(back.labels, table.labels)
         # values pass through repr() so the round trip is exact
@@ -847,7 +886,7 @@ class TestTableIO:
                         "\n\nu1\ti2\t0\t1e+16\t3.0\n\n")
         back = read_table(path)
         assert_same_table(back, read_table_oracle(path))
-        assert back.users == ("u1", "u1")
+        assert back.users.tolist() == ["u1", "u1"]
 
     @pytest.mark.parametrize("columns", [["c3"], ["c4", "c0", "c2"],
                                          ["c0", "c1", "c2", "c3", "c4"][::-1],
@@ -891,7 +930,7 @@ class TestTableIO:
 
     def test_empty_table_from_run(self):
         table = empty_table(RUN)
-        assert table.n_rows == len(RUN.pairs())
+        assert table.n_rows == len(pairs_of(RUN))
         assert table.columns == ()
         assert table.values.shape == (table.n_rows, 0)
 
@@ -907,8 +946,8 @@ class TestFeatureTableContract:
         with pytest.raises(ValueError, match="0/1"):
             FeatureTable(("u",), ("i",), ("a",), np.ones((1, 1)),
                          np.array([4]))
-        with pytest.raises(ValueError, match="duplicate"):
-            FeatureTable(("u", "u"), ("i", "i"), ("a",), np.ones((2, 1)))
+        # keys are checked where they enter (read_table, data.load_run),
+        # not in the constructor
         with pytest.raises(ValueError, match="duplicate"):
             FeatureTable(("u",), ("i",), ("a", "a"), np.ones((1, 2)))
 
@@ -926,7 +965,7 @@ class TestFeatureTableContract:
             table.select(["nope"])
 
         sub = table.take([2, 3])
-        assert sub.users == ("u2", "u2")
+        assert sub.users.tolist() == ["u2", "u2"]
         assert np.array_equal(sub.values, values[2:])
 
         wider = table.with_columns(["d"], np.ones((4, 1)),

@@ -15,6 +15,12 @@ from cmrec import cli, evaluation, features, pipeline, util
 from cmrec.config import PipelineConfig
 from cmrec.data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                         load_run)
+
+
+def run_pairs(run):
+    """The (user, candidate) pairs of a RunFile, in order."""
+    return list(zip(np.repeat(run.users, np.diff(run.offsets)).tolist(),
+                    run.candidates.tolist()))
 from cmrec.synth import MarketSpec, SynthConfig, generate
 from cmrec.util import ConfigError, DataError, StageError
 
@@ -76,6 +82,13 @@ def copied_workspace(world, tmp_path):
     return work, dataclasses.replace(world["config"], workspace=str(work))
 
 
+def snapshot_bytes(ws):
+    """Every snapshot file's bytes, by its path inside the snapshot."""
+    snap = ws.snapshot_dir
+    return {path.relative_to(snap).as_posix(): path.read_bytes()
+            for path in sorted(snap.rglob("*")) if path.is_file()}
+
+
 def record_atomic_writes(monkeypatch):
     """The paths the atomic writer renames into place, in order; the
     writes still happen."""
@@ -118,7 +131,7 @@ class TestIngest:
         assert snap.targets == ("t1", "t2")
         assert len(snap.rows) == world["summary"]["total_samples"]
         # encoders are bijective and cover every row
-        assert all(snap.users.decode(u) for u in snap.rows.user[:50].tolist())
+        assert all(str(snap.users.ids[u]) for u in snap.rows.user[:50].tolist())
 
     def test_json_written_atomically_with_the_same_bytes(self, world, tmp_path,
                                                          monkeypatch):
@@ -142,12 +155,12 @@ class TestIngest:
     def test_reingest_is_byte_identical(self, world, tmp_path):
         config = pipeline_config(world["data"], tmp_path / "w1")
         pipeline.run_ingest(config)
-        first = pipeline.snapshot_digest(pipeline.workspace_for(config))
+        first = snapshot_bytes(pipeline.workspace_for(config))
         pipeline.run_ingest(config)
-        assert pipeline.snapshot_digest(pipeline.workspace_for(config)) == first
+        assert snapshot_bytes(pipeline.workspace_for(config)) == first
         # and equal to the long-lived fixture workspace built from the
         # same data and config
-        assert pipeline.snapshot_digest(world["ws"]) == first
+        assert snapshot_bytes(world["ws"]) == first
 
     def test_every_snapshot_file_written_atomically(self, world, tmp_path,
                                                     monkeypatch):
@@ -157,8 +170,7 @@ class TestIngest:
         ws = pipeline.workspace_for(config)
         assert sorted(written) == sorted(
             p for p in ws.snapshot_dir.rglob("*") if p.is_file())
-        assert pipeline.snapshot_digest(ws) == pipeline.snapshot_digest(
-            world["ws"])
+        assert snapshot_bytes(ws) == snapshot_bytes(world["ws"])
 
     def test_missing_data_dir_is_a_data_error(self, tmp_path):
         config = pipeline_config(tmp_path / "nope", tmp_path / "w")
@@ -265,9 +277,10 @@ class TestPrerankOutputs:
         # (u0, i1) and (u1, i0) are t1 positives; (u1, i1) is an s1 one.
         # Unknown ids never match: (u1, i?) is not read as the pair just
         # before (u1, i0), which is the positive (u0, i1).
-        run = RunFile((("u0", ("i0", "i1")), ("u1", ("i1", "i0", "i?")),
-                       ("u?", ("i0",))))
-        labels = pipeline._valid_labels(snap, "t1", run)
+        run = RunFile.from_lists(["u0", "u1", "u?"],
+                                 [["i0", "i1"], ["i1", "i0", "i?"], ["i0"]])
+        labels = pipeline._valid_labels(
+            snap, "t1", *features.encode_run(run, users, items))
         assert labels.dtype == np.int8
         assert labels.tolist() == [0, 1, 0, 1, 0, 0]
 
@@ -299,7 +312,8 @@ class TestPrerankOutputs:
         ws = world["ws"]
         run = load_run(ws.run_path("t1", "test"))
         test = features.read_table(ws.features_path("t1", "test"))
-        assert list(zip(test.users, test.items)) == run.pairs()
+        assert list(zip(test.users.tolist(), test.items.tolist())) == run_pairs(
+            run)
 
     def test_no_eval_positive_reaches_any_scorer_matrix(self, world):
         snap = pipeline.load_snapshot(world["ws"])
@@ -382,7 +396,7 @@ class TestExternalEmbeddings:
         snap = pipeline.load_snapshot(world["ws"])
         rng = np.random.default_rng(3)
         lines = []
-        for k, item in enumerate(snap.items.reverse):
+        for k, item in enumerate(snap.items.ids.tolist()):
             if k % 5 == 4:
                 continue                  # items without a vector
             vec = np.zeros(3) if k == 0 else rng.normal(size=3)
@@ -412,8 +426,8 @@ class TestExternalEmbeddings:
         for u, i, split in zip(rows.user.tolist(), rows.item.tolist(),
                                rows.split.tolist()):
             if split != "test_qrel" and (u, i) not in valid:
-                history.setdefault(snap.users.decode(u), set()).add(
-                    snap.items.decode(i))
+                history.setdefault(str(snap.users.ids[u]), set()).add(
+                    str(snap.items.ids[i]))
 
         def unit(item):
             vec = vectors.get(item)
@@ -537,7 +551,8 @@ class TestSelectTrain:
         ws = world["ws"]
         ranked = evaluation.read_run_file(ws.target_dir("t1")
                                           / "test_ranked.tsv")
-        source = dict(load_run(ws.run_path("t1", "test")).entries)
+        run = load_run(ws.run_path("t1", "test"))
+        source = dict(zip(run.users.tolist(), run.candidate_lists()))
         assert {u for u, _ in ranked} == set(source)
         for user, scored in ranked:
             assert {i for i, _ in scored} == set(source[user])

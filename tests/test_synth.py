@@ -6,10 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from cmrec.data import load_market, load_run
+from cmrec.data import SPLITS, load_market, load_run
 from cmrec.synth import (MarketSpec, SynthConfig, generate,
                          synth_config_from_dict)
 from cmrec.util import ConfigError
+
+
+def market_rows(out, market):
+    """The market's loaded rows as (user, item, rating, split name)."""
+    columns, _ = load_market(out / market, market)
+    return list(zip(columns["user"].tolist(), columns["item"].tolist(),
+                    columns["rating"].tolist(),
+                    [SPLITS[k] for k in columns["split"].tolist()]))
 
 
 def small_config(out_dir, **kw):
@@ -49,20 +57,20 @@ class TestGeneratedFiles:
     def test_outputs_parse_with_the_market_loader(self, dataset):
         out, meta = dataset
         for market in ("s1", "t1", "t2"):
-            rows, report = load_market(out / market, market)
+            _, report = load_market(out / market, market)
             assert report["malformed"] == 0
             by_split = {}
-            for r in rows:
-                by_split[r.split] = by_split.get(r.split, 0) + 1
+            for *_, split in market_rows(out, market):
+                by_split[split] = by_split.get(split, 0) + 1
             for split, n in meta["markets"][market].items():
                 if split in ("train", "train_5core", "valid_qrel", "test_qrel"):
                     assert by_split.get(split, 0) == n
 
     def test_ratings_are_valid_and_items_in_pool(self, dataset):
         out, meta = dataset
-        rows, _ = load_market(out / "t1", "t1")
-        assert all(1.0 <= r.rating <= 5.0 for r in rows)
-        items = {r.item for r in rows}
+        rows = market_rows(out, "t1")
+        assert all(1.0 <= rating <= 5.0 for _, _, rating, _ in rows)
+        items = {item for _, item, _, _ in rows}
         assert len(items) <= meta["markets"]["t1"]["pool_size"]
 
 
@@ -78,26 +86,27 @@ class TestRunFiles:
                 for line in qrel_lines:
                     user, item, _ = line.split("\t")
                     qrels.setdefault(user, set()).add(item)
-                assert set(run.users()) == set(qrels)
-                for user, cands in run.entries:
+                assert set(run.users.tolist()) == set(qrels)
+                for user, cands in zip(run.users.tolist(),
+                                       run.candidate_lists()):
                     assert len(cands) == 30
                     assert len(set(cands)) == 30
                     assert len(qrels[user] & set(cands)) == 1
 
     def test_positives_are_unseen_in_training(self, dataset):
         out, _ = dataset
-        rows, _ = load_market(out / "t1", "t1")
-        seen = {(r.user, r.item) for r in rows
-                if r.split in ("train", "train_5core")}
-        positives = {(r.user, r.item) for r in rows
-                     if r.split in ("valid_qrel", "test_qrel")}
+        rows = market_rows(out, "t1")
+        seen = {(u, i) for u, i, _, split in rows
+                if split in ("train", "train_5core")}
+        positives = {(u, i) for u, i, _, split in rows
+                     if split in ("valid_qrel", "test_qrel")}
         assert positives and not (positives & seen)
 
     def test_valid_and_test_positives_differ(self, dataset):
         out, _ = dataset
-        rows, _ = load_market(out / "t1", "t1")
-        valid = {(r.user, r.item) for r in rows if r.split == "valid_qrel"}
-        test = {(r.user, r.item) for r in rows if r.split == "test_qrel"}
+        rows = market_rows(out, "t1")
+        valid = {(u, i) for u, i, _, split in rows if split == "valid_qrel"}
+        test = {(u, i) for u, i, _, split in rows if split == "test_qrel"}
         assert valid and test and not (valid & test)
 
     def test_eval_user_cap_respected(self, dataset):
