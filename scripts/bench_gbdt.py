@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Time `gbdt.train` on a fixed synthetic table and fingerprint the model.
+"""Time `gbdt.train` and the feature screen on a fixed synthetic table and
+fingerprint their results.
 
 The table is shaped like a pipeline valid table (4,000 rows x 37
 columns): dense scores, sparse scores that are mostly zero, and a few
 low-cardinality count columns, with labels drawn from a logistic model of
-some of them. The parameters are those of the screen and ranker fits:
-15 leaves, 15 rounds, learning rate 0.1, min_data_in_leaf 10, l2 1.0,
-feature_fraction 0.8.
+some of them. The training parameters are those of the screen and ranker
+fits: 15 leaves, 15 rounds, learning rate 0.1, min_data_in_leaf 10, l2
+1.0, feature_fraction 0.8. The screen is `selection.run_selection` of
+that table against a second table drawn the same way, with the
+perfbench rank_small screen settings: 2 folds, 1 shuffle, cv_epsilon
+-0.005, and a trainer of 15 leaves, 4 rounds, learning rate 0.1,
+min_data_in_leaf 10.
 
-Prints the median wall time over --repeats calls and the sha256 of the
-model's canonical JSON, so two checkouts can be compared for speed and
-for identical trees:
+Prints the median wall times over --repeats calls of each, the sha256 of
+the model's canonical JSON and the sha256 of the screen's kept list and
+report, so two checkouts can be compared for speed and for identical
+results:
 
     PYTHONPATH=src python scripts/bench_gbdt.py --repeats 7
 """
@@ -23,7 +29,7 @@ import time
 
 import numpy as np
 
-from cmrec import gbdt
+from cmrec import gbdt, selection
 from cmrec.features import FeatureTable
 
 SEED = 0
@@ -31,10 +37,14 @@ N_ROWS, N_DENSE, N_SPARSE, N_COUNT = 4000, 17, 14, 6
 PARAMS = gbdt.GbdtParams(num_leaves=15, n_rounds=15, learning_rate=0.1,
                          min_data_in_leaf=10, l2_leaf_reg=1.0,
                          feature_fraction=0.8, seed=0)
+SCREEN = dict(trainer=gbdt.GbdtParams(num_leaves=15, n_rounds=4,
+                                      learning_rate=0.1, min_data_in_leaf=10),
+              folds=2, n_shuffles=1, shift_threshold=0.10, cv_epsilon=-0.005,
+              seed=0)
 
 
-def make_table() -> FeatureTable:
-    rng = np.random.default_rng(SEED)
+def make_table(seed: int = SEED) -> FeatureTable:
+    rng = np.random.default_rng(seed)
     dense = rng.normal(size=(N_ROWS, N_DENSE))
     sparse = rng.exponential(size=(N_ROWS, N_SPARSE))
     sparse[rng.random((N_ROWS, N_SPARSE)) < 0.7] = 0.0
@@ -49,29 +59,45 @@ def make_table() -> FeatureTable:
     return FeatureTable(users, items, columns, values, labels)
 
 
+def timed(fn, repeats: int, fingerprint):
+    """Median, min and max wall time of repeats calls, and the one
+    fingerprint every call's result gives."""
+    times, digests = [], set()
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+        digests.add(hashlib.sha256(fingerprint(result).encode("utf-8")).hexdigest())
+    if len(digests) != 1:
+        raise SystemExit(f"repeated calls disagree: {sorted(digests)}")
+    return result, (statistics.median(times), min(times), max(times)), digests.pop()
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5,
-                    help="timed gbdt.train calls (default 5)")
+                    help="timed calls of each (default 5)")
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
     table = make_table()
-    times, digests = [], set()
-    for _ in range(args.repeats):
-        start = time.perf_counter()
-        model = gbdt.train(table, PARAMS)
-        times.append(time.perf_counter() - start)
-        canon = json.dumps(gbdt.model_to_dict(model), sort_keys=True)
-        digests.add(hashlib.sha256(canon.encode("utf-8")).hexdigest())
-    if len(digests) != 1:
-        raise SystemExit(f"repeated fits disagree: {sorted(digests)}")
+    model, (med, lo, hi), digest = timed(
+        lambda: gbdt.train(table, PARAMS), args.repeats,
+        lambda m: json.dumps(gbdt.model_to_dict(m), sort_keys=True))
     print(f"table {table.n_rows}x{len(table.columns)} seed {SEED}; "
           f"{len(model.trees)} trees")
-    print(f"median {statistics.median(times):.4f} s over {args.repeats} calls "
-          f"(min {min(times):.4f}, max {max(times):.4f})")
-    print(f"sha256 {digests.pop()}")
+    print(f"median {med:.4f} s over {args.repeats} calls "
+          f"(min {lo:.4f}, max {hi:.4f})")
+    print(f"sha256 {digest}")
+
+    test = make_table(SEED + 1)
+    (kept, _), (med, lo, hi), digest = timed(
+        lambda: selection.run_selection(table, test, **SCREEN), args.repeats,
+        lambda result: json.dumps(result, sort_keys=True))
+    print(f"screen kept {len(kept)} of {len(table.columns)}; median "
+          f"{med:.4f} s over {args.repeats} calls (min {lo:.4f}, max {hi:.4f})")
+    print(f"screen sha256 {digest}")
 
 
 if __name__ == "__main__":

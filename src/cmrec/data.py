@@ -66,16 +66,20 @@ class Interactions:
                             self.split[index])
 
 
-def read_lines(path: Path) -> tuple[str, np.ndarray, list[str]]:
+def read_lines(path: Path, header: bool = True) -> tuple[str, np.ndarray, list[str]]:
     """A text file's header line, and the numbers and texts of its other
-    non-blank lines. A NUL is a DataError naming its line."""
+    non-blank lines; with header False every line is data and the header
+    is "". A NUL is a DataError naming its line."""
     text = path.read_text(encoding="utf-8")
     if "\0" in text:
         line = text.count("\n", 0, text.index("\0")) + 1
         raise DataError(f"{path}:{line}: NUL character")
-    header, *lines = text.split("\n")
+    lines = text.split("\n")
+    head = lines[0] if header else ""
+    lines = lines[int(header):]
     keep = np.fromiter(map(bool, lines), bool, len(lines))
-    return header, np.flatnonzero(keep) + 2, list(compress(lines, keep))
+    return (head, np.flatnonzero(keep) + 1 + int(header),
+            list(compress(lines, keep)))
 
 
 def split_fields(lines: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -85,6 +89,29 @@ def split_fields(lines: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarr
                        len(lines))
     fields = np.array("\t".join(lines).split("\t") if lines else [], dtype=str)
     return tabs, np.cumsum(tabs + 1) - tabs - 1, fields
+
+
+def check_lines(path: Path, line_nos: np.ndarray, bad: np.ndarray,
+                problem: str) -> None:
+    """A DataError naming the first line where bad is set, if any."""
+    if bad.any():
+        raise DataError(f"{path}:{line_nos[np.argmax(bad)]}: {problem}")
+
+
+def parse_floats(texts: np.ndarray, line_nos: np.ndarray, path: Path,
+                 problem: str) -> np.ndarray:
+    """float() of each text; the first text that does not parse is a
+    DataError naming its line (line_nos holds one number per text)."""
+    texts = texts.tolist()
+    try:
+        return np.array(list(map(float, texts)), dtype=np.float64)
+    except ValueError:
+        for k, text in enumerate(texts):
+            try:
+                float(text)
+            except ValueError:
+                raise DataError(f"{path}:{line_nos[k]}: {problem} {text!r}") from None
+        raise
 
 
 def first_repeat(*keys: np.ndarray) -> int | None:

@@ -25,7 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import SparseInteractionMatrix
+from .data import (SparseInteractionMatrix, check_lines, first_repeat,
+                   parse_floats, read_lines, split_fields)
 from .util import DataError, atomic_write_text, fmt, sigmoid, stage_seed
 
 log = logging.getLogger(__name__)
@@ -113,36 +114,29 @@ def write_embedding_tsv(vectors: Mapping[str, np.ndarray], path) -> None:
 
 def read_embedding_tsv(path) -> dict[str, np.ndarray]:
     """Vectors keyed by the file's first column: one line per key, tab
-    separated, every vector finite and of one width."""
+    separated, every vector finite and of one width. A line without
+    values, an empty id, a value that does not parse or is not finite, a
+    width unlike the first line's and a repeated id are DataErrors,
+    checked in this order, each naming the first line that fails it."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"embedding file not found: {path}")
-    vectors: dict[str, np.ndarray] = {}
-    dim = None
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path}:{lineno}: expected node id and values")
-            try:
-                vec = np.array([float(v) for v in parts[1:]])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric vector value") from None
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"{path}:{lineno}: non-finite vector value")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise DataError(f"{path}:{lineno}: inconsistent vector width")
-            if parts[0] in vectors:
-                raise DataError(f"{path}:{lineno}: duplicate node id {parts[0]!r}")
-            vectors[parts[0]] = vec
-    if dim is None:
+    _, line_nos, lines = read_lines(path, header=False)
+    if not lines:
         raise DataError(f"embedding file is empty: {path}")
-    return vectors
+    width, starts, fields = split_fields(lines)
+    check_lines(path, line_nos, width < 1, "expected node id and values")
+    ids = fields[starts]
+    check_lines(path, line_nos, ids == "", "empty id")
+    value_lines = np.repeat(line_nos, width)
+    values = parse_floats(np.delete(fields, starts), value_lines, path,
+                          "non-numeric vector value")
+    check_lines(path, value_lines, ~np.isfinite(values), "non-finite vector value")
+    check_lines(path, line_nos, width != width[0], "inconsistent vector width")
+    line = first_repeat(ids)
+    if line is not None:
+        raise DataError(f"{path}:{line_nos[line]}: duplicate node id {str(ids[line])!r}")
+    return dict(zip(ids.tolist(), values.reshape(len(lines), width[0])))
 
 
 # --- biased walks -----------------------------------------------------------

@@ -8,6 +8,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from .data import check_lines, parse_floats, read_lines, split_fields
 from .util import DataError, atomic_write_text
 
 # Offline per-market scores of one item-similarity scorer across ten market
@@ -53,27 +54,44 @@ def rank_candidates(items: Sequence, scores: Sequence[float]) -> list[tuple]:
                   key=lambda pair: (-pair[1], pair[0]))
 
 
+def _as_keys(ids: Sequence) -> np.ndarray:
+    """ids as an array that sorts and compares as Python orders them.
+    Fixed-width numpy strings drop trailing NULs ("a\0" reads as "a"), so
+    ids not already in an array become StringDType, which keeps them."""
+    if isinstance(ids, np.ndarray):
+        return ids
+    return np.asarray(ids, dtype=np.dtypes.StringDType())
+
+
+def _group_rows(users: Sequence, items: Sequence, scores: np.ndarray,
+                *keys: np.ndarray) -> list[tuple]:
+    """(user, [(item, score), ...]) per user, users in order of first
+    appearance; each user's rows in np.lexsort order of keys (the last
+    key first), ties in row order."""
+    _, first, inverse = np.unique(_as_keys(users), return_index=True,
+                                  return_inverse=True)
+    # each row's user as the row its user first appears in
+    first = first[inverse]
+    order = np.lexsort((*keys, first))
+    # 0, each row where the user changes, and len(order)
+    cuts = np.flatnonzero(np.diff(first[order], prepend=-1, append=-1))
+    rows = list(zip(np.asarray(items, dtype=object)[order].tolist(),
+                    scores[order].tolist()))
+    heads = np.asarray(users, dtype=object)[order[cuts[:-1]]].tolist()
+    cuts = cuts.tolist()
+    return [(user, rows[a:b]) for user, a, b in zip(heads, cuts, cuts[1:])]
+
+
 def group_ranked_run(users: Sequence, items: Sequence[str],
                      scores: Sequence[float]) -> list[tuple]:
     """Group parallel (user, item, score) rows into a ranked run: users in
     order of first appearance, each user's items ranked by rank_candidates
-    (score descending, ties by ascending item), from one lexsort."""
+    (score descending, ties by ascending item), from one np.unique of the
+    users and one lexsort."""
     if not len(users) == len(items) == len(scores):
         raise ValueError("users, items and scores must align")
     scores = np.asarray(scores, dtype=np.float64)
-    # each row's user as the row its user first appears in
-    first = np.fromiter(map({}.setdefault, users, range(len(users))),
-                        dtype=np.int64, count=len(users))
-    # numpy compares strings padded with NULs, so the length breaks the
-    # ties that padding makes ("a" before "a\0"), as Python orders them
-    lengths = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
-    order = np.lexsort((lengths, np.asarray(items), -scores, first))
-    # 0, each row where the user changes, and len(order)
-    cuts = np.flatnonzero(np.diff(first[order], prepend=-1, append=-1)).tolist()
-    order = order.tolist()
-    values = scores.tolist()
-    ranked = [(items[j], values[j]) for j in order]
-    return [(users[order[a]], ranked[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return _group_rows(users, items, scores, _as_keys(items), -scores)
 
 
 def ndcg_at_k(run: RankedRun, qrels: Qrels, k: int = 10):
@@ -124,39 +142,40 @@ def emit_run_file(run: RankedRun, path) -> None:
 
 
 def read_run_file(path) -> list[tuple[str, list[tuple[str, float]]]]:
+    """`user<TAB>item<TAB>score` lines grouped per user, users in order of
+    first appearance, items in file order. A line without exactly three
+    fields, an empty id and an unparsable score are DataErrors, checked in
+    this order, each naming the first line that fails it."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"run file not found: {path}")
-    by_user: dict[str, list[tuple[str, float]]] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected user/item/score")
-            by_user.setdefault(parts[0], []).append((parts[1], float(parts[2])))
-    return list(by_user.items())
+    _, line_nos, lines = read_lines(path, header=False)
+    tabs, starts, fields = split_fields(lines)
+    check_lines(path, line_nos, tabs != 2, "expected user/item/score")
+    users, items = fields[starts], fields[starts + 1]
+    check_lines(path, line_nos, (users == "") | (items == ""), "empty id")
+    scores = parse_floats(fields[starts + 2], line_nos, path, "unparsable score")
+    return _group_rows(users, items, scores)
 
 
 def read_qrels(path) -> dict[str, set]:
-    """Read `user<TAB>item[<TAB>rating]` qrels; header line tolerated."""
+    """Read `user<TAB>item[<TAB>rating]` qrels; a first line whose first
+    field is userId is a header and skipped. A line without a user and an
+    item and an empty id are DataErrors, checked in this order, each
+    naming the first line that fails it."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"qrels file not found: {path}")
+    _, line_nos, lines = read_lines(path, header=False)
+    if lines and line_nos[0] == 1 and lines[0].split("\t", 1)[0] == "userId":
+        line_nos, lines = line_nos[1:], lines[1:]
+    tabs, starts, fields = split_fields(lines)
+    check_lines(path, line_nos, tabs < 1, "expected user and item")
+    users, items = fields[starts], fields[starts + 1]
+    check_lines(path, line_nos, (users == "") | (items == ""), "empty id")
     qrels: dict[str, set] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if lineno == 1 and parts[0] == "userId":
-                continue
-            if len(parts) < 2:
-                raise DataError(f"{path}:{lineno}: expected user and item")
-            qrels.setdefault(parts[0], set()).add(parts[1])
+    for user, item in zip(users.tolist(), items.tolist()):
+        qrels.setdefault(user, set()).add(item)
     return qrels
 
 

@@ -3,17 +3,39 @@
 Newton boosting: g = p - y, h = p(1-p), leaf value -sum(g)/(sum(h)+lambda).
 Trees grow leaf-wise, always splitting the current leaf with the highest
 gain, until num_leaves is reached or no split has positive gain. Feature
-values are quantile-binned once up front; a feature without a bin edge
-(constant on the training rows) can never split and never enters a
-tree. Each node's histograms form a padded (features x max bins) grid,
-filled by one bincount over the node's rows; bins past a feature's own
-count stay zero and are never split on.
+values are quantile-binned once up front, to uint8 (max_bins <= 255); a
+feature without a bin edge (constant on the training rows) can never
+split and never enters a tree. Each node's histograms form a padded
+(features x max bins) grid, filled by one bincount over the node's rows;
+bins past a feature's own count stay zero and are never split on.
 The smaller child's grid is built directly and the larger one derived by
-subtraction; a leaf keeps its grids only while it can still be split. A
-leaf's split search is one prefix sum along the bin axis and one
-row-major argmax over the whole grid. All tie-breaks are fixed
-(gain desc, then lower feature index, then lower bin; leaf choice by gain
-desc then lower node id), so training is deterministic.
+subtraction; a leaf keeps its grids only while it can still be split. All
+tie-breaks are fixed (gain desc, then lower feature index, then lower bin;
+leaf choice by gain desc then lower node id), so training is
+deterministic.
+
+Work whose result would be thrown away is skipped; the trees stay the
+same bit for bit:
+
+- A leaf's split search takes one prefix sum along the bin axis and
+  evaluates the gain only at the cells that may split, in row-major
+  order. Each gain is the same expression of the same prefix sums, and
+  the first argmax over those cells is the cell a row-major argmax over
+  the whole grid, every other cell at -inf, picks.
+- A leaf that is never split gets neither grids nor a search: one with
+  fewer than 2 * min_data_in_leaf rows (no cell leaves min_data_in_leaf
+  rows on both sides, so the search would find None) and both children of
+  the split that fills the tree (their result would never be read). A
+  smaller child still builds its grid when its sibling is searched and
+  takes the subtraction.
+- The final leaves partition the training rows by the bin comparisons
+  _tree_raw makes, so the training predictions take each leaf's value at
+  its rows instead of routing every row through the tree again.
+- A column's edges and bins depend only on its own values on the fit's
+  rows, so the binning of a column subset is a slice of the binning of
+  the whole table. bin_folds bins each fold of kfold_bagging once; the
+  selection screens, which refit one table many times, hand each fit its
+  slice through the private _binned argument of kfold_bagging and train.
 """
 
 from __future__ import annotations
@@ -23,7 +45,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,10 +139,36 @@ def build_bins(table: FeatureTable, max_bins: int) -> list[np.ndarray]:
 
 
 def bin_values(values: np.ndarray, bins: Sequence[np.ndarray]) -> np.ndarray:
-    binned = np.empty(values.shape, dtype=np.int32)
+    """Each value's bin under its column's edges, as uint8 (at most 255
+    bins)."""
+    binned = np.empty(values.shape, dtype=np.uint8)
     for pos, edges in enumerate(bins):
         binned[:, pos] = np.searchsorted(edges, values[:, pos], side="left")
     return binned
+
+
+class Binned(NamedTuple):
+    """Training rows binned on their own build_bins edges, and optionally
+    held-out rows binned on the same edges; one edge array and one column
+    of bins per feature column."""
+
+    bins: tuple[np.ndarray, ...]
+    train: np.ndarray
+    hold: np.ndarray | None = None
+
+    def select(self, positions: Sequence[int]) -> "Binned":
+        """The binning of the columns at these positions, in this order."""
+        return Binned(tuple(self.bins[p] for p in positions),
+                      self.train[:, positions],
+                      None if self.hold is None else self.hold[:, positions])
+
+
+def bin_rows(table: FeatureTable, max_bins: int,
+             hold_values: np.ndarray | None = None) -> Binned:
+    """The binning train does for table, and hold_values on its edges."""
+    bins = tuple(build_bins(table, max_bins))
+    return Binned(bins, bin_values(table.values, bins),
+                  None if hold_values is None else bin_values(hold_values, bins))
 
 
 def _logloss(y: np.ndarray, p: np.ndarray) -> float:
@@ -150,25 +198,26 @@ def _newton_term(gsq: np.ndarray, hmass: np.ndarray) -> np.ndarray:
 def _best_split(hg, hh, hn, split_ok, G, H, n, params: GbdtParams):
     """Highest-gain (feature, bin) for one leaf over its histogram grids;
     split_ok marks the (feature, bin) cells that may split at all. Ties go
-    to the lower feature index, then the lower bin (the row-major argmax
-    order). None when no split clears zero."""
-    lam = params.l2_leaf_reg
-    parent = float(_newton_term(np.array([G * G]), np.array([H + lam]))[0])
-    cg = np.cumsum(hg, axis=1)
-    ch = np.cumsum(hh, axis=1)
+    to the lower feature index, then the lower bin (row-major order). The
+    gain is evaluated only at the cells that may split. None when no split
+    clears zero."""
     cn = np.cumsum(hn, axis=1)
     ok = split_ok & (cn >= params.min_data_in_leaf) & (n - cn >= params.min_data_in_leaf)
-    if not ok.any():
+    cells = np.flatnonzero(ok)
+    if not len(cells):
         return None
+    lam = params.l2_leaf_reg
+    parent = float(_newton_term(np.array([G * G]), np.array([H + lam]))[0])
+    cg = np.cumsum(hg, axis=1).ravel()[cells]
+    ch = np.cumsum(hh, axis=1).ravel()[cells]
     gains = 0.5 * (_newton_term(cg ** 2, ch + lam)
                    + _newton_term((G - cg) ** 2, (H - ch) + lam)
                    - parent)
-    gains[~ok] = -math.inf
     k = int(np.argmax(gains))
-    f, b = divmod(k, gains.shape[1])
-    if not gains[f, b] > 0:
+    if not gains[k] > 0:
         return None
-    return float(gains[f, b]), f, b
+    f, b = divmod(int(cells[k]), hg.shape[1])
+    return float(gains[k]), f, b
 
 
 @dataclass
@@ -183,25 +232,34 @@ class _Leaf:
 
 
 def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
-               h: np.ndarray, nbins: list[int], params: GbdtParams) -> Tree | None:
+               h: np.ndarray, nbins: list[int], params: GbdtParams
+               ) -> tuple[Tree, np.ndarray] | None:
+    """One tree and each training row's leaf value, or None when the root
+    cannot split."""
     width = max(nbins)
     shape = (len(nbins), width)
     offsets = np.arange(len(nbins), dtype=np.int64) * width
     # The last bin of a feature leaves nothing on the right; padding never splits.
     split_ok = np.arange(width) < np.array(nbins)[:, None] - 1
+    # A leaf with fewer rows has no split with min_data_in_leaf on each side.
+    min_rows = 2 * params.min_data_in_leaf
 
     feature, threshold_bin = [-1], [-1]
     left, right = [-1], [-1]
     gain_arr = [0.0]
 
-    def make_leaf(idx, hists=None):
-        hg, hh, hn = (hists if hists is not None
-                      else _histogram(binned_sel, idx, g, h, offsets, shape))
+    def make_leaf(idx, hists):
+        """A leaf searched over its grids, or with hists None never split."""
         G, H = float(np.sum(g[idx])), float(np.sum(h[idx]))
-        best = _best_split(hg, hh, hn, split_ok, G, H, len(idx), params)
-        return _Leaf(idx, hg, hh, hn, G, H, best)
+        if hists is None:
+            return _Leaf(idx, None, None, None, G, H, None)
+        best = _best_split(*hists, split_ok, G, H, len(idx), params)
+        return _Leaf(idx, *hists, G, H, best)
 
-    leaves: dict[int, _Leaf] = {0: make_leaf(np.arange(len(g)))}
+    root = np.arange(len(g))
+    leaves: dict[int, _Leaf] = {0: make_leaf(
+        root, _histogram(binned_sel, root, g, h, offsets, shape)
+        if len(root) >= min_rows else None)}
     if leaves[0].best is None:
         return None
 
@@ -216,22 +274,25 @@ def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
         # grids of the others, so release them.
         for n in set(leaves) - set(order[:params.num_leaves - len(leaves)]):
             leaves[n].hg = leaves[n].hh = leaves[n].hn = None
+        # The children of the split that fills the tree are never split.
+        room = len(leaves) + 1 < params.num_leaves
         node_id = order[0]
         split_gain, f_local, split_bin = leaves[node_id].best
         leaf = leaves.pop(node_id)
         mask = binned_sel[leaf.idx, f_local] <= split_bin
-        left_idx, right_idx = leaf.idx[mask], leaf.idx[~mask]
-        # Build the smaller child directly; subtract for its sibling.
-        if len(left_idx) <= len(right_idx):
-            lchild = make_leaf(left_idx)
-            rchild = make_leaf(right_idx, hists=(leaf.hg - lchild.hg,
-                                                 leaf.hh - lchild.hh,
-                                                 leaf.hn - lchild.hn))
-        else:
-            rchild = make_leaf(right_idx)
-            lchild = make_leaf(left_idx, hists=(leaf.hg - rchild.hg,
-                                                leaf.hh - rchild.hh,
-                                                leaf.hn - rchild.hn))
+        children = (leaf.idx[mask], leaf.idx[~mask])
+        searched = [room and len(idx) >= min_rows for idx in children]
+        # Build the smaller child's grids directly; subtract for its sibling.
+        small = 0 if len(children[0]) <= len(children[1]) else 1
+        hists: list[tuple | None] = [None, None]
+        if any(searched):
+            direct = _histogram(binned_sel, children[small], g, h, offsets, shape)
+            if searched[1 - small]:
+                hists[1 - small] = (leaf.hg - direct[0], leaf.hh - direct[1],
+                                    leaf.hn - direct[2])
+            if searched[small]:
+                hists[small] = direct
+        lchild, rchild = (make_leaf(idx, hs) for idx, hs in zip(children, hists))
         del leaf
         lid, rid = len(feature), len(feature) + 1
         for child in (lchild, rchild):
@@ -248,14 +309,17 @@ def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
         leaves[rid] = rchild
 
     value = np.zeros(len(feature))
+    row_value = np.empty(len(g))
     for node_id, leaf in leaves.items():
         denom = leaf.H + params.l2_leaf_reg
         value[node_id] = -leaf.G / denom if denom > _MIN_HESSIAN else 0.0
-    return Tree(np.array(feature, dtype=np.int32),
+        row_value[leaf.idx] = value[node_id]
+    tree = Tree(np.array(feature, dtype=np.int32),
                 np.array(threshold_bin, dtype=np.int32),
                 np.array(left, dtype=np.int32),
                 np.array(right, dtype=np.int32),
                 value, np.array(gain_arr))
+    return tree, row_value
 
 
 def _tree_raw(tree: Tree, binned: np.ndarray) -> np.ndarray:
@@ -270,7 +334,10 @@ def _tree_raw(tree: Tree, binned: np.ndarray) -> np.ndarray:
     return tree.value[node]
 
 
-def train(table: FeatureTable, params: GbdtParams) -> GbdtModel:
+def train(table: FeatureTable, params: GbdtParams, *,
+          _binned: Binned | None = None) -> GbdtModel:
+    """Boost on the table's rows and columns. _binned, when given, is
+    bin_rows(table, params.max_bins) computed once for several fits."""
     if table.labels is None:
         raise DataError("feature table has no label column")
     if not table.columns:
@@ -278,8 +345,11 @@ def train(table: FeatureTable, params: GbdtParams) -> GbdtModel:
     y = table.labels.astype(np.float64)
     if y.min() == y.max():
         raise StageError("labels are single-class; nothing to learn")
-    bins = build_bins(table, params.max_bins)
-    binned = bin_values(table.values, bins)
+    if _binned is None:
+        _binned = bin_rows(table, params.max_bins)
+    elif _binned.train.shape != table.values.shape:
+        raise ValueError("pre-binned rows do not match the table")
+    bins, binned = _binned.bins, _binned.train
     n_features = len(table.columns)
 
     prior = float(y.mean())
@@ -304,14 +374,22 @@ def train(table: FeatureTable, params: GbdtParams) -> GbdtModel:
         if not len(feats):
             break
         nbins = [len(bins[f]) + 1 for f in feats]
-        tree = _grow_tree(binned[:, feats], feats, g, h, nbins, params)
-        if tree is None:
+        grown = _grow_tree(binned[:, feats], feats, g, h, nbins, params)
+        if grown is None:
             break
-        raw += params.learning_rate * _tree_raw(tree, binned)
+        tree, row_value = grown
+        raw += params.learning_rate * row_value
         trees.append(tree)
         losses.append(_logloss(y, sigmoid(raw)))
     return GbdtModel(params, base, tuple(trees), table.columns,
                      tuple(bins), tuple(losses))
+
+
+def _raw_score(model: GbdtModel, binned: np.ndarray) -> np.ndarray:
+    raw = np.full(binned.shape[0], model.base_score)
+    for tree in model.trees:
+        raw += model.params.learning_rate * _tree_raw(tree, binned)
+    return raw
 
 
 def predict(model: GbdtModel, table: FeatureTable) -> np.ndarray:
@@ -321,11 +399,7 @@ def predict(model: GbdtModel, table: FeatureTable) -> np.ndarray:
             raise DataError(f"missing feature column {name!r}")
         cols.append(table.column(name))
     values = np.column_stack(cols) if cols else np.zeros((table.n_rows, 0))
-    binned = bin_values(values, model.bins)
-    raw = np.full(table.n_rows, model.base_score)
-    for tree in model.trees:
-        raw += model.params.learning_rate * _tree_raw(tree, binned)
-    return sigmoid(raw)
+    return sigmoid(_raw_score(model, bin_values(values, model.bins)))
 
 
 def assign_folds(users: Sequence[str], folds: int, seed: int) -> dict[str, int]:
@@ -333,10 +407,11 @@ def assign_folds(users: Sequence[str], folds: int, seed: int) -> dict[str, int]:
     return {u: stable_bucket(u, seed, folds) for u in users}
 
 
-def kfold_bagging(table: FeatureTable, params: GbdtParams,
-                  folds: int = 10) -> BaggedModel:
-    """One model per fold, trained on the other folds' rows (folds are by
-    user, from a seeded hash); keeps out-of-fold probabilities for CV."""
+def _fold_rows(table: FeatureTable, params: GbdtParams, folds: int
+               ) -> tuple[dict[str, int], list[tuple[np.ndarray, np.ndarray]]]:
+    """Each distinct user's fold, and each fold's training and held-out
+    rows. Every fold is checked before any model trains: a fold whose
+    training labels are single-class is a StageError."""
     if folds < 2:
         raise ValueError("folds must be at least 2")
     if table.labels is None:
@@ -346,19 +421,44 @@ def kfold_bagging(table: FeatureTable, params: GbdtParams,
         raise StageError(f"need at least {folds} distinct users for {folds}-fold bagging")
     fold_of = assign_folds(users.tolist(), folds, params.seed)
     row_fold = np.fromiter(fold_of.values(), np.int64, len(users))[row_user]
-    oof = np.full(table.n_rows, math.nan)
-    models = []
+    splits = []
     for f in range(folds):
         train_rows = np.flatnonzero(row_fold != f)
-        hold_rows = np.flatnonzero(row_fold == f)
-        sub = table.take(train_rows)
-        if sub.labels is None or len(np.unique(sub.labels)) < 2:
+        if len(np.unique(table.labels[train_rows])) < 2:
             raise StageError(
                 f"fold {f} leaves single-class training labels; use fewer folds")
-        model = train(sub, params)
+        splits.append((train_rows, np.flatnonzero(row_fold == f)))
+    return fold_of, splits
+
+
+def bin_folds(table: FeatureTable, params: GbdtParams, folds: int) -> list[Binned]:
+    """Per fold, the binning kfold_bagging(table, params, folds) does: the
+    training rows on their own edges and the held-out rows on the same
+    edges. Any column subset of the table, fit with the same folds, seed
+    and max_bins, can take [b.select(positions) for b in these]."""
+    return [bin_rows(table.take(train_rows), params.max_bins,
+                     table.values[hold_rows])
+            for train_rows, hold_rows in _fold_rows(table, params, folds)[1]]
+
+
+def kfold_bagging(table: FeatureTable, params: GbdtParams,
+                  folds: int = 10, *,
+                  _binned: Sequence[Binned] | None = None) -> BaggedModel:
+    """One model per fold, trained on the other folds' rows (folds are by
+    user, from a seeded hash); keeps out-of-fold probabilities for CV.
+    _binned, when given, is bin_folds(table, params, folds) computed once
+    for several fits."""
+    fold_of, splits = _fold_rows(table, params, folds)
+    oof = np.full(table.n_rows, math.nan)
+    models = []
+    for f, (train_rows, hold_rows) in enumerate(splits):
+        sub = table.take(train_rows)
+        binned = (bin_rows(sub, params.max_bins, table.values[hold_rows])
+                  if _binned is None else _binned[f])
+        model = train(sub, params, _binned=binned)
         models.append(model)
         if len(hold_rows):
-            oof[hold_rows] = predict(model, table.take(hold_rows))
+            oof[hold_rows] = sigmoid(_raw_score(model, binned.hold))
     return BaggedModel(params, folds, tuple(models), fold_of, oof)
 
 
@@ -370,12 +470,12 @@ def bagged_predict(bagged: BaggedModel, table: FeatureTable) -> np.ndarray:
 def oof_ndcg(table: FeatureTable, oof_scores: np.ndarray, k: int = 10) -> float:
     """NDCG@k of the out-of-fold scores, grouped per user, via the shared
     evaluation routine; users without any positive label are skipped."""
-    users, items = table.users.tolist(), table.items.tolist()
-    run = evaluation.group_ranked_run(users, items, oof_scores)
+    run = evaluation.group_ranked_run(table.users, table.items, oof_scores)
     qrels: dict[str, set] = {}
     if table.labels is not None:
-        for r in np.flatnonzero(table.labels == 1).tolist():
-            qrels.setdefault(users[r], set()).add(items[r])
+        pos = table.labels == 1
+        for user, item in zip(table.users[pos].tolist(), table.items[pos].tolist()):
+            qrels.setdefault(user, set()).add(item)
     if not qrels:
         raise StageError("no positive labels; NDCG undefined")
     _, mean = evaluation.ndcg_at_k(run, qrels, k=k)

@@ -1,7 +1,15 @@
 """Three-stage feature selection: covariate-shift screening, heuristic
 k-fold CV group elimination, and null-importance filtering, applied in
 that fixed order. Every stage is deterministic at a fixed seed and leaves
-an auditable per-feature report."""
+an auditable per-feature report.
+
+The two GBDT screens refit one table again and again: CV elimination
+refits column subsets of it with the same folds, null importance refits
+it with permuted labels. Each bins its table once (gbdt.bin_folds per
+fold, gbdt.bin_rows for null importance) and hands every fit the slice
+of its columns; the bins are freed when the screen returns. A column's
+bins depend only on its own values on the fit's rows, so every fit sees
+the bins it would have computed itself."""
 
 from __future__ import annotations
 
@@ -73,8 +81,12 @@ def default_groups(columns: Sequence[str]) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def _cv_score(table: FeatureTable, columns: Sequence[str],
-              trainer: gbdt.GbdtParams, folds: int) -> float:
-    bagged = gbdt.kfold_bagging(table.select(columns), trainer, folds)
+              trainer: gbdt.GbdtParams, folds: int,
+              binned: Sequence[gbdt.Binned]) -> float:
+    """OOF NDCG of the columns; binned is gbdt.bin_folds of the table."""
+    pos = [table.columns.index(name) for name in columns]
+    bagged = gbdt.kfold_bagging(table.select(columns), trainer, folds,
+                                _binned=[fold.select(pos) for fold in binned])
     return gbdt.oof_ndcg(table, bagged.oof)
 
 
@@ -87,8 +99,9 @@ def heuristic_cv_elimination(table: FeatureTable,
     degrades by at most epsilon. At least one group always survives."""
     if table.labels is None:
         raise DataError("CV elimination needs a labeled table")
+    binned = gbdt.bin_folds(table, trainer, folds)
     current = [c for c in table.columns]
-    baseline = _cv_score(table, current, trainer, folds)
+    baseline = _cv_score(table, current, trainer, folds, binned)
     records: list[dict] = []
     grouped = {name for _, members in groups for name in members}
     for missing in [c for c in current if c not in grouped]:
@@ -104,7 +117,7 @@ def heuristic_cv_elimination(table: FeatureTable,
                 records.append({"name": name, "cv_delta": None,
                                 "decision": "keep", "reason": "last_group_guard"})
             continue
-        score = _cv_score(table, candidate, trainer, folds)
+        score = _cv_score(table, candidate, trainer, folds, binned)
         delta = baseline - score
         if delta <= epsilon:
             current = candidate
@@ -127,14 +140,16 @@ def null_importance_select(table: FeatureTable, trainer: gbdt.GbdtParams,
         raise ValueError("n_shuffles must be at least 1")
     if table.labels is None:
         raise DataError("null importance needs a labeled table")
-    model = gbdt.train(table, trainer)
+    binned = gbdt.bin_rows(table, trainer.max_bins)
+    model = gbdt.train(table, trainer, _binned=binned)
     actual = gbdt.importance(model, "gain")
     splits = gbdt.importance(model, "split")
     nulls = {name: np.empty(n_shuffles) for name in table.columns}
     for s in range(n_shuffles):
         rng = np.random.default_rng(stage_seed(seed, "null_importance", str(s)))
         shuffled = table.with_labels(rng.permutation(table.labels))
-        null_gain = gbdt.importance(gbdt.train(shuffled, trainer), "gain")
+        null_gain = gbdt.importance(
+            gbdt.train(shuffled, trainer, _binned=binned), "gain")
         for name in table.columns:
             nulls[name][s] = null_gain[name]
     records = []

@@ -1,5 +1,5 @@
-"""scripts/bench_gbdt.py: one repeat trains and prints the model digest
-of today's numerics."""
+"""scripts/bench_gbdt.py: one repeat trains and screens, and prints the
+model digest and the screen digest of today's numerics."""
 
 import importlib.util
 import re
@@ -12,6 +12,7 @@ bench_gbdt = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_gbdt)
 
 DIGEST = "3127efcdeeeab166f197102062c42bc30634eb7a4ed5293bb2391bc9cdfe9e47"
+SCREEN_DIGEST = "42043c4c42476eaedc893a8916942ccd22b3ec3e4cd26941f858e904fc0fff33"
 
 
 def test_one_repeat_prints_time_and_digest(capsys, monkeypatch,
@@ -22,5 +23,7 @@ def test_one_repeat_prints_time_and_digest(capsys, monkeypatch,
     assert lines[0] == "table 4000x37 seed 0; 15 trees"
     assert lines[1].startswith("median ")
     digest = re.fullmatch(r"sha256 ([0-9a-f]{64})", lines[2])
-    assert digest
-    assert_digests([digest.group(1)], [DIGEST])
+    assert lines[3].startswith("screen kept 9 of 37; median ")
+    screen = re.fullmatch(r"screen sha256 ([0-9a-f]{64})", lines[4])
+    assert digest and screen
+    assert_digests([digest.group(1), screen.group(1)], [DIGEST, SCREEN_DIGEST])

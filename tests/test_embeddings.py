@@ -863,3 +863,15 @@ class TestEmbeddingTsv:
         (tmp_path / "e.tsv").write_text("")
         with pytest.raises(DataError, match="empty"):
             emb.read_embedding_tsv(tmp_path / "e.tsv")
+
+    @pytest.mark.parametrize("text, line, problem", [
+        ("a\t1.0\n\t2.0\n", 2, "empty id"),
+        ("a\t1.0\nb\0\t2.0\n", 2, "NUL"),
+        ("a\t1.0\nb\n", 2, "expected node id and values"),
+        ("a\t1.0\n\nb\tinf\n", 3, "non-finite"),
+    ], ids=["empty-id", "nul", "no-values", "non-finite-after-blank"])
+    def test_bad_lines_rejected_at_their_line(self, tmp_path, text, line,
+                                              problem):
+        (tmp_path / "e.tsv").write_text(text)
+        with pytest.raises(DataError, match=f"e.tsv:{line}: .*{problem}"):
+            emb.read_embedding_tsv(tmp_path / "e.tsv")

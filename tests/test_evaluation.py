@@ -100,19 +100,21 @@ class TestGroupRankedRun:
     def test_matches_the_oracle(self, rng, pool):
         # pool: scores drawn from few values, so ties (and ties of -0.0
         # with 0.0) are common; None: distinct normal scores. Some items
-        # differ only in trailing NULs, which numpy strings do not keep.
+        # differ only in trailing NULs, which numpy strings do not keep:
+        # in lists they are distinct ids, in arrays equal ones.
         for n in (1, 2, 17, 400):
             users = [f"u{k}" for k in rng.integers(0, 9, n)]
             items = [f"i{k // 3}" + "\0" * (k % 3)
                      for k in rng.integers(0, 60, n)]
             scores = (rng.normal(size=n) if pool is None
                       else rng.choice(pool, size=n))
-            got = ev.group_ranked_run(users, items, scores)
-            want = group_ranked_run_oracle(users, items, scores)
-            assert got == want
-            signs = [[np.signbit(s) for _, s in ranked] for _, ranked in got]
-            assert signs == [[np.signbit(s) for _, s in ranked]
-                             for _, ranked in want]
+            for keys in ((users, items), (np.array(users), np.array(items))):
+                got = ev.group_ranked_run(*keys, scores)
+                want = group_ranked_run_oracle(*keys, scores)
+                assert got == want
+                signs = [[np.signbit(s) for _, s in ranked] for _, ranked in got]
+                assert signs == [[np.signbit(s) for _, s in ranked]
+                                 for _, ranked in want]
 
     def test_empty_run(self):
         assert ev.group_ranked_run([], [], np.zeros(0)) == []
@@ -175,6 +177,43 @@ class TestRunFileIo:
             "userId\titemId\trating\nu1\ta\t5.0\nu1\tb\t5.0\nu2\tc\t5.0\n")
         q = ev.read_qrels(tmp_path / "q.tsv")
         assert q == {"u1": {"a", "b"}, "u2": {"c"}}
+
+    def test_read_qrels_without_header(self, tmp_path):
+        (tmp_path / "q.tsv").write_text("u1\ta\n\nu2\tc\t5.0\textra\nu1\tb\n")
+        q = ev.read_qrels(tmp_path / "q.tsv")
+        assert list(q.items()) == [("u1", {"a", "b"}), ("u2", {"c"})]
+
+    @pytest.mark.parametrize("text, line, problem", [
+        ("\ti1\t5.0\n", 1, "empty id"),
+        ("userId\titemId\nu1\ta\nu2\t\t5.0\n", 3, "empty id"),
+        ("u1\ta\nu2\ti2\0\t5.0\n", 2, "NUL"),
+        ("u1\ta\nu2\n", 2, "expected user and item"),
+    ], ids=["empty-user", "empty-item-after-header", "nul", "no-item"])
+    def test_read_qrels_rejects_bad_lines(self, tmp_path, text, line, problem):
+        (tmp_path / "q.tsv").write_text(text)
+        with pytest.raises(DataError, match=f"q.tsv:{line}: .*{problem}"):
+            ev.read_qrels(tmp_path / "q.tsv")
+
+    def test_read_run_file_groups_users_in_first_seen_order(self, tmp_path):
+        (tmp_path / "run.tsv").write_text(
+            "u2\tb\t0.5\nu1\ta\t-0.0\n\nu2\tc\t1e-300\n")
+        got = ev.read_run_file(tmp_path / "run.tsv")
+        assert got == [("u2", [("b", 0.5), ("c", 1e-300)]),
+                       ("u1", [("a", 0.0)])]
+        assert np.signbit(got[1][1][0][1])
+
+    @pytest.mark.parametrize("text, line, problem", [
+        ("u1\ta\t0.5\n\tb\t0.25\n", 2, "empty id"),
+        ("u1\t\t0.5\n", 1, "empty id"),
+        ("u1\ta\t0.5\nu2\tb\0\t0.25\n", 2, "NUL"),
+        ("u1\ta\t0.5\nu2\tb\n", 2, "expected user/item/score"),
+        ("u1\ta\t0.5\nu2\tb\thigh\n", 2, "unparsable score 'high'"),
+    ], ids=["empty-user", "empty-item", "nul", "two-fields", "bad-score"])
+    def test_read_run_file_rejects_bad_lines(self, tmp_path, text, line,
+                                             problem):
+        (tmp_path / "run.tsv").write_text(text)
+        with pytest.raises(DataError, match=f"run.tsv:{line}: .*{problem}"):
+            ev.read_run_file(tmp_path / "run.tsv")
 
 
 class TestMetricReport:

@@ -277,6 +277,181 @@ class TestBestSplitGrid:
         assert gbdt.model_to_dict(gbdt.train(table, params)) == want
 
 
+def best_split_dense(hg, hh, hn, split_ok, G, H, n, params):
+    """The whole-grid search: gains at every cell, -inf where no split
+    may happen, one row-major argmax."""
+    lam = params.l2_leaf_reg
+    parent = float(gbdt._newton_term(np.array([G * G]), np.array([H + lam]))[0])
+    cg = np.cumsum(hg, axis=1)
+    ch = np.cumsum(hh, axis=1)
+    cn = np.cumsum(hn, axis=1)
+    ok = split_ok & (cn >= params.min_data_in_leaf) & (n - cn >= params.min_data_in_leaf)
+    if not ok.any():
+        return None
+    gains = 0.5 * (gbdt._newton_term(cg ** 2, ch + lam)
+                   + gbdt._newton_term((G - cg) ** 2, (H - ch) + lam)
+                   - parent)
+    gains[~ok] = -math.inf
+    k = int(np.argmax(gains))
+    f, b = divmod(k, gains.shape[1])
+    if not gains[f, b] > 0:
+        return None
+    return float(gains[f, b]), f, b
+
+
+def grow_tree_oracle(binned_sel, feats, g, h, nbins, params, searched):
+    """Leaf-wise growth that builds grids for and searches every leaf,
+    both children of every split included (the smaller child's grids
+    directly, its sibling's by subtraction); appends each searched leaf's
+    row count to searched."""
+    width = max(nbins)
+    shape = (len(nbins), width)
+    offsets = np.arange(len(nbins), dtype=np.int64) * width
+    split_ok = np.arange(width) < np.array(nbins)[:, None] - 1
+    cols = {"feature": [-1], "threshold_bin": [-1], "left": [-1],
+            "right": [-1], "gain": [0.0]}
+
+    def leaf(idx, hists=None):
+        if hists is None:
+            hists = gbdt._histogram(binned_sel, idx, g, h, offsets, shape)
+        G, H = float(np.sum(g[idx])), float(np.sum(h[idx]))
+        searched.append(len(idx))
+        return idx, hists, G, H, best_split_dense(*hists, split_ok, G, H,
+                                                  len(idx), params)
+
+    leaves = {0: leaf(np.arange(len(g)))}
+    if leaves[0][4] is None:
+        return None
+    while len(leaves) < params.num_leaves:
+        order = sorted((n for n in sorted(leaves) if leaves[n][4] is not None),
+                       key=lambda n: -leaves[n][4][0])
+        if not order:
+            break
+        node = order[0]
+        idx, hists, _, _, (gain, f, b) = leaves.pop(node)
+        mask = binned_sel[idx, f] <= b
+        kids = [idx[mask], idx[~mask]]
+        small = 0 if len(kids[0]) <= len(kids[1]) else 1
+        made = [None, None]
+        made[small] = leaf(kids[small])
+        made[1 - small] = leaf(kids[1 - small], tuple(
+            p - c for p, c in zip(hists, made[small][1])))
+        lid = len(cols["feature"])
+        for key in cols:
+            cols[key] += [0.0, 0.0] if key == "gain" else [-1, -1]
+        cols["feature"][node] = int(feats[f])
+        cols["threshold_bin"][node] = b
+        cols["left"][node], cols["right"][node] = lid, lid + 1
+        cols["gain"][node] = gain
+        leaves[lid], leaves[lid + 1] = made
+    value = np.zeros(len(cols["feature"]))
+    for node, (_, _, G, H, _) in leaves.items():
+        denom = H + params.l2_leaf_reg
+        value[node] = -G / denom if denom > gbdt._MIN_HESSIAN else 0.0
+    return gbdt.Tree(*(np.array(cols[k], dtype=np.int32)
+                       for k in ("feature", "threshold_bin", "left", "right")),
+                     value, np.array(cols["gain"]))
+
+
+def train_oracle(table, params, searched):
+    """The boosting loop that bins on every fit and predicts the training
+    rows by routing them through each new tree."""
+    y = table.labels.astype(np.float64)
+    bins = gbdt.build_bins(table, params.max_bins)
+    binned = gbdt.bin_values(table.values, bins)
+    n_features = len(table.columns)
+    base = math.log(y.mean() / (1.0 - y.mean()))
+    raw = np.full(len(y), base)
+    rng = np.random.default_rng(gbdt.stage_seed(params.seed, "gbdt"))
+    n_sub = max(1, math.ceil(params.feature_fraction * n_features))
+    splittable = np.array([len(edges) > 0 for edges in bins])
+    trees, losses = [], [gbdt._logloss(y, gbdt.sigmoid(raw))]
+    for _round in range(params.n_rounds):
+        p = gbdt.sigmoid(raw)
+        g, h = p - y, p * (1.0 - p)
+        feats = (np.sort(rng.permutation(n_features)[:n_sub])
+                 if n_sub < n_features else np.arange(n_features))
+        feats = feats[splittable[feats]]
+        if not len(feats):
+            break
+        tree = grow_tree_oracle(binned[:, feats], feats, g, h,
+                                [len(bins[f]) + 1 for f in feats], params,
+                                searched)
+        if tree is None:
+            break
+        raw += params.learning_rate * gbdt._tree_raw(tree, binned)
+        trees.append(tree)
+        losses.append(gbdt._logloss(y, gbdt.sigmoid(raw)))
+    return gbdt.GbdtModel(params, base, tuple(trees), table.columns,
+                          tuple(bins), tuple(losses))
+
+
+def oracle_table(rng, n):
+    """Dense, rounded, few-valued, constant and mostly-zero columns with
+    labels from a logistic model of three of them."""
+    values = np.column_stack([
+        rng.normal(size=(n, 3)),
+        np.round(rng.normal(size=n), 1),
+        rng.integers(0, 4, n),
+        np.full(n, 1.5),
+        rng.exponential(size=n) * (rng.random(n) < 0.25),
+    ])
+    logit = values[:, 0] - 0.8 * values[:, 4] + 1.5 * values[:, 6] - 0.3
+    y = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(int)
+    return make_table(values, y)
+
+
+class TestTrainOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_model_as_the_whole_search_loop(self, seed, monkeypatch):
+        rng = np.random.default_rng(100 + seed)
+        table = oracle_table(rng, int(rng.integers(150, 600)))
+        params = gbdt.GbdtParams(
+            num_leaves=int(rng.choice([4, 7, 12])), n_rounds=6,
+            learning_rate=0.3, min_data_in_leaf=int(rng.choice([1, 8, 30])),
+            l2_leaf_reg=float(rng.choice([0.5, 2.0])),
+            max_bins=int(rng.choice([7, 63, 255])),
+            feature_fraction=0.7, seed=seed)
+        searched: list[int] = []
+        want = gbdt.model_to_dict(train_oracle(table, params, searched))
+        calls = []
+        search = gbdt._best_split
+        monkeypatch.setattr(gbdt, "_best_split",
+                            lambda *a: calls.append(a[6]) or search(*a))
+        assert gbdt.model_to_dict(gbdt.train(table, params)) == want
+        # trees fill up, so the last split's children go unsearched
+        leaves = [t["feature"].count(-1) for t in want["trees"]]
+        assert params.num_leaves in leaves
+        assert len(calls) < len(searched)
+        assert all(n >= 2 * params.min_data_in_leaf for n in calls)
+        if params.min_data_in_leaf == 30:
+            # and leaves too small to split skip their search
+            assert min(searched) < 2 * params.min_data_in_leaf
+
+    def test_kfold_bagging_on_prebinned_column_subsets(self, rng):
+        table = oracle_table(rng, 400)
+        table = make_table(table.values, table.labels,
+                           users=[f"u{k % 37}" for k in range(400)])
+        params = gbdt.GbdtParams(num_leaves=6, n_rounds=4, learning_rate=0.2,
+                                 min_data_in_leaf=10, l2_leaf_reg=1.0,
+                                 max_bins=31, feature_fraction=0.8, seed=4)
+        binned = gbdt.bin_folds(table, params, 3)
+        for pos in ([0, 1, 2, 3, 4, 5, 6], [6, 2, 4], [5]):
+            sub = table.select([table.columns[p] for p in pos])
+            want = gbdt.kfold_bagging(sub, params, 3)
+            got = gbdt.kfold_bagging(
+                sub, params, 3, _binned=[fold.select(pos) for fold in binned])
+            assert got.oof.tobytes() == want.oof.tobytes()
+            assert ([gbdt.model_to_dict(m) for m in got.fold_models]
+                    == [gbdt.model_to_dict(m) for m in want.fold_models])
+
+    def test_prebinned_rows_must_match_the_table(self, rng):
+        table = oracle_table(rng, 100)
+        binned = gbdt.bin_rows(table, 255).select([0, 1])
+        with pytest.raises(ValueError, match="pre-binned"):
+            gbdt.train(table, stump_params(), _binned=binned)
+
+
 class TestBins:
     def test_two_distinct_values_two_bins(self):
         table = make_table(np.array([[1.0], [5.0], [1.0]]))

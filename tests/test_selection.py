@@ -288,6 +288,61 @@ class TestRunSelection:
         kept2, rep2 = selection.run_selection(valid, test, **args)
         assert kept1 == kept2 and rep1 == rep2
 
+    def screen_tables(self, rng):
+        """Five groups over 40 users: a signal and its missing flag, an
+        exact duplicate of the signal, a weak signal, pure noise and a
+        few-valued column."""
+        columns = {
+            "sig__a": signal,
+            "sig__a__missing": lambda y, r: (r.random(len(y)) < 0.2) * 1.0,
+            "dup__c": signal,
+            "weak__w": lambda y, r: 0.3 * y + r.normal(size=len(y)),
+            "noise__n": noise,
+            "few__f": lambda y, r: r.integers(0, 3, len(y)) * 1.0,
+        }
+        valid = ranked_table(rng, columns, n_users=40, per_user=8)
+        valid = valid.with_columns(["dup__c2"], valid.values[:, :1].copy(),
+                                   {"dup__c2": {}})
+        test = ranked_table(rng, columns, n_users=40, per_user=8,
+                            with_labels=False)
+        test = test.with_columns(["dup__c2"], test.values[:, :1].copy(),
+                                 {"dup__c2": {}})
+        return valid, test
+
+    SCREEN = dict(trainer=gbdt.GbdtParams(
+        num_leaves=5, n_rounds=4, learning_rate=0.3, min_data_in_leaf=6,
+        l2_leaf_reg=1.0, feature_fraction=0.8, seed=2),
+        folds=3, shift_threshold=0.2, cv_epsilon=0.0, n_shuffles=3, seed=5)
+
+    def test_binning_once_per_screen_changes_nothing(self, rng, monkeypatch):
+        valid, test = self.screen_tables(rng)
+        kept, records = selection.run_selection(valid, test, **self.SCREEN)
+        assert "cv_elimination" in {r["reason"] for r in records}
+        # every fit bins its own rows, as without the shared binning
+        train, bagging = gbdt.train, gbdt.kfold_bagging
+        monkeypatch.setattr(gbdt, "train",
+                            lambda table, params, **_: train(table, params))
+        monkeypatch.setattr(gbdt, "kfold_bagging",
+                            lambda table, params, folds, **_:
+                            bagging(table, params, folds))
+        kept_alone, records_alone = selection.run_selection(
+            valid, test, **self.SCREEN)
+        assert kept == kept_alone
+        assert (json.dumps(records, sort_keys=True)
+                == json.dumps(records_alone, sort_keys=True))
+
+    def test_bins_each_fold_once_and_null_importance_once(self, rng,
+                                                          monkeypatch):
+        valid, test = self.screen_tables(rng)
+        calls = []
+        build = gbdt.build_bins
+        monkeypatch.setattr(gbdt, "build_bins",
+                            lambda table, max_bins: calls.append(table.n_rows)
+                            or build(table, max_bins))
+        selection.run_selection(valid, test, **self.SCREEN)
+        assert len(calls) == self.SCREEN["folds"] + 1
+        assert calls[-1] == valid.n_rows
+
 
 class TestReportFiles:
     RECORDS = [
