@@ -7,13 +7,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
-from pathlib import Path
 
 from . import pipeline, synth
 from .config import PipelineConfig, load_config
-from .util import CmrecError, ConfigError
+from .util import CmrecError, ConfigError, read_json_object
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,13 +80,7 @@ def _targets(config: PipelineConfig, args) -> list[str]:
 
 
 def _cmd_synth(args) -> None:
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    else:
-        payload = {}
+    payload = {} if args.config is None else read_json_object(args.config)
     payload["out_dir"] = args.out
     if args.seed is not None:
         payload["seed"] = args.seed

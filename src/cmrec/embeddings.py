@@ -21,7 +21,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence, get_args
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .data import (SparseInteractionMatrix, check_lines, first_repeat,
 from .util import DataError, atomic_write_text, fmt, sigmoid, stage_seed
 
 log = logging.getLogger(__name__)
+
+Metric = Literal["dot", "cosine"]  # the metrics embedding_score takes
 
 
 @dataclass(frozen=True)
@@ -573,7 +575,7 @@ def embedding_score(table: EmbeddingTable, users: Sequence[int],
     Each score equals float(u @ c), or float(u @ c) / (|u| * |c|) with the
     norms of np.linalg.norm (the square roots of the same dots of a vector
     with itself), bit for bit."""
-    if metric not in ("dot", "cosine"):
+    if metric not in get_args(Metric):
         raise ValueError(f"unknown metric {metric!r}")
     if len(users) != len(candidates):
         raise ValueError("users and candidates must be aligned")

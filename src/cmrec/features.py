@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from hashlib import blake2b
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -19,7 +19,7 @@ from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                    SparseInteractionMatrix, build_matrix, first_repeat,
                    read_lines)
 from .util import (ConfigError, DataError, atomic_save_npy,
-                   atomic_write_bytes, atomic_write_text, fmt,
+                   atomic_write_bytes, atomic_write_text, fmt, from_dict,
                    params_hash)
 
 
@@ -27,22 +27,79 @@ from .util import (ConfigError, DataError, atomic_save_npy,
 class Scorer:
     """One pre-ranking scorer.
 
-    fit(matrix, params) -> model is called once per (params, combination);
+    fit(matrix, params) -> model is called once per (params, combination),
+    with params an instance of the scorer's params class;
     score(model, matrix, user_ids, item_ids) -> (values, missing) is called
     once per run and scores every (user, candidate) pair of it at once,
     from the aligned encoded ids of the pairs in run order, user id -1
     being a user the encoders do not know; missing is one flag per pair.
-    A seeded scorer draws random numbers and gets a derived "seed" param.
     """
 
-    fit: Callable[[SparseInteractionMatrix, Mapping], object]
+    fit: Callable[[SparseInteractionMatrix, object], object]
     score: Callable[[object, SparseInteractionMatrix, np.ndarray, np.ndarray],
                     tuple[np.ndarray, np.ndarray]]
-    seeded: bool = False
+    params: type
+
+    @property
+    def seeded(self) -> bool:
+        """The scorer draws random numbers and gets a derived "seed" param."""
+        return any(f.name == "seed" for f in fields(self.params))
 
 
-def _top_k(p: Mapping) -> int:
-    return int(p.get("top_k", mcf.DEFAULT_TOP_K))
+@dataclass(frozen=True)
+class TopKParams:
+    top_k: int = mcf.DEFAULT_TOP_K
+
+    def __post_init__(self):
+        if self.top_k < 1:
+            raise ValueError("top_k must be at least 1")
+
+
+@dataclass(frozen=True)
+class SwingParams(TopKParams):
+    alpha: float = 1.0
+    max_users_per_item: int = mcf.DEFAULT_SWING_MAX_USERS
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.alpha <= 0 or self.max_users_per_item < 1:
+            raise ValueError("alpha must be > 0 and max_users_per_item at "
+                             "least 1")
+
+
+@dataclass(frozen=True)
+class BiGraphParams:
+    retain_seed: bool = True
+
+
+@dataclass(frozen=True)
+class Word2VecParams(emb.SkipGramParams):
+    shuffles: int = 2
+    metric: emb.Metric = "cosine"
+
+
+@dataclass(frozen=True)
+class Node2VecParams(emb.SkipGramParams, emb.WalkParams):
+    metric: emb.Metric = "cosine"
+
+    def __post_init__(self):
+        emb.SkipGramParams.__post_init__(self)
+        emb.WalkParams.__post_init__(self)
+
+
+@dataclass(frozen=True)
+class Node2VecDfsParams(Node2VecParams):
+    q: float = 0.5
+
+
+@dataclass(frozen=True)
+class Node2VecBfsParams(Node2VecParams):
+    q: float = 2.0
+
+
+@dataclass(frozen=True)
+class LightGcnScorerParams(emb.LightGcnParams):
+    metric: emb.Metric = "dot"
 
 
 # Scores are looked up in mcf and emb at call time, so a wrapper set on
@@ -52,48 +109,26 @@ def _item_based(table, m, users, items):
     return mcf.score_candidates(table, m, users, items)
 
 
-def _skipgram_params(p: Mapping) -> emb.SkipGramParams:
-    return emb.SkipGramParams(dim=int(p.get("dim", 64)),
-                              window=int(p.get("window", 5)),
-                              negatives=int(p.get("negatives", 5)),
-                              epochs=int(p.get("epochs", 3)),
-                              learning_rate=float(p.get("learning_rate", 0.025)),
-                              seed=int(p.get("seed", 0)))
-
-
 # Embedding models are (table, metric) pairs: the metric is a param too.
 
-def _fit_word2vec(m: SparseInteractionMatrix, p: Mapping):
-    corpus = emb.user_history_sequences(m, int(p.get("shuffles", 2)),
-                                        int(p.get("seed", 0)))
-    trained = emb.train_skipgram(corpus, _skipgram_params(p), m.n_items)
-    return emb.derive_user_vectors(m, *trained), p.get("metric", "cosine")
+def _fit_word2vec(m: SparseInteractionMatrix, p: Word2VecParams):
+    corpus = emb.user_history_sequences(m, p.shuffles, p.seed)
+    trained = emb.train_skipgram(corpus, p, m.n_items)
+    return emb.derive_user_vectors(m, *trained), p.metric
 
 
-def _fit_node2vec(m: SparseInteractionMatrix, p: Mapping, q: float):
-    walks = emb.generate_walks(m, emb.WalkParams(
-        p=float(p.get("p", 1.0)), q=float(p.get("q", q)),
-        walk_length=int(p.get("walk_length", 20)),
-        walks_per_node=int(p.get("walks_per_node", 10)),
-        seed=int(p.get("seed", 0))))
+def _fit_node2vec(m: SparseInteractionMatrix, p: Node2VecParams):
     # walk tokens are users, then items offset by n_users
     vectors, present, meta = emb.train_skipgram(
-        walks, _skipgram_params(p), m.n_users + m.n_items)
+        emb.generate_walks(m, p), p, m.n_users + m.n_items)
     n = m.n_users
     table = emb.EmbeddingTable(vectors[:n], present[:n], vectors[n:],
                                present[n:], meta)
-    return table, p.get("metric", "cosine")
+    return table, p.metric
 
 
-def _fit_lightgcn(m: SparseInteractionMatrix, p: Mapping):
-    table = emb.train_lightgcn(m.binarized(), emb.LightGcnParams(
-        layers=int(p.get("layers", 4)), dim=int(p.get("dim", 64)),
-        node_dropout=float(p.get("node_dropout", 0.4)),
-        learning_rate=float(p.get("learning_rate", 0.001)),
-        l2_reg=float(p.get("l2_reg", 1e-4)),
-        epochs=int(p.get("epochs", 20)),
-        batch_size=int(p.get("batch_size", 1024)), seed=int(p.get("seed", 0))))
-    return table, p.get("metric", "dot")
+def _fit_lightgcn(m: SparseInteractionMatrix, p: LightGcnScorerParams):
+    return emb.train_lightgcn(m.binarized(), p), p.metric
 
 
 def _embedding_based(model, m, users, items):
@@ -103,30 +138,27 @@ def _embedding_based(model, m, users, items):
 
 # The one list of scorers: adding a scorer means adding one entry here.
 SCORERS: dict[str, Scorer] = {
-    "item_cf": Scorer(lambda m, p: mcf.item_cosine_similarity(m, _top_k(p)),
-                      _item_based),
+    "item_cf": Scorer(lambda m, p: mcf.item_cosine_similarity(m, p.top_k),
+                      _item_based, TopKParams),
     "user_cf": Scorer(
-        lambda m, p: mcf.user_cosine_similarity(m, _top_k(p)),
+        lambda m, p: mcf.user_cosine_similarity(m, p.top_k),
         lambda table, m, users, items: mcf.score_candidates_user_based(
-            table, m, users, items)),
+            table, m, users, items), TopKParams),
     "swing": Scorer(
         lambda m, p: mcf.swing_similarity(
-            m.binarized(), alpha=float(p.get("alpha", 1.0)), k=_top_k(p),
-            max_users_per_item=int(p.get("max_users_per_item",
-                                         mcf.DEFAULT_SWING_MAX_USERS))),
-        _item_based),
-    "llr": Scorer(lambda m, p: mcf.llr_item_similarity(m.binarized(), _top_k(p)),
-                  _item_based),
+            m.binarized(), alpha=p.alpha, k=p.top_k,
+            max_users_per_item=p.max_users_per_item),
+        _item_based, SwingParams),
+    "llr": Scorer(lambda m, p: mcf.llr_item_similarity(m.binarized(), p.top_k),
+                  _item_based, TopKParams),
     "bigraph": Scorer(
-        lambda m, p: bool(p.get("retain_seed", True)),
+        lambda m, p: p.retain_seed,
         lambda retain, m, users, items: mcf.score_candidates_bigraph(
-            m, users, items, retain_seed=retain)),
-    "word2vec": Scorer(_fit_word2vec, _embedding_based, seeded=True),
-    "node2vec_dfs": Scorer(lambda m, p: _fit_node2vec(m, p, q=0.5),
-                           _embedding_based, seeded=True),
-    "node2vec_bfs": Scorer(lambda m, p: _fit_node2vec(m, p, q=2.0),
-                           _embedding_based, seeded=True),
-    "lightgcn": Scorer(_fit_lightgcn, _embedding_based, seeded=True),
+            m, users, items, retain_seed=retain), BiGraphParams),
+    "word2vec": Scorer(_fit_word2vec, _embedding_based, Word2VecParams),
+    "node2vec_dfs": Scorer(_fit_node2vec, _embedding_based, Node2VecDfsParams),
+    "node2vec_bfs": Scorer(_fit_node2vec, _embedding_based, Node2VecBfsParams),
+    "lightgcn": Scorer(_fit_lightgcn, _embedding_based, LightGcnScorerParams),
 }
 
 
@@ -379,15 +411,22 @@ def default_combinations(target: str, all_markets: Sequence[str],
 class PlanContext:
     """Everything run_plan needs: encoded interactions and the encoders.
 
-    model_cache memoizes fitted similarity tables / embedding tables per
-    (scorer, params, combination) so that scoring a second run file does
-    not retrain anything."""
+    A prerank's in-memory cache: matrices per combination and model_cache
+    the fitted tables per (scorer, params, combination), so that scoring a
+    second run file neither rebuilds nor retrains anything."""
 
     rows: Interactions
     users: IdEncoder
     items: IdEncoder
     cache_dir: Path | None = None
+    matrices: dict = field(default_factory=dict, compare=False)
     model_cache: dict = field(default_factory=dict, compare=False)
+
+    def matrix(self, combination: CombinationSpec) -> SparseInteractionMatrix:
+        """combination_matrix, built once per combination."""
+        if combination not in self.matrices:
+            self.matrices[combination] = combination_matrix(self, combination)
+        return self.matrices[combination]
 
 
 def encode_run(run: RunFile, users: IdEncoder, items: IdEncoder
@@ -459,7 +498,6 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
         raise ConfigError("duplicate feature names in plan")
     unknown = run.candidates[item_ids < 0]
     failures: list[dict] = []
-    matrices: dict[str, SparseInteractionMatrix] = {}
     key = None if ctx.cache_dir is None else _cache_key(ctx, run)
     columns: list[str] = []
     provenance: dict[str, dict] = {}
@@ -474,8 +512,7 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
             try:
                 if len(unknown):
                     raise DataError(f"unknown id {str(unknown[0])!r}")
-                got = np.stack(_score_run(spec, ctx, user_ids, item_ids,
-                                          matrices))
+                got = np.stack(_score_run(spec, ctx, user_ids, item_ids))
             except Exception as exc:  # noqa: BLE001 - plan must survive one bad scorer
                 failures.append({"feature": name, "error": f"{type(exc).__name__}: {exc}"})
                 continue
@@ -499,19 +536,17 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
 
 
 def _score_run(spec: ScorerSpec, ctx: PlanContext, user_ids: np.ndarray,
-               item_ids: np.ndarray, matrices: dict
-               ) -> tuple[np.ndarray, np.ndarray]:
+               item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, missing) of one spec over the encoded run pairs, in one
-    score call, fitting its model unless ctx.model_cache holds it."""
-    combo = spec.combination.combo_id
-    if combo not in matrices:
-        matrices[combo] = combination_matrix(ctx, spec.combination)
-    matrix = matrices[combo]
+    score call, fitting its model on its params, checked against the
+    scorer's params class, unless ctx.model_cache holds it."""
+    matrix = ctx.matrix(spec.combination)
     scorer = SCORERS[spec.scorer]
     params = dict(spec.params)
-    key = (spec.scorer, params_hash(params), combo)
+    key = (spec.scorer, params_hash(params), spec.combination.combo_id)
     if key not in ctx.model_cache:
-        ctx.model_cache[key] = scorer.fit(matrix, params)
+        ctx.model_cache[key] = scorer.fit(matrix, from_dict(
+            scorer.params, params, f"scorer {spec.scorer!r} params"))
     return scorer.score(ctx.model_cache[key], matrix, user_ids, item_ids)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -120,20 +121,30 @@ def run_ingest(config: PipelineConfig) -> dict:
     summary = data.summarize(rows)
     summary["load_reports"] = reports
 
+    # written whole beside the old snapshot and renamed into place, so a
+    # crash leaves one or the other; what a crash left goes first
     ws = workspace_for(config)
     snap = ws.snapshot_dir
-    (snap / "runs").mkdir(parents=True, exist_ok=True)
+    staged, old = snap.with_name("snapshot.tmp"), snap.with_name("snapshot.old")
+    for leftover in (staged, old):
+        shutil.rmtree(leftover, ignore_errors=True)
+    (staged / "runs").mkdir(parents=True)
     for name, arr in arrays.items():
-        atomic_save_npy(snap / f"rows_{name}.npy", arr)
-    _write_json(snap / "encoders.json", {"users": users.ids.tolist(),
-                                         "items": items.ids.tolist()})
-    _write_json(snap / "meta.json", {"markets": markets,
-                                     "targets": list(config.targets),
-                                     "splits": list(data.SPLITS)})
-    _write_json(snap / "summary.json", summary)
+        atomic_save_npy(staged / f"rows_{name}.npy", arr)
+    _write_json(staged / "encoders.json", {"users": users.ids.tolist(),
+                                           "items": items.ids.tolist()})
+    _write_json(staged / "meta.json", {"markets": markets,
+                                       "targets": list(config.targets),
+                                       "splits": list(data.SPLITS)})
+    _write_json(staged / "summary.json", summary)
     for target, which in runs:
         source = data_dir / target / data.RUN_FILES[which]
-        atomic_write_bytes(ws.run_path(target, which), source.read_bytes())
+        copy = staged / ws.run_path(target, which).relative_to(snap)
+        atomic_write_bytes(copy, source.read_bytes())
+    if snap.exists():
+        snap.rename(old)
+    staged.rename(snap)
+    shutil.rmtree(old, ignore_errors=True)
     return summary
 
 
@@ -244,11 +255,11 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
         external = emb.read_embedding_tsv(config.prerank.external_embeddings)
 
     all_failures: list[dict] = []
-    shared_cache: dict = {}
+    matrices, models = {}, {}  # shared by both runs
     for which in ("valid", "test"):
         ctx = features.PlanContext(snap.rows, snap.users, snap.items,
                                    cache_dir=tdir / "cache" / which,
-                                   model_cache=shared_cache)
+                                   matrices=matrices, model_cache=models)
         run = data.load_run(ws.run_path(target, which))
         user_ids, item_ids = features.encode_run(run, snap.users, snap.items)
         table, failures = features.run_plan(plan, ctx, run, user_ids,
@@ -259,8 +270,8 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
                 ctx, user_ids, item_ids, target)
             table = table.with_columns(cols, vals, prov)
         if external is not None:
-            matrix = features.combination_matrix(
-                ctx, CombinationSpec(target, tuple(sorted(snap.markets))))
+            matrix = ctx.matrix(
+                CombinationSpec(target, tuple(sorted(snap.markets))))
             cols, vals, prov = features.external_embedding_features(
                 external, user_ids, item_ids, matrix, ctx)
             table = table.with_columns(cols, vals, prov)

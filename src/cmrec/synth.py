@@ -10,7 +10,6 @@ hard (high-preference) negatives. Fully deterministic given the seed.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +19,7 @@ import numpy as np
 
 from .data import (MANDATORY_SPLITS, RUN_FILES, SPLIT_FILES, SPLITS, RunFile,
                    write_run)
-from .util import ConfigError, atomic_write_text, fmt, stage_seed
+from .util import ConfigError, JsonConfig, atomic_write_text, fmt, stage_seed
 
 _HARD_NEGATIVES = 10
 
@@ -49,7 +48,7 @@ def _default_markets() -> dict[str, MarketSpec]:
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(JsonConfig):
     out_dir: str
     seed: int = 0
     n_items: int = 350
@@ -78,22 +77,7 @@ class SynthConfig:
 
 
 def synth_config_from_dict(payload: Mapping) -> SynthConfig:
-    payload = dict(payload)
-    allowed = {f.name for f in dataclasses.fields(SynthConfig)}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
-    if "markets" in payload:
-        markets = {}
-        for name, spec in payload["markets"].items():
-            extra = set(spec) - {f.name for f in dataclasses.fields(MarketSpec)}
-            if extra:
-                raise ConfigError(f"unknown market keys for {name!r}: {sorted(extra)}")
-            markets[name] = MarketSpec(**spec)
-        payload["markets"] = markets
-    if "targets" in payload:
-        payload["targets"] = tuple(payload["targets"])
-    return SynthConfig(**payload)
+    return SynthConfig.from_dict(payload, "synth config")
 
 
 def _item_id(idx: int) -> str:

@@ -1,13 +1,18 @@
-"""Shared plumbing: error types, seed derivation, stable hashing, atomic
-writes, and the logistic function."""
+"""Shared plumbing: error types, the config-document loader, seed
+derivation, stable hashing, atomic writes, and the logistic function."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import types
+import typing
+from collections.abc import Mapping
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +34,89 @@ class DataError(CmrecError):
 
 class StageError(CmrecError):
     exit_code = 3
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in the file at path; anything else is a ConfigError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config root must be an object: {path}")
+    return payload
+
+
+def from_dict(cls, payload, where: str = "config"):
+    """The frozen dataclass cls built from a JSON object whose keys are its
+    fields (all those without a default), each value fitting its
+    annotation: see _typed. A ValueError or TypeError from cls becomes a
+    ConfigError naming where, the object's path in its document."""
+    if not isinstance(payload, Mapping):
+        raise ConfigError(f"{where} must be an object, not {payload!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(payload) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown config keys in {where}: {unknown}")
+    for name, f in fields.items():
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and name not in payload:
+            raise ConfigError(f"missing required config key {name!r} in {where}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {k: _typed(hints[k], v, f"{where}.{k}")
+              for k, v in payload.items()}
+    try:
+        return cls(**kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _typed(tp, value, where: str):
+    """value as the annotation tp takes it: a str, bool, int, float (an int
+    is kept as is), None, Literal, tuple[X, ...] from a list, Mapping[str,
+    X] from an object, a union of these or a dataclass (from_dict)."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return from_dict(tp, value, where)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        *others, last = [arg for arg in args if arg is not type(None)]
+        for arg in others:
+            with contextlib.suppress(ConfigError):
+                return _typed(arg, value, where)
+        return _typed(last, value, where)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        # list items are labelled by their "name", where they have one
+        labels = [v.get("name", i) if isinstance(v, Mapping) else i
+                  for i, v in enumerate(value)]
+        return tuple(_typed(args[0], v, f"{where}[{label!r}]")
+                     for label, v in zip(labels, value))
+    if origin is Mapping and isinstance(value, Mapping):
+        return {k: _typed(args[1], v, f"{where}[{k!r}]") if args else v
+                for k, v in value.items()}
+    if origin is typing.Literal and value in args:
+        return value
+    # a bool is an int to Python but not to a config
+    if origin is None and isinstance(value, bool) == (tp is bool) and (
+            isinstance(value, tp) or tp is float and isinstance(value, int)):
+        return value
+    raise ConfigError(f"{where} must be "
+                      f"{tp.__name__ if isinstance(tp, type) else tp}, "
+                      f"not {value!r}")
+
+
+class JsonConfig:
+    """from_dict, and dataclasses.asdict as to_dict, on a config class."""
+
+    @classmethod
+    def from_dict(cls, payload, where: str = "config"):
+        return from_dict(cls, payload, where)
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
 
 
 def stage_seed(seed: int, *labels: str) -> int:

@@ -1,18 +1,23 @@
 """Strict-keyed config tree: parse/serialize identity, typo rejection at
 every nesting level, and the validation rules."""
 
+import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
-from cmrec import util
+from cmrec import cli, util
 from cmrec.config import (PipelineConfig, PrerankConfig, RankerConfig,
                           ScorerPlanConfig, SelectionConfig, load_config,
                           save_config)
 from cmrec.gbdt import GbdtParams
+from cmrec.synth import SynthConfig
 from cmrec.util import ConfigError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = {
     "data_dir": "data",
@@ -169,6 +174,71 @@ class TestValidation:
         with pytest.raises(ConfigError, match="num_leaves"):
             SelectionConfig.from_dict({"trainer": {"num_leaves": 1}})
 
+    @pytest.mark.parametrize("section, match", [
+        ({"prerank": {"scorers": [{"name": "item_cf",
+                                   "params": {"topk": 5}}]}},
+         r"scorer 'item_cf' params: \['topk'\]"),
+        ({"prerank": {"scorers": [{"name": "word2vec",
+                                   "params": {"dim": 0}}]}},
+         "scorer 'word2vec' params: dim must be positive"),
+        ({"prerank": {"scorers": [{"name": "swing",
+                                   "params": {"alpha": -1}}]}},
+         "scorer 'swing' params: alpha"),
+        ({"prerank": {"scorers": [{"name": "lightgcn",
+                                   "params": {"metric": "l2"}}]}},
+         "scorer 'lightgcn' params.metric must be typing.Literal"),
+        ({"prerank": {"scorers": [{"name": "bigraph",
+                                   "params": {"retain_seed": 1}}]}},
+         "retain_seed must be bool"),
+        ({"selection": {"trainer": {"num_leaves": "15"}}},
+         "config.selection.trainer.num_leaves must be int"),
+        ({"selection": {"folds": "3"}}, "config.selection.folds must be int"),
+        ({"ranker": {"folds": "3"}}, "config.ranker.folds must be int"),
+        ({"ranker": {"grid": {"num_leaves": 5}}},
+         r"config.ranker.grid\['num_leaves'\] must be tuple"),
+        ({"ranker": {"grid": {"num_leaves": []}}}, "ranker.grid"),
+        ({"ranker": {"grid": {"num_leaves": [1.5]}}},
+         "ranker.grid.num_leaves must be int"),
+        ({"seed": "42"}, "config.seed must be int"),
+        ({"prerank": {"stats": 1}}, "config.prerank.stats must be bool"),
+    ])
+    def test_malformed_value_is_config_error(self, section, match):
+        with pytest.raises(ConfigError, match=match):
+            PipelineConfig.from_dict({**MINIMAL, **section})
+
+    def test_readme_lists_every_scorer_default(self):
+        from dataclasses import asdict
+
+        from cmrec.features import SCORERS
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        for name, scorer in SCORERS.items():
+            defaults = {k: v for k, v in asdict(scorer.params()).items()
+                        if k != "seed"}
+            assert f"| `{name}` | `{json.dumps(defaults)}` |" in readme, name
+
+    def test_scorer_params_load_typed_with_their_defaults(self):
+        from cmrec.features import (SCORERS, Node2VecBfsParams,
+                                    Node2VecDfsParams)
+        assert SCORERS["node2vec_dfs"].params is Node2VecDfsParams
+        assert Node2VecDfsParams().q == 0.5 and Node2VecBfsParams().q == 2.0
+        got = util.from_dict(SCORERS["swing"].params, {"alpha": 2})
+        assert (got.alpha, got.top_k, got.max_users_per_item) == (2, 200, 500)
+
+    @pytest.mark.parametrize("params", [
+        {"name": "item_cf", "params": {"topk": 5}},
+        {"name": "word2vec", "params": {"dim": 0}},
+        {"name": "swing", "params": {"alpha": -1}},
+        {"name": "lightgcn", "params": {"metric": "l2"}},
+    ])
+    def test_prerank_exits_1_before_writing(self, tmp_path, capsys, params):
+        workspace = tmp_path / "work"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**MINIMAL, "workspace": str(workspace),
+                                    "prerank": {"scorers": [params]}}))
+        assert cli.main(["prerank", "--config", str(path)]) == 1
+        assert params["name"] in capsys.readouterr().err
+        assert not workspace.exists()
+
 
 class TestLoadErrors:
     def test_missing_file(self, tmp_path):
@@ -180,6 +250,10 @@ class TestLoadErrors:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="Is a directory"):
+            load_config(tmp_path)
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "list.json"
@@ -208,3 +282,43 @@ class TestLoadErrors:
         again = load_config(tmp_path / "c.json")
         assert again == config
         assert again.prerank.scorers == config.prerank.scorers
+
+
+def _module(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def shipped_documents():
+    """Every config the repo ships: the benchmark workloads, the
+    end-to-end script's, the acceptance and the golden pipeline configs."""
+    workloads = _module(ROOT / "perfbench" / "workloads.py").WORKLOADS
+    e2e = _module(ROOT / "scripts" / "run_synthetic_e2e.py")
+    from test_acceptance import full_config
+    from test_golden import golden_config
+    data, work = Path("data"), Path("work")
+    docs = {}
+    for name, workload in workloads.items():
+        docs[f"{name}.pipeline"] = workload.pipeline_config(data, work)
+        docs[f"{name}.synth"] = workload.synth_config(data, 29)
+    for embed in (True, False):
+        docs[f"e2e.embeddings={embed}"] = e2e.build_config(data, work, 29, embed)
+    for scale, markets in e2e.SCALES.items():
+        docs[f"e2e.{scale}.synth"] = SynthConfig(
+            str(data), seed=29, n_items=200 if scale == "small" else 350,
+            dim=5, markets=markets, targets=("t1", "t2"), eval_users=100,
+            n_candidates=40)
+    docs["acceptance"] = full_config(data, work)
+    docs["golden"] = golden_config(data, work)
+    return docs
+
+
+def test_every_shipped_document_round_trips():
+    docs = shipped_documents()
+    assert len(docs) == 12
+    for name, config in docs.items():
+        text = json.dumps(config.to_dict())
+        assert type(config).from_dict(json.loads(text)) == config, name

@@ -94,7 +94,9 @@ def tiny_context(cache_dir=None):
 
 def spec_for(scorer="item_cf", params=None, markets=("s1", "t1"), target="t1",
              **combo_kw):
-    return ScorerSpec(scorer, params or {"top_k": 10},
+    if params is None:
+        params = {} if scorer == "bigraph" else {"top_k": 10}
+    return ScorerSpec(scorer, params,
                       CombinationSpec(target, tuple(sorted(markets)),
                                       **combo_kw))
 
@@ -282,7 +284,10 @@ class TestScorerRegistry:
         small = {"dim": 4, "epochs": 1, "walks_per_node": 1, "walk_length": 4,
                  "batch_size": 8, "seed": 1}
         for name, scorer in features.SCORERS.items():
-            params = small if scorer.seeded else {"top_k": 10}
+            known = {f.name for f in dataclasses.fields(scorer.params)}
+            params = {k: v for k, v in (small if scorer.seeded
+                                        else {"top_k": 10}).items()
+                      if k in known}
             spec = spec_for(name, params)
             table, failures = plan_run([spec], ctx, run)
             assert failures == [], name
@@ -332,6 +337,34 @@ class TestScorerRegistry:
             [lookup(ctx.users, u) for u, _ in pairs_of(run)],
             [ctx.items.encode(c) for _, c in pairs_of(run)])]
         assert table.column(f"{spec.feature_name}__missing")[-1] == 1.0
+
+    def test_node2vec_walks_and_trains_on_one_typed_params(self, monkeypatch):
+        got = []
+
+        def spy(inner):
+            def call(data, params, *rest):
+                got.append(params)
+                return inner(data, params, *rest)
+            return call
+
+        for name in ("generate_walks", "train_skipgram"):
+            monkeypatch.setattr(emb, name, spy(getattr(emb, name)))
+        spec = spec_for("node2vec_dfs", {"dim": 4, "epochs": 1, "seed": 1,
+                                         "walks_per_node": 1, "walk_length": 4})
+        _, failures = plan_run([spec], tiny_context(), RUN)
+        assert failures == []
+        [walks, skipgram] = got
+        assert walks is skipgram
+        assert walks == features.Node2VecDfsParams(
+            dim=4, epochs=1, seed=1, walks_per_node=1, walk_length=4)
+
+    def test_unknown_param_is_a_per_spec_failure(self):
+        table, failures = plan_run([spec_for(params={"topk": 5})],
+                                   tiny_context(), RUN)
+        assert table.columns == ()
+        [failure] = failures
+        assert failure["error"] == ("ConfigError: unknown config keys in "
+                                    "scorer 'item_cf' params: ['topk']")
 
     def test_seeded_entries_are_the_embedding_scorers(self):
         assert [n for n, s in features.SCORERS.items() if s.seeded] == [

@@ -147,7 +147,8 @@ class TestIngest:
         pipeline.run_ingest(config)
         snap = pipeline.workspace_for(config).snapshot_dir
         names = ("encoders.json", "meta.json", "summary.json")
-        assert [snap / n for n in names] == written
+        # written into the staged snapshot, which is then renamed into place
+        assert [snap.with_name("snapshot.tmp") / n for n in names] == written
         for name in names:
             assert (snap / name).read_bytes() == (
                 world["ws"].snapshot_dir / name).read_bytes()
@@ -168,8 +169,47 @@ class TestIngest:
         written = record_atomic_writes(monkeypatch)
         pipeline.run_ingest(config)
         ws = pipeline.workspace_for(config)
-        assert sorted(written) == sorted(
+        staged = ws.snapshot_dir.with_name("snapshot.tmp")
+        assert sorted(ws.snapshot_dir / p.relative_to(staged)
+                      for p in written) == sorted(
             p for p in ws.snapshot_dir.rglob("*") if p.is_file())
+        assert snapshot_bytes(ws) == snapshot_bytes(world["ws"])
+
+    def test_crash_mid_ingest_keeps_the_old_snapshot(self, world, tmp_path,
+                                                     monkeypatch):
+        config = pipeline_config(world["data"], tmp_path / "w")
+        pipeline.run_ingest(config)
+        ws = pipeline.workspace_for(config)
+        first = snapshot_bytes(ws)
+        real = pipeline.atomic_save_npy
+
+        def crash_after_write(path, array):
+            real(path, array)
+            raise RuntimeError("crash after the first rows file")
+
+        monkeypatch.setattr(pipeline, "atomic_save_npy", crash_after_write)
+        other = pipeline_config(world["data"], tmp_path / "w",
+                                markets=["s1", "t1"], targets=["t1"])
+        with pytest.raises(RuntimeError, match="crash"):
+            pipeline.run_ingest(other)
+        assert snapshot_bytes(ws) == first
+        snap = pipeline.load_snapshot(ws)
+        assert snap.markets == ("s1", "t1", "t2")
+        assert len(snap.rows) == world["summary"]["total_samples"]
+
+        monkeypatch.undo()
+        pipeline.run_ingest(other)
+        assert [p.name for p in ws.root.iterdir()] == ["snapshot"]
+        assert pipeline.load_snapshot(ws).markets == ("s1", "t1")
+
+    def test_ingest_removes_what_a_crash_left(self, world, tmp_path):
+        config = pipeline_config(world["data"], tmp_path / "w")
+        ws = pipeline.workspace_for(config)
+        for name in ("snapshot.tmp", "snapshot.old"):
+            (ws.root / name / "runs").mkdir(parents=True)
+            (ws.root / name / "rows_user.npy").write_bytes(b"partial")
+        pipeline.run_ingest(config)
+        assert [p.name for p in ws.root.iterdir()] == ["snapshot"]
         assert snapshot_bytes(ws) == snapshot_bytes(world["ws"])
 
     def test_missing_data_dir_is_a_data_error(self, tmp_path):
@@ -360,6 +400,29 @@ class TestPrerankOutputs:
         pipeline.run_prerank(world["config"], "t1")
         for which in ("valid", "test"):
             assert ws.features_path("t1", which).read_bytes() == before[which]
+
+    def test_each_matrix_is_built_once_per_prerank(self, world, tmp_path,
+                                                   monkeypatch):
+        # the valid run, the test run and the external-embedding features
+        # all use the s1-t1-t2 matrix
+        item = pipeline.load_snapshot(world["ws"]).items.ids[0]
+        vectors = tmp_path / "vectors.tsv"
+        vectors.write_text(f"{item}\t1.0\t0.5\n")
+        prerank = {**world["config"].prerank.to_dict(),
+                   "external_embeddings": str(vectors)}
+        config = pipeline_config(world["data"], tmp_path / "w",
+                                 prerank=prerank)
+        pipeline.run_ingest(config)
+        built = []
+        real = features.build_matrix
+
+        def counting(rows, combination, *sizes):
+            built.append(combination.combo_id)
+            return real(rows, combination, *sizes)
+
+        monkeypatch.setattr(features, "build_matrix", counting)
+        pipeline.run_prerank(config, "t1")
+        assert sorted(built) == ["s1-t1-t2", "t1-t2"]
 
     def test_reingest_of_changed_data_recomputes_cached_columns(self, world,
                                                                 tmp_path):

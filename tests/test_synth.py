@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cmrec import cli
 from cmrec.data import SPLITS, load_market, load_run
 from cmrec.synth import (MarketSpec, SynthConfig, generate,
                          synth_config_from_dict)
@@ -178,3 +179,33 @@ class TestConfigValidation:
                                    "sparsity": 0.1},
                             "t2": {"n_users": 10, "interactions_per_user": 5}},
             })
+
+    @pytest.mark.parametrize("payload, match", [
+        ({"n_items": "200"}, "synth config.n_items must be int"),
+        ({"temperature": "hot"}, "synth config.temperature must be float"),
+        ({"targets": "t1"}, "synth config.targets must be tuple"),
+        ({"markets": {"t1": {"n_users": "10", "interactions_per_user": 5}}},
+         r"synth config.markets\['t1'\].n_users must be int"),
+        ({"markets": {"t1": {"n_users": 10}}},
+         "missing required config key 'interactions_per_user'"),
+    ])
+    def test_from_dict_rejects_mistyped_values(self, tmp_path, payload, match):
+        with pytest.raises(ConfigError, match=match):
+            synth_config_from_dict({"out_dir": str(tmp_path), **payload})
+
+
+class TestCli:
+    @pytest.mark.parametrize("text, match", [
+        ("{not json", "invalid JSON"),
+        ("[1, 2]", "root must be an object"),
+        ('{"n_items": "many"}', "n_items must be int"),
+    ])
+    def test_bad_config_exits_1(self, tmp_path, capsys, text, match):
+        path = tmp_path / "synth.json"
+        path.write_text(text)
+        out = tmp_path / "data"
+        assert cli.main(["synth", "--out", str(out),
+                         "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cmrec: error:") and match in err
+        assert not out.exists()
