@@ -6,14 +6,13 @@ parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from .features import SCORERS
 from .gbdt import GbdtParams
-from .util import (ConfigError, JsonConfig, atomic_write_text, from_dict,
-                   read_json_object)
+from .util import (ConfigError, JsonConfig, from_dict, read_json_object,
+                   write_json)
 
 
 @dataclass(frozen=True)
@@ -115,5 +114,4 @@ def load_config(path) -> PipelineConfig:
 
 
 def save_config(config: PipelineConfig, path) -> None:
-    atomic_write_text(path, json.dumps(config.to_dict(), indent=2,
-                                       sort_keys=True) + "\n")
+    write_json(path, config.to_dict())

@@ -173,6 +173,12 @@ def read_qrels(path) -> dict[str, set]:
     check_lines(path, line_nos, tabs < 1, "expected user and item")
     users, items = fields[starts], fields[starts + 1]
     check_lines(path, line_nos, (users == "") | (items == ""), "empty id")
+    return qrels_from_pairs(users, items)
+
+
+def qrels_from_pairs(users: np.ndarray, items: np.ndarray) -> dict[str, set]:
+    """user -> its items over aligned (user, item) id arrays, users in the
+    order of their first pair, the order ndcg_at_k averages them in."""
     qrels: dict[str, set] = {}
     for user, item in zip(users.tolist(), items.tolist()):
         qrels.setdefault(user, set()).add(item)

@@ -18,9 +18,8 @@ from . import memory_cf as mcf
 from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                    SparseInteractionMatrix, build_matrix, first_repeat,
                    read_lines)
-from .util import (ConfigError, DataError, atomic_save_npy,
-                   atomic_write_bytes, atomic_write_text, fmt, from_dict,
-                   params_hash)
+from .util import (ConfigError, DataError, atomic_save_npy, from_dict,
+                   params_hash, read_json, write_json, write_tsv)
 
 
 @dataclass(frozen=True)
@@ -76,6 +75,11 @@ class BiGraphParams:
 class Word2VecParams(emb.SkipGramParams):
     shuffles: int = 2
     metric: emb.Metric = "cosine"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.shuffles < 1:
+            raise ValueError("shuffles must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -252,49 +256,18 @@ def empty_table(run: RunFile) -> FeatureTable:
                         run.candidates, (), np.zeros((len(run.candidates), 0)))
 
 
-# Rows formatted per block in write_table. Its numpy and string
-# temporaries grow with the block: writing a 4,000 x 37 table in blocks of
-# 1,024 rows raised the peak RSS about 1 MB over a row-by-row writer, in
-# blocks of 256 not at all.
-_WRITE_BLOCK_ROWS = 256
-
-
-def _tsv_blocks(keys: Sequence[Sequence[str]], values: np.ndarray):
-    """UTF-8 lines, one block of rows at a time: per row the key fields
-    and util.fmt of each value, tab-joined. A block's values take one
-    repr per distinct float64 bit pattern, so -0.0 and 0.0 keep their own
-    text."""
-    for start in range(0, len(values), _WRITE_BLOCK_ROWS):
-        stop = start + _WRITE_BLOCK_ROWS
-        bits = values[start:stop].view(np.int64)
-        distinct, which = np.unique(bits, return_inverse=True)
-        text = np.array(list(map(repr, distinct.view(np.float64).tolist())),
-                        dtype=object)
-        cells = np.empty((len(bits), len(keys) + bits.shape[1]), dtype=object)
-        for pos, key in enumerate(keys):
-            cells[:, pos] = key[start:stop]
-        cells[:, len(keys):] = text[which.reshape(bits.shape)]
-        lines = map("\t".join, cells.tolist())
-        yield ("\n".join(lines) + "\n").encode("utf-8")
-
-
 def write_table(table: FeatureTable, tsv_path, catalog_path) -> None:
     header = ["user", "item"] + (["label"] if table.labels is not None else [])
     header += list(table.columns)
     keys = [table.users, table.items]
     if table.labels is not None:
         keys.append([str(label) for label in table.labels.tolist()])
-    # the file is built from encoded blocks, so no list of every line and
-    # no whole-file str exist next to its bytes
-    blocks = [("\t".join(header) + "\n").encode("utf-8")]
-    blocks += _tsv_blocks(keys, np.ascontiguousarray(table.values,
-                                                     dtype=np.float64))
-    atomic_write_bytes(Path(tsv_path), b"".join(blocks))
-    catalog = {"columns": list(table.columns),
-               "has_labels": table.labels is not None,
-               "provenance": {k: dict(v) for k, v in table.provenance.items()}}
-    atomic_write_text(Path(catalog_path),
-                      json.dumps(catalog, indent=2, sort_keys=True) + "\n")
+    write_tsv(tsv_path, header, keys, table.values)
+    write_json(catalog_path,
+               {"columns": list(table.columns),
+                "has_labels": table.labels is not None,
+                "provenance": {k: dict(v)
+                               for k, v in table.provenance.items()}})
 
 
 def _parse_values(fields: Sequence[str], usecols: Sequence[int]) -> np.ndarray:
@@ -367,8 +340,7 @@ def read_table(tsv_path, catalog_path=None, columns=None) -> FeatureTable:
             fail(int(np.argmin(finite)), "non-finite value")
     provenance = {}
     if catalog_path is not None and Path(catalog_path).exists():
-        catalog = json.loads(Path(catalog_path).read_text(encoding="utf-8"))
-        provenance = catalog.get("provenance", {})
+        provenance = read_json(catalog_path).get("provenance", {})
     return FeatureTable(users, items, wanted, values, labels,
                         {n: provenance[n] for n in wanted if n in provenance})
 
@@ -664,9 +636,3 @@ def feature_correlation(table: FeatureTable, columns: Sequence[str]
         corr[pos, pos] = 1.0
     return corr, [columns[i] for i in np.flatnonzero(constant)]
 
-
-def write_correlation(corr: np.ndarray, columns: Sequence[str], path) -> None:
-    lines = ["\t".join(["feature"] + list(columns))]
-    for name, row in zip(columns, corr):
-        lines.append("\t".join([name] + [fmt(v) for v in row]))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")

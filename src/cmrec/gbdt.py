@@ -51,8 +51,8 @@ import numpy as np
 
 from . import evaluation
 from .features import FeatureTable
-from .util import (DataError, StageError, atomic_write_text, sigmoid,
-                   stable_bucket, stage_seed)
+from .util import (DataError, StageError, atomic_write_text, read_json,
+                   sigmoid, stable_bucket, stage_seed)
 
 MODEL_FORMAT_VERSION = 1
 # Newton terms with a vanishing hessian mass are degenerate; treat as zero.
@@ -471,11 +471,9 @@ def oof_ndcg(table: FeatureTable, oof_scores: np.ndarray, k: int = 10) -> float:
     """NDCG@k of the out-of-fold scores, grouped per user, via the shared
     evaluation routine; users without any positive label are skipped."""
     run = evaluation.group_ranked_run(table.users, table.items, oof_scores)
-    qrels: dict[str, set] = {}
-    if table.labels is not None:
-        pos = table.labels == 1
-        for user, item in zip(table.users[pos].tolist(), table.items[pos].tolist()):
-            qrels.setdefault(user, set()).add(item)
+    pos = (np.zeros(table.n_rows, dtype=bool) if table.labels is None
+           else table.labels == 1)
+    qrels = evaluation.qrels_from_pairs(table.users[pos], table.items[pos])
     if not qrels:
         raise StageError("no positive labels; NDCG undefined")
     _, mean = evaluation.ndcg_at_k(run, qrels, k=k)
@@ -570,10 +568,7 @@ def save_model(model: GbdtModel | BaggedModel, path) -> None:
 
 
 def load_model(path) -> GbdtModel | BaggedModel:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"model file not found: {path}")
-    d = json.loads(path.read_text(encoding="utf-8"))
+    d = read_json(path)
     if d.get("kind") == "bagged":
         if d.get("version") != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported model format version {d.get('version')!r}")

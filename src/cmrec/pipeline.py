@@ -24,7 +24,6 @@ plan and the seeding in make_plan follow from it.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import shutil
 from contextlib import contextmanager
@@ -37,7 +36,8 @@ from . import data, evaluation, features, gbdt, selection
 from .config import PipelineConfig
 from .data import CombinationSpec, IdEncoder, Interactions
 from .util import (ConfigError, DataError, StageError, atomic_save_npy,
-                   atomic_write_bytes, atomic_write_text, fmt, stage_seed)
+                   atomic_write_bytes, read_json, stage_seed, write_json,
+                   write_tsv)
 
 
 @dataclass(frozen=True)
@@ -131,12 +131,12 @@ def run_ingest(config: PipelineConfig) -> dict:
     (staged / "runs").mkdir(parents=True)
     for name, arr in arrays.items():
         atomic_save_npy(staged / f"rows_{name}.npy", arr)
-    _write_json(staged / "encoders.json", {"users": users.ids.tolist(),
-                                           "items": items.ids.tolist()})
-    _write_json(staged / "meta.json", {"markets": markets,
-                                       "targets": list(config.targets),
-                                       "splits": list(data.SPLITS)})
-    _write_json(staged / "summary.json", summary)
+    write_json(staged / "encoders.json", {"users": users.ids.tolist(),
+                                          "items": items.ids.tolist()})
+    write_json(staged / "meta.json", {"markets": markets,
+                                      "targets": list(config.targets),
+                                      "splits": list(data.SPLITS)})
+    write_json(staged / "summary.json", summary)
     for target, which in runs:
         source = data_dir / target / data.RUN_FILES[which]
         copy = staged / ws.run_path(target, which).relative_to(snap)
@@ -146,10 +146,6 @@ def run_ingest(config: PipelineConfig) -> dict:
     staged.rename(snap)
     shutil.rmtree(old, ignore_errors=True)
     return summary
-
-
-def _write_json(path: Path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -165,8 +161,7 @@ def load_snapshot(ws: Workspace) -> Snapshot:
     snap = ws.snapshot_dir
     if not snap.is_dir():
         raise StageError(f"no snapshot in workspace {ws.root}; run ingest first")
-    meta = json.loads((snap / "meta.json").read_text(encoding="utf-8"))
-    enc = json.loads((snap / "encoders.json").read_text(encoding="utf-8"))
+    meta, enc = read_json(snap / "meta.json"), read_json(snap / "encoders.json")
     users, items = IdEncoder.fit(enc["users"]), IdEncoder.fit(enc["items"])
     arrays = {name: np.load(snap / f"rows_{name}.npy")
               for name in ("user", "item", "rating", "market", "split")}
@@ -249,6 +244,7 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     snap = load_snapshot(ws)
     plan = make_plan(config, target, snap.markets)
     tdir = ws.target_dir(target)
+    tdir.mkdir(exist_ok=True)
     external = None
     if config.prerank.external_embeddings:
         from . import embeddings as emb
@@ -282,12 +278,12 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
                            if table.provenance.get(c, {}).get("kind") == "scorer"]
             if len(scorer_cols) >= 1 and table.n_rows >= 2:
                 corr, _ = features.feature_correlation(table, scorer_cols)
-                features.write_correlation(corr, scorer_cols,
-                                           tdir / "correlation.tsv")
+                write_tsv(tdir / "correlation.tsv", ["feature", *scorer_cols],
+                          [scorer_cols], corr)
         features.write_table(table, ws.features_path(target, which),
                              ws.catalog_path(target, which))
 
-    _write_json(tdir / "prerank_failures.json", all_failures)
+    write_json(tdir / "prerank_failures.json", all_failures)
     if all_failures:
         names = sorted({f["feature"] for f in all_failures})
         raise StageError(f"{len(all_failures)} scorer runs failed "
@@ -333,30 +329,26 @@ def run_train(config: PipelineConfig, target: str) -> dict:
     if config.ranker.grid is not None:
         params, results = gbdt.grid_search(valid, config.ranker.grid,
                                            config.ranker.folds, base=params)
-        _write_json(tdir / "grid.json",
-                    {"results": results,
-                     "chosen": dataclasses.asdict(params)})
+        write_json(tdir / "grid.json",
+                   {"results": results, "chosen": dataclasses.asdict(params)})
     bagged = gbdt.kfold_bagging(valid, params, config.ranker.folds)
     offline = gbdt.oof_ndcg(valid, bagged.oof)
     gbdt.save_model(bagged, tdir / "model.json")
 
-    lines = ["user\titem\tlabel\toof_score"]
-    lines += [f"{user}\t{item}\t{label}\t{fmt(score)}"
-              for user, item, label, score in zip(
-                  valid.users.tolist(), valid.items.tolist(),
-                  valid.labels.tolist(), bagged.oof.tolist())]
-    atomic_write_text(tdir / "oof.tsv", "\n".join(lines) + "\n")
+    write_tsv(tdir / "oof.tsv", ["user", "item", "label", "oof_score"],
+              [valid.users, valid.items, valid.labels.astype(str)],
+              bagged.oof[:, None])
 
     test = _read_kept_columns(ws, target, "test", kept)
     preds = gbdt.bagged_predict(bagged, test)
-    run = evaluation.group_ranked_run(test.users.tolist(), test.items.tolist(), preds)
+    run = evaluation.group_ranked_run(test.users, test.items, preds)
     evaluation.emit_run_file(run, tdir / "test_ranked.tsv")
 
     metrics = {"target": target, "oof_ndcg_at_10": offline,
                "folds": config.ranker.folds,
                "params": dataclasses.asdict(params),
                "n_rows": valid.n_rows, "n_features": len(kept)}
-    _write_json(tdir / "metrics.json", metrics)
+    write_json(tdir / "metrics.json", metrics)
     return metrics
 
 
@@ -376,18 +368,6 @@ def _read_kept_columns(ws: Workspace, target: str, which: str,
             f"re-run select") from None
 
 
-def _snapshot_qrels(snap: Snapshot, target: str, split: str) -> dict[str, set]:
-    """user -> relevant items, users in the order of their first row:
-    ndcg_at_k averages over the users in this order."""
-    rows = snap.rows.take((snap.rows.market == target)
-                          & (snap.rows.split == split))
-    qrels: dict[str, set] = {}
-    for user, item in zip(snap.users.ids[rows.user].tolist(),
-                          snap.items.ids[rows.item].tolist()):
-        qrels.setdefault(user, set()).add(item)
-    return qrels
-
-
 def run_evaluate(config: PipelineConfig, target: str,
                  run_path=None, qrels_path=None) -> dict:
     """NDCG@10 of a ranked run file against qrels (default: this target's
@@ -400,7 +380,11 @@ def run_evaluate(config: PipelineConfig, target: str,
     if qrels_path:
         qrels = evaluation.read_qrels(qrels_path)
     else:
-        qrels = _snapshot_qrels(load_snapshot(ws), target, "test_qrel")
+        snap = load_snapshot(ws)
+        rows = snap.rows.take((snap.rows.market == target)
+                              & (snap.rows.split == "test_qrel"))
+        qrels = evaluation.qrels_from_pairs(snap.users.ids[rows.user],
+                                            snap.items.ids[rows.item])
     if not qrels:
         raise DataError(f"no qrels available for target {target!r}")
     per_user, mean = evaluation.ndcg_at_k(run, qrels, k=10)
@@ -411,7 +395,7 @@ def run_evaluate(config: PipelineConfig, target: str,
     report = {"market": target, "ndcg_at_10": mean, "n_users": len(per_user),
               "run_file": (run_file.relative_to(root).as_posix()
                            if run_file.is_relative_to(root) else str(run_path))}
-    _write_json(tdir / "evaluation.json", report)
+    write_json(tdir / "evaluation.json", report)
     return report
 
 
@@ -424,10 +408,9 @@ def run_report(config: PipelineConfig) -> dict:
         if not path.exists():
             raise StageError(f"no evaluation for target {target!r}; "
                              f"run evaluate first")
-        per_market[target] = json.loads(
-            path.read_text(encoding="utf-8"))["ndcg_at_10"]
+        per_market[target] = read_json(path)["ndcg_at_10"]
     weights = (dict(config.market_weights) if config.market_weights
                else evaluation.DEFAULT_MARKET_WEIGHTS)
     report = evaluation.metric_report(per_market, weights)
-    _write_json(ws.root / "final.json", report)
+    write_json(ws.root / "final.json", report)
     return report

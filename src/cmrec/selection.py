@@ -13,7 +13,6 @@ the bins it would have computed itself."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -21,7 +20,8 @@ import numpy as np
 
 from . import gbdt
 from .features import FeatureTable
-from .util import DataError, StageError, atomic_write_text, fmt, stage_seed
+from .util import (DataError, StageError, atomic_write_text, fmt, stage_seed,
+                   write_json)
 
 REPORT_FIELDS = ("name", "auc_shift", "cv_delta", "actual_gain",
                  "null_gain_p75", "decision", "reason")
@@ -225,8 +225,7 @@ def write_selection_report(records: Sequence[Mapping], tsv_path, json_path) -> N
                 cells.append(str(value))
         lines.append("\t".join(cells))
     atomic_write_text(Path(tsv_path), "\n".join(lines) + "\n")
-    atomic_write_text(Path(json_path),
-                      json.dumps(list(records), indent=2, sort_keys=True) + "\n")
+    write_json(json_path, list(records))
 
 
 def write_kept(kept: Sequence[str], path) -> None:

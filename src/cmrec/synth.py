@@ -10,7 +10,6 @@ hard (high-preference) negatives. Fully deterministic given the seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -19,7 +18,8 @@ import numpy as np
 
 from .data import (MANDATORY_SPLITS, RUN_FILES, SPLIT_FILES, SPLITS, RunFile,
                    write_run)
-from .util import ConfigError, JsonConfig, atomic_write_text, fmt, stage_seed
+from .util import (ConfigError, JsonConfig, atomic_write_text, fmt,
+                   stage_seed, write_json)
 
 _HARD_NEGATIVES = 10
 
@@ -159,6 +159,5 @@ def generate(config: SynthConfig) -> dict:
 
     meta = {"seed": config.seed, "n_items": config.n_items, "dim": config.dim,
             "targets": list(config.targets), "markets": meta_markets}
-    atomic_write_text(out / "synth_meta.json",
-                      json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(out / "synth_meta.json", meta)
     return meta

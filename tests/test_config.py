@@ -83,6 +83,14 @@ class TestRoundTrip:
         save_config(config, tmp_path / "c.json")
         assert load_config(tmp_path / "c.json") == config
 
+    def test_type_hints_read_once_per_class(self):
+        util._type_hints.cache_clear()
+        loads = [PipelineConfig.from_dict(FULL) for _ in range(3)]
+        assert loads[0] == loads[1] == loads[2]
+        # a miss is a get_type_hints call: one per class of the document
+        info = util._type_hints.cache_info()
+        assert info.misses == info.currsize >= 5 and info.hits > 0
+
 
 class TestUnknownKeys:
     def test_top_level(self):
@@ -229,6 +237,7 @@ class TestValidation:
         {"name": "word2vec", "params": {"dim": 0}},
         {"name": "swing", "params": {"alpha": -1}},
         {"name": "lightgcn", "params": {"metric": "l2"}},
+        {"name": "word2vec", "params": {"shuffles": 0}},
     ])
     def test_prerank_exits_1_before_writing(self, tmp_path, capsys, params):
         workspace = tmp_path / "work"

@@ -172,6 +172,11 @@ class TestRunFileIo:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.tsv"]
         assert target.is_dir()
 
+    def test_qrels_from_pairs_keeps_first_pair_order(self):
+        qrels = ev.qrels_from_pairs(np.array(["b", "a", "b"]),
+                                    np.array(["x", "y", "x"]))
+        assert list(qrels.items()) == [("b", {"x"}), ("a", {"y"})]
+
     def test_read_qrels_with_header(self, tmp_path):
         (tmp_path / "q.tsv").write_text(
             "userId\titemId\trating\nu1\ta\t5.0\nu1\tb\t5.0\nu2\tc\t5.0\n")

@@ -17,9 +17,8 @@ from cmrec.features import (FeatureTable, PlanContext, ScorerSpec,
                             combination_matrix, default_combinations,
                             empty_table, external_embedding_features,
                             feature_correlation, global_statistic_features,
-                            read_table, run_plan, write_correlation,
-                            write_table)
-from cmrec.util import ConfigError, DataError
+                            read_table, run_plan, write_table)
+from cmrec.util import ConfigError, DataError, write_tsv
 
 
 RAW_ROWS = [
@@ -726,7 +725,8 @@ class TestCorrelation:
 
     def test_write_correlation_round_trips(self, tmp_path, rng):
         corr = np.corrcoef(rng.normal(size=(3, 20)))
-        write_correlation(corr, ["x", "y", "z"], tmp_path / "corr.tsv")
+        write_tsv(tmp_path / "corr.tsv", ["feature", "x", "y", "z"],
+                  [["x", "y", "z"]], corr)
         lines = (tmp_path / "corr.tsv").read_text().splitlines()
         assert lines[0] == "feature\tx\ty\tz"
         back = np.array([[float(v) for v in line.split("\t")[1:]]

@@ -1,7 +1,9 @@
 """Golden end-to-end run: a fixed small synth dataset through every stage,
-with the sha256 of the snapshot arrays, the encoders, the feature tables,
-the kept columns, the models, the ranked test runs and the final report
-pinned. Any change to the numerics or to a file format shows up here."""
+with the sha256 of the snapshot arrays, the encoders, the feature tables
+and their catalogs, the correlation tables, the selection reports, the
+kept columns, the models, the out-of-fold scores, the training metrics,
+the ranked test runs, the evaluations and the final report pinned. Any
+change to the numerics or to a file format shows up here."""
 
 import hashlib
 
@@ -37,6 +39,20 @@ GOLDEN = {
         "06ef4d1d4aad922577ed41390de2b349711a8f637b6cce1304229a63f2eafa76",
     "t1/test_ranked.tsv":
         "27ef88b152adc8d4030d008e9ddbedc1b3aa9464b8004c3f48f1eb9bdba6aecd",
+    "t1/oof.tsv":
+        "ab13b2659d3d9dcca90b633ca112ae92532f7e73b98b8ad3f9c122a4c3771c13",
+    "t1/correlation.tsv":
+        "37ad26058cdd952532b16e822c7f913f6af8cd7150b1540b422dd8ef3c5cb469",
+    "t1/features_valid.catalog.json":
+        "f96fe2f603dfc4b5d9e18529e7b8f392099da71a32d3feff71e857ee24542371",
+    "t1/features_test.catalog.json":
+        "f27cd239729c8c9452cd10684183cf2589a8211dc8d04a2b5678f7362b7df557",
+    "t1/selection_report.json":
+        "620deb2b7b952311927a86f944562b2991ac86c36b2a84f4ea76f0144c9ba33a",
+    "t1/metrics.json":
+        "60606ab9364df56c91646bf601c04c04584fee67728b854973cdc767c8a7b3d6",
+    "t1/evaluation.json":
+        "db9eb09cde885e42b36c5b11ea65b6bc07dfeb48f7ba536bb955b28c9ca736ca",
     "t2/features_valid.tsv":
         "2002b64000311595d1799e6a9bda14369af46fce4af6672eb8a8afaee8f5415a",
     "t2/features_test.tsv":
@@ -47,6 +63,20 @@ GOLDEN = {
         "1f78e4ce169b798b07c8e0bc9b74aa68466590838cdfa2a8e483a87a6c56e5b3",
     "t2/test_ranked.tsv":
         "911b9a5e4e4dfdee8d649b534a101f390ab8474cb3e6486e2ab6d1bd02e9bee2",
+    "t2/oof.tsv":
+        "1b8ec0c2c112b09590c60db602187cbfc14b2e40f604187ec94f79a77942c6af",
+    "t2/correlation.tsv":
+        "cedfc6b2a889543f2df29016237e3b970bd912c4c4df4ed326af1155db36dcc2",
+    "t2/features_valid.catalog.json":
+        "5fd0c2731594e9d17559554438c9e7da8e700e2ac64227ad073f3c6f4cbfabc0",
+    "t2/features_test.catalog.json":
+        "26f7fe04e611bbd4f5d997063890145131c89e083797da1a3938cb88e95184a2",
+    "t2/selection_report.json":
+        "646be53fdc99201fefb356600001df8e5770d489bbb50cae3ab7c71542ea6a3c",
+    "t2/metrics.json":
+        "752e6c756934b634555b520d1c9f2964dd708a50aed3df9f5f5582df7ccfa1f8",
+    "t2/evaluation.json":
+        "bea5ce1d49cd28e1acc64e74476e2e64ca8b132a3f3d7fc4cc6adbf8a2d5a4d9",
     "final.json":
         "124bc90f8147b01bfb2776ce39d631f35a2952cb257e16f06a2796c46d3d0ac4",
 }

@@ -137,13 +137,14 @@ class TestIngest:
                                                          monkeypatch):
         config = pipeline_config(world["data"], tmp_path / "w")
         written = []
-        real = pipeline.atomic_write_text
+        real = util.atomic_write_text
 
         def recording(path, text):
             written.append(Path(path))
             real(path, text)
 
-        monkeypatch.setattr(pipeline, "atomic_write_text", recording)
+        # util.write_json, the one JSON writer, writes through it
+        monkeypatch.setattr(util, "atomic_write_text", recording)
         pipeline.run_ingest(config)
         snap = pipeline.workspace_for(config).snapshot_dir
         names = ("encoders.json", "meta.json", "summary.json")
@@ -392,6 +393,27 @@ class TestPrerankOutputs:
                                / "prerank_failures.json").read_text())
         assert failures == []
 
+    def test_prerank_with_every_scorer_failing_exits_3(self, world, tmp_path,
+                                                        monkeypatch, capsys):
+        work = tmp_path / "work"
+        shutil.copytree(world["ws"].snapshot_dir, work / "snapshot")
+        config = pipeline_config(world["data"], work, prerank={
+            "scorers": [{"name": "item_cf", "combinations": [COMBOS[1]]}],
+            "stats": False})
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config.to_dict()))
+
+        def boom(matrix, params):
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setitem(features.SCORERS, "item_cf", dataclasses.replace(
+            features.SCORERS["item_cf"], fit=boom))
+        assert cli.main(["prerank", "--config", str(config_file),
+                         "--target", "t1"]) == 3
+        assert "2 scorer runs failed" in capsys.readouterr().err
+        failures = json.loads((work / "t1" / "prerank_failures.json").read_text())
+        assert {f["run"] for f in failures} == {"valid", "test"}
+
     def test_rerun_resumes_from_cache_byte_identically(self, world):
         ws = world["ws"]
         before = {which: ws.features_path("t1", which).read_bytes()
@@ -560,13 +582,14 @@ class TestSelectTrain:
         before = oof.read_bytes()
         oof.unlink()
         written = []
-        real = pipeline.atomic_write_text
+        real = util.atomic_write_bytes
 
-        def recording(path, text):
+        def recording(path, payload):
             written.append(Path(path))
-            real(path, text)
+            real(path, payload)
 
-        monkeypatch.setattr(pipeline, "atomic_write_text", recording)
+        # util.write_tsv, the float-table writer, writes through it
+        monkeypatch.setattr(util, "atomic_write_bytes", recording)
         pipeline.run_train(config, "t1")
         assert oof in written
         assert oof.read_bytes() == before
@@ -770,6 +793,22 @@ class TestCli:
             assert "locked" in capsys.readouterr().err
         finally:
             (ws / ".lock").unlink()
+
+    @pytest.mark.parametrize("command, damaged", [
+        ("prerank", "snapshot/meta.json"),
+        ("select", "t1/features_valid.catalog.json"),
+    ])
+    def test_damaged_workspace_json_exits_3_naming_it(self, world, tmp_path,
+                                                      capsys, command,
+                                                      damaged):
+        work, config = copied_workspace(world, tmp_path)
+        path = work / damaged
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config.to_dict()))
+        assert cli.main([command, "--config", str(config_file),
+                         "--target", "t1"]) == 3
+        assert str(path) in capsys.readouterr().err
 
     def test_synth_command_writes_a_dataset(self, tmp_path, capsys):
         payload = {"n_items": 120, "dim": 3, "eval_users": 4,
