@@ -14,12 +14,14 @@ for each of 100 users, one of them unknown: the dot over the LightGCN
 table and the cosine over the word2vec table with its derived user
 vectors.
 
-Prints the median wall time of each kernel over --repeats calls and the
-sha256 of the walks, of each table and of the scores (score bytes, then
-missing flags), so two checkouts can be compared for speed and for
-identical outputs. A table is hashed as its present vectors keyed u:<id>
-and i:<id>, each key then its vector bytes, in sorted key order; a
-skip-gram result keys every token as i:<token>.
+Prints the median wall time and the median CPU time (process_time) of
+each kernel over --repeats calls, and the sha256 of the walks, of each
+table and of the scores (score bytes, then missing flags), so two
+checkouts can be compared for speed and for identical outputs. CPU time
+leaves out the time the process waits while another one runs. A table is
+hashed as its present vectors keyed u:<id> and i:<id>, each key then its
+vector bytes, in sorted key order; a skip-gram result keys every token as
+i:<token>.
 
     PYTHONPATH=src python scripts/bench_embeddings.py --repeats 5
 """
@@ -92,17 +94,20 @@ def scores_digest(result) -> str:
 
 
 def timed(repeats: int, fn, fingerprint):
-    """(median seconds, fingerprint, last result) over repeats calls; the
-    calls must all give the same fingerprint."""
-    times, digests = [], set()
+    """(median wall and CPU seconds as text, fingerprint, last result) over
+    repeats calls; the calls must all give the same fingerprint."""
+    walls, cpus, digests = [], [], set()
     for _ in range(repeats):
-        start = time.perf_counter()
+        wall, cpu = time.perf_counter(), time.process_time()
         result = fn()
-        times.append(time.perf_counter() - start)
+        cpus.append(time.process_time() - cpu)
+        walls.append(time.perf_counter() - wall)
         digests.add(fingerprint(result))
     if len(digests) != 1:
         raise SystemExit(f"repeated calls disagree: {sorted(digests)}")
-    return statistics.median(times), digests.pop(), result
+    times = (f"median {statistics.median(walls):.4f} s  "
+            f"cpu {statistics.median(cpus):.4f} s")
+    return times, digests.pop(), result
 
 
 def main(argv=None) -> None:
@@ -116,33 +121,33 @@ def main(argv=None) -> None:
     m = make_matrix()
     history = emb.user_history_sequences(m, shuffles=2, seed=3)
     print(f"matrix {N_USERS}x{N_ITEMS}, {m.nnz} edges, seed {SEED}")
-    secs, digest, walks = timed(
+    times, digest, walks = timed(
         args.repeats, lambda: emb.generate_walks(m, WALKS), walks_digest)
-    print(f"generate_walks           median {secs:.4f} s  "
+    print(f"generate_walks           {times}  "
           f"{len(walks)} walks  sha256 {digest}")
     for label, corpus, n_tokens in (("walks", walks, N_USERS + N_ITEMS),
                                     ("histories", history, N_ITEMS)):
-        secs, digest, skipgram = timed(
+        times, digest, skipgram = timed(
             args.repeats,
             lambda: token_table(*emb.train_skipgram(corpus, SKIPGRAM, n_tokens)),
             table_digest)
-        print(f"train_skipgram {label:<9} median {secs:.4f} s  "
+        print(f"train_skipgram {label:<9} {times}  "
               f"{sum(map(len, corpus))} tokens  sha256 {digest}")
     binary = m.binarized()
-    secs, digest, lightgcn = timed(
+    times, digest, lightgcn = timed(
         args.repeats, lambda: emb.train_lightgcn(binary, LIGHTGCN),
         table_digest)
-    print(f"train_lightgcn           median {secs:.4f} s  "
+    print(f"train_lightgcn           {times}  "
           f"{binary.nnz} edges  sha256 {digest}")
     word2vec = emb.derive_user_vectors(    # the histories table
         m, skipgram.items, skipgram.has_item, skipgram.meta)
     users, items = make_run()
     for metric, table in (("dot", lightgcn), ("cosine", word2vec)):
-        secs, digest, _ = timed(
+        times, digest, _ = timed(
             args.repeats,
             lambda: emb.embedding_score(table, users, items, metric=metric),
             scores_digest)
-        print(f"embedding_score {metric:<8} median {secs:.4f} s  "
+        print(f"embedding_score {metric:<8} {times}  "
               f"{len(items)} pairs  sha256 {digest}")
 
 

@@ -12,7 +12,14 @@ per-pair loop; derive_user_vectors sums every user's history one position
 at a time; LightGCN's negative sampler takes its draws as arrays and
 loops once per rejected draw. Each gives the numbers and leaves the random
 stream of the per-user or per-draw loop it replaced, bit for bit.
-Skip-gram still updates once per chunk of each sequence.
+
+Skip-gram updates once per chunk of each sequence and gives the vectors
+and losses of a per-sequence loop bit for bit: one rng.random per pair
+block yields the doubles of the per-chunk calls in order; a guide table
+with a power-of-two bucket count puts each draw in its exact bucket and
+steps a bounded number of entries to searchsorted's index; the loss is
+taken once per block from the dot products the updates return, each
+chunk's slice summed and added in chunk order.
 """
 
 from __future__ import annotations
@@ -262,6 +269,34 @@ def _window_pairs(tokens: np.ndarray, lengths: np.ndarray, window: int
     return centers, tokens[ctx[ok]], np.cumsum(ok.sum(axis=1))[end - 1]
 
 
+class _GuideTable:
+    """np.searchsorted(cdf, u, side="right") of a nondecreasing cdf for
+    draws u in [0, 1), without a binary search per draw: a guide table
+    (Chen & Asau, 1974) over m buckets [j/m, (j+1)/m), m the smallest power
+    of two at least 8 * len(cdf).
+
+    lo[j] counts the entries <= j/m and span is the most entries any
+    bucket's (j/m, (j+1)/m] holds. m is a power of two, so u * m and j / m
+    are exact: a draw u lies in bucket j = floor(u * m), and its count of
+    entries <= u lies in [lo[j], lo[j] + span]. Starting from lo[j], span
+    passes of r += cdf_pad[r] <= u step r up to that count and no further
+    (the inf after the last entry stops r at len(cdf)), so every result is
+    searchsorted's. On a unigram^0.75 cdf span is 1."""
+
+    def __init__(self, cdf: np.ndarray):
+        self.m = 1 << (8 * len(cdf) - 1).bit_length()
+        edges = np.searchsorted(cdf, np.arange(self.m + 1) / self.m,
+                                side="right")
+        self.lo, self.span = edges[:-1], int(np.diff(edges).max())
+        self.cdf_pad = np.r_[cdf, np.inf]
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        r = self.lo[(u * self.m).astype(np.int64)]
+        for _ in range(self.span):
+            r += self.cdf_pad[r] <= u
+        return r
+
+
 def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
                    n_tokens: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Skip-gram with negative sampling over sequences of tokens
@@ -269,12 +304,22 @@ def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
 
     Negatives come from the unigram^0.75 distribution. Updates are applied
     in chunks of up to 1,024 pairs within each sequence, in sequence order;
-    input vectors (W_in) become the embedding. Pairs are built vectorised
-    over blocks of sequences, but every chunk and its negative draws are
-    those of a per-sequence loop, so the random stream and the vectors are
-    unchanged. Returns (vectors, present, meta): row t of vectors is token
-    t's vector where present[t] holds, zero for a token the corpus lacks;
-    meta holds the epoch losses and the vocabulary size.
+    input vectors (W_in) become the embedding. Returns (vectors, present,
+    meta): row t of vectors is token t's vector where present[t] holds,
+    zero for a token the corpus lacks; meta holds the epoch losses and the
+    vocabulary size.
+
+    The random stream, vectors and losses are those of a per-sequence loop
+    drawing each chunk's negatives with rng.random((chunk pairs, K)) and
+    np.searchsorted on the noise cdf, bit for bit:
+    - pairs are built vectorised over blocks of sequences starting within
+      _PAIR_BLOCK tokens of each other, in the same order;
+    - one rng.random((block pairs, K)) yields the doubles of the block's
+      per-chunk calls in order, as no other draw comes between them;
+    - _GuideTable gives searchsorted's index for every draw;
+    - the elementwise log-sigmoid of the dot products the updates return
+      is taken once per block, and each chunk's slice is summed and added
+      to the total in chunk order, as the loop added each chunk's loss.
     """
     corpus = [seq for seq in corpus if len(seq)]
     if not corpus:
@@ -287,7 +332,7 @@ def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
         raise ValueError(f"token outside 0..{n_tokens - 1}")
     noise = np.bincount(tokens).astype(np.float64) ** 0.75
     noise /= noise.sum()
-    noise_cdf = np.cumsum(noise)
+    lookup = _GuideTable(np.cumsum(noise))
 
     rng = np.random.default_rng(stage_seed(params.seed, "sgns"))
     w_in = rng.uniform(-0.5 / params.dim, 0.5 / params.dim,
@@ -304,17 +349,21 @@ def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
             centers, contexts, ends = _window_pairs(
                 tokens[seq_end[lo] - lengths[lo]:seq_end[hi - 1]],
                 lengths[lo:hi], params.window)
-            begin = 0
+            negs = lookup(rng.random((len(centers), params.negatives)))
+            pos, neg = np.empty(negs.shape[0]), np.empty(negs.shape)
+            chunks, begin = [], 0
             for end in ends.tolist():
-                for s in range(begin, end, _CHUNK):
-                    c = centers[s:min(s + _CHUNK, end)]
-                    o = contexts[s:min(s + _CHUNK, end)]
-                    draws = rng.random((len(c), params.negatives))
-                    negs = np.searchsorted(noise_cdf, draws, side="right")
-                    total += _sgns_chunk(w_in, w_out, c, o, negs,
-                                         params.learning_rate)
-                    n_pairs += len(c)
+                chunks += [(s, min(s + _CHUNK, end))
+                           for s in range(begin, end, _CHUNK)]
                 begin = end
+            for s, e in chunks:
+                pos[s:e], neg[s:e] = _sgns_chunk(
+                    w_in, w_out, centers[s:e], contexts[s:e], negs[s:e],
+                    params.learning_rate)
+            pos_loss, neg_loss = -_log_sigmoid(pos), -_log_sigmoid(-neg)
+            for s, e in chunks:
+                total += float(np.sum(pos_loss[s:e]) + np.sum(neg_loss[s:e]))
+            n_pairs += len(centers)
         epoch_loss.append(total / max(n_pairs, 1))
 
     vectors = np.zeros((n_tokens, params.dim))
@@ -334,15 +383,16 @@ def _add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray
     np.add.at(target.reshape(-1), flat, values.ravel())
 
 
-def _sgns_chunk(w_in, w_out, centers, contexts, negs, lr) -> float:
+def _sgns_chunk(w_in, w_out, centers, contexts, negs, lr
+                ) -> tuple[np.ndarray, np.ndarray]:
     """One accumulated-gradient update over a chunk of pairs; returns the
-    summed pair loss at the pre-update parameters."""
+    pre-update dot products (pos (B,), neg (B, K)) the pair losses
+    -log σ(pos) - Σ log σ(-neg) are taken from."""
     v = w_in[centers]                                  # (B, d)
     u_o = w_out[contexts]
     u_n = w_out[negs]                                  # (B, K, d)
     pos = np.einsum("bd,bd->b", v, u_o)
     neg = np.einsum("bkd,bd->bk", u_n, v)
-    loss = float(np.sum(-_log_sigmoid(pos)) + np.sum(-_log_sigmoid(-neg)))
     g_pos = sigmoid(pos) - 1.0                        # (B,)
     g_neg = sigmoid(neg)                              # (B, K)
     d_v = g_pos[:, None] * u_o + np.einsum("bk,bkd->bd", g_neg, u_n)
@@ -350,7 +400,7 @@ def _sgns_chunk(w_in, w_out, centers, contexts, negs, lr) -> float:
     _add_rows_at(w_out, contexts, -lr * g_pos[:, None] * v)
     _add_rows_at(w_out, negs.ravel(),
                  -lr * (g_neg[:, :, None] * v[:, None, :]))
-    return loss
+    return pos, neg
 
 
 def derive_user_vectors(m: SparseInteractionMatrix, items: np.ndarray,

@@ -340,7 +340,7 @@ def read_table(tsv_path, catalog_path=None, columns=None) -> FeatureTable:
             fail(int(np.argmin(finite)), "non-finite value")
     provenance = {}
     if catalog_path is not None and Path(catalog_path).exists():
-        provenance = read_json(catalog_path).get("provenance", {})
+        provenance = read_json(catalog_path, "provenance")["provenance"]
     return FeatureTable(users, items, wanted, values, labels,
                         {n: provenance[n] for n in wanted if n in provenance})
 

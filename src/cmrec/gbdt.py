@@ -34,8 +34,9 @@ same bit for bit:
 - A column's edges and bins depend only on its own values on the fit's
   rows, so the binning of a column subset is a slice of the binning of
   the whole table. bin_folds bins each fold of kfold_bagging once; the
-  selection screens, which refit one table many times, hand each fit its
-  slice through the private _binned argument of kfold_bagging and train.
+  selection screens and grid_search, which refit one table many times,
+  hand each fit its slice (grid_search: the whole binning) through the
+  private _binned argument of kfold_bagging and train.
 """
 
 from __future__ import annotations
@@ -484,18 +485,21 @@ def grid_search(table: FeatureTable, grid: Mapping[str, Sequence],
                 folds: int, base: GbdtParams = GbdtParams()
                 ) -> tuple[GbdtParams, list[dict]]:
     """Exhaustive (num_leaves, learning_rate) sweep scored by out-of-fold
-    NDCG@10; ties go to the smaller num_leaves, then smaller rate."""
+    NDCG@10; ties go to the smaller num_leaves, then smaller rate. The
+    sweep changes neither the folds nor max_bins, so each fold is binned
+    once for every fit."""
     leaves_list = sorted(grid.get("num_leaves", [base.num_leaves]))
     lr_list = sorted(grid.get("learning_rate", [base.learning_rate]))
     if not leaves_list or not lr_list:
         raise DataError("parameter grid must be nonempty")
+    binned = bin_folds(table, base, folds)
     rows: list[dict] = []
     best: tuple[float, GbdtParams] | None = None
     for nl in leaves_list:
         for lr in lr_list:
             params = dataclasses.replace(base, num_leaves=int(nl),
                                          learning_rate=float(lr))
-            bagged = kfold_bagging(table, params, folds)
+            bagged = kfold_bagging(table, params, folds, _binned=binned)
             score = oof_ndcg(table, bagged.oof)
             rows.append({"num_leaves": int(nl), "learning_rate": float(lr),
                          "oof_ndcg10": score})

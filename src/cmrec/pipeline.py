@@ -161,7 +161,8 @@ def load_snapshot(ws: Workspace) -> Snapshot:
     snap = ws.snapshot_dir
     if not snap.is_dir():
         raise StageError(f"no snapshot in workspace {ws.root}; run ingest first")
-    meta, enc = read_json(snap / "meta.json"), read_json(snap / "encoders.json")
+    meta = read_json(snap / "meta.json", "markets", "splits", "targets")
+    enc = read_json(snap / "encoders.json", "users", "items")
     users, items = IdEncoder.fit(enc["users"]), IdEncoder.fit(enc["items"])
     arrays = {name: np.load(snap / f"rows_{name}.npy")
               for name in ("user", "item", "rating", "market", "split")}
@@ -408,7 +409,7 @@ def run_report(config: PipelineConfig) -> dict:
         if not path.exists():
             raise StageError(f"no evaluation for target {target!r}; "
                              f"run evaluate first")
-        per_market[target] = read_json(path)["ndcg_at_10"]
+        per_market[target] = read_json(path, "ndcg_at_10")["ndcg_at_10"]
     weights = (dict(config.market_weights) if config.market_weights
                else evaluation.DEFAULT_MARKET_WEIGHTS)
     report = evaluation.metric_report(per_market, weights)

@@ -193,14 +193,21 @@ def write_json(path: Path | str, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def read_json(path: Path | str):
+def read_json(path: Path | str, *keys: str):
     """The JSON document in a workspace file; a missing, unreadable or
-    damaged file is a StageError naming it."""
+    damaged file is a StageError naming it. With keys, the document must be
+    an object holding each of them; one that is not, or lacks one, is a
+    StageError naming the file and the key."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # missing, not UTF-8, not JSON
         raise StageError(f"cannot read workspace file {path}: {exc}; "
                          f"re-run the stage that writes it") from None
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise StageError(f"workspace file {path} has no key {key!r}; "
+                             f"re-run the stage that writes it")
+    return doc
 
 
 # Rows formatted per block in write_tsv. Its numpy and string temporaries

@@ -578,6 +578,51 @@ class TestSkipGramMatchesOracle:
                              train_skipgram_oracle(walks, params, 40))
 
 
+class TestGuideTableMatchesSearchsorted:
+    """The skip-gram negative lookup against np.searchsorted(cdf, u,
+    side="right"), at every value where a bucket or an entry begins."""
+
+    @staticmethod
+    def check(cdf, extra=()):
+        lookup = emb._GuideTable(cdf)
+        edges = np.arange(lookup.m) / lookup.m
+        u = np.r_[0.0, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                  edges, np.nextafter(edges, 0.0), np.nextafter(1.0, 0.0),
+                  np.random.default_rng(0).random(2000), extra]
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = lookup(u)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.searchsorted(cdf, u, side="right"))
+        return lookup
+
+    def unigram_cdf(self, counts):
+        noise = np.asarray(counts, dtype=np.float64) ** 0.75
+        return np.cumsum(noise / noise.sum())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unigram_cdf(self, seed):
+        counts = np.random.default_rng(seed).integers(1, 400, size=700)
+        lookup = self.check(self.unigram_cdf(counts))
+        assert lookup.m == 8192
+
+    def test_one_token_vocabulary(self):
+        lookup = self.check(self.unigram_cdf([5]))
+        assert lookup.m == 8
+        assert lookup(np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])).tolist() == [0, 0, 0]
+
+    def test_skewed_cdf_spans_several_entries(self):
+        lookup = self.check(self.unigram_cdf([10 ** 9] + [1] * 40))
+        assert lookup.span > 1
+
+    def test_last_entry_below_one(self):
+        cdf = np.array([0.125, 0.5, 0.5, 0.75, 0.9])
+        lookup = self.check(cdf, extra=[0.95, 0.99])
+        assert lookup(np.array([0.9, 0.95])).tolist() == [len(cdf)] * 2
+
+    def test_duplicate_entries_and_entries_on_bucket_edges(self):
+        self.check(np.array([0.0, 0.0, 0.25, 0.25, 0.25, 0.5, 1.0]))
+
+
 class TestLightGcnTraining:
     def test_deterministic_runs(self):
         rng = np.random.default_rng(2)

@@ -724,6 +724,33 @@ class TestGridSearch:
         with pytest.raises(DataError):
             gbdt.grid_search(table, {"num_leaves": ()}, folds=3)
 
+    GRID = {"num_leaves": (4, 2), "learning_rate": (0.3, 0.1)}
+
+    def test_binning_once_per_fold_changes_nothing(self, rng, monkeypatch):
+        table = ranking_table(rng)
+        base = stump_params(n_rounds=6)
+        best, rows = gbdt.grid_search(table, self.GRID, folds=3, base=base)
+        # every fit bins its own rows, as without the shared binning
+        bagging = gbdt.kfold_bagging
+        monkeypatch.setattr(gbdt, "kfold_bagging",
+                            lambda table, params, folds, **_:
+                            bagging(table, params, folds))
+        best_alone, rows_alone = gbdt.grid_search(table, self.GRID, folds=3,
+                                                  base=base)
+        assert best == best_alone
+        assert rows == rows_alone and len(rows) == 4
+
+    def test_bins_each_fold_once(self, rng, monkeypatch):
+        table = ranking_table(rng)
+        calls = []
+        build = gbdt.build_bins
+        monkeypatch.setattr(gbdt, "build_bins",
+                            lambda table, max_bins: calls.append(table.n_rows)
+                            or build(table, max_bins))
+        gbdt.grid_search(table, self.GRID, folds=3,
+                         base=stump_params(n_rounds=6))
+        assert len(calls) == 3
+
 
 class TestSerialization:
     def test_round_trip_predictions(self, tmp_path, rng):

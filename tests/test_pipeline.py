@@ -810,6 +810,24 @@ class TestCli:
                          "--target", "t1"]) == 3
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, damaged, text, key", [
+        ("prerank", "snapshot/meta.json", "{}", "markets"),
+        ("prerank", "snapshot/encoders.json", '{"users": []}', "items"),
+        ("select", "t1/features_valid.catalog.json", "[]", "provenance"),
+        ("report", "t2/evaluation.json", '{"n_users": 15}', "ndcg_at_10"),
+    ])
+    def test_workspace_json_without_a_key_exits_3_naming_it(
+            self, world, tmp_path, capsys, command, damaged, text, key):
+        work, config = copied_workspace(world, tmp_path)
+        path = work / damaged
+        path.write_text(text + "\n", encoding="utf-8")
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config.to_dict()))
+        target = [] if command == "report" else ["--target", "t1"]
+        assert cli.main([command, "--config", str(config_file), *target]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and repr(key) in err
+
     def test_synth_command_writes_a_dataset(self, tmp_path, capsys):
         payload = {"n_items": 120, "dim": 3, "eval_users": 4,
                    "n_candidates": 20,
