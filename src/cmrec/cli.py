@@ -106,7 +106,9 @@ def main(argv=None) -> int:
             elif args.command == "prerank":
                 for target in _targets(config, args):
                     out = pipeline.run_prerank(config, target)
-                    print(f"[{target}] {out['n_columns']} scorer columns")
+                    columns = f"{out['n_columns']} scorer columns"
+                    print(f"[{target}] up to date ({columns})"
+                          if out["up_to_date"] else f"[{target}] {columns}")
             elif args.command == "select":
                 for target in _targets(config, args):
                     kept = pipeline.run_select(config, target)

@@ -256,18 +256,19 @@ def empty_table(run: RunFile) -> FeatureTable:
                         run.candidates, (), np.zeros((len(run.candidates), 0)))
 
 
-def write_table(table: FeatureTable, tsv_path, catalog_path) -> None:
+def write_table(table: FeatureTable, tsv_path, catalog_path
+                ) -> tuple[str, str]:
+    """Write the table's TSV and catalog; returns their sha256 digests."""
     header = ["user", "item"] + (["label"] if table.labels is not None else [])
     header += list(table.columns)
     keys = [table.users, table.items]
     if table.labels is not None:
         keys.append([str(label) for label in table.labels.tolist()])
-    write_tsv(tsv_path, header, keys, table.values)
-    write_json(catalog_path,
-               {"columns": list(table.columns),
-                "has_labels": table.labels is not None,
-                "provenance": {k: dict(v)
-                               for k, v in table.provenance.items()}})
+    catalog = {"columns": list(table.columns),
+               "has_labels": table.labels is not None,
+               "provenance": {k: dict(v) for k, v in table.provenance.items()}}
+    return (write_tsv(tsv_path, header, keys, table.values),
+            write_json(catalog_path, catalog))
 
 
 def _parse_values(fields: Sequence[str], usecols: Sequence[int]) -> np.ndarray:
@@ -419,7 +420,7 @@ def combination_matrix(ctx: PlanContext,
     return build_matrix(rows, combination, len(ctx.users), len(ctx.items))
 
 
-def _cache_key(ctx: PlanContext, run: RunFile) -> str:
+def cache_key(ctx: PlanContext, run: RunFile) -> str:
     """Digest of all a cached column depends on besides its spec: the rows,
     both encoders and the run. A changed input gives a new file name."""
     digest = blake2b(digest_size=16)
@@ -457,20 +458,24 @@ def _drop_stale(cache: Path, name: str) -> None:
 
 
 def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
-             user_ids: np.ndarray, item_ids: np.ndarray
-             ) -> tuple[FeatureTable, list[dict]]:
+             user_ids: np.ndarray, item_ids: np.ndarray,
+             key: str | None = None) -> tuple[FeatureTable, list[dict]]:
     """One feature column (plus a missing-indicator column) per spec, rows
     exactly the run file's (user, candidate) pairs in order; user_ids and
     item_ids are those pairs as encode_run gives them. Completed
-    columns are cached in ctx.cache_dir as <feature>.<digest>.npy and read
-    back on re-run; writing one removes that column's files under other
+    columns are cached in ctx.cache_dir as <feature>.<digest>.npy, the
+    digest being key (cache_key(ctx, run) when not given), and read back
+    on re-run; writing one removes that column's files under other
     digests. A failing scorer is recorded and the plan continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
     unknown = run.candidates[item_ids < 0]
     failures: list[dict] = []
-    key = None if ctx.cache_dir is None else _cache_key(ctx, run)
+    if ctx.cache_dir is None:
+        key = None
+    elif key is None:
+        key = cache_key(ctx, run)
     columns: list[str] = []
     provenance: dict[str, dict] = {}
     # every spec's value and missing row, filled in place (column-major,

@@ -10,6 +10,7 @@ so deleting a stage's files and re-running reproduces them exactly:
       <target>/                  per-target stage outputs
         cache/{valid,test}/<feature>.<digest>.npy  per-column score cache
         features_{valid,test}.tsv (+ .catalog.json)  correlation.tsv
+        prerank_failures.json  prerank.inputs.json (the record, last)
         kept.txt  selection_report.{tsv,json}
         grid.json  model.json  metrics.json  oof.tsv  test_ranked.tsv
         evaluation.json
@@ -24,8 +25,10 @@ plan and the seeding in make_plan follow from it.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import shutil
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +39,8 @@ from . import data, evaluation, features, gbdt, selection
 from .config import PipelineConfig
 from .data import CombinationSpec, IdEncoder, Interactions
 from .util import (ConfigError, DataError, StageError, atomic_save_npy,
-                   atomic_write_bytes, read_json, stage_seed, write_json,
-                   write_tsv)
+                   atomic_write_bytes, file_sha256, read_artifact, read_json,
+                   stage_seed, write_json, write_tsv)
 
 
 @dataclass(frozen=True)
@@ -131,11 +134,10 @@ def run_ingest(config: PipelineConfig) -> dict:
     (staged / "runs").mkdir(parents=True)
     for name, arr in arrays.items():
         atomic_save_npy(staged / f"rows_{name}.npy", arr)
-    write_json(staged / "encoders.json", {"users": users.ids.tolist(),
-                                          "items": items.ids.tolist()})
-    write_json(staged / "meta.json", {"markets": markets,
-                                      "targets": list(config.targets),
-                                      "splits": list(data.SPLITS)})
+    write_json(staged / "encoders.json", SnapshotEncoders(
+        tuple(users.ids.tolist()), tuple(items.ids.tolist())))
+    write_json(staged / "meta.json", SnapshotMeta(
+        tuple(markets), tuple(config.targets), tuple(data.SPLITS)))
     write_json(staged / "summary.json", summary)
     for target, which in runs:
         source = data_dir / target / data.RUN_FILES[which]
@@ -146,6 +148,24 @@ def run_ingest(config: PipelineConfig) -> dict:
     staged.rename(snap)
     shutil.rmtree(old, ignore_errors=True)
     return summary
+
+
+@dataclass(frozen=True)
+class SnapshotMeta:
+    """snapshot/meta.json: rows_market.npy and rows_split.npy hold
+    positions in markets and splits."""
+
+    markets: tuple[str, ...]
+    targets: tuple[str, ...]
+    splits: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class SnapshotEncoders:
+    """snapshot/encoders.json: the raw ids, id k at position k."""
+
+    users: tuple[str, ...]
+    items: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -161,14 +181,13 @@ def load_snapshot(ws: Workspace) -> Snapshot:
     snap = ws.snapshot_dir
     if not snap.is_dir():
         raise StageError(f"no snapshot in workspace {ws.root}; run ingest first")
-    meta = read_json(snap / "meta.json", "markets", "splits", "targets")
-    enc = read_json(snap / "encoders.json", "users", "items")
-    users, items = IdEncoder.fit(enc["users"]), IdEncoder.fit(enc["items"])
+    meta = read_artifact(SnapshotMeta, snap / "meta.json")
+    enc = read_artifact(SnapshotEncoders, snap / "encoders.json")
+    users, items = IdEncoder.fit(enc.users), IdEncoder.fit(enc.items)
     arrays = {name: np.load(snap / f"rows_{name}.npy")
               for name in ("user", "item", "rating", "market", "split")}
-    rows = _interactions(arrays, meta["markets"], meta["splits"])
-    return Snapshot(rows, users, items, tuple(meta["markets"]),
-                    tuple(meta["targets"]))
+    rows = _interactions(arrays, meta.markets, meta.splits)
+    return Snapshot(rows, users, items, meta.markets, meta.targets)
 
 
 def _interactions(arrays: dict, markets, splits) -> Interactions:
@@ -233,11 +252,89 @@ def _valid_labels(snap: Snapshot, target: str, users: np.ndarray,
     return np.isin(keys, pos.user * n + pos.item).astype(np.int8)
 
 
+PRERANK_RECORD = "prerank.inputs.json"
+# Bump on any change that alters what prerank writes for the same recorded
+# inputs: the code is not one of them.
+PRERANK_RECORD_VERSION = 1
+
+
+@dataclass(frozen=True)
+class PlanEntry:
+    """One spec of the expanded scorer plan, its derived seed included."""
+
+    scorer: str
+    params: Mapping
+    combination: tuple[str, ...]
+    excludes_target_valid: bool
+
+
+@dataclass(frozen=True)
+class PrerankInputs:
+    """All a target's prerank outputs depend on besides the code: per run,
+    the cache key over the snapshot rows, both encoders and the run file;
+    the plan; the statistics flag; and the sha256 of the external vectors
+    file's bytes (its path is not an input)."""
+
+    runs: Mapping[str, str]
+    plan: tuple[PlanEntry, ...]
+    stats: bool
+    external_embeddings: str | None
+
+
+@dataclass(frozen=True)
+class PrerankRecord:
+    """<target>/prerank.inputs.json, written last by a successful prerank:
+    its inputs and the sha256 of each file it wrote, by name in the
+    target directory."""
+
+    version: int
+    inputs: PrerankInputs
+    outputs: Mapping[str, str]
+
+
+def _prerank_inputs(config: PipelineConfig, plan: list[features.ScorerSpec],
+                    keys: dict[str, str]) -> PrerankInputs:
+    path = config.prerank.external_embeddings
+    external = None
+    if path:
+        external = file_sha256(path)
+        if external is None:
+            raise DataError(f"embedding file not found: {path}")
+    return PrerankInputs(
+        keys,
+        tuple(PlanEntry(spec.scorer, dict(spec.params),
+                        spec.combination.markets,
+                        spec.combination.exclude_valid_of_target)
+              for spec in plan),
+        config.prerank.stats, external)
+
+
+def _canonical(inputs: PrerankInputs) -> str:
+    # through JSON, so that 1 and 1.0 differ as they do in feature names
+    return json.dumps(dataclasses.asdict(inputs), sort_keys=True)
+
+
+def _prerank_current(tdir: Path, inputs: PrerankInputs) -> bool:
+    """The record in tdir parses, holds these inputs under this version,
+    and every output it lists still has its recorded sha256."""
+    try:
+        record = read_artifact(PrerankRecord, tdir / PRERANK_RECORD)
+    except StageError:  # missing, damaged or of another schema: rebuild
+        return False
+    return (record.version == PRERANK_RECORD_VERSION
+            and _canonical(record.inputs) == _canonical(inputs)
+            and all(file_sha256(tdir / name) == digest
+                    for name, digest in record.outputs.items()))
+
+
 def run_prerank(config: PipelineConfig, target: str) -> dict:
     """Score both run files with the full plan and write feature tables.
 
-    Completed columns are cached per run file; a re-run recomputes only
-    what is missing. Scorer failures abort the stage, but only after all
+    The stage records its inputs and outputs last, in PRERANK_RECORD; a
+    re-run whose record is current returns without fitting or writing
+    anything ("up_to_date"). Otherwise the record goes first and completed
+    columns come from the per-run column cache, so only what is missing is
+    recomputed. Scorer failures abort the stage, but only after all
     surviving columns are on disk, so the next run resumes from cache.
     """
     _check_target(config, target)
@@ -246,21 +343,31 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     plan = make_plan(config, target, snap.markets)
     tdir = ws.target_dir(target)
     tdir.mkdir(exist_ok=True)
+    matrices, models = {}, {}  # shared by both runs
+    ctxs = {which: features.PlanContext(
+        snap.rows, snap.users, snap.items, cache_dir=tdir / "cache" / which,
+        matrices=matrices, model_cache=models) for which in data.RUN_FILES}
+    runs = {which: data.load_run(ws.run_path(target, which))
+            for which in data.RUN_FILES}
+    keys = {which: features.cache_key(ctxs[which], runs[which])
+            for which in data.RUN_FILES}
+    inputs = _prerank_inputs(config, plan, keys)
+    result = {"target": target, "n_columns": len(plan)}
+    if _prerank_current(tdir, inputs):
+        return {**result, "up_to_date": True}
+    (tdir / PRERANK_RECORD).unlink(missing_ok=True)
+
     external = None
     if config.prerank.external_embeddings:
         from . import embeddings as emb
         external = emb.read_embedding_tsv(config.prerank.external_embeddings)
-
     all_failures: list[dict] = []
-    matrices, models = {}, {}  # shared by both runs
-    for which in ("valid", "test"):
-        ctx = features.PlanContext(snap.rows, snap.users, snap.items,
-                                   cache_dir=tdir / "cache" / which,
-                                   matrices=matrices, model_cache=models)
-        run = data.load_run(ws.run_path(target, which))
+    outputs: dict[str, str] = {}
+    for which, ctx in ctxs.items():
+        run = runs[which]
         user_ids, item_ids = features.encode_run(run, snap.users, snap.items)
         table, failures = features.run_plan(plan, ctx, run, user_ids,
-                                            item_ids)
+                                            item_ids, key=keys[which])
         all_failures.extend(dict(f, run=which) for f in failures)
         if config.prerank.stats:
             cols, vals, prov = features.global_statistic_features(
@@ -279,18 +386,24 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
                            if table.provenance.get(c, {}).get("kind") == "scorer"]
             if len(scorer_cols) >= 1 and table.n_rows >= 2:
                 corr, _ = features.feature_correlation(table, scorer_cols)
-                write_tsv(tdir / "correlation.tsv", ["feature", *scorer_cols],
-                          [scorer_cols], corr)
-        features.write_table(table, ws.features_path(target, which),
-                             ws.catalog_path(target, which))
+                outputs["correlation.tsv"] = write_tsv(
+                    tdir / "correlation.tsv", ["feature", *scorer_cols],
+                    [scorer_cols], corr)
+        tsv, catalog = (ws.features_path(target, which),
+                        ws.catalog_path(target, which))
+        outputs[tsv.name], outputs[catalog.name] = features.write_table(
+            table, tsv, catalog)
 
-    write_json(tdir / "prerank_failures.json", all_failures)
+    outputs["prerank_failures.json"] = write_json(
+        tdir / "prerank_failures.json", all_failures)
     if all_failures:
         names = sorted({f["feature"] for f in all_failures})
         raise StageError(f"{len(all_failures)} scorer runs failed "
                          f"({', '.join(names[:5])}); completed columns are "
                          f"cached, re-run prerank to resume")
-    return {"target": target, "n_columns": len(plan)}
+    write_json(tdir / PRERANK_RECORD,
+               PrerankRecord(PRERANK_RECORD_VERSION, inputs, outputs))
+    return {**result, "up_to_date": False}
 
 
 # --------------------------------------------------------------------------

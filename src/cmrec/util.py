@@ -94,6 +94,9 @@ def _typed(tp, value, where: str):
                 return _typed(arg, value, where)
         return _typed(last, value, where)
     if origin is tuple and isinstance(value, (list, tuple)):
+        # a list of strings (an id list) takes no walk per item
+        if args[0] is str and all(type(v) is str for v in value):
+            return tuple(value)
         # list items are labelled by their "name", where they have one
         labels = [v.get("name", i) if isinstance(v, Mapping) else i
                   for i, v in enumerate(value)]
@@ -161,9 +164,10 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def atomic_write_bytes(path: Path | str, payload: bytes) -> None:
+def atomic_write_bytes(path: Path | str, payload: bytes) -> str:
     """Write via temp-then-rename so partially written files never appear;
-    a failed write or rename removes the temp file and re-raises."""
+    a failed write or rename removes the temp file and re-raises. Returns
+    the sha256 hex digest of the payload."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -173,11 +177,12 @@ def atomic_write_bytes(path: Path | str, payload: bytes) -> None:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
         raise
+    return hashlib.sha256(payload).hexdigest()
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
+def atomic_write_text(path: Path | str, text: str) -> str:
     """atomic_write_bytes of the text's UTF-8 encoding."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+    return atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_save_npy(path: Path | str, array: np.ndarray) -> None:
@@ -187,10 +192,20 @@ def atomic_save_npy(path: Path | str, array: np.ndarray) -> None:
     atomic_write_bytes(path, buf.getvalue())
 
 
-def write_json(path: Path | str, payload) -> None:
+def write_json(path: Path | str, payload) -> str:
     """The one layout of a workspace JSON file (two-space indent, sorted
-    keys, a final newline), written atomically."""
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    keys, a final newline), written atomically; returns its sha256. A
+    dataclass, in the payload or as it, is written as an object of its
+    fields."""
+    return atomic_write_text(path, json.dumps(
+        payload, indent=2, sort_keys=True, default=_fields) + "\n")
+
+
+def _fields(obj) -> dict:
+    # no copy of the field values, unlike dataclasses.asdict
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def read_json(path: Path | str, *keys: str):
@@ -210,6 +225,27 @@ def read_json(path: Path | str, *keys: str):
     return doc
 
 
+def read_artifact(cls, path: Path | str):
+    """The workspace JSON file at path as the frozen dataclass cls, built
+    by from_dict; a file that is missing or damaged (read_json), or whose
+    document does not fit cls, is a StageError naming it and the field."""
+    path = Path(path)
+    doc = read_json(path)
+    try:
+        return from_dict(cls, doc, path.name)
+    except ConfigError as exc:
+        raise StageError(f"workspace file {path} does not fit its schema: "
+                         f"{exc}; re-run the stage that writes it") from None
+
+
+def file_sha256(path: Path | str) -> str | None:
+    """sha256 hex digest of the file's bytes; None if it cannot be read."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError:
+        return None
+
+
 # Rows formatted per block in write_tsv. Its numpy and string temporaries
 # grow with the block: writing a 4,000 x 37 table in blocks of 1,024 rows
 # raised the peak RSS about 1 MB over a row-by-row writer, in blocks of
@@ -218,11 +254,11 @@ _WRITE_BLOCK_ROWS = 256
 
 
 def write_tsv(path: Path | str, header: Sequence[str],
-              keys: Sequence[Sequence[str]], values) -> None:
+              keys: Sequence[Sequence[str]], values) -> str:
     """A float table, written atomically: a header line, then per row of
     the 2-D values its key fields and fmt of each value, tab-joined. Each
     block of rows takes one repr per distinct float64 bit pattern, so
-    -0.0 and 0.0 keep their own text."""
+    -0.0 and 0.0 keep their own text. Returns the file's sha256."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     # the file is built from encoded blocks, so no list of every line and
     # no whole-file str exist next to its bytes
@@ -239,4 +275,4 @@ def write_tsv(path: Path | str, header: Sequence[str],
         cells[:, len(keys):] = text[which.reshape(bits.shape)]
         lines = map("\t".join, cells.tolist())
         blocks.append(("\n".join(lines) + "\n").encode("utf-8"))
-    atomic_write_bytes(path, b"".join(blocks))
+    return atomic_write_bytes(path, b"".join(blocks))

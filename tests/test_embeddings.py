@@ -647,6 +647,89 @@ class TestLightGcnTraining:
             emb.LightGcnParams(l2_reg=-1e-4)
 
 
+def train_lightgcn_oracle(dense_binary, params):
+    """train_lightgcn one batch at a time in dense form: the same draws in
+    the same order (init, per-epoch permutation, per-batch negatives, then
+    the node-dropout mask), the batch graph as a 0/1 matrix, propagation
+    through dense_propagation_oracle, the BPR gradient one triple at a
+    time, backpropagated through the same dense propagation (the
+    normalised adjacency is symmetric), then one Adam step. Returns the
+    propagated vectors and the per-epoch mean batch losses."""
+    n_users, n_items = dense_binary.shape
+    m = matrix_from_dense(dense_binary)
+    rng = np.random.default_rng(stage_seed(params.seed, "lightgcn"))
+    vecs = [rng.normal(0.0, 0.1, size=(n_users, params.dim)),
+            rng.normal(0.0, 0.1, size=(n_items, params.dim))]
+    edges = np.argwhere(dense_binary > 0)  # the matrix's row order
+    moments = [[np.zeros_like(v) for v in vecs] for _ in range(2)]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step, epoch_loss = 0, []
+    for _ in range(params.epochs):
+        order = rng.permutation(len(edges))
+        losses = []
+        for start in range(0, len(order), params.batch_size):
+            users, pos = edges[order[start:start + params.batch_size]].T
+            neg = sample_negatives_oracle(m, users, rng)
+            users, pos, neg = users[neg >= 0], pos[neg >= 0], neg[neg >= 0]
+            if len(users) == 0:
+                continue
+            graph = dense_binary > 0
+            if params.node_dropout > 0:
+                drop = rng.random(n_users + n_items) < params.node_dropout
+                graph = graph & ~drop[:n_users, None] & ~drop[None, n_users:]
+            graph = graph.astype(float)
+            f_u, f_i = dense_propagation_oracle(graph, *vecs, params.layers)
+            b = len(users)
+            d_fu, d_fi = np.zeros_like(f_u), np.zeros_like(f_i)
+            loss = 0.0
+            for u, p, n in zip(users, pos, neg):
+                margin = f_u[u] @ (f_i[p] - f_i[n])
+                loss += np.logaddexp(0.0, -margin) / b
+                coef = -sigmoid(-margin) / b
+                d_fu[u] += coef * (f_i[p] - f_i[n])
+                d_fi[p] += coef * f_u[u]
+                d_fi[n] -= coef * f_u[u]
+            grads = list(dense_propagation_oracle(graph, d_fu, d_fi,
+                                                  params.layers))
+            for k, idx in ((0, users), (1, pos), (1, neg)):
+                for row in idx:
+                    loss += params.l2_reg * (vecs[k][row] @ vecs[k][row]) / b
+                    grads[k][row] += 2.0 * params.l2_reg / b * vecs[k][row]
+            losses.append(loss)
+            step += 1
+            for k in range(2):
+                moments[0][k] = beta1 * moments[0][k] + (1 - beta1) * grads[k]
+                moments[1][k] = (beta2 * moments[1][k]
+                                 + (1 - beta2) * grads[k] ** 2)
+                m_hat = moments[0][k] / (1 - beta1 ** step)
+                v_hat = moments[1][k] / (1 - beta2 ** step)
+                vecs[k] = vecs[k] - params.learning_rate * m_hat / (
+                    np.sqrt(v_hat) + eps)
+        epoch_loss.append(float(np.mean(losses)))
+    return dense_propagation_oracle(dense_binary, *vecs, params.layers), epoch_loss
+
+
+class TestLightGcnMatchesBatchOracle:
+    """train_lightgcn against train_lightgcn_oracle; the one-batch cases
+    isolate one propagation, one gradient and one Adam step."""
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    @pytest.mark.parametrize("epochs, batch_size", [(1, 1024), (2, 7)])
+    def test_same_vectors_and_losses(self, dropout, epochs, batch_size):
+        rng = np.random.default_rng(4)
+        dense = (random_dense(rng, 12, 9, density=0.35) > 0).astype(float)
+        params = emb.LightGcnParams(layers=2, dim=4, node_dropout=dropout,
+                                    learning_rate=0.05, l2_reg=0.01,
+                                    epochs=epochs, batch_size=batch_size,
+                                    seed=3)
+        assert (batch_size >= dense.sum()) == (epochs == 1)
+        got = emb.train_lightgcn(matrix_from_dense(dense), params)
+        (want_u, want_i), want_loss = train_lightgcn_oracle(dense, params)
+        assert np.allclose(got.users, want_u, rtol=1e-9, atol=1e-12)
+        assert np.allclose(got.items, want_i, rtol=1e-9, atol=1e-12)
+        assert np.allclose(got.meta["epoch_loss"], want_loss, rtol=1e-12)
+
+
 class TestEmbeddingScore:
     def table(self):
         """User 0; item 0, item 1 (a zero vector) and item 2 (absent)."""

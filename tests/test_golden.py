@@ -2,8 +2,9 @@
 with the sha256 of the snapshot arrays, the encoders, the feature tables
 and their catalogs, the correlation tables, the selection reports, the
 kept columns, the models, the out-of-fold scores, the training metrics,
-the ranked test runs, the evaluations and the final report pinned. Any
-change to the numerics or to a file format shows up here."""
+the ranked test runs, the evaluations, the final report and the prerank
+records pinned. Any change to the numerics or to a file format shows up
+here."""
 
 import hashlib
 
@@ -79,6 +80,10 @@ GOLDEN = {
         "bea5ce1d49cd28e1acc64e74476e2e64ca8b132a3f3d7fc4cc6adbf8a2d5a4d9",
     "final.json":
         "124bc90f8147b01bfb2776ce39d631f35a2952cb257e16f06a2796c46d3d0ac4",
+    "t1/prerank.inputs.json":
+        "8ab2bc08890f9787bfd8edd26a7c98ed458911480d58be19b59ce866ee1f7720",
+    "t2/prerank.inputs.json":
+        "1dd130ee4c00cb46ed40ea02dc785b7b5ed0d357c94f4869364d1ee3cdf49700",
 }
 
 

@@ -828,6 +828,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert str(path) in err and repr(key) in err
 
+    @pytest.mark.parametrize("damaged, field, value", [
+        ("snapshot/meta.json", "markets", 5),
+        ("snapshot/meta.json", "splits", ["train", 1]),
+        ("snapshot/meta.json", "targets", None),
+        ("snapshot/encoders.json", "users", "u1"),
+        ("snapshot/encoders.json", "items", [3]),
+    ])
+    def test_workspace_json_with_a_mistyped_field_exits_3_naming_it(
+            self, world, tmp_path, capsys, damaged, field, value):
+        work, config = copied_workspace(world, tmp_path)
+        path = work / damaged
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**doc, field: value}), encoding="utf-8")
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config.to_dict()))
+        assert cli.main(["prerank", "--config", str(config_file),
+                         "--target", "t1"]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and f".{field}" in err
+
+    def test_meta_json_keeps_its_bytes(self, world):
+        # the golden test pins encoders.json; meta.json has these bytes
+        assert (world["ws"].snapshot_dir / "meta.json").read_text() == (
+            json.dumps({"markets": ["s1", "t1", "t2"],
+                        "splits": list(pipeline.data.SPLITS),
+                        "targets": ["t1", "t2"]}, indent=2, sort_keys=True)
+            + "\n")
+
     def test_synth_command_writes_a_dataset(self, tmp_path, capsys):
         payload = {"n_items": 120, "dim": 3, "eval_users": 4,
                    "n_candidates": 20,
