@@ -7,8 +7,9 @@ ratings 1-5); the run file holds 100 users with 40 candidates each, ten of
 them users without any interaction (cold). Each scorer (item_cf, user_cf,
 swing, llr, bigraph, default parameters) runs as a one-spec plan over the
 union of both markets with no column cache: "cold" times a plan on a fresh
-PlanContext, so it fits the model and scores the run; "warm" times a second
-plan on the same context, which reuses the fitted model and only scores.
+PlanContext, so it fits the model for the run's users or candidates only
+(the rows the scoring reads) and scores the run; "warm" times a second plan
+on the same context, which reuses the fitted model and only scores.
 
 Prints the median of each over --repeats calls, the median of the
 per-repeat differences cold minus warm (the fit alone), the tracemalloc

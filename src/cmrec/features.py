@@ -26,15 +26,19 @@ from .util import (ConfigError, DataError, atomic_save_npy, from_dict,
 class Scorer:
     """One pre-ranking scorer.
 
-    fit(matrix, params) -> model is called once per (params, combination),
-    with params an instance of the scorer's params class;
+    fit(matrix, params, users, items) -> model is called once per (params,
+    combination), with params an instance of the scorer's params class and
+    users and items the ascending encoded ids of every user and candidate
+    the model will score; a memory-based fit computes the neighbor lists
+    of those entities only, the other fits ignore them.
     score(model, matrix, user_ids, item_ids) -> (values, missing) is called
     once per run and scores every (user, candidate) pair of it at once,
     from the aligned encoded ids of the pairs in run order, user id -1
     being a user the encoders do not know; missing is one flag per pair.
     """
 
-    fit: Callable[[SparseInteractionMatrix, object], object]
+    fit: Callable[[SparseInteractionMatrix, object, np.ndarray, np.ndarray],
+                  object]
     score: Callable[[object, SparseInteractionMatrix, np.ndarray, np.ndarray],
                     tuple[np.ndarray, np.ndarray]]
     params: type
@@ -115,13 +119,13 @@ def _item_based(table, m, users, items):
 
 # Embedding models are (table, metric) pairs: the metric is a param too.
 
-def _fit_word2vec(m: SparseInteractionMatrix, p: Word2VecParams):
+def _fit_word2vec(m: SparseInteractionMatrix, p: Word2VecParams, users, items):
     corpus = emb.user_history_sequences(m, p.shuffles, p.seed)
     trained = emb.train_skipgram(corpus, p, m.n_items)
     return emb.derive_user_vectors(m, *trained), p.metric
 
 
-def _fit_node2vec(m: SparseInteractionMatrix, p: Node2VecParams):
+def _fit_node2vec(m: SparseInteractionMatrix, p: Node2VecParams, users, items):
     # walk tokens are users, then items offset by n_users
     vectors, present, meta = emb.train_skipgram(
         emb.generate_walks(m, p), p, m.n_users + m.n_items)
@@ -131,7 +135,8 @@ def _fit_node2vec(m: SparseInteractionMatrix, p: Node2VecParams):
     return table, p.metric
 
 
-def _fit_lightgcn(m: SparseInteractionMatrix, p: LightGcnScorerParams):
+def _fit_lightgcn(m: SparseInteractionMatrix, p: LightGcnScorerParams, users,
+                  items):
     return emb.train_lightgcn(m.binarized(), p), p.metric
 
 
@@ -142,21 +147,26 @@ def _embedding_based(model, m, users, items):
 
 # The one list of scorers: adding a scorer means adding one entry here.
 SCORERS: dict[str, Scorer] = {
-    "item_cf": Scorer(lambda m, p: mcf.item_cosine_similarity(m, p.top_k),
-                      _item_based, TopKParams),
+    "item_cf": Scorer(
+        lambda m, p, users, items: mcf.item_cosine_similarity(
+            m, p.top_k, rows=items),
+        _item_based, TopKParams),
     "user_cf": Scorer(
-        lambda m, p: mcf.user_cosine_similarity(m, p.top_k),
+        lambda m, p, users, items: mcf.user_cosine_similarity(
+            m, p.top_k, rows=users),
         lambda table, m, users, items: mcf.score_candidates_user_based(
             table, m, users, items), TopKParams),
     "swing": Scorer(
-        lambda m, p: mcf.swing_similarity(
+        lambda m, p, users, items: mcf.swing_similarity(
             m.binarized(), alpha=p.alpha, k=p.top_k,
-            max_users_per_item=p.max_users_per_item),
+            max_users_per_item=p.max_users_per_item, rows=items),
         _item_based, SwingParams),
-    "llr": Scorer(lambda m, p: mcf.llr_item_similarity(m.binarized(), p.top_k),
-                  _item_based, TopKParams),
+    "llr": Scorer(
+        lambda m, p, users, items: mcf.llr_item_similarity(
+            m.binarized(), p.top_k, rows=items),
+        _item_based, TopKParams),
     "bigraph": Scorer(
-        lambda m, p: p.retain_seed,
+        lambda m, p, users, items: p.retain_seed,
         lambda retain, m, users, items: mcf.score_candidates_bigraph(
             m, users, items, retain_seed=retain), BiGraphParams),
     "word2vec": Scorer(_fit_word2vec, _embedding_based, Word2VecParams),
@@ -386,7 +396,10 @@ class PlanContext:
 
     A prerank's in-memory cache: matrices per combination and model_cache
     the fitted tables per (scorer, params, combination), so that scoring a
-    second run file neither rebuilds nor retrains anything."""
+    second run file neither rebuilds nor retrains anything. fit_ids holds
+    the ascending encoded ids of every user and of every candidate the
+    fitted models will score, known_ids of the runs; left None, each fit
+    covers the run being scored."""
 
     rows: Interactions
     users: IdEncoder
@@ -394,6 +407,8 @@ class PlanContext:
     cache_dir: Path | None = None
     matrices: dict = field(default_factory=dict, compare=False)
     model_cache: dict = field(default_factory=dict, compare=False)
+    fit_ids: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                          compare=False)
 
     def matrix(self, combination: CombinationSpec) -> SparseInteractionMatrix:
         """combination_matrix, built once per combination."""
@@ -410,6 +425,14 @@ def encode_run(run: RunFile, users: IdEncoder, items: IdEncoder
             items.lookup(run.candidates))
 
 
+def known_ids(*runs: tuple[np.ndarray, np.ndarray]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending known user and item ids over the (user ids, item ids)
+    of the encoded runs: every entity the runs can ask a model about."""
+    users, items = (np.unique(np.concatenate(ids)) for ids in zip(*runs))
+    return users[users >= 0], items[items >= 0]
+
+
 def combination_matrix(ctx: PlanContext,
                        combination: CombinationSpec) -> SparseInteractionMatrix:
     """Training matrix for one market combination: training splits plus
@@ -420,14 +443,22 @@ def combination_matrix(ctx: PlanContext,
     return build_matrix(rows, combination, len(ctx.users), len(ctx.items))
 
 
-def cache_key(ctx: PlanContext, run: RunFile) -> str:
-    """Digest of all a cached column depends on besides its spec: the rows,
-    both encoders and the run. A changed input gives a new file name."""
+def rows_digest(rows: Interactions) -> blake2b:
+    """The blake2b state of cache_key after the rows: hashed once, it can
+    be copied for every run over the same rows."""
     digest = blake2b(digest_size=16)
-    rows = ctx.rows
     for arr in (rows.user, rows.item, rows.rating, rows.market, rows.split):
         digest.update(f"{arr.dtype.str}{arr.shape}".encode())
         digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest
+
+
+def cache_key(ctx: PlanContext, run: RunFile,
+              prefix: blake2b | None = None) -> str:
+    """Digest of all a cached column depends on besides its spec: the rows,
+    both encoders and the run. A changed input gives a new file name.
+    prefix is rows_digest(ctx.rows), when the caller has it."""
+    digest = (rows_digest(ctx.rows) if prefix is None else prefix).copy()
     entries = list(map(list, zip(run.users.tolist(), run.candidate_lists())))
     digest.update(json.dumps([ctx.users.ids.tolist(), ctx.items.ids.tolist(),
                               entries]).encode())
@@ -466,7 +497,9 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
     columns are cached in ctx.cache_dir as <feature>.<digest>.npy, the
     digest being key (cache_key(ctx, run) when not given), and read back
     on re-run; writing one removes that column's files under other
-    digests. A failing scorer is recorded and the plan continues."""
+    digests. Models are fitted for ctx's fit ids, or for this run's ids
+    when ctx has none. A failing scorer is recorded and the plan
+    continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
@@ -516,14 +549,17 @@ def _score_run(spec: ScorerSpec, ctx: PlanContext, user_ids: np.ndarray,
                item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, missing) of one spec over the encoded run pairs, in one
     score call, fitting its model on its params, checked against the
-    scorer's params class, unless ctx.model_cache holds it."""
+    scorer's params class, and ctx's fit ids (the run's when ctx has
+    none), unless ctx.model_cache holds it."""
     matrix = ctx.matrix(spec.combination)
     scorer = SCORERS[spec.scorer]
     params = dict(spec.params)
     key = (spec.scorer, params_hash(params), spec.combination.combo_id)
     if key not in ctx.model_cache:
+        ids = (known_ids((user_ids, item_ids)) if ctx.fit_ids is None
+               else ctx.fit_ids)
         ctx.model_cache[key] = scorer.fit(matrix, from_dict(
-            scorer.params, params, f"scorer {spec.scorer!r} params"))
+            scorer.params, params, f"scorer {spec.scorer!r} params"), *ids)
     return scorer.score(ctx.model_cache[key], matrix, user_ids, item_ids)
 
 

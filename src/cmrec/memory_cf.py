@@ -6,15 +6,20 @@ form: flat `ids` and `sims` arrays with entity a's list at
 `ptr[a]:ptr[a + 1]`, sorted by similarity descending with ties broken by
 ascending id. Every fit writes its lists through one top-k writer.
 
-The cosine and LLR fits compute co-occurrences as dense BLAS products of
-blocks of active rows (entities with an interaction) against all of
-them; Swing keeps one small product per item. With whole-number ratings
-every product and partial sum is an integer far below 2^53, so the sums
-are exact in any order and equal those of a sequential loop bit for bit;
-LLR and Swing see incidences only. Fractional ratings may change the
-last bits of a cosine. The scoring kernels score a whole run of (user,
-candidate) pairs per call. Fits and kernels work in blocks that bound
-their scratch memory. All scorers are deterministic.
+A fit given `rows` (ascending entity ids) writes the lists of those
+entities only, every other list staying empty; a list depends on its own
+row of co-occurrences alone, so each list it writes equals that of the
+full table. The scoring kernels refuse to read a list that was not
+fitted. The cosine and LLR fits compute co-occurrences as dense BLAS
+products of blocks of the active rows (entities with an interaction)
+they fit against all active entities; Swing keeps one small product per
+item. With whole-number ratings every product and partial sum is an
+integer far below 2^53, so the sums are exact in any order and blocking
+and equal those of a sequential loop bit for bit; LLR and Swing see
+incidences only. Fractional ratings may change the last bits of a
+cosine. The scoring kernels score a whole run of (user, candidate) pairs
+per call. Fits and kernels work in blocks that bound their scratch
+memory. All scorers are deterministic.
 """
 
 from __future__ import annotations
@@ -41,13 +46,24 @@ _BIGRAPH_BLOCK = 8
 class SimTable:
     """Top-K neighbor lists in CSR form: entity a's neighbors are
     ids[ptr[a]:ptr[a + 1]], similarity descending, ties by ascending id,
-    with their similarities at the same positions of sims."""
+    with their similarities at the same positions of sims.
+
+    fitted holds the ascending ids of the entities whose lists were
+    computed, None for all of them; any other entity's list is empty
+    because it was never computed, and scoring refuses to read it."""
 
     n: int
     k: int
     ptr: np.ndarray
     ids: np.ndarray
     sims: np.ndarray
+    fitted: np.ndarray | None = None
+
+    def unfitted(self, entities: np.ndarray) -> np.ndarray:
+        """Per entity: its list was not computed."""
+        if self.fitted is None:
+            return np.zeros(len(entities), dtype=bool)
+        return ~np.isin(entities, self.fitted)
 
     def dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -56,20 +72,34 @@ class SimTable:
         return out
 
 
-def _table_buffers(n: int, k: int):
+def _fit_rows(n: int, rows) -> np.ndarray | None:
+    """rows as ascending unique int64 entity ids below n (None stays
+    None: every entity)."""
+    if rows is None:
+        return None
+    rows = np.unique(np.asarray(rows, dtype=np.int64))
+    if len(rows) and (rows[0] < 0 or rows[-1] >= n):
+        raise ValueError(f"rows must be entity ids in [0, {n})")
+    return rows
+
+
+def _table_buffers(n: int, k: int, n_rows: int | None = None):
     """(ptr, ids, sims) with room for every list that _write_top_k can
-    write: at most n - 1 nonzero scores per entity, cut by [:k]."""
+    write for n_rows entities (default n): at most n - 1 nonzero scores
+    per entity, cut by [:k]."""
     width = len(range(n - 1)[:k])
-    return (np.zeros(n + 1, dtype=np.int64), np.empty(n * width, dtype=np.int64),
-            np.empty(n * width))
+    size = (n if n_rows is None else n_rows) * width
+    return (np.zeros(n + 1, dtype=np.int64), np.empty(size, dtype=np.int64),
+            np.empty(size))
 
 
-def _table(n: int, k: int, ptr, ids, sims) -> SimTable:
+def _table(n: int, k: int, ptr, ids, sims,
+           fitted: np.ndarray | None = None) -> SimTable:
     # Shrink the buffers in place: a trimmed copy would hold the table
     # twice. Nothing else refers to them.
     ids.resize(ptr[-1], refcheck=False)
     sims.resize(ptr[-1], refcheck=False)
-    return SimTable(n, k, ptr, ids, sims)
+    return SimTable(n, k, ptr, ids, sims, fitted)
 
 
 def _write_top_k(entities: np.ndarray, cols: np.ndarray, vals: np.ndarray,
@@ -117,21 +147,24 @@ def _dense_rows(ptr: np.ndarray, adj: np.ndarray, val: np.ndarray | None,
 
 
 def _cooccurrence_blocks(ptr: np.ndarray, adj: np.ndarray,
-                         val: np.ndarray | None, n_co: int):
+                         val: np.ndarray | None, n_co: int,
+                         fit: np.ndarray | None = None):
     """Yield (rows, cols, acc) over blocks of the active entities (those
-    with a nonempty CSR row): acc[r, c] is the dot product of the rows of
-    entities rows[r] and cols[c] over the n_co co-entities, with the
-    diagonal zeroed; cols is every active entity.
+    with a nonempty CSR row) in fit (default: all of them): acc[r, c] is
+    the dot product of the rows of entities rows[r] and cols[c] over the
+    n_co co-entities, with the diagonal zeroed; cols is every active
+    entity.
 
     acc, the dense rows of the block and those of each block of columns
     hold at most _FIT_BLOCK cells each (or one row).
     """
     active = np.flatnonzero(np.diff(ptr))
+    fit = active if fit is None else fit[np.isin(fit, active)]
     n = len(active)
     row_block = max(1, _FIT_BLOCK // max(1, n, n_co))
     col_block = max(1, _FIT_BLOCK // max(1, n_co))
-    for r0 in range(0, n, row_block):
-        rows = active[r0:r0 + row_block]
+    for r0 in range(0, len(fit), row_block):
+        rows = fit[r0:r0 + row_block]
         left = _dense_rows(ptr, adj, val, rows, n_co)
         acc = np.empty((len(rows), n))
         for c0 in range(0, n, col_block):
@@ -139,14 +172,14 @@ def _cooccurrence_blocks(ptr: np.ndarray, adj: np.ndarray,
             np.matmul(left, right.T, out=acc[:, c0:c0 + col_block])
             del right
         del left
-        local = np.arange(len(rows))
-        acc[local, r0 + local] = 0.0
+        acc[np.arange(len(rows)), np.searchsorted(active, rows)] = 0.0
         yield rows, active, acc
         del acc
 
 
 def _cosine_table(n_primary: int, primary_ptr, primary_adj, primary_val,
-                  n_co: int, secondary_adj, secondary_val, k: int) -> SimTable:
+                  n_co: int, secondary_adj, secondary_val, k: int,
+                  rows) -> SimTable:
     # sim(a, b) = sum over shared co-entities of r_a * r_b, over norms.
     sq = np.zeros(n_primary)
     np.add.at(sq, secondary_adj, secondary_val ** 2)
@@ -154,34 +187,39 @@ def _cosine_table(n_primary: int, primary_ptr, primary_adj, primary_val,
     # stays zero over any positive norm, so zero norms may read 1.
     norms = np.sqrt(sq)
     norms[norms == 0] = 1.0
-    buffers = _table_buffers(n_primary, k)
-    for rows, cols, acc in _cooccurrence_blocks(primary_ptr, primary_adj,
-                                                primary_val, n_co):
-        acc /= norms[rows, None] * norms[cols]
-        _write_top_k(rows, cols, acc, k, *buffers)
+    fit = _fit_rows(n_primary, rows)
+    buffers = _table_buffers(n_primary, k, None if fit is None else len(fit))
+    for block, cols, acc in _cooccurrence_blocks(primary_ptr, primary_adj,
+                                                 primary_val, n_co, fit):
+        acc /= norms[block, None] * norms[cols]
+        _write_top_k(block, cols, acc, k, *buffers)
         del acc
-    return _table(n_primary, k, *buffers)
+    return _table(n_primary, k, *buffers, fit)
 
 
 def item_cosine_similarity(m: SparseInteractionMatrix,
-                           k: int = DEFAULT_TOP_K) -> SimTable:
-    """Item-item cosine over the rating columns, restricted to shared users."""
+                           k: int = DEFAULT_TOP_K, rows=None) -> SimTable:
+    """Item-item cosine over the rating columns, restricted to shared
+    users; the lists of the items in rows only, unless rows is None."""
     return _cosine_table(m.n_items, m.item_ptr, m.item_users, m.item_ratings,
-                         m.n_users, m.user_items, m.user_ratings, k)
+                         m.n_users, m.user_items, m.user_ratings, k, rows)
 
 
 def user_cosine_similarity(m: SparseInteractionMatrix,
-                           k: int = DEFAULT_TOP_K) -> SimTable:
-    """User-user cosine over the rating rows, restricted to shared items."""
+                           k: int = DEFAULT_TOP_K, rows=None) -> SimTable:
+    """User-user cosine over the rating rows, restricted to shared items;
+    the lists of the users in rows only, unless rows is None."""
     return _cosine_table(m.n_users, m.user_ptr, m.user_items, m.user_ratings,
-                         m.n_items, m.item_users, m.item_ratings, k)
+                         m.n_items, m.item_users, m.item_ratings, k, rows)
 
 
 def swing_similarity(m: SparseInteractionMatrix, alpha: float = 1.0,
                      k: int = DEFAULT_TOP_K,
-                     max_users_per_item: int = DEFAULT_SWING_MAX_USERS) -> SimTable:
+                     max_users_per_item: int = DEFAULT_SWING_MAX_USERS,
+                     rows=None) -> SimTable:
     """sim(i, j) = sum over user pairs u < v co-interacting with both items
-    of 1 / (alpha + |I_u intersect I_v|).
+    of 1 / (alpha + |I_u intersect I_v|); the lists of the items in rows
+    only, unless rows is None.
 
     Ratings are ignored (set semantics). Per-item user lists are capped at
     max_users_per_item, taken in ascending user id order, to bound the
@@ -189,11 +227,14 @@ def swing_similarity(m: SparseInteractionMatrix, alpha: float = 1.0,
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    buffers = _table_buffers(m.n_items, k)
+    fit = _fit_rows(m.n_items, rows)
+    items = np.arange(m.n_items) if fit is None else fit
+    buffers = _table_buffers(m.n_items, k, len(items))
     row_block = max(1, _FIT_BLOCK // max(1, m.n_items))
-    for i0 in range(0, m.n_items, row_block):
-        block = np.zeros((min(row_block, m.n_items - i0), m.n_items))
-        for i in range(i0, i0 + len(block)):
+    for i0 in range(0, len(items), row_block):
+        block_items = items[i0:i0 + row_block]
+        block = np.zeros((len(block_items), m.n_items))
+        for r, i in enumerate(block_items.tolist()):
             users_i = m.col(i)[0][:max_users_per_item]
             if len(users_i) < 2:
                 continue
@@ -208,10 +249,9 @@ def swing_similarity(m: SparseInteractionMatrix, alpha: float = 1.0,
             c *= 0.5
             c[i] = 0.0
             c[np.abs(c) < 1e-15] = 0.0
-            block[i - i0] = c
-        _write_top_k(np.arange(i0, i0 + len(block)), np.arange(m.n_items),
-                     block, k, *buffers)
-    return _table(m.n_items, k, *buffers)
+            block[r] = c
+        _write_top_k(block_items, np.arange(m.n_items), block, k, *buffers)
+    return _table(m.n_items, k, *buffers, fit)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -255,26 +295,28 @@ def llr(k11: float, k12: float, k21: float, k22: float) -> float:
 
 
 def llr_item_similarity(m: SparseInteractionMatrix,
-                        k: int = DEFAULT_TOP_K) -> SimTable:
-    """LLR similarity over item pairs with at least one co-occurring user.
+                        k: int = DEFAULT_TOP_K, rows=None) -> SimTable:
+    """LLR similarity over item pairs with at least one co-occurring user;
+    the lists of the items in rows only, unless rows is None.
 
     For pair (i, j): k11 co-users, k12 users of i only, k21 users of j
     only, k22 the remainder of the user universe. Ratings are ignored.
     """
     deg = m.item_degrees().astype(np.float64)
     n_users = float(m.n_users)
-    buffers = _table_buffers(m.n_items, k)
-    for rows, cols, co in _cooccurrence_blocks(m.item_ptr, m.item_users,
-                                               None, m.n_users):
+    fit = _fit_rows(m.n_items, rows)
+    buffers = _table_buffers(m.n_items, k, None if fit is None else len(fit))
+    for block, cols, co in _cooccurrence_blocks(m.item_ptr, m.item_users,
+                                                None, m.n_users, fit):
         r, c = np.nonzero(co)
         k11 = co[r, c]
-        k12 = deg[rows[r]] - k11
+        k12 = deg[block[r]] - k11
         k21 = deg[cols[c]] - k11
         k22 = n_users - k11 - k12 - k21
         co[r, c] = llr_many(k11, k12, k21, k22)
-        _write_top_k(rows, cols, co, k, *buffers)
+        _write_top_k(block, cols, co, k, *buffers)
         del co
-    return _table(m.n_items, k, *buffers)
+    return _table(m.n_items, k, *buffers, fit)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -332,7 +374,13 @@ def _neighbor_sums(table: SimTable, rows: np.ndarray, keys: np.ndarray,
     Pairs are sorted by key and cut into blocks of about _SCORE_BLOCK
     expanded entries plus position-table cells; each block looks its
     neighbors up in one dense (block keys x table.n) position table.
+    An entity whose list the table did not fit is a ValueError naming
+    the first such one.
     """
+    unfitted = table.unfitted(rows)
+    if unfitted.any():
+        raise ValueError(f"entity {int(rows[np.argmax(unfitted)])} has no "
+                         f"fitted neighbor list")
     out = np.zeros(len(rows))
     counts = table.ptr[rows + 1] - table.ptr[rows]
     live = np.flatnonzero(counts > 0)

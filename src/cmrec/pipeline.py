@@ -343,19 +343,26 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     plan = make_plan(config, target, snap.markets)
     tdir = ws.target_dir(target)
     tdir.mkdir(exist_ok=True)
-    matrices, models = {}, {}  # shared by both runs
-    ctxs = {which: features.PlanContext(
-        snap.rows, snap.users, snap.items, cache_dir=tdir / "cache" / which,
-        matrices=matrices, model_cache=models) for which in data.RUN_FILES}
     runs = {which: data.load_run(ws.run_path(target, which))
             for which in data.RUN_FILES}
-    keys = {which: features.cache_key(ctxs[which], runs[which])
-            for which in data.RUN_FILES}
+    snap_ctx = features.PlanContext(snap.rows, snap.users, snap.items)
+    prefix = features.rows_digest(snap.rows)
+    keys = {which: features.cache_key(snap_ctx, run, prefix)
+            for which, run in runs.items()}
     inputs = _prerank_inputs(config, plan, keys)
     result = {"target": target, "n_columns": len(plan)}
     if _prerank_current(tdir, inputs):
         return {**result, "up_to_date": True}
-    (tdir / PRERANK_RECORD).unlink(missing_ok=True)
+    # correlation.tsv goes too: a rebuild with no scorer column writes none
+    for name in (PRERANK_RECORD, "correlation.tsv"):
+        (tdir / name).unlink(missing_ok=True)
+
+    # both runs share the matrices and the models, fitted for every id
+    # either run holds
+    ids = {which: features.encode_run(run, snap.users, snap.items)
+           for which, run in runs.items()}
+    matrices, models = {}, {}
+    fit = features.known_ids(*ids.values())
 
     external = None
     if config.prerank.external_embeddings:
@@ -363,9 +370,11 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
         external = emb.read_embedding_tsv(config.prerank.external_embeddings)
     all_failures: list[dict] = []
     outputs: dict[str, str] = {}
-    for which, ctx in ctxs.items():
-        run = runs[which]
-        user_ids, item_ids = features.encode_run(run, snap.users, snap.items)
+    for which, run in runs.items():
+        ctx = dataclasses.replace(snap_ctx, cache_dir=tdir / "cache" / which,
+                                  matrices=matrices, model_cache=models,
+                                  fit_ids=fit)
+        user_ids, item_ids = ids[which]
         table, failures = features.run_plan(plan, ctx, run, user_ids,
                                             item_ids, key=keys[which])
         all_failures.extend(dict(f, run=which) for f in failures)

@@ -236,6 +236,34 @@ class TestRunPlan:
         assert failures[0]["feature"] == bad.feature_name
         assert "alpha" in failures[0]["error"]
 
+    def test_fit_ids_that_miss_a_run_user_fail_the_scorer(self):
+        ctx = tiny_context()
+        user_ids, item_ids = features.encode_run(RUN, ctx.users, ctx.items)
+        a = lookup(ctx.users, "a")
+        users, items = features.known_ids((user_ids, item_ids))
+        ctx = dataclasses.replace(ctx, fit_ids=(users[users != a], items))
+        good, bad = spec_for(), spec_for("user_cf")
+        table, failures = plan_run([good, bad], ctx, RUN)
+        assert good.feature_name in table.columns
+        assert bad.feature_name not in table.columns
+        assert failures == [{"feature": bad.feature_name, "error":
+                             f"ValueError: entity {a} has no fitted "
+                             f"neighbor list"}]
+
+    def test_fresh_context_fits_the_ids_of_its_run(self, monkeypatch):
+        seen = []
+        real = memory_cf.item_cosine_similarity
+
+        def spy(*args, rows=None, **kwargs):
+            seen.append(rows)
+            return real(*args, rows=rows, **kwargs)
+
+        monkeypatch.setattr(memory_cf, "item_cosine_similarity", spy)
+        ctx = tiny_context()
+        plan_run([spec_for()], ctx, RUN)
+        [rows] = seen
+        assert ctx.items.ids[rows].tolist() == sorted(set(RUN.candidates))
+
     def test_one_with_columns_call_per_table(self, monkeypatch):
         specs = [spec_for(), spec_for("swing"), spec_for("llr"),
                  spec_for(markets=("t1",))]

@@ -4,13 +4,16 @@ and their catalogs, the correlation tables, the selection reports, the
 kept columns, the models, the out-of-fold scores, the training metrics,
 the ranked test runs, the evaluations, the final report and the prerank
 records pinned. Any change to the numerics or to a file format shows up
-here."""
+here. The same config also checks that prerank fits each memory-based
+table once, on the ids of both runs."""
 
 import hashlib
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from cmrec import pipeline
+from cmrec import data, memory_cf, pipeline
 from cmrec.config import PipelineConfig
 from cmrec.synth import MarketSpec, SynthConfig, generate
 
@@ -122,16 +125,20 @@ def golden_config(data_dir, workspace) -> PipelineConfig:
     })
 
 
-@pytest.fixture(scope="module")
-def golden_workspace(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def golden_data(root):
     generate(SynthConfig(
         out_dir=str(root / "data"), seed=17, n_items=120, dim=4,
         markets={"s1": MarketSpec(60, 10, 0.9), "s2": MarketSpec(40, 8, 0.8),
                  "s3": MarketSpec(30, 8, 0.7), "t1": MarketSpec(30, 6, 0.8),
                  "t2": MarketSpec(30, 6, 0.8)},
         eval_users=15, n_candidates=25))
-    config = golden_config(root / "data", root / "work")
+    return root / "data"
+
+
+@pytest.fixture(scope="module")
+def golden_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    config = golden_config(golden_data(root), root / "work")
     pipeline.run_ingest(config)
     for target in config.targets:
         pipeline.run_prerank(config, target)
@@ -146,3 +153,40 @@ def test_every_stage_writes_the_pinned_files(golden_workspace, assert_digests):
     got = [hashlib.sha256((golden_workspace / name).read_bytes()).hexdigest()
            for name in GOLDEN]
     assert_digests(dict(zip(GOLDEN, got)), GOLDEN)
+
+
+MEMORY_FITS = {"item_cosine_similarity": "items",
+               "user_cosine_similarity": "users",
+               "swing_similarity": "items", "llr_item_similarity": "items"}
+
+
+def test_prerank_fits_each_memory_table_once_on_both_runs_ids(tmp_path,
+                                                            monkeypatch):
+    config = golden_config(golden_data(tmp_path), tmp_path / "work")
+    pipeline.run_ingest(config)
+    calls = []
+    for name in MEMORY_FITS:
+        def spy(*args, real=getattr(memory_cf, name), name=name, rows=None,
+                **kwargs):
+            calls.append((name, rows))
+            return real(*args, rows=rows, **kwargs)
+        monkeypatch.setattr(memory_cf, name, spy)
+    ws = pipeline.workspace_for(config)
+    snap = pipeline.load_snapshot(ws)
+    for target in config.targets:
+        calls.clear()
+        pipeline.run_prerank(config, target)
+        runs = [data.load_run(ws.run_path(target, which))
+                for which in data.RUN_FILES]
+        ids = {"users": snap.users.lookup(
+                   np.concatenate([r.users for r in runs])),
+               "items": snap.items.lookup(
+                   np.concatenate([r.candidates for r in runs]))}
+        # one fit per (scorer, params, combination) of the plan's memory
+        # specs: item_cf has two combinations
+        assert Counter(name for name, _ in calls) == {
+            "item_cosine_similarity": 2, "user_cosine_similarity": 1,
+            "swing_similarity": 1, "llr_item_similarity": 1}
+        for name, rows in calls:
+            want = np.unique(ids[MEMORY_FITS[name]])
+            assert np.array_equal(rows, want[want >= 0])

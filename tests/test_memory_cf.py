@@ -9,6 +9,7 @@ bit.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -849,3 +850,110 @@ class TestRelabelingInvariance:
         a = mcf.swing_similarity(m1, alpha=1.0, k=7, max_users_per_item=999)
         b = mcf.swing_similarity(m2, alpha=1.0, k=7, max_users_per_item=999)
         assert np.allclose(a.dense(), b.dense(), atol=1e-12)
+
+
+SUBSET_FITS = {
+    "item_cf": lambda m, k, rows: mcf.item_cosine_similarity(m, k, rows=rows),
+    "user_cf": lambda m, k, rows: mcf.user_cosine_similarity(m, k, rows=rows),
+    "swing": lambda m, k, rows: mcf.swing_similarity(m.binarized(), 0.7, k, 6,
+                                                     rows=rows),
+    "llr": lambda m, k, rows: mcf.llr_item_similarity(m.binarized(), k,
+                                                      rows=rows),
+}
+
+
+def fitted_ptr(m, fit):
+    """The CSR pointer of the entities a fit makes lists for."""
+    return m.user_ptr if fit == "user_cf" else m.item_ptr
+
+
+class TestSubsetFits:
+    """A fit given rows writes exactly the lists of the full table for
+    those entities and none for the others."""
+
+    @pytest.mark.parametrize("fit", sorted(SUBSET_FITS))
+    @given(seed=st.integers(0, 2 ** 31 - 1),
+           k=st.sampled_from([1, 3, 10, 200]),
+           block=st.sampled_from([None, 1, 7, 1 << 40]),
+           choice=st.sampled_from(["random", "empty", "inactive", "all"]),
+           picks=st.sets(st.integers(0, 13)))
+    @settings(max_examples=40)
+    def test_lists_of_rows_equal_the_full_table_bit_for_bit(
+            self, fit, seed, k, block, choice, picks):
+        # scoring_case has inactive users and items: 0 and 1 among them
+        m, _, _ = scoring_case(seed)
+        ptr = fitted_ptr(m, fit)
+        n = len(ptr) - 1
+        rows = {"random": sorted(p for p in picks if p < n), "empty": [],
+                "inactive": np.flatnonzero(np.diff(ptr) == 0),
+                "all": range(n)}[choice]
+        rows = np.asarray(rows, dtype=np.int64)
+        with mock.patch.object(mcf, "_FIT_BLOCK",
+                               mcf._FIT_BLOCK if block is None else block):
+            full = SUBSET_FITS[fit](m, k, None)
+            got = SUBSET_FITS[fit](m, k, rows)
+        assert (got.n, got.k) == (full.n, full.k)
+        assert full.fitted is None and np.array_equal(got.fitted, rows)
+        assert got.unfitted(np.arange(n)).tolist() == [
+            e not in rows for e in range(n)]
+        for e in range(n):
+            ids, sims = neighbors(got, e)
+            if e in rows:
+                want_ids, want_sims = neighbors(full, e)
+                assert np.array_equal(ids, want_ids)
+                assert np.array_equal(bits(sims), bits(want_sims))
+            else:
+                assert len(ids) == 0
+
+    @pytest.mark.parametrize("fit", sorted(SUBSET_FITS))
+    def test_rows_are_sorted_and_checked(self, fit):
+        m, _, _ = scoring_case(3)
+        assert np.array_equal(SUBSET_FITS[fit](m, 5, [6, 3, 6]).fitted, [3, 6])
+        n = len(fitted_ptr(m, fit)) - 1
+        for bad in ([-1], [n]):
+            with pytest.raises(ValueError, match="rows must be entity ids"):
+                SUBSET_FITS[fit](m, 5, bad)
+
+
+class TestUnfittedGuard:
+    """Scoring never reads a list the table did not fit as an empty one."""
+
+    def warm(self, m):
+        return [u for u in range(m.n_users)
+                if m.user_ptr[u + 1] > m.user_ptr[u]]
+
+    def test_item_based_names_the_first_unfitted_candidate(self):
+        m, _, _ = scoring_case(0)
+        table = mcf.item_cosine_similarity(m, 5, rows=[3, 4])
+        user = self.warm(m)[0]
+        with pytest.raises(ValueError, match="^entity 6 has no fitted"):
+            mcf.score_candidates(table, m, np.full(4, user),
+                                 np.array([3, 6, 4, 5]))
+
+    def test_user_based_names_the_first_unfitted_user(self):
+        m, _, _ = scoring_case(0)
+        first, second = self.warm(m)[:2]
+        table = mcf.user_cosine_similarity(m, 5, rows=[first])
+        with pytest.raises(ValueError,
+                           match=f"^entity {second} has no fitted"):
+            mcf.score_candidates_user_based(
+                table, m, np.array([first, second]), np.array([3, 4]))
+
+    def test_cold_pairs_read_no_list(self):
+        # user 0 has no history and -1 is unknown: both cold, never looked up
+        m, _, _ = scoring_case(0)
+        table = mcf.user_cosine_similarity(m, 5, rows=[])
+        scores, cold = mcf.score_candidates_user_based(
+            table, m, np.array([0, -1]), np.array([3, 4]))
+        assert cold.all() and not scores.any()
+
+    @pytest.mark.parametrize("fit", sorted(SUBSET_FITS))
+    def test_fitted_rows_score_as_the_full_table(self, fit):
+        m, users, cands = scoring_case(2)
+        score = (mcf.score_candidates_user_based if fit == "user_cf"
+                 else mcf.score_candidates)
+        rows = np.unique(users[users >= 0] if fit == "user_cf" else cands)
+        got = score(SUBSET_FITS[fit](m, 4, rows), m, users, cands)
+        want = score(SUBSET_FITS[fit](m, 4, None), m, users, cands)
+        assert np.array_equal(bits(got[0]), bits(want[0]))
+        assert np.array_equal(got[1], want[1])

@@ -112,7 +112,7 @@ class TestRecordContents:
         assert str(tmp_path).encode() not in text
 
     def test_failed_prerank_writes_no_record(self, env, monkeypatch):
-        def boom(matrix, params):
+        def boom(matrix, params, users, items):
             raise RuntimeError("fit failed")
 
         monkeypatch.setitem(features.SCORERS, "item_cf", dataclasses.replace(
@@ -122,6 +122,25 @@ class TestRecordContents:
              "combinations": [["t1", "t2"]]}])
         with pytest.raises(StageError, match="scorer runs failed"):
             pipeline.run_prerank(config, "t1")
+        assert not record_path(env["tdir"]).exists()
+
+    def test_fit_that_misses_a_run_user_is_a_stage_error(self, env,
+                                                         monkeypatch):
+        real = features.known_ids
+
+        def drop_first_user(*runs):
+            users, items = real(*runs)
+            return users[1:], items
+
+        monkeypatch.setattr(features, "known_ids", drop_first_user)
+        config = make_config(env, scorers=[
+            {"name": "user_cf", "combinations": [["t1", "t2"]]}])
+        with pytest.raises(StageError, match="scorer runs failed"):
+            pipeline.run_prerank(config, "t1")
+        failures = json.loads(
+            (env["tdir"] / "prerank_failures.json").read_text())
+        assert failures and all("has no fitted neighbor list" in f["error"]
+                                for f in failures)
         assert not record_path(env["tdir"]).exists()
 
 
@@ -135,7 +154,8 @@ class TestCurrentRerun:
         for name, scorer in features.SCORERS.items():
             monkeypatch.setitem(features.SCORERS, name, dataclasses.replace(
                 scorer, fit=boom, score=boom))
-        monkeypatch.setattr(features, "run_plan", boom)
+        for name in ("run_plan", "encode_run", "known_ids"):
+            monkeypatch.setattr(features, name, boom)
         written = record_atomic_writes(monkeypatch)
         out = pipeline.run_prerank(env["config"], "t1")
         assert out["up_to_date"] is True and out["n_columns"] == 4
@@ -259,6 +279,18 @@ class TestRebuild:
         self.rerun(change(env))
         assert output_bytes(env["tdir"]) == before
         assert record_path(env["tdir"]).read_bytes() == record
+
+    @pytest.mark.parametrize("prerank", [{"scorers": []}, {"stats": False}],
+                             ids=["no scorers", "no stats"])
+    def test_rebuild_leaves_only_the_files_it_wrote(self, env, prerank):
+        # with no scorer column there is no correlation.tsv to write
+        config = make_config(env, **prerank)
+        self.rerun(config)
+        record = read_artifact(pipeline.PrerankRecord,
+                               record_path(env["tdir"]))
+        written = (env["tdir"] / "correlation.tsv").exists()
+        assert written == ("correlation.tsv" in record.outputs)
+        assert written == bool(config.prerank.scorers)
 
     def test_crash_between_tables_and_record(self, env, tmp_path,
                                              monkeypatch):
