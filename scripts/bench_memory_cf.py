@@ -7,9 +7,10 @@ ratings 1-5); the run file holds 100 users with 40 candidates each, ten of
 them users without any interaction (cold). Each scorer (item_cf, user_cf,
 swing, llr, bigraph, default parameters) runs as a one-spec plan over the
 union of both markets with no column cache: "cold" times a plan on a fresh
-PlanContext, so it fits the model for the run's users or candidates only
-(the rows the scoring reads) and scores the run; "warm" times a second plan
-on the same context, which reuses the fitted model and only scores.
+PlanContext whose fit ids are the run's known ids, as prerank sets them, so
+it fits the model for the run's users or candidates only (the rows the
+scoring reads) and scores the run; "warm" times a second plan on the same
+context, which reuses the fitted model and only scores.
 
 Prints the median of each over --repeats calls, the median of the
 per-repeat differences cold minus warm (the fit alone), the tracemalloc
@@ -76,11 +77,12 @@ def main(argv=None) -> None:
     print(f"interactions {N_USERS}x{N_ITEMS}, {len(rows)} rows, "
           f"run {len(run.candidates)} pairs, seed {SEED}")
     ids = features.encode_run(run, users, items)
+    fit_ids = features.known_ids(ids)
     for name in SCORERS:
         plan = [features.ScorerSpec(name, {}, COMBINATION)]
         cold, warm, digests = [], [], set()
         for _ in range(args.repeats):
-            ctx = features.PlanContext(rows, users, items, cache_dir=None)
+            ctx = features.PlanContext(rows, users, items, fit_ids=fit_ids)
             for times in (cold, warm):
                 start = time.perf_counter()
                 table, failures = features.run_plan(plan, ctx, run, *ids)
@@ -90,8 +92,8 @@ def main(argv=None) -> None:
                 digests.add(table_digest(table))
         tracemalloc.start()
         table, _ = features.run_plan(
-            plan, features.PlanContext(rows, users, items, cache_dir=None), run,
-            *ids)
+            plan, features.PlanContext(rows, users, items, fit_ids=fit_ids),
+            run, *ids)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         digests.add(table_digest(table))

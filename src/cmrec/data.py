@@ -257,12 +257,6 @@ class IdEncoder:
         hit[hit] = self.ids[pos[hit]] == values[hit]
         return np.where(hit, pos, -1).astype(np.int64)
 
-    def encode(self, value: str) -> int:
-        idx = int(self.lookup([value])[0])
-        if idx < 0:
-            raise DataError(f"unknown id {value!r}")
-        return idx
-
 
 def fit_encoders(user: np.ndarray, item: np.ndarray,
                  runs: Sequence[RunFile] = ()) -> tuple[IdEncoder, IdEncoder]:
@@ -276,11 +270,11 @@ def fit_encoders(user: np.ndarray, item: np.ndarray,
             IdEncoder.fit(np.concatenate([item, *(r.candidates for r in runs)])))
 
 
-def dedupe_and_mark_5core(rows: Mapping[str, np.ndarray],
-                          force_rating: float = 5.0) -> dict[str, np.ndarray]:
+def dedupe_and_mark_5core(rows: Mapping[str, np.ndarray]
+                          ) -> dict[str, np.ndarray]:
     """Collapse rows of equal (user, item, market, split) codes into one,
     at the position of its first occurrence and with the rating of its
-    last, then force every train_5core rating to `force_rating`. rows
+    last, then force every train_5core rating to 5.0. rows
     holds those aligned int64 code columns (the split as its position in
     SPLITS) and float64 ratings."""
     names = ("user", "item", "market", "split")
@@ -292,7 +286,7 @@ def dedupe_and_mark_5core(rows: Mapping[str, np.ndarray],
     order = np.argsort(first)
     out = {k: rows[k][first[order]] for k in names}
     out["rating"] = rows["rating"][len(key) - 1 - last_from_end[order]]
-    out["rating"][out["split"] == SPLITS.index("train_5core")] = force_rating
+    out["rating"][out["split"] == SPLITS.index("train_5core")] = 5.0
     return out
 
 

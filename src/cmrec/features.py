@@ -19,7 +19,7 @@ from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                    SparseInteractionMatrix, build_matrix, first_repeat,
                    read_lines)
 from .util import (ConfigError, DataError, atomic_save_npy, from_dict,
-                   params_hash, read_json, write_json, write_tsv)
+                   params_hash, read_artifact, write_json, write_tsv)
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,9 @@ class Scorer:
     fit(matrix, params, users, items) -> model is called once per (params,
     combination), with params an instance of the scorer's params class and
     users and items the ascending encoded ids of every user and candidate
-    the model will score; a memory-based fit computes the neighbor lists
-    of those entities only, the other fits ignore them.
+    the model will score, or None for every entity; a memory-based fit
+    computes the neighbor lists of those entities only, the other fits
+    ignore them.
     score(model, matrix, user_ids, item_ids) -> (values, missing) is called
     once per run and scores every (user, candidate) pair of it at once,
     from the aligned encoded ids of the pairs in run order, user id -1
@@ -266,6 +267,16 @@ def empty_table(run: RunFile) -> FeatureTable:
                         run.candidates, (), np.zeros((len(run.candidates), 0)))
 
 
+@dataclass(frozen=True)
+class Catalog:
+    """features_<run>.catalog.json: the table's columns in order, whether
+    it has labels, and each column's provenance."""
+
+    columns: tuple[str, ...]
+    has_labels: bool
+    provenance: Mapping[str, Mapping]
+
+
 def write_table(table: FeatureTable, tsv_path, catalog_path
                 ) -> tuple[str, str]:
     """Write the table's TSV and catalog; returns their sha256 digests."""
@@ -274,9 +285,8 @@ def write_table(table: FeatureTable, tsv_path, catalog_path
     keys = [table.users, table.items]
     if table.labels is not None:
         keys.append([str(label) for label in table.labels.tolist()])
-    catalog = {"columns": list(table.columns),
-               "has_labels": table.labels is not None,
-               "provenance": {k: dict(v) for k, v in table.provenance.items()}}
+    catalog = Catalog(table.columns, table.labels is not None,
+                      {k: dict(v) for k, v in table.provenance.items()})
     return (write_tsv(tsv_path, header, keys, table.values),
             write_json(catalog_path, catalog))
 
@@ -351,22 +361,19 @@ def read_table(tsv_path, catalog_path=None, columns=None) -> FeatureTable:
             fail(int(np.argmin(finite)), "non-finite value")
     provenance = {}
     if catalog_path is not None and Path(catalog_path).exists():
-        provenance = read_json(catalog_path, "provenance")["provenance"]
+        provenance = read_artifact(Catalog, catalog_path).provenance
     return FeatureTable(users, items, wanted, values, labels,
                         {n: provenance[n] for n in wanted if n in provenance})
 
 
 def default_combinations(target: str, all_markets: Sequence[str],
-                         targets: Sequence[str] | None = None
-                         ) -> list[CombinationSpec]:
+                         targets: Sequence[str]) -> list[CombinationSpec]:
     """The ten benchmark market combinations for one target: all markets,
     all sources + target, target alone, both targets, every source pair +
     target, every single source + target."""
     all_markets = sorted(all_markets)
     if target not in all_markets:
         raise ConfigError(f"target {target!r} not among markets")
-    if targets is None:
-        targets = [m for m in all_markets if m.startswith("t")]
     targets = sorted(targets)
     sources = [m for m in all_markets if m not in targets]
     if len(sources) != 3 or len(targets) != 2:
@@ -398,8 +405,8 @@ class PlanContext:
     the fitted tables per (scorer, params, combination), so that scoring a
     second run file neither rebuilds nor retrains anything. fit_ids holds
     the ascending encoded ids of every user and of every candidate the
-    fitted models will score, known_ids of the runs; left None, each fit
-    covers the run being scored."""
+    fitted models will score, known_ids of the runs; left (None, None),
+    each fit covers every entity, so the context can score any run."""
 
     rows: Interactions
     users: IdEncoder
@@ -407,8 +414,8 @@ class PlanContext:
     cache_dir: Path | None = None
     matrices: dict = field(default_factory=dict, compare=False)
     model_cache: dict = field(default_factory=dict, compare=False)
-    fit_ids: tuple[np.ndarray, np.ndarray] | None = field(default=None,
-                                                          compare=False)
+    fit_ids: tuple[np.ndarray | None, np.ndarray | None] = field(
+        default=(None, None), compare=False)
 
     def matrix(self, combination: CombinationSpec) -> SparseInteractionMatrix:
         """combination_matrix, built once per combination."""
@@ -497,9 +504,8 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
     columns are cached in ctx.cache_dir as <feature>.<digest>.npy, the
     digest being key (cache_key(ctx, run) when not given), and read back
     on re-run; writing one removes that column's files under other
-    digests. Models are fitted for ctx's fit ids, or for this run's ids
-    when ctx has none. A failing scorer is recorded and the plan
-    continues."""
+    digests. Models are fitted for ctx's fit ids. A failing scorer is
+    recorded and the plan continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
@@ -549,17 +555,16 @@ def _score_run(spec: ScorerSpec, ctx: PlanContext, user_ids: np.ndarray,
                item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, missing) of one spec over the encoded run pairs, in one
     score call, fitting its model on its params, checked against the
-    scorer's params class, and ctx's fit ids (the run's when ctx has
-    none), unless ctx.model_cache holds it."""
+    scorer's params class, and ctx's fit ids, unless ctx.model_cache
+    holds it."""
     matrix = ctx.matrix(spec.combination)
     scorer = SCORERS[spec.scorer]
     params = dict(spec.params)
     key = (spec.scorer, params_hash(params), spec.combination.combo_id)
     if key not in ctx.model_cache:
-        ids = (known_ids((user_ids, item_ids)) if ctx.fit_ids is None
-               else ctx.fit_ids)
         ctx.model_cache[key] = scorer.fit(matrix, from_dict(
-            scorer.params, params, f"scorer {spec.scorer!r} params"), *ids)
+            scorer.params, params, f"scorer {spec.scorer!r} params"),
+            *ctx.fit_ids)
     return scorer.score(ctx.model_cache[key], matrix, user_ids, item_ids)
 
 

@@ -6,10 +6,10 @@ form: flat `ids` and `sims` arrays with entity a's list at
 `ptr[a]:ptr[a + 1]`, sorted by similarity descending with ties broken by
 ascending id. Every fit writes its lists through one top-k writer.
 
-A fit given `rows` (ascending entity ids) writes the lists of those
-entities only, every other list staying empty; a list depends on its own
-row of co-occurrences alone, so each list it writes equals that of the
-full table. The scoring kernels refuse to read a list that was not
+A fit writes the lists of the entities in `rows` only (every entity when
+`rows` is None), every other list staying empty; a list depends on its
+own row of co-occurrences alone, so each list it writes equals that of
+the full table. The scoring kernels refuse to read a list that was not
 fitted. The cosine and LLR fits compute co-occurrences as dense BLAS
 products of blocks of the active rows (entities with an interaction)
 they fit against all active entities; Swing keeps one small product per
@@ -49,20 +49,18 @@ class SimTable:
     with their similarities at the same positions of sims.
 
     fitted holds the ascending ids of the entities whose lists were
-    computed, None for all of them; any other entity's list is empty
-    because it was never computed, and scoring refuses to read it."""
+    computed; any other entity's list is empty because it was never
+    computed, and scoring refuses to read it."""
 
     n: int
     k: int
     ptr: np.ndarray
     ids: np.ndarray
     sims: np.ndarray
-    fitted: np.ndarray | None = None
+    fitted: np.ndarray
 
     def unfitted(self, entities: np.ndarray) -> np.ndarray:
         """Per entity: its list was not computed."""
-        if self.fitted is None:
-            return np.zeros(len(entities), dtype=bool)
         return ~np.isin(entities, self.fitted)
 
     def dense(self) -> np.ndarray:
@@ -72,29 +70,27 @@ class SimTable:
         return out
 
 
-def _fit_rows(n: int, rows) -> np.ndarray | None:
-    """rows as ascending unique int64 entity ids below n (None stays
-    None: every entity)."""
+def _fit_rows(n: int, rows) -> np.ndarray:
+    """rows as ascending unique int64 entity ids below n; None is every
+    entity."""
     if rows is None:
-        return None
+        return np.arange(n)
     rows = np.unique(np.asarray(rows, dtype=np.int64))
     if len(rows) and (rows[0] < 0 or rows[-1] >= n):
         raise ValueError(f"rows must be entity ids in [0, {n})")
     return rows
 
 
-def _table_buffers(n: int, k: int, n_rows: int | None = None):
+def _table_buffers(n: int, k: int, n_rows: int):
     """(ptr, ids, sims) with room for every list that _write_top_k can
-    write for n_rows entities (default n): at most n - 1 nonzero scores
-    per entity, cut by [:k]."""
-    width = len(range(n - 1)[:k])
-    size = (n if n_rows is None else n_rows) * width
+    write for n_rows entities: at most n - 1 nonzero scores per entity,
+    cut by [:k]."""
+    size = n_rows * len(range(n - 1)[:k])
     return (np.zeros(n + 1, dtype=np.int64), np.empty(size, dtype=np.int64),
             np.empty(size))
 
 
-def _table(n: int, k: int, ptr, ids, sims,
-           fitted: np.ndarray | None = None) -> SimTable:
+def _table(n: int, k: int, ptr, ids, sims, fitted: np.ndarray) -> SimTable:
     # Shrink the buffers in place: a trimmed copy would hold the table
     # twice. Nothing else refers to them.
     ids.resize(ptr[-1], refcheck=False)
@@ -147,19 +143,17 @@ def _dense_rows(ptr: np.ndarray, adj: np.ndarray, val: np.ndarray | None,
 
 
 def _cooccurrence_blocks(ptr: np.ndarray, adj: np.ndarray,
-                         val: np.ndarray | None, n_co: int,
-                         fit: np.ndarray | None = None):
+                         val: np.ndarray | None, n_co: int, fit: np.ndarray):
     """Yield (rows, cols, acc) over blocks of the active entities (those
-    with a nonempty CSR row) in fit (default: all of them): acc[r, c] is
-    the dot product of the rows of entities rows[r] and cols[c] over the
-    n_co co-entities, with the diagonal zeroed; cols is every active
-    entity.
+    with a nonempty CSR row) in fit: acc[r, c] is the dot product of the
+    rows of entities rows[r] and cols[c] over the n_co co-entities, with
+    the diagonal zeroed; cols is every active entity.
 
     acc, the dense rows of the block and those of each block of columns
     hold at most _FIT_BLOCK cells each (or one row).
     """
     active = np.flatnonzero(np.diff(ptr))
-    fit = active if fit is None else fit[np.isin(fit, active)]
+    fit = fit[np.isin(fit, active)]
     n = len(active)
     row_block = max(1, _FIT_BLOCK // max(1, n, n_co))
     col_block = max(1, _FIT_BLOCK // max(1, n_co))
@@ -188,7 +182,7 @@ def _cosine_table(n_primary: int, primary_ptr, primary_adj, primary_val,
     norms = np.sqrt(sq)
     norms[norms == 0] = 1.0
     fit = _fit_rows(n_primary, rows)
-    buffers = _table_buffers(n_primary, k, None if fit is None else len(fit))
+    buffers = _table_buffers(n_primary, k, len(fit))
     for block, cols, acc in _cooccurrence_blocks(primary_ptr, primary_adj,
                                                  primary_val, n_co, fit):
         acc /= norms[block, None] * norms[cols]
@@ -228,11 +222,10 @@ def swing_similarity(m: SparseInteractionMatrix, alpha: float = 1.0,
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     fit = _fit_rows(m.n_items, rows)
-    items = np.arange(m.n_items) if fit is None else fit
-    buffers = _table_buffers(m.n_items, k, len(items))
+    buffers = _table_buffers(m.n_items, k, len(fit))
     row_block = max(1, _FIT_BLOCK // max(1, m.n_items))
-    for i0 in range(0, len(items), row_block):
-        block_items = items[i0:i0 + row_block]
+    for i0 in range(0, len(fit), row_block):
+        block_items = fit[i0:i0 + row_block]
         block = np.zeros((len(block_items), m.n_items))
         for r, i in enumerate(block_items.tolist()):
             users_i = m.col(i)[0][:max_users_per_item]
@@ -275,7 +268,8 @@ def _neg_entropy(cols: list[np.ndarray]) -> np.ndarray:
 
 
 def llr_many(k11, k12, k21, k22) -> np.ndarray:
-    """Vectorized log-likelihood ratio (G^2) over 2x2 contingency counts."""
+    """Vectorized log-likelihood ratio (G^2) over 2x2 contingency counts,
+    with 0*ln(0) treated as 0; never negative."""
     k11 = np.asarray(k11, dtype=np.float64)
     k12 = np.asarray(k12, dtype=np.float64)
     k21 = np.asarray(k21, dtype=np.float64)
@@ -284,14 +278,6 @@ def llr_many(k11, k12, k21, k22) -> np.ndarray:
     rows = _neg_entropy([k11 + k12, k21 + k22])
     cols = _neg_entropy([k11 + k21, k12 + k22])
     return np.maximum(2.0 * (cells - rows - cols), 0.0)
-
-
-def llr(k11: float, k12: float, k21: float, k22: float) -> float:
-    """G^2 of one 2x2 table, with 0*ln(0) treated as 0; never negative."""
-    if min(k11, k12, k21, k22) < 0:
-        raise ValueError("contingency counts must be nonnegative")
-    return float(llr_many(np.array([k11]), np.array([k12]),
-                          np.array([k21]), np.array([k22]))[0])
 
 
 def llr_item_similarity(m: SparseInteractionMatrix,
@@ -305,7 +291,7 @@ def llr_item_similarity(m: SparseInteractionMatrix,
     deg = m.item_degrees().astype(np.float64)
     n_users = float(m.n_users)
     fit = _fit_rows(m.n_items, rows)
-    buffers = _table_buffers(m.n_items, k, None if fit is None else len(fit))
+    buffers = _table_buffers(m.n_items, k, len(fit))
     for block, cols, co in _cooccurrence_blocks(m.item_ptr, m.item_users,
                                                 None, m.n_users, fit):
         r, c = np.nonzero(co)

@@ -39,8 +39,8 @@ from . import data, evaluation, features, gbdt, selection
 from .config import PipelineConfig
 from .data import CombinationSpec, IdEncoder, Interactions
 from .util import (ConfigError, DataError, StageError, atomic_save_npy,
-                   atomic_write_bytes, file_sha256, read_artifact, read_json,
-                   stage_seed, write_json, write_tsv)
+                   atomic_write_bytes, file_sha256, read_artifact, stage_seed,
+                   write_json, write_tsv)
 
 
 @dataclass(frozen=True)
@@ -491,6 +491,18 @@ def _read_kept_columns(ws: Workspace, target: str, which: str,
             f"re-run select") from None
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """<target>/evaluation.json: NDCG@10 of a ranked run over its n_users
+    users, and the run file, relative to the workspace root when inside
+    it."""
+
+    market: str
+    ndcg_at_10: float
+    n_users: int
+    run_file: str
+
+
 def run_evaluate(config: PipelineConfig, target: str,
                  run_path=None, qrels_path=None) -> dict:
     """NDCG@10 of a ranked run file against qrels (default: this target's
@@ -515,11 +527,11 @@ def run_evaluate(config: PipelineConfig, target: str,
     # two workspaces with the same runs write the same evaluation.json.
     run_file = run_path.resolve()
     root = ws.root.resolve()
-    report = {"market": target, "ndcg_at_10": mean, "n_users": len(per_user),
-              "run_file": (run_file.relative_to(root).as_posix()
-                           if run_file.is_relative_to(root) else str(run_path))}
+    report = Evaluation(target, mean, len(per_user),
+                        run_file.relative_to(root).as_posix()
+                        if run_file.is_relative_to(root) else str(run_path))
     write_json(tdir / "evaluation.json", report)
-    return report
+    return dataclasses.asdict(report)
 
 
 def run_report(config: PipelineConfig) -> dict:
@@ -531,7 +543,7 @@ def run_report(config: PipelineConfig) -> dict:
         if not path.exists():
             raise StageError(f"no evaluation for target {target!r}; "
                              f"run evaluate first")
-        per_market[target] = read_json(path, "ndcg_at_10")["ndcg_at_10"]
+        per_market[target] = read_artifact(Evaluation, path).ndcg_at_10
     weights = (dict(config.market_weights) if config.market_weights
                else evaluation.DEFAULT_MARKET_WEIGHTS)
     report = evaluation.metric_report(per_market, weights)

@@ -166,8 +166,7 @@ def null_importance_select(table: FeatureTable, trainer: gbdt.GbdtParams,
 def run_selection(valid_table: FeatureTable, test_table: FeatureTable,
                   trainer: gbdt.GbdtParams, folds: int,
                   shift_threshold: float = 0.10, cv_epsilon: float = 0.0,
-                  n_shuffles: int = 50, seed: int = 0,
-                  groups: Sequence[tuple[str, Sequence[str]]] | None = None
+                  n_shuffles: int = 50, seed: int = 0
                   ) -> tuple[list[str], list[dict]]:
     """Covariate shift, then CV elimination, then null importance; each
     stage sees only the previous stage's survivors. Returns the kept
@@ -197,8 +196,7 @@ def run_selection(valid_table: FeatureTable, test_table: FeatureTable,
 
     cv_table = valid_table.select(survivors)
     absorb(heuristic_cv_elimination(
-        cv_table, groups if groups is not None else default_groups(survivors),
-        trainer, folds, cv_epsilon))
+        cv_table, default_groups(survivors), trainer, folds, cv_epsilon))
     survivors = [c for c in survivors if report[c]["decision"] == "keep"]
     if not survivors:
         raise StageError("CV elimination dropped every feature")

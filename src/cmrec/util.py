@@ -208,21 +208,15 @@ def _fields(obj) -> dict:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def read_json(path: Path | str, *keys: str):
+def read_json(path: Path | str):
     """The JSON document in a workspace file; a missing, unreadable or
-    damaged file is a StageError naming it. With keys, the document must be
-    an object holding each of them; one that is not, or lacks one, is a
-    StageError naming the file and the key."""
+    damaged file is a StageError naming it. Its fields go unchecked: a
+    stage reads a workspace JSON through read_artifact and its schema."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # missing, not UTF-8, not JSON
         raise StageError(f"cannot read workspace file {path}: {exc}; "
                          f"re-run the stage that writes it") from None
-    for key in keys:
-        if not isinstance(doc, dict) or key not in doc:
-            raise StageError(f"workspace file {path} has no key {key!r}; "
-                             f"re-run the stage that writes it")
-    return doc
 
 
 def read_artifact(cls, path: Path | str):

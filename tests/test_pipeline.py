@@ -810,46 +810,65 @@ class TestCli:
                          "--target", "t1"]) == 3
         assert str(path) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, damaged, text, key", [
-        ("prerank", "snapshot/meta.json", "{}", "markets"),
-        ("prerank", "snapshot/encoders.json", '{"users": []}', "items"),
-        ("select", "t1/features_valid.catalog.json", "[]", "provenance"),
-        ("report", "t2/evaluation.json", '{"n_users": 15}', "ndcg_at_10"),
-    ])
-    def test_workspace_json_without_a_key_exits_3_naming_it(
-            self, world, tmp_path, capsys, command, damaged, text, key):
+    def run_on_damaged(self, world, tmp_path, command, damaged, text):
+        """The CLI exit code of command on a copied workspace whose file
+        damaged holds text, and that file's path."""
         work, config = copied_workspace(world, tmp_path)
         path = work / damaged
-        path.write_text(text + "\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         config_file = tmp_path / "config.json"
         config_file.write_text(json.dumps(config.to_dict()))
         target = [] if command == "report" else ["--target", "t1"]
-        assert cli.main([command, "--config", str(config_file), *target]) == 3
+        return cli.main([command, "--config", str(config_file),
+                         *target]), path
+
+    @pytest.mark.parametrize("command, damaged, text, key", [
+        ("prerank", "snapshot/meta.json", "{}", "markets"),
+        ("prerank", "snapshot/encoders.json", '{"users": []}', "items"),
+        ("select", "t1/features_valid.catalog.json",
+         '{"columns": [], "has_labels": true}', "provenance"),
+        ("report", "t2/evaluation.json",
+         '{"market": "t2", "n_users": 15, "run_file": "r.tsv"}',
+         "ndcg_at_10"),
+    ])
+    def test_workspace_json_without_a_key_exits_3_naming_it(
+            self, world, tmp_path, capsys, command, damaged, text, key):
+        code, path = self.run_on_damaged(world, tmp_path, command, damaged,
+                                         text + "\n")
+        assert code == 3
         err = capsys.readouterr().err
         assert str(path) in err and repr(key) in err
 
-    @pytest.mark.parametrize("damaged, field, value", [
-        ("snapshot/meta.json", "markets", 5),
-        ("snapshot/meta.json", "splits", ["train", 1]),
-        ("snapshot/meta.json", "targets", None),
-        ("snapshot/encoders.json", "users", "u1"),
-        ("snapshot/encoders.json", "items", [3]),
+    def test_workspace_json_that_is_no_object_exits_3_naming_it(
+            self, world, tmp_path, capsys):
+        code, path = self.run_on_damaged(world, tmp_path, "select",
+                                         "t1/features_valid.catalog.json",
+                                         "[]\n")
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, damaged, field, value", [
+        ("prerank", "snapshot/meta.json", "markets", 5),
+        ("prerank", "snapshot/meta.json", "splits", ["train", 1]),
+        ("prerank", "snapshot/meta.json", "targets", None),
+        ("prerank", "snapshot/encoders.json", "users", "u1"),
+        ("prerank", "snapshot/encoders.json", "items", [3]),
+        ("report", "t1/evaluation.json", "ndcg_at_10", "0.5"),
+        ("select", "t1/features_valid.catalog.json", "provenance", ["x"]),
     ])
     def test_workspace_json_with_a_mistyped_field_exits_3_naming_it(
-            self, world, tmp_path, capsys, damaged, field, value):
-        work, config = copied_workspace(world, tmp_path)
-        path = work / damaged
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps({**doc, field: value}), encoding="utf-8")
-        config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps(config.to_dict()))
-        assert cli.main(["prerank", "--config", str(config_file),
-                         "--target", "t1"]) == 3
+            self, world, tmp_path, capsys, command, damaged, field, value):
+        doc = json.loads((world["ws"].root / damaged).read_text(
+            encoding="utf-8"))
+        code, path = self.run_on_damaged(world, tmp_path, command, damaged,
+                                         json.dumps({**doc, field: value}))
+        assert code == 3
         err = capsys.readouterr().err
         assert str(path) in err and f".{field}" in err
 
     def test_meta_json_keeps_its_bytes(self, world):
-        # the golden test pins encoders.json; meta.json has these bytes
+        # the layout of meta.json, spelled out for this workspace (the
+        # golden test pins its bytes for the golden dataset)
         assert (world["ws"].snapshot_dir / "meta.json").read_text() == (
             json.dumps({"markets": ["s1", "t1", "t2"],
                         "splits": list(pipeline.data.SPLITS),
