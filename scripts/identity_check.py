@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Check that two checkouts write the same workspace files, bit for bit.
 
-    python scripts/identity_check.py PARENT CHANGE [--seed 29] [--workload NAME ...]
+    python scripts/identity_check.py PARENT CHANGE [--workload NAME ...]
 
 For each workload (default: every one BENCHMARK.json lists), runs each
-checkout's own perfbench/rep.py once into a temporary directory, as
-perfbench/run.py runs a rep: a fresh process with that checkout's src/ on
-PYTHONPATH, one BLAS thread and PYTHONHASHSEED=0. Then compares the two
-workspaces with diff_workspaces.diff and prints
+checkout's own perfbench/rep.py once on the seed-29 dataset into a temporary
+directory, in the environment that checkout's perfbench/run.py gives its
+reps (its child_env: that checkout's src/ on PYTHONPATH, its BLAS thread
+count, PYTHONHASHSEED=0). Then compares the two workspaces with
+diff_workspaces.diff and prints
 
     <workload>: k of N files differ
 
@@ -18,8 +19,8 @@ fails, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -31,23 +32,25 @@ from diff_workspaces import diff, files
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads(
     (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]]
+# The dataset seed of ROADMAP's bit-identity rule.
+SEED = 29
 
 
 def rep_env(checkout: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
-               PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    return env
+    """The environment checkout's own perfbench/run.py gives its reps."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", checkout / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.child_env()
 
 
-def run_rep(checkout: Path, workload: str, seed: int, workdir: Path
-            ) -> list[str]:
+def run_rep(checkout: Path, workload: str, workdir: Path) -> list[str]:
     """Run checkout's rep.py into workdir; its failures, empty if none."""
     out = workdir / "rep.json"
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "rep.py"),
-         "--workload", workload, "--seed", str(seed),
+         "--workload", workload, "--seed", str(SEED),
          "--workdir", str(workdir), "--out", str(out),
          "--spawned", repr(time.monotonic())],
         cwd=checkout, env=rep_env(checkout), stdout=subprocess.DEVNULL,
@@ -61,8 +64,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--seed", type=int, default=29,
-                    help="the workloads' dataset seed (default 29)")
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="a workload to run (repeatable; default: all)")
     args = ap.parse_args(argv)
@@ -76,8 +77,7 @@ def main(argv=None) -> int:
             for name, checkout in (("parent", args.parent),
                                    ("change", args.change)):
                 workdir = Path(tmp) / name
-                problems = run_rep(checkout.resolve(), workload, args.seed,
-                                   workdir)
+                problems = run_rep(checkout.resolve(), workload, workdir)
                 for problem in problems:
                     print(f"{workload}: {name} rep failed: {problem}")
                 status |= bool(problems)

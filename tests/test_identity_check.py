@@ -1,5 +1,8 @@
 """scripts/identity_check.py: a checkout against itself writes the same
-workspace files."""
+workspace files.
+
+The slow smoke test of the suite: it runs two full rank_small reps, ingest
+through report, in child processes (about 7 s on a 2-core host)."""
 
 import subprocess
 import sys
