@@ -85,13 +85,13 @@ def main(argv=None) -> None:
             ctx = features.PlanContext(rows, users, items, fit_ids=fit_ids)
             for times in (cold, warm):
                 start = time.perf_counter()
-                table, failures = features.run_plan(plan, ctx, run, *ids)
+                table, _, failures = features.run_plan(plan, ctx, run, *ids)
                 times.append(time.perf_counter() - start)
                 if failures:
                     raise SystemExit(f"{name} failed: {failures}")
                 digests.add(table_digest(table))
         tracemalloc.start()
-        table, _ = features.run_plan(
+        table, _, _ = features.run_plan(
             plan, features.PlanContext(rows, users, items, fit_ids=fit_ids),
             run, *ids)
         peak = tracemalloc.get_traced_memory()[1]

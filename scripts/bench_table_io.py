@@ -103,14 +103,14 @@ def main(argv=None) -> None:
                 np.ascontiguousarray(read.values).tobytes()).hexdigest()
 
         results = [("write", measure(
-            lambda: features.write_table(table, tsv, catalog), file_digest,
+            lambda: features.write_table(table, tsv, catalog, {}), file_digest,
             args.repeats))]
         size = tsv.stat().st_size
         results += [
-            ("read_all", measure(lambda: features.read_table(tsv, catalog),
+            ("read_all", measure(lambda: features.read_table(tsv),
                                  bits_digest, args.repeats)),
             ("read_8", measure(lambda: features.read_table(
-                tsv, catalog, columns=READ_COLUMNS), bits_digest,
+                tsv, columns=READ_COLUMNS), bits_digest,
                 args.repeats))]
     print(f"table {table.n_rows}x{len(table.columns)} seed {SEED}, "
           f"{size} bytes")

@@ -107,6 +107,13 @@ class PipelineConfig(JsonConfig):
             bad = [m for m in self.market_weights if m not in self.markets]
             if bad:
                 raise ConfigError(f"weights name unknown markets: {bad}")
+        for sc in self.prerank.scorers:
+            named = (set() if sc.combinations == "default"
+                     else set().union(*sc.combinations))
+            unknown = sorted(named - set(self.markets))
+            if unknown:
+                raise ConfigError(f"scorer {sc.name!r} combination names "
+                                  f"unknown markets: {unknown}")
 
 
 def load_config(path) -> PipelineConfig:

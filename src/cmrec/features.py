@@ -19,7 +19,7 @@ from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                    SparseInteractionMatrix, build_matrix, first_repeat,
                    read_lines)
 from .util import (ConfigError, DataError, atomic_save_npy, from_dict,
-                   params_hash, read_artifact, write_json, write_tsv)
+                   params_hash, write_json, write_tsv)
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,6 @@ class FeatureTable:
     columns: tuple[str, ...]
     values: np.ndarray
     labels: np.ndarray | None = None
-    provenance: Mapping[str, Mapping] = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("users", "items"):
@@ -239,9 +238,7 @@ class FeatureTable:
     def select(self, names: Sequence[str]) -> "FeatureTable":
         pos = [self._position(name) for name in names]
         return replace(self, columns=tuple(names),
-                       values=self.values[:, pos].copy(),
-                       provenance={n: self.provenance[n] for n in names
-                                   if n in self.provenance})
+                       values=self.values[:, pos].copy())
 
     def with_labels(self, labels: np.ndarray) -> "FeatureTable":
         return replace(self, labels=np.asarray(labels, dtype=np.int8))
@@ -252,13 +249,12 @@ class FeatureTable:
                        values=self.values[idx],
                        labels=None if self.labels is None else self.labels[idx])
 
-    def with_columns(self, names: Sequence[str], matrix: np.ndarray,
-                     provenance: Mapping[str, Mapping]) -> "FeatureTable":
+    def with_columns(self, names: Sequence[str],
+                     matrix: np.ndarray) -> "FeatureTable":
         values = (np.hstack([self.values, matrix])
                   if self.columns else np.asarray(matrix, dtype=np.float64))
         return replace(self, columns=self.columns + tuple(names),
-                       values=values,
-                       provenance={**self.provenance, **provenance})
+                       values=values)
 
 
 def empty_table(run: RunFile) -> FeatureTable:
@@ -270,23 +266,25 @@ def empty_table(run: RunFile) -> FeatureTable:
 @dataclass(frozen=True)
 class Catalog:
     """features_<run>.catalog.json: the table's columns in order, whether
-    it has labels, and each column's provenance."""
+    it has labels, and each column's provenance. Prerank writes it for
+    readers; no stage reads it back."""
 
     columns: tuple[str, ...]
     has_labels: bool
     provenance: Mapping[str, Mapping]
 
 
-def write_table(table: FeatureTable, tsv_path, catalog_path
-                ) -> tuple[str, str]:
-    """Write the table's TSV and catalog; returns their sha256 digests."""
+def write_table(table: FeatureTable, tsv_path, catalog_path,
+                provenance: Mapping[str, Mapping]) -> tuple[str, str]:
+    """Write the table's TSV and its catalog, which holds provenance (column
+    name -> where the column came from); returns their sha256 digests."""
     header = ["user", "item"] + (["label"] if table.labels is not None else [])
     header += list(table.columns)
     keys = [table.users, table.items]
     if table.labels is not None:
         keys.append([str(label) for label in table.labels.tolist()])
     catalog = Catalog(table.columns, table.labels is not None,
-                      {k: dict(v) for k, v in table.provenance.items()})
+                      {k: dict(v) for k, v in provenance.items()})
     return (write_tsv(tsv_path, header, keys, table.values),
             write_json(catalog_path, catalog))
 
@@ -300,7 +298,7 @@ def _parse_values(fields: Sequence[str], usecols: Sequence[int]) -> np.ndarray:
 _LABELS = {"0": 0, "1": 1}
 
 
-def read_table(tsv_path, catalog_path=None, columns=None) -> FeatureTable:
+def read_table(tsv_path, columns=None) -> FeatureTable:
     """The table write_table wrote, with the named columns in that order
     (default: all); a name the table lacks is a KeyError. Only those
     columns' values are parsed. A malformed row (wrong field count, a
@@ -359,11 +357,7 @@ def read_table(tsv_path, catalog_path=None, columns=None) -> FeatureTable:
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             fail(int(np.argmin(finite)), "non-finite value")
-    provenance = {}
-    if catalog_path is not None and Path(catalog_path).exists():
-        provenance = read_artifact(Catalog, catalog_path).provenance
-    return FeatureTable(users, items, wanted, values, labels,
-                        {n: provenance[n] for n in wanted if n in provenance})
+    return FeatureTable(users, items, wanted, values, labels)
 
 
 def default_combinations(target: str, all_markets: Sequence[str],
@@ -497,15 +491,16 @@ def _drop_stale(cache: Path, name: str) -> None:
 
 def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
              user_ids: np.ndarray, item_ids: np.ndarray,
-             key: str | None = None) -> tuple[FeatureTable, list[dict]]:
+             key: str | None = None
+             ) -> tuple[FeatureTable, dict[str, dict], list[dict]]:
     """One feature column (plus a missing-indicator column) per spec, rows
-    exactly the run file's (user, candidate) pairs in order; user_ids and
-    item_ids are those pairs as encode_run gives them. Completed
-    columns are cached in ctx.cache_dir as <feature>.<digest>.npy, the
-    digest being key (cache_key(ctx, run) when not given), and read back
-    on re-run; writing one removes that column's files under other
-    digests. Models are fitted for ctx's fit ids. A failing scorer is
-    recorded and the plan continues."""
+    exactly the run file's (user, candidate) pairs in order, and each
+    column's provenance; user_ids and item_ids are those pairs as
+    encode_run gives them. Completed columns are cached in ctx.cache_dir
+    as <feature>.<digest>.npy, the digest being key (cache_key(ctx, run)
+    when not given), and read back on re-run; writing one removes that
+    column's files under other digests. Models are fitted for ctx's fit
+    ids. A failing scorer is recorded and the plan continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
@@ -547,8 +542,8 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
     table = empty_table(run)
     if columns:
         table = table.with_columns(
-            columns, np.ascontiguousarray(values[:len(columns)].T), provenance)
-    return table, failures
+            columns, np.ascontiguousarray(values[:len(columns)].T))
+    return table, provenance, failures
 
 
 def _score_run(spec: ScorerSpec, ctx: PlanContext, user_ids: np.ndarray,

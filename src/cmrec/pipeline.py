@@ -223,10 +223,6 @@ def make_plan(config: PipelineConfig, target: str,
         else:
             combos = []
             for combo_markets in sc.combinations:
-                unknown = sorted(set(combo_markets) - set(markets))
-                if unknown:
-                    raise ConfigError(f"combination names unknown markets: "
-                                      f"{unknown}")
                 try:
                     combos.append(CombinationSpec(
                         target, tuple(sorted(set(combo_markets)))))
@@ -375,24 +371,26 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
                                   matrices=matrices, model_cache=models,
                                   fit_ids=fit)
         user_ids, item_ids = ids[which]
-        table, failures = features.run_plan(plan, ctx, run, user_ids,
-                                            item_ids, key=keys[which])
+        table, provenance, failures = features.run_plan(
+            plan, ctx, run, user_ids, item_ids, key=keys[which])
         all_failures.extend(dict(f, run=which) for f in failures)
         if config.prerank.stats:
             cols, vals, prov = features.global_statistic_features(
                 ctx, user_ids, item_ids, target)
-            table = table.with_columns(cols, vals, prov)
+            table = table.with_columns(cols, vals)
+            provenance.update(prov)
         if external is not None:
             matrix = ctx.matrix(
                 CombinationSpec(target, tuple(sorted(snap.markets))))
             cols, vals, prov = features.external_embedding_features(
                 external, user_ids, item_ids, matrix, ctx)
-            table = table.with_columns(cols, vals, prov)
+            table = table.with_columns(cols, vals)
+            provenance.update(prov)
         if which == "valid":
             table = table.with_labels(
                 _valid_labels(snap, target, user_ids, item_ids))
             scorer_cols = [c for c in table.columns
-                           if table.provenance.get(c, {}).get("kind") == "scorer"]
+                           if provenance[c]["kind"] == "scorer"]
             if len(scorer_cols) >= 1 and table.n_rows >= 2:
                 corr, _ = features.feature_correlation(table, scorer_cols)
                 outputs["correlation.tsv"] = write_tsv(
@@ -401,7 +399,7 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
         tsv, catalog = (ws.features_path(target, which),
                         ws.catalog_path(target, which))
         outputs[tsv.name], outputs[catalog.name] = features.write_table(
-            table, tsv, catalog)
+            table, tsv, catalog, provenance)
 
     outputs["prerank_failures.json"] = write_json(
         tdir / "prerank_failures.json", all_failures)
@@ -423,10 +421,8 @@ def run_select(config: PipelineConfig, target: str) -> list[str]:
     _check_target(config, target)
     ws = workspace_for(config)
     tdir = ws.target_dir(target)
-    valid = features.read_table(ws.features_path(target, "valid"),
-                                ws.catalog_path(target, "valid"))
-    test = features.read_table(ws.features_path(target, "test"),
-                               ws.catalog_path(target, "test"))
+    valid = features.read_table(ws.features_path(target, "valid"))
+    test = features.read_table(ws.features_path(target, "test"))
     sel = config.selection
     kept, records = selection.run_selection(
         valid, test, sel.trainer, sel.folds,
@@ -482,7 +478,6 @@ def _read_kept_columns(ws: Workspace, target: str, which: str,
     DataError."""
     try:
         return features.read_table(ws.features_path(target, which),
-                                   ws.catalog_path(target, which),
                                    columns=kept)
     except KeyError as exc:
         raise DataError(

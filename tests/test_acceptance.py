@@ -18,6 +18,7 @@ from cmrec import embeddings as emb
 from cmrec import evaluation, features, gbdt, memory_cf as mcf, pipeline, selection
 from cmrec.config import PipelineConfig
 from cmrec.synth import MarketSpec, SynthConfig, generate
+from cmrec.util import read_artifact
 
 from test_embeddings import dense_propagation_oracle, finite_difference, rel_err
 from test_evaluation import ndcg_oracle
@@ -423,10 +424,10 @@ def test_criterion_7_cross_market_uplift(capsys, main_run, uplift_arms):
     ws = main_run["ws"]
     single_scores = {}
     for target in ("t1", "t2"):
-        valid = features.read_table(ws.features_path(target, "valid"),
-                                    ws.catalog_path(target, "valid"))
-        test = features.read_table(ws.features_path(target, "test"),
-                                   ws.catalog_path(target, "test"))
+        valid = features.read_table(ws.features_path(target, "valid"))
+        test = features.read_table(ws.features_path(target, "test"))
+        provenance = read_artifact(features.Catalog,
+                                   ws.catalog_path(target, "valid")).provenance
         valid_qrels = {}
         for r in range(valid.n_rows):
             if valid.labels[r]:
@@ -435,7 +436,7 @@ def test_criterion_7_cross_market_uplift(capsys, main_run, uplift_arms):
         test_qrels = evaluation.read_qrels(
             f"{main_run['config'].data_dir}/{target}/test_qrel.tsv")
         scorer_cols = [n for n in valid.columns
-                       if valid.provenance.get(n, {}).get("kind") == "scorer"]
+                       if provenance[n]["kind"] == "scorer"]
         best = max(scorer_cols,
                    key=lambda n: column_ndcg(valid, n, valid_qrels))
         single_scores[target] = column_ndcg(test, best, test_qrels)

@@ -148,6 +148,12 @@ class TestValidation:
             PipelineConfig.from_dict({**MINIMAL,
                                       "market_weights": {"t9": 1.0}})
 
+    def test_combinations_must_name_markets(self):
+        scorers = [{"name": "item_cf", "combinations": [["t1", "zz"]]}]
+        with pytest.raises(ConfigError, match=r"scorer 'item_cf'.*\['zz'\]"):
+            PipelineConfig.from_dict({**MINIMAL,
+                                      "prerank": {"scorers": scorers}})
+
     def test_fold_minimums(self):
         with pytest.raises(ConfigError, match="folds"):
             SelectionConfig(folds=1)

@@ -13,12 +13,12 @@ from cmrec import embeddings as emb
 from cmrec import features, memory_cf, util
 from cmrec.data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                         fit_encoders, load_run)
-from cmrec.features import (FeatureTable, PlanContext, ScorerSpec,
+from cmrec.features import (Catalog, FeatureTable, PlanContext, ScorerSpec,
                             combination_matrix, default_combinations,
                             empty_table, external_embedding_features,
                             feature_correlation, global_statistic_features,
                             read_table, run_plan, write_table)
-from cmrec.util import ConfigError, DataError, write_tsv
+from cmrec.util import ConfigError, DataError, read_artifact, write_tsv
 
 
 RAW_ROWS = [
@@ -59,9 +59,11 @@ RUN = run_of(RUN_ENTRIES)
 
 
 def plan_run(plan, ctx, run):
-    """run_plan of a RunFile, encoded by ctx's encoders."""
-    return run_plan(plan, ctx, run,
-                    *features.encode_run(run, ctx.users, ctx.items))
+    """run_plan of a RunFile, encoded by ctx's encoders, without the
+    provenance: (table, failures)."""
+    table, _, failures = run_plan(
+        plan, ctx, run, *features.encode_run(run, ctx.users, ctx.items))
+    return table, failures
 
 
 def run_statistics(ctx, run, target):
@@ -268,9 +270,9 @@ class TestRunPlan:
         calls = []
         real = FeatureTable.with_columns
 
-        def counting(self, names, matrix, provenance):
+        def counting(self, names, matrix):
             calls.append(list(names))
-            return real(self, names, matrix, provenance)
+            return real(self, names, matrix)
 
         monkeypatch.setattr(FeatureTable, "with_columns", counting)
         table, failures = plan_run(specs, tiny_context(), RUN)
@@ -289,14 +291,16 @@ class TestRunPlan:
     def test_provenance_records_combination_and_guard(self):
         ctx = tiny_context()
         spec = spec_for(params={"top_k": 5})
-        table, _ = plan_run([spec], ctx, RUN)
-        prov = table.provenance[spec.feature_name]
+        table, provenance, _ = run_plan(
+            [spec], ctx, RUN, *features.encode_run(RUN, ctx.users, ctx.items))
+        assert list(provenance) == list(table.columns)
+        prov = provenance[spec.feature_name]
         assert prov["kind"] == "scorer"
         assert prov["scorer"] == "item_cf"
         assert prov["params"] == {"top_k": 5}
         assert prov["combination"] == ["s1", "t1"]
         assert prov["excludes_target_valid"] is True
-        miss = table.provenance[f"{spec.feature_name}__missing"]
+        miss = provenance[f"{spec.feature_name}__missing"]
         assert miss["kind"] == "missing_indicator"
 
 
@@ -759,7 +763,7 @@ class TestCorrelation:
         assert np.array_equal(back, corr)
 
 
-def write_table_oracle(table, tsv_path, catalog_path):
+def write_table_oracle(table, tsv_path, catalog_path, provenance):
     """The row-by-row writer write_table replaced: one repr per cell."""
     header = ["user", "item"] + (["label"] if table.labels is not None else [])
     header += list(table.columns)
@@ -774,12 +778,12 @@ def write_table_oracle(table, tsv_path, catalog_path):
     Path(tsv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     catalog = {"columns": list(table.columns),
                "has_labels": table.labels is not None,
-               "provenance": {k: dict(v) for k, v in table.provenance.items()}}
+               "provenance": {k: dict(v) for k, v in provenance.items()}}
     Path(catalog_path).write_text(
         json.dumps(catalog, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def read_table_oracle(tsv_path, catalog_path=None):
+def read_table_oracle(tsv_path):
     """The reader read_table replaced: one float() per cell."""
     tsv_path = Path(tsv_path)
     with tsv_path.open(encoding="utf-8") as fh:
@@ -800,15 +804,10 @@ def read_table_oracle(tsv_path, catalog_path=None):
             if has_labels:
                 labels.append(int(parts[2]))
             rows.append([float(v) for v in parts[col_start:]])
-    provenance = {}
-    if catalog_path is not None and Path(catalog_path).exists():
-        catalog = json.loads(Path(catalog_path).read_text(encoding="utf-8"))
-        provenance = catalog.get("provenance", {})
     values = np.array(rows) if rows else np.zeros((0, len(columns)))
     return FeatureTable(tuple(users), tuple(items), columns,
                         values.reshape(len(users), len(columns)),
-                        np.array(labels, dtype=np.int8) if has_labels else None,
-                        provenance)
+                        np.array(labels, dtype=np.int8) if has_labels else None)
 
 
 # Values whose shortest repr is easy to get wrong: the sign of zero, the
@@ -833,9 +832,7 @@ def oracle_table(rng, n_rows, n_cols, labeled=True):
                         tuple(f"i{r % 7}" for r in range(n_rows)), names,
                         values,
                         (rng.integers(0, 2, n_rows).astype(np.int8)
-                         if labeled else None),
-                        {name: {"kind": "scorer", "pos": j}
-                         for j, name in enumerate(names)})
+                         if labeled else None))
 
 
 def assert_same_table(got, want):
@@ -849,7 +846,6 @@ def assert_same_table(got, want):
     else:
         assert got.labels.dtype == np.int8
         assert np.array_equal(got.labels, want.labels)
-    assert got.provenance == want.provenance
 
 
 class TestTableIO:
@@ -858,21 +854,22 @@ class TestTableIO:
         return FeatureTable(tuple(f"u{r % 3}" for r in range(6)),
                             tuple(f"i{r}" for r in range(6)),
                             ("one", "two"), values,
-                            np.array([1, 0, 0, 1, 0, 0], dtype=np.int8),
-                            {"one": {"kind": "scorer"},
-                             "two": {"kind": "statistic"}})
+                            np.array([1, 0, 0, 1, 0, 0], dtype=np.int8))
 
     def test_round_trip_with_labels_and_catalog(self, tmp_path, rng):
         table = self.labeled_table(rng)
-        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json")
-        back = read_table(tmp_path / "f.tsv", tmp_path / "f.catalog.json")
+        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json",
+                    {"one": {"kind": "scorer"}, "two": {"kind": "statistic"}})
+        back = read_table(tmp_path / "f.tsv")
         assert back.users.tolist() == table.users.tolist()
         assert back.items.tolist() == table.items.tolist()
         assert back.columns == table.columns
         assert np.array_equal(back.labels, table.labels)
         # values pass through repr() so the round trip is exact
         assert np.array_equal(back.values, table.values)
-        assert back.provenance["two"] == {"kind": "statistic"}
+        catalog = read_artifact(Catalog, tmp_path / "f.catalog.json")
+        assert catalog.columns == ("one", "two") and catalog.has_labels
+        assert catalog.provenance["two"] == {"kind": "statistic"}
 
     @pytest.mark.parametrize("labeled", [True, False])
     def test_cells_are_written_as_util_fmt(self, tmp_path, labeled):
@@ -882,7 +879,7 @@ class TestTableIO:
         labels = np.array([1, 0, 1], dtype=np.int8) if labeled else None
         table = FeatureTable(("u0", "u1", "u2"), ("i0", "i1", "i2"),
                              ("a", "b", "c", "d"), values, labels)
-        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json")
+        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json", {})
         header = "user\titem\t" + ("label\t" if labeled else "") + "a\tb\tc\td"
         want = [header] + [
             "\t".join([f"u{r}", f"i{r}"]
@@ -893,17 +890,11 @@ class TestTableIO:
         assert want[1].endswith("\t-0.0\t5e-324\t1e+16\t0.30000000000000004")
         assert "\t3.0\t-7.0\t0.0\t" in want[2]
 
-    def test_read_without_catalog(self, tmp_path, rng):
-        table = self.labeled_table(rng)
-        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json")
-        back = read_table(tmp_path / "f.tsv")
-        assert back.provenance == {}
-
     def test_unlabeled_table_round_trips(self, tmp_path, rng):
         table = FeatureTable(("u1", "u2"), ("i1", "i2"), ("a",),
                              rng.normal(size=(2, 1)))
-        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json")
-        back = read_table(tmp_path / "f.tsv", tmp_path / "f.catalog.json")
+        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json", {})
+        back = read_table(tmp_path / "f.tsv")
         assert back.labels is None
         assert np.array_equal(back.values, table.values)
 
@@ -927,15 +918,18 @@ class TestTableIO:
     def test_write_and_read_match_the_oracles(self, tmp_path, rng, n_rows,
                                               n_cols, labeled):
         table = oracle_table(rng, n_rows, n_cols, labeled)
-        write_table(table, tmp_path / "new.tsv", tmp_path / "new.json")
-        write_table_oracle(table, tmp_path / "old.tsv", tmp_path / "old.json")
+        provenance = {name: {"kind": "scorer", "pos": j}
+                      for j, name in enumerate(table.columns)}
+        write_table(table, tmp_path / "new.tsv", tmp_path / "new.json",
+                    provenance)
+        write_table_oracle(table, tmp_path / "old.tsv", tmp_path / "old.json",
+                           provenance)
         assert ((tmp_path / "new.tsv").read_bytes()
                 == (tmp_path / "old.tsv").read_bytes())
         assert ((tmp_path / "new.json").read_bytes()
                 == (tmp_path / "old.json").read_bytes())
-        back = read_table(tmp_path / "new.tsv", tmp_path / "new.json")
-        assert_same_table(back, read_table_oracle(tmp_path / "new.tsv",
-                                                  tmp_path / "new.json"))
+        back = read_table(tmp_path / "new.tsv")
+        assert_same_table(back, read_table_oracle(tmp_path / "new.tsv"))
         assert_same_table(back, table)
 
     def test_blank_lines_are_skipped(self, tmp_path):
@@ -951,16 +945,14 @@ class TestTableIO:
                                          []])
     def test_columns_subset_in_any_order(self, tmp_path, rng, columns):
         table = oracle_table(rng, 40, 5)
-        write_table(table, tmp_path / "f.tsv", tmp_path / "f.json")
-        back = read_table(tmp_path / "f.tsv", tmp_path / "f.json",
-                          columns=columns)
-        want = read_table_oracle(tmp_path / "f.tsv",
-                                 tmp_path / "f.json").select(columns)
+        write_table(table, tmp_path / "f.tsv", tmp_path / "f.json", {})
+        back = read_table(tmp_path / "f.tsv", columns=columns)
+        want = read_table_oracle(tmp_path / "f.tsv").select(columns)
         assert_same_table(back, want)
 
     def test_unknown_column_is_a_key_error(self, tmp_path, rng):
         write_table(oracle_table(rng, 4, 2), tmp_path / "f.tsv",
-                    tmp_path / "f.json")
+                    tmp_path / "f.json", {})
         with pytest.raises(KeyError, match="'nope'"):
             read_table(tmp_path / "f.tsv", columns=["c1", "nope"])
 
@@ -1013,12 +1005,10 @@ class TestFeatureTableContract:
         values = rng.normal(size=(4, 3))
         table = FeatureTable(("u1", "u1", "u2", "u2"),
                              ("i1", "i2", "i1", "i2"),
-                             ("a", "b", "c"), values,
-                             provenance={"a": {"kind": "scorer"}})
+                             ("a", "b", "c"), values)
         sel = table.select(["c", "a"])
         assert sel.columns == ("c", "a")
         assert np.array_equal(sel.values, values[:, [2, 0]])
-        assert sel.provenance == {"a": {"kind": "scorer"}}
         with pytest.raises(KeyError):
             table.select(["nope"])
 
@@ -1026,11 +1016,9 @@ class TestFeatureTableContract:
         assert sub.users.tolist() == ["u2", "u2"]
         assert np.array_equal(sub.values, values[2:])
 
-        wider = table.with_columns(["d"], np.ones((4, 1)),
-                                   {"d": {"kind": "statistic"}})
+        wider = table.with_columns(["d"], np.ones((4, 1)))
         assert wider.columns == ("a", "b", "c", "d")
         assert np.array_equal(wider.column("d"), np.ones(4))
-        assert wider.provenance["d"] == {"kind": "statistic"}
 
     def test_with_labels(self):
         table = FeatureTable(("u",), ("i",), ("a",), np.ones((1, 1)))

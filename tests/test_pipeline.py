@@ -190,7 +190,10 @@ class TestIngest:
 
         monkeypatch.setattr(pipeline, "atomic_save_npy", crash_after_write)
         other = pipeline_config(world["data"], tmp_path / "w",
-                                markets=["s1", "t1"], targets=["t1"])
+                                markets=["s1", "t1"], targets=["t1"],
+                                prerank={"scorers": [
+                                    {"name": "item_cf",
+                                     "combinations": [["s1", "t1"]]}]})
         with pytest.raises(RuntimeError, match="crash"):
             pipeline.run_ingest(other)
         assert snapshot_bytes(ws) == first
@@ -283,13 +286,6 @@ class TestMakePlan:
         plan = pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
         assert plan[0].params["seed"] == 99
 
-    def test_unknown_market_in_combination(self, world, tmp_path):
-        config = pipeline_config(world["data"], tmp_path / "w", prerank={
-            "scorers": [{"name": "item_cf",
-                         "combinations": [["s1", "s9", "t1"]]}]})
-        with pytest.raises(ConfigError, match="s9"):
-            pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
-
     def test_combination_must_contain_target(self, world, tmp_path):
         config = pipeline_config(world["data"], tmp_path / "w", prerank={
             "scorers": [{"name": "item_cf", "combinations": [["s1", "t2"]]}]})
@@ -327,10 +323,8 @@ class TestPrerankOutputs:
 
     def test_feature_tables_exist_with_expected_columns(self, world):
         ws = world["ws"]
-        valid = features.read_table(ws.features_path("t1", "valid"),
-                                    ws.catalog_path("t1", "valid"))
-        test = features.read_table(ws.features_path("t1", "test"),
-                                   ws.catalog_path("t1", "test"))
+        valid = features.read_table(ws.features_path("t1", "valid"))
+        test = features.read_table(ws.features_path("t1", "test"))
         # 4 scorer specs -> 8 columns, plus 17 statistics
         assert len(valid.columns) == 8 + 17
         assert valid.columns == test.columns
@@ -794,22 +788,6 @@ class TestCli:
         finally:
             (ws / ".lock").unlink()
 
-    @pytest.mark.parametrize("command, damaged", [
-        ("prerank", "snapshot/meta.json"),
-        ("select", "t1/features_valid.catalog.json"),
-    ])
-    def test_damaged_workspace_json_exits_3_naming_it(self, world, tmp_path,
-                                                      capsys, command,
-                                                      damaged):
-        work, config = copied_workspace(world, tmp_path)
-        path = work / damaged
-        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
-        config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps(config.to_dict()))
-        assert cli.main([command, "--config", str(config_file),
-                         "--target", "t1"]) == 3
-        assert str(path) in capsys.readouterr().err
-
     def run_on_damaged(self, world, tmp_path, command, damaged, text):
         """The CLI exit code of command on a copied workspace whose file
         damaged holds text, and that file's path."""
@@ -822,11 +800,22 @@ class TestCli:
         return cli.main([command, "--config", str(config_file),
                          *target]), path
 
+    @pytest.mark.parametrize("command, damaged", [
+        ("prerank", "snapshot/meta.json"),
+        ("report", "t1/evaluation.json"),
+    ])
+    def test_damaged_workspace_json_exits_3_naming_it(self, world, tmp_path,
+                                                      capsys, command,
+                                                      damaged):
+        text = (world["ws"].root / damaged).read_text(encoding="utf-8")
+        code, path = self.run_on_damaged(world, tmp_path, command, damaged,
+                                         text[:len(text) // 2])
+        assert code == 3
+        assert str(path) in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, damaged, text, key", [
         ("prerank", "snapshot/meta.json", "{}", "markets"),
         ("prerank", "snapshot/encoders.json", '{"users": []}', "items"),
-        ("select", "t1/features_valid.catalog.json",
-         '{"columns": [], "has_labels": true}', "provenance"),
         ("report", "t2/evaluation.json",
          '{"market": "t2", "n_users": 15, "run_file": "r.tsv"}',
          "ndcg_at_10"),
@@ -841,9 +830,8 @@ class TestCli:
 
     def test_workspace_json_that_is_no_object_exits_3_naming_it(
             self, world, tmp_path, capsys):
-        code, path = self.run_on_damaged(world, tmp_path, "select",
-                                         "t1/features_valid.catalog.json",
-                                         "[]\n")
+        code, path = self.run_on_damaged(world, tmp_path, "report",
+                                         "t1/evaluation.json", "[]\n")
         assert code == 3
         assert str(path) in capsys.readouterr().err
 
@@ -854,7 +842,6 @@ class TestCli:
         ("prerank", "snapshot/encoders.json", "users", "u1"),
         ("prerank", "snapshot/encoders.json", "items", [3]),
         ("report", "t1/evaluation.json", "ndcg_at_10", "0.5"),
-        ("select", "t1/features_valid.catalog.json", "provenance", ["x"]),
     ])
     def test_workspace_json_with_a_mistyped_field_exits_3_naming_it(
             self, world, tmp_path, capsys, command, damaged, field, value):
@@ -865,6 +852,24 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert str(path) in err and f".{field}" in err
+
+    def test_select_and_train_read_no_catalog(self, world, tmp_path):
+        # prerank writes the catalogs for readers; select and train read
+        # only the feature tables
+        work, config = copied_workspace(world, tmp_path)
+        for which in ("valid", "test"):
+            (work / "t1" / f"features_{which}.catalog.json").write_text("{")
+        outputs = ("kept.txt", "model.json", "test_ranked.tsv")
+        for name in outputs:
+            (work / "t1" / name).unlink()
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config.to_dict()))
+        for command in ("select", "train"):
+            assert cli.main([command, "--config", str(config_file),
+                             "--target", "t1"]) == 0
+        for name in outputs:
+            assert (work / "t1" / name).read_bytes() == (
+                world["ws"].target_dir("t1") / name).read_bytes()
 
     def test_meta_json_keeps_its_bytes(self, world):
         # the layout of meta.json, spelled out for this workspace (the

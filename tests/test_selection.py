@@ -148,8 +148,7 @@ class TestDefaultGroups:
 class TestCvElimination:
     def test_exact_duplicate_group_dropped_for_free(self, rng):
         table = ranked_table(rng, {"sig__f": signal})
-        dup = table.with_columns(["dup__f"], table.values[:, :1].copy(),
-                                 {"dup__f": {}})
+        dup = table.with_columns(["dup__f"], table.values[:, :1].copy())
         records = selection.heuristic_cv_elimination(
             dup, selection.default_groups(dup.columns), TRAINER, folds=4)
         by_name = {r["name"]: r for r in records}
@@ -230,16 +229,14 @@ class TestRunSelection:
             "shift__b": noise,
             "flat__d": lambda y, r: np.zeros(len(y)),
         })
-        valid = valid.with_columns(["dupsig__c"], valid.values[:, :1].copy(),
-                                   {"dupsig__c": {}})
+        valid = valid.with_columns(["dupsig__c"], valid.values[:, :1].copy())
         test = ranked_table(rng, {
             "sig__a": noise,
             "shift__b": lambda y, r: noise(y, r) + 4.0,
             "flat__d": lambda y, r: np.zeros(len(y)),
         }, with_labels=False)
         test = test.with_columns(["dupsig__c"],
-                                 rng.normal(size=(test.n_rows, 1)),
-                                 {"dupsig__c": {}})
+                                 rng.normal(size=(test.n_rows, 1)))
         return valid, test
 
     def test_stages_fire_in_order_and_merge_into_one_report(self, rng):
@@ -301,12 +298,10 @@ class TestRunSelection:
             "few__f": lambda y, r: r.integers(0, 3, len(y)) * 1.0,
         }
         valid = ranked_table(rng, columns, n_users=40, per_user=8)
-        valid = valid.with_columns(["dup__c2"], valid.values[:, :1].copy(),
-                                   {"dup__c2": {}})
+        valid = valid.with_columns(["dup__c2"], valid.values[:, :1].copy())
         test = ranked_table(rng, columns, n_users=40, per_user=8,
                             with_labels=False)
-        test = test.with_columns(["dup__c2"], test.values[:, :1].copy(),
-                                 {"dup__c2": {}})
+        test = test.with_columns(["dup__c2"], test.values[:, :1].copy())
         return valid, test
 
     SCREEN = dict(trainer=gbdt.GbdtParams(
