@@ -212,8 +212,11 @@ def make_plan(config: PipelineConfig, target: str,
               markets: tuple[str, ...]) -> list[features.ScorerSpec]:
     """Expand the configured scorer plans into one spec per combination.
 
-    Seeded scorers get a seed derived from the global seed, the target,
-    the scorer name, and the combination, unless the plan pins one.
+    markets are the snapshot's. An explicit combination naming a market
+    the snapshot lacks (the config gained it after ingest) is a
+    ConfigError. Seeded scorers get a seed derived from the global seed,
+    the target, the scorer name, and the combination, unless the plan
+    pins one.
     """
     plan: list[features.ScorerSpec] = []
     for sc in config.prerank.scorers:
@@ -223,6 +226,11 @@ def make_plan(config: PipelineConfig, target: str,
         else:
             combos = []
             for combo_markets in sc.combinations:
+                missing = sorted(set(combo_markets) - set(markets))
+                if missing:
+                    raise ConfigError(
+                        f"scorer {sc.name!r} combination names markets not "
+                        f"in the snapshot: {missing}; run ingest")
                 try:
                     combos.append(CombinationSpec(
                         target, tuple(sorted(set(combo_markets)))))

@@ -286,6 +286,15 @@ class TestMakePlan:
         plan = pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
         assert plan[0].params["seed"] == 99
 
+    def test_unknown_market_in_combination(self, world, tmp_path):
+        # the config names s9, but the snapshot was ingested without it
+        config = pipeline_config(
+            world["data"], tmp_path / "w", markets=["s1", "s9", "t1", "t2"],
+            prerank={"scorers": [{"name": "item_cf",
+                                  "combinations": [["s1", "s9", "t1"]]}]})
+        with pytest.raises(ConfigError, match=r"item_cf.*\['s9'\].*ingest"):
+            pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
+
     def test_combination_must_contain_target(self, world, tmp_path):
         config = pipeline_config(world["data"], tmp_path / "w", prerank={
             "scorers": [{"name": "item_cf", "combinations": [["s1", "t2"]]}]})
@@ -302,6 +311,19 @@ class TestMakePlan:
     def test_target_outside_config(self, world):
         with pytest.raises(ConfigError, match="t9"):
             pipeline.run_prerank(world["config"], "t9")
+
+    def test_market_added_after_ingest_stops_prerank(self, world, tmp_path):
+        work, config = copied_workspace(world, tmp_path)
+        grown = PipelineConfig.from_dict({
+            **config.to_dict(), "markets": ["s1", "s9", "t1", "t2"],
+            "prerank": {"scorers": [{"name": "item_cf",
+                                     "combinations": [["s9", "t1"]]}]}})
+        before = {p.name: p.read_bytes() for p in (work / "t1").iterdir()
+                  if p.is_file()}
+        with pytest.raises(ConfigError, match=r"\['s9'\]"):
+            pipeline.run_prerank(grown, "t1")
+        assert {p.name: p.read_bytes() for p in (work / "t1").iterdir()
+                if p.is_file()} == before
 
 
 class TestPrerankOutputs:
