@@ -107,7 +107,16 @@ class PipelineConfig(JsonConfig):
             bad = [m for m in self.market_weights if m not in self.markets]
             if bad:
                 raise ConfigError(f"weights name unknown markets: {bad}")
+            unweighted = [t for t in self.targets
+                          if t not in self.market_weights]
+            if unweighted:
+                raise ConfigError(f"weights lack targets: {unweighted}")
+        shape = (len(set(self.markets) - set(self.targets)), len(self.targets))
         for sc in self.prerank.scorers:
+            if sc.combinations == "default" and shape != (3, 2):
+                raise ConfigError(
+                    f"scorer {sc.name!r} uses the default combinations, which "
+                    f"need exactly 3 source and 2 target markets, not {shape}")
             named = (set() if sc.combinations == "default"
                      else set().union(*sc.combinations))
             unknown = sorted(named - set(self.markets))

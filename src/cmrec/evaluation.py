@@ -187,8 +187,8 @@ def qrels_from_pairs(users: np.ndarray, items: np.ndarray) -> dict[str, set]:
 
 def metric_report(per_market_ndcg: Mapping[str, float],
                   weights: Mapping[str, float]) -> dict:
-    return {
+    return {  # weighted first: it names a market without a weight
+        "weighted": weighted_market_score(per_market_ndcg, weights),
         "per_market": {m: float(s) for m, s in sorted(per_market_ndcg.items())},
         "weights": {m: float(weights[m]) for m in sorted(per_market_ndcg)},
-        "weighted": weighted_market_score(per_market_ndcg, weights),
     }

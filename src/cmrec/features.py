@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from hashlib import blake2b
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -178,6 +178,17 @@ SCORERS: dict[str, Scorer] = {
 
 
 @dataclass(frozen=True)
+class PlanEntry:
+    """A scorer column in prerank's plan and, as kind "scorer", in its
+    provenance; params hold the derived seed."""
+
+    scorer: str
+    params: Mapping
+    combination: tuple[str, ...]
+    excludes_target_valid: bool
+
+
+@dataclass(frozen=True)
 class ScorerSpec:
     scorer: str
     params: Mapping
@@ -191,6 +202,12 @@ class ScorerSpec:
     def feature_name(self) -> str:
         return (f"{self.scorer}__{params_hash(dict(self.params))}"
                 f"__{self.combination.combo_id}")
+
+    @property
+    def entry(self) -> PlanEntry:
+        combo = self.combination
+        return PlanEntry(self.scorer, dict(self.params), combo.markets,
+                         combo.exclude_valid_of_target)
 
 
 @dataclass(frozen=True)
@@ -364,15 +381,11 @@ def default_combinations(target: str, all_markets: Sequence[str],
                          targets: Sequence[str]) -> list[CombinationSpec]:
     """The ten benchmark market combinations for one target: all markets,
     all sources + target, target alone, both targets, every source pair +
-    target, every single source + target."""
+    target, every single source + target. The config guarantees 3 source
+    and 2 target markets."""
     all_markets = sorted(all_markets)
-    if target not in all_markets:
-        raise ConfigError(f"target {target!r} not among markets")
     targets = sorted(targets)
-    sources = [m for m in all_markets if m not in targets]
-    if len(sources) != 3 or len(targets) != 2:
-        raise ConfigError("expected exactly 3 source and 2 target markets")
-    s1, s2, s3 = sources
+    s1, s2, s3 = [m for m in all_markets if m not in targets]
 
     def spec(markets):
         return CombinationSpec(target, tuple(sorted(set(markets))))
@@ -396,7 +409,7 @@ class PlanContext:
     """Everything run_plan needs: encoded interactions and the encoders.
 
     A prerank's in-memory cache: matrices per combination and model_cache
-    the fitted tables per (scorer, params, combination), so that scoring a
+    the fitted models per ScorerSpec.feature_name, so that scoring a
     second run file neither rebuilds nor retrains anything. fit_ids holds
     the ascending encoded ids of every user and of every candidate the
     fitted models will score, known_ids of the runs; left (None, None),
@@ -531,10 +544,7 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
                 cache.parent.mkdir(parents=True, exist_ok=True)
                 atomic_save_npy(cache, got)
                 _drop_stale(cache, name)
-        prov = {"kind": "scorer", "scorer": spec.scorer,
-                "params": dict(spec.params),
-                "combination": list(spec.combination.markets),
-                "excludes_target_valid": spec.combination.exclude_valid_of_target}
+        prov = {"kind": "scorer", **asdict(spec.entry)}
         values[len(columns):len(columns) + 2] = got
         columns += [name, f"{name}__missing"]
         provenance.update({name: prov, f"{name}__missing": {
@@ -551,15 +561,14 @@ def _score_run(spec: ScorerSpec, ctx: PlanContext, user_ids: np.ndarray,
     """(values, missing) of one spec over the encoded run pairs, in one
     score call, fitting its model on its params, checked against the
     scorer's params class, and ctx's fit ids, unless ctx.model_cache
-    holds it."""
+    holds it under the spec's feature name."""
     matrix = ctx.matrix(spec.combination)
     scorer = SCORERS[spec.scorer]
-    params = dict(spec.params)
-    key = (spec.scorer, params_hash(params), spec.combination.combo_id)
+    key = spec.feature_name
     if key not in ctx.model_cache:
-        ctx.model_cache[key] = scorer.fit(matrix, from_dict(
-            scorer.params, params, f"scorer {spec.scorer!r} params"),
-            *ctx.fit_ids)
+        params = from_dict(scorer.params, dict(spec.params),
+                           f"scorer {spec.scorer!r} params")
+        ctx.model_cache[key] = scorer.fit(matrix, params, *ctx.fit_ids)
     return scorer.score(ctx.model_cache[key], matrix, user_ids, item_ids)
 
 

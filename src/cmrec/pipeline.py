@@ -208,34 +208,35 @@ def _check_target(config: PipelineConfig, target: str) -> None:
                           f"{list(config.targets)}")
 
 
-def make_plan(config: PipelineConfig, target: str,
-              markets: tuple[str, ...]) -> list[features.ScorerSpec]:
-    """Expand the configured scorer plans into one spec per combination.
+def _check_snapshot(config: PipelineConfig, snap: Snapshot) -> None:
+    """The snapshot holds the config's markets and targets; a set that
+    differs (the config changed after ingest) is a StageError."""
+    for name, ours, theirs in (("markets", config.markets, snap.markets),
+                               ("targets", config.targets, snap.targets)):
+        ours, theirs = set(ours), set(theirs)
+        if ours != theirs:
+            raise StageError(
+                f"the snapshot's {name} differ from the config's: only in "
+                f"the config {sorted(ours - theirs)}, only in the snapshot "
+                f"{sorted(theirs - ours)}; run ingest")
 
-    markets are the snapshot's. An explicit combination naming a market
-    the snapshot lacks (the config gained it after ingest) is a
-    ConfigError. Seeded scorers get a seed derived from the global seed,
-    the target, the scorer name, and the combination, unless the plan
-    pins one.
-    """
+
+def make_plan(config: PipelineConfig,
+              target: str) -> list[features.ScorerSpec]:
+    """Expand the configured scorer plans into one spec per combination;
+    an explicit combination without the target is a ConfigError. Seeded
+    scorers get a seed derived from the global seed, the target, the
+    scorer name, and the combination, unless the plan pins one."""
     plan: list[features.ScorerSpec] = []
     for sc in config.prerank.scorers:
-        if sc.combinations == "default":
-            combos = features.default_combinations(target, markets,
-                                                   config.targets)
-        else:
-            combos = []
-            for combo_markets in sc.combinations:
-                missing = sorted(set(combo_markets) - set(markets))
-                if missing:
-                    raise ConfigError(
-                        f"scorer {sc.name!r} combination names markets not "
-                        f"in the snapshot: {missing}; run ingest")
-                try:
-                    combos.append(CombinationSpec(
-                        target, tuple(sorted(set(combo_markets)))))
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from None
+        try:
+            combos = (features.default_combinations(target, config.markets,
+                                                    config.targets)
+                      if sc.combinations == "default" else
+                      [CombinationSpec(target, tuple(sorted(set(markets))))
+                       for markets in sc.combinations])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for combo in combos:
             params = dict(sc.params)
             if features.SCORERS[sc.name].seeded and "seed" not in params:
@@ -263,16 +264,6 @@ PRERANK_RECORD_VERSION = 1
 
 
 @dataclass(frozen=True)
-class PlanEntry:
-    """One spec of the expanded scorer plan, its derived seed included."""
-
-    scorer: str
-    params: Mapping
-    combination: tuple[str, ...]
-    excludes_target_valid: bool
-
-
-@dataclass(frozen=True)
 class PrerankInputs:
     """All a target's prerank outputs depend on besides the code: per run,
     the cache key over the snapshot rows, both encoders and the run file;
@@ -280,7 +271,7 @@ class PrerankInputs:
     file's bytes (its path is not an input)."""
 
     runs: Mapping[str, str]
-    plan: tuple[PlanEntry, ...]
+    plan: tuple[features.PlanEntry, ...]
     stats: bool
     external_embeddings: str | None
 
@@ -304,13 +295,8 @@ def _prerank_inputs(config: PipelineConfig, plan: list[features.ScorerSpec],
         external = file_sha256(path)
         if external is None:
             raise DataError(f"embedding file not found: {path}")
-    return PrerankInputs(
-        keys,
-        tuple(PlanEntry(spec.scorer, dict(spec.params),
-                        spec.combination.markets,
-                        spec.combination.exclude_valid_of_target)
-              for spec in plan),
-        config.prerank.stats, external)
+    return PrerankInputs(keys, tuple(spec.entry for spec in plan),
+                         config.prerank.stats, external)
 
 
 def _canonical(inputs: PrerankInputs) -> str:
@@ -344,7 +330,8 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     _check_target(config, target)
     ws = workspace_for(config)
     snap = load_snapshot(ws)
-    plan = make_plan(config, target, snap.markets)
+    _check_snapshot(config, snap)
+    plan = make_plan(config, target)
     tdir = ws.target_dir(target)
     tdir.mkdir(exist_ok=True)
     runs = {which: data.load_run(ws.run_path(target, which))
@@ -547,8 +534,8 @@ def run_report(config: PipelineConfig) -> dict:
             raise StageError(f"no evaluation for target {target!r}; "
                              f"run evaluate first")
         per_market[target] = read_artifact(Evaluation, path).ndcg_at_10
-    weights = (dict(config.market_weights) if config.market_weights
-               else evaluation.DEFAULT_MARKET_WEIGHTS)
+    weights = (evaluation.DEFAULT_MARKET_WEIGHTS
+               if config.market_weights is None else config.market_weights)
     report = evaluation.metric_report(per_market, weights)
     write_json(ws.root / "final.json", report)
     return report

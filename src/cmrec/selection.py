@@ -90,24 +90,19 @@ def _cv_score(table: FeatureTable, columns: Sequence[str],
     return gbdt.oof_ndcg(table, bagged.oof)
 
 
-def heuristic_cv_elimination(table: FeatureTable,
-                             groups: Sequence[tuple[str, Sequence[str]]],
-                             trainer: gbdt.GbdtParams, folds: int,
-                             epsilon: float = 0.0) -> list[dict]:
-    """Backward elimination over feature groups in declared order: refit
-    the k-fold CV without each group and drop it permanently iff the score
-    degrades by at most epsilon. At least one group always survives."""
+def heuristic_cv_elimination(table: FeatureTable, trainer: gbdt.GbdtParams,
+                             folds: int, epsilon: float = 0.0) -> list[dict]:
+    """Backward elimination over the table's default_groups in order:
+    refit the k-fold CV without each group and drop it permanently iff the
+    score degrades by at most epsilon. At least one group always
+    survives."""
     if table.labels is None:
         raise DataError("CV elimination needs a labeled table")
     binned = gbdt.bin_folds(table, trainer, folds)
-    current = [c for c in table.columns]
+    current = list(table.columns)
     baseline = _cv_score(table, current, trainer, folds, binned)
     records: list[dict] = []
-    grouped = {name for _, members in groups for name in members}
-    for missing in [c for c in current if c not in grouped]:
-        records.append({"name": missing, "cv_delta": None, "decision": "keep",
-                        "reason": "outside_groups"})
-    for group_name, members in groups:
+    for _, members in default_groups(table.columns):
         live = [m for m in members if m in current]
         if not live:
             continue
@@ -195,8 +190,7 @@ def run_selection(valid_table: FeatureTable, test_table: FeatureTable,
         raise StageError("covariate shift test dropped every feature")
 
     cv_table = valid_table.select(survivors)
-    absorb(heuristic_cv_elimination(
-        cv_table, default_groups(survivors), trainer, folds, cv_epsilon))
+    absorb(heuristic_cv_elimination(cv_table, trainer, folds, cv_epsilon))
     survivors = [c for c in survivors if report[c]["decision"] == "keep"]
     if not survivors:
         raise StageError("CV elimination dropped every feature")

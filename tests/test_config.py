@@ -148,6 +148,23 @@ class TestValidation:
             PipelineConfig.from_dict({**MINIMAL,
                                       "market_weights": {"t9": 1.0}})
 
+    @pytest.mark.parametrize("weights, match", [
+        ({"t1": 1.0}, r"\['t2'\]"),
+        ({}, r"\['t1', 't2'\]"),
+    ])
+    def test_weights_must_name_every_target(self, weights, match):
+        with pytest.raises(ConfigError, match="lack targets: " + match):
+            PipelineConfig.from_dict({**MINIMAL, "market_weights": weights})
+
+    def test_default_combinations_need_3_sources_and_2_targets(self):
+        with pytest.raises(ConfigError, match=r"'item_cf'.*3 source"):
+            PipelineConfig.from_dict({**MINIMAL, "markets": ["s1", "t1"],
+                                      "targets": ["t1"]})
+        explicit = [{"name": "item_cf", "combinations": [["s1", "t1"]]}]
+        assert PipelineConfig.from_dict({
+            **MINIMAL, "markets": ["s1", "t1"], "targets": ["t1"],
+            "prerank": {"scorers": explicit}}).markets == ("s1", "t1")
+
     def test_combinations_must_name_markets(self):
         scorers = [{"name": "item_cf", "combinations": [["t1", "zz"]]}]
         with pytest.raises(ConfigError, match=r"scorer 'item_cf'.*\['zz'\]"):

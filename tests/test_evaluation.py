@@ -222,6 +222,10 @@ class TestRunFileIo:
 
 
 class TestMetricReport:
+    def test_market_without_a_weight_is_a_data_error(self):
+        with pytest.raises(DataError, match="'t2'"):
+            ev.metric_report({"t1": 0.5, "t2": 0.4}, {"t1": 1.0})
+
     def test_combines_markets(self):
         rep = ev.metric_report({"t1": 0.6, "t2": 0.4},
                                {"t1": 0.25, "t2": 0.75})

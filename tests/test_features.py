@@ -11,6 +11,7 @@ import pytest
 
 from cmrec import embeddings as emb
 from cmrec import features, memory_cf, util
+from cmrec.config import PipelineConfig
 from cmrec.data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                         fit_encoders, load_run)
 from cmrec.features import (Catalog, FeatureTable, PlanContext, ScorerSpec,
@@ -145,12 +146,11 @@ class TestDefaultCombinations:
         assert {c.combo_id for c in combos} & {"t2", "t1-t2", "s1-s2-s3-t1-t2"}
 
     def test_unbalanced_market_split_rejected(self):
-        with pytest.raises(ConfigError):
-            default_combinations("t1", ("s1", "s2", "t1"), targets=("t1",))
-
-    def test_target_must_be_listed(self):
-        with pytest.raises(ConfigError, match="t9"):
-            default_combinations("t9", self.MARKETS, targets=("t1", "t2"))
+        # checked at config load, before any combination is built
+        with pytest.raises(ConfigError, match="3 source"):
+            PipelineConfig.from_dict({"data_dir": "d", "workspace": "w",
+                                      "markets": ["s1", "s2", "t1"],
+                                      "targets": ["t1"]})
 
 
 class TestCombinationMatrix:
@@ -288,12 +288,15 @@ class TestRunPlan:
         with pytest.raises(ConfigError, match="duplicate"):
             plan_run([spec_for(), spec_for()], ctx, RUN)
 
-    def test_provenance_records_combination_and_guard(self):
+    def test_provenance_records_combination_and_guard(self, tmp_path):
         ctx = tiny_context()
         spec = spec_for(params={"top_k": 5})
         table, provenance, _ = run_plan(
             [spec], ctx, RUN, *features.encode_run(RUN, ctx.users, ctx.items))
         assert list(provenance) == list(table.columns)
+        catalog = tmp_path / "features.catalog.json"
+        write_table(table, tmp_path / "features.tsv", catalog, provenance)
+        provenance = json.loads(catalog.read_text())["provenance"]
         prov = provenance[spec.feature_name]
         assert prov["kind"] == "scorer"
         assert prov["scorer"] == "item_cf"

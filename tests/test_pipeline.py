@@ -249,7 +249,7 @@ class TestWorkspaceLock:
 
 class TestMakePlan:
     def test_explicit_combinations_expand_in_order(self, world):
-        plan = pipeline.make_plan(world["config"], "t1", ("s1", "t1", "t2"))
+        plan = pipeline.make_plan(world["config"], "t1")
         assert [(s.scorer, s.combination.combo_id) for s in plan] == [
             ("item_cf", "s1-t1-t2"), ("item_cf", "t1-t2"),
             ("user_cf", "s1-t1-t2"), ("swing", "t1-t2")]
@@ -260,11 +260,11 @@ class TestMakePlan:
             "scorers": [{"name": "word2vec", "params": {"epochs": 1},
                          "combinations": COMBOS},
                         {"name": "item_cf", "combinations": [COMBOS[0]]}]})
-        plan = pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
+        plan = pipeline.make_plan(config, "t1")
         w2v = [s for s in plan if s.scorer == "word2vec"]
         assert all("seed" in s.params for s in w2v)
         assert w2v[0].params["seed"] != w2v[1].params["seed"]
-        other_target = pipeline.make_plan(config, "t2", ("s1", "t1", "t2"))
+        other_target = pipeline.make_plan(config, "t2")
         w2v_t2 = [s for s in other_target if s.scorer == "word2vec"]
         assert w2v_t2[0].params["seed"] != w2v[0].params["seed"]
         item_cf = [s for s in plan if s.scorer == "item_cf"]
@@ -274,7 +274,7 @@ class TestMakePlan:
         config = pipeline_config(world["data"], tmp_path / "w", prerank={
             "scorers": [{"name": name, "combinations": [COMBOS[1]]}
                         for name in features.SCORERS]})
-        plan = pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
+        plan = pipeline.make_plan(config, "t1")
         assert [s.scorer for s in plan] == list(features.SCORERS)
         assert {s.scorer for s in plan if "seed" in s.params} == {
             name for name, scorer in features.SCORERS.items() if scorer.seeded}
@@ -283,30 +283,21 @@ class TestMakePlan:
         config = pipeline_config(world["data"], tmp_path / "w", prerank={
             "scorers": [{"name": "word2vec", "params": {"seed": 99},
                          "combinations": [COMBOS[0]]}]})
-        plan = pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
+        plan = pipeline.make_plan(config, "t1")
         assert plan[0].params["seed"] == 99
-
-    def test_unknown_market_in_combination(self, world, tmp_path):
-        # the config names s9, but the snapshot was ingested without it
-        config = pipeline_config(
-            world["data"], tmp_path / "w", markets=["s1", "s9", "t1", "t2"],
-            prerank={"scorers": [{"name": "item_cf",
-                                  "combinations": [["s1", "s9", "t1"]]}]})
-        with pytest.raises(ConfigError, match=r"item_cf.*\['s9'\].*ingest"):
-            pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
 
     def test_combination_must_contain_target(self, world, tmp_path):
         config = pipeline_config(world["data"], tmp_path / "w", prerank={
             "scorers": [{"name": "item_cf", "combinations": [["s1", "t2"]]}]})
         with pytest.raises(ConfigError, match="t1"):
-            pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
+            pipeline.make_plan(config, "t1")
 
     def test_default_combinations_need_the_benchmark_shape(self, world):
+        # checked at config load: the world has one source market
         config = world["config"]
-        bad = PipelineConfig.from_dict({**config.to_dict(), "prerank": {
-            "scorers": [{"name": "item_cf"}]}})
-        with pytest.raises(ConfigError, match="3 source"):
-            pipeline.make_plan(bad, "t1", ("s1", "t1", "t2"))
+        with pytest.raises(ConfigError, match="item_cf.*3 source"):
+            PipelineConfig.from_dict({**config.to_dict(), "prerank": {
+                "scorers": [{"name": "item_cf"}]}})
 
     def test_target_outside_config(self, world):
         with pytest.raises(ConfigError, match="t9"):
@@ -320,10 +311,76 @@ class TestMakePlan:
                                      "combinations": [["s9", "t1"]]}]}})
         before = {p.name: p.read_bytes() for p in (work / "t1").iterdir()
                   if p.is_file()}
-        with pytest.raises(ConfigError, match=r"\['s9'\]"):
+        with pytest.raises(StageError, match=r"\['s9'\]"):
             pipeline.run_prerank(grown, "t1")
         assert {p.name: p.read_bytes() for p in (work / "t1").iterdir()
                 if p.is_file()} == before
+
+
+class TestSnapshotMatchesConfig:
+    """Prerank checks once, before it writes anything, that the snapshot
+    holds the config's markets and targets; the config changed after
+    ingest is a StageError (exit 3) that says to run ingest."""
+
+    ITEM_CF = {"scorers": [{"name": "item_cf",
+                            "combinations": [["s1", "t1"]]}]}
+
+    @pytest.fixture()
+    def five_markets(self, synth_snapshot, tmp_path):
+        """A copy of the five-market snapshot, and a config for it."""
+        _, ws = synth_snapshot
+        shutil.copytree(ws.snapshot_dir, tmp_path / "work" / "snapshot")
+        return {"data_dir": str(tmp_path / "data"),
+                "workspace": str(tmp_path / "work"),
+                "markets": ["s1", "s2", "s3", "t1", "t2"],
+                "targets": ["t1", "t2"]}
+
+    def refused(self, payload, match):
+        config = PipelineConfig.from_dict(payload)
+        with pytest.raises(StageError, match=match):
+            pipeline.run_prerank(config, "t1")
+        assert not pipeline.workspace_for(config).target_dir("t1").exists()
+
+    DEFAULT = {"scorers": [{"name": "item_cf"}]}
+
+    def test_market_added_with_default_combinations(self, five_markets):
+        # a fourth source breaks the default combinations' shape at load
+        with pytest.raises(ConfigError, match="3 source"):
+            PipelineConfig.from_dict({
+                **five_markets, "prerank": self.DEFAULT,
+                "markets": ["s1", "s2", "s3", "s4", "t1", "t2"]})
+
+    def test_market_swapped_with_default_combinations(self, five_markets):
+        # the shape holds, so only prerank can see that s4 is new
+        self.refused({**five_markets, "prerank": self.DEFAULT,
+                      "markets": ["s1", "s2", "s4", "t1", "t2"]},
+                     r"markets.*config \['s4'\].*snapshot \['s3'\]"
+                     r".*run ingest")
+
+    def test_market_dropped_with_explicit_combinations(self, five_markets):
+        self.refused({**five_markets, "prerank": self.ITEM_CF,
+                      "markets": ["s1", "s2", "t1", "t2"]},
+                     r"markets.*config \[\].*snapshot \['s3'\].*run ingest")
+
+    def test_targets_changed(self, five_markets):
+        self.refused({**five_markets, "prerank": self.ITEM_CF,
+                      "targets": ["t1"]},
+                     r"targets.*config \[\].*snapshot \['t2'\].*run ingest")
+
+    def test_same_sets_in_another_order_pass(self, five_markets):
+        config = PipelineConfig.from_dict({
+            **five_markets, "prerank": self.ITEM_CF,
+            "markets": ["t2", "t1", "s3", "s2", "s1"],
+            "targets": ["t2", "t1"]})
+        assert pipeline.run_prerank(config, "t1")["n_columns"] == 1
+
+    def test_cli_exits_3(self, five_markets, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**five_markets, "prerank": self.ITEM_CF,
+                                    "targets": ["t1"]}))
+        assert cli.main(["prerank", "--config", str(path),
+                         "--target", "t1"]) == 3
+        assert "run ingest" in capsys.readouterr().err
 
 
 class TestPrerankOutputs:
@@ -471,7 +528,7 @@ class TestPrerankOutputs:
         ws = pipeline.workspace_for(config)
         pipeline.run_ingest(config)
         pipeline.run_prerank(config, "t1")
-        [spec] = pipeline.make_plan(config, "t1", ("s1", "t1", "t2"))
+        [spec] = pipeline.make_plan(config, "t1")
         old = features.read_table(ws.features_path("t1", "valid"))
         for name in ("train.tsv", "train_5core.tsv"):
             path = data_dir / "t1" / name

@@ -95,7 +95,7 @@ class TestRecordContents:
             ctx = features.PlanContext(snap.rows, snap.users, snap.items)
             run = data.load_run(env["ws"].run_path("t1", which))
             assert record.inputs.runs[which] == features.cache_key(ctx, run)
-        plan = pipeline.make_plan(env["config"], "t1", snap.markets)
+        plan = pipeline.make_plan(env["config"], "t1")
         assert [(e.scorer, dict(e.params), e.combination,
                  e.excludes_target_valid) for e in record.inputs.plan] == [
             (s.scorer, dict(s.params), s.combination.markets,
@@ -103,6 +103,20 @@ class TestRecordContents:
         assert record.inputs.stats is True
         assert record.inputs.external_embeddings == hashlib.sha256(
             env["vectors"].read_bytes()).hexdigest()
+
+    def test_scorer_provenance_is_the_plan(self, env):
+        # one description per scorer column: its catalog provenance, less
+        # the kind, is its plan entry in the record, in plan order
+        tdir = env["tdir"]
+        plan = json.loads(record_path(tdir).read_text())["inputs"]["plan"]
+        catalog = json.loads(
+            (tdir / "features_valid.catalog.json").read_text())
+        provenance = catalog["provenance"]
+        scorer_columns = [c for c in catalog["columns"]
+                          if provenance[c]["kind"] == "scorer"]
+        assert len(plan) == 4
+        assert [{k: v for k, v in provenance[c].items() if k != "kind"}
+                for c in scorer_columns] == plan
 
     def test_two_workspaces_at_different_paths_write_identical_records(
             self, env, tmp_path, source_data):

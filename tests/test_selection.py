@@ -146,52 +146,39 @@ class TestDefaultGroups:
 
 
 class TestCvElimination:
+    """The screen visits its table's default_groups in sorted family
+    order: dup before sig, sig before waste."""
+
     def test_exact_duplicate_group_dropped_for_free(self, rng):
         table = ranked_table(rng, {"sig__f": signal})
         dup = table.with_columns(["dup__f"], table.values[:, :1].copy())
-        records = selection.heuristic_cv_elimination(
-            dup, selection.default_groups(dup.columns), TRAINER, folds=4)
+        records = selection.heuristic_cv_elimination(dup, TRAINER, folds=4)
         by_name = {r["name"]: r for r in records}
         assert by_name["dup__f"]["decision"] == "drop"
         assert by_name["dup__f"]["cv_delta"] == 0.0
         assert by_name["sig__f"]["reason"] == "last_group_guard"
 
     def test_informative_group_kept_noise_dropped(self, rng):
-        table = ranked_table(rng, {"sig__f": signal, "junk__f": noise})
-        groups = [("sig", ("sig__f",)), ("junk", ("junk__f",))]
+        table = ranked_table(rng, {"sig__f": signal, "waste__f": noise})
         records = {r["name"]: r for r in selection.heuristic_cv_elimination(
-            table, groups, TRAINER, folds=4)}
+            table, TRAINER, folds=4)}
         assert records["sig__f"]["decision"] == "keep"
         assert records["sig__f"]["cv_delta"] > 0
-        assert records["junk__f"]["decision"] == "drop"
+        assert records["waste__f"]["decision"] == "drop"
 
     def test_epsilon_tolerates_small_losses(self, rng):
-        table = ranked_table(rng, {"sig__f": signal, "junk__f": noise})
-        groups = [("sig", ("sig__f",)), ("junk", ("junk__f",))]
+        table = ranked_table(rng, {"sig__f": signal, "waste__f": noise})
         records = {r["name"]: r for r in selection.heuristic_cv_elimination(
-            table, groups, TRAINER, folds=4, epsilon=1.0)}
+            table, TRAINER, folds=4, epsilon=1.0)}
         # a full NDCG point of tolerance lets everything except the
         # guarded last group go
         assert records["sig__f"]["decision"] == "drop"
-        assert records["junk__f"]["reason"] == "last_group_guard"
-
-    def test_columns_outside_groups_pass_through(self, rng):
-        table = ranked_table(rng, {"sig__f": signal, "free__f": noise})
-        records = {r["name"]: r for r in selection.heuristic_cv_elimination(
-            table, [("sig", ("sig__f",))], TRAINER, folds=4)}
-        assert records["free__f"]["decision"] == "keep"
-        assert records["free__f"]["reason"] == "outside_groups"
-        assert records["free__f"]["cv_delta"] is None
-        # the ungrouped column keeps the candidate set nonempty, so the
-        # remaining group is evaluated on its merits rather than guarded
-        assert records["sig__f"]["decision"] == "keep"
-        assert records["sig__f"]["cv_delta"] > 0
+        assert records["waste__f"]["reason"] == "last_group_guard"
 
     def test_unlabeled_table_rejected(self, rng):
         table = ranked_table(rng, {"sig__f": signal}, with_labels=False)
         with pytest.raises(DataError, match="label"):
-            selection.heuristic_cv_elimination(
-                table, selection.default_groups(table.columns), TRAINER, 4)
+            selection.heuristic_cv_elimination(table, TRAINER, 4)
 
 
 class TestNullImportance:
