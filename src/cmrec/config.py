@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
+from .evaluation import DEFAULT_MARKET_WEIGHTS
 from .features import SCORERS
 from .gbdt import GbdtParams
 from .util import (ConfigError, JsonConfig, from_dict, read_json_object,
@@ -103,14 +104,19 @@ class PipelineConfig(JsonConfig):
             raise ConfigError(f"targets not among markets: {missing}")
         if not self.targets:
             raise ConfigError("at least one target market is required")
-        if self.market_weights is not None:
-            bad = [m for m in self.market_weights if m not in self.markets]
+        if len(set(self.targets)) != len(self.targets):
+            raise ConfigError("duplicate target names")
+        if self.market_weights is None:
+            weights, whose = DEFAULT_MARKET_WEIGHTS, "default weights"
+        else:
+            weights, whose = self.market_weights, "weights"
+            bad = [m for m in weights if m not in self.markets]
             if bad:
                 raise ConfigError(f"weights name unknown markets: {bad}")
-            unweighted = [t for t in self.targets
-                          if t not in self.market_weights]
-            if unweighted:
-                raise ConfigError(f"weights lack targets: {unweighted}")
+        unweighted = [t for t in self.targets if t not in weights]
+        if unweighted:
+            raise ConfigError(f"{whose} lack targets: {unweighted}; "
+                              f"give market_weights for every target")
         shape = (len(set(self.markets) - set(self.targets)), len(self.targets))
         for sc in self.prerank.scorers:
             if sc.combinations == "default" and shape != (3, 2):

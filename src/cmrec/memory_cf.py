@@ -18,8 +18,11 @@ integer far below 2^53, so the sums are exact in any order and blocking
 and equal those of a sequential loop bit for bit; LLR and Swing see
 incidences only. Fractional ratings may change the last bits of a
 cosine. The scoring kernels score a whole run of (user, candidate) pairs
-per call. Fits and kernels work in blocks that bound their scratch
-memory. All scorers are deterministic.
+per call: item- and user-based scoring expand each pair over its short
+list (the user's history, or the candidate's raters) and look each id up
+in a position table of the other side's neighbor list. Fits and kernels
+work in blocks that bound their scratch memory. All scorers are
+deterministic.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ DEFAULT_SWING_MAX_USERS = 500
 # Scratch bound of the similarity fits: cells per dense block (output
 # rows times their columns, operand rows times the co-entities).
 _FIT_BLOCK = 1 << 17
-# Scratch bounds of the scoring kernels: expanded (pair, neighbor) entries
-# plus position-table cells per neighbor-sum block, and run users per
-# Bi-Graph block.
+# Scratch bounds of the scoring kernels: expanded (pair, key) entries plus
+# neighbor-list position-table cells per neighbor-sum block (unless it
+# holds one pair), and run users per Bi-Graph block.
 _SCORE_BLOCK = 1 << 16
 _BIGRAPH_BLOCK = 8
 
@@ -357,11 +360,16 @@ def _neighbor_sums(table: SimTable, rows: np.ndarray, keys: np.ndarray,
     (key_ptr, key_ids, key_vals), taken in neighbor-list order and summed
     like float(sims[match] @ vals[match]).
 
-    Pairs are sorted by key and cut into blocks of about _SCORE_BLOCK
-    expanded entries plus position-table cells; each block looks its
-    neighbors up in one dense (block keys x table.n) position table.
-    An entity whose list the table did not fit is a ValueError naming
-    the first such one.
+    Pairs are sorted by row and cut into blocks of at most _SCORE_BLOCK
+    expanded key entries plus position-table cells (a block of one pair
+    may hold more). Each block writes its rows' neighbor lists into one
+    dense (block rows x table.n) table of positions in table.ids, expands
+    every pair's key list and looks each key id up there. An id occurs at
+    most once in a neighbor list and in a key list, so the hits ordered by
+    pair and position are each pair's matches in neighbor-list order.
+    A pair with an empty list on either side sums to zero. An entity
+    whose list the table did not fit is a ValueError naming the first
+    such one.
     """
     unfitted = table.unfitted(rows)
     if unfitted.any():
@@ -369,24 +377,34 @@ def _neighbor_sums(table: SimTable, rows: np.ndarray, keys: np.ndarray,
                          f"fitted neighbor list")
     out = np.zeros(len(rows))
     counts = table.ptr[rows + 1] - table.ptr[rows]
-    live = np.flatnonzero(counts > 0)
-    order = live[np.argsort(keys[live], kind="stable")]
-    sorted_keys = keys[order]
+    lens = key_ptr[keys + 1] - key_ptr[keys]
+    live = np.flatnonzero((counts > 0) & (lens > 0))
+    order = live[np.argsort(rows[live], kind="stable")]
+    sorted_rows = rows[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    cost = counts[order] + first * table.n
-    block = (np.cumsum(cost) - cost) // _SCORE_BLOCK
-    for sel in np.split(order, np.flatnonzero(np.diff(block)) + 1):
-        block_keys, local = np.unique(keys[sel], return_inverse=True)
-        lens = key_ptr[block_keys + 1] - key_ptr[block_keys]
-        held = _ranges(key_ptr[block_keys], lens)
-        pos = np.full((len(block_keys), table.n), -1, dtype=np.int64)
-        pos[np.repeat(np.arange(len(block_keys)), lens), key_ids[held]] = held
-        entries = _ranges(table.ptr[rows[sel]], counts[sel])
-        pair = np.repeat(np.arange(len(sel)), counts[sel])
-        found = pos[local[pair], table.ids[entries]]
-        hit = found >= 0
-        out[sel] = segment_dots(table.sims[entries[hit]], key_vals[found[hit]],
+    first[1:] = sorted_rows[1:] != sorted_rows[:-1]
+    # Pairs [s, e) cost bound[e] - bound[s], plus the cells of row
+    # sorted_rows[s] when an earlier block already paid for them.
+    bound = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(lens[order] + first * table.n, out=bound[1:])
+    s = 0
+    while s < len(order):
+        budget = bound[s] + _SCORE_BLOCK - (not first[s]) * table.n
+        e = max(s + 1, int(np.searchsorted(bound, budget, "right")) - 1)
+        sel = order[s:e]
+        s = e
+        block_rows, local = np.unique(rows[sel], return_inverse=True)
+        row_lens = table.ptr[block_rows + 1] - table.ptr[block_rows]
+        entries = _ranges(table.ptr[block_rows], row_lens)
+        pos = np.full((len(block_rows), table.n), -1, dtype=np.int64)
+        pos[np.repeat(np.arange(len(block_rows)), row_lens),
+            table.ids[entries]] = entries
+        held = _ranges(key_ptr[keys[sel]], lens[sel])
+        pair = np.repeat(np.arange(len(sel)), lens[sel])
+        found = pos[local[pair], key_ids[held]]
+        hit = np.flatnonzero(found >= 0)
+        hit = hit[np.argsort(pair[hit] * len(table.ids) + found[hit])]
+        out[sel] = segment_dots(table.sims[found[hit]], key_vals[held[hit]],
                                 np.bincount(pair[hit], minlength=len(sel)))
     return out
 

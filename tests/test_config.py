@@ -143,6 +143,23 @@ class TestValidation:
                                       "markets": ["s1", "s1", "t1"],
                                       "targets": ["t1"]})
 
+    def test_duplicate_targets(self):
+        # a repeated target would count twice as a default-combination target
+        with pytest.raises(ConfigError, match="duplicate target"):
+            PipelineConfig.from_dict({**MINIMAL,
+                                      "markets": ["s1", "s2", "s3", "t1"],
+                                      "targets": ["t1", "t1"]})
+
+    def test_targets_without_default_weights_need_market_weights(self):
+        renamed = {**MINIMAL, "markets": ["s1", "s2", "s3", "a", "t2"],
+                   "targets": ["a", "t2"]}
+        with pytest.raises(ConfigError,
+                           match=r"default weights lack targets: \['a'\]"):
+            PipelineConfig.from_dict(renamed)
+        weights = {"a": 0.5, "t2": 0.5}
+        assert PipelineConfig.from_dict(
+            {**renamed, "market_weights": weights}).market_weights == weights
+
     def test_weights_must_name_markets(self):
         with pytest.raises(ConfigError, match="t9"):
             PipelineConfig.from_dict({**MINIMAL,

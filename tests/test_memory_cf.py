@@ -550,17 +550,46 @@ def set_blocks(monkeypatch, blocks):
         monkeypatch.setattr(mcf, "_BIGRAPH_BLOCK", blocks[1])
 
 
+def assert_both_regimes(table, rows, key_ptr, keys):
+    """Some warm pairs' neighbor lists are longer than their key lists and
+    some shorter."""
+    lists = np.diff(table.ptr)[rows]
+    lens = np.diff(key_ptr)[keys]
+    assert (lists > lens).any() and (lists < lens).any()
+
+
 class TestWholeRunKernels:
     """The whole-run kernels against the per-user loops they replaced:
-    equal float64 bits and equal missing flags on every pair."""
+    equal float64 bits and equal missing flags on every pair, with top-k
+    neighbor lists and with full ones (k = n_items)."""
 
     @pytest.mark.parametrize("blocks", BLOCKS)
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("fit", ["cosine", "swing", "llr"])
     def test_item_based_bits(self, monkeypatch, blocks, seed, fit):
+        self.item_based(monkeypatch, blocks, seed, fit, full=False)
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fit", ["cosine", "swing", "llr"])
+    def test_item_based_full_lists_bits(self, monkeypatch, blocks, seed, fit):
+        self.item_based(monkeypatch, blocks, seed, fit, full=True)
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_user_based_bits(self, monkeypatch, blocks, seed):
+        self.user_based(monkeypatch, blocks, seed, full=False)
+
+    @pytest.mark.parametrize("blocks", BLOCKS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_user_based_full_lists_bits(self, monkeypatch, blocks, seed):
+        self.user_based(monkeypatch, blocks, seed, full=True)
+
+    @staticmethod
+    def item_based(monkeypatch, blocks, seed, fit, full):
         set_blocks(monkeypatch, blocks)
         m, users, cands = scoring_case(seed)
-        k = 3 + seed
+        k = m.n_items if full else 3 + seed
         table = {"cosine": lambda: mcf.item_cosine_similarity(m, k),
                  "swing": lambda: mcf.swing_similarity(m.binarized(), k=k),
                  "llr": lambda: mcf.llr_item_similarity(m.binarized(), k)}[fit]()
@@ -570,13 +599,13 @@ class TestWholeRunKernels:
         assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(cold, want_cold)
         assert got.any() and cold.any() and not cold.all()
+        assert_both_regimes(table, cands[~cold], m.user_ptr, users[~cold])
 
-    @pytest.mark.parametrize("blocks", BLOCKS)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_user_based_bits(self, monkeypatch, blocks, seed):
+    @staticmethod
+    def user_based(monkeypatch, blocks, seed, full):
         set_blocks(monkeypatch, blocks)
         m, users, cands = scoring_case(seed)
-        table = mcf.user_cosine_similarity(m, 3 + seed)
+        table = mcf.user_cosine_similarity(m, m.n_items if full else 3 + seed)
         assert table.ptr[3] == table.ptr[2]    # user 2 has no neighbor list
         got, cold = mcf.score_candidates_user_based(table, m, users, cands)
         want, want_cold = oracle_pairs(score_candidates_user_based_oracle,
@@ -584,6 +613,7 @@ class TestWholeRunKernels:
         assert np.array_equal(bits(got), bits(want))
         assert np.array_equal(cold, want_cold)
         assert got.any() and cold.any() and not cold.all()
+        assert_both_regimes(table, users[~cold], m.item_ptr, cands[~cold])
 
     @pytest.mark.parametrize("blocks", BLOCKS)
     @pytest.mark.parametrize("retain", [True, False])
@@ -779,6 +809,37 @@ class TestFitScratch:
         FITS[fit][0](m, 5)
         assert len(sizes) > 3
         assert all(size <= bound for size, bound in sizes)
+
+
+class TestScoreScratch:
+    @pytest.mark.parametrize("block", [40, 100, 400])
+    @pytest.mark.parametrize("user_based", [False, True])
+    def test_blocks_stay_within_the_block_constant(self, monkeypatch, block,
+                                                   user_based):
+        # a block may exceed the constant only by holding one pair
+        m, users, cands = scoring_case(1, n_users=30, n_items=25)
+        if user_based:
+            table = mcf.user_cosine_similarity(m, 8)
+            score = mcf.score_candidates_user_based
+        else:
+            table = mcf.item_cosine_similarity(m, 8)
+            score = mcf.score_candidates
+        monkeypatch.setattr(mcf, "_SCORE_BLOCK", block)
+        calls = []
+        ranges = mcf._ranges
+
+        def recording_ranges(starts, counts):
+            calls.append((len(starts), int(np.sum(counts))))
+            return ranges(starts, counts)
+
+        monkeypatch.setattr(mcf, "_ranges", recording_ranges)
+        score(table, m, users, cands)
+        # per block: its rows' neighbor lists, then its pairs' key lists
+        assert len(calls) > 2 and len(calls) % 2 == 0
+        blocks = [(n_rows * table.n + entries, n_pairs) for (n_rows, _),
+                  (n_pairs, entries) in zip(calls[::2], calls[1::2])]
+        assert all(cost <= block or n_pairs == 1 for cost, n_pairs in blocks)
+        assert any(n_pairs > 1 for _, n_pairs in blocks)
 
 
 class TestWriteTopK:
