@@ -1,7 +1,7 @@
 """Pipeline configuration: a tree of frozen dataclasses that util.from_dict
 loads from JSON, so unknown or missing keys and mistyped values anywhere,
 scorer params included, fail before any stage runs, naming their path.
-parse -> serialize -> parse is the identity.
+Parsing what dataclasses.asdict gives back yields the same config.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from typing import Mapping
 from .evaluation import DEFAULT_MARKET_WEIGHTS
 from .features import SCORERS
 from .gbdt import GbdtParams
-from .util import (ConfigError, JsonConfig, from_dict, read_json_object,
-                   write_json)
+from .util import ConfigError, JsonConfig, from_dict, read_json_object
 
 
 @dataclass(frozen=True)
@@ -113,10 +112,16 @@ class PipelineConfig(JsonConfig):
             bad = [m for m in weights if m not in self.markets]
             if bad:
                 raise ConfigError(f"weights name unknown markets: {bad}")
+            negative = sorted(m for m, w in weights.items() if w < 0)
+            if negative:
+                raise ConfigError(f"weights must not be negative: {negative}")
         unweighted = [t for t in self.targets if t not in weights]
         if unweighted:
             raise ConfigError(f"{whose} lack targets: {unweighted}; "
                               f"give market_weights for every target")
+        if sum(weights[t] for t in self.targets) <= 0:
+            raise ConfigError("weights of the targets must sum to a "
+                              "positive value")
         shape = (len(set(self.markets) - set(self.targets)), len(self.targets))
         for sc in self.prerank.scorers:
             if sc.combinations == "default" and shape != (3, 2):
@@ -133,7 +138,3 @@ class PipelineConfig(JsonConfig):
 
 def load_config(path) -> PipelineConfig:
     return PipelineConfig.from_dict(read_json_object(path))
-
-
-def save_config(config: PipelineConfig, path) -> None:
-    write_json(path, config.to_dict())

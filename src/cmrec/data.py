@@ -374,13 +374,6 @@ class SparseInteractionMatrix:
         return replace(self, user_ratings=np.ones_like(self.user_ratings),
                        item_ratings=np.ones_like(self.item_ratings))
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_users, self.n_items))
-        for u in range(self.n_users):
-            it, r = self.row(u)
-            dense[u, it] = r
-        return dense
-
 
 def build_matrix(rows: Interactions, spec: CombinationSpec,
                  n_users: int, n_items: int) -> SparseInteractionMatrix:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import (SparseInteractionMatrix, check_lines, first_repeat,
                    parse_floats, read_lines, split_fields)
-from .util import DataError, atomic_write_text, fmt, sigmoid, stage_seed
+from .util import DataError, sigmoid, stage_seed
 
 log = logging.getLogger(__name__)
 
@@ -112,13 +112,6 @@ class EmbeddingTable:
         if not (np.all(np.isfinite(self.users[self.has_user]))
                 and np.all(np.isfinite(self.items[self.has_item]))):
             raise ValueError("non-finite vector in embedding table")
-
-
-def write_embedding_tsv(vectors: Mapping[str, np.ndarray], path) -> None:
-    lines = []
-    for key in sorted(vectors):
-        lines.append("\t".join([key] + [fmt(v) for v in vectors[key]]))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def read_embedding_tsv(path) -> dict[str, np.ndarray]:
@@ -229,21 +222,6 @@ def user_history_sequences(m: SparseInteractionMatrix, shuffles: int,
 
 
 # --- skip-gram with negative sampling ---------------------------------------
-
-def sgns_pair_loss(v_c: np.ndarray, u_o: np.ndarray, u_negs: np.ndarray
-                   ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss and gradients for one (center, context, negatives) example:
-    -log σ(u_o·v_c) - Σ log σ(-u_n·v_c). Returns (loss, d v_c, d u_o, d u_negs)."""
-    pos = float(u_o @ v_c)
-    negs = u_negs @ v_c
-    loss = -_log_sigmoid(pos) - float(np.sum(_log_sigmoid(-negs)))
-    g_pos = sigmoid(pos) - 1.0
-    g_negs = sigmoid(negs)
-    d_vc = g_pos * u_o + g_negs @ u_negs
-    d_uo = g_pos * v_c
-    d_unegs = g_negs[:, None] * v_c[None, :]
-    return loss, d_vc, d_uo, d_unegs
-
 
 def _log_sigmoid(x):
     # log σ(x) = -log1p(exp(-x)), stable on both tails.

@@ -48,12 +48,6 @@ Qrels = Mapping[Hashable, set]
 RankedRun = Sequence[tuple[Hashable, Sequence[tuple[Hashable, float]]]]
 
 
-def rank_candidates(items: Sequence, scores: Sequence[float]) -> list[tuple]:
-    """Order candidates by score descending, ties by ascending item id."""
-    return sorted(zip(items, (float(s) for s in scores)),
-                  key=lambda pair: (-pair[1], pair[0]))
-
-
 def _as_keys(ids: Sequence) -> np.ndarray:
     """ids as an array that sorts and compares as Python orders them.
     Fixed-width numpy strings drop trailing NULs ("a\0" reads as "a"), so
@@ -85,9 +79,8 @@ def _group_rows(users: Sequence, items: Sequence, scores: np.ndarray,
 def group_ranked_run(users: Sequence, items: Sequence[str],
                      scores: Sequence[float]) -> list[tuple]:
     """Group parallel (user, item, score) rows into a ranked run: users in
-    order of first appearance, each user's items ranked by rank_candidates
-    (score descending, ties by ascending item), from one np.unique of the
-    users and one lexsort."""
+    order of first appearance, each user's items by score descending, ties
+    by ascending item, from one np.unique of the users and one lexsort."""
     if not len(users) == len(items) == len(scores):
         raise ValueError("users, items and scores must align")
     scores = np.asarray(scores, dtype=np.float64)

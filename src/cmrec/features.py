@@ -29,9 +29,8 @@ class Scorer:
     fit(matrix, params, users, items) -> model is called once per (params,
     combination), with params an instance of the scorer's params class and
     users and items the ascending encoded ids of every user and candidate
-    the model will score, or None for every entity; a memory-based fit
-    computes the neighbor lists of those entities only, the other fits
-    ignore them.
+    the model will score; a memory-based fit computes the neighbor lists
+    of those entities only, the other fits ignore them.
     score(model, matrix, user_ids, item_ids) -> (values, missing) is called
     once per run and scores every (user, candidate) pair of it at once,
     from the aligned encoded ids of the pairs in run order, user id -1
@@ -412,17 +411,15 @@ class PlanContext:
     the fitted models per ScorerSpec.feature_name, so that scoring a
     second run file neither rebuilds nor retrains anything. fit_ids holds
     the ascending encoded ids of every user and of every candidate the
-    fitted models will score, known_ids of the runs; left (None, None),
-    each fit covers every entity, so the context can score any run."""
+    fitted models will score, known_ids of the runs."""
 
     rows: Interactions
     users: IdEncoder
     items: IdEncoder
+    fit_ids: tuple[np.ndarray, np.ndarray] = field(compare=False)
     cache_dir: Path | None = None
     matrices: dict = field(default_factory=dict, compare=False)
     model_cache: dict = field(default_factory=dict, compare=False)
-    fit_ids: tuple[np.ndarray | None, np.ndarray | None] = field(
-        default=(None, None), compare=False)
 
     def matrix(self, combination: CombinationSpec) -> SparseInteractionMatrix:
         """combination_matrix, built once per combination."""
@@ -467,14 +464,14 @@ def rows_digest(rows: Interactions) -> blake2b:
     return digest
 
 
-def cache_key(ctx: PlanContext, run: RunFile,
-              prefix: blake2b | None = None) -> str:
+def cache_key(run: RunFile, users: IdEncoder, items: IdEncoder,
+              prefix: blake2b) -> str:
     """Digest of all a cached column depends on besides its spec: the rows,
     both encoders and the run. A changed input gives a new file name.
-    prefix is rows_digest(ctx.rows), when the caller has it."""
-    digest = (rows_digest(ctx.rows) if prefix is None else prefix).copy()
+    prefix is rows_digest of the rows."""
+    digest = prefix.copy()
     entries = list(map(list, zip(run.users.tolist(), run.candidate_lists())))
-    digest.update(json.dumps([ctx.users.ids.tolist(), ctx.items.ids.tolist(),
+    digest.update(json.dumps([users.ids.tolist(), items.ids.tolist(),
                               entries]).encode())
     return digest.hexdigest()
 
@@ -510,9 +507,9 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
     exactly the run file's (user, candidate) pairs in order, and each
     column's provenance; user_ids and item_ids are those pairs as
     encode_run gives them. Completed columns are cached in ctx.cache_dir
-    as <feature>.<digest>.npy, the digest being key (cache_key(ctx, run)
-    when not given), and read back on re-run; writing one removes that
-    column's files under other digests. Models are fitted for ctx's fit
+    as <feature>.<digest>.npy, the digest being key (cache_key of the run
+    and ctx's rows and encoders when not given), and read back on re-run;
+    writing one removes that column's files under other digests. Models are fitted for ctx's fit
     ids. A failing scorer is recorded and the plan continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
@@ -522,7 +519,7 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
     if ctx.cache_dir is None:
         key = None
     elif key is None:
-        key = cache_key(ctx, run)
+        key = cache_key(run, ctx.users, ctx.items, rows_digest(ctx.rows))
     columns: list[str] = []
     provenance: dict[str, dict] = {}
     # every spec's value and missing row, filled in place (column-major,

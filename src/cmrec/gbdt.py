@@ -52,8 +52,8 @@ import numpy as np
 
 from . import evaluation
 from .features import FeatureTable
-from .util import (DataError, StageError, atomic_write_text, read_json,
-                   sigmoid, stable_bucket, stage_seed)
+from .util import (DataError, StageError, atomic_write_text, sigmoid,
+                   stable_bucket, stage_seed)
 
 MODEL_FORMAT_VERSION = 1
 # Newton terms with a vanishing hessian mass are degenerate; treat as zero.
@@ -530,15 +530,6 @@ def _tree_to_dict(tree: Tree) -> dict:
             "value": tree.value.tolist(), "gain": tree.gain.tolist()}
 
 
-def _tree_from_dict(d: Mapping) -> Tree:
-    return Tree(np.array(d["feature"], dtype=np.int32),
-                np.array(d["threshold_bin"], dtype=np.int32),
-                np.array(d["left"], dtype=np.int32),
-                np.array(d["right"], dtype=np.int32),
-                np.array(d["value"], dtype=np.float64),
-                np.array(d["gain"], dtype=np.float64))
-
-
 def model_to_dict(model: GbdtModel) -> dict:
     return {"version": MODEL_FORMAT_VERSION, "kind": "gbdt",
             "params": dataclasses.asdict(model.params),
@@ -549,34 +540,10 @@ def model_to_dict(model: GbdtModel) -> dict:
             "trees": [_tree_to_dict(t) for t in model.trees]}
 
 
-def model_from_dict(d: Mapping) -> GbdtModel:
-    if d.get("version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {d.get('version')!r}")
-    return GbdtModel(GbdtParams(**d["params"]), float(d["base_score"]),
-                     tuple(_tree_from_dict(t) for t in d["trees"]),
-                     tuple(d["columns"]),
-                     tuple(np.array(b, dtype=np.float64) for b in d["bins"]),
-                     tuple(d["train_logloss"]))
-
-
-def save_model(model: GbdtModel | BaggedModel, path) -> None:
-    if isinstance(model, BaggedModel):
-        payload = {"version": MODEL_FORMAT_VERSION, "kind": "bagged",
-                   "params": dataclasses.asdict(model.params),
-                   "folds": model.folds,
-                   "fold_of": dict(sorted(model.fold_of.items())),
-                   "models": [model_to_dict(m) for m in model.fold_models]}
-    else:
-        payload = model_to_dict(model)
+def save_model(model: BaggedModel, path) -> None:
+    payload = {"version": MODEL_FORMAT_VERSION, "kind": "bagged",
+               "params": dataclasses.asdict(model.params),
+               "folds": model.folds,
+               "fold_of": dict(sorted(model.fold_of.items())),
+               "models": [model_to_dict(m) for m in model.fold_models]}
     atomic_write_text(Path(path), json.dumps(payload, sort_keys=True) + "\n")
-
-
-def load_model(path) -> GbdtModel | BaggedModel:
-    d = read_json(path)
-    if d.get("kind") == "bagged":
-        if d.get("version") != MODEL_FORMAT_VERSION:
-            raise DataError(f"unsupported model format version {d.get('version')!r}")
-        return BaggedModel(GbdtParams(**d["params"]), int(d["folds"]),
-                           tuple(model_from_dict(m) for m in d["models"]),
-                           {u: int(f) for u, f in d["fold_of"].items()})
-    return model_from_dict(d)

@@ -6,23 +6,22 @@ form: flat `ids` and `sims` arrays with entity a's list at
 `ptr[a]:ptr[a + 1]`, sorted by similarity descending with ties broken by
 ascending id. Every fit writes its lists through one top-k writer.
 
-A fit writes the lists of the entities in `rows` only (every entity when
-`rows` is None), every other list staying empty; a list depends on its
-own row of co-occurrences alone, so each list it writes equals that of
-the full table. The scoring kernels refuse to read a list that was not
-fitted. The cosine and LLR fits compute co-occurrences as dense BLAS
-products of blocks of the active rows (entities with an interaction)
-they fit against all active entities; Swing keeps one small product per
-item. With whole-number ratings every product and partial sum is an
-integer far below 2^53, so the sums are exact in any order and blocking
-and equal those of a sequential loop bit for bit; LLR and Swing see
-incidences only. Fractional ratings may change the last bits of a
-cosine. The scoring kernels score a whole run of (user, candidate) pairs
-per call: item- and user-based scoring expand each pair over its short
-list (the user's history, or the candidate's raters) and look each id up
-in a position table of the other side's neighbor list. Fits and kernels
-work in blocks that bound their scratch memory. All scorers are
-deterministic.
+A fit writes the lists of the entities in `rows` only, every other list
+staying empty; a list depends on its own row of co-occurrences alone, so
+each list it writes equals that of the full table. The scoring kernels
+refuse to read a list that was not fitted. The cosine and LLR fits
+compute co-occurrences as dense BLAS products of blocks of the active
+rows (entities with an interaction) they fit against all active
+entities; Swing keeps one small product per item. With whole-number
+ratings every product and partial sum is an integer far below 2^53, so
+the sums are exact in any order and blocking and equal those of a
+sequential loop bit for bit; LLR and Swing see incidences only.
+Fractional ratings may change the last bits of a cosine. The scoring
+kernels score a whole run of (user, candidate) pairs per call: item- and
+user-based scoring expand each pair over its short list (the user's
+history, or the candidate's raters) and look each id up in a position
+table of the other side's neighbor list. Fits and kernels work in blocks
+that bound their scratch memory. All scorers are deterministic.
 """
 
 from __future__ import annotations
@@ -66,18 +65,9 @@ class SimTable:
         """Per entity: its list was not computed."""
         return ~np.isin(entities, self.fitted)
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.ptr))
-        out[rows, self.ids] = self.sims
-        return out
-
 
 def _fit_rows(n: int, rows) -> np.ndarray:
-    """rows as ascending unique int64 entity ids below n; None is every
-    entity."""
-    if rows is None:
-        return np.arange(n)
+    """rows as ascending unique int64 entity ids below n."""
     rows = np.unique(np.asarray(rows, dtype=np.int64))
     if len(rows) and (rows[0] < 0 or rows[-1] >= n):
         raise ValueError(f"rows must be entity ids in [0, {n})")
@@ -195,28 +185,28 @@ def _cosine_table(n_primary: int, primary_ptr, primary_adj, primary_val,
 
 
 def item_cosine_similarity(m: SparseInteractionMatrix,
-                           k: int = DEFAULT_TOP_K, rows=None) -> SimTable:
+                           k: int = DEFAULT_TOP_K, *, rows) -> SimTable:
     """Item-item cosine over the rating columns, restricted to shared
-    users; the lists of the items in rows only, unless rows is None."""
+    users; the lists of the items in rows only."""
     return _cosine_table(m.n_items, m.item_ptr, m.item_users, m.item_ratings,
                          m.n_users, m.user_items, m.user_ratings, k, rows)
 
 
 def user_cosine_similarity(m: SparseInteractionMatrix,
-                           k: int = DEFAULT_TOP_K, rows=None) -> SimTable:
+                           k: int = DEFAULT_TOP_K, *, rows) -> SimTable:
     """User-user cosine over the rating rows, restricted to shared items;
-    the lists of the users in rows only, unless rows is None."""
+    the lists of the users in rows only."""
     return _cosine_table(m.n_users, m.user_ptr, m.user_items, m.user_ratings,
                          m.n_items, m.item_users, m.item_ratings, k, rows)
 
 
 def swing_similarity(m: SparseInteractionMatrix, alpha: float = 1.0,
                      k: int = DEFAULT_TOP_K,
-                     max_users_per_item: int = DEFAULT_SWING_MAX_USERS,
-                     rows=None) -> SimTable:
+                     max_users_per_item: int = DEFAULT_SWING_MAX_USERS, *,
+                     rows) -> SimTable:
     """sim(i, j) = sum over user pairs u < v co-interacting with both items
     of 1 / (alpha + |I_u intersect I_v|); the lists of the items in rows
-    only, unless rows is None.
+    only.
 
     Ratings are ignored (set semantics). Per-item user lists are capped at
     max_users_per_item, taken in ascending user id order, to bound the
@@ -284,9 +274,9 @@ def llr_many(k11, k12, k21, k22) -> np.ndarray:
 
 
 def llr_item_similarity(m: SparseInteractionMatrix,
-                        k: int = DEFAULT_TOP_K, rows=None) -> SimTable:
+                        k: int = DEFAULT_TOP_K, *, rows) -> SimTable:
     """LLR similarity over item pairs with at least one co-occurring user;
-    the lists of the items in rows only, unless rows is None.
+    the lists of the items in rows only.
 
     For pair (i, j): k11 co-users, k12 users of i only, k21 users of j
     only, k22 the remainder of the user universe. Ratings are ignored.

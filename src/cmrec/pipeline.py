@@ -336,9 +336,8 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     tdir.mkdir(exist_ok=True)
     runs = {which: data.load_run(ws.run_path(target, which))
             for which in data.RUN_FILES}
-    snap_ctx = features.PlanContext(snap.rows, snap.users, snap.items)
     prefix = features.rows_digest(snap.rows)
-    keys = {which: features.cache_key(snap_ctx, run, prefix)
+    keys = {which: features.cache_key(run, snap.users, snap.items, prefix)
             for which, run in runs.items()}
     inputs = _prerank_inputs(config, plan, keys)
     result = {"target": target, "n_columns": len(plan)}
@@ -362,9 +361,8 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     all_failures: list[dict] = []
     outputs: dict[str, str] = {}
     for which, run in runs.items():
-        ctx = dataclasses.replace(snap_ctx, cache_dir=tdir / "cache" / which,
-                                  matrices=matrices, model_cache=models,
-                                  fit_ids=fit)
+        ctx = features.PlanContext(snap.rows, snap.users, snap.items, fit,
+                                   tdir / "cache" / which, matrices, models)
         user_ids, item_ids = ids[which]
         table, provenance, failures = features.run_plan(
             plan, ctx, run, user_ids, item_ids, key=keys[which])

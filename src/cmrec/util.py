@@ -9,6 +9,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import types
 import typing
@@ -79,9 +80,10 @@ _type_hints = functools.cache(typing.get_type_hints)
 
 
 def _typed(tp, value, where: str):
-    """value as the annotation tp takes it: a str, bool, int, float (an int
-    is kept as is), None, Literal, tuple[X, ...] from a list, Mapping[str,
-    X] from an object, a union of these or a dataclass (from_dict)."""
+    """value as the annotation tp takes it: a str, bool, int, finite float
+    (an int is kept as is), None, Literal, tuple[X, ...] from a list,
+    Mapping[str, X] from an object, a union of these or a dataclass
+    (from_dict)."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if dataclasses.is_dataclass(tp):
         return from_dict(tp, value, where)
@@ -110,6 +112,9 @@ def _typed(tp, value, where: str):
     # a bool is an int to Python but not to a config
     if origin is None and isinstance(value, bool) == (tp is bool) and (
             isinstance(value, tp) or tp is float and isinstance(value, int)):
+        # JSON reads NaN and Infinity as floats
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, not {value!r}")
         return value
     raise ConfigError(f"{where} must be "
                       f"{tp.__name__ if isinstance(tp, type) else tp}, "
@@ -117,14 +122,11 @@ def _typed(tp, value, where: str):
 
 
 class JsonConfig:
-    """from_dict, and dataclasses.asdict as to_dict, on a config class."""
+    """from_dict on a config class; dataclasses.asdict gives it back."""
 
     @classmethod
     def from_dict(cls, payload, where: str = "config"):
         return from_dict(cls, payload, where)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def stage_seed(seed: int, *labels: str) -> int:
@@ -208,23 +210,16 @@ def _fields(obj) -> dict:
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def read_json(path: Path | str):
-    """The JSON document in a workspace file; a missing, unreadable or
-    damaged file is a StageError naming it. Its fields go unchecked: a
-    stage reads a workspace JSON through read_artifact and its schema."""
+def read_artifact(cls, path: Path | str):
+    """The workspace JSON file at path as the frozen dataclass cls, built
+    by from_dict; a file that is missing, unreadable or damaged, or whose
+    document does not fit cls, is a StageError naming it and the field."""
+    path = Path(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # missing, not UTF-8, not JSON
         raise StageError(f"cannot read workspace file {path}: {exc}; "
                          f"re-run the stage that writes it") from None
-
-
-def read_artifact(cls, path: Path | str):
-    """The workspace JSON file at path as the frozen dataclass cls, built
-    by from_dict; a file that is missing or damaged (read_json), or whose
-    document does not fit cls, is a StageError naming it and the field."""
-    path = Path(path)
-    doc = read_json(path)
     try:
         return from_dict(cls, doc, path.name)
     except ConfigError as exc:

@@ -20,10 +20,12 @@ from cmrec.config import PipelineConfig
 from cmrec.synth import MarketSpec, SynthConfig, generate
 from cmrec.util import read_artifact
 
-from test_embeddings import dense_propagation_oracle, finite_difference, rel_err
-from test_evaluation import ndcg_oracle
-from test_gbdt import make_table, stump_oracle, stump_params
-from test_memory_cf import (bigraph_oracle, cosine_oracle, llr_table_oracle,
+from test_embeddings import (dense_propagation_oracle, finite_difference,
+                             rel_err, sgns_pair_loss)
+from test_evaluation import ndcg_oracle, rank_candidates
+from test_gbdt import load_model, make_table, stump_oracle, stump_params
+from test_memory_cf import (bigraph_oracle, cosine_oracle, dense_sims,
+                            every_item, every_user, llr_table_oracle,
                             matrix_from_dense, random_dense, swing_oracle)
 from test_selection import auc_oracle
 
@@ -138,15 +140,18 @@ def test_criterion_1_memory_scorers_match_dense_oracles(capsys):
         n_items = int(rng.integers(15, 41))
         dense = random_dense(rng, n_users, n_items, density=0.3)
         m = matrix_from_dense(dense)
+        items, users = every_item(m), every_user(m)
         checks = [
-            (mcf.item_cosine_similarity(m, k=n_items).dense(),
+            (dense_sims(mcf.item_cosine_similarity(m, k=n_items, rows=items)),
              cosine_oracle(dense)),
-            (mcf.user_cosine_similarity(m, k=n_users).dense(),
+            (dense_sims(mcf.user_cosine_similarity(m, k=n_users, rows=users)),
              cosine_oracle(dense.T)),
-            (mcf.swing_similarity(m.binarized(), alpha=1.0, k=n_items,
-                                  max_users_per_item=10 ** 9).dense(),
+            (dense_sims(mcf.swing_similarity(m.binarized(), alpha=1.0,
+                                             k=n_items,
+                                             max_users_per_item=10 ** 9,
+                                             rows=items)),
              swing_oracle(dense, 1.0, cap=10 ** 9)),
-            (mcf.llr_item_similarity(m, k=n_items).dense(),
+            (dense_sims(mcf.llr_item_similarity(m, k=n_items, rows=items)),
              llr_table_oracle(dense)),
         ]
         for user in range(0, n_users, 7):
@@ -231,8 +236,8 @@ def test_criterion_4_embedding_math(capsys):
         v_c = rng.normal(size=7)
         u_o = rng.normal(size=7)
         u_n = rng.normal(size=(4, 7))
-        _, d_vc, d_uo, d_un = emb.sgns_pair_loss(v_c, u_o, u_n)
-        loss = lambda: emb.sgns_pair_loss(v_c, u_o, u_n)[0]
+        _, d_vc, d_uo, d_un = sgns_pair_loss(v_c, u_o, u_n)
+        loss = lambda: sgns_pair_loss(v_c, u_o, u_n)[0]
         worst_grad = max(worst_grad,
                          rel_err(finite_difference(loss, v_c), d_vc),
                          rel_err(finite_difference(loss, u_o), d_uo),
@@ -305,8 +310,7 @@ def test_criterion_5_gbdt_training(capsys, main_run):
 
     loss_curves = [sep_model.train_logloss]
     for target in ("t1", "t2"):
-        bagged = gbdt.load_model(main_run["ws"].target_dir(target)
-                                 / "model.json")
+        bagged = load_model(main_run["ws"].target_dir(target) / "model.json")
         loss_curves.extend(fold.train_logloss for fold in bagged.fold_models)
     monotone_ok = all(_nonincreasing(curve) for curve in loss_curves)
 
@@ -386,7 +390,7 @@ def column_ndcg(table, name, qrels):
         items, vals = by_user.setdefault(table.users[r], ([], []))
         items.append(table.items[r])
         vals.append(float(scores[r]))
-    run = [(u, evaluation.rank_candidates(items, vals))
+    run = [(u, rank_candidates(items, vals))
            for u, (items, vals) in by_user.items()]
     _, mean = evaluation.ndcg_at_k(run, qrels, k=10)
     return mean

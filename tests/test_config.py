@@ -3,21 +3,26 @@ every nesting level, and the validation rules."""
 
 import importlib.util
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from cmrec import cli, util
 from cmrec.config import (PipelineConfig, PrerankConfig, RankerConfig,
-                          ScorerPlanConfig, SelectionConfig, load_config,
-                          save_config)
+                          ScorerPlanConfig, SelectionConfig, load_config)
 from cmrec.gbdt import GbdtParams
 from cmrec.synth import SynthConfig
 from cmrec.util import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def save_config(config: PipelineConfig, path) -> None:
+    util.write_json(path, asdict(config))
 
 MINIMAL = {
     "data_dir": "data",
@@ -63,9 +68,9 @@ class TestRoundTrip:
 
     def test_parse_serialize_parse_is_identity(self):
         config = PipelineConfig.from_dict(FULL)
-        again = PipelineConfig.from_dict(config.to_dict())
+        again = PipelineConfig.from_dict(asdict(config))
         assert again == config
-        assert again.to_dict() == config.to_dict()
+        assert asdict(again) == asdict(config)
 
     def test_full_document_parses_every_field(self):
         config = PipelineConfig.from_dict(FULL)
@@ -173,6 +178,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match="lack targets: " + match):
             PipelineConfig.from_dict({**MINIMAL, "market_weights": weights})
 
+    @pytest.mark.parametrize("weights, match", [
+        ({"t1": -1.0, "t2": 2.0}, r"must not be negative: \['t1'\]"),
+        ({"s1": -0.5, "t1": 0.5, "t2": 0.5}, r"negative: \['s1'\]"),
+        ({"t1": 0.0, "t2": 0.0}, "targets must sum to a positive value"),
+        ({"s1": 1.0, "t1": 0.0, "t2": 0.0}, "targets must sum to a positive"),
+    ])
+    def test_weights_nonnegative_with_a_positive_target_sum(
+            self, tmp_path, capsys, weights, match):
+        # either would otherwise run every stage: a zero sum fails report
+        # last, a negative weight puts the weighted score outside the
+        # per-market range
+        with pytest.raises(ConfigError, match=match):
+            PipelineConfig.from_dict({**MINIMAL, "market_weights": weights})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**MINIMAL, "market_weights": weights,
+                                    "workspace": str(tmp_path / "work")}))
+        assert cli.main(["ingest", "--config", str(path)]) == 1
+        assert "weights" in capsys.readouterr().err
+        assert not (tmp_path / "work").exists()
+
     def test_default_combinations_need_3_sources_and_2_targets(self):
         with pytest.raises(ConfigError, match=r"'item_cf'.*3 source"):
             PipelineConfig.from_dict({**MINIMAL, "markets": ["s1", "t1"],
@@ -255,8 +280,6 @@ class TestValidation:
             PipelineConfig.from_dict({**MINIMAL, **section})
 
     def test_readme_lists_every_scorer_default(self):
-        from dataclasses import asdict
-
         from cmrec.features import SCORERS
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         for name, scorer in SCORERS.items():
@@ -287,6 +310,33 @@ class TestValidation:
         assert cli.main(["prerank", "--config", str(path)]) == 1
         assert params["name"] in capsys.readouterr().err
         assert not workspace.exists()
+
+
+class TestNonFiniteFloats:
+    """JSON reads NaN and Infinity as floats; a float field takes neither,
+    and the error names the key path."""
+
+    @pytest.mark.parametrize("section, where", [
+        ({"ranker": {"params": {"learning_rate": math.nan}}},
+         "config.ranker.params.learning_rate"),
+        ({"selection": {"shift_threshold": math.nan}},
+         "config.selection.shift_threshold"),
+        ({"ranker": {"params": {"l2_leaf_reg": math.inf}}},
+         "config.ranker.params.l2_leaf_reg"),
+        ({"prerank": {"scorers": [{"name": "swing",
+                                   "params": {"alpha": math.inf}}]}},
+         "scorer 'swing' params.alpha"),
+        ({"market_weights": {"t1": -math.inf, "t2": 1.0}},
+         "config.market_weights['t1']"),
+        ({"ranker": {"grid": {"learning_rate": [0.1, math.nan]}}},
+         "config.ranker.grid['learning_rate'][1]"),
+    ])
+    def test_rejected_at_load(self, tmp_path, section, where):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**MINIMAL, **section}))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{where} must be finite, not ")
 
 
 class TestLoadErrors:
@@ -323,7 +373,7 @@ class TestLoadErrors:
         save_config(config, tmp_path / "c.json")
         assert written == [tmp_path / "c.json"]
         assert (tmp_path / "c.json").read_text(encoding="utf-8") == (
-            json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+            json.dumps(asdict(config), indent=2, sort_keys=True) + "\n")
 
     def test_defaults_survive_file_round_trip(self, tmp_path):
         config = PipelineConfig.from_dict(MINIMAL)
@@ -369,5 +419,5 @@ def test_every_shipped_document_round_trips():
     docs = shipped_documents()
     assert len(docs) == 12
     for name, config in docs.items():
-        text = json.dumps(config.to_dict())
+        text = json.dumps(asdict(config))
         assert type(config).from_dict(json.loads(text)) == config, name

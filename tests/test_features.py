@@ -21,6 +21,8 @@ from cmrec.features import (Catalog, FeatureTable, PlanContext, ScorerSpec,
                             read_table, run_plan, write_table)
 from cmrec.util import ConfigError, DataError, read_artifact, write_tsv
 
+from test_data import to_dense
+
 
 RAW_ROWS = [
     # (user, item, rating, market, split)
@@ -84,14 +86,20 @@ def lookup(encoder, value):
     return int(encoder.lookup([value])[0])
 
 
+def every_id(users, items):
+    """Fit ids of every user and item the encoders know."""
+    return np.arange(len(users)), np.arange(len(items))
+
+
 def tiny_context(cache_dir=None):
+    """A context over RAW_ROWS whose fits cover every id it encodes."""
     users = IdEncoder.fit([r[0] for r in RAW_ROWS] + RUN.users.tolist())
     items = IdEncoder.fit([r[1] for r in RAW_ROWS] + RUN.candidates.tolist())
     user, item, rating, market, split = zip(*RAW_ROWS)
     rows = Interactions(users.lookup(user), items.lookup(item),
                         rating, market, split)
     return PlanContext(rows=rows, users=users, items=items,
-                       cache_dir=cache_dir)
+                       fit_ids=every_id(users, items), cache_dir=cache_dir)
 
 
 def spec_for(scorer="item_cf", params=None, markets=("s1", "t1"), target="t1",
@@ -157,7 +165,7 @@ class TestCombinationMatrix:
     def test_target_valid_positives_never_enter(self):
         ctx = tiny_context()
         m = combination_matrix(ctx, CombinationSpec("t1", ("s1", "t1")))
-        dense = m.to_dense()
+        dense = to_dense(m)
         a, i2 = lookup(ctx.users, "a"), lookup(ctx.items, "i2")
         assert dense[a, i2] == 0.0  # t1 valid positive excluded
         d, i3 = lookup(ctx.users, "d"), lookup(ctx.items, "i3")
@@ -166,14 +174,14 @@ class TestCombinationMatrix:
     def test_test_positives_never_enter_even_unguarded(self):
         ctx = tiny_context()
         spec = CombinationSpec("t1", ("s1", "t1"), exclude_valid_of_target=False)
-        dense = combination_matrix(ctx, spec).to_dense()
+        dense = to_dense(combination_matrix(ctx, spec))
         a = lookup(ctx.users, "a")
         assert dense[a, lookup(ctx.items, "i2")] == 4.0  # guard disabled
         assert dense[a, lookup(ctx.items, "i4")] == 0.0  # test rows always out
 
     def test_markets_outside_combination_filtered(self):
         ctx = tiny_context()
-        dense = combination_matrix(ctx, CombinationSpec("t1", ("t1",))).to_dense()
+        dense = to_dense(combination_matrix(ctx, CombinationSpec("t1", ("t1",))))
         c = lookup(ctx.users, "c")
         assert np.all(dense[c] == 0.0)
         assert dense[lookup(ctx.users, "a"), lookup(ctx.items, "i0")] == 5.0
@@ -200,7 +208,8 @@ class TestRunPlan:
         spec = spec_for(params={"top_k": 10})
         table, _ = plan_run([spec], ctx, RUN)
         matrix = combination_matrix(ctx, spec.combination)
-        sims = memory_cf.item_cosine_similarity(matrix, 10)
+        sims = memory_cf.item_cosine_similarity(
+            matrix, 10, rows=np.arange(matrix.n_items))
         want, want_miss = [], []
         for user, cands in RUN_ENTRIES:
             u = lookup(ctx.users, user)
@@ -246,22 +255,6 @@ class TestRunPlan:
         assert failures == [{"feature": bad.feature_name, "error":
                              f"ValueError: entity {a} has no fitted "
                              f"neighbor list"}]
-
-    def test_a_context_without_fit_ids_serves_runs_it_was_not_fitted_for(
-            self):
-        # the runs share no user and one candidate: tables fitted for the
-        # first run alone could not score the second
-        first = run_of((("a", ("i0", "i1")),))
-        second = run_of((("b", ("i2", "i3")), ("c", ("i1", "i4"))))
-        plan = [spec_for(), spec_for("user_cf")]
-        shared = tiny_context()
-        for run in (first, second):
-            got, failures = plan_run(plan, shared, run)
-            want, _ = plan_run(plan, tiny_context(), run)
-            assert failures == []
-            assert got.columns == want.columns
-            assert np.array_equal(got.values.view(np.int64),
-                                  want.values.view(np.int64))
 
     def test_one_with_columns_call_per_table(self, monkeypatch):
         specs = [spec_for(), spec_for("swing"), spec_for("llr"),
@@ -618,7 +611,8 @@ class TestGlobalStatistics:
 
     def test_matches_dict_loop_oracle_on_synth_snapshot(self, synth_snapshot):
         snap, ws = synth_snapshot
-        ctx = PlanContext(snap.rows, snap.users, snap.items)
+        ctx = PlanContext(snap.rows, snap.users, snap.items,
+                          every_id(snap.users, snap.items))
         # the last encoded user and item have training rows, so an unknown
         # id (-1) must not be read as the last one
         last_user, last_item = str(snap.users.ids[-1]), str(snap.items.ids[-1])

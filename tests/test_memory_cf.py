@@ -25,6 +25,23 @@ def matrix_from_dense(dense):
     return SparseInteractionMatrix.from_pairs(u, i, dense[u, i], *dense.shape)
 
 
+def every_item(m):
+    return np.arange(m.n_items)
+
+
+def every_user(m):
+    return np.arange(m.n_users)
+
+
+def dense_sims(table):
+    """A SimTable as an (n, n) array: entity a's row holds its list's
+    similarities at the neighbors' ids, zeros elsewhere."""
+    out = np.zeros((table.n, table.n))
+    rows = np.repeat(np.arange(table.n), np.diff(table.ptr))
+    out[rows, table.ids] = table.sims
+    return out
+
+
 def random_dense(rng, n_users, n_items, density=0.3):
     mask = rng.random((n_users, n_items)) < density
     vals = rng.integers(1, 6, (n_users, n_items)).astype(float)
@@ -288,27 +305,30 @@ class TestCosineOracles:
     def test_item_cosine_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
         dense = random_dense(rng, 24, 18)
-        table = mcf.item_cosine_similarity(matrix_from_dense(dense), k=18)
-        assert np.allclose(table.dense(), cosine_oracle(dense), atol=1e-9)
+        m = matrix_from_dense(dense)
+        table = mcf.item_cosine_similarity(m, k=18, rows=every_item(m))
+        assert np.allclose(dense_sims(table), cosine_oracle(dense), atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_user_cosine_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
         dense = random_dense(rng, 20, 25)
-        table = mcf.user_cosine_similarity(matrix_from_dense(dense), k=20)
-        assert np.allclose(table.dense(), cosine_oracle(dense.T), atol=1e-9)
+        m = matrix_from_dense(dense)
+        table = mcf.user_cosine_similarity(m, k=20, rows=every_user(m))
+        assert np.allclose(dense_sims(table), cosine_oracle(dense.T),
+                           atol=1e-9)
 
     def test_hand_case(self):
         # users A,B both rate items 0,1; cos(0,1) = (2*3 + 4*5)/(sqrt(4+16)*sqrt(9+25))
-        dense = np.array([[2.0, 3.0], [4.0, 5.0]])
-        table = mcf.item_cosine_similarity(matrix_from_dense(dense), k=5)
+        m = matrix_from_dense([[2.0, 3.0], [4.0, 5.0]])
+        table = mcf.item_cosine_similarity(m, k=5, rows=every_item(m))
         want = (2 * 3 + 4 * 5) / (math.sqrt(20) * math.sqrt(34))
-        assert table.dense()[0, 1] == pytest.approx(want)
+        assert dense_sims(table)[0, 1] == pytest.approx(want)
 
     def test_symmetric_without_truncation(self, rng):
-        dense = random_dense(rng, 15, 12)
-        table = mcf.item_cosine_similarity(matrix_from_dense(dense), k=12)
-        sims = table.dense()
+        m = matrix_from_dense(random_dense(rng, 15, 12))
+        sims = dense_sims(mcf.item_cosine_similarity(m, k=12,
+                                                     rows=every_item(m)))
         assert np.allclose(sims, sims.T, atol=1e-12)
 
 
@@ -316,8 +336,8 @@ class TestSimTableInvariants:
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 8))
     def test_neighbor_lists_sorted_sim_desc_ties_id_asc(self, seed, k):
         rng = np.random.default_rng(seed)
-        dense = random_dense(rng, 12, 10, density=0.4)
-        table = mcf.item_cosine_similarity(matrix_from_dense(dense), k=k)
+        m = matrix_from_dense(random_dense(rng, 12, 10, density=0.4))
+        table = mcf.item_cosine_similarity(m, k=k, rows=every_item(m))
         assert table.ptr[0] == 0 and table.ptr[-1] == len(table.ids)
         assert len(table.sims) == len(table.ids)
         for entity in range(table.n):
@@ -334,8 +354,9 @@ class TestSimTableInvariants:
             [1.0, 1.0, 0.0, 1.0],
             [1.0, 0.0, 1.0, 1.0],
         ])
-        full = mcf.item_cosine_similarity(matrix_from_dense(dense), k=4)
-        trunc = mcf.item_cosine_similarity(matrix_from_dense(dense), k=1)
+        m = matrix_from_dense(dense)
+        full = mcf.item_cosine_similarity(m, k=4, rows=every_item(m))
+        trunc = mcf.item_cosine_similarity(m, k=1, rows=every_item(m))
         for i in range(4):
             ids, sims = neighbors(trunc, i)
             if len(ids):
@@ -351,37 +372,41 @@ class TestSwing:
         dense = random_dense(rng, 16, 12, density=0.35)
         m = matrix_from_dense(dense).binarized()
         table = mcf.swing_similarity(m, alpha=1.0, k=12,
-                                     max_users_per_item=999)
+                                     max_users_per_item=999,
+                                     rows=every_item(m))
         want = swing_oracle(dense, 1.0, cap=10 ** 9)
-        assert np.allclose(table.dense(), want, atol=1e-9)
+        assert np.allclose(dense_sims(table), want, atol=1e-9)
 
     def test_user_cap_ascending_ids(self):
         rng = np.random.default_rng(9)
         dense = random_dense(rng, 14, 8, density=0.5)
         m = matrix_from_dense(dense).binarized()
-        table = mcf.swing_similarity(m, alpha=0.7, k=8, max_users_per_item=3)
+        table = mcf.swing_similarity(m, alpha=0.7, k=8, max_users_per_item=3,
+                                     rows=every_item(m))
         want = swing_oracle(dense, 0.7, cap=3)
-        assert np.allclose(table.dense(), want, atol=1e-9)
+        assert np.allclose(dense_sims(table), want, atol=1e-9)
 
     def test_hand_case_two_users_two_items(self):
         # users 0,1 share items 0,1 -> overlap 2; sim = 1/(alpha+2)
-        dense = np.array([[1.0, 1.0], [1.0, 1.0]])
-        table = mcf.swing_similarity(matrix_from_dense(dense), alpha=1.0, k=2)
-        assert table.dense()[0, 1] == pytest.approx(1.0 / 3.0)
+        m = matrix_from_dense([[1.0, 1.0], [1.0, 1.0]])
+        table = mcf.swing_similarity(m, alpha=1.0, k=2, rows=every_item(m))
+        assert dense_sims(table)[0, 1] == pytest.approx(1.0 / 3.0)
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_alpha_monotonicity(self, seed):
         rng = np.random.default_rng(seed)
         dense = random_dense(rng, 10, 8, density=0.45)
         m = matrix_from_dense(dense).binarized()
-        lo = mcf.swing_similarity(m, alpha=0.5, k=8).dense()
-        hi = mcf.swing_similarity(m, alpha=2.0, k=8).dense()
+        lo = dense_sims(mcf.swing_similarity(m, alpha=0.5, k=8,
+                                             rows=every_item(m)))
+        hi = dense_sims(mcf.swing_similarity(m, alpha=2.0, k=8,
+                                             rows=every_item(m)))
         assert np.all(hi <= lo + 1e-12)
 
     def test_alpha_must_be_positive(self):
         m = matrix_from_dense([[1.0]])
         with pytest.raises(ValueError, match="alpha"):
-            mcf.swing_similarity(m, alpha=0.0)
+            mcf.swing_similarity(m, alpha=0.0, rows=every_item(m))
 
 
 class TestLlr:
@@ -411,8 +436,9 @@ class TestLlr:
         rng = np.random.default_rng(200 + seed)
         dense = random_dense(rng, 18, 14, density=0.3)
         m = matrix_from_dense(dense).binarized()
-        table = mcf.llr_item_similarity(m, k=14)
-        assert np.allclose(table.dense(), llr_table_oracle(dense), atol=1e-9)
+        table = mcf.llr_item_similarity(m, k=14, rows=every_item(m))
+        assert np.allclose(dense_sims(table), llr_table_oracle(dense),
+                           atol=1e-9)
 
 
 class TestBigraph:
@@ -474,8 +500,8 @@ class TestScoreCandidates:
     def test_item_based_matches_manual_sum(self, rng):
         dense = random_dense(rng, 12, 10, density=0.4)
         m = matrix_from_dense(dense)
-        table = mcf.item_cosine_similarity(m, k=10)
-        sims = table.dense()
+        table = mcf.item_cosine_similarity(m, k=10, rows=every_item(m))
+        sims = dense_sims(table)
         cands = np.arange(10)
         for user in range(12):
             got, cold = mcf.score_candidates(table, m, np.full(10, user), cands)
@@ -490,8 +516,8 @@ class TestScoreCandidates:
     def test_user_based_matches_manual_sum(self, rng):
         dense = random_dense(rng, 10, 12, density=0.4)
         m = matrix_from_dense(dense)
-        table = mcf.user_cosine_similarity(m, k=10)
-        sims = table.dense()
+        table = mcf.user_cosine_similarity(m, k=10, rows=every_user(m))
+        sims = dense_sims(table)
         cands = np.arange(12)
         for user in range(10):
             got, cold = mcf.score_candidates_user_based(
@@ -505,7 +531,7 @@ class TestScoreCandidates:
     def test_unknown_user_is_cold(self, rng):
         dense = random_dense(rng, 5, 5)
         m = matrix_from_dense(dense)
-        table = mcf.item_cosine_similarity(m, k=5)
+        table = mcf.item_cosine_similarity(m, k=5, rows=every_item(m))
         got, cold = mcf.score_candidates(table, m, np.array([-1, -1]),
                                          np.array([0, 1]))
         assert cold.all() and np.all(got == 0)
@@ -590,9 +616,12 @@ class TestWholeRunKernels:
         set_blocks(monkeypatch, blocks)
         m, users, cands = scoring_case(seed)
         k = m.n_items if full else 3 + seed
-        table = {"cosine": lambda: mcf.item_cosine_similarity(m, k),
-                 "swing": lambda: mcf.swing_similarity(m.binarized(), k=k),
-                 "llr": lambda: mcf.llr_item_similarity(m.binarized(), k)}[fit]()
+        rows = every_item(m)
+        table = {"cosine": lambda: mcf.item_cosine_similarity(m, k, rows=rows),
+                 "swing": lambda: mcf.swing_similarity(m.binarized(), k=k,
+                                                       rows=rows),
+                 "llr": lambda: mcf.llr_item_similarity(m.binarized(), k,
+                                                        rows=rows)}[fit]()
         got, cold = mcf.score_candidates(table, m, users, cands)
         want, want_cold = oracle_pairs(score_candidates_oracle, users, cands,
                                        table, m)
@@ -605,7 +634,8 @@ class TestWholeRunKernels:
     def user_based(monkeypatch, blocks, seed, full):
         set_blocks(monkeypatch, blocks)
         m, users, cands = scoring_case(seed)
-        table = mcf.user_cosine_similarity(m, m.n_items if full else 3 + seed)
+        table = mcf.user_cosine_similarity(m, m.n_items if full else 3 + seed,
+                                           rows=every_user(m))
         assert table.ptr[3] == table.ptr[2]    # user 2 has no neighbor list
         got, cold = mcf.score_candidates_user_based(table, m, users, cands)
         want, want_cold = oracle_pairs(score_candidates_user_based_oracle,
@@ -653,10 +683,12 @@ class TestWholeRunKernels:
         m, _, _ = scoring_case(0)
         none = np.zeros(0, dtype=np.int64)
         for got, cold in (
-                mcf.score_candidates(mcf.item_cosine_similarity(m, 5), m,
-                                     none, none),
+                mcf.score_candidates(
+                    mcf.item_cosine_similarity(m, 5, rows=none), m, none,
+                    none),
                 mcf.score_candidates_user_based(
-                    mcf.user_cosine_similarity(m, 5), m, none, none),
+                    mcf.user_cosine_similarity(m, 5, rows=none), m, none,
+                    none),
                 mcf.score_candidates_bigraph(m, none, none)):
             assert got.shape == cold.shape == (0,)
 
@@ -667,13 +699,17 @@ class TestWholeRunKernels:
 
 
 FITS = {
-    "item_cf": (lambda m, k: mcf.item_cosine_similarity(m, k),
+    "item_cf": (lambda m, k: mcf.item_cosine_similarity(
+                    m, k, rows=every_item(m)),
                 lambda m, k: cosine_table_oracle(m, k)),
-    "user_cf": (lambda m, k: mcf.user_cosine_similarity(m, k),
+    "user_cf": (lambda m, k: mcf.user_cosine_similarity(
+                    m, k, rows=every_user(m)),
                 lambda m, k: cosine_table_oracle(m, k, users=True)),
-    "swing": (lambda m, k: mcf.swing_similarity(m.binarized(), 0.7, k, 6),
+    "swing": (lambda m, k: mcf.swing_similarity(
+                  m.binarized(), 0.7, k, 6, rows=every_item(m)),
               lambda m, k: swing_similarity_oracle(m.binarized(), 0.7, k, 6)),
-    "llr": (lambda m, k: mcf.llr_item_similarity(m.binarized(), k),
+    "llr": (lambda m, k: mcf.llr_item_similarity(
+                m.binarized(), k, rows=every_item(m)),
             lambda m, k: llr_item_similarity_oracle(m.binarized(), k)),
 }
 
@@ -748,18 +784,20 @@ class TestFitKernels:
     def test_llr_ignores_ratings(self):
         m, _, _ = scoring_case(2)
         assert not np.all(m.user_ratings == 1.0)
-        assert_same_table(mcf.llr_item_similarity(m, 7),
-                          mcf.llr_item_similarity(m.binarized(), 7))
-        assert_same_table(mcf.llr_item_similarity(m, 7),
-                          llr_item_similarity_oracle(m, 7))
+        rows = every_item(m)
+        got = mcf.llr_item_similarity(m, 7, rows=rows)
+        assert_same_table(got, mcf.llr_item_similarity(m.binarized(), 7,
+                                                       rows=rows))
+        assert_same_table(got, llr_item_similarity_oracle(m, 7))
 
     def test_swing_ignores_ratings(self):
         m, _, _ = scoring_case(2)
         assert not np.all(m.user_ratings == 1.0)
+        rows = every_item(m)
         for k in (2, 200):
-            got = mcf.swing_similarity(m, 0.7, k, 6)
+            got = mcf.swing_similarity(m, 0.7, k, 6, rows=rows)
             assert_same_table(got, mcf.swing_similarity(m.binarized(), 0.7,
-                                                        k, 6))
+                                                        k, 6, rows=rows))
             assert_same_table(got, swing_similarity_oracle(m, 0.7, k, 6))
 
     @pytest.mark.parametrize("fit", ["item_cf", "user_cf"])
@@ -770,10 +808,10 @@ class TestFitKernels:
                          rng.uniform(1.0, 5.0, (40, 30)), 0.0)
         m = matrix_from_dense(dense)
         new, old = FITS[fit]
-        want = old(m, 50).dense()
+        want = dense_sims(old(m, 50))
         for block in (1, 64, 1 << 40):
             monkeypatch.setattr(mcf, "_FIT_BLOCK", block)
-            got = new(m, 50).dense()
+            got = dense_sims(new(m, 50))
             assert np.array_equal(got != 0, want != 0)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -819,10 +857,10 @@ class TestScoreScratch:
         # a block may exceed the constant only by holding one pair
         m, users, cands = scoring_case(1, n_users=30, n_items=25)
         if user_based:
-            table = mcf.user_cosine_similarity(m, 8)
+            table = mcf.user_cosine_similarity(m, 8, rows=every_user(m))
             score = mcf.score_candidates_user_based
         else:
-            table = mcf.item_cosine_similarity(m, 8)
+            table = mcf.item_cosine_similarity(m, 8, rows=every_item(m))
             score = mcf.score_candidates
         monkeypatch.setattr(mcf, "_SCORE_BLOCK", block)
         calls = []
@@ -893,9 +931,10 @@ class TestRelabelingInvariance:
         rng = np.random.default_rng(seed)
         dense = random_dense(rng, 10, 8, density=0.4)
         perm = rng.permutation(10)
-        base = mcf.item_cosine_similarity(matrix_from_dense(dense), k=8)
-        moved = mcf.item_cosine_similarity(matrix_from_dense(dense[perm]), k=8)
-        assert np.allclose(base.dense(), moved.dense(), atol=1e-9)
+        m1, m2 = matrix_from_dense(dense), matrix_from_dense(dense[perm])
+        base = mcf.item_cosine_similarity(m1, k=8, rows=every_item(m1))
+        moved = mcf.item_cosine_similarity(m2, k=8, rows=every_item(m2))
+        assert np.allclose(dense_sims(base), dense_sims(moved), atol=1e-9)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20)
@@ -905,9 +944,11 @@ class TestRelabelingInvariance:
         perm = rng.permutation(9)
         m1 = matrix_from_dense(dense).binarized()
         m2 = matrix_from_dense(dense[perm]).binarized()
-        a = mcf.swing_similarity(m1, alpha=1.0, k=7, max_users_per_item=999)
-        b = mcf.swing_similarity(m2, alpha=1.0, k=7, max_users_per_item=999)
-        assert np.allclose(a.dense(), b.dense(), atol=1e-12)
+        a = mcf.swing_similarity(m1, alpha=1.0, k=7, max_users_per_item=999,
+                                 rows=every_item(m1))
+        b = mcf.swing_similarity(m2, alpha=1.0, k=7, max_users_per_item=999,
+                                 rows=every_item(m2))
+        assert np.allclose(dense_sims(a), dense_sims(b), atol=1e-12)
 
 
 SUBSET_FITS = {
@@ -948,7 +989,7 @@ class TestSubsetFits:
         rows = np.asarray(rows, dtype=np.int64)
         with mock.patch.object(mcf, "_FIT_BLOCK",
                                mcf._FIT_BLOCK if block is None else block):
-            full = SUBSET_FITS[fit](m, k, None)
+            full = SUBSET_FITS[fit](m, k, np.arange(n))
             got = SUBSET_FITS[fit](m, k, rows)
         assert (got.n, got.k) == (full.n, full.k)
         assert np.array_equal(full.fitted, np.arange(n))
@@ -1012,7 +1053,8 @@ class TestUnfittedGuard:
         score = (mcf.score_candidates_user_based if fit == "user_cf"
                  else mcf.score_candidates)
         rows = np.unique(users[users >= 0] if fit == "user_cf" else cands)
+        every = np.arange(len(fitted_ptr(m, fit)) - 1)
         got = score(SUBSET_FITS[fit](m, 4, rows), m, users, cands)
-        want = score(SUBSET_FITS[fit](m, 4, None), m, users, cands)
+        want = score(SUBSET_FITS[fit](m, 4, every), m, users, cands)
         assert np.array_equal(bits(got[0]), bits(want[0]))
         assert np.array_equal(got[1], want[1])

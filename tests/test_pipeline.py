@@ -24,6 +24,10 @@ def run_pairs(run):
 from cmrec.synth import MarketSpec, SynthConfig, generate
 from cmrec.util import ConfigError, DataError, StageError
 
+from test_data import to_dense
+from test_features import every_id
+from test_gbdt import load_model
+
 COMBOS = [["s1", "t1", "t2"], ["t1", "t2"]]
 
 
@@ -296,8 +300,9 @@ class TestMakePlan:
         # checked at config load: the world has one source market
         config = world["config"]
         with pytest.raises(ConfigError, match="item_cf.*3 source"):
-            PipelineConfig.from_dict({**config.to_dict(), "prerank": {
-                "scorers": [{"name": "item_cf"}]}})
+            PipelineConfig.from_dict({**dataclasses.asdict(config),
+                                      "prerank": {"scorers": [
+                                          {"name": "item_cf"}]}})
 
     def test_target_outside_config(self, world):
         with pytest.raises(ConfigError, match="t9"):
@@ -306,7 +311,7 @@ class TestMakePlan:
     def test_market_added_after_ingest_stops_prerank(self, world, tmp_path):
         work, config = copied_workspace(world, tmp_path)
         grown = PipelineConfig.from_dict({
-            **config.to_dict(), "markets": ["s1", "s9", "t1", "t2"],
+            **dataclasses.asdict(config), "markets": ["s1", "s9", "t1", "t2"],
             "prerank": {"scorers": [{"name": "item_cf",
                                      "combinations": [["s9", "t1"]]}]}})
         before = {p.name: p.read_bytes() for p in (work / "t1").iterdir()
@@ -431,7 +436,8 @@ class TestPrerankOutputs:
 
     def test_no_eval_positive_reaches_any_scorer_matrix(self, world):
         snap = pipeline.load_snapshot(world["ws"])
-        ctx = features.PlanContext(snap.rows, snap.users, snap.items)
+        ctx = features.PlanContext(snap.rows, snap.users, snap.items,
+                                   every_id(snap.users, snap.items))
         rows = snap.rows.take((snap.rows.market == "t1")
                               & np.isin(snap.rows.split, ("valid_qrel",
                                                           "test_qrel")))
@@ -440,7 +446,7 @@ class TestPrerankOutputs:
         for combo in COMBOS:
             matrix = features.combination_matrix(
                 ctx, CombinationSpec("t1", tuple(sorted(combo))))
-            dense = matrix.to_dense()
+            dense = to_dense(matrix)
             assert all(dense[u, i] == 0.0 for u, i in held_out)
 
     def test_catalog_provenance_declares_the_guard(self, world):
@@ -474,7 +480,7 @@ class TestPrerankOutputs:
             "scorers": [{"name": "item_cf", "combinations": [COMBOS[1]]}],
             "stats": False})
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps(config.to_dict()))
+        config_file.write_text(json.dumps(dataclasses.asdict(config)))
 
         def boom(matrix, params):
             raise RuntimeError("fit failed")
@@ -503,7 +509,7 @@ class TestPrerankOutputs:
         item = pipeline.load_snapshot(world["ws"]).items.ids[0]
         vectors = tmp_path / "vectors.tsv"
         vectors.write_text(f"{item}\t1.0\t0.5\n")
-        prerank = {**world["config"].prerank.to_dict(),
+        prerank = {**dataclasses.asdict(world["config"].prerank),
                    "external_embeddings": str(vectors)}
         config = pipeline_config(world["data"], tmp_path / "w",
                                  prerank=prerank)
@@ -635,7 +641,7 @@ class TestSelectTrain:
         assert 0.0 < metrics["oof_ndcg_at_10"] <= 1.0
         kept = (ws.target_dir("t1") / "kept.txt").read_text().split()
         assert metrics["n_features"] == len(kept)
-        model = gbdt.load_model(ws.target_dir("t1") / "model.json")
+        model = load_model(ws.target_dir("t1") / "model.json")
         assert isinstance(model, gbdt.BaggedModel)
         assert model.folds == 3
         assert len(model.fold_models) == 3
@@ -809,7 +815,7 @@ class TestCli:
     def config_file(self, world, tmp_path):
         config = pipeline_config(world["data"], tmp_path / "cli_ws")
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config.to_dict()) + "\n")
+        path.write_text(json.dumps(dataclasses.asdict(config)) + "\n")
         return path
 
     def test_usage_error_exits_1(self, capsys):
@@ -825,7 +831,7 @@ class TestCli:
     def test_data_error_exits_2(self, tmp_path, capsys):
         config = pipeline_config(tmp_path / "missing_data", tmp_path / "w")
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(config.to_dict()))
+        path.write_text(json.dumps(dataclasses.asdict(config)))
         assert cli.main(["ingest", "--config", str(path)]) == 2
         assert "data directory" in capsys.readouterr().err
 
@@ -874,7 +880,7 @@ class TestCli:
         path = work / damaged
         path.write_text(text, encoding="utf-8")
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps(config.to_dict()))
+        config_file.write_text(json.dumps(dataclasses.asdict(config)))
         target = [] if command == "report" else ["--target", "t1"]
         return cli.main([command, "--config", str(config_file),
                          *target]), path
@@ -942,7 +948,7 @@ class TestCli:
         for name in outputs:
             (work / "t1" / name).unlink()
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps(config.to_dict()))
+        config_file.write_text(json.dumps(dataclasses.asdict(config)))
         for command in ("select", "train"):
             assert cli.main([command, "--config", str(config_file),
                              "--target", "t1"]) == 0

@@ -39,7 +39,8 @@ def write_vectors(path, items, scale):
 
 
 def make_config(env, **prerank):
-    base = pipeline_config(env["data"], env["work"]).prerank.to_dict()
+    config = pipeline_config(env["data"], env["work"])
+    base = dataclasses.asdict(config.prerank)
     base["external_embeddings"] = str(env["vectors"])
     return pipeline_config(env["data"], env["work"], prerank={**base, **prerank})
 
@@ -91,10 +92,11 @@ class TestRecordContents:
         for name, digest in record.outputs.items():
             assert hashlib.sha256((tdir / name).read_bytes()).hexdigest() == digest
         snap = pipeline.load_snapshot(env["ws"])
+        prefix = features.rows_digest(snap.rows)
         for which in ("valid", "test"):
-            ctx = features.PlanContext(snap.rows, snap.users, snap.items)
             run = data.load_run(env["ws"].run_path("t1", which))
-            assert record.inputs.runs[which] == features.cache_key(ctx, run)
+            assert record.inputs.runs[which] == features.cache_key(
+                run, snap.users, snap.items, prefix)
         plan = pipeline.make_plan(env["config"], "t1")
         assert [(e.scorer, dict(e.params), e.combination,
                  e.excludes_target_valid) for e in record.inputs.plan] == [
@@ -178,7 +180,7 @@ class TestCurrentRerun:
 
     def test_cli_says_up_to_date(self, env, tmp_path, capsys):
         config_file = tmp_path / "config.json"
-        config_file.write_text(json.dumps(env["config"].to_dict()))
+        config_file.write_text(json.dumps(dataclasses.asdict(env["config"])))
         argv = ["prerank", "--config", str(config_file)]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == ("[t1] up to date (4 scorer columns)\n"
@@ -198,14 +200,14 @@ def reingest_changed_data(env):
 
 
 def change_param(env):
-    scorers = env["config"].prerank.to_dict()["scorers"]
+    scorers = dataclasses.asdict(env["config"].prerank)["scorers"]
     scorers[0]["params"] = {"top_k": 5}
     return make_config(env, scorers=scorers)
 
 
 def int_for_float_param(env):
     # alpha 1.0 and 1 are equal numbers but name different columns
-    scorers = env["config"].prerank.to_dict()["scorers"]
+    scorers = dataclasses.asdict(env["config"].prerank)["scorers"]
     assert scorers[2]["name"] == "swing"
     scorers[2]["params"] = {"alpha": 1.0}
     pipeline.run_prerank(make_config(env, scorers=scorers), "t1")
