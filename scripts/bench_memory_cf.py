@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Time the five memory-based prerank scorers through features.run_plan on
-a fixed synthetic dataset and fingerprint their feature columns.
+"""Time the five memory-based prerank scorers on a fixed synthetic dataset
+and fingerprint their feature columns.
 
 The interactions span two markets (600 users x 250 items, about 6% dense,
 ratings 1-5); the run file holds 100 users with 40 candidates each, ten of
 them users without any interaction (cold). Each scorer (item_cf, user_cf,
-swing, llr, bigraph, default parameters) runs as a one-spec plan over the
-union of both markets with no column cache: "cold" times a plan on a fresh
-PlanContext whose fit ids are the run's known ids, as prerank sets them, so
-it fits the model for the run's users or candidates only (the rows the
-scoring reads) and scores the run; "warm" times a second plan on the same
-context, which reuses the fitted model and only scores.
+swing, llr, bigraph, default parameters) runs over the union of both
+markets with no column cache: "cold" times features.run_plan of a one-spec
+plan on a fresh PlanContext whose fit ids are the run's known ids, as
+prerank sets them, so it fits the model for the run's users or candidates
+only (the rows the scoring reads) and scores the run; "warm" times the
+registry's score alone, on a model from the registry's fit for the same
+ids.
 
 Prints the median of each over --repeats calls, the median of the
 per-repeat differences cold minus warm (the fit alone), the tracemalloc
-peak of one more cold plan (untimed) and the sha256 of the table's values
+peak of one more cold plan (untimed) and the sha256 of the columns' values
 (feature and missing columns), so two checkouts can be compared for speed,
 memory and identical outputs:
 
@@ -59,10 +60,9 @@ def make_inputs() -> tuple[Interactions, IdEncoder, IdEncoder, RunFile]:
     return rows, user_enc, item_enc, run
 
 
-def table_digest(table: features.FeatureTable) -> str:
+def values_digest(values: np.ndarray) -> str:
     return hashlib.sha256(
-        np.ascontiguousarray(table.values, dtype=np.float64).tobytes()
-    ).hexdigest()
+        np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
 def main(argv=None) -> None:
@@ -78,25 +78,32 @@ def main(argv=None) -> None:
           f"run {len(run.candidates)} pairs, seed {SEED}")
     ids = features.encode_run(run, users, items)
     fit_ids = features.known_ids(ids)
+    matrix = features.PlanContext(rows, users, items,
+                                  fit_ids=fit_ids).matrix(COMBINATION)
     for name in SCORERS:
         plan = [features.ScorerSpec(name, {}, COMBINATION)]
+        scorer = features.SCORERS[name]
         cold, warm, digests = [], [], set()
         for _ in range(args.repeats):
             ctx = features.PlanContext(rows, users, items, fit_ids=fit_ids)
-            for times in (cold, warm):
-                start = time.perf_counter()
-                table, _, failures = features.run_plan(plan, ctx, run, *ids)
-                times.append(time.perf_counter() - start)
-                if failures:
-                    raise SystemExit(f"{name} failed: {failures}")
-                digests.add(table_digest(table))
+            start = time.perf_counter()
+            _, values, _, failures = features.run_plan(plan, ctx, *ids)
+            cold.append(time.perf_counter() - start)
+            if failures:
+                raise SystemExit(f"{name} failed: {failures}")
+            digests.add(values_digest(values))
+            model = scorer.fit(matrix, scorer.params(), *fit_ids)
+            start = time.perf_counter()
+            scores = scorer.score(model, matrix, *ids)
+            warm.append(time.perf_counter() - start)
+            digests.add(values_digest(np.column_stack(scores)))
         tracemalloc.start()
-        table, _, _ = features.run_plan(
+        _, values, _, _ = features.run_plan(
             plan, features.PlanContext(rows, users, items, fit_ids=fit_ids),
-            run, *ids)
+            *ids)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        digests.add(table_digest(table))
+        digests.add(values_digest(values))
         if len(digests) != 1:
             raise SystemExit(f"{name}: repeated plans disagree: {sorted(digests)}")
         fit = statistics.median(c - w for c, w in zip(cold, warm))

@@ -32,8 +32,8 @@ class Scorer:
     the model will score; a memory-based fit computes the neighbor lists
     of those entities only, the other fits ignore them.
     score(model, matrix, user_ids, item_ids) -> (values, missing) is called
-    once per run and scores every (user, candidate) pair of it at once,
-    from the aligned encoded ids of the pairs in run order, user id -1
+    once per model and scores every (user, candidate) pair of both run
+    files at once, from the aligned encoded ids of the pairs, user id -1
     being a user the encoders do not know; missing is one flag per pair.
     """
 
@@ -405,13 +405,11 @@ def default_combinations(target: str, all_markets: Sequence[str],
 
 @dataclass(frozen=True)
 class PlanContext:
-    """Everything run_plan needs: encoded interactions and the encoders.
-
-    A prerank's in-memory cache: matrices per combination and model_cache
-    the fitted models per ScorerSpec.feature_name, so that scoring a
-    second run file neither rebuilds nor retrains anything. fit_ids holds
-    the ascending encoded ids of every user and of every candidate the
-    fitted models will score, known_ids of the runs."""
+    """Everything run_plan needs: encoded interactions, the encoders, and
+    fit_ids, the ascending encoded ids of every user and of every
+    candidate the fitted models will score (known_ids of the pairs).
+    matrices holds the combination matrices built so far, so that a
+    prerank builds each one once; cache_dir is the column cache."""
 
     rows: Interactions
     users: IdEncoder
@@ -419,7 +417,6 @@ class PlanContext:
     fit_ids: tuple[np.ndarray, np.ndarray] = field(compare=False)
     cache_dir: Path | None = None
     matrices: dict = field(default_factory=dict, compare=False)
-    model_cache: dict = field(default_factory=dict, compare=False)
 
     def matrix(self, combination: CombinationSpec) -> SparseInteractionMatrix:
         """combination_matrix, built once per combination."""
@@ -466,9 +463,8 @@ def rows_digest(rows: Interactions) -> blake2b:
 
 def cache_key(run: RunFile, users: IdEncoder, items: IdEncoder,
               prefix: blake2b) -> str:
-    """Digest of all a cached column depends on besides its spec: the rows,
-    both encoders and the run. A changed input gives a new file name.
-    prefix is rows_digest of the rows."""
+    """Digest of all a run's columns depend on besides their specs: the
+    rows, both encoders and the run. prefix is rows_digest of the rows."""
     digest = prefix.copy()
     entries = list(map(list, zip(run.users.tolist(), run.candidate_lists())))
     digest.update(json.dumps([users.ids.tolist(), items.ids.tolist(),
@@ -490,36 +486,32 @@ def _load_cached(path: Path, n_pairs: int) -> np.ndarray | None:
 
 
 def _drop_stale(cache: Path, name: str) -> None:
-    """Remove column name's files other than cache: those under another
-    digest and a .tsv from before the .npy cache. Other columns' files
-    stay."""
-    stale = re.compile(re.escape(name) + r"(\.[0-9a-f]{32}\.npy|\.tsv)")
+    """Remove column name's files under another digest than cache's. Other
+    columns' files stay."""
+    stale = re.compile(re.escape(name) + r"\.[0-9a-f]{32}\.npy")
     for path in cache.parent.iterdir():
         if path != cache and stale.fullmatch(path.name):
             path.unlink(missing_ok=True)
 
 
-def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
+def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext,
              user_ids: np.ndarray, item_ids: np.ndarray,
              key: str | None = None
-             ) -> tuple[FeatureTable, dict[str, dict], list[dict]]:
-    """One feature column (plus a missing-indicator column) per spec, rows
-    exactly the run file's (user, candidate) pairs in order, and each
-    column's provenance; user_ids and item_ids are those pairs as
-    encode_run gives them. Completed columns are cached in ctx.cache_dir
-    as <feature>.<digest>.npy, the digest being key (cache_key of the run
-    and ctx's rows and encoders when not given), and read back on re-run;
-    writing one removes that column's files under other digests. Models are fitted for ctx's fit
-    ids. A failing scorer is recorded and the plan continues."""
+             ) -> tuple[list[str], np.ndarray, dict[str, dict], list[dict]]:
+    """(names, values, provenance, failures): one feature column and its
+    missing indicator per spec, one values row per (user, candidate) pair
+    given as encoded ids (encode_run). Each spec's model is fitted for
+    ctx's fit ids, scores every pair in one call and is dropped. Columns
+    are cached in ctx.cache_dir, if set, as <feature>.<key>.npy and read
+    back on re-run; writing one removes its files under other keys. A
+    failing scorer is recorded and the plan continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
-    unknown = run.candidates[item_ids < 0]
+    if ctx.cache_dir is not None and key is None:
+        raise ValueError("a plan with a cache_dir needs a key")
+    unknown = int(np.count_nonzero(item_ids < 0))
     failures: list[dict] = []
-    if ctx.cache_dir is None:
-        key = None
-    elif key is None:
-        key = cache_key(run, ctx.users, ctx.items, rows_digest(ctx.rows))
     columns: list[str] = []
     provenance: dict[str, dict] = {}
     # every spec's value and missing row, filled in place (column-major,
@@ -527,13 +519,20 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
     values = np.empty((2 * len(plan), len(item_ids)))
     for spec in plan:
         name = spec.feature_name
-        cache = None if key is None else Path(ctx.cache_dir) / f"{name}.{key}.npy"
+        cache = (None if ctx.cache_dir is None
+                 else Path(ctx.cache_dir) / f"{name}.{key}.npy")
         got = None if cache is None else _load_cached(cache, len(item_ids))
         if got is None:
             try:
-                if len(unknown):
-                    raise DataError(f"unknown id {str(unknown[0])!r}")
-                got = np.stack(_score_run(spec, ctx, user_ids, item_ids))
+                if unknown:
+                    raise DataError(f"unknown candidate in {unknown} pairs")
+                scorer = SCORERS[spec.scorer]
+                params = from_dict(scorer.params, dict(spec.params),
+                                   f"scorer {spec.scorer!r} params")
+                matrix = ctx.matrix(spec.combination)
+                got = np.stack(scorer.score(
+                    scorer.fit(matrix, params, *ctx.fit_ids), matrix,
+                    user_ids, item_ids))
             except Exception as exc:  # noqa: BLE001 - plan must survive one bad scorer
                 failures.append({"feature": name, "error": f"{type(exc).__name__}: {exc}"})
                 continue
@@ -546,27 +545,7 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext, run: RunFile,
         columns += [name, f"{name}__missing"]
         provenance.update({name: prov, f"{name}__missing": {
             **prov, "kind": "missing_indicator"}})
-    table = empty_table(run)
-    if columns:
-        table = table.with_columns(
-            columns, np.ascontiguousarray(values[:len(columns)].T))
-    return table, provenance, failures
-
-
-def _score_run(spec: ScorerSpec, ctx: PlanContext, user_ids: np.ndarray,
-               item_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, missing) of one spec over the encoded run pairs, in one
-    score call, fitting its model on its params, checked against the
-    scorer's params class, and ctx's fit ids, unless ctx.model_cache
-    holds it under the spec's feature name."""
-    matrix = ctx.matrix(spec.combination)
-    scorer = SCORERS[spec.scorer]
-    key = spec.feature_name
-    if key not in ctx.model_cache:
-        params = from_dict(scorer.params, dict(spec.params),
-                           f"scorer {spec.scorer!r} params")
-        ctx.model_cache[key] = scorer.fit(matrix, params, *ctx.fit_ids)
-    return scorer.score(ctx.model_cache[key], matrix, user_ids, item_ids)
+    return columns, values[:len(columns)].T, provenance, failures
 
 
 _STAT_SPLITS = ("train", "train_5core")

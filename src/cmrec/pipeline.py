@@ -8,7 +8,7 @@ so deleting a stage's files and re-running reproduces them exactly:
       snapshot/                  ingest: encoded interactions + encoders
         rows_*.npy  encoders.json  meta.json  summary.json  runs/
       <target>/                  per-target stage outputs
-        cache/{valid,test}/<feature>.<digest>.npy  per-column score cache
+        cache/<feature>.<digest>.npy  per-column scores over both runs
         features_{valid,test}.tsv (+ .catalog.json)  correlation.tsv
         prerank_failures.json  prerank.inputs.json (the record, last)
         kept.txt  selection_report.{tsv,json}
@@ -31,11 +31,12 @@ import shutil
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
+from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
 
-from . import data, evaluation, features, gbdt, selection
+from . import data, embeddings, evaluation, features, gbdt, selection
 from .config import PipelineConfig
 from .data import CombinationSpec, IdEncoder, Interactions
 from .util import (ConfigError, DataError, StageError, atomic_save_npy,
@@ -178,15 +179,28 @@ class Snapshot:
 
 
 def load_snapshot(ws: Workspace) -> Snapshot:
+    """The workspace's snapshot; a missing or damaged file of it is a
+    StageError naming the file."""
     snap = ws.snapshot_dir
     if not snap.is_dir():
         raise StageError(f"no snapshot in workspace {ws.root}; run ingest first")
     meta = read_artifact(SnapshotMeta, snap / "meta.json")
     enc = read_artifact(SnapshotEncoders, snap / "encoders.json")
     users, items = IdEncoder.fit(enc.users), IdEncoder.fit(enc.items)
-    arrays = {name: np.load(snap / f"rows_{name}.npy")
-              for name in ("user", "item", "rating", "market", "split")}
-    rows = _interactions(arrays, meta.markets, meta.splits)
+    arrays = {}
+    for name in ("user", "item", "rating", "market", "split"):
+        path = snap / f"rows_{name}.npy"
+        try:
+            arrays[name] = np.load(path)
+        except (OSError, ValueError, EOFError) as exc:
+            raise StageError(f"cannot read snapshot file {path}: {exc}; "
+                             f"run ingest") from None
+    try:
+        rows = _interactions(arrays, meta.markets, meta.splits)
+    except (ValueError, IndexError) as exc:
+        lengths = {f"rows_{name}.npy": len(arr) for name, arr in arrays.items()}
+        raise StageError(f"snapshot files in {snap} do not fit together "
+                         f"({exc}; lengths {lengths}); run ingest") from None
     return Snapshot(rows, users, items, meta.markets, meta.targets)
 
 
@@ -266,9 +280,10 @@ PRERANK_RECORD_VERSION = 1
 @dataclass(frozen=True)
 class PrerankInputs:
     """All a target's prerank outputs depend on besides the code: per run,
-    the cache key over the snapshot rows, both encoders and the run file;
-    the plan; the statistics flag; and the sha256 of the external vectors
-    file's bytes (its path is not an input)."""
+    the cache_key over the snapshot rows, both encoders and the run file
+    (the column cache's key is a digest of the two); the plan; the
+    statistics flag; and the sha256 of the external vectors file's bytes
+    (its path is not an input)."""
 
     runs: Mapping[str, str]
     plan: tuple[features.PlanEntry, ...]
@@ -323,7 +338,7 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     The stage records its inputs and outputs last, in PRERANK_RECORD; a
     re-run whose record is current returns without fitting or writing
     anything ("up_to_date"). Otherwise the record goes first and completed
-    columns come from the per-run column cache, so only what is missing is
+    columns come from the column cache, so only what is missing is
     recomputed. Scorer failures abort the stage, but only after all
     surviving columns are on disk, so the next run resumes from cache.
     """
@@ -347,41 +362,39 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     for name in (PRERANK_RECORD, "correlation.tsv"):
         (tdir / name).unlink(missing_ok=True)
 
-    # both runs share the matrices and the models, fitted for every id
-    # either run holds
+    # both runs' pairs, valid then test, in one pass: each column is fitted
+    # and scored once, then split back into the two tables
     ids = {which: features.encode_run(run, snap.users, snap.items)
            for which, run in runs.items()}
-    matrices, models = {}, {}
-    fit = features.known_ids(*ids.values())
+    user_ids, item_ids = (np.concatenate(part) for part in zip(*ids.values()))
+    ctx = features.PlanContext(snap.rows, snap.users, snap.items,
+                               features.known_ids((user_ids, item_ids)),
+                               tdir / "cache")
+    path = config.prerank.external_embeddings
+    external = embeddings.read_embedding_tsv(path) if path else None
+    column_key = blake2b("".join(keys.values()).encode(),
+                         digest_size=16).hexdigest()
+    names, values, provenance, failures = features.run_plan(
+        plan, ctx, user_ids, item_ids, column_key)
+    parts = [(names, values, provenance)]  # one per column producer
+    if config.prerank.stats:
+        parts.append(features.global_statistic_features(
+            ctx, user_ids, item_ids, target))
+    if external is not None:
+        matrix = ctx.matrix(CombinationSpec(target,
+                                            tuple(sorted(snap.markets))))
+        parts.append(features.external_embedding_features(
+            external, user_ids, item_ids, matrix, ctx))
+    names = [name for part in parts for name in part[0]]
+    values = np.hstack([part[1] for part in parts])
+    provenance = {k: v for part in parts for k, v in part[2].items()}
 
-    external = None
-    if config.prerank.external_embeddings:
-        from . import embeddings as emb
-        external = emb.read_embedding_tsv(config.prerank.external_embeddings)
-    all_failures: list[dict] = []
     outputs: dict[str, str] = {}
-    for which, run in runs.items():
-        ctx = features.PlanContext(snap.rows, snap.users, snap.items, fit,
-                                   tdir / "cache" / which, matrices, models)
-        user_ids, item_ids = ids[which]
-        table, provenance, failures = features.run_plan(
-            plan, ctx, run, user_ids, item_ids, key=keys[which])
-        all_failures.extend(dict(f, run=which) for f in failures)
-        if config.prerank.stats:
-            cols, vals, prov = features.global_statistic_features(
-                ctx, user_ids, item_ids, target)
-            table = table.with_columns(cols, vals)
-            provenance.update(prov)
-        if external is not None:
-            matrix = ctx.matrix(
-                CombinationSpec(target, tuple(sorted(snap.markets))))
-            cols, vals, prov = features.external_embedding_features(
-                external, user_ids, item_ids, matrix, ctx)
-            table = table.with_columns(cols, vals)
-            provenance.update(prov)
+    blocks = np.split(values, [len(ids["valid"][0])])
+    for (which, run), block in zip(runs.items(), blocks):
+        table = features.empty_table(run).with_columns(names, block)
         if which == "valid":
-            table = table.with_labels(
-                _valid_labels(snap, target, user_ids, item_ids))
+            table = table.with_labels(_valid_labels(snap, target, *ids[which]))
             scorer_cols = [c for c in table.columns
                            if provenance[c]["kind"] == "scorer"]
             if len(scorer_cols) >= 1 and table.n_rows >= 2:
@@ -395,11 +408,11 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
             table, tsv, catalog, provenance)
 
     outputs["prerank_failures.json"] = write_json(
-        tdir / "prerank_failures.json", all_failures)
-    if all_failures:
-        names = sorted({f["feature"] for f in all_failures})
-        raise StageError(f"{len(all_failures)} scorer runs failed "
-                         f"({', '.join(names[:5])}); completed columns are "
+        tdir / "prerank_failures.json", failures)
+    if failures:
+        failed = sorted(f["feature"] for f in failures)
+        raise StageError(f"{len(failures)} scorer runs failed "
+                         f"({', '.join(failed[:5])}); completed columns are "
                          f"cached, re-run prerank to resume")
     write_json(tdir / PRERANK_RECORD,
                PrerankRecord(PRERANK_RECORD_VERSION, inputs, outputs))

@@ -228,7 +228,14 @@ def read_kept(path) -> list[str]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"kept-feature list not found: {path}")
-    kept = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    kept: dict[str, int] = {}  # feature -> its line, in file order
+    for line_no, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1):
+        if line in kept:
+            raise DataError(f"{path}:{line_no}: feature {line!r} repeats "
+                            f"line {kept[line]}")
+        if line:
+            kept[line] = line_no
     if not kept:
         raise DataError(f"kept-feature list lists no features: {path}")
-    return kept
+    return list(kept)

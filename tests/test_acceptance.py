@@ -7,7 +7,6 @@ oracle at a stated tolerance, or exercise the assembled pipeline end to
 end on a fixed-seed synthetic five-market dataset.
 """
 
-import json
 import math
 import time
 

@@ -279,14 +279,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match=match):
             PipelineConfig.from_dict({**MINIMAL, **section})
 
-    def test_readme_lists_every_scorer_default(self):
-        from cmrec.features import SCORERS
-        readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        for name, scorer in SCORERS.items():
-            defaults = {k: v for k, v in asdict(scorer.params()).items()
-                        if k != "seed"}
-            assert f"| `{name}` | `{json.dumps(defaults)}` |" in readme, name
-
     def test_scorer_params_load_typed_with_their_defaults(self):
         from cmrec.features import (SCORERS, Node2VecBfsParams,
                                     Node2VecDfsParams)

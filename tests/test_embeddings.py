@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmrec import embeddings as emb
-from cmrec.data import SparseInteractionMatrix
 from cmrec.util import (DataError, atomic_write_text, fmt, sigmoid,
                         stage_seed)
 

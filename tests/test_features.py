@@ -13,7 +13,7 @@ from cmrec import embeddings as emb
 from cmrec import features, memory_cf, util
 from cmrec.config import PipelineConfig
 from cmrec.data import (CombinationSpec, IdEncoder, Interactions, RunFile,
-                        fit_encoders, load_run)
+                        load_run)
 from cmrec.features import (Catalog, FeatureTable, PlanContext, ScorerSpec,
                             combination_matrix, default_combinations,
                             empty_table, external_embedding_features,
@@ -62,11 +62,31 @@ RUN = run_of(RUN_ENTRIES)
 
 
 def plan_run(plan, ctx, run):
-    """run_plan of a RunFile, encoded by ctx's encoders, without the
-    provenance: (table, failures)."""
-    table, _, failures = run_plan(
-        plan, ctx, run, *features.encode_run(run, ctx.users, ctx.items))
-    return table, failures
+    """run_plan over a RunFile's pairs, encoded by ctx's encoders, as the
+    run's table, without the provenance: (table, failures). With a
+    cache_dir the key is the run's cache_key, as for one run file."""
+    key = (None if ctx.cache_dir is None else features.cache_key(
+        run, ctx.users, ctx.items, features.rows_digest(ctx.rows)))
+    names, values, _, failures = run_plan(
+        plan, ctx, *features.encode_run(run, ctx.users, ctx.items), key)
+    return empty_table(run).with_columns(names, values), failures
+
+
+def count_calls(monkeypatch, name="item_cf"):
+    """Counts of the fit and score calls of scorer name, by kind."""
+    counts = {"fit": 0, "score": 0}
+    scorer = features.SCORERS[name]
+
+    def counting(kind, inner):
+        def call(*args):
+            counts[kind] += 1
+            return inner(*args)
+        return call
+
+    monkeypatch.setitem(features.SCORERS, name, dataclasses.replace(
+        scorer, fit=counting("fit", scorer.fit),
+        score=counting("score", scorer.score)))
+    return counts
 
 
 def run_statistics(ctx, run, target):
@@ -256,22 +276,16 @@ class TestRunPlan:
                              f"ValueError: entity {a} has no fitted "
                              f"neighbor list"}]
 
-    def test_one_with_columns_call_per_table(self, monkeypatch):
+    def test_one_values_block_per_plan(self):
         specs = [spec_for(), spec_for("swing"), spec_for("llr"),
                  spec_for(markets=("t1",))]
         want = list(_per_spec_columns(specs))
-        calls = []
-        real = FeatureTable.with_columns
-
-        def counting(self, names, matrix):
-            calls.append(list(names))
-            return real(self, names, matrix)
-
-        monkeypatch.setattr(FeatureTable, "with_columns", counting)
-        table, failures = plan_run(specs, tiny_context(), RUN)
+        ctx = tiny_context()
+        names, values, _, failures = run_plan(
+            specs, ctx, *features.encode_run(RUN, ctx.users, ctx.items))
         assert failures == []
-        assert calls == [list(table.columns)]
-        assert table.values.flags.c_contiguous
+        assert values.shape == (len(pairs_of(RUN)), len(names))
+        table = empty_table(RUN).with_columns(names, values)
         for name, col in want:
             assert np.array_equal(table.column(name).view(np.int64),
                                   col.view(np.int64))
@@ -284,9 +298,10 @@ class TestRunPlan:
     def test_provenance_records_combination_and_guard(self, tmp_path):
         ctx = tiny_context()
         spec = spec_for(params={"top_k": 5})
-        table, provenance, _ = run_plan(
-            [spec], ctx, RUN, *features.encode_run(RUN, ctx.users, ctx.items))
-        assert list(provenance) == list(table.columns)
+        names, values, provenance, _ = run_plan(
+            [spec], ctx, *features.encode_run(RUN, ctx.users, ctx.items))
+        assert list(provenance) == names
+        table = empty_table(RUN).with_columns(names, values)
         catalog = tmp_path / "features.catalog.json"
         write_table(table, tmp_path / "features.tsv", catalog, provenance)
         provenance = json.loads(catalog.read_text())["provenance"]
@@ -401,7 +416,7 @@ class TestScorerRegistry:
         table, failures = plan_run([good, other], ctx, run)
         assert [f["feature"] for f in failures] == [good.feature_name,
                                                     other.feature_name]
-        assert all(f["error"] == "DataError: unknown id 'nobody_knows'"
+        assert all(f["error"] == "DataError: unknown candidate in 1 pairs"
                    for f in failures)
         assert table.columns == ()
 
@@ -428,16 +443,24 @@ def cached_column(cache_dir, spec):
 
 
 class TestColumnCache:
-    def test_second_run_reads_cache_without_refitting(self, tmp_path):
+    def test_second_run_reads_cache_without_refitting(self, tmp_path,
+                                                       monkeypatch):
         first = tiny_context(cache_dir=tmp_path)
         spec = spec_for()
         table1, _ = plan_run([spec], first, RUN)
         assert cached_column(tmp_path, spec).exists()
 
-        again = tiny_context(cache_dir=tmp_path)
-        table2, _ = plan_run([spec], again, RUN)
-        assert again.model_cache == {}  # nothing was fitted
+        counts = count_calls(monkeypatch)
+        table2, _ = plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
+        assert counts == {"fit": 0, "score": 0}  # nothing was computed
         assert np.array_equal(table1.values, table2.values)
+
+    def test_cache_dir_without_a_key_is_an_error(self, tmp_path):
+        ctx = tiny_context(cache_dir=tmp_path)
+        with pytest.raises(ValueError, match="needs a key"):
+            run_plan([spec_for()], ctx,
+                     *features.encode_run(RUN, ctx.users, ctx.items))
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         ctx = tiny_context(cache_dir=tmp_path)
@@ -463,14 +486,16 @@ class TestColumnCache:
         np.zeros(2 * len(pairs_of(RUN))),
         np.zeros((2, len(pairs_of(RUN))), dtype=np.int64),
     ])
-    def test_wrong_shape_or_dtype_recomputed(self, tmp_path, stored):
+    def test_wrong_shape_or_dtype_recomputed(self, tmp_path, monkeypatch,
+                                             stored):
         spec = spec_for()
         table1, _ = plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
         path = cached_column(tmp_path, spec)
         np.save(path, stored)
-        ctx = tiny_context(cache_dir=tmp_path)
-        table2, failures = plan_run([spec], ctx, RUN)
-        assert failures == [] and ctx.model_cache != {}
+        counts = count_calls(monkeypatch)
+        table2, failures = plan_run([spec], tiny_context(cache_dir=tmp_path),
+                                    RUN)
+        assert failures == [] and counts == {"fit": 1, "score": 1}
         assert np.array_equal(table1.values, table2.values)
         assert cached_column(tmp_path, spec) == path
         reloaded = np.load(path)
@@ -478,10 +503,11 @@ class TestColumnCache:
         assert np.array_equal(reloaded.T, table1.values)
 
     @pytest.mark.parametrize("change", ["rows", "encoders", "run"])
-    def test_changed_input_is_a_miss(self, tmp_path, change):
+    def test_changed_input_is_a_miss(self, tmp_path, monkeypatch, change):
         spec = spec_for()
         plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
         old = cached_column(tmp_path, spec)
+        counts = count_calls(monkeypatch)
         ctx, run = tiny_context(cache_dir=tmp_path), RUN
         if change == "rows":
             # the last row is a cross-market valid positive of s1
@@ -493,12 +519,12 @@ class TestColumnCache:
         else:
             run = run_of((("a", ("i3", "i2", "i1", "i0")),) + RUN_ENTRIES[1:])
         table, failures = plan_run([spec], ctx, run)
-        assert failures == [] and ctx.model_cache != {}
+        assert failures == [] and counts == {"fit": 1, "score": 1}
         # the column was stored under a new name
         new = set(tmp_path.glob(f"{spec.feature_name}.*.npy")) - {old}
         assert len(new) == 1
-        fresh, _ = plan_run([spec], dataclasses.replace(
-            ctx, cache_dir=None, model_cache={}), run)
+        fresh, _ = plan_run([spec], dataclasses.replace(ctx, cache_dir=None),
+                            run)
         assert np.array_equal(table.values, fresh.values)
 
     @pytest.mark.parametrize("change", ["rows", "encoders", "run"])
@@ -507,10 +533,9 @@ class TestColumnCache:
         other = spec_for("swing", {"alpha": 0.5, "top_k": 10})
         plan_run([spec, other], tiny_context(cache_dir=tmp_path), RUN)
         kept, old = cached_column(tmp_path, other), cached_column(tmp_path, spec)
-        legacy = tmp_path / f"{spec.feature_name}.tsv"
-        legacy.write_text("a\ti0\t0.5\n")
         # names that only resemble the column's files stay
-        lookalikes = [tmp_path / f"{spec.feature_name}.{'0' * 31}.npy",
+        lookalikes = [tmp_path / f"{spec.feature_name}.tsv",
+                      tmp_path / f"{spec.feature_name}.{'0' * 31}.npy",
                       tmp_path / f"{spec.feature_name}x.{'0' * 32}.npy",
                       tmp_path / f"{spec.feature_name}.{'0' * 32}.npy.tmp"]
         for path in lookalikes:

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from cmrec.synth import MarketSpec, SynthConfig, generate
 from cmrec.util import ConfigError, DataError, StageError
 
 from test_data import to_dense
-from test_features import every_id
+from test_features import count_calls, every_id
 from test_gbdt import load_model
 
 COMBOS = [["s1", "t1", "t2"], ["t1", "t2"]]
@@ -489,9 +490,9 @@ class TestPrerankOutputs:
             features.SCORERS["item_cf"], fit=boom))
         assert cli.main(["prerank", "--config", str(config_file),
                          "--target", "t1"]) == 3
-        assert "2 scorer runs failed" in capsys.readouterr().err
+        assert "1 scorer runs failed" in capsys.readouterr().err
         failures = json.loads((work / "t1" / "prerank_failures.json").read_text())
-        assert {f["run"] for f in failures} == {"valid", "test"}
+        assert [sorted(f) for f in failures] == [["error", "feature"]]
 
     def test_rerun_resumes_from_cache_byte_identically(self, world):
         ws = world["ws"]
@@ -524,6 +525,32 @@ class TestPrerankOutputs:
         monkeypatch.setattr(features, "build_matrix", counting)
         pipeline.run_prerank(config, "t1")
         assert sorted(built) == ["s1-t1-t2", "t1-t2"]
+
+    def test_a_cold_prerank_scores_and_caches_each_column_once(
+            self, world, tmp_path, monkeypatch):
+        # both run files go through one pass: one fit and one score call
+        # per plan entry, one statistics call, one cache file per column
+        config = pipeline_config(world["data"], tmp_path / "w")
+        assert config.prerank.stats
+        pipeline.run_ingest(config)
+        plan = pipeline.make_plan(config, "t1")
+        per_scorer = Counter(spec.scorer for spec in plan)
+        counts = {name: count_calls(monkeypatch, name) for name in per_scorer}
+        stats = []
+        real = features.global_statistic_features
+
+        def counting(*args):
+            stats.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(features, "global_statistic_features", counting)
+        pipeline.run_prerank(config, "t1")
+        assert counts == {name: {"fit": n, "score": n}
+                          for name, n in per_scorer.items()}
+        assert len(stats) == 1
+        cache = pipeline.workspace_for(config).target_dir("t1") / "cache"
+        assert sorted(p.name.split(".")[0] for p in cache.rglob("*")) == sorted(
+            spec.feature_name for spec in plan)
 
     def test_reingest_of_changed_data_recomputes_cached_columns(self, world,
                                                                 tmp_path):
@@ -937,6 +964,41 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert str(path) in err and f".{field}" in err
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "empty",
+                                        "one element short"])
+    @pytest.mark.parametrize("command", ["prerank", "evaluate"])
+    def test_damaged_snapshot_array_exits_3_naming_it(
+            self, world, tmp_path, capsys, command, damage):
+        work, config = copied_workspace(world, tmp_path)
+        path = work / "snapshot" / "rows_user.npy"
+        if damage == "missing":
+            path.unlink()
+        elif damage == "truncated":
+            blob = path.read_bytes()
+            path.write_bytes(blob[:len(blob) // 2])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        else:
+            np.save(path, np.load(path)[:-1])
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(dataclasses.asdict(config)))
+        assert cli.main([command, "--config", str(config_file),
+                         "--target", "t1"]) == 3
+        err = capsys.readouterr().err
+        assert "rows_user.npy" in err and "run ingest" in err
+
+    def test_repeated_kept_feature_exits_2_naming_its_line(
+            self, world, tmp_path, capsys):
+        work, config = copied_workspace(world, tmp_path)
+        kept = work / "t1" / "kept.txt"
+        lines = kept.read_text().splitlines()
+        kept.write_text("\n".join(lines + lines[:1]) + "\n")
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(dataclasses.asdict(config)))
+        assert cli.main(["train", "--config", str(config_file),
+                         "--target", "t1"]) == 2
+        assert f"{kept}:{len(lines) + 1}:" in capsys.readouterr().err
 
     def test_select_and_train_read_no_catalog(self, world, tmp_path):
         # prerank writes the catalogs for readers; select and train read

@@ -357,6 +357,12 @@ class TestReportFiles:
         with pytest.raises(DataError, match="no features"):
             selection.read_kept(tmp_path / "kept.txt")
 
+    def test_repeated_kept_feature_rejected_naming_its_line(self, tmp_path):
+        (tmp_path / "kept.txt").write_text("a__x\nb__y\n\na__x\n")
+        with pytest.raises(DataError, match=r"kept\.txt:4: .*'a__x' "
+                                            r"repeats line 1"):
+            selection.read_kept(tmp_path / "kept.txt")
+
     def test_missing_kept_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             selection.read_kept(tmp_path / "absent.txt")
