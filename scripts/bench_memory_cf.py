@@ -77,7 +77,7 @@ def main(argv=None) -> None:
     print(f"interactions {N_USERS}x{N_ITEMS}, {len(rows)} rows, "
           f"run {len(run.candidates)} pairs, seed {SEED}")
     ids = features.encode_run(run, users, items)
-    fit_ids = features.known_ids(ids)
+    fit_ids = features.known_ids(*ids)
     matrix = features.PlanContext(rows, users, items,
                                   fit_ids=fit_ids).matrix(COMBINATION)
     for name in SCORERS:

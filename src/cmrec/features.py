@@ -4,6 +4,7 @@ similarities, and keep everything cached and resumable on disk."""
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -18,8 +19,9 @@ from . import memory_cf as mcf
 from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                    SparseInteractionMatrix, build_matrix, first_repeat,
                    read_lines)
-from .util import (ConfigError, DataError, atomic_save_npy, from_dict,
-                   params_hash, write_json, write_tsv)
+from .util import (ConfigError, DataError, atomic_save_npy,
+                   atomic_write_bytes, file_sha256, from_dict, params_hash,
+                   write_json, write_tsv)
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,8 @@ class ScorerSpec:
 class FeatureTable:
     """Rows keyed by (user, item) raw ids, held as two string arrays;
     dense float64 columns; optional labels. Keys are checked for
-    uniqueness where they enter (read_table, data.load_run), not here."""
+    uniqueness where they enter (read_table, data.load_run) and before
+    write_table caches a table, not here."""
 
     users: np.ndarray
     items: np.ndarray
@@ -291,9 +294,19 @@ class Catalog:
 
 
 def write_table(table: FeatureTable, tsv_path, catalog_path,
-                provenance: Mapping[str, Mapping]) -> tuple[str, str]:
+                provenance: Mapping[str, Mapping],
+                cache_dir=None) -> tuple[str, str]:
     """Write the table's TSV and its catalog, which holds provenance (column
-    name -> where the column came from); returns their sha256 digests."""
+    name -> where the column came from); returns their sha256 digests.
+
+    With a cache_dir, the table's arrays also go to
+    <cache_dir>/<TSV stem>.<digest>.npy, digest being the first 32 hex
+    digits of the TSV's sha256, for read_table to load instead of parsing
+    the TSV; that stem's files under other digests go. The file must hold
+    what the parse returns, so a table with a repeated (user, item) key,
+    which the parse rejects, gets none, and ids and column names are
+    assumed free of tabs and line breaks, as in prerank's tables, whose
+    ids come from parsed run files."""
     header = ["user", "item"] + (["label"] if table.labels is not None else [])
     header += list(table.columns)
     keys = [table.users, table.items]
@@ -301,8 +314,60 @@ def write_table(table: FeatureTable, tsv_path, catalog_path,
         keys.append([str(label) for label in table.labels.tolist()])
     catalog = Catalog(table.columns, table.labels is not None,
                       {k: dict(v) for k, v in provenance.items()})
-    return (write_tsv(tsv_path, header, keys, table.values),
-            write_json(catalog_path, catalog))
+    digest = write_tsv(tsv_path, header, keys, table.values)
+    if cache_dir is not None:
+        cache = _table_cache(cache_dir, tsv_path, digest)
+        cache.parent.mkdir(parents=True, exist_ok=True)
+        if first_repeat(table.users, table.items) is None:
+            _save_table(cache, digest, header, table)
+        _drop_stale(cache, Path(tsv_path).stem)
+    return digest, write_json(catalog_path, catalog)
+
+
+def _table_cache(cache_dir, tsv_path, digest: str) -> Path:
+    return Path(cache_dir) / f"{Path(tsv_path).stem}.{digest[:32]}.npy"
+
+
+def _save_table(path: Path, digest: str, header: list[str],
+                table: FeatureTable) -> None:
+    """The table as the parse of its TSV returns it, stored atomically as
+    consecutive .npy arrays: the TSV's sha256, its header, users, items,
+    the labels when the header has a "label" field, and the values."""
+    arrays = [np.array([digest]), np.array(header, dtype=str),
+              np.array(table.users.tolist(), dtype=str),
+              np.array(table.items.tolist(), dtype=str)]
+    if table.labels is not None:
+        arrays.append(table.labels.astype(np.int8))
+    arrays.append(np.ascontiguousarray(table.values, dtype=np.float64))
+    buf = io.BytesIO()
+    for arr in arrays:
+        np.lib.format.write_array(buf, arr, allow_pickle=False)
+    atomic_write_bytes(path, buf.getvalue())
+
+
+def _load_table(path: Path, digest: str) -> FeatureTable | None:
+    """The table _save_table stored at path for the TSV whose sha256 is
+    digest; None when there is no such file, it holds anything else, or it
+    was stored for other TSV bytes."""
+    def read(fh, char: str, ndim: int) -> np.ndarray:
+        arr = np.lib.format.read_array(fh, allow_pickle=False)
+        if arr.dtype.char != char or arr.ndim != ndim:
+            raise ValueError("not a stored feature table")
+        return arr
+
+    try:
+        with path.open("rb") as fh:
+            if read(fh, "U", 1).tolist() != [digest]:
+                return None
+            header, users, items = (read(fh, "U", 1) for _ in range(3))
+            names = header.tolist()[2:]
+            labels = None
+            if names[:1] == ["label"]:
+                labels, names = read(fh, "b", 1), names[1:]
+            return FeatureTable(users, items, tuple(names),
+                                read(fh, "d", 2), labels)
+    except (OSError, ValueError):
+        return None
 
 
 def _parse_values(fields: Sequence[str], usecols: Sequence[int]) -> np.ndarray:
@@ -314,15 +379,25 @@ def _parse_values(fields: Sequence[str], usecols: Sequence[int]) -> np.ndarray:
 _LABELS = {"0": 0, "1": 1}
 
 
-def read_table(tsv_path, columns=None) -> FeatureTable:
+def read_table(tsv_path, columns=None, cache_dir=None) -> FeatureTable:
     """The table write_table wrote, with the named columns in that order
     (default: all); a name the table lacks is a KeyError. Only those
     columns' values are parsed. A malformed row (wrong field count, a
     label other than 0 or 1, a value that is not a finite decimal, a
-    repeated (user, item) key) is a DataError naming its file and line."""
+    repeated (user, item) key) is a DataError naming its file and line.
+
+    With a cache_dir, the TSV's bytes are hashed and the arrays write_table
+    stored there for exactly those bytes are loaded, parsing nothing; a
+    cache file that is missing, damaged or stored for other bytes is
+    ignored and the TSV parsed."""
     tsv_path = Path(tsv_path)
     if not tsv_path.exists():
         raise DataError(f"feature table not found: {tsv_path}")
+    digest = None if cache_dir is None else file_sha256(tsv_path)
+    if digest is not None:
+        cached = _load_table(_table_cache(cache_dir, tsv_path, digest), digest)
+        if cached is not None:
+            return cached if columns is None else cached.select(columns)
     header, line_nos, body = read_lines(tsv_path)
     header = header.split("\t")
     if header[:2] != ["user", "item"]:
@@ -433,11 +508,11 @@ def encode_run(run: RunFile, users: IdEncoder, items: IdEncoder
             items.lookup(run.candidates))
 
 
-def known_ids(*runs: tuple[np.ndarray, np.ndarray]
+def known_ids(user_ids: np.ndarray, item_ids: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending known user and item ids over the (user ids, item ids)
-    of the encoded runs: every entity the runs can ask a model about."""
-    users, items = (np.unique(np.concatenate(ids)) for ids in zip(*runs))
+    """The ascending known user and item ids among the encoded ids of a
+    run's pairs: every entity the pairs can ask a model about."""
+    users, items = np.unique(user_ids), np.unique(item_ids)
     return users[users >= 0], items[items >= 0]
 
 

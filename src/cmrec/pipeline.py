@@ -8,7 +8,10 @@ so deleting a stage's files and re-running reproduces them exactly:
       snapshot/                  ingest: encoded interactions + encoders
         rows_*.npy  encoders.json  meta.json  summary.json  runs/
       <target>/                  per-target stage outputs
-        cache/<feature>.<digest>.npy  per-column scores over both runs
+        cache/                   prerank's caches, safe to delete:
+          <feature>.<digest>.npy   per-column scores over both runs
+          features_{valid,test}.<digest>.npy  each table's arrays, read
+                                   only while its TSV has that digest
         features_{valid,test}.tsv (+ .catalog.json)  correlation.tsv
         prerank_failures.json  prerank.inputs.json (the record, last)
         kept.txt  selection_report.{tsv,json}
@@ -63,6 +66,11 @@ class Workspace:
 
     def catalog_path(self, target: str, which: str) -> Path:
         return self.target_dir(target) / f"features_{which}.catalog.json"
+
+    def cache_dir(self, target: str) -> Path:
+        """Prerank's column cache; select and train read the feature
+        tables' cached arrays from it too."""
+        return self.target_dir(target) / "cache"
 
     @contextmanager
     def lock(self):
@@ -368,8 +376,8 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
            for which, run in runs.items()}
     user_ids, item_ids = (np.concatenate(part) for part in zip(*ids.values()))
     ctx = features.PlanContext(snap.rows, snap.users, snap.items,
-                               features.known_ids((user_ids, item_ids)),
-                               tdir / "cache")
+                               features.known_ids(user_ids, item_ids),
+                               ws.cache_dir(target))
     path = config.prerank.external_embeddings
     external = embeddings.read_embedding_tsv(path) if path else None
     column_key = blake2b("".join(keys.values()).encode(),
@@ -405,7 +413,7 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
         tsv, catalog = (ws.features_path(target, which),
                         ws.catalog_path(target, which))
         outputs[tsv.name], outputs[catalog.name] = features.write_table(
-            table, tsv, catalog, provenance)
+            table, tsv, catalog, provenance, cache_dir=ws.cache_dir(target))
 
     outputs["prerank_failures.json"] = write_json(
         tdir / "prerank_failures.json", failures)
@@ -427,8 +435,9 @@ def run_select(config: PipelineConfig, target: str) -> list[str]:
     _check_target(config, target)
     ws = workspace_for(config)
     tdir = ws.target_dir(target)
-    valid = features.read_table(ws.features_path(target, "valid"))
-    test = features.read_table(ws.features_path(target, "test"))
+    valid, test = (features.read_table(ws.features_path(target, which),
+                                       cache_dir=ws.cache_dir(target))
+                   for which in ("valid", "test"))
     sel = config.selection
     kept, records = selection.run_selection(
         valid, test, sel.trainer, sel.folds,
@@ -479,12 +488,13 @@ def run_train(config: PipelineConfig, target: str) -> dict:
 
 def _read_kept_columns(ws: Workspace, target: str, which: str,
                        kept: list[str]) -> features.FeatureTable:
-    """The kept.txt columns of one feature table, the only ones parsed; a
-    column the table lacks (kept.txt older than the last prerank) is a
-    DataError."""
+    """The kept.txt columns of one feature table, taken from its cached
+    arrays or else the only ones parsed; a column the table lacks (kept.txt
+    older than the last prerank) is a DataError."""
     try:
         return features.read_table(ws.features_path(target, which),
-                                   columns=kept)
+                                   columns=kept,
+                                   cache_dir=ws.cache_dir(target))
     except KeyError as exc:
         raise DataError(
             f"{ws.target_dir(target) / 'kept.txt'} keeps a column that "

@@ -89,6 +89,20 @@ def count_calls(monkeypatch, name="item_cf"):
     return counts
 
 
+def count_parses(monkeypatch):
+    """The argument tuples of every features._parse_values call, which
+    read_table makes when it parses a table's values."""
+    calls = []
+    real = features._parse_values
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(features, "_parse_values", counting)
+    return calls
+
+
 def run_statistics(ctx, run, target):
     """global_statistic_features of a RunFile's pairs."""
     return global_statistic_features(
@@ -266,7 +280,7 @@ class TestRunPlan:
         ctx = tiny_context()
         user_ids, item_ids = features.encode_run(RUN, ctx.users, ctx.items)
         a = lookup(ctx.users, "a")
-        users, items = features.known_ids((user_ids, item_ids))
+        users, items = features.known_ids(user_ids, item_ids)
         ctx = dataclasses.replace(ctx, fit_ids=(users[users != a], items))
         good, bad = spec_for(), spec_for("user_cf")
         table, failures = plan_run([good, bad], ctx, RUN)
@@ -860,7 +874,10 @@ def oracle_table(rng, n_rows, n_cols, labeled=True):
 def assert_same_table(got, want):
     assert got.users.tolist() == want.users.tolist()
     assert got.items.tolist() == want.items.tolist()
+    assert (got.users.dtype, got.items.dtype) == (want.users.dtype,
+                                                  want.items.dtype)
     assert got.columns == want.columns
+    assert got.values.dtype == np.float64
     assert got.values.shape == want.values.shape
     assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
     if want.labels is None:
@@ -868,6 +885,19 @@ def assert_same_table(got, want):
     else:
         assert got.labels.dtype == np.int8
         assert np.array_equal(got.labels, want.labels)
+
+
+# Rows of a labeled one-column table that the parse rejects, and why; the
+# last repeats the key (u1, i1).
+MALFORMED_ROWS = [
+    ("u2\ti2\t1\tnan", "non-finite"),
+    ("u2\ti2\t1\t-inf", "non-finite"),
+    ("u2\ti2\t1\t1_0", "non-numeric"),
+    ("u2\ti2\t2\t1.0", "label must be 0 or 1"),
+    ("u2\ti2\t1.0\t1.0", "label must be 0 or 1"),
+    ("u2\ti2\tx\t1.0", "label must be 0 or 1"),
+    ("u1\ti1\t0\t1.0", "duplicate"),
+]
 
 
 class TestTableIO:
@@ -937,8 +967,8 @@ class TestTableIO:
     @pytest.mark.parametrize("n_rows,n_cols,labeled", [
         (13, 1, True), (2, 7, False), (2500, 9, True), (2500, 9, False), (1024, 3, True),
         (0, 4, True), (0, 4, False), (5, 0, True), (5, 0, False), (0, 0, True)])
-    def test_write_and_read_match_the_oracles(self, tmp_path, rng, n_rows,
-                                              n_cols, labeled):
+    def test_write_and_read_match_the_oracles(self, tmp_path, rng, monkeypatch,
+                                              n_rows, n_cols, labeled):
         table = oracle_table(rng, n_rows, n_cols, labeled)
         provenance = {name: {"kind": "scorer", "pos": j}
                       for j, name in enumerate(table.columns)}
@@ -953,6 +983,17 @@ class TestTableIO:
         back = read_table(tmp_path / "new.tsv")
         assert_same_table(back, read_table_oracle(tmp_path / "new.tsv"))
         assert_same_table(back, table)
+        # with a cache: the same TSV, and the same table read unparsed
+        cache = tmp_path / "cache"
+        write_table(table, tmp_path / "new.tsv", tmp_path / "new.json",
+                    provenance, cache_dir=cache)
+        assert ((tmp_path / "new.tsv").read_bytes()
+                == (tmp_path / "old.tsv").read_bytes())
+        parses = count_parses(monkeypatch)
+        cached = read_table(tmp_path / "new.tsv", cache_dir=cache)
+        assert parses == []
+        assert_same_table(cached, read_table_oracle(tmp_path / "new.tsv"))
+        assert_same_table(cached, back)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "f.tsv"
@@ -978,21 +1019,98 @@ class TestTableIO:
         with pytest.raises(KeyError, match="'nope'"):
             read_table(tmp_path / "f.tsv", columns=["c1", "nope"])
 
-    @pytest.mark.parametrize("row,problem", [
-        ("u2\ti2\t1\tnan", "non-finite"),
-        ("u2\ti2\t1\t-inf", "non-finite"),
-        ("u2\ti2\t1\t1_0", "non-numeric"),
-        ("u2\ti2\t2\t1.0", "label must be 0 or 1"),
-        ("u2\ti2\t1.0\t1.0", "label must be 0 or 1"),
-        ("u2\ti2\tx\t1.0", "label must be 0 or 1"),
-        ("u1\ti1\t0\t1.0", "duplicate"),
-    ])
+    @pytest.mark.parametrize("row,problem", MALFORMED_ROWS)
     def test_malformed_row_is_a_data_error_at_its_line(self, tmp_path, row,
                                                        problem):
         bad = tmp_path / "bad.tsv"
         bad.write_text(f"user\titem\tlabel\tf\nu1\ti1\t1\t0.5\n\n{row}\n")
         with pytest.raises(DataError, match=f"bad.tsv:4: {problem}"):
             read_table(bad)
+
+    def test_a_cache_is_read_only_under_its_tsv_digest(self, tmp_path, rng,
+                                                       monkeypatch):
+        # 9 rows of (label, one value): row 8 has the key (u1, i1), and
+        # the first value is -0.0
+        tsv, cache = tmp_path / "f.tsv", tmp_path / "cache"
+        write_table(oracle_table(rng, 9, 1), tsv, tmp_path / "f.json", {},
+                    cache_dir=cache)
+        (stored,) = cache.iterdir()
+        text, stored_bytes = tsv.read_bytes(), stored.read_bytes()
+        parses = count_parses(monkeypatch)
+
+        def read_both():
+            """(cached, parsed, n_parses): read_table with the cache and
+            without, each as its table or its DataError's text, and the
+            number of parses the read with the cache made."""
+            outcomes, counts = [], []
+            for cache_dir in (cache, None):
+                parses.clear()
+                try:
+                    outcomes.append(read_table(tsv, cache_dir=cache_dir))
+                except DataError as exc:
+                    outcomes.append(str(exc))
+                counts.append(len(parses))
+            return *outcomes, counts[0]
+
+        def assert_parsed():
+            cached, parsed, n_parses = read_both()
+            assert_same_table(cached, parsed)
+            assert n_parses == 1
+
+        cached, parsed, n_parses = read_both()
+        assert n_parses == 0
+        assert_same_table(cached, parsed)
+
+        edited = text.replace(b"\t-0.0\n", b"\t0.0\n", 1)
+        assert edited != text
+        tsv.write_bytes(edited)
+        assert_parsed()
+        for row, problem in MALFORMED_ROWS:
+            tsv.write_bytes(text + f"{row}\n".encode())
+            cached, parsed, _ = read_both()
+            assert cached == parsed
+            assert f"f.tsv:11: {problem}" in cached
+        tsv.write_bytes(text)
+
+        stored.unlink()
+        assert_parsed()
+        stored.write_bytes(stored_bytes[:len(stored_bytes) // 2])
+        assert_parsed()
+        stored.write_bytes(rng.bytes(len(stored_bytes)))
+        assert_parsed()
+        # another table of the same shape, its file under this digest
+        other = tmp_path / "other"
+        other.mkdir()
+        write_table(oracle_table(rng, 9, 1), other / "f.tsv",
+                    other / "f.json", {}, cache_dir=other)
+        (other_file,) = other.glob("f.*.npy")
+        stored.write_bytes(other_file.read_bytes())
+        assert_parsed()
+
+        stored.write_bytes(stored_bytes)
+        assert read_both()[2] == 0
+
+    def test_a_rewritten_table_drops_its_older_cache_files(self, tmp_path,
+                                                           rng):
+        cache = tmp_path / "cache"
+        for _ in range(2):
+            write_table(oracle_table(rng, 5, 2), tmp_path / "f.tsv",
+                        tmp_path / "f.json", {}, cache_dir=cache)
+        write_table(oracle_table(rng, 5, 2), tmp_path / "g.tsv",
+                    tmp_path / "g.json", {}, cache_dir=cache)
+        assert sorted(path.name for path in cache.iterdir()) == [
+            f"{name}.{util.file_sha256(tmp_path / f'{name}.tsv')[:32]}.npy"
+            for name in ("f", "g")]
+
+    def test_a_table_with_a_repeated_key_is_not_cached(self, tmp_path, rng):
+        table = oracle_table(rng, 3, 1)
+        table = dataclasses.replace(table, users=np.array(["u", "u", "v"]),
+                                    items=np.array(["i", "i", "i"]))
+        write_table(table, tmp_path / "f.tsv", tmp_path / "f.json", {},
+                    cache_dir=tmp_path / "cache")
+        assert list((tmp_path / "cache").iterdir()) == []
+        with pytest.raises(DataError, match="f.tsv:3: duplicate"):
+            read_table(tmp_path / "f.tsv", cache_dir=tmp_path / "cache")
 
     def test_duplicate_header_column_is_a_data_error(self, tmp_path):
         bad = tmp_path / "bad.tsv"

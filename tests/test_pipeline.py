@@ -16,20 +16,21 @@ from cmrec import cli, evaluation, features, pipeline, util
 from cmrec.config import PipelineConfig
 from cmrec.data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                         load_run)
+from cmrec.synth import MarketSpec, SynthConfig, generate
+from cmrec.util import ConfigError, DataError, StageError
+
+from test_data import to_dense
+from test_features import count_calls, count_parses, every_id
+from test_gbdt import load_model
+from test_golden import golden_config, golden_data
+
+COMBOS = [["s1", "t1", "t2"], ["t1", "t2"]]
 
 
 def run_pairs(run):
     """The (user, candidate) pairs of a RunFile, in order."""
     return list(zip(np.repeat(run.users, np.diff(run.offsets)).tolist(),
                     run.candidates.tolist()))
-from cmrec.synth import MarketSpec, SynthConfig, generate
-from cmrec.util import ConfigError, DataError, StageError
-
-from test_data import to_dense
-from test_features import count_calls, every_id
-from test_gbdt import load_model
-
-COMBOS = [["s1", "t1", "t2"], ["t1", "t2"]]
 
 
 def pipeline_config(data_dir, workspace, **kw):
@@ -530,6 +531,7 @@ class TestPrerankOutputs:
             self, world, tmp_path, monkeypatch):
         # both run files go through one pass: one fit and one score call
         # per plan entry, one statistics call, one cache file per column
+        # and one per feature table
         config = pipeline_config(world["data"], tmp_path / "w")
         assert config.prerank.stats
         pipeline.run_ingest(config)
@@ -548,9 +550,10 @@ class TestPrerankOutputs:
         assert counts == {name: {"fit": n, "score": n}
                           for name, n in per_scorer.items()}
         assert len(stats) == 1
-        cache = pipeline.workspace_for(config).target_dir("t1") / "cache"
+        cache = pipeline.workspace_for(config).cache_dir("t1")
         assert sorted(p.name.split(".")[0] for p in cache.rglob("*")) == sorted(
-            spec.feature_name for spec in plan)
+            [spec.feature_name for spec in plan]
+            + ["features_test", "features_valid"])
 
     def test_reingest_of_changed_data_recomputes_cached_columns(self, world,
                                                                 tmp_path):
@@ -759,6 +762,32 @@ class TestSelectTrain:
         assert (ws.target_dir("t1") / "model.json").read_bytes() == model_before
         assert (ws.target_dir("t1")
                 / "test_ranked.tsv").read_bytes() == run_before
+
+
+class TestTableCache:
+    OUTPUTS = ("kept.txt", "selection_report.tsv", "selection_report.json",
+               "model.json", "oof.tsv", "test_ranked.tsv")
+
+    def test_select_and_train_parse_no_table_and_match_the_parse(
+            self, tmp_path, monkeypatch):
+        config = golden_config(golden_data(tmp_path), tmp_path / "work")
+        ws = pipeline.workspace_for(config)
+        pipeline.run_ingest(config)
+        pipeline.run_prerank(config, "t1")
+        parses = count_parses(monkeypatch)
+
+        def select_and_train():
+            pipeline.run_select(config, "t1")
+            pipeline.run_train(config, "t1")
+            return {name: (ws.target_dir("t1") / name).read_bytes()
+                    for name in self.OUTPUTS}
+
+        cached = select_and_train()
+        assert parses == []
+        shutil.rmtree(ws.cache_dir("t1"))
+        # both tables parsed by select, and again by train
+        assert select_and_train() == cached
+        assert len(parses) == 4
 
 
 class TestEvaluateReport:
