@@ -19,9 +19,8 @@ from . import memory_cf as mcf
 from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                    SparseInteractionMatrix, build_matrix, first_repeat,
                    read_lines)
-from .util import (ConfigError, DataError, atomic_save_npy,
-                   atomic_write_bytes, file_sha256, from_dict, params_hash,
-                   write_json, write_tsv)
+from .util import (ConfigError, DataError, atomic_write_bytes, file_sha256,
+                   from_dict, params_hash, write_json, write_tsv)
 
 
 @dataclass(frozen=True)
@@ -299,13 +298,12 @@ def write_table(table: FeatureTable, tsv_path, catalog_path,
     """Write the table's TSV and its catalog, which holds provenance (column
     name -> where the column came from); returns their sha256 digests.
 
-    With a cache_dir, the table's arrays also go to
-    <cache_dir>/<TSV stem>.<digest>.npy, digest being the first 32 hex
-    digits of the TSV's sha256, for read_table to load instead of parsing
-    the TSV; that stem's files under other digests go. The file must hold
-    what the parse returns, so a table with a repeated (user, item) key,
-    which the parse rejects, gets none, and ids and column names are
-    assumed free of tabs and line breaks, as in prerank's tables, whose
+    With a cache_dir, the header, users, items, labels (empty if none) and
+    values also go to the store (_store) as the TSV's stem, keyed by the
+    TSV's sha256, for read_table to fetch instead of parsing the TSV. They
+    must be what the parse returns, so a table with a repeated (user, item)
+    key, which the parse rejects, is not stored, and ids and column names
+    are assumed free of tabs and line breaks, as in prerank's tables, whose
     ids come from parsed run files."""
     header = ["user", "item"] + (["label"] if table.labels is not None else [])
     header += list(table.columns)
@@ -316,56 +314,58 @@ def write_table(table: FeatureTable, tsv_path, catalog_path,
                       {k: dict(v) for k, v in provenance.items()})
     digest = write_tsv(tsv_path, header, keys, table.values)
     if cache_dir is not None:
-        cache = _table_cache(cache_dir, tsv_path, digest)
-        cache.parent.mkdir(parents=True, exist_ok=True)
+        arrays = None
         if first_repeat(table.users, table.items) is None:
-            _save_table(cache, digest, header, table)
-        _drop_stale(cache, Path(tsv_path).stem)
+            # string arrays as wide as their longest id, as the parse's are
+            arrays = [np.array(header, dtype=str),
+                      np.array(table.users.tolist(), dtype=str),
+                      np.array(table.items.tolist(), dtype=str),
+                      np.zeros(0, np.int8) if table.labels is None
+                      else table.labels.astype(np.int8),
+                      np.ascontiguousarray(table.values, dtype=np.float64)]
+        _store(cache_dir, Path(tsv_path).stem, digest, arrays)
     return digest, write_json(catalog_path, catalog)
 
 
-def _table_cache(cache_dir, tsv_path, digest: str) -> Path:
-    return Path(cache_dir) / f"{Path(tsv_path).stem}.{digest[:32]}.npy"
+def _cache_file(cache_dir, name: str, key: str) -> Path:
+    return Path(cache_dir) / f"{name}.{key[:32]}.npy"
 
 
-def _save_table(path: Path, digest: str, header: list[str],
-                table: FeatureTable) -> None:
-    """The table as the parse of its TSV returns it, stored atomically as
-    consecutive .npy arrays: the TSV's sha256, its header, users, items,
-    the labels when the header has a "label" field, and the values."""
-    arrays = [np.array([digest]), np.array(header, dtype=str),
-              np.array(table.users.tolist(), dtype=str),
-              np.array(table.items.tolist(), dtype=str)]
-    if table.labels is not None:
-        arrays.append(table.labels.astype(np.int8))
-    arrays.append(np.ascontiguousarray(table.values, dtype=np.float64))
-    buf = io.BytesIO()
-    for arr in arrays:
-        np.lib.format.write_array(buf, arr, allow_pickle=False)
-    atomic_write_bytes(path, buf.getvalue())
+def _store(cache_dir, name: str, key: str,
+           arrays: Sequence[np.ndarray] | None) -> None:
+    """The one writer of cache files: the key, then the arrays, written
+    atomically as consecutive .npy arrays to <name>.<key[:32]>.npy in
+    cache_dir, for _fetch to read back. name's files under other keys go;
+    with arrays None nothing is written and every file of name goes."""
+    path = _cache_file(cache_dir, name, key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if arrays is not None:
+        buf = io.BytesIO()
+        for arr in [np.array([key]), *arrays]:
+            np.lib.format.write_array(buf, arr, allow_pickle=False)
+        atomic_write_bytes(path, buf.getvalue())
+    stale = re.compile(re.escape(name) + r"\.[0-9a-f]{32}\.npy")
+    for other in path.parent.iterdir():
+        if stale.fullmatch(other.name) and (arrays is None or other != path):
+            other.unlink(missing_ok=True)
 
 
-def _load_table(path: Path, digest: str) -> FeatureTable | None:
-    """The table _save_table stored at path for the TSV whose sha256 is
-    digest; None when there is no such file, it holds anything else, or it
-    was stored for other TSV bytes."""
+def _fetch(cache_dir, name: str, key: str,
+           kinds: Sequence[tuple[str, int]]) -> list[np.ndarray] | None:
+    """The arrays _store stored for name under key, one per (dtype char,
+    ndim) of kinds; None when the file is missing or damaged, was stored
+    under another key, or holds an array of another kind."""
     def read(fh, char: str, ndim: int) -> np.ndarray:
         arr = np.lib.format.read_array(fh, allow_pickle=False)
         if arr.dtype.char != char or arr.ndim != ndim:
-            raise ValueError("not a stored feature table")
+            raise ValueError("not an array of its kind")
         return arr
 
     try:
-        with path.open("rb") as fh:
-            if read(fh, "U", 1).tolist() != [digest]:
+        with _cache_file(cache_dir, name, key).open("rb") as fh:
+            if read(fh, "U", 1).tolist() != [key]:
                 return None
-            header, users, items = (read(fh, "U", 1) for _ in range(3))
-            names = header.tolist()[2:]
-            labels = None
-            if names[:1] == ["label"]:
-                labels, names = read(fh, "b", 1), names[1:]
-            return FeatureTable(users, items, tuple(names),
-                                read(fh, "d", 2), labels)
+            return [read(fh, *kind) for kind in kinds]
     except (OSError, ValueError):
         return None
 
@@ -387,17 +387,21 @@ def read_table(tsv_path, columns=None, cache_dir=None) -> FeatureTable:
     repeated (user, item) key) is a DataError naming its file and line.
 
     With a cache_dir, the TSV's bytes are hashed and the arrays write_table
-    stored there for exactly those bytes are loaded, parsing nothing; a
+    stored there for exactly those bytes are fetched, parsing nothing; a
     cache file that is missing, damaged or stored for other bytes is
     ignored and the TSV parsed."""
     tsv_path = Path(tsv_path)
     if not tsv_path.exists():
         raise DataError(f"feature table not found: {tsv_path}")
     digest = None if cache_dir is None else file_sha256(tsv_path)
-    if digest is not None:
-        cached = _load_table(_table_cache(cache_dir, tsv_path, digest), digest)
-        if cached is not None:
-            return cached if columns is None else cached.select(columns)
+    stored = None if digest is None else _fetch(
+        cache_dir, tsv_path.stem, digest, [("U", 1)] * 3 + [("b", 1), ("d", 2)])
+    if stored is not None:
+        header, users, items, labels, values = stored
+        labeled = header.tolist()[2:3] == ["label"]
+        cached = FeatureTable(users, items, tuple(header.tolist()[2 + labeled:]),
+                              values, labels if labeled else None)
+        return cached if columns is None else cached.select(columns)
     header, line_nos, body = read_lines(tsv_path)
     header = header.split("\t")
     if header[:2] != ["user", "item"]:
@@ -547,28 +551,6 @@ def cache_key(run: RunFile, users: IdEncoder, items: IdEncoder,
     return digest.hexdigest()
 
 
-def _load_cached(path: Path, n_pairs: int) -> np.ndarray | None:
-    """The (2, n_pairs) float64 array of values and missing flags stored at
-    path; None when there is no such file or it holds anything else."""
-    try:
-        with path.open("rb") as fh:
-            cached = np.lib.format.read_array(fh, allow_pickle=False)
-    except (OSError, ValueError):
-        return None
-    if cached.shape != (2, n_pairs) or cached.dtype != np.float64:
-        return None
-    return cached
-
-
-def _drop_stale(cache: Path, name: str) -> None:
-    """Remove column name's files under another digest than cache's. Other
-    columns' files stay."""
-    stale = re.compile(re.escape(name) + r"\.[0-9a-f]{32}\.npy")
-    for path in cache.parent.iterdir():
-        if path != cache and stale.fullmatch(path.name):
-            path.unlink(missing_ok=True)
-
-
 def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext,
              user_ids: np.ndarray, item_ids: np.ndarray,
              key: str | None = None
@@ -576,10 +558,11 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext,
     """(names, values, provenance, failures): one feature column and its
     missing indicator per spec, one values row per (user, candidate) pair
     given as encoded ids (encode_run). Each spec's model is fitted for
-    ctx's fit ids, scores every pair in one call and is dropped. Columns
-    are cached in ctx.cache_dir, if set, as <feature>.<key>.npy and read
-    back on re-run; writing one removes its files under other keys. A
-    failing scorer is recorded and the plan continues."""
+    ctx's fit ids, scores every pair in one call and is dropped. With a
+    ctx.cache_dir, each column's (2, n_pairs) float64 values and missing
+    flags go to the cache store (see _store) under the feature name and
+    key, and are fetched back on re-run. A failing scorer is recorded and
+    the plan continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
@@ -594,10 +577,9 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext,
     values = np.empty((2 * len(plan), len(item_ids)))
     for spec in plan:
         name = spec.feature_name
-        cache = (None if ctx.cache_dir is None
-                 else Path(ctx.cache_dir) / f"{name}.{key}.npy")
-        got = None if cache is None else _load_cached(cache, len(item_ids))
-        if got is None:
+        got = (None if ctx.cache_dir is None
+               else _fetch(ctx.cache_dir, name, key, [("d", 2)]))
+        if got is None or got[0].shape != (2, len(item_ids)):
             try:
                 if unknown:
                     raise DataError(f"unknown candidate in {unknown} pairs")
@@ -605,18 +587,16 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext,
                 params = from_dict(scorer.params, dict(spec.params),
                                    f"scorer {spec.scorer!r} params")
                 matrix = ctx.matrix(spec.combination)
-                got = np.stack(scorer.score(
+                got = [np.stack(scorer.score(
                     scorer.fit(matrix, params, *ctx.fit_ids), matrix,
-                    user_ids, item_ids))
+                    user_ids, item_ids))]
             except Exception as exc:  # noqa: BLE001 - plan must survive one bad scorer
                 failures.append({"feature": name, "error": f"{type(exc).__name__}: {exc}"})
                 continue
-            if cache is not None:
-                cache.parent.mkdir(parents=True, exist_ok=True)
-                atomic_save_npy(cache, got)
-                _drop_stale(cache, name)
+            if ctx.cache_dir is not None:
+                _store(ctx.cache_dir, name, key, got)
         prov = {"kind": "scorer", **asdict(spec.entry)}
-        values[len(columns):len(columns) + 2] = got
+        values[len(columns):len(columns) + 2] = got[0]
         columns += [name, f"{name}__missing"]
         provenance.update({name: prov, f"{name}__missing": {
             **prov, "kind": "missing_indicator"}})
@@ -718,10 +698,10 @@ def external_embedding_features(vectors: Mapping[str, np.ndarray],
     return names, out, {n: {"kind": "external_embedding"} for n in names}
 
 
-def feature_correlation(table: FeatureTable, columns: Sequence[str]
-                        ) -> tuple[np.ndarray, list[str]]:
+def feature_correlation(table: FeatureTable,
+                        columns: Sequence[str]) -> np.ndarray:
     """Pearson correlation matrix over the named columns. Constant columns
-    correlate as 0 everywhere and are returned in the flag list."""
+    correlate as 0 everywhere, with themselves too."""
     if table.n_rows < 2:
         raise DataError("correlation needs at least two rows")
     mat = np.column_stack([table.column(c) for c in columns])
@@ -735,5 +715,5 @@ def feature_correlation(table: FeatureTable, columns: Sequence[str]
     corr[:, constant] = 0.0
     for pos in np.flatnonzero(~constant):
         corr[pos, pos] = 1.0
-    return corr, [columns[i] for i in np.flatnonzero(constant)]
+    return corr
 

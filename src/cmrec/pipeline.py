@@ -8,10 +8,12 @@ so deleting a stage's files and re-running reproduces them exactly:
       snapshot/                  ingest: encoded interactions + encoders
         rows_*.npy  encoders.json  meta.json  summary.json  runs/
       <target>/                  per-target stage outputs
-        cache/                   prerank's caches, safe to delete:
-          <feature>.<digest>.npy   per-column scores over both runs
-          features_{valid,test}.<digest>.npy  each table's arrays, read
-                                   only while its TSV has that digest
+        cache/                   one keyed store, safe to delete: each
+                                 <name>.<key>.npy holds its full key and
+                                 then its arrays, read only under that key
+          <feature>.<key>.npy      a column's scores over both runs
+          features_{valid,test}.<key>.npy  a table's arrays, keyed by
+                                   its TSV's sha256
         features_{valid,test}.tsv (+ .catalog.json)  correlation.tsv
         prerank_failures.json  prerank.inputs.json (the record, last)
         kept.txt  selection_report.{tsv,json}
@@ -406,10 +408,10 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
             scorer_cols = [c for c in table.columns
                            if provenance[c]["kind"] == "scorer"]
             if len(scorer_cols) >= 1 and table.n_rows >= 2:
-                corr, _ = features.feature_correlation(table, scorer_cols)
                 outputs["correlation.tsv"] = write_tsv(
                     tdir / "correlation.tsv", ["feature", *scorer_cols],
-                    [scorer_cols], corr)
+                    [scorer_cols],
+                    features.feature_correlation(table, scorer_cols))
         tsv, catalog = (ws.features_path(target, which),
                         ws.catalog_path(target, which))
         outputs[tsv.name], outputs[catalog.name] = features.write_table(
@@ -465,6 +467,8 @@ def run_train(config: PipelineConfig, target: str) -> dict:
                                            config.ranker.folds, base=params)
         write_json(tdir / "grid.json",
                    {"results": results, "chosen": dataclasses.asdict(params)})
+    else:  # a search of an earlier train did not choose this model
+        (tdir / "grid.json").unlink(missing_ok=True)
     bagged = gbdt.kfold_bagging(valid, params, config.ranker.folds)
     offline = gbdt.oof_ndcg(valid, bagged.oof)
     gbdt.save_model(bagged, tdir / "model.json")

@@ -166,10 +166,9 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def atomic_write_bytes(path: Path | str, payload: bytes) -> str:
+def atomic_write_bytes(path: Path | str, payload: bytes) -> None:
     """Write via temp-then-rename so partially written files never appear;
-    a failed write or rename removes the temp file and re-raises. Returns
-    the sha256 hex digest of the payload."""
+    a failed write or rename removes the temp file and re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -179,12 +178,11 @@ def atomic_write_bytes(path: Path | str, payload: bytes) -> str:
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
         raise
-    return hashlib.sha256(payload).hexdigest()
 
 
-def atomic_write_text(path: Path | str, text: str) -> str:
+def atomic_write_text(path: Path | str, text: str) -> None:
     """atomic_write_bytes of the text's UTF-8 encoding."""
-    return atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def atomic_save_npy(path: Path | str, array: np.ndarray) -> None:
@@ -199,8 +197,10 @@ def write_json(path: Path | str, payload) -> str:
     keys, a final newline), written atomically; returns its sha256. A
     dataclass, in the payload or as it, is written as an object of its
     fields."""
-    return atomic_write_text(path, json.dumps(
-        payload, indent=2, sort_keys=True, default=_fields) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True,
+                      default=_fields) + "\n"
+    atomic_write_text(path, text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _fields(obj) -> dict:
@@ -264,4 +264,6 @@ def write_tsv(path: Path | str, header: Sequence[str],
         cells[:, len(keys):] = text[which.reshape(bits.shape)]
         lines = map("\t".join, cells.tolist())
         blocks.append(("\n".join(lines) + "\n").encode("utf-8"))
-    return atomic_write_bytes(path, b"".join(blocks))
+    payload = b"".join(blocks)
+    atomic_write_bytes(path, payload)
+    return hashlib.sha256(payload).hexdigest()

@@ -4,6 +4,7 @@ correlation report."""
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -505,16 +506,34 @@ class TestColumnCache:
         spec = spec_for()
         table1, _ = plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
         path = cached_column(tmp_path, spec)
-        np.save(path, stored)
+        key = path.name.split(".")[1]
+        features._store(tmp_path, spec.feature_name, key, [stored])
         counts = count_calls(monkeypatch)
         table2, failures = plan_run([spec], tiny_context(cache_dir=tmp_path),
                                     RUN)
         assert failures == [] and counts == {"fit": 1, "score": 1}
         assert np.array_equal(table1.values, table2.values)
         assert cached_column(tmp_path, spec) == path
-        reloaded = np.load(path)
-        assert reloaded.dtype == np.float64
+        [reloaded] = features._fetch(tmp_path, spec.feature_name, key,
+                                     [("d", 2)])
         assert np.array_equal(reloaded.T, table1.values)
+
+    def test_a_column_file_is_read_only_under_its_own_key(self, tmp_path,
+                                                          monkeypatch):
+        # the same pairs in another order: a right-shaped float64 file
+        spec = spec_for()
+        plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
+        ctx = tiny_context(cache_dir=tmp_path)
+        run = run_of((("a", ("i3", "i2", "i1", "i0")),) + RUN_ENTRIES[1:])
+        key = features.cache_key(run, ctx.users, ctx.items,
+                                 features.rows_digest(ctx.rows))
+        shutil.copy(cached_column(tmp_path, spec),
+                    tmp_path / f"{spec.feature_name}.{key}.npy")
+        counts = count_calls(monkeypatch)
+        table, failures = plan_run([spec], ctx, run)
+        assert failures == [] and counts == {"fit": 1, "score": 1}
+        fresh, _ = plan_run([spec], tiny_context(), run)
+        assert np.array_equal(table.values, fresh.values)
 
     @pytest.mark.parametrize("change", ["rows", "encoders", "run"])
     def test_changed_input_is_a_miss(self, tmp_path, monkeypatch, change):
@@ -769,19 +788,21 @@ class TestCorrelation:
         table = FeatureTable(tuple(f"u{r}" for r in range(60)),
                              tuple(f"i{r}" for r in range(60)),
                              ("a", "b", "c", "d"), values)
-        corr, constant = feature_correlation(table, ["a", "b", "c", "d"])
-        assert constant == []
+        corr = feature_correlation(table, ["a", "b", "c", "d"])
         assert np.allclose(corr, np.corrcoef(values.T), atol=1e-12)
 
-    def test_constant_columns_flagged_and_zeroed(self, rng):
-        values = np.column_stack([rng.normal(size=30), np.full(30, 2.5)])
+    def test_constant_columns_are_zeroed(self, rng):
+        live = rng.normal(size=(30, 2))
+        values = np.column_stack([live[:, 0], np.full(30, 2.5), live[:, 1]])
         table = FeatureTable(tuple(f"u{r}" for r in range(30)),
                              tuple(f"i{r}" for r in range(30)),
-                             ("live", "flat"), values)
-        corr, constant = feature_correlation(table, ["live", "flat"])
-        assert constant == ["flat"]
-        assert corr[0, 0] == 1.0
-        assert corr[1, 1] == 0.0 and corr[0, 1] == 0.0
+                             ("live", "flat", "other"), values)
+        corr = feature_correlation(table, ["live", "flat", "other"])
+        # the constant column's row and column are 0, its diagonal too
+        assert corr[1].tolist() == [0.0] * 3
+        assert corr[:, 1].tolist() == [0.0] * 3
+        assert corr[0, 0] == corr[2, 2] == 1.0
+        assert np.isclose(corr[0, 2], np.corrcoef(live.T)[0, 1], atol=1e-12)
 
     def test_single_row_rejected(self):
         table = FeatureTable(("u",), ("i",), ("a",), np.ones((1, 1)))

@@ -685,6 +685,19 @@ class TestSelectTrain:
         scores = [float(line.split("\t")[3]) for line in lines[1:]]
         assert all(np.isfinite(scores))
 
+    def test_train_without_a_grid_removes_an_earlier_search(self, world,
+                                                            tmp_path):
+        work, config = copied_workspace(world, tmp_path)
+        grid = work / "t1" / "grid.json"
+        searched = dataclasses.replace(config, ranker=dataclasses.replace(
+            config.ranker, grid={"num_leaves": (3, 7)}))
+        pipeline.run_train(searched, "t1")
+        assert grid.exists()
+        pipeline.run_train(config, "t1")
+        assert not grid.exists()
+        assert ((work / "t1" / "model.json").read_bytes()
+                == (world["ws"].target_dir("t1") / "model.json").read_bytes())
+
     def test_train_writes_oof_atomically(self, world, tmp_path, monkeypatch):
         work, config = copied_workspace(world, tmp_path)
         oof = work / "t1" / "oof.tsv"
