@@ -69,8 +69,14 @@ class Interactions:
 def read_lines(path: Path, header: bool = True) -> tuple[str, np.ndarray, list[str]]:
     """A text file's header line, and the numbers and texts of its other
     non-blank lines; with header False every line is data and the header
-    is "". A NUL is a DataError naming its line."""
-    text = path.read_text(encoding="utf-8")
+    is "". A byte that is not UTF-8 and a NUL are DataErrors naming their
+    line."""
+    raw = path.read_bytes()
+    try:  # line breaks as read_text reads them
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line = len((raw[:exc.start] + b".").splitlines())
+        raise DataError(f"{path}:{line}: not UTF-8") from None
     if "\0" in text:
         line = text.count("\n", 0, text.index("\0")) + 1
         raise DataError(f"{path}:{line}: NUL character")

@@ -5,10 +5,8 @@ similarities, and keep everything cached and resumable on disk."""
 from __future__ import annotations
 
 import io
-import json
-import re
+import shutil
 from dataclasses import asdict, dataclass, field, fields, replace
-from hashlib import blake2b
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -300,11 +298,11 @@ def write_table(table: FeatureTable, tsv_path, catalog_path,
 
     With a cache_dir, the header, users, items, labels (empty if none) and
     values also go to the store (_store) as the TSV's stem, keyed by the
-    TSV's sha256, for read_table to fetch instead of parsing the TSV. They
-    must be what the parse returns, so a table with a repeated (user, item)
-    key, which the parse rejects, is not stored, and ids and column names
-    are assumed free of tabs and line breaks, as in prerank's tables, whose
-    ids come from parsed run files."""
+    TSV's sha256 (older keys stay until a sweep_cache), for read_table to
+    fetch instead of parsing. They must be what the parse returns, so a
+    table with a repeated (user, item) key, which the parse rejects, is not
+    stored; ids and column names are assumed free of tabs and line breaks,
+    as in prerank's tables, whose ids come from parsed run files."""
     header = ["user", "item"] + (["label"] if table.labels is not None else [])
     header += list(table.columns)
     keys = [table.users, table.items]
@@ -313,17 +311,15 @@ def write_table(table: FeatureTable, tsv_path, catalog_path,
     catalog = Catalog(table.columns, table.labels is not None,
                       {k: dict(v) for k, v in provenance.items()})
     digest = write_tsv(tsv_path, header, keys, table.values)
-    if cache_dir is not None:
-        arrays = None
-        if first_repeat(table.users, table.items) is None:
-            # string arrays as wide as their longest id, as the parse's are
-            arrays = [np.array(header, dtype=str),
-                      np.array(table.users.tolist(), dtype=str),
-                      np.array(table.items.tolist(), dtype=str),
-                      np.zeros(0, np.int8) if table.labels is None
-                      else table.labels.astype(np.int8),
-                      np.ascontiguousarray(table.values, dtype=np.float64)]
-        _store(cache_dir, Path(tsv_path).stem, digest, arrays)
+    if cache_dir is not None and first_repeat(table.users, table.items) is None:
+        # string arrays as wide as their longest id, as the parse's are
+        _store(cache_dir, Path(tsv_path).stem, digest, [
+            np.array(header, dtype=str),
+            np.array(table.users.tolist(), dtype=str),
+            np.array(table.items.tolist(), dtype=str),
+            np.zeros(0, np.int8) if table.labels is None
+            else table.labels.astype(np.int8),
+            np.ascontiguousarray(table.values, dtype=np.float64)])
     return digest, write_json(catalog_path, catalog)
 
 
@@ -332,22 +328,27 @@ def _cache_file(cache_dir, name: str, key: str) -> Path:
 
 
 def _store(cache_dir, name: str, key: str,
-           arrays: Sequence[np.ndarray] | None) -> None:
+           arrays: Sequence[np.ndarray]) -> None:
     """The one writer of cache files: the key, then the arrays, written
     atomically as consecutive .npy arrays to <name>.<key[:32]>.npy in
-    cache_dir, for _fetch to read back. name's files under other keys go;
-    with arrays None nothing is written and every file of name goes."""
+    cache_dir, for _fetch to read back; only sweep_cache removes files."""
     path = _cache_file(cache_dir, name, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if arrays is not None:
-        buf = io.BytesIO()
-        for arr in [np.array([key]), *arrays]:
-            np.lib.format.write_array(buf, arr, allow_pickle=False)
-        atomic_write_bytes(path, buf.getvalue())
-    stale = re.compile(re.escape(name) + r"\.[0-9a-f]{32}\.npy")
-    for other in path.parent.iterdir():
-        if stale.fullmatch(other.name) and (arrays is None or other != path):
-            other.unlink(missing_ok=True)
+    buf = io.BytesIO()
+    for arr in [np.array([key]), *arrays]:
+        np.lib.format.write_array(buf, arr, allow_pickle=False)
+    atomic_write_bytes(path, buf.getvalue())
+
+
+def sweep_cache(cache_dir, entries: Mapping[str, str]) -> None:
+    """Remove every entry of cache_dir, directories and temporary files
+    too, but the files of entries' (name, key) pairs."""
+    keep = {_cache_file(cache_dir, name, key) for name, key in entries.items()}
+    for path in set(Path(cache_dir).glob("*")) - keep:
+        if path.is_dir() and not path.is_symlink():
+            shutil.rmtree(path)
+        else:
+            path.unlink()
 
 
 def _fetch(cache_dir, name: str, key: str,
@@ -528,27 +529,6 @@ def combination_matrix(ctx: PlanContext,
     rows = ctx.rows.take(np.isin(ctx.rows.market, combination.markets)
                          & (ctx.rows.split != "test_qrel"))
     return build_matrix(rows, combination, len(ctx.users), len(ctx.items))
-
-
-def rows_digest(rows: Interactions) -> blake2b:
-    """The blake2b state of cache_key after the rows: hashed once, it can
-    be copied for every run over the same rows."""
-    digest = blake2b(digest_size=16)
-    for arr in (rows.user, rows.item, rows.rating, rows.market, rows.split):
-        digest.update(f"{arr.dtype.str}{arr.shape}".encode())
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest
-
-
-def cache_key(run: RunFile, users: IdEncoder, items: IdEncoder,
-              prefix: blake2b) -> str:
-    """Digest of all a run's columns depend on besides their specs: the
-    rows, both encoders and the run. prefix is rows_digest of the rows."""
-    digest = prefix.copy()
-    entries = list(map(list, zip(run.users.tolist(), run.candidate_lists())))
-    digest.update(json.dumps([users.ids.tolist(), items.ids.tolist(),
-                              entries]).encode())
-    return digest.hexdigest()
 
 
 def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext,

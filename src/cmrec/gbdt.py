@@ -362,9 +362,9 @@ def train(table: FeatureTable, params: GbdtParams, *,
     splittable = np.array([len(edges) > 0 for edges in bins])
 
     trees: list[Tree] = []
-    losses = [_logloss(y, sigmoid(raw))]
+    p = sigmoid(raw)
+    losses = [_logloss(y, p)]
     for _round in range(params.n_rounds):
-        p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
         if n_sub < n_features:
@@ -381,7 +381,8 @@ def train(table: FeatureTable, params: GbdtParams, *,
         tree, row_value = grown
         raw += params.learning_rate * row_value
         trees.append(tree)
-        losses.append(_logloss(y, sigmoid(raw)))
+        p = sigmoid(raw)
+        losses.append(_logloss(y, p))
     return GbdtModel(params, base, tuple(trees), table.columns,
                      tuple(bins), tuple(losses))
 

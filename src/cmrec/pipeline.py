@@ -10,7 +10,8 @@ so deleting a stage's files and re-running reproduces them exactly:
       <target>/                  per-target stage outputs
         cache/                   one keyed store, safe to delete: each
                                  <name>.<key>.npy holds its full key and
-                                 then its arrays, read only under that key
+                                 its arrays, read only under that key; a
+                                 successful prerank removes all else
           <feature>.<key>.npy      a column's scores over both runs
           features_{valid,test}.<key>.npy  a table's arrays, keyed by
                                    its TSV's sha256
@@ -30,13 +31,13 @@ plan and the seeding in make_plan follow from it.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
-from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,7 @@ class Workspace:
         return self.target_dir(target) / f"features_{which}.catalog.json"
 
     def cache_dir(self, target: str) -> Path:
-        """Prerank's column cache; select and train read the feature
-        tables' cached arrays from it too."""
+        """The keyed store of prerank's columns and the tables' arrays."""
         return self.target_dir(target) / "cache"
 
     @contextmanager
@@ -188,17 +188,25 @@ class Snapshot:
     targets: tuple[str, ...]
 
 
+ROW_ARRAYS = ("user", "item", "rating", "market", "split")
+
+
+def _snapshot_meta(ws: Workspace) -> SnapshotMeta:
+    """snapshot/meta.json; a StageError when there is no snapshot."""
+    if not ws.snapshot_dir.is_dir():
+        raise StageError(f"no snapshot in workspace {ws.root}; run ingest first")
+    return read_artifact(SnapshotMeta, ws.snapshot_dir / "meta.json")
+
+
 def load_snapshot(ws: Workspace) -> Snapshot:
     """The workspace's snapshot; a missing or damaged file of it is a
     StageError naming the file."""
     snap = ws.snapshot_dir
-    if not snap.is_dir():
-        raise StageError(f"no snapshot in workspace {ws.root}; run ingest first")
-    meta = read_artifact(SnapshotMeta, snap / "meta.json")
+    meta = _snapshot_meta(ws)
     enc = read_artifact(SnapshotEncoders, snap / "encoders.json")
     users, items = IdEncoder.fit(enc.users), IdEncoder.fit(enc.items)
     arrays = {}
-    for name in ("user", "item", "rating", "market", "split"):
+    for name in ROW_ARRAYS:
         path = snap / f"rows_{name}.npy"
         try:
             arrays[name] = np.load(path)
@@ -232,11 +240,11 @@ def _check_target(config: PipelineConfig, target: str) -> None:
                           f"{list(config.targets)}")
 
 
-def _check_snapshot(config: PipelineConfig, snap: Snapshot) -> None:
+def _check_snapshot(config: PipelineConfig, meta: SnapshotMeta) -> None:
     """The snapshot holds the config's markets and targets; a set that
     differs (the config changed after ingest) is a StageError."""
-    for name, ours, theirs in (("markets", config.markets, snap.markets),
-                               ("targets", config.targets, snap.targets)):
+    for name, ours, theirs in (("markets", config.markets, meta.markets),
+                               ("targets", config.targets, meta.targets)):
         ours, theirs = set(ours), set(theirs)
         if ours != theirs:
             raise StageError(
@@ -284,18 +292,18 @@ def _valid_labels(snap: Snapshot, target: str, users: np.ndarray,
 PRERANK_RECORD = "prerank.inputs.json"
 # Bump on any change that alters what prerank writes for the same recorded
 # inputs: the code is not one of them.
-PRERANK_RECORD_VERSION = 1
+PRERANK_RECORD_VERSION = 2
 
 
 @dataclass(frozen=True)
 class PrerankInputs:
-    """All a target's prerank outputs depend on besides the code: per run,
-    the cache_key over the snapshot rows, both encoders and the run file
-    (the column cache's key is a digest of the two); the plan; the
+    """All a target's prerank outputs depend on besides the code: the
+    sha256 of each snapshot file it reads, by its path in snapshot/ (the
+    column cache's key is the sha256 of that mapping); the plan; the
     statistics flag; and the sha256 of the external vectors file's bytes
     (its path is not an input)."""
 
-    runs: Mapping[str, str]
+    snapshot: Mapping[str, str]
     plan: tuple[features.PlanEntry, ...]
     stats: bool
     external_embeddings: str | None
@@ -312,15 +320,20 @@ class PrerankRecord:
     outputs: Mapping[str, str]
 
 
-def _prerank_inputs(config: PipelineConfig, plan: list[features.ScorerSpec],
-                    keys: dict[str, str]) -> PrerankInputs:
+def _prerank_inputs(config: PipelineConfig, ws: Workspace, target: str,
+                    plan: list[features.ScorerSpec]) -> PrerankInputs:
+    """A snapshot file that cannot be read has the digest None."""
+    snap = ws.snapshot_dir
+    reads = [snap / "meta.json", snap / "encoders.json",
+             *(snap / f"rows_{name}.npy" for name in ROW_ARRAYS),
+             *(ws.run_path(target, which) for which in data.RUN_FILES)]
     path = config.prerank.external_embeddings
-    external = None
-    if path:
-        external = file_sha256(path)
-        if external is None:
-            raise DataError(f"embedding file not found: {path}")
-    return PrerankInputs(keys, tuple(spec.entry for spec in plan),
+    external = file_sha256(path) if path else None
+    if path and external is None:
+        raise DataError(f"embedding file not found: {path}")
+    return PrerankInputs({read.relative_to(snap).as_posix(): file_sha256(read)
+                          for read in reads},
+                         tuple(spec.entry for spec in plan),
                          config.prerank.stats, external)
 
 
@@ -345,32 +358,29 @@ def _prerank_current(tdir: Path, inputs: PrerankInputs) -> bool:
 def run_prerank(config: PipelineConfig, target: str) -> dict:
     """Score both run files with the full plan and write feature tables.
 
-    The stage records its inputs and outputs last, in PRERANK_RECORD; a
-    re-run whose record is current returns without fitting or writing
-    anything ("up_to_date"). Otherwise the record goes first and completed
-    columns come from the column cache, so only what is missing is
-    recomputed. Scorer failures abort the stage, but only after all
-    surviving columns are on disk, so the next run resumes from cache.
+    The stage records its inputs and outputs last, in PRERANK_RECORD, and
+    then sweeps the cache; a re-run whose record is current returns without
+    loading, fitting or writing anything ("up_to_date"). Otherwise the
+    record goes first and completed columns come from the column cache.
+    Scorer failures abort the stage, but only after all surviving columns
+    are on disk, so the next run resumes from cache.
     """
     _check_target(config, target)
     ws = workspace_for(config)
-    snap = load_snapshot(ws)
-    _check_snapshot(config, snap)
+    _check_snapshot(config, _snapshot_meta(ws))
     plan = make_plan(config, target)
     tdir = ws.target_dir(target)
     tdir.mkdir(exist_ok=True)
-    runs = {which: data.load_run(ws.run_path(target, which))
-            for which in data.RUN_FILES}
-    prefix = features.rows_digest(snap.rows)
-    keys = {which: features.cache_key(run, snap.users, snap.items, prefix)
-            for which, run in runs.items()}
-    inputs = _prerank_inputs(config, plan, keys)
+    inputs = _prerank_inputs(config, ws, target, plan)
     result = {"target": target, "n_columns": len(plan)}
     if _prerank_current(tdir, inputs):
         return {**result, "up_to_date": True}
     # correlation.tsv goes too: a rebuild with no scorer column writes none
     for name in (PRERANK_RECORD, "correlation.tsv"):
         (tdir / name).unlink(missing_ok=True)
+    snap = load_snapshot(ws)
+    runs = {which: data.load_run(ws.run_path(target, which))
+            for which in data.RUN_FILES}
 
     # both runs' pairs, valid then test, in one pass: each column is fitted
     # and scored once, then split back into the two tables
@@ -382,8 +392,10 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
                                ws.cache_dir(target))
     path = config.prerank.external_embeddings
     external = embeddings.read_embedding_tsv(path) if path else None
-    column_key = blake2b("".join(keys.values()).encode(),
-                         digest_size=16).hexdigest()
+    column_key = hashlib.sha256(json.dumps(
+        inputs.snapshot, sort_keys=True).encode()).hexdigest()
+    # the cache entries this prerank keeps, by name: its columns and tables
+    entries = {spec.feature_name: column_key for spec in plan}
     names, values, provenance, failures = features.run_plan(
         plan, ctx, user_ids, item_ids, column_key)
     parts = [(names, values, provenance)]  # one per column producer
@@ -416,6 +428,7 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
                         ws.catalog_path(target, which))
         outputs[tsv.name], outputs[catalog.name] = features.write_table(
             table, tsv, catalog, provenance, cache_dir=ws.cache_dir(target))
+        entries[tsv.stem] = outputs[tsv.name]
 
     outputs["prerank_failures.json"] = write_json(
         tdir / "prerank_failures.json", failures)
@@ -426,6 +439,7 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
                          f"cached, re-run prerank to resume")
     write_json(tdir / PRERANK_RECORD,
                PrerankRecord(PRERANK_RECORD_VERSION, inputs, outputs))
+    features.sweep_cache(ws.cache_dir(target), entries)
     return {**result, "up_to_date": False}
 
 

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import gbdt
+from .data import first_repeat, read_lines
 from .features import FeatureTable
 from .util import (DataError, StageError, atomic_write_text, fmt, stage_seed,
                    write_json)
@@ -228,14 +229,11 @@ def read_kept(path) -> list[str]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"kept-feature list not found: {path}")
-    kept: dict[str, int] = {}  # feature -> its line, in file order
-    for line_no, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), 1):
-        if line in kept:
-            raise DataError(f"{path}:{line_no}: feature {line!r} repeats "
-                            f"line {kept[line]}")
-        if line:
-            kept[line] = line_no
+    _, line_nos, kept = read_lines(path, header=False)
     if not kept:
         raise DataError(f"kept-feature list lists no features: {path}")
-    return list(kept)
+    row = first_repeat(np.array(kept))
+    if row is not None:
+        raise DataError(f"{path}:{line_nos[row]}: feature {kept[row]!r} "
+                        f"repeats line {line_nos[kept.index(kept[row])]}")
+    return kept

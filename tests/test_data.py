@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmrec import data
+from cmrec import data, embeddings, evaluation, features, selection
 from cmrec.util import DataError
 
 
@@ -392,3 +392,50 @@ class TestSummarize:
         assert s["overlap"]["a"]["b"] == 1
         assert s["rating_mean"]["a"] == pytest.approx(3.0)
         assert s["unique_items"] == 2
+
+
+# reader, file name, and the file's valid text: the reader gets the
+# file's path, and line 3 of the file gets a 0xff byte
+NOT_UTF8_READERS = {
+    "load_market": (lambda path: data.load_market(path.parent, "m"),
+                    "train.tsv", "userId\titemId\trating\nu1\ti1\t4\n"
+                    "u2\ti2\t5\n"),
+    "load_run": (data.load_run, "valid_run.tsv",
+                 "userId\tcandidates\nu1\ti1\ti2\nu2\ti2\n"),
+    "read_run_file": (evaluation.read_run_file, "ranked.tsv",
+                      "u1\ti1\t0.5\nu1\ti2\t0.25\nu2\ti2\t1.0\n"),
+    "read_qrels": (evaluation.read_qrels, "qrels.tsv",
+                   "userId\titemId\nu1\ti1\nu2\ti2\n"),
+    "read_embedding_tsv": (embeddings.read_embedding_tsv, "vectors.tsv",
+                           "i1\t0.5\t1.0\ni2\t1.0\t0.0\ni3\t0.0\t1.0\n"),
+    "read_table": (features.read_table, "features_valid.tsv",
+                   "user\titem\tf\nu1\ti1\t0.5\nu2\ti2\t1.0\n"),
+    "read_kept": (selection.read_kept, "kept.txt", "f\ng\nh\n"),
+}
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a DataError naming the file and line
+    in every text reader, never a UnicodeDecodeError."""
+
+    @pytest.mark.parametrize("reader", sorted(NOT_UTF8_READERS))
+    def test_is_a_data_error_naming_file_and_line(self, tmp_path, reader):
+        read, name, text = NOT_UTF8_READERS[reader]
+        (tmp_path / "train_5core.tsv").write_text("userId\titemId\trating\n")
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        read(path)  # the valid file reads
+        lines = text.encode("utf-8").split(b"\n")
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match=f"{name}:3: not UTF-8"):
+            read(path)
+
+    @pytest.mark.parametrize("breaks", [b"\n", b"\r\n", b"\r"])
+    def test_the_line_counts_every_line_break(self, tmp_path, breaks):
+        path = tmp_path / "f.tsv"
+        path.write_bytes(breaks.join([b"a", b"b", b"c\xe9d", b""]))
+        with pytest.raises(DataError, match="f.tsv:3: not UTF-8"):
+            data.read_lines(path)
+        path.write_bytes(breaks.join([b"a", b"b", b"c\xc3\xa9d", b""]))
+        assert data.read_lines(path)[2] == ["b", "c\u00e9d"]

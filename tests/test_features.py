@@ -62,14 +62,19 @@ RUN_ENTRIES = (("a", ("i0", "i1", "i2", "i3")),
 RUN = run_of(RUN_ENTRIES)
 
 
-def plan_run(plan, ctx, run):
+# column keys as long as prerank's: a cache file is named by the first 32
+# hex digits of its key
+KEY = "0123456789abcdef" * 4
+OTHER_KEY = "fedcba9876543210" * 4
+
+
+def plan_run(plan, ctx, run, key=KEY):
     """run_plan over a RunFile's pairs, encoded by ctx's encoders, as the
     run's table, without the provenance: (table, failures). With a
-    cache_dir the key is the run's cache_key, as for one run file."""
-    key = (None if ctx.cache_dir is None else features.cache_key(
-        run, ctx.users, ctx.items, features.rows_digest(ctx.rows)))
+    cache_dir the columns are stored under key."""
     names, values, _, failures = run_plan(
-        plan, ctx, *features.encode_run(run, ctx.users, ctx.items), key)
+        plan, ctx, *features.encode_run(run, ctx.users, ctx.items),
+        None if ctx.cache_dir is None else key)
     return empty_table(run).with_columns(names, values), failures
 
 
@@ -506,91 +511,79 @@ class TestColumnCache:
         spec = spec_for()
         table1, _ = plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
         path = cached_column(tmp_path, spec)
-        key = path.name.split(".")[1]
-        features._store(tmp_path, spec.feature_name, key, [stored])
+        features._store(tmp_path, spec.feature_name, KEY, [stored])
         counts = count_calls(monkeypatch)
         table2, failures = plan_run([spec], tiny_context(cache_dir=tmp_path),
                                     RUN)
         assert failures == [] and counts == {"fit": 1, "score": 1}
         assert np.array_equal(table1.values, table2.values)
         assert cached_column(tmp_path, spec) == path
-        [reloaded] = features._fetch(tmp_path, spec.feature_name, key,
+        [reloaded] = features._fetch(tmp_path, spec.feature_name, KEY,
                                      [("d", 2)])
         assert np.array_equal(reloaded.T, table1.values)
 
+    @pytest.mark.parametrize("key", [OTHER_KEY, KEY[:32] + OTHER_KEY[32:]],
+                             ids=["copied under another key",
+                                  "a key with the same file name"])
     def test_a_column_file_is_read_only_under_its_own_key(self, tmp_path,
-                                                          monkeypatch):
-        # the same pairs in another order: a right-shaped float64 file
+                                                          monkeypatch, key):
+        # a right-shaped float64 file of the same pairs, under key's name
         spec = spec_for()
         plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
-        ctx = tiny_context(cache_dir=tmp_path)
-        run = run_of((("a", ("i3", "i2", "i1", "i0")),) + RUN_ENTRIES[1:])
-        key = features.cache_key(run, ctx.users, ctx.items,
-                                 features.rows_digest(ctx.rows))
-        shutil.copy(cached_column(tmp_path, spec),
-                    tmp_path / f"{spec.feature_name}.{key}.npy")
+        target = tmp_path / f"{spec.feature_name}.{key[:32]}.npy"
+        if not target.exists():
+            shutil.copy(cached_column(tmp_path, spec), target)
         counts = count_calls(monkeypatch)
-        table, failures = plan_run([spec], ctx, run)
+        table, failures = plan_run([spec], tiny_context(cache_dir=tmp_path),
+                                   RUN, key)
         assert failures == [] and counts == {"fit": 1, "score": 1}
-        fresh, _ = plan_run([spec], tiny_context(), run)
+        fresh, _ = plan_run([spec], tiny_context(), RUN)
         assert np.array_equal(table.values, fresh.values)
 
-    @pytest.mark.parametrize("change", ["rows", "encoders", "run"])
-    def test_changed_input_is_a_miss(self, tmp_path, monkeypatch, change):
+    def test_another_key_is_a_miss_stored_beside_the_old_file(
+            self, tmp_path, monkeypatch):
         spec = spec_for()
         plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
         old = cached_column(tmp_path, spec)
         counts = count_calls(monkeypatch)
-        ctx, run = tiny_context(cache_dir=tmp_path), RUN
-        if change == "rows":
-            # the last row is a cross-market valid positive of s1
-            ctx = dataclasses.replace(ctx, rows=ctx.rows.take(slice(0, -1)))
-        elif change == "encoders":
-            # an id sorting after every other one: no row's id moves
-            ctx = dataclasses.replace(
-                ctx, items=IdEncoder.fit(ctx.items.ids.tolist() + ["i9"]))
-        else:
-            run = run_of((("a", ("i3", "i2", "i1", "i0")),) + RUN_ENTRIES[1:])
-        table, failures = plan_run([spec], ctx, run)
+        _, failures = plan_run([spec], tiny_context(cache_dir=tmp_path), RUN,
+                               OTHER_KEY)
         assert failures == [] and counts == {"fit": 1, "score": 1}
-        # the column was stored under a new name
-        new = set(tmp_path.glob(f"{spec.feature_name}.*.npy")) - {old}
-        assert len(new) == 1
-        fresh, _ = plan_run([spec], dataclasses.replace(ctx, cache_dir=None),
-                            run)
-        assert np.array_equal(table.values, fresh.values)
-
-    @pytest.mark.parametrize("change", ["rows", "encoders", "run"])
-    def test_changed_input_replaces_the_old_file(self, tmp_path, change):
-        spec = spec_for()
-        other = spec_for("swing", {"alpha": 0.5, "top_k": 10})
-        plan_run([spec, other], tiny_context(cache_dir=tmp_path), RUN)
-        kept, old = cached_column(tmp_path, other), cached_column(tmp_path, spec)
-        # names that only resemble the column's files stay
-        lookalikes = [tmp_path / f"{spec.feature_name}.tsv",
-                      tmp_path / f"{spec.feature_name}.{'0' * 31}.npy",
-                      tmp_path / f"{spec.feature_name}x.{'0' * 32}.npy",
-                      tmp_path / f"{spec.feature_name}.{'0' * 32}.npy.tmp"]
-        for path in lookalikes:
-            path.write_bytes(b"")
-        ctx, run = tiny_context(cache_dir=tmp_path), RUN
-        if change == "rows":
-            ctx = dataclasses.replace(ctx, rows=ctx.rows.take(slice(0, -1)))
-        elif change == "encoders":
-            ctx = dataclasses.replace(
-                ctx, items=IdEncoder.fit(ctx.items.ids.tolist() + ["i9"]))
-        else:
-            run = run_of((("a", ("i3", "i2", "i1", "i0")),) + RUN_ENTRIES[1:])
-        _, failures = plan_run([spec], ctx, run)
-        assert failures == []
-        # one file per column: the new one, the other column's, lookalikes
-        [new] = set(tmp_path.iterdir()) - {kept, *lookalikes}
-        assert new != old and new.name.startswith(f"{spec.feature_name}.")
-        assert kept.exists() and all(p.exists() for p in lookalikes)
+        # storing removes nothing: sweep_cache does
+        assert sorted(tmp_path.iterdir()) == sorted(
+            tmp_path / f"{spec.feature_name}.{key[:32]}.npy"
+            for key in (KEY, OTHER_KEY))
+        assert old.exists()
 
     def test_no_cache_dir_still_works(self):
         table, failures = plan_run([spec_for()], tiny_context(), RUN)
         assert failures == [] and table.n_rows == len(pairs_of(RUN))
+
+
+class TestSweepCache:
+    def test_keeps_exactly_the_named_entries(self, tmp_path):
+        spec, dropped = spec_for(), spec_for("swing", {"top_k": 10})
+        plan_run([spec, dropped], tiny_context(cache_dir=tmp_path), RUN)
+        plan_run([spec], tiny_context(cache_dir=tmp_path), RUN, OTHER_KEY)
+        name = spec.feature_name
+        table = tmp_path / f"features_valid.{OTHER_KEY[:32]}.npy"
+        table.write_bytes(b"")
+        # what a killed write, the per-run layout and other tools leave
+        leftovers = [tmp_path / f"{name}.{KEY[:32]}.npy.tmp",
+                     tmp_path / f"{name}.tsv", tmp_path / "valid" / "x.npy",
+                     tmp_path / "test" / "deeper" / "y.npy"]
+        for path in leftovers:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"")
+        features.sweep_cache(tmp_path, {name: OTHER_KEY,
+                                        "features_valid": OTHER_KEY,
+                                        "features_test": OTHER_KEY})
+        assert sorted(tmp_path.iterdir()) == [
+            table, tmp_path / f"{name}.{OTHER_KEY[:32]}.npy"]
+
+    def test_a_missing_cache_dir_is_no_error(self, tmp_path):
+        features.sweep_cache(tmp_path / "cache", {"f": KEY})
+        assert not (tmp_path / "cache").exists()
 
 
 def global_statistics_oracle(ctx, run, target):
@@ -1111,17 +1104,22 @@ class TestTableIO:
         stored.write_bytes(stored_bytes)
         assert read_both()[2] == 0
 
-    def test_a_rewritten_table_drops_its_older_cache_files(self, tmp_path,
-                                                           rng):
+    def test_a_rewritten_table_keeps_its_older_file_until_a_sweep(
+            self, tmp_path, rng, monkeypatch):
         cache = tmp_path / "cache"
+        digests = []
         for _ in range(2):
             write_table(oracle_table(rng, 5, 2), tmp_path / "f.tsv",
                         tmp_path / "f.json", {}, cache_dir=cache)
-        write_table(oracle_table(rng, 5, 2), tmp_path / "g.tsv",
-                    tmp_path / "g.json", {}, cache_dir=cache)
-        assert sorted(path.name for path in cache.iterdir()) == [
-            f"{name}.{util.file_sha256(tmp_path / f'{name}.tsv')[:32]}.npy"
-            for name in ("f", "g")]
+            digests.append(util.file_sha256(tmp_path / "f.tsv"))
+        assert sorted(path.name for path in cache.iterdir()) == sorted(
+            f"f.{digest[:32]}.npy" for digest in digests)
+        parses = count_parses(monkeypatch)
+        read_table(tmp_path / "f.tsv", cache_dir=cache)
+        assert parses == []
+        features.sweep_cache(cache, {"f": digests[1]})
+        assert [path.name for path in cache.iterdir()] == [
+            f"f.{digests[1][:32]}.npy"]
 
     def test_a_table_with_a_repeated_key_is_not_cached(self, tmp_path, rng):
         table = oracle_table(rng, 3, 1)
@@ -1129,7 +1127,7 @@ class TestTableIO:
                                     items=np.array(["i", "i", "i"]))
         write_table(table, tmp_path / "f.tsv", tmp_path / "f.json", {},
                     cache_dir=tmp_path / "cache")
-        assert list((tmp_path / "cache").iterdir()) == []
+        assert list((tmp_path / "cache").glob("*")) == []
         with pytest.raises(DataError, match="f.tsv:3: duplicate"):
             read_table(tmp_path / "f.tsv", cache_dir=tmp_path / "cache")
 

@@ -4,7 +4,8 @@ and summary, the feature tables and their catalogs, the correlation
 tables, the selection reports, the prerank failure lists, the kept
 columns, the models, the out-of-fold scores, the training metrics, the
 ranked test runs, the evaluations, the final report and the prerank
-records pinned. Any change to the numerics or to a file format shows up
+records pinned, and the names of the files in each cache. Any change to
+the numerics, to a file format or to the cache's key rule shows up
 here. The same config also checks that prerank fits each memory-based
 table once, on the ids of both runs."""
 
@@ -97,9 +98,42 @@ GOLDEN = {
     "final.json":
         "124bc90f8147b01bfb2776ce39d631f35a2952cb257e16f06a2796c46d3d0ac4",
     "t1/prerank.inputs.json":
-        "8ab2bc08890f9787bfd8edd26a7c98ed458911480d58be19b59ce866ee1f7720",
+        "24ba7b7e62fd7eb2511eae1192a464da572fe96c004c01bf46e1a54bfca6201e",
     "t2/prerank.inputs.json":
-        "1dd130ee4c00cb46ed40ea02dc785b7b5ed0d357c94f4869364d1ee3cdf49700",
+        "78fc7e3db3e97dd9a086ec9a97424476d1c055c7a52eff865bbd7a6754e7f67b",
+}
+
+
+# The sorted file names in each target's cache/ after the golden run: the
+# plan's columns under the column key, and the tables under their TSVs'
+# sha256. A change to the key rule or to the sweep shows up here.
+CACHE_LISTING = {
+    "t1": [
+        "bigraph__bf21a9e8__s1-s2-t1-t2.4a722028449dc8067b67b44bbdb41659.npy",
+        "features_test.199c39086ed04491518ce9f0bd5b6eb6.npy",
+        "features_valid.b5b0b1d14c24f76778d5d6dd6822fc8c.npy",
+        "item_cf__a3f129cd__s1-s2-t1-t2.4a722028449dc8067b67b44bbdb41659.npy",
+        "item_cf__a3f129cd__t1-t2.4a722028449dc8067b67b44bbdb41659.npy",
+        "lightgcn__8c406704__t1-t2.4a722028449dc8067b67b44bbdb41659.npy",
+        "llr__bf21a9e8__s3-t1-t2.4a722028449dc8067b67b44bbdb41659.npy",
+        "node2vec_dfs__11603423__t1-t2.4a722028449dc8067b67b44bbdb41659.npy",
+        "swing__bf21a9e8__t1-t2.4a722028449dc8067b67b44bbdb41659.npy",
+        "user_cf__bf21a9e8__s1-s2-t1-t2.4a722028449dc8067b67b44bbdb41659.npy",
+        "word2vec__9392684a__t1-t2.4a722028449dc8067b67b44bbdb41659.npy",
+    ],
+    "t2": [
+        "bigraph__bf21a9e8__s1-s2-t1-t2.c9d7a18fb3c6e4e168cf3d70e41dac21.npy",
+        "features_test.dd8c8c11b142de3fdbe25e5966934428.npy",
+        "features_valid.2002b64000311595d1799e6a9bda1436.npy",
+        "item_cf__a3f129cd__s1-s2-t1-t2.c9d7a18fb3c6e4e168cf3d70e41dac21.npy",
+        "item_cf__a3f129cd__t1-t2.c9d7a18fb3c6e4e168cf3d70e41dac21.npy",
+        "lightgcn__f875135d__t1-t2.c9d7a18fb3c6e4e168cf3d70e41dac21.npy",
+        "llr__bf21a9e8__s3-t1-t2.c9d7a18fb3c6e4e168cf3d70e41dac21.npy",
+        "node2vec_dfs__c7ca687a__t1-t2.c9d7a18fb3c6e4e168cf3d70e41dac21.npy",
+        "swing__bf21a9e8__t1-t2.c9d7a18fb3c6e4e168cf3d70e41dac21.npy",
+        "user_cf__bf21a9e8__s1-s2-t1-t2.c9d7a18fb3c6e4e168cf3d70e41dac21.npy",
+        "word2vec__c3d89558__t1-t2.c9d7a18fb3c6e4e168cf3d70e41dac21.npy",
+    ],
 }
 
 
@@ -166,6 +200,12 @@ def test_every_stage_writes_the_pinned_files(golden_workspace, assert_digests):
     got = [hashlib.sha256((golden_workspace / name).read_bytes()).hexdigest()
            for name in GOLDEN]
     assert_digests(dict(zip(GOLDEN, got)), GOLDEN)
+
+
+def test_the_caches_hold_the_pinned_files(golden_workspace):
+    assert {target: sorted(path.name for path in
+                           (golden_workspace / target / "cache").iterdir())
+            for target in CACHE_LISTING} == CACHE_LISTING
 
 
 MEMORY_FITS = {"item_cosine_similarity": "items",

@@ -904,6 +904,20 @@ class TestCli:
         assert cli.main(["ingest", "--config", str(path)]) == 2
         assert "data directory" in capsys.readouterr().err
 
+    def test_a_market_file_that_is_not_utf8_exits_2(self, world, tmp_path,
+                                                    capsys):
+        data_dir = tmp_path / "data"
+        shutil.copytree(world["data"], data_dir)
+        train = data_dir / "s1" / "train.tsv"
+        n_lines = train.read_bytes().count(b"\n")
+        with train.open("ab") as fh:
+            fh.write(b"\xff")
+        config = pipeline_config(data_dir, tmp_path / "w")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dataclasses.asdict(config)))
+        assert cli.main(["ingest", "--config", str(path)]) == 2
+        assert f"{train}:{n_lines + 1}: not UTF-8" in capsys.readouterr().err
+
     def test_stage_error_exits_3(self, config_file, capsys):
         assert cli.main(["prerank", "--config", str(config_file),
                          "--target", "t1"]) == 3

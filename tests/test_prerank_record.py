@@ -17,6 +17,11 @@ from cmrec.util import StageError, read_artifact
 
 from test_pipeline import pipeline_config, record_atomic_writes
 
+# the snapshot files a prerank of t1 reads, by their path in snapshot/
+SNAPSHOT_READS = ("meta.json", "encoders.json", "rows_user.npy",
+                  "rows_item.npy", "rows_rating.npy", "rows_market.npy",
+                  "rows_split.npy", "runs/t1_valid_run.tsv",
+                  "runs/t1_test_run.tsv")
 OUTPUTS = ("features_valid.tsv", "features_test.tsv",
            "features_valid.catalog.json", "features_test.catalog.json",
            "correlation.tsv", "prerank_failures.json")
@@ -91,12 +96,6 @@ class TestRecordContents:
         assert set(record.outputs) == set(OUTPUTS)
         for name, digest in record.outputs.items():
             assert hashlib.sha256((tdir / name).read_bytes()).hexdigest() == digest
-        snap = pipeline.load_snapshot(env["ws"])
-        prefix = features.rows_digest(snap.rows)
-        for which in ("valid", "test"):
-            run = data.load_run(env["ws"].run_path("t1", which))
-            assert record.inputs.runs[which] == features.cache_key(
-                run, snap.users, snap.items, prefix)
         plan = pipeline.make_plan(env["config"], "t1")
         assert [(e.scorer, dict(e.params), e.combination,
                  e.excludes_target_valid) for e in record.inputs.plan] == [
@@ -105,6 +104,16 @@ class TestRecordContents:
         assert record.inputs.stats is True
         assert record.inputs.external_embeddings == hashlib.sha256(
             env["vectors"].read_bytes()).hexdigest()
+
+    def test_inputs_are_the_digests_of_the_snapshot_files_it_reads(self,
+                                                                   env):
+        snap = env["ws"].snapshot_dir
+        record = read_artifact(pipeline.PrerankRecord,
+                               record_path(env["tdir"]))
+        assert sorted(record.inputs.snapshot) == sorted(SNAPSHOT_READS)
+        for name, digest in record.inputs.snapshot.items():
+            assert hashlib.sha256((snap / name).read_bytes()).hexdigest() == (
+                digest)
 
     def test_scorer_provenance_is_the_plan(self, env):
         # one description per scorer column: its catalog provenance, less
@@ -177,6 +186,14 @@ class TestCurrentRerun:
         assert out["up_to_date"] is True and out["n_columns"] == 4
         assert written == []
         assert output_bytes(env["tdir"]) == before
+
+    def test_loads_no_snapshot_and_no_run_file(self, env, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a current re-run must not load")
+
+        monkeypatch.setattr(pipeline, "load_snapshot", boom)
+        monkeypatch.setattr(data, "load_run", boom)
+        assert pipeline.run_prerank(env["config"], "t1")["up_to_date"] is True
 
     def test_cli_says_up_to_date(self, env, tmp_path, capsys):
         config_file = tmp_path / "config.json"
@@ -331,3 +348,68 @@ class TestRebuild:
         self.rerun(env["config"])
         assert output_bytes(env["tdir"]) == before
         assert record_path(env["tdir"]).read_bytes() == record
+
+
+def cache_names(env):
+    return sorted(path.name for path in env["ws"].cache_dir("t1").iterdir())
+
+
+def kept_cache_names(config, tdir):
+    """The cache files a successful prerank of t1 keeps: each plan column
+    under the sha256 of the record's snapshot digests, and each table
+    under its TSV's sha256."""
+    record = read_artifact(pipeline.PrerankRecord, record_path(tdir))
+    key = hashlib.sha256(json.dumps(record.inputs.snapshot,
+                                    sort_keys=True).encode()).hexdigest()
+    return sorted(
+        [f"{spec.feature_name}.{key[:32]}.npy"
+         for spec in pipeline.make_plan(config, "t1")]
+        + [f"features_{which}.{record.outputs[f'features_{which}.tsv'][:32]}"
+           f".npy" for which in ("valid", "test")])
+
+
+class TestCacheSweep:
+    def test_a_smaller_plan_leaves_only_its_columns_and_tables(self, env):
+        assert cache_names(env) == kept_cache_names(env["config"], env["tdir"])
+        assert len(cache_names(env)) == 4 + 2
+        scorers = dataclasses.asdict(env["config"].prerank)["scorers"]
+        smaller = make_config(env, scorers=scorers[1:2])
+        assert pipeline.run_prerank(smaller, "t1")["up_to_date"] is False
+        assert cache_names(env) == kept_cache_names(smaller, env["tdir"])
+        assert len(cache_names(env)) == 1 + 2
+
+    def test_the_next_successful_prerank_removes_what_nothing_reads(self,
+                                                                   env):
+        cache, kept = env["ws"].cache_dir("t1"), cache_names(env)
+        # the per-run layout of older workspaces, and a killed write
+        leftovers = [cache / "valid" / f"{kept[0]}", cache / "test" / "x.npy",
+                     cache / f"{kept[0]}.tmp"]
+        for path in leftovers:
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(b"")
+        # a current re-run removes nothing either
+        assert pipeline.run_prerank(env["config"], "t1")["up_to_date"] is True
+        assert all(path.exists() for path in leftovers)
+        record_path(env["tdir"]).unlink()
+        assert pipeline.run_prerank(env["config"], "t1")["up_to_date"] is False
+        assert cache_names(env) == kept
+
+    def test_a_failed_prerank_removes_nothing(self, env, monkeypatch):
+        before = set(cache_names(env))
+        stray = env["ws"].cache_dir("t1") / "stray.npy.tmp"
+        stray.write_bytes(b"")
+
+        def boom(matrix, params, users, items):
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setitem(features.SCORERS, "llr", dataclasses.replace(
+            features.SCORERS["llr"], fit=boom))
+        scorers = dataclasses.asdict(env["config"].prerank)["scorers"]
+        config = make_config(env, scorers=[
+            *scorers, {"name": "llr", "combinations": [["t1", "t2"]]}])
+        with pytest.raises(StageError, match="scorer runs failed"):
+            pipeline.run_prerank(config, "t1")
+        assert before | {stray.name} <= set(cache_names(env))
+        monkeypatch.undo()
+        assert pipeline.run_prerank(config, "t1")["up_to_date"] is False
+        assert cache_names(env) == kept_cache_names(config, env["tdir"])
