@@ -17,7 +17,8 @@ vectors.
 Prints the median wall time and the median CPU time (process_time) of
 each kernel over --repeats calls, and the sha256 of the walks, of each
 table and of the scores (score bytes, then missing flags), so two
-checkouts can be compared for speed and for identical outputs. CPU time
+checkouts can be compared for speed and for identical outputs
+(`measure(repeats)` returns the same figures as a dict). CPU time
 leaves out the time the process waits while another one runs. A table is
 hashed as its present vectors keyed u:<id> and i:<id>, each key then its
 vector bytes, in sorted key order; a skip-gram result keys every token as
@@ -94,7 +95,7 @@ def scores_digest(result) -> str:
 
 
 def timed(repeats: int, fn, fingerprint):
-    """(median wall and CPU seconds as text, fingerprint, last result) over
+    """({median wall and CPU seconds, fingerprint}, last result) over
     repeats calls; the calls must all give the same fingerprint."""
     walls, cpus, digests = [], [], set()
     for _ in range(repeats):
@@ -105,9 +106,43 @@ def timed(repeats: int, fn, fingerprint):
         digests.add(fingerprint(result))
     if len(digests) != 1:
         raise SystemExit(f"repeated calls disagree: {sorted(digests)}")
-    times = (f"median {statistics.median(walls):.4f} s  "
-            f"cpu {statistics.median(cpus):.4f} s")
-    return times, digests.pop(), result
+    return {"wall_s": statistics.median(walls),
+            "cpu_s": statistics.median(cpus), "sha256": digests.pop()}, result
+
+
+def measure(repeats: int) -> dict:
+    """The matrix's edge count, and per kernel in run order its median
+    wall and CPU seconds over repeats calls, the size of its work (count
+    and unit) and the digest of its result."""
+    m = make_matrix()
+    history = emb.user_history_sequences(m, shuffles=2, seed=3)
+    kernels = {}
+    kernels["generate_walks"], walks = timed(
+        repeats, lambda: emb.generate_walks(m, WALKS), walks_digest)
+    kernels["generate_walks"].update(count=len(walks), unit="walks")
+    for label, corpus, n_tokens in (("walks", walks, N_USERS + N_ITEMS),
+                                    ("histories", history, N_ITEMS)):
+        name = f"train_skipgram {label}"
+        kernels[name], skipgram = timed(
+            repeats,
+            lambda: token_table(*emb.train_skipgram(corpus, SKIPGRAM, n_tokens)),
+            table_digest)
+        kernels[name].update(count=sum(map(len, corpus)), unit="tokens")
+    binary = m.binarized()
+    kernels["train_lightgcn"], lightgcn = timed(
+        repeats, lambda: emb.train_lightgcn(binary, LIGHTGCN), table_digest)
+    kernels["train_lightgcn"].update(count=binary.nnz, unit="edges")
+    word2vec = emb.derive_user_vectors(    # the histories table
+        m, skipgram.items, skipgram.has_item, skipgram.meta)
+    users, items = make_run()
+    for metric, table in (("dot", lightgcn), ("cosine", word2vec)):
+        name = f"embedding_score {metric}"
+        kernels[name], _ = timed(
+            repeats,
+            lambda: emb.embedding_score(table, users, items, metric=metric),
+            scores_digest)
+        kernels[name].update(count=len(items), unit="pairs")
+    return {"edges": m.nnz, "kernels": kernels}
 
 
 def main(argv=None) -> None:
@@ -118,37 +153,11 @@ def main(argv=None) -> None:
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
-    m = make_matrix()
-    history = emb.user_history_sequences(m, shuffles=2, seed=3)
-    print(f"matrix {N_USERS}x{N_ITEMS}, {m.nnz} edges, seed {SEED}")
-    times, digest, walks = timed(
-        args.repeats, lambda: emb.generate_walks(m, WALKS), walks_digest)
-    print(f"generate_walks           {times}  "
-          f"{len(walks)} walks  sha256 {digest}")
-    for label, corpus, n_tokens in (("walks", walks, N_USERS + N_ITEMS),
-                                    ("histories", history, N_ITEMS)):
-        times, digest, skipgram = timed(
-            args.repeats,
-            lambda: token_table(*emb.train_skipgram(corpus, SKIPGRAM, n_tokens)),
-            table_digest)
-        print(f"train_skipgram {label:<9} {times}  "
-              f"{sum(map(len, corpus))} tokens  sha256 {digest}")
-    binary = m.binarized()
-    times, digest, lightgcn = timed(
-        args.repeats, lambda: emb.train_lightgcn(binary, LIGHTGCN),
-        table_digest)
-    print(f"train_lightgcn           {times}  "
-          f"{binary.nnz} edges  sha256 {digest}")
-    word2vec = emb.derive_user_vectors(    # the histories table
-        m, skipgram.items, skipgram.has_item, skipgram.meta)
-    users, items = make_run()
-    for metric, table in (("dot", lightgcn), ("cosine", word2vec)):
-        times, digest, _ = timed(
-            args.repeats,
-            lambda: emb.embedding_score(table, users, items, metric=metric),
-            scores_digest)
-        print(f"embedding_score {metric:<8} {times}  "
-              f"{len(items)} pairs  sha256 {digest}")
+    out = measure(args.repeats)
+    print(f"matrix {N_USERS}x{N_ITEMS}, {out['edges']} edges, seed {SEED}")
+    for name, k in out["kernels"].items():
+        print(f"{name:<24} median {k['wall_s']:.4f} s  cpu {k['cpu_s']:.4f} s"
+              f"  {k['count']} {k['unit']}  sha256 {k['sha256']}")
 
 
 if __name__ == "__main__":

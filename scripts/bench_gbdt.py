@@ -16,7 +16,7 @@ min_data_in_leaf 10.
 Prints the median wall times over --repeats calls of each, the sha256 of
 the model's canonical JSON and the sha256 of the screen's kept list and
 report, so two checkouts can be compared for speed and for identical
-results:
+results (`measure(repeats)` returns the same figures as a dict):
 
     PYTHONPATH=src python scripts/bench_gbdt.py --repeats 7
 """
@@ -73,6 +73,25 @@ def timed(fn, repeats: int, fingerprint):
     return result, (statistics.median(times), min(times), max(times)), digests.pop()
 
 
+def measure(repeats: int) -> dict:
+    """The (median, min, max) wall seconds of repeats calls of the
+    training and of the screen, and the digests of their results. Each
+    training call bins the table, as every fit of the pipeline does."""
+    table = make_table()
+    model, train_s, digest = timed(
+        lambda: gbdt.train(table, PARAMS,
+                           gbdt.bin_rows(table.values, PARAMS.max_bins)),
+        repeats, lambda m: json.dumps(gbdt.model_to_dict(m), sort_keys=True))
+    test = make_table(SEED + 1)
+    (kept, _), screen_s, screen_digest = timed(
+        lambda: selection.run_selection(table, test, **SCREEN), repeats,
+        lambda result: json.dumps(result, sort_keys=True))
+    return {"rows": table.n_rows, "columns": len(table.columns),
+            "trees": len(model.trees), "train_s": train_s, "sha256": digest,
+            "kept": len(kept), "screen_s": screen_s,
+            "screen_sha256": screen_digest}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5,
@@ -81,23 +100,17 @@ def main() -> None:
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
 
-    table = make_table()
-    model, (med, lo, hi), digest = timed(
-        lambda: gbdt.train(table, PARAMS), args.repeats,
-        lambda m: json.dumps(gbdt.model_to_dict(m), sort_keys=True))
-    print(f"table {table.n_rows}x{len(table.columns)} seed {SEED}; "
-          f"{len(model.trees)} trees")
+    out = measure(args.repeats)
+    print(f"table {out['rows']}x{out['columns']} seed {SEED}; "
+          f"{out['trees']} trees")
+    med, lo, hi = out["train_s"]
     print(f"median {med:.4f} s over {args.repeats} calls "
           f"(min {lo:.4f}, max {hi:.4f})")
-    print(f"sha256 {digest}")
-
-    test = make_table(SEED + 1)
-    (kept, _), (med, lo, hi), digest = timed(
-        lambda: selection.run_selection(table, test, **SCREEN), args.repeats,
-        lambda result: json.dumps(result, sort_keys=True))
-    print(f"screen kept {len(kept)} of {len(table.columns)}; median "
+    print(f"sha256 {out['sha256']}")
+    med, lo, hi = out["screen_s"]
+    print(f"screen kept {out['kept']} of {out['columns']}; median "
           f"{med:.4f} s over {args.repeats} calls (min {lo:.4f}, max {hi:.4f})")
-    print(f"screen sha256 {digest}")
+    print(f"screen sha256 {out['screen_sha256']}")
 
 
 if __name__ == "__main__":

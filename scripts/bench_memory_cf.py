@@ -17,7 +17,8 @@ Prints the median of each over --repeats calls, the median of the
 per-repeat differences cold minus warm (the fit alone), the tracemalloc
 peak of one more cold plan (untimed) and the sha256 of the columns' values
 (feature and missing columns), so two checkouts can be compared for speed,
-memory and identical outputs:
+memory and identical outputs (`measure(repeats)` returns the same figures
+as a dict):
 
     PYTHONPATH=src python scripts/bench_memory_cf.py --repeats 5
 """
@@ -65,26 +66,21 @@ def values_digest(values: np.ndarray) -> str:
         np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=5,
-                    help="timed plans of each scorer and kind (default 5)")
-    args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-
+def measure(repeats: int) -> dict:
+    """The dataset's row and run-pair counts, and per scorer the medians
+    of repeats cold plans, warm scores and their differences, the peak of
+    one more cold plan and the digest of its columns."""
     rows, users, items, run = make_inputs()
-    print(f"interactions {N_USERS}x{N_ITEMS}, {len(rows)} rows, "
-          f"run {len(run.candidates)} pairs, seed {SEED}")
     ids = features.encode_run(run, users, items)
     fit_ids = features.known_ids(*ids)
     matrix = features.PlanContext(rows, users, items,
                                   fit_ids=fit_ids).matrix(COMBINATION)
+    scorers = {}
     for name in SCORERS:
         plan = [features.ScorerSpec(name, {}, COMBINATION)]
         scorer = features.SCORERS[name]
         cold, warm, digests = [], [], set()
-        for _ in range(args.repeats):
+        for _ in range(repeats):
             ctx = features.PlanContext(rows, users, items, fit_ids=fit_ids)
             start = time.perf_counter()
             _, values, _, failures = features.run_plan(plan, ctx, *ids)
@@ -106,11 +102,29 @@ def main(argv=None) -> None:
         digests.add(values_digest(values))
         if len(digests) != 1:
             raise SystemExit(f"{name}: repeated plans disagree: {sorted(digests)}")
-        fit = statistics.median(c - w for c, w in zip(cold, warm))
-        print(f"{name:<8} cold median {statistics.median(cold):.4f} s  "
-              f"warm median {statistics.median(warm):.4f} s  "
-              f"fit median {fit:.4f} s  peak {peak / 2 ** 20:.2f} MiB  "
-              f"sha256 {digests.pop()}")
+        scorers[name] = {
+            "cold_s": statistics.median(cold), "warm_s": statistics.median(warm),
+            "fit_s": statistics.median(c - w for c, w in zip(cold, warm)),
+            "peak_mib": peak / 2 ** 20, "sha256": digests.pop()}
+    return {"rows": len(rows), "pairs": len(run.candidates), "scorers": scorers}
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=5,
+                    help="timed plans of each scorer and kind (default 5)")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+
+    out = measure(args.repeats)
+    print(f"interactions {N_USERS}x{N_ITEMS}, {out['rows']} rows, "
+          f"run {out['pairs']} pairs, seed {SEED}")
+    for name, r in out["scorers"].items():
+        print(f"{name:<8} cold median {r['cold_s']:.4f} s  "
+              f"warm median {r['warm_s']:.4f} s  "
+              f"fit median {r['fit_s']:.4f} s  peak {r['peak_mib']:.2f} MiB  "
+              f"sha256 {r['sha256']}")
 
 
 if __name__ == "__main__":

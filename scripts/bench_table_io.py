@@ -15,7 +15,8 @@ their log1p, mean ratings). Three kernels run on it:
 Prints, for each, the median time over --repeats calls, the tracemalloc
 peak of one more call (untimed) and the sha256 of the TSV bytes (write) or
 of the parsed float64 bits (reads), so two checkouts can be compared for
-speed, memory and identical outputs:
+speed, memory and identical outputs (`measure(repeats)` returns the same
+figures as a dict):
 
     PYTHONPATH=src python scripts/bench_table_io.py --repeats 7
 """
@@ -64,7 +65,7 @@ def make_table() -> FeatureTable:
                         values, labels)
 
 
-def measure(call, digest, repeats: int) -> tuple[float, float, str]:
+def timed(call, digest, repeats: int) -> tuple[float, float, str]:
     """Median time of repeats calls, tracemalloc peak (MiB) of one more,
     and the digest (taken untimed) of what every call gave."""
     times, digests = [], set()
@@ -83,14 +84,9 @@ def measure(call, digest, repeats: int) -> tuple[float, float, str]:
     return statistics.median(times), peak / 2 ** 20, digests.pop()
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=5,
-                    help="timed calls of each kernel (default 5)")
-    args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-
+def measure(repeats: int) -> dict:
+    """The TSV's size, and per kernel its median seconds over repeats
+    calls, its tracemalloc peak (MiB) and its digest."""
     table = make_table()
     with tempfile.TemporaryDirectory() as tmp:
         tsv, catalog = Path(tmp) / "features.tsv", Path(tmp) / "catalog.json"
@@ -102,21 +98,34 @@ def main(argv=None) -> None:
             return hashlib.sha256(
                 np.ascontiguousarray(read.values).tobytes()).hexdigest()
 
-        results = [("write", measure(
+        results = {"write": timed(
             lambda: features.write_table(table, tsv, catalog, {}), file_digest,
-            args.repeats))]
+            repeats)}
         size = tsv.stat().st_size
-        results += [
-            ("read_all", measure(lambda: features.read_table(tsv),
-                                 bits_digest, args.repeats)),
-            ("read_8", measure(lambda: features.read_table(
-                tsv, columns=READ_COLUMNS), bits_digest,
-                args.repeats))]
-    print(f"table {table.n_rows}x{len(table.columns)} seed {SEED}, "
-          f"{size} bytes")
-    for name, (median, peak, digest) in results:
-        print(f"{name:<8} median {median:.4f} s  peak {peak:.2f} MiB  "
-              f"sha256 {digest}")
+        results["read_all"] = timed(lambda: features.read_table(tsv),
+                                    bits_digest, repeats)
+        results["read_8"] = timed(
+            lambda: features.read_table(tsv, columns=READ_COLUMNS),
+            bits_digest, repeats)
+    return {"rows": table.n_rows, "columns": len(table.columns), "bytes": size,
+            "kernels": {name: dict(zip(("median_s", "peak_mib", "sha256"), r))
+                        for name, r in results.items()}}
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=5,
+                    help="timed calls of each kernel (default 5)")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+
+    out = measure(args.repeats)
+    print(f"table {out['rows']}x{out['columns']} seed {SEED}, "
+          f"{out['bytes']} bytes")
+    for name, k in out["kernels"].items():
+        print(f"{name:<8} median {k['median_s']:.4f} s  "
+              f"peak {k['peak_mib']:.2f} MiB  sha256 {k['sha256']}")
 
 
 if __name__ == "__main__":

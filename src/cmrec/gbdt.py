@@ -33,10 +33,10 @@ same bit for bit:
   its rows instead of routing every row through the tree again.
 - A column's edges and bins depend only on its own values on the fit's
   rows, so the binning of a column subset is a slice of the binning of
-  the whole table. bin_folds bins each fold of kfold_bagging once; the
-  selection screens and grid_search, which refit one table many times,
-  hand each fit its slice (grid_search: the whole binning) through the
-  private _binned argument of kfold_bagging and train.
+  the whole table. make_folds draws and bins a table's folds once; the
+  grid search and the final bagging share them, and CV elimination hands
+  each fit the slice of its columns (Folds.select). Every fit takes the
+  bins its caller hands it.
 """
 
 from __future__ import annotations
@@ -119,15 +119,16 @@ class BaggedModel:
     oof: np.ndarray | None = field(default=None, compare=False)
 
 
-def build_bins(table: FeatureTable, max_bins: int) -> list[np.ndarray]:
-    """Per-feature interior boundaries (right-closed bins): bin b holds
-    values in (edge[b-1], edge[b]]; the last bin is unbounded above. At
-    most max_bins bins; few distinct values map one value per bin."""
-    if table.n_rows == 0:
+def build_bins(values: np.ndarray, max_bins: int) -> list[np.ndarray]:
+    """Per-column interior boundaries (right-closed bins) of a value
+    matrix: bin b holds values in (edge[b-1], edge[b]]; the last bin is
+    unbounded above. At most max_bins bins; few distinct values map one
+    value per bin."""
+    if values.shape[0] == 0:
         raise DataError("cannot bin an empty feature table")
     bounds = []
-    for pos in range(len(table.columns)):
-        x = table.values[:, pos]
+    for pos in range(values.shape[1]):
+        x = values[:, pos]
         uniq = np.unique(x)
         if len(uniq) <= max_bins:
             edges = uniq[:-1]
@@ -164,11 +165,11 @@ class Binned(NamedTuple):
                       None if self.hold is None else self.hold[:, positions])
 
 
-def bin_rows(table: FeatureTable, max_bins: int,
+def bin_rows(values: np.ndarray, max_bins: int,
              hold_values: np.ndarray | None = None) -> Binned:
-    """The binning train does for table, and hold_values on its edges."""
-    bins = tuple(build_bins(table, max_bins))
-    return Binned(bins, bin_values(table.values, bins),
+    """values binned on their own edges, and hold_values on the same edges."""
+    bins = tuple(build_bins(values, max_bins))
+    return Binned(bins, bin_values(values, bins),
                   None if hold_values is None else bin_values(hold_values, bins))
 
 
@@ -335,10 +336,9 @@ def _tree_raw(tree: Tree, binned: np.ndarray) -> np.ndarray:
     return tree.value[node]
 
 
-def train(table: FeatureTable, params: GbdtParams, *,
-          _binned: Binned | None = None) -> GbdtModel:
-    """Boost on the table's rows and columns. _binned, when given, is
-    bin_rows(table, params.max_bins) computed once for several fits."""
+def train(table: FeatureTable, params: GbdtParams, binned: Binned) -> GbdtModel:
+    """Boost on the table's rows and columns; binned is
+    bin_rows(table.values, params.max_bins), or a column slice of it."""
     if table.labels is None:
         raise DataError("feature table has no label column")
     if not table.columns:
@@ -346,11 +346,9 @@ def train(table: FeatureTable, params: GbdtParams, *,
     y = table.labels.astype(np.float64)
     if y.min() == y.max():
         raise StageError("labels are single-class; nothing to learn")
-    if _binned is None:
-        _binned = bin_rows(table, params.max_bins)
-    elif _binned.train.shape != table.values.shape:
-        raise ValueError("pre-binned rows do not match the table")
-    bins, binned = _binned.bins, _binned.train
+    if binned.train.shape != table.values.shape:
+        raise ValueError("binned rows do not match the table")
+    bins = binned.bins
     n_features = len(table.columns)
 
     prior = float(y.mean())
@@ -375,7 +373,7 @@ def train(table: FeatureTable, params: GbdtParams, *,
         if not len(feats):
             break
         nbins = [len(bins[f]) + 1 for f in feats]
-        grown = _grow_tree(binned[:, feats], feats, g, h, nbins, params)
+        grown = _grow_tree(binned.train[:, feats], feats, g, h, nbins, params)
         if grown is None:
             break
         tree, row_value = grown
@@ -409,59 +407,58 @@ def assign_folds(users: Sequence[str], folds: int, seed: int) -> dict[str, int]:
     return {u: stable_bucket(u, seed, folds) for u in users}
 
 
-def _fold_rows(table: FeatureTable, params: GbdtParams, folds: int
-               ) -> tuple[dict[str, int], list[tuple[np.ndarray, np.ndarray]]]:
-    """Each distinct user's fold, and each fold's training and held-out
-    rows. Every fold is checked before any model trains: a fold whose
-    training labels are single-class is a StageError."""
-    if folds < 2:
+class Folds(NamedTuple):
+    """Each distinct user's fold, and each fold's (training rows,
+    held-out rows) and their bin_rows on the training rows' edges."""
+
+    fold_of: dict[str, int]
+    rows: tuple[tuple[np.ndarray, np.ndarray], ...]
+    binned: tuple[Binned, ...]
+
+    def select(self, positions: Sequence[int]) -> "Folds":
+        """The same folds of the columns at these positions, in this order."""
+        return self._replace(binned=tuple(b.select(positions)
+                                          for b in self.binned))
+
+
+def make_folds(table: FeatureTable, params: GbdtParams, k: int) -> Folds:
+    """k user folds from a seeded hash of params.seed, binned on
+    params.max_bins. Every fold is checked before any model trains: a fold
+    whose training labels are single-class is a StageError."""
+    if k < 2:
         raise ValueError("folds must be at least 2")
     if table.labels is None:
         raise DataError("feature table has no label column")
     users, row_user = np.unique(table.users, return_inverse=True)
-    if len(users) < folds:
-        raise StageError(f"need at least {folds} distinct users for {folds}-fold bagging")
-    fold_of = assign_folds(users.tolist(), folds, params.seed)
+    if len(users) < k:
+        raise StageError(f"need at least {k} distinct users for {k}-fold bagging")
+    fold_of = assign_folds(users.tolist(), k, params.seed)
     row_fold = np.fromiter(fold_of.values(), np.int64, len(users))[row_user]
-    splits = []
-    for f in range(folds):
+    rows = []
+    for f in range(k):
         train_rows = np.flatnonzero(row_fold != f)
         if len(np.unique(table.labels[train_rows])) < 2:
             raise StageError(
                 f"fold {f} leaves single-class training labels; use fewer folds")
-        splits.append((train_rows, np.flatnonzero(row_fold == f)))
-    return fold_of, splits
-
-
-def bin_folds(table: FeatureTable, params: GbdtParams, folds: int) -> list[Binned]:
-    """Per fold, the binning kfold_bagging(table, params, folds) does: the
-    training rows on their own edges and the held-out rows on the same
-    edges. Any column subset of the table, fit with the same folds, seed
-    and max_bins, can take [b.select(positions) for b in these]."""
-    return [bin_rows(table.take(train_rows), params.max_bins,
-                     table.values[hold_rows])
-            for train_rows, hold_rows in _fold_rows(table, params, folds)[1]]
+        rows.append((train_rows, np.flatnonzero(row_fold == f)))
+    return Folds(fold_of, tuple(rows), tuple(
+        bin_rows(table.values[train_rows], params.max_bins,
+                 table.values[hold_rows]) for train_rows, hold_rows in rows))
 
 
 def kfold_bagging(table: FeatureTable, params: GbdtParams,
-                  folds: int = 10, *,
-                  _binned: Sequence[Binned] | None = None) -> BaggedModel:
-    """One model per fold, trained on the other folds' rows (folds are by
-    user, from a seeded hash); keeps out-of-fold probabilities for CV.
-    _binned, when given, is bin_folds(table, params, folds) computed once
-    for several fits."""
-    fold_of, splits = _fold_rows(table, params, folds)
+                  folds: Folds) -> BaggedModel:
+    """One model per fold on its bins, trained on the other folds' rows;
+    keeps out-of-fold probabilities for CV. folds is make_folds (with
+    params' seed and max_bins) of the table or, sliced, of a wider one."""
     oof = np.full(table.n_rows, math.nan)
     models = []
-    for f, (train_rows, hold_rows) in enumerate(splits):
-        sub = table.take(train_rows)
-        binned = (bin_rows(sub, params.max_bins, table.values[hold_rows])
-                  if _binned is None else _binned[f])
-        model = train(sub, params, _binned=binned)
+    for (train_rows, hold_rows), binned in zip(folds.rows, folds.binned):
+        model = train(table.take(train_rows), params, binned)
         models.append(model)
         if len(hold_rows):
             oof[hold_rows] = sigmoid(_raw_score(model, binned.hold))
-    return BaggedModel(params, folds, tuple(models), fold_of, oof)
+    return BaggedModel(params, len(folds.rows), tuple(models), folds.fold_of, oof)
 
 
 def bagged_predict(bagged: BaggedModel, table: FeatureTable) -> np.ndarray:
@@ -483,24 +480,23 @@ def oof_ndcg(table: FeatureTable, oof_scores: np.ndarray, k: int = 10) -> float:
 
 
 def grid_search(table: FeatureTable, grid: Mapping[str, Sequence],
-                folds: int, base: GbdtParams = GbdtParams()
+                folds: Folds, base: GbdtParams
                 ) -> tuple[GbdtParams, list[dict]]:
-    """Exhaustive (num_leaves, learning_rate) sweep scored by out-of-fold
-    NDCG@10; ties go to the smaller num_leaves, then smaller rate. The
-    sweep changes neither the folds nor max_bins, so each fold is binned
-    once for every fit."""
+    """Exhaustive (num_leaves, learning_rate) sweep over base scored by
+    out-of-fold NDCG@10; ties go to the smaller num_leaves, then smaller
+    rate. The sweep changes neither the seed nor max_bins, so every
+    candidate bags on folds, make_folds of the table with base."""
     leaves_list = sorted(grid.get("num_leaves", [base.num_leaves]))
     lr_list = sorted(grid.get("learning_rate", [base.learning_rate]))
     if not leaves_list or not lr_list:
         raise DataError("parameter grid must be nonempty")
-    binned = bin_folds(table, base, folds)
     rows: list[dict] = []
     best: tuple[float, GbdtParams] | None = None
     for nl in leaves_list:
         for lr in lr_list:
             params = dataclasses.replace(base, num_leaves=int(nl),
                                          learning_rate=float(lr))
-            bagged = kfold_bagging(table, params, folds, _binned=binned)
+            bagged = kfold_bagging(table, params, folds)
             score = oof_ndcg(table, bagged.oof)
             rows.append({"num_leaves": int(nl), "learning_rate": float(lr),
                          "oof_ndcg10": score})
@@ -513,13 +509,14 @@ def grid_search(table: FeatureTable, grid: Mapping[str, Sequence],
 def importance(model: GbdtModel, kind: str = "gain") -> dict[str, float]:
     if kind not in ("gain", "split"):
         raise ValueError(f"unknown importance kind {kind!r}")
-    out = {name: 0.0 for name in model.columns}
-    for tree in model.trees:
-        internal = np.flatnonzero(tree.feature >= 0)
-        for node in internal:
-            name = model.columns[tree.feature[node]]
-            out[name] += tree.gain[node] if kind == "gain" else 1.0
-    return out
+    # bincount adds each column's nodes in tree order, starting from 0.0
+    feature = np.concatenate([np.empty(0, np.int32),
+                              *(t.feature for t in model.trees)])
+    internal = feature >= 0
+    gain = np.concatenate([np.empty(0), *(t.gain for t in model.trees)])
+    sums = np.bincount(feature[internal], gain[internal] if kind == "gain"
+                       else None, minlength=len(model.columns))
+    return dict(zip(model.columns, sums.astype(np.float64).tolist()))
 
 
 # --- serialization -----------------------------------------------------------

@@ -468,7 +468,8 @@ def run_select(config: PipelineConfig, target: str) -> list[str]:
 
 def run_train(config: PipelineConfig, target: str) -> dict:
     """Grid search (optional), bagged training on valid labels, and test
-    prediction; the out-of-fold NDCG@10 is the reported offline score."""
+    prediction; the out-of-fold NDCG@10 is the reported offline score.
+    The search and the final bagging fit one draw of the folds."""
     _check_target(config, target)
     ws = workspace_for(config)
     tdir = ws.target_dir(target)
@@ -476,14 +477,15 @@ def run_train(config: PipelineConfig, target: str) -> dict:
     valid = _read_kept_columns(ws, target, "valid", kept)
     params = dataclasses.replace(config.ranker.params,
                                  seed=stage_seed(config.seed, "train", target))
+    folds = gbdt.make_folds(valid, params, config.ranker.folds)
     if config.ranker.grid is not None:
-        params, results = gbdt.grid_search(valid, config.ranker.grid,
-                                           config.ranker.folds, base=params)
+        params, results = gbdt.grid_search(valid, config.ranker.grid, folds,
+                                           params)
         write_json(tdir / "grid.json",
                    {"results": results, "chosen": dataclasses.asdict(params)})
     else:  # a search of an earlier train did not choose this model
         (tdir / "grid.json").unlink(missing_ok=True)
-    bagged = gbdt.kfold_bagging(valid, params, config.ranker.folds)
+    bagged = gbdt.kfold_bagging(valid, params, folds)
     offline = gbdt.oof_ndcg(valid, bagged.oof)
     gbdt.save_model(bagged, tdir / "model.json")
 

@@ -3,13 +3,12 @@ k-fold CV group elimination, and null-importance filtering, applied in
 that fixed order. Every stage is deterministic at a fixed seed and leaves
 an auditable per-feature report.
 
-The two GBDT screens refit one table again and again: CV elimination
-refits column subsets of it with the same folds, null importance refits
-it with permuted labels. Each bins its table once (gbdt.bin_folds per
-fold, gbdt.bin_rows for null importance) and hands every fit the slice
-of its columns; the bins are freed when the screen returns. A column's
-bins depend only on its own values on the fit's rows, so every fit sees
-the bins it would have computed itself."""
+The two GBDT screens refit one table again and again. CV elimination
+draws and bins its folds once (gbdt.make_folds) and hands each CV score
+the slice of its columns; null importance bins its table once
+(gbdt.bin_rows) for every label permutation. A column's bins depend only
+on its own values on the fit's rows, so every fit sees the bins it would
+have computed itself. Bounds, folds and seeds come from the config."""
 
 from __future__ import annotations
 
@@ -55,7 +54,7 @@ def rank_auc(negatives: np.ndarray, positives: np.ndarray) -> float:
 
 
 def covariate_shift_test(train: FeatureTable, test: FeatureTable,
-                         threshold: float = 0.10) -> list[dict]:
+                         threshold: float) -> list[dict]:
     """Per feature, how well the raw value separates test rows from train
     rows (test as the positive class). Drop iff |AUC - 0.5| > threshold."""
     if set(train.columns) != set(test.columns):
@@ -82,26 +81,23 @@ def default_groups(columns: Sequence[str]) -> list[tuple[str, tuple[str, ...]]]:
 
 
 def _cv_score(table: FeatureTable, columns: Sequence[str],
-              trainer: gbdt.GbdtParams, folds: int,
-              binned: Sequence[gbdt.Binned]) -> float:
-    """OOF NDCG of the columns; binned is gbdt.bin_folds of the table."""
+              trainer: gbdt.GbdtParams, folds: gbdt.Folds) -> float:
+    """OOF NDCG of the columns; folds is gbdt.make_folds of the table."""
     pos = [table.columns.index(name) for name in columns]
-    bagged = gbdt.kfold_bagging(table.select(columns), trainer, folds,
-                                _binned=[fold.select(pos) for fold in binned])
+    bagged = gbdt.kfold_bagging(table.select(columns), trainer,
+                                folds.select(pos))
     return gbdt.oof_ndcg(table, bagged.oof)
 
 
 def heuristic_cv_elimination(table: FeatureTable, trainer: gbdt.GbdtParams,
-                             folds: int, epsilon: float = 0.0) -> list[dict]:
+                             folds: int, epsilon: float) -> list[dict]:
     """Backward elimination over the table's default_groups in order:
     refit the k-fold CV without each group and drop it permanently iff the
     score degrades by at most epsilon. At least one group always
-    survives."""
-    if table.labels is None:
-        raise DataError("CV elimination needs a labeled table")
-    binned = gbdt.bin_folds(table, trainer, folds)
+    survives. Every CV score fits the same folds."""
+    split = gbdt.make_folds(table, trainer, folds)
     current = list(table.columns)
-    baseline = _cv_score(table, current, trainer, folds, binned)
+    baseline = _cv_score(table, current, trainer, split)
     records: list[dict] = []
     for _, members in default_groups(table.columns):
         live = [m for m in members if m in current]
@@ -113,7 +109,7 @@ def heuristic_cv_elimination(table: FeatureTable, trainer: gbdt.GbdtParams,
                 records.append({"name": name, "cv_delta": None,
                                 "decision": "keep", "reason": "last_group_guard"})
             continue
-        score = _cv_score(table, candidate, trainer, folds, binned)
+        score = _cv_score(table, candidate, trainer, split)
         delta = baseline - score
         if delta <= epsilon:
             current = candidate
@@ -128,7 +124,7 @@ def heuristic_cv_elimination(table: FeatureTable, trainer: gbdt.GbdtParams,
 
 
 def null_importance_select(table: FeatureTable, trainer: gbdt.GbdtParams,
-                           n_shuffles: int = 50, seed: int = 0) -> list[dict]:
+                           n_shuffles: int, seed: int) -> list[dict]:
     """Keep a feature iff its gain importance on the true labels exceeds
     the 75th percentile of its gains over label permutations and it was
     actually used for at least one split."""
@@ -136,8 +132,8 @@ def null_importance_select(table: FeatureTable, trainer: gbdt.GbdtParams,
         raise ValueError("n_shuffles must be at least 1")
     if table.labels is None:
         raise DataError("null importance needs a labeled table")
-    binned = gbdt.bin_rows(table, trainer.max_bins)
-    model = gbdt.train(table, trainer, _binned=binned)
+    binned = gbdt.bin_rows(table.values, trainer.max_bins)
+    model = gbdt.train(table, trainer, binned)
     actual = gbdt.importance(model, "gain")
     splits = gbdt.importance(model, "split")
     nulls = {name: np.empty(n_shuffles) for name in table.columns}
@@ -145,7 +141,7 @@ def null_importance_select(table: FeatureTable, trainer: gbdt.GbdtParams,
         rng = np.random.default_rng(stage_seed(seed, "null_importance", str(s)))
         shuffled = table.with_labels(rng.permutation(table.labels))
         null_gain = gbdt.importance(
-            gbdt.train(shuffled, trainer, _binned=binned), "gain")
+            gbdt.train(shuffled, trainer, binned), "gain")
         for name in table.columns:
             nulls[name][s] = null_gain[name]
     records = []
@@ -161,9 +157,8 @@ def null_importance_select(table: FeatureTable, trainer: gbdt.GbdtParams,
 
 def run_selection(valid_table: FeatureTable, test_table: FeatureTable,
                   trainer: gbdt.GbdtParams, folds: int,
-                  shift_threshold: float = 0.10, cv_epsilon: float = 0.0,
-                  n_shuffles: int = 50, seed: int = 0
-                  ) -> tuple[list[str], list[dict]]:
+                  shift_threshold: float, cv_epsilon: float,
+                  n_shuffles: int, seed: int) -> tuple[list[str], list[dict]]:
     """Covariate shift, then CV elimination, then null importance; each
     stage sees only the previous stage's survivors. Returns the kept
     column list and one merged report record per input feature."""

@@ -285,7 +285,8 @@ def test_criterion_5_gbdt_training(capsys, main_run):
             y[0] = 1 - y[0]
         params = stump_params(min_data_in_leaf=int(rng.choice([1, 5])),
                               l2_leaf_reg=float(rng.choice([0.0, 1.0])))
-        model = gbdt.train(make_table(values, y), params)
+        model = gbdt.train(make_table(values, y), params,
+                           gbdt.bin_rows(values, params.max_bins))
         want = stump_oracle(values, y, params)
         if want is None:
             stump_misses += model.trees != ()
@@ -302,8 +303,10 @@ def test_criterion_5_gbdt_training(capsys, main_run):
     values = rng.normal(size=(2000, 3))
     y = (values[:, 1] > 0.1).astype(int)
     table = make_table(values, y)
-    sep_model = gbdt.train(table, gbdt.GbdtParams(
-        num_leaves=31, n_rounds=50, learning_rate=0.1, min_data_in_leaf=20))
+    sep_params = gbdt.GbdtParams(
+        num_leaves=31, n_rounds=50, learning_rate=0.1, min_data_in_leaf=20)
+    sep_model = gbdt.train(table, sep_params,
+                           gbdt.bin_rows(values, sep_params.max_bins))
     preds = gbdt.predict(sep_model, table)
     auc = selection.rank_auc(preds[y == 0], preds[y == 1])
 

@@ -24,6 +24,16 @@ def make_table(values, labels=None, users=None, items=None, names=None):
     return FeatureTable(users, items, names, values, labels)
 
 
+def fit(table, params):
+    """gbdt.train on the table's own binning."""
+    return gbdt.train(table, params, gbdt.bin_rows(table.values, params.max_bins))
+
+
+def bag(table, params, k):
+    """gbdt.kfold_bagging on k folds drawn from the table."""
+    return gbdt.kfold_bagging(table, params, gbdt.make_folds(table, params, k))
+
+
 def _tree_from_dict(d) -> gbdt.Tree:
     return gbdt.Tree(np.array(d["feature"], dtype=np.int32),
                      np.array(d["threshold_bin"], dtype=np.int32),
@@ -137,7 +147,7 @@ class TestStumpOracle:
             min_data_in_leaf=int(rng.choice([1, 5])),
             l2_leaf_reg=float(rng.choice([0.0, 1.0])))
         table = make_table(values, y)
-        model = gbdt.train(table, params)
+        model = fit(table, params)
         want = stump_oracle(values, y, params)
         if want is None:
             assert model.trees == ()
@@ -156,7 +166,7 @@ class TestStumpOracle:
         # identical columns at indices 1 and 3: gains are bit-identical,
         # so the split must land on index 1
         values = np.column_stack([np.zeros(40), col, rng.normal(size=40), col])
-        model = gbdt.train(make_table(values, y), stump_params())
+        model = fit(make_table(values, y), stump_params())
         assert model.trees[0].feature[0] == 1
 
     def test_within_feature_ties_pick_lowest_bin(self):
@@ -164,7 +174,7 @@ class TestStumpOracle:
         # y = 1,0,0,1 over x = 0,1,2,3 gives equal gain at bins 0 and 2
         values = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([1, 0, 0, 1])
-        model = gbdt.train(make_table(values, y), stump_params())
+        model = fit(make_table(values, y), stump_params())
         want = stump_oracle(values, y, stump_params())
         assert model.trees[0].threshold_bin[0] == want["bin"]
         assert model.trees[0].gain[0] == want["gain"]
@@ -298,7 +308,7 @@ class TestBestSplitGrid:
         params = gbdt.GbdtParams(num_leaves=9, n_rounds=8, learning_rate=0.2,
                                  min_data_in_leaf=10, l2_leaf_reg=1.0,
                                  max_bins=63, feature_fraction=0.8, seed=2)
-        want = gbdt.model_to_dict(gbdt.train(table, params))
+        want = gbdt.model_to_dict(fit(table, params))
         assert len(want["trees"]) == params.n_rounds
         assert max(len(t["feature"]) for t in want["trees"]) > 5
 
@@ -307,7 +317,7 @@ class TestBestSplitGrid:
             return best_split_oracle(hg, hh, hn, nbins, G, H, n, params)
 
         monkeypatch.setattr(gbdt, "_best_split", per_feature)
-        assert gbdt.model_to_dict(gbdt.train(table, params)) == want
+        assert gbdt.model_to_dict(fit(table, params)) == want
 
 
 def best_split_dense(hg, hh, hn, split_ok, G, H, n, params):
@@ -390,7 +400,7 @@ def train_oracle(table, params, searched):
     """The boosting loop that bins on every fit and predicts the training
     rows by routing them through each new tree."""
     y = table.labels.astype(np.float64)
-    bins = gbdt.build_bins(table, params.max_bins)
+    bins = gbdt.build_bins(table.values, params.max_bins)
     binned = gbdt.bin_values(table.values, bins)
     n_features = len(table.columns)
     base = math.log(y.mean() / (1.0 - y.mean()))
@@ -451,7 +461,7 @@ class TestTrainOracle:
         search = gbdt._best_split
         monkeypatch.setattr(gbdt, "_best_split",
                             lambda *a: calls.append(a[6]) or search(*a))
-        assert gbdt.model_to_dict(gbdt.train(table, params)) == want
+        assert gbdt.model_to_dict(fit(table, params)) == want
         # trees fill up, so the last split's children go unsearched
         leaves = [t["feature"].count(-1) for t in want["trees"]]
         assert params.num_leaves in leaves
@@ -468,34 +478,33 @@ class TestTrainOracle:
         params = gbdt.GbdtParams(num_leaves=6, n_rounds=4, learning_rate=0.2,
                                  min_data_in_leaf=10, l2_leaf_reg=1.0,
                                  max_bins=31, feature_fraction=0.8, seed=4)
-        binned = gbdt.bin_folds(table, params, 3)
+        folds = gbdt.make_folds(table, params, 3)
         for pos in ([0, 1, 2, 3, 4, 5, 6], [6, 2, 4], [5]):
             sub = table.select([table.columns[p] for p in pos])
-            want = gbdt.kfold_bagging(sub, params, 3)
-            got = gbdt.kfold_bagging(
-                sub, params, 3, _binned=[fold.select(pos) for fold in binned])
+            want = bag(sub, params, 3)
+            got = gbdt.kfold_bagging(sub, params, folds.select(pos))
             assert got.oof.tobytes() == want.oof.tobytes()
             assert ([gbdt.model_to_dict(m) for m in got.fold_models]
                     == [gbdt.model_to_dict(m) for m in want.fold_models])
 
     def test_prebinned_rows_must_match_the_table(self, rng):
         table = oracle_table(rng, 100)
-        binned = gbdt.bin_rows(table, 255).select([0, 1])
-        with pytest.raises(ValueError, match="pre-binned"):
-            gbdt.train(table, stump_params(), _binned=binned)
+        binned = gbdt.bin_rows(table.values, 255).select([0, 1])
+        with pytest.raises(ValueError, match="do not match"):
+            gbdt.train(table, stump_params(), binned)
 
 
 class TestBins:
     def test_two_distinct_values_two_bins(self):
         table = make_table(np.array([[1.0], [5.0], [1.0]]))
-        bins = gbdt.build_bins(table, max_bins=10)
+        bins = gbdt.build_bins(table.values, max_bins=10)
         assert list(bins[0]) == [1.0]
         binned = gbdt.bin_values(table.values, bins)
         assert list(binned[:, 0]) == [0, 1, 0]
 
     def test_uniform_1_to_1000_max_bins_10(self):
         table = make_table(np.arange(1, 1001, dtype=float)[:, None])
-        bins = gbdt.build_bins(table, max_bins=10)
+        bins = gbdt.build_bins(table.values, max_bins=10)
         binned = gbdt.bin_values(table.values, bins)
         counts = np.bincount(binned[:, 0], minlength=10)
         assert len(counts) == 10
@@ -503,20 +512,20 @@ class TestBins:
 
     def test_constant_column_one_bin(self):
         table = make_table(np.full((20, 1), 3.5))
-        bins = gbdt.build_bins(table, max_bins=10)
+        bins = gbdt.build_bins(table.values, max_bins=10)
         assert len(bins[0]) == 0
         assert np.all(gbdt.bin_values(table.values, bins) == 0)
 
     def test_unseen_values_clip_to_boundary_bins(self):
         table = make_table(np.array([[1.0], [2.0], [3.0]]))
-        bins = gbdt.build_bins(table, max_bins=10)
+        bins = gbdt.build_bins(table.values, max_bins=10)
         binned = gbdt.bin_values(np.array([[-5.0], [99.0]]), bins)
         assert list(binned[:, 0]) == [0, 2]
 
     def test_empty_table_rejected(self):
         table = make_table(np.zeros((0, 2)))
         with pytest.raises(DataError):
-            gbdt.build_bins(table, max_bins=4)
+            gbdt.build_bins(table.values, max_bins=4)
 
 
 class TestTraining:
@@ -527,7 +536,7 @@ class TestTraining:
         y = (values[:, 0] + 0.5 * rng.normal(size=150) > 0).astype(int)
         params = gbdt.GbdtParams(num_leaves=7, n_rounds=25, learning_rate=0.2,
                                  min_data_in_leaf=5)
-        model = gbdt.train(make_table(values, y), params)
+        model = fit(make_table(values, y), params)
         losses = model.train_logloss
         assert len(losses) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -540,7 +549,7 @@ class TestTraining:
         params = gbdt.GbdtParams(num_leaves=31, n_rounds=50, learning_rate=0.1,
                                  min_data_in_leaf=20)
         table = make_table(values, y)
-        model = gbdt.train(table, params)
+        model = fit(table, params)
         p = gbdt.predict(model, table)
         pos, neg = p[y == 1], p[y == 0]
         # rank AUC by pair counting
@@ -550,21 +559,21 @@ class TestTraining:
 
     def test_single_class_labels_hard_error(self):
         with pytest.raises(StageError, match="single-class"):
-            gbdt.train(make_table(np.ones((10, 1)), np.ones(10)), stump_params())
+            fit(make_table(np.ones((10, 1)), np.ones(10)), stump_params())
 
     def test_zero_column_table_rejected(self):
         table = make_table(np.zeros((6, 0)), [0, 1] * 3)
         with pytest.raises(DataError, match="no columns"):
-            gbdt.train(table, stump_params())
+            fit(table, stump_params())
 
     def test_missing_labels_rejected(self):
         with pytest.raises(DataError, match="label"):
-            gbdt.train(make_table(np.ones((5, 1))), stump_params())
+            fit(make_table(np.ones((5, 1))), stump_params())
 
     def test_no_positive_gain_yields_base_model(self):
         values = np.full((30, 2), 1.0)  # constant features: nothing to split
         y = np.array([0, 1] * 15)
-        model = gbdt.train(make_table(values, y), stump_params(n_rounds=10))
+        model = fit(make_table(values, y), stump_params(n_rounds=10))
         assert model.trees == ()
         assert len(model.train_logloss) == 1
         p = gbdt.predict(model, make_table(values))
@@ -591,7 +600,7 @@ class TestTraining:
         params = gbdt.GbdtParams(num_leaves=4, n_rounds=5, learning_rate=0.3,
                                  min_data_in_leaf=2, feature_fraction=0.5,
                                  seed=seed)
-        model = gbdt.train(make_table(values, y), params)
+        model = fit(make_table(values, y), params)
         assert len(model.trees) == n_trees
         assert len(model.train_logloss) == n_trees + 1
         assert len(grown) == n_trees and all(min(nb) > 1 for nb in grown)
@@ -603,8 +612,8 @@ class TestTraining:
                                   np.full(120, 7.0), values[:, 2:]])
         params = gbdt.GbdtParams(num_leaves=5, n_rounds=6, learning_rate=0.3,
                                  min_data_in_leaf=4)
-        plain = gbdt.train(make_table(values, y), params)
-        wide = gbdt.train(make_table(padded, y), params)
+        plain = fit(make_table(values, y), params)
+        wide = fit(make_table(padded, y), params)
         assert len(wide.trees) == len(plain.trees) == params.n_rounds
         assert wide.train_logloss == plain.train_logloss
         got = gbdt.predict(wide, make_table(padded))
@@ -614,7 +623,7 @@ class TestTraining:
     def test_predict_missing_column_names_it(self):
         values = np.random.default_rng(0).normal(size=(40, 2))
         y = (values[:, 0] > 0).astype(int)
-        model = gbdt.train(make_table(values, y, names=["alpha", "beta"]),
+        model = fit(make_table(values, y, names=["alpha", "beta"]),
                            stump_params())
         other = make_table(values[:, :1], names=["alpha"])
         with pytest.raises(DataError, match="beta"):
@@ -627,7 +636,7 @@ class TestTraining:
         params = gbdt.GbdtParams(num_leaves=4, n_rounds=10, learning_rate=0.3,
                                  min_data_in_leaf=2, feature_fraction=0.5,
                                  seed=4)
-        model = gbdt.train(make_table(values, y), params)
+        model = fit(make_table(values, y), params)
         used = {int(f) for t in model.trees for f in t.feature if f >= 0}
         assert used  # trained something
         per_tree = [sorted({int(f) for f in t.feature if f >= 0})
@@ -653,7 +662,7 @@ class TestBagging:
     def test_folds_partition_users_and_oof_complete(self, rng):
         table = ranking_table(rng)
         params = stump_params(n_rounds=5)
-        bagged = gbdt.kfold_bagging(table, params, folds=5)
+        bagged = bag(table, params, 5)
         assert set(bagged.fold_of) == set(table.users)
         assert all(0 <= f < 5 for f in bagged.fold_of.values())
         assert np.all(np.isfinite(bagged.oof))
@@ -661,7 +670,7 @@ class TestBagging:
     def test_oof_comes_from_held_out_model(self, rng):
         table = ranking_table(rng)
         params = stump_params(n_rounds=3)
-        bagged = gbdt.kfold_bagging(table, params, folds=4)
+        bagged = bag(table, params, 4)
         row_fold = np.array([bagged.fold_of[u] for u in table.users])
         for f in range(4):
             rows = np.flatnonzero(row_fold == f)
@@ -670,7 +679,7 @@ class TestBagging:
 
     def test_bagged_predict_is_fold_mean(self, rng):
         table = ranking_table(rng)
-        bagged = gbdt.kfold_bagging(table, stump_params(n_rounds=2), folds=3)
+        bagged = bag(table, stump_params(n_rounds=2), 3)
         per_fold = np.stack([gbdt.predict(m, table)
                              for m in bagged.fold_models])
         assert np.allclose(gbdt.bagged_predict(bagged, table),
@@ -686,12 +695,12 @@ class TestBagging:
         table = make_table(values, labels, users=users,
                            items=[f"i{k}" for k in range(12)])
         with pytest.raises(StageError, match="fewer folds"):
-            gbdt.kfold_bagging(table, stump_params(), folds=3)
+            gbdt.make_folds(table, stump_params(), 3)
 
     def test_too_few_users_rejected(self, rng):
         table = ranking_table(rng, n_users=3)
         with pytest.raises(StageError, match="distinct users"):
-            gbdt.kfold_bagging(table, stump_params(), folds=10)
+            gbdt.make_folds(table, stump_params(), 10)
 
     def test_oof_ndcg_qrels_and_value_equal_the_row_loop(self, rng,
                                                          monkeypatch):
@@ -736,8 +745,9 @@ class TestGridSearch:
         table = make_table(np.ones_like(table.values), table.labels,
                            users=table.users, items=table.items)
         grid = {"num_leaves": (31, 15), "learning_rate": (0.1, 0.03)}
-        best, rows = gbdt.grid_search(table, grid, folds=3,
-                                      base=stump_params())
+        base = stump_params()
+        best, rows = gbdt.grid_search(table, grid,
+                                      gbdt.make_folds(table, base, 3), base)
         # constant features -> every candidate scores identically -> the
         # first (smallest leaves, smallest rate) wins
         assert best.num_leaves == 15
@@ -748,28 +758,33 @@ class TestGridSearch:
     def test_informative_beats_noise_config(self, rng):
         table = ranking_table(rng)
         grid = {"num_leaves": (4,), "learning_rate": (0.1,)}
-        best, rows = gbdt.grid_search(table, grid, folds=3,
-                                      base=stump_params(n_rounds=10))
+        base = stump_params(n_rounds=10)
+        best, rows = gbdt.grid_search(table, grid,
+                                      gbdt.make_folds(table, base, 3), base)
         assert rows[0]["oof_ndcg10"] > 0.5
 
     def test_empty_grid_axis_rejected(self, rng):
         table = ranking_table(rng)
         with pytest.raises(DataError):
-            gbdt.grid_search(table, {"num_leaves": ()}, folds=3)
+            gbdt.grid_search(table, {"num_leaves": ()},
+                             gbdt.make_folds(table, stump_params(), 3),
+                             stump_params())
 
     GRID = {"num_leaves": (4, 2), "learning_rate": (0.3, 0.1)}
 
     def test_binning_once_per_fold_changes_nothing(self, rng, monkeypatch):
         table = ranking_table(rng)
         base = stump_params(n_rounds=6)
-        best, rows = gbdt.grid_search(table, self.GRID, folds=3, base=base)
-        # every fit bins its own rows, as without the shared binning
+        folds = gbdt.make_folds(table, base, 3)
+        best, rows = gbdt.grid_search(table, self.GRID, folds, base)
+        # every fit draws and bins its own folds, as without the sharing
         bagging = gbdt.kfold_bagging
         monkeypatch.setattr(gbdt, "kfold_bagging",
-                            lambda table, params, folds, **_:
-                            bagging(table, params, folds))
-        best_alone, rows_alone = gbdt.grid_search(table, self.GRID, folds=3,
-                                                  base=base)
+                            lambda table, params, folds: bagging(
+                                table, params,
+                                gbdt.make_folds(table, params, len(folds.rows))))
+        best_alone, rows_alone = gbdt.grid_search(table, self.GRID, folds,
+                                                  base)
         assert best == best_alone
         assert rows == rows_alone and len(rows) == 4
 
@@ -778,10 +793,10 @@ class TestGridSearch:
         calls = []
         build = gbdt.build_bins
         monkeypatch.setattr(gbdt, "build_bins",
-                            lambda table, max_bins: calls.append(table.n_rows)
-                            or build(table, max_bins))
-        gbdt.grid_search(table, self.GRID, folds=3,
-                         base=stump_params(n_rounds=6))
+                            lambda values, max_bins: calls.append(len(values))
+                            or build(values, max_bins))
+        base = stump_params(n_rounds=6)
+        gbdt.grid_search(table, self.GRID, gbdt.make_folds(table, base, 3), base)
         assert len(calls) == 3
 
 
@@ -790,7 +805,7 @@ class TestSerialization:
         table = ranking_table(rng)
         params = gbdt.GbdtParams(num_leaves=5, n_rounds=8, learning_rate=0.2,
                                  min_data_in_leaf=3)
-        bagged = gbdt.kfold_bagging(table, params, folds=3)
+        bagged = bag(table, params, 3)
         gbdt.save_model(bagged, tmp_path / "b.json")
         back = load_model(tmp_path / "b.json")
         assert isinstance(back, gbdt.BaggedModel)
@@ -804,7 +819,7 @@ class TestSerialization:
 
     def test_save_is_byte_deterministic(self, tmp_path, rng):
         table = ranking_table(rng)
-        model = gbdt.kfold_bagging(table, stump_params(n_rounds=4), folds=3)
+        model = bag(table, stump_params(n_rounds=4), 3)
         gbdt.save_model(model, tmp_path / "a.json")
         gbdt.save_model(model, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == \
@@ -819,11 +834,72 @@ class TestSerialization:
             load_model(tmp_path / "m.json")
 
 
+class TestFolds:
+    def test_one_draw_partitions_the_users_and_bins_each_fold(self, rng):
+        table = ranking_table(rng)
+        params = stump_params(max_bins=7, seed=3)
+        folds = gbdt.make_folds(table, params, 4)
+        assert folds.fold_of == gbdt.assign_folds(sorted(set(table.users)), 4, 3)
+        row_fold = np.array([folds.fold_of[u] for u in table.users])
+        assert len(folds.rows) == len(folds.binned) == 4
+        for f, ((train_rows, hold_rows), binned) in enumerate(
+                zip(folds.rows, folds.binned)):
+            assert np.array_equal(hold_rows, np.flatnonzero(row_fold == f))
+            assert np.array_equal(train_rows, np.flatnonzero(row_fold != f))
+            want = gbdt.bin_rows(table.take(train_rows).values, 7,
+                                 table.values[hold_rows])
+            assert np.array_equal(binned.train, want.train)
+            assert np.array_equal(binned.hold, want.hold)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(binned.bins, want.bins, strict=True))
+
+    def test_select_slices_the_bins_and_keeps_the_draw(self, rng):
+        table = ranking_table(rng)
+        folds = gbdt.make_folds(table, stump_params(), 3)
+        sub = folds.select([1])
+        assert sub.fold_of is folds.fold_of and sub.rows is folds.rows
+        for whole, part in zip(folds.binned, sub.binned, strict=True):
+            assert np.array_equal(part.train, whole.train[:, [1]])
+            assert np.array_equal(part.hold, whole.hold[:, [1]])
+            assert part.bins == (whole.bins[1],)
+
+    def test_checks_come_before_any_binning(self, rng, monkeypatch):
+        monkeypatch.setattr(gbdt, "build_bins", None)
+        table = ranking_table(rng)
+        with pytest.raises(ValueError, match="at least 2"):
+            gbdt.make_folds(table, stump_params(), 1)
+        with pytest.raises(DataError, match="label"):
+            gbdt.make_folds(make_table(table.values, users=table.users),
+                            stump_params(), 3)
+        with pytest.raises(StageError, match="distinct users"):
+            gbdt.make_folds(table, stump_params(), 31)
+
+
 class TestImportance:
+    @pytest.mark.parametrize("kind", ["gain", "split"])
+    def test_equals_the_node_loop_bit_for_bit(self, rng, kind):
+        values = rng.normal(size=(300, 5))
+        y = (values[:, 0] + values[:, 3] + rng.normal(size=300) > 0).astype(int)
+        params = gbdt.GbdtParams(num_leaves=6, n_rounds=12, learning_rate=0.3,
+                                 min_data_in_leaf=5, feature_fraction=0.6)
+        model = fit(make_table(values, y), params)
+        want = {name: 0.0 for name in model.columns}
+        for tree in model.trees:
+            for node in np.flatnonzero(tree.feature >= 0):
+                name = model.columns[tree.feature[node]]
+                want[name] += tree.gain[node] if kind == "gain" else 1.0
+        got = gbdt.importance(model, kind)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() \
+            == np.array(list(want.values())).tobytes()
+        empty = fit(make_table(np.ones((20, 2)), [0, 1] * 10), params)
+        assert empty.trees == ()
+        assert gbdt.importance(empty, kind) == {"f0": 0.0, "f1": 0.0}
+
     def test_gain_and_split_importance(self, rng):
         values = rng.normal(size=(100, 3))
         y = (values[:, 1] > 0).astype(int)
-        model = gbdt.train(make_table(values, y),
+        model = fit(make_table(values, y),
                            stump_params(n_rounds=5, num_leaves=4))
         gain = gbdt.importance(model, "gain")
         split = gbdt.importance(model, "split")
@@ -841,7 +917,7 @@ class TestImportance:
 
     def test_unknown_kind(self, rng):
         values = rng.normal(size=(30, 1))
-        model = gbdt.train(make_table(values, (values[:, 0] > 0).astype(int)),
+        model = fit(make_table(values, (values[:, 0] > 0).astype(int)),
                            stump_params())
         with pytest.raises(ValueError):
             gbdt.importance(model, "shap")
@@ -853,8 +929,8 @@ class TestDeterminism:
         params = gbdt.GbdtParams(num_leaves=6, n_rounds=6,
                                  feature_fraction=0.7, seed=11,
                                  min_data_in_leaf=2)
-        a = gbdt.train(table, params)
-        b = gbdt.train(table, params)
+        a = fit(table, params)
+        b = fit(table, params)
         assert np.array_equal(gbdt.predict(a, table), gbdt.predict(b, table))
         assert a.train_logloss == b.train_logloss
 

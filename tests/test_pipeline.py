@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmrec import cli, evaluation, features, pipeline, util
+from cmrec import cli, evaluation, features, gbdt, pipeline, util
 from cmrec.config import PipelineConfig
 from cmrec.data import (CombinationSpec, IdEncoder, Interactions, RunFile,
                         load_run)
@@ -665,7 +665,6 @@ class TestSelectTrain:
         assert {r["name"] for r in report if r["decision"] == "keep"} == kept
 
     def test_metrics_and_model_artifacts(self, world):
-        from cmrec import gbdt
         ws = world["ws"]
         metrics = json.loads((ws.target_dir("t1") / "metrics.json").read_text())
         assert 0.0 < metrics["oof_ndcg_at_10"] <= 1.0
@@ -767,6 +766,23 @@ class TestSelectTrain:
             values = [s for _, s in scored]
             assert values == sorted(values, reverse=True)
 
+    def test_grid_search_and_final_bagging_share_one_binning(
+            self, world, tmp_path, monkeypatch):
+        work, config = copied_workspace(world, tmp_path)
+        searched = dataclasses.replace(config, ranker=dataclasses.replace(
+            config.ranker, grid={"num_leaves": (3, 7),
+                                 "learning_rate": (0.1, 0.2)}))
+        binned, draws = [], []
+        build, assign = gbdt.build_bins, gbdt.assign_folds
+        monkeypatch.setattr(gbdt, "build_bins",
+                            lambda *a: binned.append(a) or build(*a))
+        monkeypatch.setattr(gbdt, "assign_folds",
+                            lambda *a: draws.append(a) or assign(*a))
+        pipeline.run_train(searched, "t1")
+        assert (work / "t1" / "grid.json").exists()
+        assert len(binned) == config.ranker.folds
+        assert len(draws) == 1
+
     def test_retrain_is_deterministic(self, world):
         ws = world["ws"]
         model_before = (ws.target_dir("t1") / "model.json").read_bytes()
@@ -801,6 +817,26 @@ class TestTableCache:
         # both tables parsed by select, and again by train
         assert select_and_train() == cached
         assert len(parses) == 4
+
+
+class TestFoldDraws:
+    def test_select_and_train_draw_folds_twice_per_target(self, tmp_path,
+                                                          monkeypatch):
+        config = golden_config(golden_data(tmp_path), tmp_path / "work")
+        pipeline.run_ingest(config)
+        draws = []
+        assign = gbdt.assign_folds
+        monkeypatch.setattr(gbdt, "assign_folds",
+                            lambda *a: draws.append(a) or assign(*a))
+        per_target = {}
+        for target in config.targets:
+            pipeline.run_prerank(config, target)
+            before = len(draws)
+            pipeline.run_select(config, target)
+            pipeline.run_train(config, target)
+            per_target[target] = len(draws) - before
+        # one draw for CV elimination, one for the ranker
+        assert per_target == {"t1": 2, "t2": 2}
 
 
 class TestEvaluateReport:

@@ -128,7 +128,7 @@ class TestCovariateShift:
         valid = ranked_table(rng, {"a__f": noise})
         test = ranked_table(rng, {"b__f": noise}, with_labels=False)
         with pytest.raises(DataError, match="columns"):
-            selection.covariate_shift_test(valid, test)
+            selection.covariate_shift_test(valid, test, 0.10)
 
 
 class TestDefaultGroups:
@@ -152,7 +152,8 @@ class TestCvElimination:
     def test_exact_duplicate_group_dropped_for_free(self, rng):
         table = ranked_table(rng, {"sig__f": signal})
         dup = table.with_columns(["dup__f"], table.values[:, :1].copy())
-        records = selection.heuristic_cv_elimination(dup, TRAINER, folds=4)
+        records = selection.heuristic_cv_elimination(dup, TRAINER, folds=4,
+                                                     epsilon=0.0)
         by_name = {r["name"]: r for r in records}
         assert by_name["dup__f"]["decision"] == "drop"
         assert by_name["dup__f"]["cv_delta"] == 0.0
@@ -161,7 +162,7 @@ class TestCvElimination:
     def test_informative_group_kept_noise_dropped(self, rng):
         table = ranked_table(rng, {"sig__f": signal, "waste__f": noise})
         records = {r["name"]: r for r in selection.heuristic_cv_elimination(
-            table, TRAINER, folds=4)}
+            table, TRAINER, folds=4, epsilon=0.0)}
         assert records["sig__f"]["decision"] == "keep"
         assert records["sig__f"]["cv_delta"] > 0
         assert records["waste__f"]["decision"] == "drop"
@@ -178,7 +179,7 @@ class TestCvElimination:
     def test_unlabeled_table_rejected(self, rng):
         table = ranked_table(rng, {"sig__f": signal}, with_labels=False)
         with pytest.raises(DataError, match="label"):
-            selection.heuristic_cv_elimination(table, TRAINER, 4)
+            selection.heuristic_cv_elimination(table, TRAINER, 4, 0.0)
 
 
 class TestNullImportance:
@@ -201,12 +202,14 @@ class TestNullImportance:
     def test_shuffle_count_validated(self, rng):
         table = ranked_table(rng, {"sig__f": signal})
         with pytest.raises(ValueError):
-            selection.null_importance_select(table, TRAINER, n_shuffles=0)
+            selection.null_importance_select(table, TRAINER, n_shuffles=0,
+                                             seed=0)
 
     def test_unlabeled_table_rejected(self, rng):
         table = ranked_table(rng, {"sig__f": signal}, with_labels=False)
         with pytest.raises(DataError, match="label"):
-            selection.null_importance_select(table, TRAINER, n_shuffles=2)
+            selection.null_importance_select(table, TRAINER, n_shuffles=2,
+                                             seed=0)
 
 
 class TestRunSelection:
@@ -249,7 +252,9 @@ class TestRunSelection:
                                   "b__f": lambda y, r: noise(y, r) - 4.0},
                             with_labels=False)
         with pytest.raises(StageError, match="covariate shift"):
-            selection.run_selection(valid, test, TRAINER, folds=4)
+            selection.run_selection(valid, test, TRAINER, folds=4,
+                                    shift_threshold=0.10, cv_epsilon=0.0,
+                                    n_shuffles=50, seed=0)
 
     def test_nothing_informative_is_a_stage_error(self, rng):
         valid = ranked_table(rng, {
@@ -262,7 +267,8 @@ class TestRunSelection:
         }, with_labels=False)
         with pytest.raises(StageError, match="dropped every feature"):
             selection.run_selection(valid, test, TRAINER, folds=4,
-                                    n_shuffles=4)
+                                    shift_threshold=0.10, cv_epsilon=0.0,
+                                    n_shuffles=4, seed=0)
 
     def test_fixed_seed_reproduces_selection(self, rng):
         valid, test = self.build_tables(rng)
@@ -300,13 +306,15 @@ class TestRunSelection:
         valid, test = self.screen_tables(rng)
         kept, records = selection.run_selection(valid, test, **self.SCREEN)
         assert "cv_elimination" in {r["reason"] for r in records}
-        # every fit bins its own rows, as without the shared binning
+        # every fit draws and bins its own folds and rows, as without the
+        # sharing
         train, bagging = gbdt.train, gbdt.kfold_bagging
-        monkeypatch.setattr(gbdt, "train",
-                            lambda table, params, **_: train(table, params))
+        monkeypatch.setattr(gbdt, "train", lambda table, params, _: train(
+            table, params, gbdt.bin_rows(table.values, params.max_bins)))
         monkeypatch.setattr(gbdt, "kfold_bagging",
-                            lambda table, params, folds, **_:
-                            bagging(table, params, folds))
+                            lambda table, params, folds: bagging(
+                                table, params,
+                                gbdt.make_folds(table, params, len(folds.rows))))
         kept_alone, records_alone = selection.run_selection(
             valid, test, **self.SCREEN)
         assert kept == kept_alone
@@ -319,11 +327,25 @@ class TestRunSelection:
         calls = []
         build = gbdt.build_bins
         monkeypatch.setattr(gbdt, "build_bins",
-                            lambda table, max_bins: calls.append(table.n_rows)
-                            or build(table, max_bins))
+                            lambda values, max_bins: calls.append(len(values))
+                            or build(values, max_bins))
         selection.run_selection(valid, test, **self.SCREEN)
         assert len(calls) == self.SCREEN["folds"] + 1
         assert calls[-1] == valid.n_rows
+
+    def test_cv_elimination_draws_its_folds_once(self, rng, monkeypatch):
+        valid, _ = self.screen_tables(rng)
+        draws, scores = [], []
+        assign, bagging = gbdt.assign_folds, gbdt.kfold_bagging
+        monkeypatch.setattr(gbdt, "assign_folds",
+                            lambda *a: draws.append(a) or assign(*a))
+        monkeypatch.setattr(gbdt, "kfold_bagging",
+                            lambda *a, **kw: scores.append(a) or bagging(*a, **kw))
+        records = selection.heuristic_cv_elimination(
+            valid, self.SCREEN["trainer"], 3, 0.0)
+        assert "cv_elimination" in {r["reason"] for r in records}
+        assert len(scores) == 1 + len(selection.default_groups(valid.columns))
+        assert len(draws) == 1
 
 
 class TestReportFiles:
