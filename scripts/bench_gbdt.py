@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time `gbdt.train` and the feature screen on a fixed synthetic table and
-fingerprint their results.
+"""Time `gbdt.train`, the feature screen and `gbdt.predict` on a fixed
+synthetic table and fingerprint their results.
 
 The table is shaped like a pipeline valid table (4,000 rows x 37
 columns): dense scores, sparse scores that are mostly zero, and a few
@@ -11,12 +11,14 @@ fits: 15 leaves, 15 rounds, learning rate 0.1, min_data_in_leaf 10, l2
 that table against a second table drawn the same way, with the
 perfbench rank_small screen settings: 2 folds, 1 shuffle, cv_epsilon
 -0.005, and a trainer of 15 leaves, 4 rounds, learning rate 0.1,
-min_data_in_leaf 10.
+min_data_in_leaf 10. The prediction is `gbdt.predict` of the trained
+model on the same table.
 
 Prints the median wall times over --repeats calls of each, the sha256 of
-the model's canonical JSON and the sha256 of the screen's kept list and
-report, so two checkouts can be compared for speed and for identical
-results (`measure(repeats)` returns the same figures as a dict):
+the model's canonical JSON, the sha256 of the screen's kept list and
+report, and the sha256 of the predictions' float64 bytes, so two
+checkouts can be compared for speed and for identical results
+(`measure(repeats)` returns the same figures as a dict):
 
     PYTHONPATH=src python scripts/bench_gbdt.py --repeats 7
 """
@@ -60,14 +62,14 @@ def make_table(seed: int = SEED) -> FeatureTable:
 
 
 def timed(fn, repeats: int, fingerprint):
-    """Median, min and max wall time of repeats calls, and the one
-    fingerprint every call's result gives."""
+    """Median, min and max wall time of repeats calls, and the sha256 of
+    the one fingerprint (bytes) every call's result gives."""
     times, digests = [], set()
     for _ in range(repeats):
         start = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - start)
-        digests.add(hashlib.sha256(fingerprint(result).encode("utf-8")).hexdigest())
+        digests.add(hashlib.sha256(fingerprint(result)).hexdigest())
     if len(digests) != 1:
         raise SystemExit(f"repeated calls disagree: {sorted(digests)}")
     return result, (statistics.median(times), min(times), max(times)), digests.pop()
@@ -75,21 +77,27 @@ def timed(fn, repeats: int, fingerprint):
 
 def measure(repeats: int) -> dict:
     """The (median, min, max) wall seconds of repeats calls of the
-    training and of the screen, and the digests of their results. Each
-    training call bins the table, as every fit of the pipeline does."""
+    training, the screen and the prediction, and the digests of their
+    results. Each training call bins the table, as every fit of the
+    pipeline does."""
     table = make_table()
     model, train_s, digest = timed(
         lambda: gbdt.train(table, PARAMS,
                            gbdt.bin_rows(table.values, PARAMS.max_bins)),
-        repeats, lambda m: json.dumps(gbdt.model_to_dict(m), sort_keys=True))
+        repeats, lambda m: json.dumps(gbdt.model_to_dict(m),
+                                      sort_keys=True).encode("utf-8"))
     test = make_table(SEED + 1)
     (kept, _), screen_s, screen_digest = timed(
         lambda: selection.run_selection(table, test, **SCREEN), repeats,
-        lambda result: json.dumps(result, sort_keys=True))
+        lambda result: json.dumps(result, sort_keys=True).encode("utf-8"))
+    _, predict_s, predict_digest = timed(
+        lambda: gbdt.predict(model, table), repeats,
+        lambda preds: preds.tobytes())
     return {"rows": table.n_rows, "columns": len(table.columns),
             "trees": len(model.trees), "train_s": train_s, "sha256": digest,
             "kept": len(kept), "screen_s": screen_s,
-            "screen_sha256": screen_digest}
+            "screen_sha256": screen_digest, "predict_s": predict_s,
+            "predict_sha256": predict_digest}
 
 
 def main() -> None:
@@ -111,6 +119,10 @@ def main() -> None:
     print(f"screen kept {out['kept']} of {out['columns']}; median "
           f"{med:.4f} s over {args.repeats} calls (min {lo:.4f}, max {hi:.4f})")
     print(f"screen sha256 {out['screen_sha256']}")
+    med, lo, hi = out["predict_s"]
+    print(f"predict {out['rows']} rows; median {med:.4f} s over "
+          f"{args.repeats} calls (min {lo:.4f}, max {hi:.4f})")
+    print(f"predict sha256 {out['predict_sha256']}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .data import check_lines, parse_floats, read_lines, split_fields
+from .data import check_lines, first_repeat, parse_floats, read_lines, split_fields
 from .util import DataError, atomic_write_text
 
 # Offline per-market scores of one item-similarity scorer across ten market
@@ -137,8 +137,9 @@ def emit_run_file(run: RankedRun, path) -> None:
 def read_run_file(path) -> list[tuple[str, list[tuple[str, float]]]]:
     """`user<TAB>item<TAB>score` lines grouped per user, users in order of
     first appearance, items in file order. A line without exactly three
-    fields, an empty id and an unparsable score are DataErrors, checked in
-    this order, each naming the first line that fails it."""
+    fields, an empty id, an unparsable score and a repeated (user, item)
+    pair are DataErrors, checked in this order, each naming the first line
+    that fails it."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"run file not found: {path}")
@@ -148,6 +149,10 @@ def read_run_file(path) -> list[tuple[str, list[tuple[str, float]]]]:
     users, items = fields[starts], fields[starts + 1]
     check_lines(path, line_nos, (users == "") | (items == ""), "empty id")
     scores = parse_floats(fields[starts + 2], line_nos, path, "unparsable score")
+    pair = first_repeat(users, items)
+    if pair is not None:
+        raise DataError(f"{path}:{line_nos[pair]}: duplicate item "
+                        f"{str(items[pair])!r} for user {str(users[pair])!r}")
     return _group_rows(users, items, scores)
 
 

@@ -5,14 +5,14 @@ Trees grow leaf-wise, always splitting the current leaf with the highest
 gain, until num_leaves is reached or no split has positive gain. Feature
 values are quantile-binned once up front, to uint8 (max_bins <= 255); a
 feature without a bin edge (constant on the training rows) can never
-split and never enters a tree. Each node's histograms form a padded
-(features x max bins) grid, filled by one bincount over the node's rows;
-bins past a feature's own count stay zero and are never split on.
+split and never enters a tree. Each node keeps one stacked (g, h, count)
+x features x max bins histogram grid, filled by bincounts over the node's
+rows; bins past a feature's own count stay zero and are never split on.
 The smaller child's grid is built directly and the larger one derived by
-subtraction; a leaf keeps its grids only while it can still be split. All
-tie-breaks are fixed (gain desc, then lower feature index, then lower bin;
-leaf choice by gain desc then lower node id), so training is
-deterministic.
+one subtraction; a leaf keeps its grid only while it can still be split.
+All tie-breaks are fixed (gain desc, then lower feature index, then lower
+bin; leaf choice by gain desc then lower node id), so training is
+deterministic. Prediction splits each node's rows by one bin comparison.
 
 Work whose result would be thrown away is skipped; the trees stay the
 same bit for bit:
@@ -22,7 +22,7 @@ same bit for bit:
   order. Each gain is the same expression of the same prefix sums, and
   the first argmax over those cells is the cell a row-major argmax over
   the whole grid, every other cell at -inf, picks.
-- A leaf that is never split gets neither grids nor a search: one with
+- A leaf that is never split gets neither a grid nor a search: one with
   fewer than 2 * min_data_in_leaf rows (no cell leaves min_data_in_leaf
   rows on both sides, so the search would find None) and both children of
   the split that fills the tree (their result would never be read). A
@@ -34,9 +34,8 @@ same bit for bit:
 - A column's edges and bins depend only on its own values on the fit's
   rows, so the binning of a column subset is a slice of the binning of
   the whole table. make_folds draws and bins a table's folds once; the
-  grid search and the final bagging share them, and CV elimination hands
-  each fit the slice of its columns (Folds.select). Every fit takes the
-  bins its caller hands it.
+  grid search bags every candidate on them and keeps the winner's model,
+  and CV elimination fits each column subset on its slice (Folds.select).
 """
 
 from __future__ import annotations
@@ -181,53 +180,52 @@ def _logloss(y: np.ndarray, p: np.ndarray) -> float:
 
 def _histogram(binned_sel: np.ndarray, idx: np.ndarray, g: np.ndarray,
                h: np.ndarray, offsets: np.ndarray, shape: tuple[int, int]):
-    """Per-(feature, bin) sums of g, h and row counts over the rows idx,
-    as grids of the given shape; offsets[f] is row f's start in the flat
-    grid. Each cell accumulates its rows in row order."""
+    """Per-(feature, bin) sums of g, h and row counts over the rows idx, as
+    one (3, *shape) grid; offsets[f] is row f's start in a flat (features x
+    bins) grid. Each cell accumulates its rows in row order."""
     flat = (binned_sel[idx] + offsets).ravel()
     n_feat = binned_sel.shape[1]
     total = shape[0] * shape[1]
-    hg = np.bincount(flat, weights=np.repeat(g[idx], n_feat), minlength=total)
-    hh = np.bincount(flat, weights=np.repeat(h[idx], n_feat), minlength=total)
-    hn = np.bincount(flat, minlength=total).astype(np.float64)
-    return hg.reshape(shape), hh.reshape(shape), hn.reshape(shape)
+    hist = np.empty((3, total))
+    hist[0] = np.bincount(flat, weights=np.repeat(g[idx], n_feat), minlength=total)
+    hist[1] = np.bincount(flat, weights=np.repeat(h[idx], n_feat), minlength=total)
+    hist[2] = np.bincount(flat, minlength=total)
+    return hist.reshape(3, *shape)
 
 
 def _newton_term(gsq: np.ndarray, hmass: np.ndarray) -> np.ndarray:
     return np.where(hmass > _MIN_HESSIAN, gsq / np.maximum(hmass, _MIN_HESSIAN), 0.0)
 
 
-def _best_split(hg, hh, hn, split_ok, G, H, n, params: GbdtParams):
-    """Highest-gain (feature, bin) for one leaf over its histogram grids;
-    split_ok marks the (feature, bin) cells that may split at all. Ties go
-    to the lower feature index, then the lower bin (row-major order). The
-    gain is evaluated only at the cells that may split. None when no split
-    clears zero."""
-    cn = np.cumsum(hn, axis=1)
-    ok = split_ok & (cn >= params.min_data_in_leaf) & (n - cn >= params.min_data_in_leaf)
-    cells = np.flatnonzero(ok)
+def _best_split(hist, split_ok, G, H, n, params: GbdtParams):
+    """Highest-gain (feature, bin) for one leaf over its (g, h, count)
+    histogram grid; split_ok marks the (feature, bin) cells that may split
+    at all. Ties go to the lower feature index, then the lower bin
+    (row-major order). The gain is evaluated only at the cells that may
+    split. None when no split clears zero."""
+    cg, ch, cn = np.cumsum(hist, axis=2)
+    m = params.min_data_in_leaf
+    # both sides of the cut keep m rows; the counts are exact integers
+    cells = np.flatnonzero(split_ok & (cn >= m) & (cn <= n - m))
     if not len(cells):
         return None
     lam = params.l2_leaf_reg
-    parent = float(_newton_term(np.array([G * G]), np.array([H + lam]))[0])
-    cg = np.cumsum(hg, axis=1).ravel()[cells]
-    ch = np.cumsum(hh, axis=1).ravel()[cells]
+    parent = G * G / (H + lam) if H + lam > _MIN_HESSIAN else 0.0
+    cg, ch = cg.ravel()[cells], ch.ravel()[cells]
     gains = 0.5 * (_newton_term(cg ** 2, ch + lam)
                    + _newton_term((G - cg) ** 2, (H - ch) + lam)
                    - parent)
     k = int(np.argmax(gains))
     if not gains[k] > 0:
         return None
-    f, b = divmod(int(cells[k]), hg.shape[1])
+    f, b = divmod(int(cells[k]), hist.shape[2])
     return float(gains[k]), f, b
 
 
 @dataclass
 class _Leaf:
     idx: np.ndarray
-    hg: np.ndarray | None
-    hh: np.ndarray | None
-    hn: np.ndarray | None
+    hist: np.ndarray | None
     G: float
     H: float
     best: tuple | None
@@ -246,17 +244,15 @@ def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
     # A leaf with fewer rows has no split with min_data_in_leaf on each side.
     min_rows = 2 * params.min_data_in_leaf
 
-    feature, threshold_bin = [-1], [-1]
-    left, right = [-1], [-1]
-    gain_arr = [0.0]
+    feature, threshold_bin, left, right, gain_arr = [-1], [-1], [-1], [-1], [0.0]
 
-    def make_leaf(idx, hists):
-        """A leaf searched over its grids, or with hists None never split."""
+    def make_leaf(idx, hist):
+        """A leaf searched over its grid, or with hist None never split."""
         G, H = float(np.sum(g[idx])), float(np.sum(h[idx]))
-        if hists is None:
-            return _Leaf(idx, None, None, None, G, H, None)
-        best = _best_split(*hists, split_ok, G, H, len(idx), params)
-        return _Leaf(idx, *hists, G, H, best)
+        if hist is None:
+            return _Leaf(idx, None, G, H, None)
+        return _Leaf(idx, hist, G, H,
+                     _best_split(hist, split_ok, G, H, len(idx), params))
 
     root = np.arange(len(g))
     leaves: dict[int, _Leaf] = {0: make_leaf(
@@ -275,7 +271,7 @@ def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
         # children only push the rest further back. Nothing else reads the
         # grids of the others, so release them.
         for n in set(leaves) - set(order[:params.num_leaves - len(leaves)]):
-            leaves[n].hg = leaves[n].hh = leaves[n].hn = None
+            leaves[n].hist = None
         # The children of the split that fills the tree are never split.
         room = len(leaves) + 1 < params.num_leaves
         node_id = order[0]
@@ -284,31 +280,26 @@ def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
         mask = binned_sel[leaf.idx, f_local] <= split_bin
         children = (leaf.idx[mask], leaf.idx[~mask])
         searched = [room and len(idx) >= min_rows for idx in children]
-        # Build the smaller child's grids directly; subtract for its sibling.
+        # Build the smaller child's grid directly; subtract for its sibling.
         small = 0 if len(children[0]) <= len(children[1]) else 1
-        hists: list[tuple | None] = [None, None]
+        grids: list[np.ndarray | None] = [None, None]
         if any(searched):
             direct = _histogram(binned_sel, children[small], g, h, offsets, shape)
             if searched[1 - small]:
-                hists[1 - small] = (leaf.hg - direct[0], leaf.hh - direct[1],
-                                    leaf.hn - direct[2])
+                grids[1 - small] = leaf.hist - direct
             if searched[small]:
-                hists[small] = direct
-        lchild, rchild = (make_leaf(idx, hs) for idx, hs in zip(children, hists))
+                grids[small] = direct
+        lchild, rchild = (make_leaf(idx, grid) for idx, grid in zip(children, grids))
         del leaf
         lid, rid = len(feature), len(feature) + 1
-        for child in (lchild, rchild):
-            feature.append(-1)
-            threshold_bin.append(-1)
-            left.append(-1)
-            right.append(-1)
-            gain_arr.append(0.0)
+        for col in (feature, threshold_bin, left, right):
+            col += [-1, -1]
+        gain_arr += [0.0, 0.0]
         feature[node_id] = int(feats[f_local])
         threshold_bin[node_id] = split_bin
         left[node_id], right[node_id] = lid, rid
         gain_arr[node_id] = split_gain
-        leaves[lid] = lchild
-        leaves[rid] = rchild
+        leaves[lid], leaves[rid] = lchild, rchild
 
     value = np.zeros(len(feature))
     row_value = np.empty(len(g))
@@ -316,24 +307,25 @@ def _grow_tree(binned_sel: np.ndarray, feats: np.ndarray, g: np.ndarray,
         denom = leaf.H + params.l2_leaf_reg
         value[node_id] = -leaf.G / denom if denom > _MIN_HESSIAN else 0.0
         row_value[leaf.idx] = value[node_id]
-    tree = Tree(np.array(feature, dtype=np.int32),
-                np.array(threshold_bin, dtype=np.int32),
-                np.array(left, dtype=np.int32),
-                np.array(right, dtype=np.int32),
-                value, np.array(gain_arr))
-    return tree, row_value
+    nodes = (np.array(col, dtype=np.int32)
+             for col in (feature, threshold_bin, left, right))
+    return Tree(*nodes, value, np.array(gain_arr)), row_value
 
 
 def _tree_raw(tree: Tree, binned: np.ndarray) -> np.ndarray:
-    node = np.zeros(binned.shape[0], dtype=np.int32)
-    while True:
-        rows = np.flatnonzero(tree.feature[node] >= 0)
-        if len(rows) == 0:
-            break
-        cur = node[rows]
-        go_left = binned[rows, tree.feature[cur]] <= tree.threshold_bin[cur]
-        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
-    return tree.value[node]
+    feature, threshold = tree.feature.tolist(), tree.threshold_bin.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    out = np.empty(binned.shape[0])
+    stack = [(0, np.arange(binned.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        f = feature[node]
+        if f < 0:
+            out[rows] = tree.value[node]
+        elif len(rows):
+            go_left = binned[rows, f] <= threshold[node]
+            stack += [(left[node], rows[go_left]), (right[node], rows[~go_left])]
+    return out
 
 
 def train(table: FeatureTable, params: GbdtParams, binned: Binned) -> GbdtModel:
@@ -481,17 +473,18 @@ def oof_ndcg(table: FeatureTable, oof_scores: np.ndarray, k: int = 10) -> float:
 
 def grid_search(table: FeatureTable, grid: Mapping[str, Sequence],
                 folds: Folds, base: GbdtParams
-                ) -> tuple[GbdtParams, list[dict]]:
+                ) -> tuple[BaggedModel, list[dict]]:
     """Exhaustive (num_leaves, learning_rate) sweep over base scored by
     out-of-fold NDCG@10; ties go to the smaller num_leaves, then smaller
     rate. The sweep changes neither the seed nor max_bins, so every
-    candidate bags on folds, make_folds of the table with base."""
+    candidate bags on folds, make_folds of the table with base. Returns
+    the winner's bagged model, and one row per candidate."""
     leaves_list = sorted(grid.get("num_leaves", [base.num_leaves]))
     lr_list = sorted(grid.get("learning_rate", [base.learning_rate]))
     if not leaves_list or not lr_list:
         raise DataError("parameter grid must be nonempty")
     rows: list[dict] = []
-    best: tuple[float, GbdtParams] | None = None
+    best: tuple[float, BaggedModel] | None = None
     for nl in leaves_list:
         for lr in lr_list:
             params = dataclasses.replace(base, num_leaves=int(nl),
@@ -501,7 +494,7 @@ def grid_search(table: FeatureTable, grid: Mapping[str, Sequence],
             rows.append({"num_leaves": int(nl), "learning_rate": float(lr),
                          "oof_ndcg10": score})
             if best is None or score > best[0]:
-                best = (score, params)
+                best = (score, bagged)
     assert best is not None
     return best[1], rows
 

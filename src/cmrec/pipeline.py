@@ -469,7 +469,7 @@ def run_select(config: PipelineConfig, target: str) -> list[str]:
 def run_train(config: PipelineConfig, target: str) -> dict:
     """Grid search (optional), bagged training on valid labels, and test
     prediction; the out-of-fold NDCG@10 is the reported offline score.
-    The search and the final bagging fit one draw of the folds."""
+    The search fits one draw of the folds and keeps the chosen model."""
     _check_target(config, target)
     ws = workspace_for(config)
     tdir = ws.target_dir(target)
@@ -479,13 +479,14 @@ def run_train(config: PipelineConfig, target: str) -> dict:
                                  seed=stage_seed(config.seed, "train", target))
     folds = gbdt.make_folds(valid, params, config.ranker.folds)
     if config.ranker.grid is not None:
-        params, results = gbdt.grid_search(valid, config.ranker.grid, folds,
+        bagged, results = gbdt.grid_search(valid, config.ranker.grid, folds,
                                            params)
+        params = bagged.params
         write_json(tdir / "grid.json",
                    {"results": results, "chosen": dataclasses.asdict(params)})
     else:  # a search of an earlier train did not choose this model
         (tdir / "grid.json").unlink(missing_ok=True)
-    bagged = gbdt.kfold_bagging(valid, params, folds)
+        bagged = gbdt.kfold_bagging(valid, params, folds)
     offline = gbdt.oof_ndcg(valid, bagged.oof)
     gbdt.save_model(bagged, tdir / "model.json")
 

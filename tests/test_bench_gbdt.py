@@ -1,5 +1,6 @@
-"""scripts/bench_gbdt.py: one repeat trains and screens, and prints the
-model digest and the screen digest of today's numerics."""
+"""scripts/bench_gbdt.py: one repeat trains, screens and predicts, and
+prints the model digest, the screen digest and the prediction digest of
+today's numerics."""
 
 import importlib.util
 import re
@@ -13,6 +14,7 @@ spec.loader.exec_module(bench_gbdt)
 
 DIGEST = "3127efcdeeeab166f197102062c42bc30634eb7a4ed5293bb2391bc9cdfe9e47"
 SCREEN_DIGEST = "42043c4c42476eaedc893a8916942ccd22b3ec3e4cd26941f858e904fc0fff33"
+PREDICT_DIGEST = "ba660d7d9df23cba628829502dc8a0e211d084f03a7234447a78d6cc5ab1ad83"
 
 
 def test_one_repeat_prints_time_and_digest(capsys, monkeypatch,
@@ -25,5 +27,8 @@ def test_one_repeat_prints_time_and_digest(capsys, monkeypatch,
     digest = re.fullmatch(r"sha256 ([0-9a-f]{64})", lines[2])
     assert lines[3].startswith("screen kept 9 of 37; median ")
     screen = re.fullmatch(r"screen sha256 ([0-9a-f]{64})", lines[4])
-    assert digest and screen
-    assert_digests([digest.group(1), screen.group(1)], [DIGEST, SCREEN_DIGEST])
+    assert lines[5].startswith("predict 4000 rows; median ")
+    predict = re.fullmatch(r"predict sha256 ([0-9a-f]{64})", lines[6])
+    assert digest and screen and predict
+    assert_digests([digest.group(1), screen.group(1), predict.group(1)],
+                   [DIGEST, SCREEN_DIGEST, PREDICT_DIGEST])

@@ -205,6 +205,14 @@ class TestRunFileIo:
         with pytest.raises(DataError, match=f"q.tsv:{line}: .*{problem}"):
             ev.read_qrels(tmp_path / "q.tsv")
 
+    def test_read_run_file_rejects_a_repeated_user_item_pair(self, tmp_path):
+        # NDCG would count the item at both ranks: 1.63 for one relevant item
+        (tmp_path / "run.tsv").write_text(
+            "u1\ta\t0.9\nu2\ta\t0.5\nu1\tb\t0.8\n\nu1\ta\t0.7\n")
+        with pytest.raises(DataError,
+                           match="run.tsv:5: duplicate item 'a' for user 'u1'"):
+            ev.read_run_file(tmp_path / "run.tsv")
+
     def test_read_run_file_groups_users_in_first_seen_order(self, tmp_path):
         (tmp_path / "run.tsv").write_text(
             "u2\tb\t0.5\nu1\ta\t-0.0\n\nu2\tc\t1e-300\n")

@@ -209,14 +209,14 @@ def best_split_oracle(hg, hh, hn, nbins, G, H, n, params):
 
 
 def padded_grids(hists, nbins):
-    """Stack per-feature (g, h, n) bin sums into zero-padded grids, plus the
-    split mask _grow_tree builds for them."""
+    """Stack per-feature (g, h, n) bin sums into one zero-padded (3,
+    features, bins) grid, plus the split mask _grow_tree builds for it."""
     width = max(nbins)
-    grids = np.zeros((3, len(nbins), width))
+    grid = np.zeros((3, len(nbins), width))
     for f, (nb, rows) in enumerate(zip(nbins, hists)):
-        grids[:, f, :nb] = rows
+        grid[:, f, :nb] = rows
     split_ok = np.arange(width) < np.asarray(nbins)[:, None] - 1
-    return grids[0], grids[1], grids[2], split_ok
+    return grid, split_ok
 
 
 def random_leaf(rng, n_feat=6, integral=False):
@@ -250,9 +250,9 @@ class TestBestSplitGrid:
         hists, nbins, G, H, n = random_leaf(rng, integral=seed % 2 == 0)
         params = stump_params(min_data_in_leaf=int(rng.choice([1, 2, 4])),
                               l2_leaf_reg=float(rng.choice([0.0, 1.0])))
-        hg, hh, hn, split_ok = padded_grids(hists, nbins)
-        want = best_split_oracle(hg, hh, hn, nbins, G, H, n, params)
-        assert gbdt._best_split(hg, hh, hn, split_ok, G, H, n, params) == want
+        grid, split_ok = padded_grids(hists, nbins)
+        want = best_split_oracle(*grid, nbins, G, H, n, params)
+        assert gbdt._best_split(grid, split_ok, G, H, n, params) == want
 
     def test_cross_feature_tie_picks_lower_feature(self):
         # features 1 and 2 reach bit-equal gains, feature 1 at a higher bin:
@@ -261,26 +261,26 @@ class TestBestSplitGrid:
         hists = [(np.zeros(1), np.full(1, 4.0), np.full(1, 4.0)),
                  (np.array([0.0, 0.0, 2.0, -2.0]), ones, ones),
                  (np.array([-2.0, 2.0, 0.0, 0.0]), ones, ones)]
-        hg, hh, hn, split_ok = padded_grids(hists, [1, 4, 4])
-        got = gbdt._best_split(hg, hh, hn, split_ok, 0.0, 4.0, 4, stump_params())
+        grid, split_ok = padded_grids(hists, [1, 4, 4])
+        got = gbdt._best_split(grid, split_ok, 0.0, 4.0, 4, stump_params())
         assert got is not None and got[1:] == (1, 2)
-        assert got == best_split_oracle(hg, hh, hn, [1, 4, 4], 0.0, 4.0, 4,
+        assert got == best_split_oracle(*grid, [1, 4, 4], 0.0, 4.0, 4,
                                         stump_params())
 
     def test_within_feature_tie_picks_lower_bin(self):
         # mirror-image partitions at bins 0 and 2 have bit-equal gains
         hists = [(np.array([1.0, -1.0, -1.0, 1.0]), np.ones(4), np.ones(4))]
-        hg, hh, hn, split_ok = padded_grids(hists, [4])
-        got = gbdt._best_split(hg, hh, hn, split_ok, 0.0, 4.0, 4, stump_params())
+        grid, split_ok = padded_grids(hists, [4])
+        got = gbdt._best_split(grid, split_ok, 0.0, 4.0, 4, stump_params())
         assert got is not None and got[1:] == (0, 0)
-        assert got == best_split_oracle(hg, hh, hn, [4], 0.0, 4.0, 4,
+        assert got == best_split_oracle(*grid, [4], 0.0, 4.0, 4,
                                         stump_params())
 
     def test_one_bin_features_never_split(self):
         hists = [(np.array([5.0]), np.array([2.0]), np.array([9.0]))] * 3
-        hg, hh, hn, split_ok = padded_grids(hists, [1, 1, 1])
+        grid, split_ok = padded_grids(hists, [1, 1, 1])
         assert not split_ok.any()
-        assert gbdt._best_split(hg, hh, hn, split_ok, 5.0, 2.0, 9,
+        assert gbdt._best_split(grid, split_ok, 5.0, 2.0, 9,
                                 stump_params()) is None
 
     @pytest.mark.parametrize("seed", range(5))
@@ -288,9 +288,9 @@ class TestBestSplitGrid:
         rng = np.random.default_rng(seed)
         hists, nbins, G, H, n = random_leaf(rng)
         params = stump_params(min_data_in_leaf=n // 2 + 1)
-        hg, hh, hn, split_ok = padded_grids(hists, nbins)
-        assert best_split_oracle(hg, hh, hn, nbins, G, H, n, params) is None
-        assert gbdt._best_split(hg, hh, hn, split_ok, G, H, n, params) is None
+        grid, split_ok = padded_grids(hists, nbins)
+        assert best_split_oracle(*grid, nbins, G, H, n, params) is None
+        assert gbdt._best_split(grid, split_ok, G, H, n, params) is None
 
     def test_whole_model_matches_per_feature_search(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -312,9 +312,9 @@ class TestBestSplitGrid:
         assert len(want["trees"]) == params.n_rounds
         assert max(len(t["feature"]) for t in want["trees"]) > 5
 
-        def per_feature(hg, hh, hn, split_ok, G, H, n, params):
+        def per_feature(grid, split_ok, G, H, n, params):
             nbins = split_ok.sum(axis=1) + 1
-            return best_split_oracle(hg, hh, hn, nbins, G, H, n, params)
+            return best_split_oracle(*grid, nbins, G, H, n, params)
 
         monkeypatch.setattr(gbdt, "_best_split", per_feature)
         assert gbdt.model_to_dict(fit(table, params)) == want
@@ -345,18 +345,18 @@ def best_split_dense(hg, hh, hn, split_ok, G, H, n, params):
 def grow_tree_oracle(binned_sel, feats, g, h, nbins, params, searched):
     """Leaf-wise growth that builds grids for and searches every leaf,
     both children of every split included (the smaller child's grids
-    directly, its sibling's by subtraction); appends each searched leaf's
-    row count to searched."""
+    directly, one bincount per feature, its sibling's by subtraction);
+    appends each searched leaf's row count to searched."""
     width = max(nbins)
-    shape = (len(nbins), width)
-    offsets = np.arange(len(nbins), dtype=np.int64) * width
     split_ok = np.arange(width) < np.array(nbins)[:, None] - 1
     cols = {"feature": [-1], "threshold_bin": [-1], "left": [-1],
             "right": [-1], "gain": [0.0]}
 
     def leaf(idx, hists=None):
         if hists is None:
-            hists = gbdt._histogram(binned_sel, idx, g, h, offsets, shape)
+            hists = tuple(np.stack([
+                np.bincount(binned_sel[idx, f], weights, width).astype(float)
+                for f in range(len(nbins))]) for weights in (g[idx], h[idx], None))
         G, H = float(np.sum(g[idx])), float(np.sum(h[idx]))
         searched.append(len(idx))
         return idx, hists, G, H, best_split_dense(*hists, split_ok, G, H,
@@ -396,9 +396,24 @@ def grow_tree_oracle(binned_sel, feats, g, h, nbins, params, searched):
                      value, np.array(cols["gain"]))
 
 
+def route_levels(tree, binned):
+    """Each row's leaf value, all rows routed down the tree together one
+    level at a time: every pass gathers each unfinished row's node
+    feature, threshold and children."""
+    node = np.zeros(binned.shape[0], dtype=np.int32)
+    while True:
+        rows = np.flatnonzero(tree.feature[node] >= 0)
+        if len(rows) == 0:
+            break
+        cur = node[rows]
+        go_left = binned[rows, tree.feature[cur]] <= tree.threshold_bin[cur]
+        node[rows] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return tree.value[node]
+
+
 def train_oracle(table, params, searched):
     """The boosting loop that bins on every fit and predicts the training
-    rows by routing them through each new tree."""
+    rows by routing them through each new tree, level by level."""
     y = table.labels.astype(np.float64)
     bins = gbdt.build_bins(table.values, params.max_bins)
     binned = gbdt.bin_values(table.values, bins)
@@ -422,7 +437,7 @@ def train_oracle(table, params, searched):
                                 searched)
         if tree is None:
             break
-        raw += params.learning_rate * gbdt._tree_raw(tree, binned)
+        raw += params.learning_rate * route_levels(tree, binned)
         trees.append(tree)
         losses.append(gbdt._logloss(y, gbdt.sigmoid(raw)))
     return gbdt.GbdtModel(params, base, tuple(trees), table.columns,
@@ -460,7 +475,7 @@ class TestTrainOracle:
         calls = []
         search = gbdt._best_split
         monkeypatch.setattr(gbdt, "_best_split",
-                            lambda *a: calls.append(a[6]) or search(*a))
+                            lambda *a: calls.append(a[4]) or search(*a))
         assert gbdt.model_to_dict(fit(table, params)) == want
         # trees fill up, so the last split's children go unsearched
         leaves = [t["feature"].count(-1) for t in want["trees"]]
@@ -492,6 +507,43 @@ class TestTrainOracle:
         binned = gbdt.bin_rows(table.values, 255).select([0, 1])
         with pytest.raises(ValueError, match="do not match"):
             gbdt.train(table, stump_params(), binned)
+
+
+class TestRouting:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partition_equals_the_level_router(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        table = oracle_table(rng, int(rng.integers(150, 500)))
+        params = gbdt.GbdtParams(
+            num_leaves=int(rng.choice([2, 5, 15])), n_rounds=5,
+            learning_rate=0.3, min_data_in_leaf=int(rng.choice([1, 5, 20])),
+            max_bins=int(rng.choice([7, 255])), feature_fraction=0.7,
+            seed=seed)
+        model = fit(table, params)
+        assert model.trees
+        held = oracle_table(rng, 97).values
+        for binned in (gbdt.bin_values(table.values, model.bins),
+                       gbdt.bin_values(held, model.bins)):
+            for tree in model.trees:
+                got = gbdt._tree_raw(tree, binned)
+                assert got.tobytes() == route_levels(tree, binned).tobytes()
+
+    def test_zero_rows_and_a_one_split_tree(self):
+        stump = gbdt.Tree(np.array([1, -1, -1], np.int32),
+                          np.array([2, -1, -1], np.int32),
+                          np.array([1, -1, -1], np.int32),
+                          np.array([2, -1, -1], np.int32),
+                          np.array([0.0, -0.5, 0.25]), np.array([1.0, 0, 0]))
+        binned = np.array([[9, 0], [0, 3], [4, 2], [1, 255]], np.uint8)
+        got = gbdt._tree_raw(stump, binned)
+        assert got.tolist() == [-0.5, 0.25, -0.5, 0.25]
+        assert got.tobytes() == route_levels(stump, binned).tobytes()
+        for tree in (stump, gbdt.Tree(*(np.array([-1], np.int32),) * 4,
+                                      np.array([0.5]), np.zeros(1))):
+            empty = np.zeros((0, 2), np.uint8)
+            got = gbdt._tree_raw(tree, empty)
+            assert got.dtype == np.float64 and got.shape == (0,)
+            assert got.tobytes() == route_levels(tree, empty).tobytes()
 
 
 class TestBins:
@@ -750,8 +802,8 @@ class TestGridSearch:
                                       gbdt.make_folds(table, base, 3), base)
         # constant features -> every candidate scores identically -> the
         # first (smallest leaves, smallest rate) wins
-        assert best.num_leaves == 15
-        assert best.learning_rate == 0.03
+        assert best.params.num_leaves == 15
+        assert best.params.learning_rate == 0.03
         assert len(rows) == 4
         assert len({r["oof_ndcg10"] for r in rows}) == 1
 
@@ -785,7 +837,10 @@ class TestGridSearch:
                                 gbdt.make_folds(table, params, len(folds.rows))))
         best_alone, rows_alone = gbdt.grid_search(table, self.GRID, folds,
                                                   base)
-        assert best == best_alone
+        assert best.params == best_alone.params
+        assert best.oof.tobytes() == best_alone.oof.tobytes()
+        assert ([gbdt.model_to_dict(m) for m in best.fold_models]
+                == [gbdt.model_to_dict(m) for m in best_alone.fold_models])
         assert rows == rows_alone and len(rows) == 4
 
     def test_bins_each_fold_once(self, rng, monkeypatch):

@@ -783,6 +783,31 @@ class TestSelectTrain:
         assert len(binned) == config.ranker.folds
         assert len(draws) == 1
 
+    def test_a_grid_bags_each_candidate_once_and_saves_the_winner(
+            self, world, tmp_path, monkeypatch):
+        work, config = copied_workspace(world, tmp_path)
+        searched = dataclasses.replace(config, ranker=dataclasses.replace(
+            config.ranker, grid={"num_leaves": (3, 7),
+                                 "learning_rate": (0.1, 0.2)}))
+        bagged = []
+        bagging = gbdt.kfold_bagging
+        monkeypatch.setattr(gbdt, "kfold_bagging",
+                            lambda *a: bagged.append(a[1]) or bagging(*a))
+        pipeline.run_train(searched, "t1")
+        assert len(bagged) == 4
+        # the saved model is the one a refit of the chosen params gives
+        chosen = json.loads((work / "t1" / "grid.json").read_text())["chosen"]
+        kept = features.read_table(
+            work / "t1" / "features_valid.tsv",
+            columns=(work / "t1" / "kept.txt").read_text().split())
+        params = gbdt.GbdtParams(**chosen)
+        assert params in bagged
+        again = bagging(kept, params, gbdt.make_folds(kept, params,
+                                                      config.ranker.folds))
+        gbdt.save_model(again, tmp_path / "again.json")
+        assert ((tmp_path / "again.json").read_bytes()
+                == (work / "t1" / "model.json").read_bytes())
+
     def test_retrain_is_deterministic(self, world):
         ws = world["ws"]
         model_before = (ws.target_dir("t1") / "model.json").read_bytes()

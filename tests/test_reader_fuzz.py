@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmrec import data, selection
+from cmrec import data, evaluation, selection
 from cmrec.util import DataError
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=200)
@@ -25,6 +25,12 @@ KEPT = "\n".join(["item_cf__a3f129cd__s1-s2-t1-t2",
                   "item_cf__a3f129cd__s1-s2-t1-t2__missing",
                   "swing__bf21a9e8__t1-t2", "stat__user_count",
                   "word2vec__9392684a__t1-t2__max"]).encode() + b"\n"
+
+RANKED = "".join(f"t1U{u:04d}\tI{(7 * u + c) % 40:04d}\t{1 - c / 7:.6f}\n"
+                 for u in range(4) for c in range(3)).encode()
+QRELS = ("userId\titemId\trating\n"
+         + "".join(f"t1U{u:04d}\tI{(3 * u + c) % 40:04d}\t5.0\n"
+                   for u in range(5) for c in range(u % 2 + 1))).encode()
 
 INSERTS = {"cr": b"\r", "nul": b"\0", "tab": b"\t", "lf": b"\n"}
 MUTATION = st.tuples(
@@ -96,6 +102,53 @@ def kept_oracle(payload: bytes):
     return names if names and len(set(names)) == len(names) else None
 
 
+def ranked_oracle(payload: bytes):
+    """(user, [(item, score), ...]) of a ranked run file, users in order
+    of first appearance, items in file order; None where a nonblank line
+    has not exactly three fields, an empty id, a score float() rejects or
+    the user and item of an earlier line."""
+    lines = oracle_lines(payload)
+    if lines is None:
+        return None
+    run: dict[str, list] = {}
+    for line in lines:
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3 or "" in fields[:2]:
+            return None
+        try:
+            score = float(fields[2])
+        except ValueError:
+            return None
+        ranked = run.setdefault(fields[0], [])
+        if fields[1] in [item for item, _ in ranked]:
+            return None
+        ranked.append((fields[1], score))
+    return list(run.items())
+
+
+def qrels_oracle(payload: bytes):
+    """(user, {items}) of a qrels file, users in order of their first
+    line, after a first line whose first field is userId; None where a
+    nonblank line has no second field or an empty id. A repeated line
+    adds nothing."""
+    lines = oracle_lines(payload)
+    if lines is None:
+        return None
+    if lines[0].split("\t")[0] == "userId":
+        lines = lines[1:]
+    qrels: dict[str, set] = {}
+    for line in lines:
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2 or "" in fields[:2]:
+            return None
+        qrels.setdefault(fields[0], set()).add(fields[1])
+    return list(qrels.items())
+
+
 def check(read, oracle, path, payload):
     path.write_bytes(payload)
     want = oracle(payload)
@@ -117,13 +170,23 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def read_qrels(path):
+    return list(evaluation.read_qrels(path).items())
+
+
 def test_the_seeds_parse_and_mutations_reach_both_outcomes():
     assert run_oracle(RUN)[0] == [f"t1U{u:04d}" for u in range(6)]
     assert kept_oracle(KEPT)[-1] == "word2vec__9392684a__t1-t2__max"
-    for oracle, seed in ((run_oracle, RUN), (kept_oracle, KEPT)):
+    assert ranked_oracle(RANKED)[3] == (
+        "t1U0003", [("I0021", 1.0), ("I0022", 0.857143), ("I0023", 0.714286)])
+    assert qrels_oracle(QRELS)[:2] == [("t1U0000", {"I0000"}),
+                                       ("t1U0001", {"I0003", "I0004"})]
+    for oracle, seed in ((run_oracle, RUN), (kept_oracle, KEPT),
+                         (ranked_oracle, RANKED), (qrels_oracle, QRELS)):
         assert oracle(mutate(seed, [("nul", 3, 0, 0)])) is None
-        assert oracle(mutate(seed, [("repeat", 2, 0, 0)])) is None
         assert oracle(mutate(seed, [("delete", 2, 0, 0)])) is not None
+        repeated = oracle(mutate(seed, [("repeat", 2, 0, 0)]))
+        assert repeated == (oracle(seed) if seed is QRELS else None)
 
 
 @FUZZ
@@ -140,3 +203,19 @@ def test_read_kept_agrees_with_the_oracle_or_names_the_file(fuzz_dir,
                                                            mutations):
     check(selection.read_kept, kept_oracle, fuzz_dir / "kept.txt",
           mutate(KEPT, mutations))
+
+
+@FUZZ
+@given(st.lists(MUTATION, max_size=4))
+def test_read_run_file_agrees_with_the_oracle_or_names_the_file(fuzz_dir,
+                                                               mutations):
+    check(evaluation.read_run_file, ranked_oracle, fuzz_dir / "ranked.tsv",
+          mutate(RANKED, mutations))
+
+
+@FUZZ
+@given(st.lists(MUTATION, max_size=4))
+def test_read_qrels_agrees_with_the_oracle_or_names_the_file(fuzz_dir,
+                                                            mutations):
+    check(read_qrels, qrels_oracle, fuzz_dir / "qrels.tsv",
+          mutate(QRELS, mutations))
