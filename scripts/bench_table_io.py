@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the feature-table file I/O on a fixed synthetic table and
-fingerprint what it writes and parses.
+"""Time the feature-table I/O on a fixed synthetic table and fingerprint
+what it writes and reads.
 
 The table is shaped like a pipeline valid table (4,000 rows x 37 columns,
 100 users with 40 candidates each, labeled): 10 scorer columns of
@@ -8,13 +8,16 @@ full-precision scores, 40% of them 0.0, each with a 0/1 missing flag,
 then 17 statistic-like columns that repeat per user or per item (counts,
 their log1p, mean ratings). Three kernels run on it:
 
-    write     features.write_table of the table
-    read_all  features.read_table of every column
-    read_8    features.read_table of 8 columns (columns=, out of order)
+    write     features.write_table of the table: its TSV, its catalog and
+              its stored arrays
+    read_all  features.read_table of every column, the read select makes:
+              the arrays write_table stored under the TSV's sha256
+    read_8    features.read_table of 8 columns (columns=, out of order),
+              the read train makes
 
 Prints, for each, the median time over --repeats calls, the tracemalloc
 peak of one more call (untimed) and the sha256 of the TSV bytes (write) or
-of the parsed float64 bits (reads), so two checkouts can be compared for
+of the float64 bits read (reads), so two checkouts can be compared for
 speed, memory and identical outputs (`measure(repeats)` returns the same
 figures as a dict):
 
@@ -90,6 +93,7 @@ def measure(repeats: int) -> dict:
     table = make_table()
     with tempfile.TemporaryDirectory() as tmp:
         tsv, catalog = Path(tmp) / "features.tsv", Path(tmp) / "catalog.json"
+        cache = Path(tmp) / "cache"
 
         def file_digest(_):
             return hashlib.sha256(tsv.read_bytes()).hexdigest()
@@ -99,13 +103,14 @@ def measure(repeats: int) -> dict:
                 np.ascontiguousarray(read.values).tobytes()).hexdigest()
 
         results = {"write": timed(
-            lambda: features.write_table(table, tsv, catalog, {}), file_digest,
-            repeats)}
-        size = tsv.stat().st_size
-        results["read_all"] = timed(lambda: features.read_table(tsv),
-                                    bits_digest, repeats)
+            lambda: features.write_table(table, tsv, catalog, {}, cache),
+            file_digest, repeats)}
+        size, digest = tsv.stat().st_size, file_digest(None)
+        results["read_all"] = timed(
+            lambda: features.read_table(tsv, digest, cache), bits_digest,
+            repeats)
         results["read_8"] = timed(
-            lambda: features.read_table(tsv, columns=READ_COLUMNS),
+            lambda: features.read_table(tsv, digest, cache, READ_COLUMNS),
             bits_digest, repeats)
     return {"rows": table.n_rows, "columns": len(table.columns), "bytes": size,
             "kernels": {name: dict(zip(("median_s", "peak_mib", "sha256"), r))

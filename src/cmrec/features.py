@@ -15,10 +15,9 @@ import numpy as np
 from . import embeddings as emb
 from . import memory_cf as mcf
 from .data import (CombinationSpec, IdEncoder, Interactions, RunFile,
-                   SparseInteractionMatrix, build_matrix, first_repeat,
-                   read_lines)
-from .util import (ConfigError, DataError, atomic_write_bytes, file_sha256,
-                   from_dict, params_hash, write_json, write_tsv)
+                   SparseInteractionMatrix, build_matrix, first_repeat)
+from .util import (ConfigError, DataError, atomic_write_bytes, from_dict,
+                   params_hash, write_json, write_tsv)
 
 
 @dataclass(frozen=True)
@@ -212,8 +211,8 @@ class ScorerSpec:
 class FeatureTable:
     """Rows keyed by (user, item) raw ids, held as two string arrays;
     dense float64 columns; optional labels. Keys are checked for
-    uniqueness where they enter (read_table, data.load_run) and before
-    write_table caches a table, not here."""
+    uniqueness where they enter (data.load_run) and by write_table, not
+    here."""
 
     users: np.ndarray
     items: np.ndarray
@@ -292,17 +291,17 @@ class Catalog:
 
 def write_table(table: FeatureTable, tsv_path, catalog_path,
                 provenance: Mapping[str, Mapping],
-                cache_dir=None) -> tuple[str, str]:
-    """Write the table's TSV and its catalog, which holds provenance (column
-    name -> where the column came from); returns their sha256 digests.
-
-    With a cache_dir, the header, users, items, labels (empty if none) and
-    values also go to the store (_store) as the TSV's stem, keyed by the
-    TSV's sha256 (older keys stay until a sweep_cache), for read_table to
-    fetch instead of parsing. They must be what the parse returns, so a
-    table with a repeated (user, item) key, which the parse rejects, is not
-    stored; ids and column names are assumed free of tabs and line breaks,
-    as in prerank's tables, whose ids come from parsed run files."""
+                cache_dir) -> tuple[str, str]:
+    """Write the table's TSV, the copy for readers, and its catalog, which
+    holds provenance (column name -> where the column came from), and
+    store the header, users, items, labels (empty if none) and values in
+    cache_dir (_store) as the TSV's stem under the TSV's sha256, for
+    read_table (older keys stay until a sweep_cache). Returns the TSV's
+    and the catalog's sha256. A repeated (user, item) key is a ValueError,
+    raised before anything is written."""
+    row = first_repeat(table.users, table.items)
+    if row is not None:
+        raise ValueError(f"duplicate (user, item) key at row {row}")
     header = ["user", "item"] + (["label"] if table.labels is not None else [])
     header += list(table.columns)
     keys = [table.users, table.items]
@@ -311,15 +310,14 @@ def write_table(table: FeatureTable, tsv_path, catalog_path,
     catalog = Catalog(table.columns, table.labels is not None,
                       {k: dict(v) for k, v in provenance.items()})
     digest = write_tsv(tsv_path, header, keys, table.values)
-    if cache_dir is not None and first_repeat(table.users, table.items) is None:
-        # string arrays as wide as their longest id, as the parse's are
-        _store(cache_dir, Path(tsv_path).stem, digest, [
-            np.array(header, dtype=str),
-            np.array(table.users.tolist(), dtype=str),
-            np.array(table.items.tolist(), dtype=str),
-            np.zeros(0, np.int8) if table.labels is None
-            else table.labels.astype(np.int8),
-            np.ascontiguousarray(table.values, dtype=np.float64)])
+    # string arrays as wide as their longest id, whatever the table's are
+    _store(cache_dir, Path(tsv_path).stem, digest, [
+        np.array(header, dtype=str),
+        np.array(table.users.tolist(), dtype=str),
+        np.array(table.items.tolist(), dtype=str),
+        np.zeros(0, np.int8) if table.labels is None
+        else table.labels.astype(np.int8),
+        np.ascontiguousarray(table.values, dtype=np.float64)])
     return digest, write_json(catalog_path, catalog)
 
 
@@ -371,89 +369,29 @@ def _fetch(cache_dir, name: str, key: str,
         return None
 
 
-def _parse_values(fields: Sequence[str], usecols: Sequence[int]) -> np.ndarray:
-    """The usecols fields of tab-separated value rows, parsed in C."""
-    return np.loadtxt(fields, dtype=np.float64, delimiter="\t",
-                      comments=None, usecols=usecols, ndmin=2)
+def table_stored(tsv_path, digest: str, cache_dir) -> bool:
+    """Whether cache_dir holds read_table's file (a stat, reading none)."""
+    return _cache_file(cache_dir, Path(tsv_path).stem, digest).is_file()
 
 
-_LABELS = {"0": 0, "1": 1}
-
-
-def read_table(tsv_path, columns=None, cache_dir=None) -> FeatureTable:
-    """The table write_table wrote, with the named columns in that order
-    (default: all); a name the table lacks is a KeyError. Only those
-    columns' values are parsed. A malformed row (wrong field count, a
-    label other than 0 or 1, a value that is not a finite decimal, a
-    repeated (user, item) key) is a DataError naming its file and line.
-
-    With a cache_dir, the TSV's bytes are hashed and the arrays write_table
-    stored there for exactly those bytes are fetched, parsing nothing; a
-    cache file that is missing, damaged or stored for other bytes is
-    ignored and the TSV parsed."""
-    tsv_path = Path(tsv_path)
-    if not tsv_path.exists():
-        raise DataError(f"feature table not found: {tsv_path}")
-    digest = None if cache_dir is None else file_sha256(tsv_path)
-    stored = None if digest is None else _fetch(
-        cache_dir, tsv_path.stem, digest, [("U", 1)] * 3 + [("b", 1), ("d", 2)])
-    if stored is not None:
-        header, users, items, labels, values = stored
-        labeled = header.tolist()[2:3] == ["label"]
-        cached = FeatureTable(users, items, tuple(header.tolist()[2 + labeled:]),
-                              values, labels if labeled else None)
-        return cached if columns is None else cached.select(columns)
-    header, line_nos, body = read_lines(tsv_path)
-    header = header.split("\t")
-    if header[:2] != ["user", "item"]:
-        raise DataError(f"{tsv_path}:1: bad feature table header")
-    n_keys = 3 if len(header) > 2 and header[2] == "label" else 2
-    names = header[n_keys:]
-    if len(set(names)) != len(names):
-        raise DataError(f"{tsv_path}:1: duplicate column names")
-    wanted = tuple(names if columns is None else columns)
-    for name in wanted:
-        if name not in names:
-            raise KeyError(f"no feature column {name!r}")
-
-    def fail(row: int, problem: str):
-        raise DataError(f"{tsv_path}:{line_nos[row]}: {problem}")
-
-    tabs = [line.count("\t") for line in body]
-    if tabs.count(len(header) - 1) != len(body):
-        fail(next(row for row, n in enumerate(tabs) if n != len(header) - 1),
-             "wrong field count")
-    # one tuple per field over the rows: user, item[, label], and the
-    # value fields still joined
-    fields = (list(zip(*(line.split("\t", n_keys) for line in body)))
-              if body else [()] * n_keys)
-    users, items = np.array(fields[0], dtype=str), np.array(fields[1], dtype=str)
-    labels = None
-    if n_keys == 3:
-        codes = [_LABELS.get(label) for label in fields[2]]
-        if None in codes:
-            fail(codes.index(None), "label must be 0 or 1")
-        labels = np.array(codes, dtype=np.int8)
-    row = first_repeat(users, items)
-    if row is not None:
-        fail(row, f"duplicate (user, item) key "
-                  f"{(str(users[row]), str(items[row]))}")
-    values = np.zeros((len(body), len(wanted)))
-    if wanted and body:
-        usecols = [names.index(name) for name in wanted]
-        try:
-            values = _parse_values(fields[n_keys], usecols)
-        except ValueError:
-            for row, text in enumerate(fields[n_keys]):
-                try:
-                    _parse_values([text], usecols)
-                except ValueError:
-                    fail(row, "non-numeric value")
-            raise
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            fail(int(np.argmin(finite)), "non-finite value")
-    return FeatureTable(users, items, wanted, values, labels)
+def read_table(tsv_path, digest: str, cache_dir,
+               columns=None) -> FeatureTable | None:
+    """The table write_table stored in cache_dir for the TSV bytes with
+    sha256 digest, with the named columns in that order (default: all);
+    None when the stored file is missing, damaged or under another key.
+    The TSV is not read. A name the table lacks is a KeyError."""
+    stored = _fetch(cache_dir, Path(tsv_path).stem, digest,
+                    [("U", 1)] * 3 + [("b", 1), ("d", 2)])
+    if stored is None:
+        return None
+    header, users, items, labels, values = stored
+    labeled = header.tolist()[2:3] == ["label"]
+    try:
+        table = FeatureTable(users, items, tuple(header.tolist()[2 + labeled:]),
+                             values, labels if labeled else None)
+    except ValueError:  # arrays that do not make a table: damaged too
+        return None
+    return table if columns is None else table.select(columns)
 
 
 def default_combinations(target: str, all_markets: Sequence[str],

@@ -8,15 +8,17 @@ so deleting a stage's files and re-running reproduces them exactly:
       snapshot/                  ingest: encoded interactions + encoders
         rows_*.npy  encoders.json  meta.json  summary.json  runs/
       <target>/                  per-target stage outputs
-        cache/                   one keyed store, safe to delete: each
-                                 <name>.<key>.npy holds its full key and
-                                 its arrays, read only under that key; a
-                                 successful prerank removes all else
+        cache/                   one keyed store: each <name>.<key>.npy
+                                 holds its key and arrays, read only
+                                 under that key; prerank removes all else
+                                 and rebuilds what is missing
           <feature>.<key>.npy      a column's scores over both runs
-          features_{valid,test}.<key>.npy  a table's arrays, keyed by
-                                   its TSV's sha256
-        features_{valid,test}.tsv (+ .catalog.json)  correlation.tsv
-        prerank_failures.json  prerank.inputs.json (the record, last)
+          features_{valid,test}.<key>.npy  a table's arrays, keyed by its
+                                   TSV's sha256: what select and train read
+        features_{valid,test}.tsv (+ .catalog.json)  copies for readers
+        correlation.tsv  prerank_failures.json
+        prerank.inputs.json      the record, last: select and train read
+                                 the tables it names
         kept.txt  selection_report.{tsv,json}
         grid.json  model.json  metrics.json  oof.tsv  test_ranked.tsv
         evaluation.json
@@ -342,17 +344,24 @@ def _canonical(inputs: PrerankInputs) -> str:
     return json.dumps(dataclasses.asdict(inputs), sort_keys=True)
 
 
-def _prerank_current(tdir: Path, inputs: PrerankInputs) -> bool:
-    """The record in tdir parses, holds these inputs under this version,
-    and every output it lists still has its recorded sha256."""
+def _prerank_current(ws: Workspace, target: str,
+                     inputs: PrerankInputs) -> bool:
+    """The target's record parses, holds these inputs under this version,
+    every output it lists still has its recorded sha256, and the stored
+    copy of each table, all that select and train read of it, exists."""
+    tdir = ws.target_dir(target)
     try:
         record = read_artifact(PrerankRecord, tdir / PRERANK_RECORD)
     except StageError:  # missing, damaged or of another schema: rebuild
         return False
+    tables = [ws.features_path(target, which) for which in data.RUN_FILES]
     return (record.version == PRERANK_RECORD_VERSION
             and _canonical(record.inputs) == _canonical(inputs)
             and all(file_sha256(tdir / name) == digest
-                    for name, digest in record.outputs.items()))
+                    for name, digest in record.outputs.items())
+            and all(features.table_stored(
+                tsv, record.outputs.get(tsv.name, ""), ws.cache_dir(target))
+                for tsv in tables))
 
 
 def run_prerank(config: PipelineConfig, target: str) -> dict:
@@ -373,7 +382,7 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
     tdir.mkdir(exist_ok=True)
     inputs = _prerank_inputs(config, ws, target, plan)
     result = {"target": target, "n_columns": len(plan)}
-    if _prerank_current(tdir, inputs):
+    if _prerank_current(ws, target, inputs):
         return {**result, "up_to_date": True}
     # correlation.tsv goes too: a rebuild with no scorer column writes none
     for name in (PRERANK_RECORD, "correlation.tsv"):
@@ -427,7 +436,7 @@ def run_prerank(config: PipelineConfig, target: str) -> dict:
         tsv, catalog = (ws.features_path(target, which),
                         ws.catalog_path(target, which))
         outputs[tsv.name], outputs[catalog.name] = features.write_table(
-            table, tsv, catalog, provenance, cache_dir=ws.cache_dir(target))
+            table, tsv, catalog, provenance, ws.cache_dir(target))
         entries[tsv.stem] = outputs[tsv.name]
 
     outputs["prerank_failures.json"] = write_json(
@@ -451,9 +460,7 @@ def run_select(config: PipelineConfig, target: str) -> list[str]:
     _check_target(config, target)
     ws = workspace_for(config)
     tdir = ws.target_dir(target)
-    valid, test = (features.read_table(ws.features_path(target, which),
-                                       cache_dir=ws.cache_dir(target))
-                   for which in ("valid", "test"))
+    valid, test = _prerank_tables(ws, target)
     sel = config.selection
     kept, records = selection.run_selection(
         valid, test, sel.trainer, sel.folds,
@@ -474,7 +481,8 @@ def run_train(config: PipelineConfig, target: str) -> dict:
     ws = workspace_for(config)
     tdir = ws.target_dir(target)
     kept = selection.read_kept(tdir / "kept.txt")
-    valid = _read_kept_columns(ws, target, "valid", kept)
+    tables = _prerank_tables(ws, target, kept)
+    valid = next(tables)
     params = dataclasses.replace(config.ranker.params,
                                  seed=stage_seed(config.seed, "train", target))
     folds = gbdt.make_folds(valid, params, config.ranker.folds)
@@ -494,7 +502,7 @@ def run_train(config: PipelineConfig, target: str) -> dict:
               [valid.users, valid.items, valid.labels.astype(str)],
               bagged.oof[:, None])
 
-    test = _read_kept_columns(ws, target, "test", kept)
+    test = next(tables)  # read after training, as the peak RSS wants
     preds = gbdt.bagged_predict(bagged, test)
     run = evaluation.group_ranked_run(test.users, test.items, preds)
     evaluation.emit_run_file(run, tdir / "test_ranked.tsv")
@@ -507,20 +515,34 @@ def run_train(config: PipelineConfig, target: str) -> dict:
     return metrics
 
 
-def _read_kept_columns(ws: Workspace, target: str, which: str,
-                       kept: list[str]) -> features.FeatureTable:
-    """The kept.txt columns of one feature table, taken from its cached
-    arrays or else the only ones parsed; a column the table lacks (kept.txt
-    older than the last prerank) is a DataError."""
-    try:
-        return features.read_table(ws.features_path(target, which),
-                                   columns=kept,
-                                   cache_dir=ws.cache_dir(target))
-    except KeyError as exc:
-        raise DataError(
-            f"{ws.target_dir(target) / 'kept.txt'} keeps a column that "
-            f"{ws.features_path(target, which)} lacks ({exc.args[0]}); "
-            f"re-run select") from None
+def _prerank_tables(ws: Workspace, target: str, columns=None):
+    """Yields the target's valid, then test feature table, with the named
+    columns (default: all), as prerank's record (read once) names them.
+    A TSV without its recorded sha256 or stored copy, or no record, is a
+    StageError saying to re-run prerank; a named column a table lacks
+    (kept.txt older than the last prerank) is a DataError."""
+    tdir, cache = ws.target_dir(target), ws.cache_dir(target)
+    path = tdir / PRERANK_RECORD
+    if not path.exists():  # none yet, or the last prerank failed
+        raise StageError(f"no prerank record {path}; run prerank for "
+                         f"target {target!r}")
+    record = read_artifact(PrerankRecord, path)
+    for which in data.RUN_FILES:
+        tsv = ws.features_path(target, which)
+        digest = record.outputs.get(tsv.name, "")
+        if file_sha256(tsv) != digest:
+            raise StageError(f"{tsv} is not the table {path} records; "
+                             f"re-run prerank for target {target!r}")
+        try:
+            table = features.read_table(tsv, digest, cache, columns)
+        except KeyError as exc:
+            raise DataError(f"{tdir / 'kept.txt'} keeps a column that {tsv} "
+                            f"lacks ({exc.args[0]}); re-run select") from None
+        if table is None:
+            raise StageError(f"the stored copy of {tsv} in {cache} is "
+                             f"missing or damaged; re-run prerank for target "
+                             f"{target!r}")
+        yield table
 
 
 @dataclass(frozen=True)

@@ -60,3 +60,22 @@ def synth_snapshot(tmp_path_factory):
     pipeline.run_ingest(config)
     ws = pipeline.workspace_for(config)
     return pipeline.load_snapshot(ws), ws
+
+
+@pytest.fixture(scope="session")
+def workspace_table():
+    """read(ws, target, which, columns=None): a workspace's feature table
+    as select and train get it, the arrays stored under the sha256 that
+    prerank's record gives the table's TSV."""
+    from cmrec import features, pipeline
+    from cmrec.util import read_artifact
+
+    def read(ws, target, which, columns=None):
+        tsv = ws.features_path(target, which)
+        record = read_artifact(pipeline.PrerankRecord, ws.target_dir(target)
+                               / pipeline.PRERANK_RECORD)
+        table = features.read_table(tsv, record.outputs[tsv.name],
+                                    ws.cache_dir(target), columns)
+        assert table is not None, f"no stored copy of {tsv}"
+        return table
+    return read

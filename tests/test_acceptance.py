@@ -399,7 +399,7 @@ def column_ndcg(table, name, qrels):
 
 
 @pytest.fixture(scope="module")
-def uplift_arms(dataset, tmp_path_factory):
+def uplift_arms(dataset, tmp_path_factory, workspace_table):
     """Same pipeline twice with feature screening bypassed, differing only
     in the market combination the scorers see: every market vs the target
     alone. Screening is skipped so the comparison isolates the data."""
@@ -414,14 +414,15 @@ def uplift_arms(dataset, tmp_path_factory):
         ws = pipeline.workspace_for(config)
         pipeline.run_ingest(config)
         pipeline.run_prerank(config, "t1")
-        table = features.read_table(ws.features_path("t1", "valid"))
+        table = workspace_table(ws, "t1", "valid")
         selection.write_kept(list(table.columns),
                              ws.target_dir("t1") / "kept.txt")
         out[arm] = pipeline.run_train(config, "t1")["oof_ndcg_at_10"]
     return out
 
 
-def test_criterion_7_cross_market_uplift(capsys, main_run, uplift_arms):
+def test_criterion_7_cross_market_uplift(capsys, main_run, uplift_arms,
+                                         workspace_table):
     gain = uplift_arms["all_markets"] - uplift_arms["target_only"]
 
     # single-scorer baseline under the only protocol available at
@@ -430,8 +431,8 @@ def test_criterion_7_cross_market_uplift(capsys, main_run, uplift_arms):
     ws = main_run["ws"]
     single_scores = {}
     for target in ("t1", "t2"):
-        valid = features.read_table(ws.features_path(target, "valid"))
-        test = features.read_table(ws.features_path(target, "test"))
+        valid = workspace_table(ws, target, "valid")
+        test = workspace_table(ws, target, "test")
         provenance = read_artifact(features.Catalog,
                                    ws.catalog_path(target, "valid")).provenance
         valid_qrels = {}

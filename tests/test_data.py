@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmrec import data, embeddings, evaluation, features, selection
+from cmrec import data, embeddings, evaluation, selection
 from cmrec.util import DataError
 
 
@@ -408,8 +408,6 @@ NOT_UTF8_READERS = {
                    "userId\titemId\nu1\ti1\nu2\ti2\n"),
     "read_embedding_tsv": (embeddings.read_embedding_tsv, "vectors.tsv",
                            "i1\t0.5\t1.0\ni2\t1.0\t0.0\ni3\t0.0\t1.0\n"),
-    "read_table": (features.read_table, "features_valid.tsv",
-                   "user\titem\tf\nu1\ti1\t0.5\nu2\ti2\t1.0\n"),
     "read_kept": (selection.read_kept, "kept.txt", "f\ng\nh\n"),
 }
 

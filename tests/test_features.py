@@ -3,6 +3,7 @@ cache, leakage rules for combination matrices, global statistics, and the
 correlation report."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -93,20 +94,6 @@ def count_calls(monkeypatch, name="item_cf"):
         scorer, fit=counting("fit", scorer.fit),
         score=counting("score", scorer.score)))
     return counts
-
-
-def count_parses(monkeypatch):
-    """The argument tuples of every features._parse_values call, which
-    read_table makes when it parses a table's values."""
-    calls = []
-    real = features._parse_values
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(features, "_parse_values", counting)
-    return calls
 
 
 def run_statistics(ctx, run, target):
@@ -323,7 +310,8 @@ class TestRunPlan:
         assert list(provenance) == names
         table = empty_table(RUN).with_columns(names, values)
         catalog = tmp_path / "features.catalog.json"
-        write_table(table, tmp_path / "features.tsv", catalog, provenance)
+        write_table(table, tmp_path / "features.tsv", catalog, provenance,
+                    tmp_path / "cache")
         provenance = json.loads(catalog.read_text())["provenance"]
         prov = provenance[spec.feature_name]
         assert prov["kind"] == "scorer"
@@ -834,7 +822,7 @@ def write_table_oracle(table, tsv_path, catalog_path, provenance):
 
 
 def read_table_oracle(tsv_path):
-    """The reader read_table replaced: one float() per cell."""
+    """The tests' one parser of a table TSV: one float() per cell."""
     tsv_path = Path(tsv_path)
     with tsv_path.open(encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
@@ -901,17 +889,13 @@ def assert_same_table(got, want):
         assert np.array_equal(got.labels, want.labels)
 
 
-# Rows of a labeled one-column table that the parse rejects, and why; the
-# last repeats the key (u1, i1).
-MALFORMED_ROWS = [
-    ("u2\ti2\t1\tnan", "non-finite"),
-    ("u2\ti2\t1\t-inf", "non-finite"),
-    ("u2\ti2\t1\t1_0", "non-numeric"),
-    ("u2\ti2\t2\t1.0", "label must be 0 or 1"),
-    ("u2\ti2\t1.0\t1.0", "label must be 0 or 1"),
-    ("u2\ti2\tx\t1.0", "label must be 0 or 1"),
-    ("u1\ti1\t0\t1.0", "duplicate"),
-]
+def stored_table(table, tmp_path, provenance=None, name="f"):
+    """write_table of table into tmp_path, with its store in tmp_path /
+    "cache"; returns the TSV's path and sha256 and that store."""
+    tsv, cache = tmp_path / f"{name}.tsv", tmp_path / "cache"
+    digest, _ = write_table(table, tsv, tmp_path / f"{name}.catalog.json",
+                            provenance or {}, cache)
+    return tsv, digest, cache
 
 
 class TestTableIO:
@@ -924,15 +908,18 @@ class TestTableIO:
 
     def test_round_trip_with_labels_and_catalog(self, tmp_path, rng):
         table = self.labeled_table(rng)
-        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json",
-                    {"one": {"kind": "scorer"}, "two": {"kind": "statistic"}})
-        back = read_table(tmp_path / "f.tsv")
+        tsv, digest, cache = stored_table(
+            table, tmp_path,
+            {"one": {"kind": "scorer"}, "two": {"kind": "statistic"}})
+        assert digest == util.file_sha256(tsv)
+        back = read_table(tsv, digest, cache)
         assert back.users.tolist() == table.users.tolist()
         assert back.items.tolist() == table.items.tolist()
         assert back.columns == table.columns
         assert np.array_equal(back.labels, table.labels)
-        # values pass through repr() so the round trip is exact
         assert np.array_equal(back.values, table.values)
+        # values pass through repr() so the TSV parses back exactly
+        assert_same_table(read_table_oracle(tsv), back)
         catalog = read_artifact(Catalog, tmp_path / "f.catalog.json")
         assert catalog.columns == ("one", "two") and catalog.has_labels
         assert catalog.provenance["two"] == {"kind": "statistic"}
@@ -945,197 +932,114 @@ class TestTableIO:
         labels = np.array([1, 0, 1], dtype=np.int8) if labeled else None
         table = FeatureTable(("u0", "u1", "u2"), ("i0", "i1", "i2"),
                              ("a", "b", "c", "d"), values, labels)
-        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json", {})
+        tsv, _, _ = stored_table(table, tmp_path)
         header = "user\titem\t" + ("label\t" if labeled else "") + "a\tb\tc\td"
         want = [header] + [
             "\t".join([f"u{r}", f"i{r}"]
                       + ([str(int(labels[r]))] if labeled else [])
                       + [util.fmt(v) for v in values[r]])
             for r in range(3)]
-        assert (tmp_path / "f.tsv").read_text().splitlines() == want
+        assert tsv.read_text().splitlines() == want
         assert want[1].endswith("\t-0.0\t5e-324\t1e+16\t0.30000000000000004")
         assert "\t3.0\t-7.0\t0.0\t" in want[2]
 
     def test_unlabeled_table_round_trips(self, tmp_path, rng):
         table = FeatureTable(("u1", "u2"), ("i1", "i2"), ("a",),
                              rng.normal(size=(2, 1)))
-        write_table(table, tmp_path / "f.tsv", tmp_path / "f.catalog.json", {})
-        back = read_table(tmp_path / "f.tsv")
+        back = read_table(*stored_table(table, tmp_path))
         assert back.labels is None
         assert np.array_equal(back.values, table.values)
-
-    def test_missing_file_and_bad_rows(self, tmp_path):
-        with pytest.raises(DataError, match="not found"):
-            read_table(tmp_path / "absent.tsv")
-        bad = tmp_path / "bad.tsv"
-        bad.write_text("wrong\theader\n")
-        with pytest.raises(DataError, match=":1"):
-            read_table(bad)
-        bad.write_text("user\titem\tf\nu\ti\t1.0\nu2\ti2\n")
-        with pytest.raises(DataError, match=":3"):
-            read_table(bad)
-        bad.write_text("user\titem\tf\nu\ti\tNOPE\n")
-        with pytest.raises(DataError, match="non-numeric"):
-            read_table(bad)
 
     @pytest.mark.parametrize("n_rows,n_cols,labeled", [
         (13, 1, True), (2, 7, False), (2500, 9, True), (2500, 9, False), (1024, 3, True),
         (0, 4, True), (0, 4, False), (5, 0, True), (5, 0, False), (0, 0, True)])
-    def test_write_and_read_match_the_oracles(self, tmp_path, rng, monkeypatch,
-                                              n_rows, n_cols, labeled):
+    def test_write_and_read_match_the_oracles(self, tmp_path, rng, n_rows,
+                                              n_cols, labeled):
         table = oracle_table(rng, n_rows, n_cols, labeled)
         provenance = {name: {"kind": "scorer", "pos": j}
                       for j, name in enumerate(table.columns)}
-        write_table(table, tmp_path / "new.tsv", tmp_path / "new.json",
-                    provenance)
+        tsv, digest, cache = stored_table(table, tmp_path, provenance, "new")
         write_table_oracle(table, tmp_path / "old.tsv", tmp_path / "old.json",
                            provenance)
-        assert ((tmp_path / "new.tsv").read_bytes()
-                == (tmp_path / "old.tsv").read_bytes())
-        assert ((tmp_path / "new.json").read_bytes()
+        assert tsv.read_bytes() == (tmp_path / "old.tsv").read_bytes()
+        assert ((tmp_path / "new.catalog.json").read_bytes()
                 == (tmp_path / "old.json").read_bytes())
-        back = read_table(tmp_path / "new.tsv")
-        assert_same_table(back, read_table_oracle(tmp_path / "new.tsv"))
+        back = read_table(tsv, digest, cache)
+        assert_same_table(back, read_table_oracle(tsv))
         assert_same_table(back, table)
-        # with a cache: the same TSV, and the same table read unparsed
-        cache = tmp_path / "cache"
-        write_table(table, tmp_path / "new.tsv", tmp_path / "new.json",
-                    provenance, cache_dir=cache)
-        assert ((tmp_path / "new.tsv").read_bytes()
-                == (tmp_path / "old.tsv").read_bytes())
-        parses = count_parses(monkeypatch)
-        cached = read_table(tmp_path / "new.tsv", cache_dir=cache)
-        assert parses == []
-        assert_same_table(cached, read_table_oracle(tmp_path / "new.tsv"))
-        assert_same_table(cached, back)
-
-    def test_blank_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "f.tsv"
-        path.write_text("user\titem\tlabel\ta\tb\n\nu1\ti1\t1\t0.5\t-0.0\n"
-                        "\n\nu1\ti2\t0\t1e+16\t3.0\n\n")
-        back = read_table(path)
-        assert_same_table(back, read_table_oracle(path))
-        assert back.users.tolist() == ["u1", "u1"]
 
     @pytest.mark.parametrize("columns", [["c3"], ["c4", "c0", "c2"],
                                          ["c0", "c1", "c2", "c3", "c4"][::-1],
                                          []])
     def test_columns_subset_in_any_order(self, tmp_path, rng, columns):
-        table = oracle_table(rng, 40, 5)
-        write_table(table, tmp_path / "f.tsv", tmp_path / "f.json", {})
-        back = read_table(tmp_path / "f.tsv", columns=columns)
-        want = read_table_oracle(tmp_path / "f.tsv").select(columns)
-        assert_same_table(back, want)
+        tsv, digest, cache = stored_table(oracle_table(rng, 40, 5), tmp_path)
+        back = read_table(tsv, digest, cache, columns)
+        assert_same_table(back, read_table_oracle(tsv).select(columns))
 
     def test_unknown_column_is_a_key_error(self, tmp_path, rng):
-        write_table(oracle_table(rng, 4, 2), tmp_path / "f.tsv",
-                    tmp_path / "f.json", {})
+        stored = stored_table(oracle_table(rng, 4, 2), tmp_path)
         with pytest.raises(KeyError, match="'nope'"):
-            read_table(tmp_path / "f.tsv", columns=["c1", "nope"])
+            read_table(*stored, ["c1", "nope"])
 
-    @pytest.mark.parametrize("row,problem", MALFORMED_ROWS)
-    def test_malformed_row_is_a_data_error_at_its_line(self, tmp_path, row,
-                                                       problem):
-        bad = tmp_path / "bad.tsv"
-        bad.write_text(f"user\titem\tlabel\tf\nu1\ti1\t1\t0.5\n\n{row}\n")
-        with pytest.raises(DataError, match=f"bad.tsv:4: {problem}"):
-            read_table(bad)
-
-    def test_a_cache_is_read_only_under_its_tsv_digest(self, tmp_path, rng,
-                                                       monkeypatch):
-        # 9 rows of (label, one value): row 8 has the key (u1, i1), and
-        # the first value is -0.0
-        tsv, cache = tmp_path / "f.tsv", tmp_path / "cache"
-        write_table(oracle_table(rng, 9, 1), tsv, tmp_path / "f.json", {},
-                    cache_dir=cache)
+    def test_a_table_is_read_only_under_its_tsv_digest(self, tmp_path, rng):
+        # 9 rows of (label, one value); the first value is -0.0
+        tsv, digest, cache = stored_table(oracle_table(rng, 9, 1), tmp_path)
         (stored,) = cache.iterdir()
         text, stored_bytes = tsv.read_bytes(), stored.read_bytes()
-        parses = count_parses(monkeypatch)
-
-        def read_both():
-            """(cached, parsed, n_parses): read_table with the cache and
-            without, each as its table or its DataError's text, and the
-            number of parses the read with the cache made."""
-            outcomes, counts = [], []
-            for cache_dir in (cache, None):
-                parses.clear()
-                try:
-                    outcomes.append(read_table(tsv, cache_dir=cache_dir))
-                except DataError as exc:
-                    outcomes.append(str(exc))
-                counts.append(len(parses))
-            return *outcomes, counts[0]
-
-        def assert_parsed():
-            cached, parsed, n_parses = read_both()
-            assert_same_table(cached, parsed)
-            assert n_parses == 1
-
-        cached, parsed, n_parses = read_both()
-        assert n_parses == 0
-        assert_same_table(cached, parsed)
-
+        assert features.table_stored(tsv, digest, cache)
+        assert_same_table(read_table(tsv, digest, cache),
+                          read_table_oracle(tsv))
+        # the digest of an edited TSV names no stored file
         edited = text.replace(b"\t-0.0\n", b"\t0.0\n", 1)
         assert edited != text
-        tsv.write_bytes(edited)
-        assert_parsed()
-        for row, problem in MALFORMED_ROWS:
-            tsv.write_bytes(text + f"{row}\n".encode())
-            cached, parsed, _ = read_both()
-            assert cached == parsed
-            assert f"f.tsv:11: {problem}" in cached
-        tsv.write_bytes(text)
+        other_digest = hashlib.sha256(edited).hexdigest()
+        assert not features.table_stored(tsv, other_digest, cache)
+        assert read_table(tsv, other_digest, cache) is None
 
-        stored.unlink()
-        assert_parsed()
         stored.write_bytes(stored_bytes[:len(stored_bytes) // 2])
-        assert_parsed()
+        assert read_table(tsv, digest, cache) is None
         stored.write_bytes(rng.bytes(len(stored_bytes)))
-        assert_parsed()
+        assert read_table(tsv, digest, cache) is None
+        # arrays that parse but make no table: the last value made NaN
+        stored.write_bytes(stored_bytes[:-8] + np.float64(np.nan).tobytes())
+        assert read_table(tsv, digest, cache) is None
         # another table of the same shape, its file under this digest
         other = tmp_path / "other"
         other.mkdir()
-        write_table(oracle_table(rng, 9, 1), other / "f.tsv",
-                    other / "f.json", {}, cache_dir=other)
-        (other_file,) = other.glob("f.*.npy")
+        _, _, other_cache = stored_table(oracle_table(rng, 9, 1), other)
+        (other_file,) = other_cache.glob("f.*.npy")
         stored.write_bytes(other_file.read_bytes())
-        assert_parsed()
+        assert read_table(tsv, digest, cache) is None
+        stored.unlink()
+        assert not features.table_stored(tsv, digest, cache)
+        assert read_table(tsv, digest, cache) is None
 
         stored.write_bytes(stored_bytes)
-        assert read_both()[2] == 0
+        assert_same_table(read_table(tsv, digest, cache),
+                          read_table_oracle(tsv))
 
     def test_a_rewritten_table_keeps_its_older_file_until_a_sweep(
-            self, tmp_path, rng, monkeypatch):
+            self, tmp_path, rng):
+        stored = [stored_table(oracle_table(rng, 5, 2), tmp_path)
+                  for _ in range(2)]
+        digests = [digest for _, digest, _ in stored]
         cache = tmp_path / "cache"
-        digests = []
-        for _ in range(2):
-            write_table(oracle_table(rng, 5, 2), tmp_path / "f.tsv",
-                        tmp_path / "f.json", {}, cache_dir=cache)
-            digests.append(util.file_sha256(tmp_path / "f.tsv"))
         assert sorted(path.name for path in cache.iterdir()) == sorted(
             f"f.{digest[:32]}.npy" for digest in digests)
-        parses = count_parses(monkeypatch)
-        read_table(tmp_path / "f.tsv", cache_dir=cache)
-        assert parses == []
+        assert_same_table(read_table(*stored[1]),
+                          read_table_oracle(tmp_path / "f.tsv"))
         features.sweep_cache(cache, {"f": digests[1]})
         assert [path.name for path in cache.iterdir()] == [
             f"f.{digests[1][:32]}.npy"]
 
-    def test_a_table_with_a_repeated_key_is_not_cached(self, tmp_path, rng):
+    def test_a_repeated_key_is_a_value_error_before_any_write(self, tmp_path,
+                                                              rng):
         table = oracle_table(rng, 3, 1)
         table = dataclasses.replace(table, users=np.array(["u", "u", "v"]),
                                     items=np.array(["i", "i", "i"]))
-        write_table(table, tmp_path / "f.tsv", tmp_path / "f.json", {},
-                    cache_dir=tmp_path / "cache")
-        assert list((tmp_path / "cache").glob("*")) == []
-        with pytest.raises(DataError, match="f.tsv:3: duplicate"):
-            read_table(tmp_path / "f.tsv", cache_dir=tmp_path / "cache")
-
-    def test_duplicate_header_column_is_a_data_error(self, tmp_path):
-        bad = tmp_path / "bad.tsv"
-        bad.write_text("user\titem\tf\tf\nu\ti\t1.0\t2.0\n")
-        with pytest.raises(DataError, match=":1: duplicate column"):
-            read_table(bad)
+        with pytest.raises(ValueError, match="duplicate .* key at row 1"):
+            stored_table(table, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_table_from_run(self):
         table = empty_table(RUN)
@@ -1155,8 +1059,8 @@ class TestFeatureTableContract:
         with pytest.raises(ValueError, match="0/1"):
             FeatureTable(("u",), ("i",), ("a",), np.ones((1, 1)),
                          np.array([4]))
-        # keys are checked where they enter (read_table, data.load_run),
-        # not in the constructor
+        # keys are checked where they enter (data.load_run) and by
+        # write_table, not in the constructor
         with pytest.raises(ValueError, match="duplicate"):
             FeatureTable(("u",), ("i",), ("a", "a"), np.ones((1, 2)))
 

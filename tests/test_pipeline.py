@@ -20,7 +20,7 @@ from cmrec.synth import MarketSpec, SynthConfig, generate
 from cmrec.util import ConfigError, DataError, StageError
 
 from test_data import to_dense
-from test_features import count_calls, count_parses, every_id
+from test_features import count_calls, every_id
 from test_gbdt import load_model
 from test_golden import golden_config, golden_data
 
@@ -407,18 +407,19 @@ class TestPrerankOutputs:
         assert labels.dtype == np.int8
         assert labels.tolist() == [0, 1, 0, 1, 0, 0]
 
-    def test_feature_tables_exist_with_expected_columns(self, world):
+    def test_feature_tables_exist_with_expected_columns(self, world,
+                                                        workspace_table):
         ws = world["ws"]
-        valid = features.read_table(ws.features_path("t1", "valid"))
-        test = features.read_table(ws.features_path("t1", "test"))
+        valid = workspace_table(ws, "t1", "valid")
+        test = workspace_table(ws, "t1", "test")
         # 4 scorer specs -> 8 columns, plus 17 statistics
         assert len(valid.columns) == 8 + 17
         assert valid.columns == test.columns
         assert valid.labels is not None and test.labels is None
 
-    def test_valid_labels_are_the_valid_qrels(self, world):
+    def test_valid_labels_are_the_valid_qrels(self, world, workspace_table):
         ws = world["ws"]
-        valid = features.read_table(ws.features_path("t1", "valid"))
+        valid = workspace_table(ws, "t1", "valid")
         qrels = {}
         for line in (world["data"] / "t1" / "valid_qrel.tsv"
                      ).read_text().splitlines()[1:]:
@@ -429,10 +430,10 @@ class TestPrerankOutputs:
             assert valid.labels[r] == want
         assert int(valid.labels.sum()) == sum(len(v) for v in qrels.values())
 
-    def test_rows_follow_run_files(self, world):
+    def test_rows_follow_run_files(self, world, workspace_table):
         ws = world["ws"]
         run = load_run(ws.run_path("t1", "test"))
-        test = features.read_table(ws.features_path("t1", "test"))
+        test = workspace_table(ws, "t1", "test")
         assert list(zip(test.users.tolist(), test.items.tolist())) == run_pairs(
             run)
 
@@ -555,8 +556,8 @@ class TestPrerankOutputs:
             [spec.feature_name for spec in plan]
             + ["features_test", "features_valid"])
 
-    def test_reingest_of_changed_data_recomputes_cached_columns(self, world,
-                                                                tmp_path):
+    def test_reingest_of_changed_data_recomputes_cached_columns(
+            self, world, tmp_path, workspace_table):
         data_dir = tmp_path / "data"
         shutil.copytree(world["data"], data_dir)
         prerank = {"scorers": [{"name": "item_cf", "combinations": [["t1"]]}]}
@@ -565,7 +566,7 @@ class TestPrerankOutputs:
         pipeline.run_ingest(config)
         pipeline.run_prerank(config, "t1")
         [spec] = pipeline.make_plan(config, "t1")
-        old = features.read_table(ws.features_path("t1", "valid"))
+        old = workspace_table(ws, "t1", "valid")
         for name in ("train.tsv", "train_5core.tsv"):
             path = data_dir / "t1" / name
             lines = path.read_text().splitlines(keepends=True)
@@ -580,13 +581,14 @@ class TestPrerankOutputs:
         for which in ("valid", "test"):
             assert (ws.features_path("t1", which).read_bytes()
                     == fresh_ws.features_path("t1", which).read_bytes())
-        new = features.read_table(ws.features_path("t1", "valid"))
+        new = workspace_table(ws, "t1", "valid")
         assert not np.array_equal(old.column(spec.feature_name),
                                   new.column(spec.feature_name))
 
 
 class TestExternalEmbeddings:
-    def test_prerank_adds_cosines_against_the_history(self, world, tmp_path):
+    def test_prerank_adds_cosines_against_the_history(self, world, tmp_path,
+                                                      workspace_table):
         snap = pipeline.load_snapshot(world["ws"])
         rng = np.random.default_rng(3)
         lines = []
@@ -631,7 +633,7 @@ class TestExternalEmbeddings:
         ws = pipeline.workspace_for(config)
         names = ["ext_emb__mean_cos", "ext_emb__max_cos", "ext_emb__missing"]
         for which in ("valid", "test"):
-            table = features.read_table(ws.features_path("t1", which))
+            table = workspace_table(ws, "t1", which)
             got = np.column_stack([table.column(n) for n in names])
             want = np.zeros_like(got)
             for r, (user, cand) in enumerate(zip(table.users, table.items)):
@@ -649,17 +651,18 @@ class TestExternalEmbeddings:
 
 
 class TestSelectTrain:
-    def test_kept_features_are_a_nonempty_subset(self, world):
+    def test_kept_features_are_a_nonempty_subset(self, world, workspace_table):
         ws = world["ws"]
         kept = (ws.target_dir("t1") / "kept.txt").read_text().split()
-        valid = features.read_table(ws.features_path("t1", "valid"))
+        valid = workspace_table(ws, "t1", "valid")
         assert kept and set(kept) <= set(valid.columns)
 
-    def test_selection_report_covers_every_column_in_order(self, world):
+    def test_selection_report_covers_every_column_in_order(self, world,
+                                                           workspace_table):
         ws = world["ws"]
         report = json.loads((ws.target_dir("t1")
                              / "selection_report.json").read_text())
-        valid = features.read_table(ws.features_path("t1", "valid"))
+        valid = workspace_table(ws, "t1", "valid")
         assert [r["name"] for r in report] == list(valid.columns)
         kept = set((ws.target_dir("t1") / "kept.txt").read_text().split())
         assert {r["name"] for r in report if r["decision"] == "keep"} == kept
@@ -675,10 +678,10 @@ class TestSelectTrain:
         assert model.folds == 3
         assert len(model.fold_models) == 3
 
-    def test_oof_file_covers_the_valid_table(self, world):
+    def test_oof_file_covers_the_valid_table(self, world, workspace_table):
         ws = world["ws"]
         lines = (ws.target_dir("t1") / "oof.tsv").read_text().splitlines()
-        valid = features.read_table(ws.features_path("t1", "valid"))
+        valid = workspace_table(ws, "t1", "valid")
         assert lines[0] == "user\titem\tlabel\toof_score"
         assert len(lines) - 1 == valid.n_rows
         scores = [float(line.split("\t")[3]) for line in lines[1:]]
@@ -733,7 +736,7 @@ class TestSelectTrain:
             pipeline.run_train(config, "t1")
 
     def test_kept_column_gone_after_smaller_prerank_is_a_data_error(
-            self, world, tmp_path):
+            self, world, tmp_path, workspace_table):
         work, config = copied_workspace(world, tmp_path)
         kept = pipeline.run_select(config, "t1")
         catalog = json.loads(
@@ -748,7 +751,7 @@ class TestSelectTrain:
             prerank = dataclasses.replace(config.prerank, stats=False)
         smaller = dataclasses.replace(config, prerank=prerank)
         pipeline.run_prerank(smaller, "t1")
-        valid = features.read_table(work / "t1" / "features_valid.tsv")
+        valid = workspace_table(pipeline.workspace_for(smaller), "t1", "valid")
         assert kept[0] not in valid.columns
         with pytest.raises(DataError, match="kept.txt") as err:
             pipeline.run_train(smaller, "t1")
@@ -784,7 +787,7 @@ class TestSelectTrain:
         assert len(draws) == 1
 
     def test_a_grid_bags_each_candidate_once_and_saves_the_winner(
-            self, world, tmp_path, monkeypatch):
+            self, world, tmp_path, monkeypatch, workspace_table):
         work, config = copied_workspace(world, tmp_path)
         searched = dataclasses.replace(config, ranker=dataclasses.replace(
             config.ranker, grid={"num_leaves": (3, 7),
@@ -797,9 +800,9 @@ class TestSelectTrain:
         assert len(bagged) == 4
         # the saved model is the one a refit of the chosen params gives
         chosen = json.loads((work / "t1" / "grid.json").read_text())["chosen"]
-        kept = features.read_table(
-            work / "t1" / "features_valid.tsv",
-            columns=(work / "t1" / "kept.txt").read_text().split())
+        kept = workspace_table(
+            pipeline.workspace_for(config), "t1", "valid",
+            (work / "t1" / "kept.txt").read_text().split())
         params = gbdt.GbdtParams(**chosen)
         assert params in bagged
         again = bagging(kept, params, gbdt.make_folds(kept, params,
@@ -818,30 +821,95 @@ class TestSelectTrain:
                 / "test_ranked.tsv").read_bytes() == run_before
 
 
-class TestTableCache:
+class TestPrerankHandOff:
+    """Select and train read the tables prerank's record names, from the
+    arrays stored under each TSV's recorded sha256, and nothing else."""
+
     OUTPUTS = ("kept.txt", "selection_report.tsv", "selection_report.json",
                "model.json", "oof.tsv", "test_ranked.tsv")
 
-    def test_select_and_train_parse_no_table_and_match_the_parse(
-            self, tmp_path, monkeypatch):
+    def test_a_deleted_cache_makes_prerank_rebuild_the_same_bytes(
+            self, tmp_path):
         config = golden_config(golden_data(tmp_path), tmp_path / "work")
         ws = pipeline.workspace_for(config)
+        tdir = ws.target_dir("t1")
+        written = ["features_valid.tsv", "features_test.tsv",
+                   pipeline.PRERANK_RECORD]
         pipeline.run_ingest(config)
         pipeline.run_prerank(config, "t1")
-        parses = count_parses(monkeypatch)
+        tables = {name: (tdir / name).read_bytes() for name in written}
 
         def select_and_train():
             pipeline.run_select(config, "t1")
             pipeline.run_train(config, "t1")
-            return {name: (ws.target_dir("t1") / name).read_bytes()
-                    for name in self.OUTPUTS}
+            return {name: (tdir / name).read_bytes() for name in self.OUTPUTS}
 
-        cached = select_and_train()
-        assert parses == []
+        outputs = select_and_train()
         shutil.rmtree(ws.cache_dir("t1"))
-        # both tables parsed by select, and again by train
-        assert select_and_train() == cached
-        assert len(parses) == 4
+        with pytest.raises(StageError, match="stored copy .* re-run prerank"):
+            pipeline.run_select(config, "t1")
+        assert pipeline.run_prerank(config, "t1")["up_to_date"] is False
+        assert {name: (tdir / name).read_bytes() for name in written} == tables
+        assert select_and_train() == outputs
+
+    def test_select_and_train_after_a_failed_prerank_exit_3(
+            self, world, tmp_path, monkeypatch, capsys):
+        work, config = copied_workspace(world, tmp_path)
+
+        def boom(matrix, params, users, items):
+            raise RuntimeError("fit failed")
+
+        monkeypatch.setitem(features.SCORERS, "user_cf", dataclasses.replace(
+            features.SCORERS["user_cf"], fit=boom))
+        # a new user_cf param, so that its column is fitted, not cached
+        scorers = [dataclasses.replace(sc, params={"top_k": 9})
+                   if sc.name == "user_cf" else sc
+                   for sc in config.prerank.scorers]
+        failing = dataclasses.replace(config, prerank=dataclasses.replace(
+            config.prerank, scorers=tuple(scorers)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dataclasses.asdict(failing)))
+        kept = (work / "t1" / "kept.txt").read_bytes()
+        for command in ("prerank", "select", "train"):
+            capsys.readouterr()
+            assert cli.main([command, "--config", str(path),
+                             "--target", "t1"]) == 3
+        assert "run prerank" in capsys.readouterr().err
+        assert (work / "t1" / "kept.txt").read_bytes() == kept
+        for stage in (pipeline.run_select, pipeline.run_train):
+            with pytest.raises(StageError, match="no prerank record"):
+                stage(failing, "t1")
+
+    @pytest.mark.parametrize("which", ["valid", "test"])
+    def test_select_on_an_edited_table_is_a_stage_error(self, world,
+                                                        tmp_path, which):
+        work, config = copied_workspace(world, tmp_path)
+        tsv = work / "t1" / f"features_{which}.tsv"
+        header, first, *rest = tsv.read_text().split("\n")
+        fields = first.split("\t")
+        fields[-1] = repr(float(fields[-1]) + 1.0)
+        tsv.write_text("\n".join([header, "\t".join(fields), *rest]))
+        record = work / "t1" / pipeline.PRERANK_RECORD
+        with pytest.raises(StageError) as err:
+            pipeline.run_select(config, "t1")
+        assert f"{tsv} is not the table {record} records" in str(err.value)
+        assert "re-run prerank" in str(err.value)
+
+    def test_each_stage_call_reads_the_record_once(self, world, tmp_path,
+                                                   monkeypatch):
+        _, config = copied_workspace(world, tmp_path)
+        reads = []
+        real = pipeline.read_artifact
+
+        def counting(cls, path):
+            reads.append(Path(path).name)
+            return real(cls, path)
+
+        monkeypatch.setattr(pipeline, "read_artifact", counting)
+        for stage in (pipeline.run_select, pipeline.run_train):
+            reads.clear()
+            stage(config, "t1")
+            assert reads == [pipeline.PRERANK_RECORD]
 
 
 class TestFoldDraws:
@@ -984,6 +1052,14 @@ class TestCli:
                          "--target", "t1"]) == 3
         assert "ingest first" in capsys.readouterr().err
 
+    def test_select_before_any_prerank_exits_3_naming_prerank(
+            self, config_file, capsys):
+        assert cli.main(["ingest", "--config", str(config_file)]) == 0
+        assert cli.main(["select", "--config", str(config_file),
+                         "--target", "t1"]) == 3
+        err = capsys.readouterr().err
+        assert pipeline.PRERANK_RECORD in err and "run prerank" in err
+
     def test_ingest_success_exits_0(self, config_file, capsys):
         assert cli.main(["ingest", "--config", str(config_file)]) == 0
         out = capsys.readouterr().out
@@ -1031,6 +1107,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command, damaged", [
         ("prerank", "snapshot/meta.json"),
+        ("select", "t1/prerank.inputs.json"),
+        ("train", "t1/prerank.inputs.json"),
         ("report", "t1/evaluation.json"),
     ])
     def test_damaged_workspace_json_exits_3_naming_it(self, world, tmp_path,
@@ -1045,6 +1123,7 @@ class TestCli:
     @pytest.mark.parametrize("command, damaged, text, key", [
         ("prerank", "snapshot/meta.json", "{}", "markets"),
         ("prerank", "snapshot/encoders.json", '{"users": []}', "items"),
+        ("select", "t1/prerank.inputs.json", '{"version": 2}', "inputs"),
         ("report", "t2/evaluation.json",
          '{"market": "t2", "n_users": 15, "run_file": "r.tsv"}',
          "ndcg_at_10"),

@@ -263,6 +263,12 @@ def delete(name):
     return change
 
 
+def delete_stored_table(env):
+    (stored,) = env["ws"].cache_dir("t1").glob("features_valid.*.npy")
+    stored.unlink()
+    return env["config"]
+
+
 def damage_record(text):
     def change(env):
         path = record_path(env["tdir"])
@@ -280,6 +286,7 @@ CHANGED_OUTPUTS = [
         f'"version": {pipeline.PRERANK_RECORD_VERSION}',
         f'"version": {pipeline.PRERANK_RECORD_VERSION + 1}')),
     delete(pipeline.PRERANK_RECORD),
+    delete_stored_table,
 ]
 
 

@@ -8,11 +8,13 @@ The oracles split lines as the readers do: CRLF and a lone CR become LF,
 and only LF splits a line (no str.splitlines, which also splits on form
 feeds, NEL and the Unicode separators)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmrec import data, evaluation, selection
+from cmrec import data, embeddings, evaluation, selection
 from cmrec.util import DataError
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=200)
@@ -31,6 +33,13 @@ RANKED = "".join(f"t1U{u:04d}\tI{(7 * u + c) % 40:04d}\t{1 - c / 7:.6f}\n"
 QRELS = ("userId\titemId\trating\n"
          + "".join(f"t1U{u:04d}\tI{(3 * u + c) % 40:04d}\t5.0\n"
                    for u in range(5) for c in range(u % 2 + 1))).encode()
+
+MARKET = ("userId\titemId\trating\n"
+          + "".join(f"s1U{u:04d}\tI{(5 * u + c) % 40:04d}\t{(u + c) % 5 + 1}"
+                    f"{'.0' if c % 2 else ''}\n"
+                    for u in range(4) for c in range(2))).encode()
+VECTORS = "".join(f"I{k:04d}\t{(k % 3) - 1.5!r}\t{k / 8!r}\t-0.0\n"
+                  for k in range(5)).encode()
 
 INSERTS = {"cr": b"\r", "nul": b"\0", "tab": b"\t", "lf": b"\n"}
 MUTATION = st.tuples(
@@ -149,6 +158,60 @@ def qrels_oracle(payload: bytes):
     return list(qrels.items())
 
 
+def market_oracle(payload: bytes):
+    """(users, items, ratings, malformed line numbers) of a market file's
+    lines after the header: a nonblank line that is not three fields or
+    has an empty id is malformed; None where the file is rejected, by a
+    rating float() does not take or that lies outside [1, 5]."""
+    lines = oracle_lines(payload)
+    if lines is None:
+        return None
+    users, items, ratings, malformed = [], [], [], []
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3 or "" in fields[:2]:
+            malformed.append(number)
+            continue
+        try:
+            rating = float(fields[2])
+        except ValueError:
+            return None
+        if not 1.0 <= rating <= 5.0:
+            return None
+        users.append(fields[0])
+        items.append(fields[1])
+        ratings.append(rating)
+    return users, items, ratings, malformed
+
+
+def vectors_oracle(payload: bytes):
+    """{id: [values]} of an embedding file, one nonblank line per id;
+    None where the file has no line, a line has no value or an empty id,
+    a value float() does not take or that is not finite, a line's width
+    differs from the first's or an id repeats."""
+    lines = oracle_lines(payload)
+    if lines is None:
+        return None
+    vectors: dict[str, list] = {}
+    for line in lines:
+        if not line:
+            continue
+        key, *fields = line.split("\t")
+        if not fields or not key or key in vectors:
+            return None
+        try:
+            values = [float(field) for field in fields]
+        except ValueError:
+            return None
+        if not all(map(math.isfinite, values)) or (
+                vectors and len(values) != len(next(iter(vectors.values())))):
+            return None
+        vectors[key] = values
+    return vectors or None
+
+
 def check(read, oracle, path, payload):
     path.write_bytes(payload)
     want = oracle(payload)
@@ -174,6 +237,24 @@ def read_qrels(path):
     return list(evaluation.read_qrels(path).items())
 
 
+def read_market(path):
+    """load_market of the market directory holding path as its train.tsv,
+    beside an empty train_5core.tsv, in market_oracle's shape."""
+    (path.parent / "train_5core.tsv").write_bytes(b"userId\titemId\trating\n")
+    columns, report = data.load_market(path.parent, "s1")
+    malformed = [int(line.rsplit(":", 1)[1])
+                 for line in report["malformed_lines"]]
+    assert report["malformed"] == len(malformed) <= 20
+    assert columns["split"].tolist() == [0] * len(columns["rating"])
+    return (columns["user"].tolist(), columns["item"].tolist(),
+            columns["rating"].tolist(), malformed)
+
+
+def read_vectors(path):
+    return {key: vec.tolist()
+            for key, vec in embeddings.read_embedding_tsv(path).items()}
+
+
 def test_the_seeds_parse_and_mutations_reach_both_outcomes():
     assert run_oracle(RUN)[0] == [f"t1U{u:04d}" for u in range(6)]
     assert kept_oracle(KEPT)[-1] == "word2vec__9392684a__t1-t2__max"
@@ -181,12 +262,19 @@ def test_the_seeds_parse_and_mutations_reach_both_outcomes():
         "t1U0003", [("I0021", 1.0), ("I0022", 0.857143), ("I0023", 0.714286)])
     assert qrels_oracle(QRELS)[:2] == [("t1U0000", {"I0000"}),
                                        ("t1U0001", {"I0003", "I0004"})]
+    assert market_oracle(MARKET)[2][:3] == [1.0, 2.0, 2.0]
+    assert vectors_oracle(VECTORS)["I0004"] == [-0.5, 0.5, -0.0]
     for oracle, seed in ((run_oracle, RUN), (kept_oracle, KEPT),
-                         (ranked_oracle, RANKED), (qrels_oracle, QRELS)):
+                         (ranked_oracle, RANKED), (qrels_oracle, QRELS),
+                         (market_oracle, MARKET), (vectors_oracle, VECTORS)):
         assert oracle(mutate(seed, [("nul", 3, 0, 0)])) is None
         assert oracle(mutate(seed, [("delete", 2, 0, 0)])) is not None
         repeated = oracle(mutate(seed, [("repeat", 2, 0, 0)]))
-        assert repeated == (oracle(seed) if seed is QRELS else None)
+        if seed is MARKET:  # a market file may repeat a line
+            assert len(repeated[0]) == len(oracle(seed)[0]) + 1
+        else:
+            assert repeated == (oracle(seed) if seed is QRELS else None)
+    assert market_oracle(mutate(MARKET, [("tab", 30, 0, 0)]))[3] == [2]
 
 
 @FUZZ
@@ -219,3 +307,21 @@ def test_read_qrels_agrees_with_the_oracle_or_names_the_file(fuzz_dir,
                                                             mutations):
     check(read_qrels, qrels_oracle, fuzz_dir / "qrels.tsv",
           mutate(QRELS, mutations))
+
+
+@FUZZ
+@given(st.lists(MUTATION, max_size=4))
+def test_load_market_agrees_with_the_oracle_or_names_the_file(fuzz_dir,
+                                                             mutations):
+    market = fuzz_dir / "s1"
+    market.mkdir(exist_ok=True)
+    check(read_market, market_oracle, market / "train.tsv",
+          mutate(MARKET, mutations))
+
+
+@FUZZ
+@given(st.lists(MUTATION, max_size=4))
+def test_read_embedding_tsv_agrees_with_the_oracle_or_names_the_file(
+        fuzz_dir, mutations):
+    check(read_vectors, vectors_oracle, fuzz_dir / "vectors.tsv",
+          mutate(VECTORS, mutations))
