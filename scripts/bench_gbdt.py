@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time `gbdt.train`, the feature screen and `gbdt.predict` on a fixed
-synthetic table and fingerprint their results.
+"""Time `gbdt.train`, the feature screen, `gbdt.predict` and
+`gbdt.oof_ndcg` on a fixed synthetic table and fingerprint their results.
 
 The table is shaped like a pipeline valid table (4,000 rows x 37
 columns): dense scores, sparse scores that are mostly zero, and a few
@@ -12,13 +12,15 @@ that table against a second table drawn the same way, with the
 perfbench rank_small screen settings: 2 folds, 1 shuffle, cv_epsilon
 -0.005, and a trainer of 15 leaves, 4 rounds, learning rate 0.1,
 min_data_in_leaf 10. The prediction is `gbdt.predict` of the trained
-model on the same table.
+model on the same table. The NDCG is `gbdt.oof_ndcg` of the table's 100
+users' 40 rows each, ranked by a seeded normal score vector: one
+grouping of the rows into a ranked run and one NDCG@10 over it.
 
 Prints the median wall times over --repeats calls of each, the sha256 of
 the model's canonical JSON, the sha256 of the screen's kept list and
-report, and the sha256 of the predictions' float64 bytes, so two
-checkouts can be compared for speed and for identical results
-(`measure(repeats)` returns the same figures as a dict):
+report, the sha256 of the predictions' float64 bytes and the NDCG's
+value, so two checkouts can be compared for speed and for identical
+results (`measure(repeats)` returns the same figures as a dict):
 
     PYTHONPATH=src python scripts/bench_gbdt.py --repeats 7
 """
@@ -77,9 +79,9 @@ def timed(fn, repeats: int, fingerprint):
 
 def measure(repeats: int) -> dict:
     """The (median, min, max) wall seconds of repeats calls of the
-    training, the screen and the prediction, and the digests of their
-    results. Each training call bins the table, as every fit of the
-    pipeline does."""
+    training, the screen, the prediction and the NDCG, the digests of the
+    first three results and the NDCG's value. Each training call bins the
+    table, as every fit of the pipeline does."""
     table = make_table()
     model, train_s, digest = timed(
         lambda: gbdt.train(table, PARAMS,
@@ -93,11 +95,15 @@ def measure(repeats: int) -> dict:
     _, predict_s, predict_digest = timed(
         lambda: gbdt.predict(model, table), repeats,
         lambda preds: preds.tobytes())
+    scores = np.random.default_rng(SEED).normal(size=table.n_rows)
+    ndcg, ndcg_s, _ = timed(lambda: gbdt.oof_ndcg(table, scores), repeats,
+                            lambda value: repr(value).encode())
     return {"rows": table.n_rows, "columns": len(table.columns),
             "trees": len(model.trees), "train_s": train_s, "sha256": digest,
             "kept": len(kept), "screen_s": screen_s,
             "screen_sha256": screen_digest, "predict_s": predict_s,
-            "predict_sha256": predict_digest}
+            "predict_sha256": predict_digest, "ndcg_s": ndcg_s,
+            "ndcg": ndcg}
 
 
 def main() -> None:
@@ -123,6 +129,10 @@ def main() -> None:
     print(f"predict {out['rows']} rows; median {med:.4f} s over "
           f"{args.repeats} calls (min {lo:.4f}, max {hi:.4f})")
     print(f"predict sha256 {out['predict_sha256']}")
+    med, lo, hi = out["ndcg_s"]
+    print(f"oof_ndcg {out['rows']} rows; median {med:.5f} s over "
+          f"{args.repeats} calls (min {lo:.5f}, max {hi:.5f})")
+    print(f"oof_ndcg {out['ndcg']!r}")
 
 
 if __name__ == "__main__":

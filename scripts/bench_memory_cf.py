@@ -6,12 +6,13 @@ The interactions span two markets (600 users x 250 items, about 6% dense,
 ratings 1-5); the run file holds 100 users with 40 candidates each, ten of
 them users without any interaction (cold). Each scorer (item_cf, user_cf,
 swing, llr, bigraph, default parameters) runs over the union of both
-markets with no column cache: "cold" times features.run_plan of a one-spec
-plan on a fresh PlanContext whose fit ids are the run's known ids, as
-prerank sets them, so it fits the model for the run's users or candidates
-only (the rows the scoring reads) and scores the run; "warm" times the
-registry's score alone, on a model from the registry's fit for the same
-ids.
+markets: "cold" times features.run_plan of a one-spec plan on a fresh
+PlanContext whose fit ids are the run's known ids, as prerank sets them,
+so it fits the model for the run's users or candidates only (the rows the
+scoring reads), scores the run and stores its column in an empty cache
+directory of its own, as a prerank that misses the cache does; "warm"
+times the registry's score alone, on a model from the registry's fit for
+the same ids.
 
 Prints the median of each over --repeats calls, the median of the
 per-repeat differences cold minus warm (the fit alone), the tracemalloc
@@ -26,8 +27,10 @@ as a dict):
 import argparse
 import hashlib
 import statistics
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +42,8 @@ N_USERS, N_ITEMS, DENSITY = 600, 250, 0.06
 RUN_USERS, COLD_USERS, CANDIDATES = 100, 10, 40
 SCORERS = ("item_cf", "user_cf", "swing", "llr", "bigraph")
 COMBINATION = CombinationSpec("t1", ("s1", "t1"))
+# the cache key each cold plan stores its column under
+KEY = "0" * 64
 
 
 def make_inputs() -> tuple[Interactions, IdEncoder, IdEncoder, RunFile]:
@@ -73,39 +78,45 @@ def measure(repeats: int) -> dict:
     rows, users, items, run = make_inputs()
     ids = features.encode_run(run, users, items)
     fit_ids = features.known_ids(*ids)
-    matrix = features.PlanContext(rows, users, items,
-                                  fit_ids=fit_ids).matrix(COMBINATION)
-    scorers = {}
-    for name in SCORERS:
-        plan = [features.ScorerSpec(name, {}, COMBINATION)]
-        scorer = features.SCORERS[name]
-        cold, warm, digests = [], [], set()
-        for _ in range(repeats):
-            ctx = features.PlanContext(rows, users, items, fit_ids=fit_ids)
-            start = time.perf_counter()
-            _, values, _, failures = features.run_plan(plan, ctx, *ids)
-            cold.append(time.perf_counter() - start)
-            if failures:
-                raise SystemExit(f"{name} failed: {failures}")
+    with tempfile.TemporaryDirectory() as tmp:
+        def fresh() -> Path:
+            """An empty cache directory for one cold plan to store into."""
+            return Path(tempfile.mkdtemp(dir=tmp))
+
+        matrix = features.PlanContext(rows, users, items, fit_ids,
+                                      fresh()).matrix(COMBINATION)
+        scorers = {}
+        for name in SCORERS:
+            plan = [features.ScorerSpec(name, {}, COMBINATION)]
+            scorer = features.SCORERS[name]
+            cold, warm, digests = [], [], set()
+            for _ in range(repeats):
+                ctx = features.PlanContext(rows, users, items, fit_ids,
+                                           fresh())
+                start = time.perf_counter()
+                _, values, _, failures = features.run_plan(plan, ctx, *ids, KEY)
+                cold.append(time.perf_counter() - start)
+                if failures:
+                    raise SystemExit(f"{name} failed: {failures}")
+                digests.add(values_digest(values))
+                model = scorer.fit(matrix, scorer.params(), *fit_ids)
+                start = time.perf_counter()
+                scores = scorer.score(model, matrix, *ids)
+                warm.append(time.perf_counter() - start)
+                digests.add(values_digest(np.column_stack(scores)))
+            tracemalloc.start()
+            _, values, _, _ = features.run_plan(
+                plan, features.PlanContext(rows, users, items, fit_ids,
+                                           fresh()), *ids, KEY)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
             digests.add(values_digest(values))
-            model = scorer.fit(matrix, scorer.params(), *fit_ids)
-            start = time.perf_counter()
-            scores = scorer.score(model, matrix, *ids)
-            warm.append(time.perf_counter() - start)
-            digests.add(values_digest(np.column_stack(scores)))
-        tracemalloc.start()
-        _, values, _, _ = features.run_plan(
-            plan, features.PlanContext(rows, users, items, fit_ids=fit_ids),
-            *ids)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        digests.add(values_digest(values))
-        if len(digests) != 1:
-            raise SystemExit(f"{name}: repeated plans disagree: {sorted(digests)}")
-        scorers[name] = {
-            "cold_s": statistics.median(cold), "warm_s": statistics.median(warm),
-            "fit_s": statistics.median(c - w for c, w in zip(cold, warm)),
-            "peak_mib": peak / 2 ** 20, "sha256": digests.pop()}
+            if len(digests) != 1:
+                raise SystemExit(f"{name}: repeated plans disagree: {sorted(digests)}")
+            scorers[name] = {
+                "cold_s": statistics.median(cold), "warm_s": statistics.median(warm),
+                "fit_s": statistics.median(c - w for c, w in zip(cold, warm)),
+                "peak_mib": peak / 2 ** 20, "sha256": digests.pop()}
     return {"rows": len(rows), "pairs": len(run.candidates), "scorers": scorers}
 
 

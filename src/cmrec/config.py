@@ -137,4 +137,9 @@ class PipelineConfig(JsonConfig):
 
 
 def load_config(path) -> PipelineConfig:
-    return PipelineConfig.from_dict(read_json_object(path))
+    """The config in the JSON file at path; every error names the file."""
+    payload = read_json_object(path)
+    try:
+        return PipelineConfig.from_dict(payload)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

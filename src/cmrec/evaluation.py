@@ -1,10 +1,13 @@
-"""NDCG@10, cross-market weighted scores, and ranked run file round-trips."""
+"""NDCG@10, cross-market weighted scores, and ranked run file round-trips.
+
+A ranked run is three aligned arrays (users, items, scores), grouped by
+user in order of first appearance and in rank order within each user."""
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 import numpy as np
 
@@ -44,65 +47,46 @@ def fit_market_weights(rows=REFERENCE_COMBINATION_SCORES) -> dict[str, float]:
 DEFAULT_MARKET_WEIGHTS = fit_market_weights()
 
 Qrels = Mapping[Hashable, set]
-# RankedRun: ordered (user, [(item, score) ...]) with items in rank order.
-RankedRun = Sequence[tuple[Hashable, Sequence[tuple[Hashable, float]]]]
 
 
-def _as_keys(ids: Sequence) -> np.ndarray:
-    """ids as an array that sorts and compares as Python orders them.
-    Fixed-width numpy strings drop trailing NULs ("a\0" reads as "a"), so
-    ids not already in an array become StringDType, which keeps them."""
-    if isinstance(ids, np.ndarray):
-        return ids
-    return np.asarray(ids, dtype=np.dtypes.StringDType())
-
-
-def _group_rows(users: Sequence, items: Sequence, scores: np.ndarray,
-                *keys: np.ndarray) -> list[tuple]:
-    """(user, [(item, score), ...]) per user, users in order of first
-    appearance; each user's rows in np.lexsort order of keys (the last
-    key first), ties in row order."""
-    _, first, inverse = np.unique(_as_keys(users), return_index=True,
-                                  return_inverse=True)
+def _by_user(users: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """The order of the rows that groups them by user, users in order of
+    first appearance; each user's rows in np.lexsort order of keys (the
+    last key first), ties in row order."""
+    _, first, inverse = np.unique(users, return_index=True, return_inverse=True)
     # each row's user as the row its user first appears in
-    first = first[inverse]
-    order = np.lexsort((*keys, first))
-    # 0, each row where the user changes, and len(order)
-    cuts = np.flatnonzero(np.diff(first[order], prepend=-1, append=-1))
-    rows = list(zip(np.asarray(items, dtype=object)[order].tolist(),
-                    scores[order].tolist()))
-    heads = np.asarray(users, dtype=object)[order[cuts[:-1]]].tolist()
-    cuts = cuts.tolist()
-    return [(user, rows[a:b]) for user, a, b in zip(heads, cuts, cuts[1:])]
+    return np.lexsort((*keys, first[inverse]))
 
 
-def group_ranked_run(users: Sequence, items: Sequence[str],
-                     scores: Sequence[float]) -> list[tuple]:
-    """Group parallel (user, item, score) rows into a ranked run: users in
-    order of first appearance, each user's items by score descending, ties
-    by ascending item, from one np.unique of the users and one lexsort."""
+def group_ranked_run(users, items, scores) -> tuple[np.ndarray, ...]:
+    """A ranked run: the (user, item, score) rows as three aligned arrays,
+    users in order of first appearance, each user's items by score
+    descending, ties by ascending item (one np.unique and one lexsort)."""
     if not len(users) == len(items) == len(scores):
         raise ValueError("users, items and scores must align")
     scores = np.asarray(scores, dtype=np.float64)
-    return _group_rows(users, items, scores, _as_keys(items), -scores)
+    order = _by_user(users, items, -scores)
+    return users[order], items[order], scores[order]
 
 
-def ndcg_at_k(run: RankedRun, qrels: Qrels, k: int = 10):
-    """Per-user NDCG@k and its mean over all qrel users.
+def ndcg_at_k(users, items, qrels: Qrels, k: int = 10):
+    """Per-user NDCG@k and its mean over all qrel users, of a ranked run's
+    user and item arrays (group_ranked_run, read_run_file).
 
     DCG sums 1/log2(rank+1) over relevant items in the top k; the ideal
     DCG assumes every relevant item ranked first. Every qrel user must
     appear in the run.
     """
-    by_user = {u: ranked for u, ranked in run}
-    missing = [u for u in qrels if u not in by_user]
+    ids, starts, counts = np.unique(users, return_index=True, return_counts=True)
+    spans = dict(zip(ids.tolist(), zip(starts.tolist(), counts.tolist())))
+    missing = [u for u in qrels if u not in spans]
     if missing:
         raise DataError(f"qrel users missing from run: {sorted(map(str, missing))[:10]}")
     per_user: dict = {}
     for user, relevant in qrels.items():
-        ranked = by_user[user]
+        start, count = spans[user]
         dcg = 0.0
-        for rank, (item, _score) in enumerate(ranked[:k], start=1):
+        for rank, item in enumerate(items[start:start + min(count, k)].tolist(), 1):
             if item in relevant:
                 dcg += 1.0 / math.log2(rank + 1)
         ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(k, len(relevant)) + 1))
@@ -122,24 +106,24 @@ def weighted_market_score(scores: Mapping[str, float],
     return sum(weights[m] * s for m, s in scores.items()) / total_w
 
 
-def emit_run_file(run: RankedRun, path) -> None:
-    """Write `user<TAB>item<TAB>score` lines, users in input order, items in
-    rank order, scores at 6 decimals. Rank order in the file, not the
+def emit_run_file(users, items, scores, path) -> None:
+    """Write a ranked run's rows as `user<TAB>item<TAB>score` lines, in the
+    order given, scores at 6 decimals. Rank order in the file, not the
     score column, is authoritative."""
-    text = "".join(f"{user}\t{item}\t{score:.6f}\n"
-                   for user, ranked in run for item, score in ranked)
+    text = "".join(f"{user}\t{item}\t{score:.6f}\n" for user, item, score
+                   in zip(users.tolist(), items.tolist(), scores.tolist()))
     try:
         atomic_write_text(path, text)
     except OSError as exc:
         raise DataError(f"cannot write run file {path}: {exc}") from None
 
 
-def read_run_file(path) -> list[tuple[str, list[tuple[str, float]]]]:
-    """`user<TAB>item<TAB>score` lines grouped per user, users in order of
-    first appearance, items in file order. A line without exactly three
-    fields, an empty id, an unparsable score and a repeated (user, item)
-    pair are DataErrors, checked in this order, each naming the first line
-    that fails it."""
+def read_run_file(path) -> tuple[np.ndarray, ...]:
+    """The (users, items, scores) arrays of `user<TAB>item<TAB>score` lines
+    grouped per user, users in order of first appearance, each user's rows
+    in file order. A line without exactly three fields, an empty id, an
+    unparsable score and a repeated (user, item) pair are DataErrors,
+    checked in this order, each naming the first line that fails it."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"run file not found: {path}")
@@ -153,7 +137,8 @@ def read_run_file(path) -> list[tuple[str, list[tuple[str, float]]]]:
     if pair is not None:
         raise DataError(f"{path}:{line_nos[pair]}: duplicate item "
                         f"{str(items[pair])!r} for user {str(users[pair])!r}")
-    return _group_rows(users, items, scores)
+    order = _by_user(users)
+    return users[order], items[order], scores[order]
 
 
 def read_qrels(path) -> dict[str, set]:

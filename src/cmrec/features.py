@@ -433,7 +433,7 @@ class PlanContext:
     users: IdEncoder
     items: IdEncoder
     fit_ids: tuple[np.ndarray, np.ndarray] = field(compare=False)
-    cache_dir: Path | None = None
+    cache_dir: Path
     matrices: dict = field(default_factory=dict, compare=False)
 
     def matrix(self, combination: CombinationSpec) -> SparseInteractionMatrix:
@@ -470,22 +470,19 @@ def combination_matrix(ctx: PlanContext,
 
 
 def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext,
-             user_ids: np.ndarray, item_ids: np.ndarray,
-             key: str | None = None
+             user_ids: np.ndarray, item_ids: np.ndarray, key: str
              ) -> tuple[list[str], np.ndarray, dict[str, dict], list[dict]]:
     """(names, values, provenance, failures): one feature column and its
     missing indicator per spec, one values row per (user, candidate) pair
     given as encoded ids (encode_run). Each spec's model is fitted for
-    ctx's fit ids, scores every pair in one call and is dropped. With a
-    ctx.cache_dir, each column's (2, n_pairs) float64 values and missing
-    flags go to the cache store (see _store) under the feature name and
-    key, and are fetched back on re-run. A failing scorer is recorded and
-    the plan continues."""
+    ctx's fit ids, scores every pair in one call and is dropped. Each
+    column's (2, n_pairs) float64 values and missing flags go to the cache
+    store in ctx.cache_dir (see _store) under the feature name and key, and
+    are fetched back on re-run. A failing scorer is recorded and the plan
+    continues."""
     names = [spec.feature_name for spec in plan]
     if len(set(names)) != len(names):
         raise ConfigError("duplicate feature names in plan")
-    if ctx.cache_dir is not None and key is None:
-        raise ValueError("a plan with a cache_dir needs a key")
     unknown = int(np.count_nonzero(item_ids < 0))
     failures: list[dict] = []
     columns: list[str] = []
@@ -495,8 +492,7 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext,
     values = np.empty((2 * len(plan), len(item_ids)))
     for spec in plan:
         name = spec.feature_name
-        got = (None if ctx.cache_dir is None
-               else _fetch(ctx.cache_dir, name, key, [("d", 2)]))
+        got = _fetch(ctx.cache_dir, name, key, [("d", 2)])
         if got is None or got[0].shape != (2, len(item_ids)):
             try:
                 if unknown:
@@ -511,8 +507,7 @@ def run_plan(plan: Sequence[ScorerSpec], ctx: PlanContext,
             except Exception as exc:  # noqa: BLE001 - plan must survive one bad scorer
                 failures.append({"feature": name, "error": f"{type(exc).__name__}: {exc}"})
                 continue
-            if ctx.cache_dir is not None:
-                _store(ctx.cache_dir, name, key, got)
+            _store(ctx.cache_dir, name, key, got)
         prov = {"kind": "scorer", **asdict(spec.entry)}
         values[len(columns):len(columns) + 2] = got[0]
         columns += [name, f"{name}__missing"]

@@ -458,16 +458,16 @@ def bagged_predict(bagged: BaggedModel, table: FeatureTable) -> np.ndarray:
     return preds.mean(axis=0)
 
 
-def oof_ndcg(table: FeatureTable, oof_scores: np.ndarray, k: int = 10) -> float:
-    """NDCG@k of the out-of-fold scores, grouped per user, via the shared
-    evaluation routine; users without any positive label are skipped."""
-    run = evaluation.group_ranked_run(table.users, table.items, oof_scores)
+def oof_ndcg(table: FeatureTable, oof_scores: np.ndarray) -> float:
+    """NDCG@10 of the out-of-fold scores, the table's rows ranked per user
+    (evaluation.group_ranked_run); users without a positive are skipped."""
     pos = (np.zeros(table.n_rows, dtype=bool) if table.labels is None
            else table.labels == 1)
     qrels = evaluation.qrels_from_pairs(table.users[pos], table.items[pos])
     if not qrels:
         raise StageError("no positive labels; NDCG undefined")
-    _, mean = evaluation.ndcg_at_k(run, qrels, k=k)
+    run = evaluation.group_ranked_run(table.users, table.items, oof_scores)
+    _, mean = evaluation.ndcg_at_k(*run[:2], qrels, k=10)
     return mean
 
 

@@ -504,8 +504,8 @@ def run_train(config: PipelineConfig, target: str) -> dict:
 
     test = next(tables)  # read after training, as the peak RSS wants
     preds = gbdt.bagged_predict(bagged, test)
-    run = evaluation.group_ranked_run(test.users, test.items, preds)
-    evaluation.emit_run_file(run, tdir / "test_ranked.tsv")
+    evaluation.emit_run_file(*evaluation.group_ranked_run(
+        test.users, test.items, preds), tdir / "test_ranked.tsv")
 
     metrics = {"target": target, "oof_ndcg_at_10": offline,
                "folds": config.ranker.folds,
@@ -518,21 +518,28 @@ def run_train(config: PipelineConfig, target: str) -> dict:
 def _prerank_tables(ws: Workspace, target: str, columns=None):
     """Yields the target's valid, then test feature table, with the named
     columns (default: all), as prerank's record (read once) names them.
-    A TSV without its recorded sha256 or stored copy, or no record, is a
+    No record, or a TSV without its recorded sha256 or stored copy, is a
     StageError saying to re-run prerank; a named column a table lacks
-    (kept.txt older than the last prerank) is a DataError."""
+    (kept.txt older than the last prerank) is a DataError. Both TSVs'
+    digests and stored copies are checked before the first table is read,
+    so a train refused for its test table writes nothing (a stored copy
+    that is there but damaged is found only when it is read)."""
     tdir, cache = ws.target_dir(target), ws.cache_dir(target)
     path = tdir / PRERANK_RECORD
     if not path.exists():  # none yet, or the last prerank failed
         raise StageError(f"no prerank record {path}; run prerank for "
                          f"target {target!r}")
     record = read_artifact(PrerankRecord, path)
-    for which in data.RUN_FILES:
-        tsv = ws.features_path(target, which)
-        digest = record.outputs.get(tsv.name, "")
+    tsvs = [ws.features_path(target, which) for which in data.RUN_FILES]
+    tables = {tsv: record.outputs.get(tsv.name, "") for tsv in tsvs}
+    for tsv, digest in tables.items():  # both tables, before either is read
         if file_sha256(tsv) != digest:
             raise StageError(f"{tsv} is not the table {path} records; "
                              f"re-run prerank for target {target!r}")
+        if not features.table_stored(tsv, digest, cache):
+            raise StageError(f"the stored copy of {tsv} in {cache} is "
+                             f"missing; re-run prerank for target {target!r}")
+    for tsv, digest in tables.items():
         try:
             table = features.read_table(tsv, digest, cache, columns)
         except KeyError as exc:
@@ -540,8 +547,7 @@ def _prerank_tables(ws: Workspace, target: str, columns=None):
                             f"lacks ({exc.args[0]}); re-run select") from None
         if table is None:
             raise StageError(f"the stored copy of {tsv} in {cache} is "
-                             f"missing or damaged; re-run prerank for target "
-                             f"{target!r}")
+                             f"damaged; re-run prerank for target {target!r}")
         yield table
 
 
@@ -565,7 +571,7 @@ def run_evaluate(config: PipelineConfig, target: str,
     ws = workspace_for(config)
     tdir = ws.target_dir(target)
     run_path = Path(run_path) if run_path else tdir / "test_ranked.tsv"
-    run = evaluation.read_run_file(run_path)
+    users, items, _ = evaluation.read_run_file(run_path)
     if qrels_path:
         qrels = evaluation.read_qrels(qrels_path)
     else:
@@ -576,7 +582,7 @@ def run_evaluate(config: PipelineConfig, target: str,
                                             snap.items.ids[rows.item])
     if not qrels:
         raise DataError(f"no qrels available for target {target!r}")
-    per_user, mean = evaluation.ndcg_at_k(run, qrels, k=10)
+    per_user, mean = evaluation.ndcg_at_k(users, items, qrels, k=10)
     # Inside the workspace the path is recorded relative to its root, so
     # two workspaces with the same runs write the same evaluation.json.
     run_file = run_path.resolve()

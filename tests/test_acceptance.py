@@ -21,7 +21,7 @@ from cmrec.util import read_artifact
 
 from test_embeddings import (dense_propagation_oracle, finite_difference,
                              rel_err, sgns_pair_loss)
-from test_evaluation import ndcg_oracle, rank_candidates
+from test_evaluation import ndcg_oracle, rank_candidates, run_arrays
 from test_gbdt import load_model, make_table, stump_oracle, stump_params
 from test_memory_cf import (bigraph_oracle, cosine_oracle, dense_sims,
                             every_item, every_user, llr_table_oracle,
@@ -183,11 +183,12 @@ def test_criterion_2_ndcg_matches_definition(capsys):
                                replace=False)}
         run = [("u", [(item, float(100 - pos))
                       for pos, item in enumerate(ranked)])]
-        _, got = evaluation.ndcg_at_k(run, {"u": relevant}, k=10)
+        _, got = evaluation.ndcg_at_k(*run_arrays(run)[:2], {"u": relevant},
+                                      k=10)
         worst = max(worst, abs(got - ndcg_oracle(ranked, relevant)))
     pair = [("u", [("a", 2.0), ("b", 1.0)])]
-    _, top = evaluation.ndcg_at_k(pair, {"u": {"a"}})
-    _, second = evaluation.ndcg_at_k(pair, {"u": {"b"}})
+    _, top = evaluation.ndcg_at_k(*run_arrays(pair)[:2], {"u": {"a"}})
+    _, second = evaluation.ndcg_at_k(*run_arrays(pair)[:2], {"u": {"b"}})
     hand_ok = (top == 1.0
                and abs(second - 1.0 / math.log2(3)) <= 1e-12)
     ok = worst <= 1e-12 and hand_ok
@@ -394,7 +395,7 @@ def column_ndcg(table, name, qrels):
         vals.append(float(scores[r]))
     run = [(u, rank_candidates(items, vals))
            for u, (items, vals) in by_user.items()]
-    _, mean = evaluation.ndcg_at_k(run, qrels, k=10)
+    _, mean = evaluation.ndcg_at_k(*run_arrays(run)[:2], qrels, k=10)
     return mean
 
 

@@ -1,6 +1,6 @@
-"""scripts/bench_gbdt.py: one repeat trains, screens and predicts, and
-prints the model digest, the screen digest and the prediction digest of
-today's numerics."""
+"""scripts/bench_gbdt.py: one repeat trains, screens, predicts and takes
+the out-of-fold NDCG, and prints the model digest, the screen digest, the
+prediction digest and the NDCG of today's numerics."""
 
 import importlib.util
 import re
@@ -15,6 +15,7 @@ spec.loader.exec_module(bench_gbdt)
 DIGEST = "3127efcdeeeab166f197102062c42bc30634eb7a4ed5293bb2391bc9cdfe9e47"
 SCREEN_DIGEST = "42043c4c42476eaedc893a8916942ccd22b3ec3e4cd26941f858e904fc0fff33"
 PREDICT_DIGEST = "ba660d7d9df23cba628829502dc8a0e211d084f03a7234447a78d6cc5ab1ad83"
+NDCG = 0.2089107483443792
 
 
 def test_one_repeat_prints_time_and_digest(capsys, monkeypatch,
@@ -29,6 +30,8 @@ def test_one_repeat_prints_time_and_digest(capsys, monkeypatch,
     screen = re.fullmatch(r"screen sha256 ([0-9a-f]{64})", lines[4])
     assert lines[5].startswith("predict 4000 rows; median ")
     predict = re.fullmatch(r"predict sha256 ([0-9a-f]{64})", lines[6])
+    assert lines[7].startswith("oof_ndcg 4000 rows; median ")
+    assert lines[8] == f"oof_ndcg {NDCG!r}"
     assert digest and screen and predict
     assert_digests([digest.group(1), screen.group(1), predict.group(1)],
                    [DIGEST, SCREEN_DIGEST, PREDICT_DIGEST])

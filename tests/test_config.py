@@ -328,7 +328,8 @@ class TestNonFiniteFloats:
         path.write_text(json.dumps({**MINIMAL, **section}))
         with pytest.raises(ConfigError) as err:
             load_config(path)
-        assert str(err.value).startswith(f"{where} must be finite, not ")
+        assert str(err.value).startswith(f"{path}: {where} must be finite, "
+                                         f"not ")
 
 
 class TestLoadErrors:
@@ -345,6 +346,22 @@ class TestLoadErrors:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="Is a directory"):
             load_config(tmp_path)
+
+    @pytest.mark.parametrize("payload, error", [
+        ({**MINIMAL, "bogus": 1}, "unknown config keys in config: ['bogus']"),
+        ({**MINIMAL, "targets": ["t3"]}, "targets not among markets"),
+        ({**MINIMAL, "ranker": {"folds": "3"}}, "config.ranker.folds"),
+    ], ids=["unknown-key", "post-init", "mistyped"])
+    def test_a_schema_error_names_the_file(self, tmp_path, capsys, payload,
+                                           error):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert error in str(err.value)
+        assert cli.main(["prerank", "--config", str(path)]) == 1
+        assert f"{path}: " in capsys.readouterr().err
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "list.json"

@@ -17,15 +17,40 @@ def ndcg_oracle(ranked_items, relevant, k=10):
     return dcg / ideal if ideal else 0.0
 
 
+def run_arrays(run):
+    """The aligned (users, items, scores) arrays of a ranked run written
+    as [(user, [(item, score), ...]), ...]."""
+    rows = [(user, item, score) for user, ranked in run
+            for item, score in ranked]
+    users, items, scores = zip(*rows) if rows else ((), (), ())
+    return (np.array(users, dtype=str), np.array(items, dtype=str),
+            np.array(scores, dtype=np.float64))
+
+
+def run_lists(users, items, scores):
+    """A ranked run's arrays as [(user, [(item, score), ...]), ...], users
+    in order of first appearance: the form run_arrays reads."""
+    run: dict = {}
+    for user, item, score in zip(users.tolist(), items.tolist(),
+                                 scores.tolist(), strict=True):
+        run.setdefault(user, []).append((item, score))
+    return list(run.items())
+
+
+def ndcg(run, qrels, **kw):
+    """ndcg_at_k of a run written as run_arrays reads it."""
+    return ev.ndcg_at_k(*run_arrays(run)[:2], qrels, **kw)
+
+
 class TestNdcg:
     def test_relevant_at_rank_1(self):
         run = [("u", [("a", 9.0), ("b", 1.0)])]
-        _, mean = ev.ndcg_at_k(run, {"u": {"a"}})
+        _, mean = ndcg(run, {"u": {"a"}})
         assert mean == pytest.approx(1.0)
 
     def test_relevant_at_rank_2(self):
         run = [("u", [("b", 9.0), ("a", 1.0)])]
-        _, mean = ev.ndcg_at_k(run, {"u": {"a"}})
+        _, mean = ndcg(run, {"u": {"a"}})
         assert mean == pytest.approx(1.0 / math.log2(3))
 
     def test_matches_oracle_on_100_permutations(self):
@@ -38,27 +63,34 @@ class TestNdcg:
             n_rel = int(rng.integers(1, 6))
             relevant = set(rng.choice(items, n_rel, replace=False))
             run = [("u", ranked)]
-            _, got = ev.ndcg_at_k(run, {"u": relevant})
+            _, got = ndcg(run, {"u": relevant})
             want = ndcg_oracle([i for i, _ in ranked], relevant)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_mean_over_qrel_users_only(self):
         run = [("u1", [("a", 2.0)]), ("u2", [("a", 2.0)]),
                ("u3", [("b", 1.0)])]
-        per_user, mean = ev.ndcg_at_k(run, {"u1": {"a"}, "u3": {"a"}})
+        per_user, mean = ndcg(run, {"u1": {"a"}, "u3": {"a"}})
         assert set(per_user) == {"u1", "u3"}
         assert mean == pytest.approx(0.5)
 
     def test_qrel_user_missing_from_run_is_error(self):
         with pytest.raises(DataError, match="ghost"):
-            ev.ndcg_at_k([("u", [("a", 1.0)])], {"ghost": {"a"}})
+            ndcg([("u", [("a", 1.0)])], {"ghost": {"a"}})
+
+    def test_runs_shorter_than_k_and_users_out_of_qrel_order(self):
+        run = [("u2", [("c", 0.5)]), ("u1", [("a", 0.9), ("b", 0.1)])]
+        per_user, _ = ndcg(run, {"u1": {"b"}, "u2": {"c", "d"}}, k=10)
+        assert list(per_user) == ["u1", "u2"]
+        assert per_user["u1"] == pytest.approx(1.0 / math.log2(3))
+        assert per_user["u2"] == pytest.approx(1.0 / (1.0 + 1.0 / math.log2(3)))
 
     def test_truncation_at_k(self):
         ranked = [(f"i{j}", float(-j)) for j in range(20)]
         run = [("u", ranked)]
-        _, at_10 = ev.ndcg_at_k(run, {"u": {"i15"}}, k=10)
+        _, at_10 = ndcg(run, {"u": {"i15"}}, k=10)
         assert at_10 == 0.0
-        _, at_20 = ev.ndcg_at_k(run, {"u": {"i15"}}, k=20)
+        _, at_20 = ndcg(run, {"u": {"i15"}}, k=20)
         assert at_20 > 0.0
 
 
@@ -94,36 +126,35 @@ def group_ranked_run_oracle(users, items, scores):
 
 class TestGroupRankedRun:
     def test_users_in_first_seen_order_items_ranked(self):
-        run = ev.group_ranked_run(["b", "a", "b", "a", "b"],
-                                  ["i1", "i2", "i3", "i4", "i0"],
-                                  np.array([0.5, 0.1, 0.9, 0.1, 0.5]))
-        assert run == [("b", [("i3", 0.9), ("i0", 0.5), ("i1", 0.5)]),
-                       ("a", [("i2", 0.1), ("i4", 0.1)])]
-        assert all(type(s) is float for _, ranked in run for _, s in ranked)
+        users, items, scores = ev.group_ranked_run(
+            np.array(["b", "a", "b", "a", "b"]),
+            np.array(["i1", "i2", "i3", "i4", "i0"]),
+            [0.5, 0.1, 0.9, 0.1, 0.5])
+        assert users.tolist() == ["b", "b", "b", "a", "a"]
+        assert items.tolist() == ["i3", "i0", "i1", "i2", "i4"]
+        assert scores.tolist() == [0.9, 0.5, 0.5, 0.1, 0.1]
+        assert scores.dtype == np.float64
 
     @pytest.mark.parametrize("pool", [
         None, [1.0, 0.5, -2.0], [0.0, -0.0, 1e-300, -1e-300, 0.0]])
     def test_matches_the_oracle(self, rng, pool):
         # pool: scores drawn from few values, so ties (and ties of -0.0
-        # with 0.0) are common; None: distinct normal scores. Some items
-        # differ only in trailing NULs, which numpy strings do not keep:
-        # in lists they are distinct ids, in arrays equal ones.
+        # with 0.0) are common; None: distinct normal scores
         for n in (1, 2, 17, 400):
-            users = [f"u{k}" for k in rng.integers(0, 9, n)]
-            items = [f"i{k // 3}" + "\0" * (k % 3)
-                     for k in rng.integers(0, 60, n)]
+            users = np.array([f"u{k}" for k in rng.integers(0, 9, n)])
+            items = np.array([f"i{k}" for k in rng.integers(0, 20, n)])
             scores = (rng.normal(size=n) if pool is None
                       else rng.choice(pool, size=n))
-            for keys in ((users, items), (np.array(users), np.array(items))):
-                got = ev.group_ranked_run(*keys, scores)
-                want = group_ranked_run_oracle(*keys, scores)
-                assert got == want
-                signs = [[np.signbit(s) for _, s in ranked] for _, ranked in got]
-                assert signs == [[np.signbit(s) for _, s in ranked]
-                                 for _, ranked in want]
+            got = ev.group_ranked_run(users, items, scores)
+            want = run_arrays(group_ranked_run_oracle(users, items, scores))
+            for column, expected in zip(got, want):
+                assert column.tolist() == expected.tolist()
+            assert np.array_equal(np.signbit(got[2]), np.signbit(want[2]))
 
     def test_empty_run(self):
-        assert ev.group_ranked_run([], [], np.zeros(0)) == []
+        got = ev.group_ranked_run(np.array([], dtype=str),
+                                  np.array([], dtype=str), np.zeros(0))
+        assert [len(column) for column in got] == [0, 0, 0]
 
     def test_misaligned_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -161,20 +192,20 @@ class TestRunFileIo:
     def test_round_trip_order_and_scores(self, tmp_path):
         run = [("u1", [("a", 0.25), ("b", 0.125)]),
                ("u2", [("c", 1.0)])]
-        ev.emit_run_file(run, tmp_path / "run.tsv")
+        ev.emit_run_file(*run_arrays(run), tmp_path / "run.tsv")
         got = ev.read_run_file(tmp_path / "run.tsv")
-        assert [(u, [i for i, _ in ranked]) for u, ranked in got] == \
-            [("u1", ["a", "b"]), ("u2", ["c"])]
+        assert run_lists(*got) == run
 
     def test_six_decimal_scores(self, tmp_path):
-        ev.emit_run_file([("u", [("a", 1 / 3)])], tmp_path / "run.tsv")
+        ev.emit_run_file(*run_arrays([("u", [("a", 1 / 3)])]),
+                         tmp_path / "run.tsv")
         assert (tmp_path / "run.tsv").read_text() == "u\ta\t0.333333\n"
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "run.tsv"
         target.mkdir()  # the rename onto a directory fails
         with pytest.raises(DataError, match="cannot write run file"):
-            ev.emit_run_file([("u", [("a", 0.5)])], target)
+            ev.emit_run_file(*run_arrays([("u", [("a", 0.5)])]), target)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.tsv"]
         assert target.is_dir()
 
@@ -216,10 +247,11 @@ class TestRunFileIo:
     def test_read_run_file_groups_users_in_first_seen_order(self, tmp_path):
         (tmp_path / "run.tsv").write_text(
             "u2\tb\t0.5\nu1\ta\t-0.0\n\nu2\tc\t1e-300\n")
-        got = ev.read_run_file(tmp_path / "run.tsv")
-        assert got == [("u2", [("b", 0.5), ("c", 1e-300)]),
-                       ("u1", [("a", 0.0)])]
-        assert np.signbit(got[1][1][0][1])
+        users, items, scores = ev.read_run_file(tmp_path / "run.tsv")
+        assert run_lists(users, items, scores) == [
+            ("u2", [("b", 0.5), ("c", 1e-300)]), ("u1", [("a", 0.0)])]
+        assert users.tolist() == ["u2", "u2", "u1"]
+        assert np.signbit(scores[2])
 
     @pytest.mark.parametrize("text, line, problem", [
         ("u1\ta\t0.5\n\tb\t0.25\n", 2, "empty id"),

@@ -71,11 +71,10 @@ OTHER_KEY = "fedcba9876543210" * 4
 
 def plan_run(plan, ctx, run, key=KEY):
     """run_plan over a RunFile's pairs, encoded by ctx's encoders, as the
-    run's table, without the provenance: (table, failures). With a
-    cache_dir the columns are stored under key."""
+    run's table, without the provenance: (table, failures). The columns
+    are stored in ctx's cache_dir under key."""
     names, values, _, failures = run_plan(
-        plan, ctx, *features.encode_run(run, ctx.users, ctx.items),
-        None if ctx.cache_dir is None else key)
+        plan, ctx, *features.encode_run(run, ctx.users, ctx.items), key)
     return empty_table(run).with_columns(names, values), failures
 
 
@@ -118,8 +117,9 @@ def every_id(users, items):
     return np.arange(len(users)), np.arange(len(items))
 
 
-def tiny_context(cache_dir=None):
-    """A context over RAW_ROWS whose fits cover every id it encodes."""
+def tiny_context(cache_dir):
+    """A context over RAW_ROWS whose fits cover every id it encodes, with
+    its column cache in cache_dir."""
     users = IdEncoder.fit([r[0] for r in RAW_ROWS] + RUN.users.tolist())
     items = IdEncoder.fit([r[1] for r in RAW_ROWS] + RUN.candidates.tolist())
     user, item, rating, market, split = zip(*RAW_ROWS)
@@ -189,8 +189,8 @@ class TestDefaultCombinations:
 
 
 class TestCombinationMatrix:
-    def test_target_valid_positives_never_enter(self):
-        ctx = tiny_context()
+    def test_target_valid_positives_never_enter(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         m = combination_matrix(ctx, CombinationSpec("t1", ("s1", "t1")))
         dense = to_dense(m)
         a, i2 = lookup(ctx.users, "a"), lookup(ctx.items, "i2")
@@ -198,40 +198,41 @@ class TestCombinationMatrix:
         d, i3 = lookup(ctx.users, "d"), lookup(ctx.items, "i3")
         assert dense[d, i3] == 4.0  # source-market valid rows stay
 
-    def test_test_positives_never_enter_even_unguarded(self):
-        ctx = tiny_context()
+    def test_test_positives_never_enter_even_unguarded(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         spec = CombinationSpec("t1", ("s1", "t1"), exclude_valid_of_target=False)
         dense = to_dense(combination_matrix(ctx, spec))
         a = lookup(ctx.users, "a")
         assert dense[a, lookup(ctx.items, "i2")] == 4.0  # guard disabled
         assert dense[a, lookup(ctx.items, "i4")] == 0.0  # test rows always out
 
-    def test_markets_outside_combination_filtered(self):
-        ctx = tiny_context()
+    def test_markets_outside_combination_filtered(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         dense = to_dense(combination_matrix(ctx, CombinationSpec("t1", ("t1",))))
         c = lookup(ctx.users, "c")
         assert np.all(dense[c] == 0.0)
         assert dense[lookup(ctx.users, "a"), lookup(ctx.items, "i0")] == 5.0
 
 
-def _per_spec_columns(specs):
-    """(name, column) of every spec planned on its own."""
+def _per_spec_columns(specs, cache_dir):
+    """(name, column) of every spec planned on its own, with its column
+    cache in cache_dir."""
     for spec in specs:
-        table, _ = plan_run([spec], tiny_context(), RUN)
+        table, _ = plan_run([spec], tiny_context(cache_dir), RUN)
         yield from ((name, table.column(name)) for name in table.columns)
 
 
 class TestRunPlan:
-    def test_rows_follow_run_file_order(self):
-        ctx = tiny_context()
+    def test_rows_follow_run_file_order(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         table, failures = plan_run([spec_for()], ctx, RUN)
         assert failures == []
         assert list(zip(table.users, table.items)) == pairs_of(RUN)
         name = spec_for().feature_name
         assert table.columns == (name, f"{name}__missing")
 
-    def test_item_cf_column_matches_direct_scoring(self):
-        ctx = tiny_context()
+    def test_item_cf_column_matches_direct_scoring(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         spec = spec_for(params={"top_k": 10})
         table, _ = plan_run([spec], ctx, RUN)
         matrix = combination_matrix(ctx, spec.combination)
@@ -249,8 +250,8 @@ class TestRunPlan:
         assert np.array_equal(table.column(f"{spec.feature_name}__missing"),
                               want_miss)
 
-    def test_unknown_user_flagged_missing_not_fatal(self):
-        ctx = tiny_context()
+    def test_unknown_user_flagged_missing_not_fatal(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         spec = spec_for()
         table, failures = plan_run([spec], ctx, RUN)
         assert failures == []
@@ -258,8 +259,8 @@ class TestRunPlan:
         ghost_rows = [r for r, u in enumerate(table.users) if u == "ghost"]
         assert all(miss[r] == 1.0 for r in ghost_rows)
 
-    def test_failing_scorer_recorded_and_plan_continues(self):
-        ctx = tiny_context()
+    def test_failing_scorer_recorded_and_plan_continues(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         good = spec_for()
         bad = spec_for("swing", {"alpha": -1.0})
         table, failures = plan_run([good, bad], ctx, RUN)
@@ -269,8 +270,8 @@ class TestRunPlan:
         assert failures[0]["feature"] == bad.feature_name
         assert "alpha" in failures[0]["error"]
 
-    def test_fit_ids_that_miss_a_run_user_fail_the_scorer(self):
-        ctx = tiny_context()
+    def test_fit_ids_that_miss_a_run_user_fail_the_scorer(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         user_ids, item_ids = features.encode_run(RUN, ctx.users, ctx.items)
         a = lookup(ctx.users, "a")
         users, items = features.known_ids(user_ids, item_ids)
@@ -283,13 +284,13 @@ class TestRunPlan:
                              f"ValueError: entity {a} has no fitted "
                              f"neighbor list"}]
 
-    def test_one_values_block_per_plan(self):
+    def test_one_values_block_per_plan(self, tmp_path):
         specs = [spec_for(), spec_for("swing"), spec_for("llr"),
                  spec_for(markets=("t1",))]
-        want = list(_per_spec_columns(specs))
-        ctx = tiny_context()
+        want = list(_per_spec_columns(specs, tmp_path / "each"))
+        ctx = tiny_context(tmp_path)
         names, values, _, failures = run_plan(
-            specs, ctx, *features.encode_run(RUN, ctx.users, ctx.items))
+            specs, ctx, *features.encode_run(RUN, ctx.users, ctx.items), KEY)
         assert failures == []
         assert values.shape == (len(pairs_of(RUN)), len(names))
         table = empty_table(RUN).with_columns(names, values)
@@ -297,16 +298,16 @@ class TestRunPlan:
             assert np.array_equal(table.column(name).view(np.int64),
                                   col.view(np.int64))
 
-    def test_duplicate_feature_names_rejected(self):
-        ctx = tiny_context()
+    def test_duplicate_feature_names_rejected(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         with pytest.raises(ConfigError, match="duplicate"):
             plan_run([spec_for(), spec_for()], ctx, RUN)
 
     def test_provenance_records_combination_and_guard(self, tmp_path):
-        ctx = tiny_context()
+        ctx = tiny_context(tmp_path)
         spec = spec_for(params={"top_k": 5})
         names, values, provenance, _ = run_plan(
-            [spec], ctx, *features.encode_run(RUN, ctx.users, ctx.items))
+            [spec], ctx, *features.encode_run(RUN, ctx.users, ctx.items), KEY)
         assert list(provenance) == names
         table = empty_table(RUN).with_columns(names, values)
         catalog = tmp_path / "features.catalog.json"
@@ -324,9 +325,9 @@ class TestRunPlan:
 
 
 class TestScorerRegistry:
-    def test_every_scorer_scores_every_run_pair(self):
+    def test_every_scorer_scores_every_run_pair(self, tmp_path):
         # "stranger" is unknown to the encoders: missing, not fatal
-        ctx = tiny_context()
+        ctx = tiny_context(tmp_path)
         run = run_of(RUN_ENTRIES + (("stranger", ("i0",)),))
         small = {"dim": 4, "epochs": 1, "walks_per_node": 1, "walk_length": 4,
                  "batch_size": 8, "seed": 1}
@@ -349,7 +350,7 @@ class TestScorerRegistry:
         ("user_cf", "score_candidates_user_based"),
         ("bigraph", "score_candidates_bigraph")])
     def test_memory_scorers_score_the_whole_run_in_one_call(
-            self, monkeypatch, scorer, kernel):
+            self, tmp_path, monkeypatch, scorer, kernel):
         calls = []
         inner = getattr(memory_cf, kernel)
 
@@ -358,7 +359,7 @@ class TestScorerRegistry:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(memory_cf, kernel, spy)
-        ctx = tiny_context()
+        ctx = tiny_context(tmp_path)
         plan_run([spec_for(scorer)], ctx, RUN)
         [args] = calls
         users, items = features.encode_run(RUN, ctx.users, ctx.items)
@@ -366,7 +367,7 @@ class TestScorerRegistry:
         assert np.array_equal(args[-1], items)
 
     def test_embedding_adapter_calls_once_per_spec_and_run(
-            self, monkeypatch):
+            self, tmp_path, monkeypatch):
         calls = []
         inner = emb.embedding_score
 
@@ -376,7 +377,7 @@ class TestScorerRegistry:
             return inner(table, users, candidates, metric=metric)
 
         monkeypatch.setattr(emb, "embedding_score", spy)
-        ctx = tiny_context()
+        ctx = tiny_context(tmp_path)
         run = run_of(RUN_ENTRIES + (("stranger", ("i0",)),))
         spec = spec_for("word2vec", {"dim": 4, "epochs": 1, "seed": 1})
         table, _ = plan_run([spec], ctx, run)
@@ -385,7 +386,8 @@ class TestScorerRegistry:
             [lookup(ctx.items, c) for _, c in pairs_of(run)])]
         assert table.column(f"{spec.feature_name}__missing")[-1] == 1.0
 
-    def test_node2vec_walks_and_trains_on_one_typed_params(self, monkeypatch):
+    def test_node2vec_walks_and_trains_on_one_typed_params(self, tmp_path,
+                                                           monkeypatch):
         got = []
 
         def spy(inner):
@@ -398,16 +400,16 @@ class TestScorerRegistry:
             monkeypatch.setattr(emb, name, spy(getattr(emb, name)))
         spec = spec_for("node2vec_dfs", {"dim": 4, "epochs": 1, "seed": 1,
                                          "walks_per_node": 1, "walk_length": 4})
-        _, failures = plan_run([spec], tiny_context(), RUN)
+        _, failures = plan_run([spec], tiny_context(tmp_path), RUN)
         assert failures == []
         [walks, skipgram] = got
         assert walks is skipgram
         assert walks == features.Node2VecDfsParams(
             dim=4, epochs=1, seed=1, walks_per_node=1, walk_length=4)
 
-    def test_unknown_param_is_a_per_spec_failure(self):
+    def test_unknown_param_is_a_per_spec_failure(self, tmp_path):
         table, failures = plan_run([spec_for(params={"topk": 5})],
-                                   tiny_context(), RUN)
+                                   tiny_context(tmp_path), RUN)
         assert table.columns == ()
         [failure] = failures
         assert failure["error"] == ("ConfigError: unknown config keys in "
@@ -417,8 +419,8 @@ class TestScorerRegistry:
         assert [n for n, s in features.SCORERS.items() if s.seeded] == [
             "word2vec", "node2vec_dfs", "node2vec_bfs", "lightgcn"]
 
-    def test_unknown_candidate_item_is_a_per_spec_failure(self):
-        ctx = tiny_context()
+    def test_unknown_candidate_item_is_a_per_spec_failure(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         run = run_of((("a", ("i0", "nobody_knows")),))
         good, other = spec_for(), spec_for("bigraph", {})
         table, failures = plan_run([good, other], ctx, run)
@@ -428,8 +430,8 @@ class TestScorerRegistry:
                    for f in failures)
         assert table.columns == ()
 
-    def test_bigraph_column_matches_direct_lookup(self):
-        ctx = tiny_context()
+    def test_bigraph_column_matches_direct_lookup(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         spec = spec_for("bigraph", {"retain_seed": False})
         table, _ = plan_run([spec], ctx, RUN)
         matrix = combination_matrix(ctx, spec.combination)
@@ -462,13 +464,6 @@ class TestColumnCache:
         table2, _ = plan_run([spec], tiny_context(cache_dir=tmp_path), RUN)
         assert counts == {"fit": 0, "score": 0}  # nothing was computed
         assert np.array_equal(table1.values, table2.values)
-
-    def test_cache_dir_without_a_key_is_an_error(self, tmp_path):
-        ctx = tiny_context(cache_dir=tmp_path)
-        with pytest.raises(ValueError, match="needs a key"):
-            run_plan([spec_for()], ctx,
-                     *features.encode_run(RUN, ctx.users, ctx.items))
-        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_cache_recomputed(self, tmp_path):
         ctx = tiny_context(cache_dir=tmp_path)
@@ -525,7 +520,7 @@ class TestColumnCache:
         table, failures = plan_run([spec], tiny_context(cache_dir=tmp_path),
                                    RUN, key)
         assert failures == [] and counts == {"fit": 1, "score": 1}
-        fresh, _ = plan_run([spec], tiny_context(), RUN)
+        fresh, _ = plan_run([spec], tiny_context(tmp_path / "fresh"), RUN)
         assert np.array_equal(table.values, fresh.values)
 
     def test_another_key_is_a_miss_stored_beside_the_old_file(
@@ -542,11 +537,6 @@ class TestColumnCache:
             tmp_path / f"{spec.feature_name}.{key[:32]}.npy"
             for key in (KEY, OTHER_KEY))
         assert old.exists()
-
-    def test_no_cache_dir_still_works(self):
-        table, failures = plan_run([spec_for()], tiny_context(), RUN)
-        assert failures == [] and table.n_rows == len(pairs_of(RUN))
-
 
 class TestSweepCache:
     def test_keeps_exactly_the_named_entries(self, tmp_path):
@@ -636,11 +626,11 @@ def assert_same_statistics(got, want):
 
 
 class TestGlobalStatistics:
-    def test_matches_dict_loop_oracle_on_tiny_context(self):
+    def test_matches_dict_loop_oracle_on_tiny_context(self, tmp_path):
         # RUN holds the "ghost" user, who has no rows, and the candidate
         # i4, which has no training rows; a third run adds ids the
         # encoders have never seen.
-        ctx = tiny_context()
+        ctx = tiny_context(tmp_path)
         unseen = run_of((("a", ("i0", "nobody_knows")), ("stranger", ("i1",))))
         for target in ("t1", "s1"):
             for run in (RUN, unseen):
@@ -648,10 +638,11 @@ class TestGlobalStatistics:
                     run_statistics(ctx, run, target),
                     global_statistics_oracle(ctx, run, target))
 
-    def test_matches_dict_loop_oracle_on_synth_snapshot(self, synth_snapshot):
+    def test_matches_dict_loop_oracle_on_synth_snapshot(self, synth_snapshot,
+                                                        tmp_path):
         snap, ws = synth_snapshot
         ctx = PlanContext(snap.rows, snap.users, snap.items,
-                          every_id(snap.users, snap.items))
+                          every_id(snap.users, snap.items), tmp_path)
         # the last encoded user and item have training rows, so an unknown
         # id (-1) must not be read as the last one
         last_user, last_item = str(snap.users.ids[-1]), str(snap.items.ids[-1])
@@ -680,8 +671,8 @@ class TestGlobalStatistics:
             user_sum[u] = user_sum.get(u, 0.0) + rating
         return item_count, item_sum, user_count, user_sum
 
-    def test_counts_and_means_match_recount(self):
-        ctx = tiny_context()
+    def test_counts_and_means_match_recount(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         columns, mat, prov = run_statistics(ctx, RUN, "t1")
         got = dict(zip(columns, mat.T))
         pairs = pairs_of(RUN)
@@ -698,8 +689,8 @@ class TestGlobalStatistics:
             assert got[f"stat__item_mean_rating__{scope}__missing"].tolist() \
                 == [0.0 if i in ic else 1.0 for _, i in pairs]
 
-    def test_overlap_counts_markets_per_item(self):
-        ctx = tiny_context()
+    def test_overlap_counts_markets_per_item(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         columns, mat, _ = run_statistics(ctx, RUN, "t1")
         got = dict(zip(columns, mat.T))
         # i1 trains in both markets; i0 in both; i2 in s1 train + t1 5core;
@@ -708,8 +699,8 @@ class TestGlobalStatistics:
         overlap = got["stat__item_market_overlap__all"]
         assert overlap.tolist() == [want[i] for _, i in pairs_of(RUN)]
 
-    def test_qrel_splits_do_not_leak_into_statistics(self):
-        ctx = tiny_context()
+    def test_qrel_splits_do_not_leak_into_statistics(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         columns, mat, _ = run_statistics(ctx, RUN, "t1")
         got = dict(zip(columns, mat.T))
         pairs = pairs_of(RUN)
@@ -717,8 +708,8 @@ class TestGlobalStatistics:
         assert i4_rows  # the test positive appears as a candidate
         assert all(got["stat__item_count__all"][r] == 0 for r in i4_rows)
 
-    def test_catalog_is_seventeen_columns(self):
-        columns, mat, prov = run_statistics(tiny_context(), RUN, "t1")
+    def test_catalog_is_seventeen_columns(self, tmp_path):
+        columns, mat, prov = run_statistics(tiny_context(tmp_path), RUN, "t1")
         assert len(columns) == 17 and mat.shape == (len(pairs_of(RUN)), 17)
         assert set(prov) == set(columns)
         assert all(columns.count(c) == 1 for c in columns)
@@ -729,8 +720,8 @@ class TestExternalEmbeddings:
         return {"i0": np.array([1.0, 0.0]), "i1": np.array([0.0, 2.0]),
                 "i2": np.array([1.0, 1.0]), "i3": np.array([3.0, 0.0])}
 
-    def test_mean_and_max_cosine_match_hand_computation(self):
-        ctx = tiny_context()
+    def test_mean_and_max_cosine_match_hand_computation(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         table = self.embedding()
         matrix = combination_matrix(ctx, CombinationSpec("t1", ("s1", "t1")))
         names, mat, prov = run_external(table, RUN, matrix, ctx)
@@ -750,8 +741,8 @@ class TestExternalEmbeddings:
             assert got["ext_emb__max_cos"][r] == pytest.approx(np.max(cos))
             assert got["ext_emb__missing"][r] == 0.0
 
-    def test_uncovered_candidate_or_user_is_missing(self):
-        ctx = tiny_context()
+    def test_uncovered_candidate_or_user_is_missing(self, tmp_path):
+        ctx = tiny_context(tmp_path)
         matrix = combination_matrix(ctx, CombinationSpec("t1", ("s1", "t1")))
         names, mat, _ = run_external(self.embedding(), RUN, matrix, ctx)
         got = dict(zip(names, mat.T))

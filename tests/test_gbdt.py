@@ -769,14 +769,15 @@ class TestBagging:
         for r in range(table.n_rows):
             if table.labels[r] == 1:
                 want_qrels.setdefault(table.users[r], set()).add(table.items[r])
-        run = gbdt.evaluation.group_ranked_run(table.users, table.items, scores)
-        _, want = gbdt.evaluation.ndcg_at_k(run, want_qrels, k=10)
+        users, items, _ = gbdt.evaluation.group_ranked_run(
+            table.users, table.items, scores)
+        _, want = gbdt.evaluation.ndcg_at_k(users, items, want_qrels, k=10)
         seen = []
         inner = gbdt.evaluation.ndcg_at_k
 
-        def spy(run, qrels, k):
+        def spy(users, items, qrels, k):
             seen.append(qrels)
-            return inner(run, qrels, k=k)
+            return inner(users, items, qrels, k=k)
 
         monkeypatch.setattr(gbdt.evaluation, "ndcg_at_k", spy)
         assert gbdt.oof_ndcg(table, scores) == want

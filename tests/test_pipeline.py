@@ -20,6 +20,7 @@ from cmrec.synth import MarketSpec, SynthConfig, generate
 from cmrec.util import ConfigError, DataError, StageError
 
 from test_data import to_dense
+from test_evaluation import run_lists
 from test_features import count_calls, every_id
 from test_gbdt import load_model
 from test_golden import golden_config, golden_data
@@ -437,10 +438,11 @@ class TestPrerankOutputs:
         assert list(zip(test.users.tolist(), test.items.tolist())) == run_pairs(
             run)
 
-    def test_no_eval_positive_reaches_any_scorer_matrix(self, world):
+    def test_no_eval_positive_reaches_any_scorer_matrix(self, world,
+                                                        tmp_path):
         snap = pipeline.load_snapshot(world["ws"])
         ctx = features.PlanContext(snap.rows, snap.users, snap.items,
-                                   every_id(snap.users, snap.items))
+                                   every_id(snap.users, snap.items), tmp_path)
         rows = snap.rows.take((snap.rows.market == "t1")
                               & np.isin(snap.rows.split, ("valid_qrel",
                                                           "test_qrel")))
@@ -759,8 +761,8 @@ class TestSelectTrain:
 
     def test_ranked_run_permutes_the_candidates(self, world):
         ws = world["ws"]
-        ranked = evaluation.read_run_file(ws.target_dir("t1")
-                                          / "test_ranked.tsv")
+        ranked = run_lists(*evaluation.read_run_file(
+            ws.target_dir("t1") / "test_ranked.tsv"))
         run = load_run(ws.run_path("t1", "test"))
         source = dict(zip(run.users.tolist(), run.candidate_lists()))
         assert {u for u, _ in ranked} == set(source)
@@ -894,6 +896,26 @@ class TestPrerankHandOff:
             pipeline.run_select(config, "t1")
         assert f"{tsv} is not the table {record} records" in str(err.value)
         assert "re-run prerank" in str(err.value)
+
+    def test_train_without_the_test_tables_stored_copy_writes_nothing(
+            self, world, tmp_path, capsys):
+        work, config = copied_workspace(world, tmp_path)
+        outputs = ("model.json", "oof.tsv", "test_ranked.tsv", "metrics.json")
+        before = {name: (work / "t1" / name).read_bytes() for name in outputs}
+        [stored] = (work / "t1" / "cache").glob("features_test.*.npy")
+        stored.unlink()
+        params = config.ranker.params
+        longer = dataclasses.replace(config, ranker=dataclasses.replace(
+            config.ranker, params=dataclasses.replace(
+                params, n_rounds=params.n_rounds + 3)))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dataclasses.asdict(longer)))
+        assert cli.main(["train", "--config", str(path),
+                         "--target", "t1"]) == 3
+        err = capsys.readouterr().err
+        assert "stored copy of" in err and "features_test.tsv" in err
+        assert {name: (work / "t1" / name).read_bytes()
+                for name in outputs} == before
 
     def test_each_stage_call_reads_the_record_once(self, world, tmp_path,
                                                    monkeypatch):

@@ -1,23 +1,39 @@
 """The reader contract under mutation: for any bytes, a reader returns what
 a slow line-by-line oracle of its format returns, or raises a DataError
-naming the file. Valid files shaped like the golden run's are mutated by
-byte flips, truncation, inserted CR, NUL, tab and LF bytes, and lines
-repeated, deleted or swapped.
+naming the file. A JSON reader (a workspace file's read_artifact, and
+load_config) returns an object that holds every value of the document, or
+raises a StageError or ConfigError naming the file. Valid files shaped
+like the golden run's are mutated by byte flips, truncation, inserted CR,
+NUL, tab and LF bytes, and lines repeated, deleted or swapped.
 
 The oracles split lines as the readers do: CRLF and a lone CR become LF,
 and only LF splits a line (no str.splitlines, which also splits on form
 feeds, NEL and the Unicode separators)."""
 
+import dataclasses
+import functools
+import json
 import math
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmrec import data, embeddings, evaluation, selection
-from cmrec.util import DataError
+from cmrec.config import load_config
+from cmrec.features import Catalog, PlanEntry
+from cmrec.pipeline import (Evaluation, PrerankInputs, PrerankRecord,
+                            SnapshotEncoders, SnapshotMeta)
+from cmrec.util import ConfigError, DataError, StageError, read_artifact
+
+from test_config import FULL
+from test_evaluation import run_lists
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=200)
+# half the examples for each of the six JSON readers keeps every fuzz test
+# of this file under 10 s together
+JSON_FUZZ = settings(FUZZ, max_examples=100)
 
 RUN = ("userId\titemIds\n"
        + "".join(f"t1U{u:04d}\t" + "\t".join(f"I{(7 * u + c) % 40:04d}"
@@ -40,6 +56,49 @@ MARKET = ("userId\titemId\trating\n"
                     for u in range(4) for c in range(2))).encode()
 VECTORS = "".join(f"I{k:04d}\t{(k % 3) - 1.5!r}\t{k / 8!r}\t-0.0\n"
                   for k in range(5)).encode()
+
+
+def json_bytes(doc) -> bytes:
+    """doc laid out as a workspace JSON file (util.write_json)."""
+    return (json.dumps(doc, indent=2, sort_keys=True,
+                       default=dataclasses.asdict) + "\n").encode()
+
+
+DIGEST = "0123456789abcdef" * 4
+
+
+def artifact(cls):
+    """read_artifact of cls, as a function of the path."""
+    return functools.partial(read_artifact, cls)
+
+
+# file name -> (reader, a valid document): workspace JSON files, a config
+JSON_READERS = {
+    "meta.json": (artifact(SnapshotMeta), SnapshotMeta(
+        ("s1", "s2", "t1", "t2"), ("t1", "t2"),
+        ("train", "train_5core", "valid_qrel", "test_qrel"))),
+    "encoders.json": (artifact(SnapshotEncoders), SnapshotEncoders(
+        ("s1U0000", "t1U0000", "t1U0001"), ("I0000", "I0001", "I0002"))),
+    "prerank.inputs.json": (artifact(PrerankRecord), PrerankRecord(
+        2, PrerankInputs(
+            {"meta.json": DIGEST, "rows_user.npy": DIGEST[::-1],
+             "runs/t1_valid_run.tsv": DIGEST},
+            (PlanEntry("item_cf", {"top_k": 30}, ("s1", "t1", "t2"), True),
+             PlanEntry("node2vec_dfs", {"dim": 4, "seed": 123456789},
+                       ("t1", "t2"), False)), True, None),
+        {"features_valid.tsv": DIGEST, "prerank_failures.json": DIGEST})),
+    "evaluation.json": (artifact(Evaluation), Evaluation(
+        "t1", 0.3249, 100, "t1/test_ranked.tsv")),
+    "features_valid.catalog.json": (artifact(Catalog), Catalog(
+        ("item_cf__a3f129cd__s1-t1", "item_cf__a3f129cd__s1-t1__missing",
+         "stat__user_count"), True,
+        {"item_cf__a3f129cd__s1-t1": {
+            "kind": "scorer", "scorer": "item_cf", "params": {"top_k": 30},
+            "combination": ["s1", "t1"], "excludes_target_valid": True},
+         "item_cf__a3f129cd__s1-t1__missing": {"kind": "missing_indicator"},
+         "stat__user_count": {"kind": "statistic", "splits": ["train"]}})),
+    "config.json": (load_config, FULL),
+}
 
 INSERTS = {"cr": b"\r", "nul": b"\0", "tab": b"\t", "lf": b"\n"}
 MUTATION = st.tuples(
@@ -212,6 +271,30 @@ def vectors_oracle(payload: bytes):
     return vectors or None
 
 
+def json_oracle(payload: bytes):
+    """The JSON document of a file; None where it is not UTF-8 JSON."""
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError
+        return None
+
+
+def holds(doc, got) -> bool:
+    """Whether got, the fields of what a reader returned, holds every value
+    of the JSON document doc: a list as a list or tuple, an object as a
+    mapping with at least its keys (a config fills in defaults), NaN as
+    NaN."""
+    if isinstance(doc, dict):
+        return isinstance(got, Mapping) and all(
+            key in got and holds(value, got[key]) for key, value in doc.items())
+    if isinstance(doc, list):
+        return (isinstance(got, (list, tuple)) and len(got) == len(doc)
+                and all(map(holds, doc, got)))
+    kinds = {type(doc), type(got)}
+    return (len(kinds) == 1 or kinds == {int, float}) and (
+        doc == got or doc != doc and got != got)
+
+
 def check(read, oracle, path, payload):
     path.write_bytes(payload)
     want = oracle(payload)
@@ -231,6 +314,10 @@ def read_run(path):
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
+
+
+def read_ranked(path):
+    return run_lists(*evaluation.read_run_file(path))
 
 
 def read_qrels(path):
@@ -297,7 +384,7 @@ def test_read_kept_agrees_with_the_oracle_or_names_the_file(fuzz_dir,
 @given(st.lists(MUTATION, max_size=4))
 def test_read_run_file_agrees_with_the_oracle_or_names_the_file(fuzz_dir,
                                                                mutations):
-    check(evaluation.read_run_file, ranked_oracle, fuzz_dir / "ranked.tsv",
+    check(read_ranked, ranked_oracle, fuzz_dir / "ranked.tsv",
           mutate(RANKED, mutations))
 
 
@@ -325,3 +412,33 @@ def test_read_embedding_tsv_agrees_with_the_oracle_or_names_the_file(
         fuzz_dir, mutations):
     check(read_vectors, vectors_oracle, fuzz_dir / "vectors.tsv",
           mutate(VECTORS, mutations))
+
+
+def test_the_json_seeds_parse_and_mutations_reach_both_outcomes(fuzz_dir):
+    for name, (read, seed) in JSON_READERS.items():
+        path = fuzz_dir / name
+        path.write_bytes(json_bytes(seed))
+        got = dataclasses.asdict(read(path))
+        assert holds(json_oracle(json_bytes(seed)), got)
+        assert not holds({**json_oracle(json_bytes(seed)), "x": 1}, got)
+        path.write_bytes(mutate(json_bytes(seed), [("nul", 3, 0, 0)]))
+        with pytest.raises((ConfigError, StageError)):
+            read(path)
+
+
+@JSON_FUZZ
+@pytest.mark.parametrize("name", JSON_READERS)
+@given(mutations=st.lists(MUTATION, max_size=4))
+def test_a_json_reader_returns_the_document_or_names_the_file(
+        fuzz_dir, name, mutations):
+    read, seed = JSON_READERS[name]
+    path = fuzz_dir / name
+    payload = mutate(json_bytes(seed), mutations)
+    path.write_bytes(payload)
+    try:
+        got = read(path)
+    except (ConfigError, StageError) as exc:
+        assert str(path) in str(exc)
+    else:
+        doc = json_oracle(payload)
+        assert doc is not None and holds(doc, dataclasses.asdict(got))
