@@ -15,7 +15,10 @@ table and the cosine over the word2vec table with its derived user
 vectors.
 
 Prints the median wall time and the median CPU time (process_time) of
-each kernel over --repeats calls, and the sha256 of the walks, of each
+each kernel over --repeats calls, for each skip-gram run its count of
+chunks (the updates `train_skipgram` makes: each sequence's pairs in
+chunks of up to 1,024, every epoch) and its median wall time over that
+count in microseconds, and the sha256 of the walks, of each
 table and of the scores (score bytes, then missing flags), so two
 checkouts can be compared for speed and for identical outputs
 (`measure(repeats)` returns the same figures as a dict). CPU time
@@ -77,6 +80,16 @@ def token_table(vectors, present, meta) -> emb.EmbeddingTable:
                               np.zeros(0, dtype=bool), vectors, present, meta)
 
 
+def chunk_count(corpus, params: emb.SkipGramParams) -> int:
+    """The updates train_skipgram makes over corpus: each sequence of L
+    tokens has 2 * sum(L - k for k in 1..min(window, L - 1)) pairs, taken
+    in chunks of up to 1,024, in each of params.epochs epochs."""
+    lengths = np.array([len(seq) for seq in corpus], dtype=np.int64)
+    k = np.arange(1, params.window + 1)
+    pairs = 2 * np.maximum(lengths[:, None] - k, 0).sum(axis=1)
+    return int(-(-pairs // 1024).sum()) * params.epochs
+
+
 def make_run() -> tuple[np.ndarray, np.ndarray]:
     """Aligned (user, item) ids: RUN_CANDIDATES distinct items for each of
     RUN_USERS users, the last of them unknown (-1)."""
@@ -113,7 +126,7 @@ def timed(repeats: int, fn, fingerprint):
 def measure(repeats: int) -> dict:
     """The matrix's edge count, and per kernel in run order its median
     wall and CPU seconds over repeats calls, the size of its work (count
-    and unit) and the digest of its result."""
+    and unit; for skip-gram also chunks) and the digest of its result."""
     m = make_matrix()
     history = emb.user_history_sequences(m, shuffles=2, seed=3)
     kernels = {}
@@ -127,7 +140,8 @@ def measure(repeats: int) -> dict:
             repeats,
             lambda: token_table(*emb.train_skipgram(corpus, SKIPGRAM, n_tokens)),
             table_digest)
-        kernels[name].update(count=sum(map(len, corpus)), unit="tokens")
+        kernels[name].update(count=sum(map(len, corpus)), unit="tokens",
+                             chunks=chunk_count(corpus, SKIPGRAM))
     binary = m.binarized()
     kernels["train_lightgcn"], lightgcn = timed(
         repeats, lambda: emb.train_lightgcn(binary, LIGHTGCN), table_digest)
@@ -156,8 +170,11 @@ def main(argv=None) -> None:
     out = measure(args.repeats)
     print(f"matrix {N_USERS}x{N_ITEMS}, {out['edges']} edges, seed {SEED}")
     for name, k in out["kernels"].items():
+        chunks = (f"  {k['chunks']} chunks"
+                  f"  {k['wall_s'] / k['chunks'] * 1e6:.1f} us/chunk"
+                  if "chunks" in k else "")
         print(f"{name:<24} median {k['wall_s']:.4f} s  cpu {k['cpu_s']:.4f} s"
-              f"  {k['count']} {k['unit']}  sha256 {k['sha256']}")
+              f"  {k['count']} {k['unit']}{chunks}  sha256 {k['sha256']}")
 
 
 if __name__ == "__main__":

@@ -18,8 +18,16 @@ and losses of a per-sequence loop bit for bit: one rng.random per pair
 block yields the doubles of the per-chunk calls in order; a guide table
 with a power-of-two bucket count puts each draw in its exact bucket and
 steps a bounded number of entries to searchsorted's index; the loss is
-taken once per block from the dot products the updates return, each
-chunk's slice summed and added in chunk order.
+taken once per block from the dot products the updates write, each
+chunk's slice summed and added in chunk order. W_in and W_out are one
+stacked (2V, d) array, and a chunk reads every row it touches with one
+gather and applies its updates with one 1-D np.add.at in the order of
+the loop's three scatters (centers, contexts, negatives), so every slot
+receives the same additions in the same order.
+
+LightGCN masks each batch's node-dropout graph out of the training
+matrix's CSR and its (item, user) order: the arrays from_pairs would
+sort the kept edges into.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Literal, Mapping, Sequence, get_args
 
@@ -217,7 +226,7 @@ def user_history_sequences(m: SparseInteractionMatrix, shuffles: int,
             continue
         for s in range(shuffles):
             rng = np.random.default_rng(stage_seed(seed, "hist", str(u), str(s)))
-            corpus.append([int(i) for i in rng.permutation(items)])
+            corpus.append(rng.permutation(items).tolist())
     return corpus
 
 
@@ -282,7 +291,8 @@ def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
 
     Negatives come from the unigram^0.75 distribution. Updates are applied
     in chunks of up to 1,024 pairs within each sequence, in sequence order;
-    input vectors (W_in) become the embedding. Returns (vectors, present,
+    input vectors (W_in) become the embedding. W_in and W_out are one
+    (2V, d) array, W_out in rows V..2V-1. Returns (vectors, present,
     meta): row t of vectors is token t's vector where present[t] holds,
     zero for a token the corpus lacks; meta holds the epoch losses and the
     vocabulary size.
@@ -295,16 +305,25 @@ def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
     - one rng.random((block pairs, K)) yields the doubles of the block's
       per-chunk calls in order, as no other draw comes between them;
     - _GuideTable gives searchsorted's index for every draw;
-    - the elementwise log-sigmoid of the dot products the updates return
+    - the elementwise log-sigmoid of the dot products the updates write
       is taken once per block, and each chunk's slice is summed and added
-      to the total in chunk order, as the loop added each chunk's loss.
+      to the total in chunk order, as the loop added each chunk's loss;
+    - each chunk gathers its rows (centers, then contexts and negatives
+      offset into W_out) in one take and scatters their updates, each the
+      loop's product with the same operands and association, in one 1-D
+      np.add.at in the same order. All reads precede all updates, W_in
+      and W_out slots are disjoint, within W_out every context update
+      comes before every negative update, each in pair order, and a 1-D
+      np.add.at adds to each slot in index order: every slot receives the
+      additions of the loop's W_in, context and negative scatters, in
+      their order.
     """
     corpus = [seq for seq in corpus if len(seq)]
     if not corpus:
         raise ValueError("corpus must be nonempty")
     lengths = np.array([len(seq) for seq in corpus], dtype=np.int64)
     vocab, tokens = np.unique(np.fromiter(
-        (tok for seq in corpus for tok in seq), dtype=np.int64,
+        chain.from_iterable(corpus), dtype=np.int64,
         count=int(lengths.sum())), return_inverse=True)
     if vocab[0] < 0 or vocab[-1] >= n_tokens:
         raise ValueError(f"token outside 0..{n_tokens - 1}")
@@ -313,9 +332,10 @@ def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
     lookup = _GuideTable(np.cumsum(noise))
 
     rng = np.random.default_rng(stage_seed(params.seed, "sgns"))
-    w_in = rng.uniform(-0.5 / params.dim, 0.5 / params.dim,
-                       size=(len(vocab), params.dim))
-    w_out = np.zeros((len(vocab), params.dim))
+    n_vocab, dim = len(vocab), params.dim
+    weights = np.zeros((2 * n_vocab, dim))             # W_in, then W_out
+    weights[:n_vocab] = rng.uniform(-0.5 / dim, 0.5 / dim, size=(n_vocab, dim))
+    slots = np.arange(weights.size).reshape(weights.shape)
 
     seq_end = np.cumsum(lengths)
     group = (seq_end - lengths) // _PAIR_BLOCK
@@ -335,17 +355,17 @@ def train_skipgram(corpus: Iterable[Sequence[int]], params: SkipGramParams,
                            for s in range(begin, end, _CHUNK)]
                 begin = end
             for s, e in chunks:
-                pos[s:e], neg[s:e] = _sgns_chunk(
-                    w_in, w_out, centers[s:e], contexts[s:e], negs[s:e],
-                    params.learning_rate)
+                _sgns_chunk(weights, slots, centers[s:e], contexts[s:e],
+                            negs[s:e], params.learning_rate,
+                            pos[s:e], neg[s:e])
             pos_loss, neg_loss = -_log_sigmoid(pos), -_log_sigmoid(-neg)
             for s, e in chunks:
                 total += float(np.sum(pos_loss[s:e]) + np.sum(neg_loss[s:e]))
             n_pairs += len(centers)
         epoch_loss.append(total / max(n_pairs, 1))
 
-    vectors = np.zeros((n_tokens, params.dim))
-    vectors[vocab] = w_in
+    vectors = np.zeros((n_tokens, dim))
+    vectors[vocab] = weights[:n_vocab]
     present = np.zeros(n_tokens, dtype=bool)
     present[vocab] = True
     return vectors, present, {"epoch_loss": epoch_loss, "vocab": len(vocab)}
@@ -361,24 +381,35 @@ def _add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray
     np.add.at(target.reshape(-1), flat, values.ravel())
 
 
-def _sgns_chunk(w_in, w_out, centers, contexts, negs, lr
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """One accumulated-gradient update over a chunk of pairs; returns the
-    pre-update dot products (pos (B,), neg (B, K)) the pair losses
-    -log σ(pos) - Σ log σ(-neg) are taken from."""
-    v = w_in[centers]                                  # (B, d)
-    u_o = w_out[contexts]
-    u_n = w_out[negs]                                  # (B, K, d)
-    pos = np.einsum("bd,bd->b", v, u_o)
-    neg = np.einsum("bkd,bd->bk", u_n, v)
+def _sgns_chunk(weights, slots, centers, contexts, negs, lr, pos, neg
+                ) -> None:
+    """One accumulated-gradient update over a chunk of pairs on the
+    stacked (W_in; W_out) weights, whose flat slot numbers slots holds:
+    one gather of every row the chunk touches, one 1-D scatter of their
+    updates (see train_skipgram for why the bits are the loop's). Writes
+    the pre-update dot products the pair losses -log σ(pos) - Σ log σ(-neg)
+    are taken from into pos (B,) and neg (B, K)."""
+    n_vocab = len(weights) // 2
+    b = len(centers)
+    rows = np.concatenate([centers, n_vocab + contexts, n_vocab + negs.ravel()])
+    block = weights.take(rows, axis=0)
+    v, u_o = block[:b], block[b:2 * b]
+    u_n = block[2 * b:].reshape(negs.shape + (-1,))    # (B, K, d)
+    np.einsum("bd,bd->b", v, u_o, out=pos)
+    np.einsum("bkd,bd->bk", u_n, v, out=neg)
     g_pos = sigmoid(pos) - 1.0                        # (B,)
     g_neg = sigmoid(neg)                              # (B, K)
-    d_v = g_pos[:, None] * u_o + np.einsum("bk,bkd->bd", g_neg, u_n)
-    _add_rows_at(w_in, centers, -lr * d_v)
-    _add_rows_at(w_out, contexts, -lr * g_pos[:, None] * v)
-    _add_rows_at(w_out, negs.ravel(),
-                 -lr * (g_neg[:, :, None] * v[:, None, :]))
-    return pos, neg
+    update = np.empty_like(block)
+    d_v, d_o = update[:b], update[b:2 * b]
+    d_n = update[2 * b:].reshape(u_n.shape)
+    np.multiply(g_pos[:, None], u_o, out=d_v)
+    d_v += np.einsum("bk,bkd->bd", g_neg, u_n)
+    d_v *= -lr
+    np.multiply((-lr * g_pos)[:, None], v, out=d_o)
+    np.einsum("bk,bd->bkd", g_neg, v, out=d_n)
+    d_n *= -lr
+    np.add.at(weights.reshape(-1), slots.take(rows, axis=0).ravel(),
+              update.ravel())
 
 
 def derive_user_vectors(m: SparseInteractionMatrix, items: np.ndarray,
@@ -483,6 +514,7 @@ def train_lightgcn(m: SparseInteractionMatrix,
     edge_users = np.repeat(np.arange(m.n_users), np.diff(m.user_ptr))
     edge_items = m.user_items
     edge_keys = edge_users * m.n_items + edge_items
+    item_order = np.lexsort((edge_users, edge_items))
     n_nodes = m.n_users + m.n_items
 
     adam_m = [np.zeros_like(user_vecs), np.zeros_like(item_vecs)]
@@ -508,9 +540,7 @@ def train_lightgcn(m: SparseInteractionMatrix,
                 # drop every edge of a dropped node (items offset by n_users)
                 drop = rng.random(n_nodes) < params.node_dropout
                 kept = ~(drop[edge_users] | drop[m.n_users + edge_items])
-                graph = SparseInteractionMatrix.from_pairs(
-                    edge_users[kept], edge_items[kept], m.user_ratings[kept],
-                    m.n_users, m.n_items)
+                graph = _edge_subgraph(m, edge_users, item_order, kept)
             loss, g_u, g_i = bpr_loss_and_grad(
                 user_vecs, item_vecs, graph, params.layers, params.l2_reg,
                 users, pos, neg)
@@ -529,6 +559,27 @@ def train_lightgcn(m: SparseInteractionMatrix,
     return EmbeddingTable(out_u, np.ones(m.n_users, dtype=bool),
                           out_i, np.ones(m.n_items, dtype=bool),
                           meta={"epoch_loss": epoch_loss})
+
+
+def _edge_subgraph(m: SparseInteractionMatrix, edge_users: np.ndarray,
+                   item_order: np.ndarray, kept: np.ndarray
+                   ) -> SparseInteractionMatrix:
+    """The matrix of m's edges where kept holds, kept aligned with m's CSR
+    (row of each edge in edge_users) and item_order the edges sorted by
+    (item, user): the arrays SparseInteractionMatrix.from_pairs builds
+    from the kept edges, by masking m's CSR and its (item, user) order
+    instead of sorting. Pointers come from the kept edges' counts."""
+    def ptr(ids, n):
+        out = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=n), out=out[1:])
+        return out
+
+    users, items = edge_users[kept], m.user_items[kept]
+    col = item_order[kept[item_order]]
+    return SparseInteractionMatrix(
+        m.n_users, m.n_items, ptr(users, m.n_users), items,
+        m.user_ratings[kept], ptr(items, m.n_items), edge_users[col],
+        m.user_ratings[col])
 
 
 # Draws tested per window while sampling negatives. A window ends at its

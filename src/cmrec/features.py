@@ -5,6 +5,9 @@ similarities, and keep everything cached and resumable on disk."""
 from __future__ import annotations
 
 import io
+import math
+import os
+import re
 import shutil
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -349,29 +352,88 @@ def sweep_cache(cache_dir, entries: Mapping[str, str]) -> None:
             path.unlink()
 
 
+# a .npy 1.0 header as np.lib.format writes it for a C-order array, as
+# _store's arrays are
+_PLAIN_HEADER = re.compile(r"\{'descr': '([<>|][A-Za-z][0-9]*)', "
+                           r"'fortran_order': False, "
+                           r"'shape': \(([0-9, ]*)\), \} *\n")
+# read_table's arrays: header, users, items, labels, values
+_TABLE_KINDS = [("U", 1)] * 3 + [("b", 1), ("d", 2)]
+
+
+def _read_header(fh) -> tuple[tuple, np.dtype]:
+    """(shape, dtype) of the .npy header at fh, leaving fh at the array's
+    data. Only a version 1.0 header as np.lib.format writes it for a
+    C-order array (any padding) is read: the dict's text must be what its
+    shape and dtype render to. Any other header, one numpy's parser would
+    read (ten times slower) included, is a ValueError."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 .npy header")
+    size = int.from_bytes(fh.read(2), "little")
+    text = fh.read(size).decode("latin1")
+    plain = _PLAIN_HEADER.fullmatch(text) if len(text) == size else None
+    if plain is None:
+        raise ValueError("not a header np.lib.format writes")
+    descr, dims = plain.groups()
+    shape = tuple(int(n) for n in dims.split(",") if n)
+    try:
+        dtype = np.dtype(descr)
+    except TypeError:
+        raise ValueError(f"unknown dtype {descr!r}") from None
+    if (f"({dims})", descr) != (repr(shape),
+                                np.lib.format.dtype_to_descr(dtype)):
+        raise ValueError("not a header np.lib.format writes")
+    return shape, dtype
+
+
+def _check_headers(fh, kinds: Sequence[tuple[str, int]]) -> None:
+    """Walk the .npy headers of the _store file open as fh, reading no
+    array: the key, then one array per (dtype char, ndim) of kinds, then
+    the end of the file. Each header must be one _read_header reads, be of
+    its kind and claim (shape x itemsize) no more bytes than the file has
+    left, and the last array must end the file; otherwise a ValueError.
+    Leaves fh at the start, so that no array is read (or allocated) from a
+    truncated or inflated file."""
+    size = os.fstat(fh.fileno()).st_size
+    for char, ndim in [("U", 1), *kinds]:
+        shape, dtype = _read_header(fh)
+        if dtype.char != char or len(shape) != ndim or min(shape) < 0:
+            raise ValueError("not an array of its kind")
+        end = fh.tell() + math.prod(shape) * dtype.itemsize
+        if end > size:
+            raise ValueError("array runs past the end of the file")
+        fh.seek(end)
+    if fh.tell() != size:
+        raise ValueError("bytes after the last array")
+    fh.seek(0)
+
+
 def _fetch(cache_dir, name: str, key: str,
            kinds: Sequence[tuple[str, int]]) -> list[np.ndarray] | None:
     """The arrays _store stored for name under key, one per (dtype char,
-    ndim) of kinds; None when the file is missing or damaged, was stored
-    under another key, or holds an array of another kind."""
-    def read(fh, char: str, ndim: int) -> np.ndarray:
-        arr = np.lib.format.read_array(fh, allow_pickle=False)
-        if arr.dtype.char != char or arr.ndim != ndim:
-            raise ValueError("not an array of its kind")
-        return arr
-
+    ndim) of kinds; None when the file is missing, fails _check_headers,
+    is otherwise damaged or was stored under another key."""
     try:
         with _cache_file(cache_dir, name, key).open("rb") as fh:
-            if read(fh, "U", 1).tolist() != [key]:
-                return None
-            return [read(fh, *kind) for kind in kinds]
+            _check_headers(fh, kinds)
+            stored_key, *arrays = [
+                np.lib.format.read_array(fh, allow_pickle=False)
+                for _ in range(1 + len(kinds))]
     except (OSError, ValueError):
         return None
+    return arrays if stored_key.tolist() == [key] else None
 
 
 def table_stored(tsv_path, digest: str, cache_dir) -> bool:
-    """Whether cache_dir holds read_table's file (a stat, reading none)."""
-    return _cache_file(cache_dir, Path(tsv_path).stem, digest).is_file()
+    """Whether cache_dir holds read_table's file and its arrays are whole
+    (_check_headers: headers only, no array read)."""
+    try:
+        with _cache_file(cache_dir, Path(tsv_path).stem, digest).open(
+                "rb") as fh:
+            _check_headers(fh, _TABLE_KINDS)
+        return True
+    except (OSError, ValueError):
+        return False
 
 
 def read_table(tsv_path, digest: str, cache_dir,
@@ -380,8 +442,7 @@ def read_table(tsv_path, digest: str, cache_dir,
     sha256 digest, with the named columns in that order (default: all);
     None when the stored file is missing, damaged or under another key.
     The TSV is not read. A name the table lacks is a KeyError."""
-    stored = _fetch(cache_dir, Path(tsv_path).stem, digest,
-                    [("U", 1)] * 3 + [("b", 1), ("d", 2)])
+    stored = _fetch(cache_dir, Path(tsv_path).stem, digest, _TABLE_KINDS)
     if stored is None:
         return None
     header, users, items, labels, values = stored

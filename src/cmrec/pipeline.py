@@ -348,7 +348,8 @@ def _prerank_current(ws: Workspace, target: str,
                      inputs: PrerankInputs) -> bool:
     """The target's record parses, holds these inputs under this version,
     every output it lists still has its recorded sha256, and the stored
-    copy of each table, all that select and train read of it, exists."""
+    copy of each table, all that select and train read of it, exists with
+    whole arrays (features.table_stored)."""
     tdir = ws.target_dir(target)
     try:
         record = read_artifact(PrerankRecord, tdir / PRERANK_RECORD)
@@ -521,9 +522,10 @@ def _prerank_tables(ws: Workspace, target: str, columns=None):
     No record, or a TSV without its recorded sha256 or stored copy, is a
     StageError saying to re-run prerank; a named column a table lacks
     (kept.txt older than the last prerank) is a DataError. Both TSVs'
-    digests and stored copies are checked before the first table is read,
-    so a train refused for its test table writes nothing (a stored copy
-    that is there but damaged is found only when it is read)."""
+    digests and stored copies (features.table_stored: present, headers
+    whole) are checked before the first table is read, so a train refused
+    for a missing, truncated or inflated test table writes nothing (other
+    damage to a stored copy is found only when it is read)."""
     tdir, cache = ws.target_dir(target), ws.cache_dir(target)
     path = tdir / PRERANK_RECORD
     if not path.exists():  # none yet, or the last prerank failed
@@ -538,7 +540,8 @@ def _prerank_tables(ws: Workspace, target: str, columns=None):
                              f"re-run prerank for target {target!r}")
         if not features.table_stored(tsv, digest, cache):
             raise StageError(f"the stored copy of {tsv} in {cache} is "
-                             f"missing; re-run prerank for target {target!r}")
+                             f"missing or damaged; re-run prerank for target "
+                             f"{target!r}")
     for tsv, digest in tables.items():
         try:
             table = features.read_table(tsv, digest, cache, columns)

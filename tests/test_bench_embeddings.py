@@ -1,9 +1,11 @@
 """scripts/bench_embeddings.py: one repeat runs and prints every kernel,
-with the digests of today's numerics."""
+with the digests of today's numerics and the skip-gram chunk counts."""
 
 import importlib.util
 import re
 from pathlib import Path
+
+from cmrec import embeddings as emb
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_embeddings.py"
 spec = importlib.util.spec_from_file_location("bench_embeddings", SCRIPT)
@@ -31,3 +33,23 @@ def test_one_repeat_prints_times_and_digests(capsys, assert_digests):
     digests = [re.search(r"sha256 ([0-9a-f]{64})$", line) for line in lines[1:]]
     assert all(digests)
     assert_digests([d.group(1) for d in digests], DIGESTS)
+    chunks = [re.search(r" tokens  (\d+) chunks  [0-9.]+ us/chunk  sha256",
+                        line) for line in lines[2:4]]
+    assert all(chunks)
+    assert [int(c.group(1)) for c in chunks] == [2800, 2000]
+
+
+def test_chunk_count_is_the_updates_train_skipgram_makes(monkeypatch):
+    m = bench_embeddings.make_matrix()
+    calls = []
+    real = emb._sgns_chunk
+    monkeypatch.setattr(emb, "_sgns_chunk",
+                        lambda *args: calls.append(1) or real(*args))
+    params = bench_embeddings.SKIPGRAM
+    long_walk = [list(range(200)) * 2]             # 3,970 pairs: 4 chunks
+    for corpus in (emb.user_history_sequences(m, shuffles=2, seed=3),
+                   [[1], [2, 3], [4, 5, 6]] + long_walk):
+        calls.clear()
+        emb.train_skipgram(corpus, params, 200)
+        assert bench_embeddings.chunk_count(corpus, params) == len(calls)
+    assert len(calls) == (2 + 4) * params.epochs

@@ -3,6 +3,7 @@ checks, analytic walk-weight cases, per-walk, per-sequence, per-user and
 per-draw loop oracles for the vectorised walks, skip-gram, user vectors,
 scoring and negative sampling, and TSV round trips."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmrec import embeddings as emb
+from cmrec.data import SparseInteractionMatrix
 from cmrec.util import (DataError, atomic_write_text, fmt, sigmoid,
                         stage_seed)
 
@@ -592,6 +594,23 @@ class TestSkipGramMatchesOracle:
         assert_same_skipgram(emb.train_skipgram(walks, params, 40),
                              train_skipgram_oracle(walks, params, 40))
 
+    @pytest.mark.parametrize("vocab", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_tiny_vocabulary_where_every_chunk_collides(self, vocab, seed):
+        """Every chunk's centers, contexts and negatives fall on the same
+        one to three rows, so a row takes many updates in one scatter and
+        their order sets its bits; the 130-token sequence has over 1,024
+        pairs, so it is updated in two chunks."""
+        rng = np.random.default_rng(seed)
+        corpus = [rng.integers(0, vocab, size=n).tolist()
+                  for n in (5, 130, 2, 9)]
+        assert len(_pairs_for_sequence(corpus[1], 5)[0]) > 1024
+        params = emb.SkipGramParams(dim=4, window=5, negatives=4, epochs=2,
+                                    seed=seed)
+        got = emb.train_skipgram(corpus, params, vocab)
+        assert got[1].all()
+        assert_same_skipgram(got, train_skipgram_oracle(corpus, params, vocab))
+
 
 class TestGuideTableMatchesSearchsorted:
     """The skip-gram negative lookup against np.searchsorted(cdf, u,
@@ -660,6 +679,44 @@ class TestLightGcnTraining:
     def test_negative_l2_reg_rejected(self):
         with pytest.raises(ValueError, match="l2_reg"):
             emb.LightGcnParams(l2_reg=-1e-4)
+
+
+class TestEdgeSubgraph:
+    """The node-dropout graph masked out of a matrix's CSR against
+    SparseInteractionMatrix.from_pairs of the kept edges."""
+
+    @staticmethod
+    def check(m, kept):
+        edge_users = np.repeat(np.arange(m.n_users), np.diff(m.user_ptr))
+        item_order = np.lexsort((edge_users, m.user_items))
+        got = emb._edge_subgraph(m, edge_users, item_order, kept)
+        want = SparseInteractionMatrix.from_pairs(
+            edge_users[kept], m.user_items[kept], m.user_ratings[kept],
+            m.n_users, m.n_items)
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+            assert np.array_equal(a, b), f.name
+        return got
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_arrays_as_from_pairs(self, rate, seed):
+        rng = np.random.default_rng(seed)
+        m = matrix_from_dense(random_dense(rng, 14, 10, density=0.4))
+        drop = rng.random(m.n_users + m.n_items) < rate
+        edge_users = np.repeat(np.arange(m.n_users), np.diff(m.user_ptr))
+        kept = ~(drop[edge_users] | drop[m.n_users + m.user_items])
+        got = self.check(m, kept)
+        emptied = [(m.user_degrees() > 0) & (got.user_degrees() == 0),
+                   (m.item_degrees() > 0) & (got.item_degrees() == 0)]
+        if rate >= 0.5:  # whole users and items lose every edge
+            assert all(side.any() for side in emptied)
+        if rate == 1.0:
+            assert got.nnz == 0
+
+    def test_empty_matrix(self):
+        self.check(matrix_from_dense(np.zeros((3, 4))), np.zeros(0, dtype=bool))
 
 
 def train_lightgcn_oracle(dense_binary, params):

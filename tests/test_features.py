@@ -4,7 +4,9 @@ correlation report."""
 
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -889,6 +891,30 @@ def stored_table(table, tmp_path, provenance=None, name="f"):
     return tsv, digest, cache
 
 
+def npy_arrays(payload: bytes) -> list[tuple]:
+    """(start, data start, shape, dtype) of each .npy array in a stored
+    file's bytes, in order."""
+    fh, arrays = io.BytesIO(payload), []
+    while fh.tell() < len(payload):
+        start = fh.tell()
+        np.lib.format.read_magic(fh)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        arrays.append((start, fh.tell(), shape, dtype))
+        fh.seek(fh.tell() + math.prod(shape) * dtype.itemsize)
+    return arrays
+
+
+def with_shape(payload: bytes, k: int, shape: tuple) -> bytes:
+    """payload with the header of its k-th array claiming shape, its
+    bytes unchanged."""
+    start, data, _, dtype = npy_arrays(payload)[k]
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False, "shape": shape})
+    return payload[:start] + header.getvalue() + payload[data:]
+
+
 class TestTableIO:
     def labeled_table(self, rng):
         values = rng.normal(size=(6, 2))
@@ -1008,6 +1034,74 @@ class TestTableIO:
         stored.write_bytes(stored_bytes)
         assert_same_table(read_table(tsv, digest, cache),
                           read_table_oracle(tsv))
+
+    def test_a_truncated_or_inflated_copy_is_neither_stored_nor_read(
+            self, tmp_path, rng, monkeypatch):
+        """table_stored and read_table walk the .npy headers first: a copy
+        a byte short or long, or with a header claiming more or fewer
+        elements than follow it (at most 4 MB more), is not stored, and
+        read_table returns None without reading any of its arrays."""
+        tsv, digest, cache = stored_table(oracle_table(rng, 9, 2), tmp_path)
+        (stored,) = cache.iterdir()
+        payload = stored.read_bytes()
+        arrays = npy_arrays(payload)
+        assert [shape for _, _, shape, _ in arrays] == [
+            (1,), (5,), (9,), (9,), (9,), (9, 2)]
+        damaged = [payload[:-1], payload + b"\0", payload[:100],
+                   with_shape(payload, 5, (2 ** 18, 2)),
+                   with_shape(payload, 5, (-1, 2)),
+                   with_shape(payload, 5, (9,)),
+                   with_shape(payload, 3, (9, 1))]
+        for k, (_, _, (n, *rest), _) in enumerate(arrays):
+            damaged += [with_shape(payload, k, (n + 1, *rest)),
+                        with_shape(payload, k, (n - 1, *rest))]
+        reads = []
+        real = np.lib.format.read_array
+        monkeypatch.setattr(np.lib.format, "read_array",
+                            lambda *a, **kw: reads.append(1) or real(*a, **kw))
+        for bad in damaged:
+            stored.write_bytes(bad)
+            assert not features.table_stored(tsv, digest, cache)
+            assert read_table(tsv, digest, cache) is None
+        assert not reads
+        stored.write_bytes(payload)
+        assert features.table_stored(tsv, digest, cache)
+        assert_same_table(read_table(tsv, digest, cache),
+                          read_table_oracle(tsv))
+        assert len(reads) == len(arrays)
+
+    @pytest.mark.parametrize("header, plain", [
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (3, 4), }", True),
+        ("{'descr': '<U7', 'fortran_order': False, 'shape': (0,), }", True),
+        ("{'descr': '|i1', 'fortran_order': False, 'shape': (), }", True),
+        ("{'descr': '>f8', 'fortran_order': False, 'shape': (2,), }", True),
+        # numpy's parser reads these, but np.lib.format writes none of them
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (3,  4), }",
+         False),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (3,), }  # x",
+         False),
+        ("{'descr': '>i1', 'fortran_order': False, 'shape': (3,), }", False),
+        ("{'descr': '<f8', 'fortran_order': True, 'shape': (3, 4), }", False),
+        ("{'shape': (3,), 'descr': '<f8', 'fortran_order': False}", False),
+        # and these it refuses too
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (03,), }", False),
+        ("{'descr': '<Z8', 'fortran_order': False, 'shape': (3,), }", False),
+        ("{'descr': '<U99999999999', 'fortran_order': False, 'shape': (3,), }",
+         False),
+        ("{'descr': '<f8', 'fortran_order': False, 'shape': (-3,), }", False)])
+    def test_the_walk_reads_only_headers_np_lib_format_writes(self, header,
+                                                              plain):
+        text = (header.ljust(117) + "\n").encode("latin1")
+        payload = (np.lib.format.magic(1, 0) + len(text).to_bytes(2, "little")
+                   + text)
+        if plain:
+            fh = io.BytesIO(payload)
+            np.lib.format.read_magic(fh)
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            assert features._read_header(io.BytesIO(payload)) == (shape, dtype)
+        else:
+            with pytest.raises(ValueError):
+                features._read_header(io.BytesIO(payload))
 
     def test_a_rewritten_table_keeps_its_older_file_until_a_sweep(
             self, tmp_path, rng):

@@ -21,7 +21,7 @@ from cmrec.util import ConfigError, DataError, StageError
 
 from test_data import to_dense
 from test_evaluation import run_lists
-from test_features import count_calls, every_id
+from test_features import count_calls, every_id, npy_arrays, with_shape
 from test_gbdt import load_model
 from test_golden import golden_config, golden_data
 
@@ -897,13 +897,21 @@ class TestPrerankHandOff:
         assert f"{tsv} is not the table {record} records" in str(err.value)
         assert "re-run prerank" in str(err.value)
 
-    def test_train_without_the_test_tables_stored_copy_writes_nothing(
-            self, world, tmp_path, capsys):
+    @pytest.mark.parametrize("damage", ["deleted", "truncated", "inflated"])
+    def test_train_on_a_lost_or_damaged_test_table_copy_writes_nothing(
+            self, world, tmp_path, capsys, damage):
         work, config = copied_workspace(world, tmp_path)
         outputs = ("model.json", "oof.tsv", "test_ranked.tsv", "metrics.json")
         before = {name: (work / "t1" / name).read_bytes() for name in outputs}
         [stored] = (work / "t1" / "cache").glob("features_test.*.npy")
-        stored.unlink()
+        payload = stored.read_bytes()
+        if damage == "deleted":
+            stored.unlink()
+        elif damage == "truncated":
+            stored.write_bytes(payload[:-8])
+        else:  # the values' header claims one row more than follows
+            n_rows, n_cols = npy_arrays(payload)[-1][2]
+            stored.write_bytes(with_shape(payload, -1, (n_rows + 1, n_cols)))
         params = config.ranker.params
         longer = dataclasses.replace(config, ranker=dataclasses.replace(
             config.ranker, params=dataclasses.replace(

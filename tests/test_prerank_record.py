@@ -269,6 +269,12 @@ def delete_stored_table(env):
     return env["config"]
 
 
+def truncate_stored_table(env):
+    (stored,) = env["ws"].cache_dir("t1").glob("features_valid.*.npy")
+    stored.write_bytes(stored.read_bytes()[:-8])
+    return env["config"]
+
+
 def damage_record(text):
     def change(env):
         path = record_path(env["tdir"])
@@ -287,6 +293,7 @@ CHANGED_OUTPUTS = [
         f'"version": {pipeline.PRERANK_RECORD_VERSION + 1}')),
     delete(pipeline.PRERANK_RECORD),
     delete_stored_table,
+    truncate_stored_table,
 ]
 
 

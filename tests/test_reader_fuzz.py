@@ -8,21 +8,28 @@ NUL, tab and LF bytes, and lines repeated, deleted or swapped.
 
 The oracles split lines as the readers do: CRLF and a lone CR become LF,
 and only LF splits a line (no str.splitlines, which also splits on form
-feeds, NEL and the Unicode separators)."""
+feeds, NEL and the Unicode separators).
+
+A feature table's stored copy (consecutive .npy arrays) is mutated the
+same way; read_table returns what a frombuffer oracle of its arrays
+returns, or None."""
 
 import dataclasses
 import functools
+import io
 import json
 import math
 from collections.abc import Mapping
+from tokenize import TokenError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmrec import data, embeddings, evaluation, selection
+from cmrec import data, embeddings, evaluation, features, selection
 from cmrec.config import load_config
-from cmrec.features import Catalog, PlanEntry
+from cmrec.features import Catalog, FeatureTable, PlanEntry
 from cmrec.pipeline import (Evaluation, PrerankInputs, PrerankRecord,
                             SnapshotEncoders, SnapshotMeta)
 from cmrec.util import ConfigError, DataError, StageError, read_artifact
@@ -271,6 +278,65 @@ def vectors_oracle(payload: bytes):
     return vectors or None
 
 
+# a stored table: its header, users, items, labels and values arrays
+STORED = FeatureTable(("t1U0000", "t1U0000", "t1U0001", "t1U0002"),
+                      ("I0001", "I0007", "I0001", "I0012"),
+                      ("item_cf__a3f129cd__s1-t1", "stat__user_count"),
+                      np.array([[0.25, 3.0], [-0.0, 3.0], [1e-300, 1.0],
+                                [-7.5, 2.0]]),
+                      np.array([1, 0, 0, 1], dtype=np.int8))
+
+
+def stored_oracle(payload: bytes, key: str):
+    """(header, users, items, labels, values) of a stored table copy as
+    lists (values as raw bytes and shape): after a key array holding key,
+    1-D string header, users and items, 1-D int8 labels and 2-D float64
+    values, each taken with frombuffer after its .npy header, the last
+    ending the file; labels None unless the third header name is label.
+    None where a header is not one np.lib.format writes for a C-order
+    array (version 1.0, its dict rendered from the shape and dtype that
+    numpy's parser reads, then spaces and a newline), an array is of
+    another kind or runs past the end, bytes follow, the key differs or
+    the arrays make no FeatureTable."""
+    fh, arrays = io.BytesIO(payload), []
+    try:
+        for char, ndim in [("U", 1)] * 4 + [("b", 1), ("d", 2)]:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            start = fh.tell()
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            text = payload[start + 2:fh.tell()].decode("latin1")
+            written = (f"{{'descr': {np.lib.format.dtype_to_descr(dtype)!r}, "
+                       f"'fortran_order': False, 'shape': {shape!r}, }}")
+            count = math.prod(shape)
+            if (fortran or text[:-1].rstrip(" ") != written
+                    or not text.endswith("\n") or dtype.char != char
+                    or len(shape) != ndim or min(shape) < 0
+                    or fh.tell() + count * dtype.itemsize > len(payload)):
+                return None
+            arrays.append(np.frombuffer(payload, dtype, count, fh.tell())
+                          .reshape(shape))
+            fh.seek(count * dtype.itemsize, io.SEEK_CUR)
+    except (ValueError, SyntaxError, TokenError):  # numpy's parser refuses
+        return None
+    stored_key, header, users, items, labels, values = arrays
+    if fh.tell() != len(payload) or stored_key.tolist() != [key]:
+        return None
+    labeled = header.tolist()[2:3] == ["label"]
+    try:
+        table = FeatureTable(users, items, tuple(header.tolist()[2 + labeled:]),
+                             values, labels if labeled else None)
+    except ValueError:
+        return None
+    return table_lists(table)
+
+
+def table_lists(table):
+    return (list(table.columns), table.users.tolist(), table.items.tolist(),
+            None if table.labels is None else table.labels.tolist(),
+            table.values.tobytes(), table.values.shape)
+
+
 def json_oracle(payload: bytes):
     """The JSON document of a file; None where it is not UTF-8 JSON."""
     try:
@@ -412,6 +478,52 @@ def test_read_embedding_tsv_agrees_with_the_oracle_or_names_the_file(
         fuzz_dir, mutations):
     check(read_vectors, vectors_oracle, fuzz_dir / "vectors.tsv",
           mutate(VECTORS, mutations))
+
+
+@pytest.fixture(scope="module")
+def stored_copy(tmp_path_factory):
+    """(TSV path, sha256, cache dir, stored bytes) of STORED as write_table
+    leaves it."""
+    root = tmp_path_factory.mktemp("stored")
+    tsv, cache = root / "features_valid.tsv", root / "cache"
+    digest, _ = features.write_table(STORED, tsv, root / "catalog.json", {},
+                                     cache)
+    (path,) = cache.iterdir()
+    return tsv, digest, cache, path.read_bytes()
+
+
+def read_stored(stored_copy, payload):
+    """read_table of the stored copy's bytes replaced by payload, as lists;
+    None when it reads no table."""
+    tsv, digest, cache, _ = stored_copy
+    (path,) = cache.iterdir()
+    path.write_bytes(payload)
+    table = features.read_table(tsv, digest, cache)
+    return None if table is None else table_lists(table)
+
+
+def test_the_stored_seed_reads_and_mutations_reach_both_outcomes(stored_copy):
+    _, digest, _, payload = stored_copy
+    want = stored_oracle(payload, digest)
+    assert want == table_lists(STORED) == read_stored(stored_copy, payload)
+    assert stored_oracle(payload[:-1], digest) is None
+    assert stored_oracle(payload + b"\0", digest) is None
+    nan = mutate(payload, [("flip", len(payload) - 2, 0, 0xf8),
+                           ("flip", len(payload) - 1, 0, 0x7f)])
+    assert stored_oracle(nan, digest) is None  # the last value made NaN
+    # a flip in a user id leaves a table with another id
+    at = payload.index("t1U0002".encode("utf-32-le"))
+    other = stored_oracle(mutate(payload, [("flip", at, 0, ord("x"))]), digest)
+    assert other[1] == ["t1U0000", "t1U0000", "t1U0001", "x1U0002"]
+
+
+@FUZZ
+@given(st.lists(MUTATION, max_size=4))
+def test_read_table_agrees_with_the_oracle_or_reads_none(stored_copy,
+                                                        mutations):
+    _, digest, _, payload = stored_copy
+    payload = mutate(payload, mutations)
+    assert read_stored(stored_copy, payload) == stored_oracle(payload, digest)
 
 
 def test_the_json_seeds_parse_and_mutations_reach_both_outcomes(fuzz_dir):
